@@ -13,8 +13,6 @@ from .algebra import (
     check_extension_towers,
     check_intertwining_equivalents,
     commutant,
-    delta,
-    delta_star,
     extend_delta,
     extend_delta_star,
     generate_closure,

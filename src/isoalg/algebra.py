@@ -92,10 +92,9 @@ def spans_equal(a: list[np.ndarray], b: list[np.ndarray], tol: float) -> tuple[b
     """Mutual containment of two matrix spans; returns (equal, worst defect)."""
     fa, fb = _svd_span(a), _svd_span(b)
     worst = 0.0
-    for m in b:
-        worst = max(worst, _span_defect(fa, m) / max(1.0, hs_norm(m)))
-    for m in a:
-        worst = max(worst, _span_defect(fb, m) / max(1.0, hs_norm(m)))
+    for flat, mats in ((fa, b), (fb, a)):
+        for m in mats:
+            worst = max(worst, _span_defect(flat, m) / max(1.0, hs_norm(m)))
     return worst <= tol, worst
 
 
@@ -349,12 +348,70 @@ class IsometrySystem:
         return f"IsometrySystem(algebra={self.algebra!r})"
 
 
-def delta(sys: IsometrySystem, m: np.ndarray) -> np.ndarray:
-    return sys.delta(m)
+def _commutator_norm(p: np.ndarray, mats) -> float:
+    """Worst ||p a - a p|| over a in mats (0 for none)."""
+    return max((spectral_norm(p @ a - a @ p) for a in mats), default=0.0)
 
 
-def delta_star(sys: IsometrySystem, m: np.ndarray) -> np.ndarray:
-    return sys.delta_star(m)
+def _commutator_defect(basis: list[np.ndarray]) -> float:
+    """Worst commutator norm over distinct basis pairs."""
+    return max((_commutator_norm(a, basis[i + 1:])
+                for i, a in enumerate(basis)), default=0.0)
+
+
+def _delta_orbit(sys: IsometrySystem, n_max: int) -> list[list[np.ndarray]]:
+    """The images delta^n(basis) for n = 0, ..., n_max (none if n_max < 0)."""
+    orbit = [list(sys.algebra.basis)]
+    for _ in range(n_max):
+        orbit.append([sys.delta(a) for a in orbit[-1]])
+    return orbit[:n_max + 1]
+
+
+def _multiplicativity_defect(sys: IsometrySystem) -> float:
+    """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
+    basis = sys.algebra.basis
+    deltas = [sys.delta(a) for a in basis]
+    return max(spectral_norm(sys.delta(a @ b) - da @ db)
+               for a, da in zip(basis, deltas) for b, db in zip(basis, deltas))
+
+
+def _invariance_defect(sys: IsometrySystem, image) -> float:
+    """Worst distance from image(a) to the algebra over the basis; ``image``
+    is ``sys.delta`` or ``sys.delta_star``."""
+    return max(sys.algebra.contains(image(a))[1] for a in sys.algebra.basis)
+
+
+def _add_delta_hypotheses(rep: ConditionReport, sys: IsometrySystem,
+                          tol: float, prefix: str = "") -> None:
+    """Record the hypotheses of the delta_star tower and of the power
+    identities: intertwining (i) and delta mapping the algebra into itself."""
+    sub = check_intertwining_equivalents(sys, tol)
+    rep.add(prefix + "intertwining relation", sub.defects[0].value, tol)
+    rep.add(prefix + "delta maps algebra into itself",
+            _invariance_defect(sys, sys.delta), tol)
+
+
+def _projection_families_defect(sys: IsometrySystem, k_max: int) -> float:
+    """Worst commutator [U^{*k}U^k, U^lU^{*l}] over 0 <= k, l <= k_max."""
+    finals = [sys.proj_final(l) for l in range(0, k_max + 1)]
+    return max(_commutator_norm(sys.proj_initial(k), finals)
+               for k in range(0, k_max + 1))
+
+
+def _absorption_defect(sys: IsometrySystem, k_max: int) -> float:
+    """Worst defect of U* U^k U^{*l} = U^{k-1} U^{*l} and
+    U U^{*k} U^l = U^{*(k-1)} U^l over 1 <= k <= l <= k_max."""
+    d = 0.0
+    u, ustar = sys.u, adjoint(sys.u)
+    for l in range(1, k_max + 1):
+        for k in range(1, l + 1):
+            lhs = ustar @ sys.power(k) @ sys.star_power(l)
+            rhs = sys.power(k - 1) @ sys.star_power(l)
+            d = max(d, spectral_norm(lhs - rhs))
+            lhs = u @ sys.star_power(k) @ sys.power(l)
+            rhs = sys.star_power(k - 1) @ sys.power(l)
+            d = max(d, spectral_norm(lhs - rhs))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +441,10 @@ def check_intertwining_equivalents(sys: IsometrySystem,
     pi = is_partial_isometry(u, tol)
     d_pi = max(d.value for d in pi.defects)
     rep.add("(ii) U is a partial isometry", d_pi, tol)
-    p = ustar @ u
-    d_comm = max(spectral_norm(p @ a - a @ p) for a in basis)
+    d_comm = _commutator_norm(ustar @ u, basis)
     rep.add("(ii)/(iii) U*U commutes with algebra", d_comm, tol)
 
-    d_mult = 0.0
-    deltas = [sys.delta(a) for a in basis]
-    for a, da in zip(basis, deltas):
-        for b, db in zip(basis, deltas):
-            d_mult = max(d_mult, spectral_norm(sys.delta(a @ b) - da @ db))
+    d_mult = _multiplicativity_defect(sys)
     rep.add("(iii) delta multiplicative on basis pairs", d_mult, tol)
 
     verdicts = [d_i <= tol,
@@ -412,11 +464,10 @@ def check_coefficient_algebra(sys: IsometrySystem,
     tol = sys.tol if tol is None else tol
     rep = ConditionReport("coefficient_algebra")
     rep.merge(check_intertwining_equivalents(sys, tol))
-    d_in = max(sys.algebra.contains(sys.delta(a))[1] for a in sys.algebra.basis)
-    rep.add("delta maps algebra into itself", d_in, tol)
-    d_star_in = max(sys.algebra.contains(sys.delta_star(a))[1]
-                    for a in sys.algebra.basis)
-    rep.add("delta_star maps algebra into itself", d_star_in, tol)
+    rep.add("delta maps algebra into itself",
+            _invariance_defect(sys, sys.delta), tol)
+    rep.add("delta_star maps algebra into itself",
+            _invariance_defect(sys, sys.delta_star), tol)
     return rep
 
 
@@ -432,20 +483,10 @@ def check_extendability(sys: IsometrySystem, n_max: int,
     tol = sys.tol if tol is None else tol
     rep = ConditionReport("extendability")
     p = sys.proj_initial(1)
-    images = list(sys.algebra.basis)
-    worst = 0.0
-    stabilized_at = None
-    prev = images
-    for n in range(n_max + 1):
-        if n > 0:
-            images = [sys.delta(a) for a in images]
-            if stabilized_at is None:
-                eq, _ = spans_equal(prev, images, tol)
-                if eq:
-                    stabilized_at = n
-            prev = images
-        for a in images:
-            worst = max(worst, spectral_norm(p @ a - a @ p))
+    orbit = _delta_orbit(sys, n_max)
+    worst = max((_commutator_norm(p, images) for images in orbit), default=0.0)
+    stabilized_at = next((n for n in range(1, n_max + 1)
+                          if spans_equal(orbit[n - 1], orbit[n], tol)[0]), None)
     rep.add(f"U*U commutes with delta^n(basis), n <= {n_max}", worst, tol)
     if stabilized_at is not None:
         rep.note(f"delta^n span stabilizes at n = {stabilized_at}")
@@ -463,10 +504,7 @@ def check_commutative_extendability(sys: IsometrySystem, n_max: int,
     """
     tol = sys.tol if tol is None else tol
     basis = sys.algebra.basis
-    d_comm = 0.0
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            d_comm = max(d_comm, spectral_norm(a @ b - b @ a))
+    d_comm = _commutator_defect(basis)
     if d_comm > tol:
         exc = NotCommutative(
             f"algebra has commutator defect {d_comm:.3e} > {tol:.1e}")
@@ -475,14 +513,9 @@ def check_commutative_extendability(sys: IsometrySystem, n_max: int,
 
     rep = ConditionReport("commutative_extendability")
     rep.add("algebra commutative", d_comm, tol)
-    images = list(basis)
-    worst = 0.0
-    for n in range(n_max + 1):
-        if n > 0:
-            images = [sys.delta(a) for a in images]
-        for a in basis:
-            for img in images:
-                worst = max(worst, spectral_norm(a @ img - img @ a))
+    worst = max((_commutator_norm(a, images)
+                 for images in _delta_orbit(sys, n_max) for a in basis),
+                default=0.0)
     rep.add(f"algebra commutes with delta^n(algebra), n <= {n_max}", worst, tol)
     rep.merge(check_extendability(sys, n_max, tol))
     return rep
@@ -527,14 +560,22 @@ def extend_delta_star(sys: IsometrySystem,
     """
     tol = sys.tol if tol is None else tol
     pre = ConditionReport("delta_star_tower_hypotheses")
-    sub = check_intertwining_equivalents(sys, tol)
-    pre.add("intertwining relation", sub.defects[0].value, tol)
-    d_in = max(sys.algebra.contains(sys.delta(a))[1] for a in sys.algebra.basis)
-    pre.add("delta maps algebra into itself", d_in, tol)
+    _add_delta_hypotheses(pre, sys, tol)
     if not pre.passed:
         raise HypothesisViolated(
             "intertwining or delta-invariance fails; delta_star tower unsound", pre)
     return _tower(sys, sys.delta_star, tol)
+
+
+def build_towers(sys: IsometrySystem, tol: float | None = None
+                 ) -> tuple[FiniteStarAlgebra, FiniteStarAlgebra]:
+    """Extend the algebra by delta, then the result by delta_star.
+
+    Returns (delta tower, full tower); the full tower is the coefficient
+    algebra the models are built over.
+    """
+    ext = extend_delta(sys, tol)
+    return ext, extend_delta_star(IsometrySystem(ext, sys.u), tol)
 
 
 def verify_power_identities(sys: IsometrySystem, k_max: int,
@@ -554,10 +595,7 @@ def verify_power_identities(sys: IsometrySystem, k_max: int,
     """
     tol = sys.tol if tol is None else tol
     rep = ConditionReport("power_structure")
-    sub = check_intertwining_equivalents(sys, tol)
-    rep.add("hypothesis: intertwining relation", sub.defects[0].value, tol)
-    d_in = max(sys.algebra.contains(sys.delta(a))[1] for a in sys.algebra.basis)
-    rep.add("hypothesis: delta maps algebra into itself", d_in, tol)
+    _add_delta_hypotheses(rep, sys, tol, prefix="hypothesis: ")
 
     basis = sys.algebra.basis
     d = 0.0
@@ -567,15 +605,13 @@ def verify_power_identities(sys: IsometrySystem, k_max: int,
             d = max(d, spectral_norm(uk @ a - sys.delta_n(a, k) @ uk))
     rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}", d, tol)
 
-    d = 0.0
-    for k in range(1, k_max + 1):
-        p = sys.proj_initial(k)
-        for a in basis:
-            d = max(d, spectral_norm(p @ a - a @ p))
+    d = max((_commutator_norm(sys.proj_initial(k), basis)
+             for k in range(1, k_max + 1)), default=0.0)
     rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}", d, tol)
 
     for label, proj in (("U^{*k}U^k", sys.proj_initial),
                         ("U^kU^{*k}", sys.proj_final)):
+        family = [proj(l) for l in range(1, k_max + 1)]
         d_proj = 0.0
         d_pair = 0.0
         d_dec = 0.0
@@ -584,32 +620,15 @@ def verify_power_identities(sys: IsometrySystem, k_max: int,
             d_proj = max(d_proj, spectral_norm(p @ p - p),
                          spectral_norm(p - adjoint(p)))
             d_dec = max(d_dec, spectral_norm(p @ proj(k + 1) - proj(k + 1)))
-            for l in range(1, k_max + 1):
-                q = proj(l)
-                d_pair = max(d_pair, spectral_norm(p @ q - q @ p))
+            d_pair = max(d_pair, _commutator_norm(p, family))
         rep.add(f"{label} are projections, k <= {k_max}", d_proj, tol)
         rep.add(f"{label} pairwise commute", d_pair, tol)
         rep.add(f"{label} decreasing", d_dec, tol)
 
-    d = 0.0
-    for k in range(0, k_max + 1):
-        p = sys.proj_initial(k)
-        for l in range(0, k_max + 1):
-            f = sys.proj_final(l)
-            d = max(d, spectral_norm(p @ f - f @ p))
-    rep.add("[U^{*k}U^k, U^lU^{*l}] = 0", d, tol)
-
-    d = 0.0
-    u, ustar = sys.u, adjoint(sys.u)
-    for l in range(1, k_max + 1):
-        for k in range(1, l + 1):
-            lhs = ustar @ sys.power(k) @ sys.star_power(l)
-            rhs = sys.power(k - 1) @ sys.star_power(l)
-            d = max(d, spectral_norm(lhs - rhs))
-            lhs = u @ sys.star_power(k) @ sys.power(l)
-            rhs = sys.star_power(k - 1) @ sys.power(l)
-            d = max(d, spectral_norm(lhs - rhs))
-    rep.add(f"absorption identities, 1 <= k <= l <= {k_max}", d, tol)
+    rep.add("[U^{*k}U^k, U^lU^{*l}] = 0",
+            _projection_families_defect(sys, k_max), tol)
+    rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
+            _absorption_defect(sys, k_max), tol)
     return rep
 
 
@@ -629,8 +648,7 @@ def check_extension_towers(sys: IsometrySystem,
     if not pre.passed:
         raise HypothesisViolated("commutative extendability fails", pre)
 
-    ext_d = extend_delta(sys, tol)
-    tower_a = extend_delta_star(IsometrySystem(ext_d, sys.u), tol)
+    _, tower_a = build_towers(sys, tol)
     ext_s = extend_delta_star(sys, tol)
     tower_b = extend_delta(IsometrySystem(ext_s, sys.u), tol)
 
@@ -638,18 +656,13 @@ def check_extension_towers(sys: IsometrySystem,
     _, defect = spans_equal(tower_a.basis, tower_b.basis, tol)
     rep.add("towers have equal spans", defect, tol)
 
-    d_comm = 0.0
-    for i, a in enumerate(tower_a.basis):
-        for b in tower_a.basis[i + 1:]:
-            d_comm = max(d_comm, spectral_norm(a @ b - b @ a))
-    rep.add("tower is commutative", d_comm, tol)
+    rep.add("tower is commutative", _commutator_defect(tower_a.basis), tol)
 
     sys_t = IsometrySystem(tower_a, sys.u)
     rep.add("delta an endomorphism of the tower",
-            max(tower_a.contains(sys_t.delta(b))[1] for b in tower_a.basis), tol)
+            _invariance_defect(sys_t, sys_t.delta), tol)
     rep.add("delta_star an endomorphism of the tower",
-            max(tower_a.contains(sys_t.delta_star(b))[1] for b in tower_a.basis),
-            tol)
+            _invariance_defect(sys_t, sys_t.delta_star), tol)
     rep.note(f"tower dimensions: start {sys.algebra.dim}, delta-first "
              f"{tower_a.dim}, delta_star-first {tower_b.dim}")
     return rep

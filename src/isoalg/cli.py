@@ -14,16 +14,16 @@ import argparse
 import json
 import os
 import sys
+from functools import cached_property
+from typing import Callable
 
 from .algebra import (
-    IsometrySystem,
+    build_towers,
     check_coefficient_algebra,
     check_commutative_extendability,
     check_extendability,
     check_extension_towers,
     check_intertwining_equivalents,
-    extend_delta,
-    extend_delta_star,
     verify_power_identities,
 )
 from .errors import IsoalgError, NotCommutative, HypothesisViolated
@@ -36,9 +36,10 @@ from .models import (
     polar_structure_suite,
     qdeform_relations_suite,
 )
-from .normalform import check_adjoint_intertwining, reduce
+from .normalform import NormalForm, check_adjoint_intertwining, reduce
 from .norms import (
     gauge_invariance_sample,
+    norm_limit,
     norm_limit_sample,
     sample_coefficient_bound,
     sum_norm_estimates_sample,
@@ -82,138 +83,111 @@ class ConfigError(Exception):
     """Invalid configuration; reported with exit code 2."""
 
 
-def _guarded(fn, name: str) -> list[ConditionReport]:
-    """Run a checker, converting hypothesis failures into failed reports so
-    one broken condition does not abort the whole batch."""
-    try:
-        return [fn()]
-    except NotCommutative as exc:
-        rep = ConditionReport(name)
-        rep.add("hypothesis: algebra commutative",
-                getattr(exc, "defect", 1.0), 0.0)
-        rep.note(str(exc))
-        return [rep]
-    except HypothesisViolated as exc:
-        rep = ConditionReport(name)
-        worst = exc.report.worst() if exc.report is not None else None
-        rep.add("hypothesis", worst.value if worst else 1.0, 0.0)
-        rep.note(str(exc))
-        if exc.report is not None:
-            rep.merge(exc.report, prefix="failed hypothesis")
-        return [rep]
-
-
 def _towers_report(loaded: LoadedModel) -> dict:
-    seed = (loaded.polar.seed_algebra if loaded.polar else
-            loaded.qdeform.seed_algebra if loaded.qdeform else
-            loaded.system.algebra)
-    u = loaded.system.u
-    sys0 = IsometrySystem(seed, u)
-    out = {"ambient_dim": seed.ambient_dim, "seed_dim": seed.dim}
-    ext = extend_delta(sys0)
-    out["delta_tower_dim"] = ext.dim
-    full = extend_delta_star(IsometrySystem(ext, u))
-    out["full_tower_dim"] = full.dim
-    return out
+    model = loaded.polar or loaded.qdeform
+    if model is None:
+        seed = loaded.system.algebra
+        ext, full = build_towers(loaded.system)
+    else:
+        seed, ext, full = (model.seed_algebra, model.delta_tower,
+                           model.system.algebra)
+    return {"ambient_dim": seed.ambient_dim, "seed_dim": seed.dim,
+            "delta_tower_dim": ext.dim, "full_tower_dim": full.dim}
 
 
-def _run_checks(loaded: LoadedModel, names: list[str], cfg) -> tuple[list, list]:
-    sys_ = loaded.system
-    reports: list[ConditionReport] = []
-    traces = []
-    star = None
+class _Context:
+    """What a check runner sees: the model, the run options, the traces it
+    emits, and the coefficient-bound report shared by the samplers."""
 
-    def need_star():
-        nonlocal star
-        if star is None:
-            star = sample_coefficient_bound(sys_, cfg.samples, cfg.seed, cfg.tol)
-        return star
+    def __init__(self, loaded: LoadedModel, cfg):
+        self.loaded = loaded
+        self.system = loaded.system
+        self.cfg = cfg
+        self.tol = cfg.tol
+        self.traces = []
 
-    for name in names:
-        if name == "partial_isometry":
-            reports.append(is_partial_isometry(sys_.u, cfg.tol))
-        elif name == "intertwining":
-            reports.append(check_intertwining_equivalents(sys_, cfg.tol))
-        elif name == "coefficient_algebra":
-            reports.append(check_coefficient_algebra(sys_, cfg.tol))
-        elif name == "adjoint_intertwining":
-            reports.append(check_adjoint_intertwining(sys_, cfg.tol))
-        elif name == "extendability":
-            reports.append(check_extendability(sys_, cfg.n_max, cfg.tol))
-        elif name == "commutative_extendability":
-            reports.extend(_guarded(
-                lambda: check_commutative_extendability(sys_, cfg.n_max, cfg.tol),
-                name))
-        elif name == "power_structure":
-            reports.append(verify_power_identities(sys_, cfg.k_max, cfg.tol))
-        elif name == "extension_towers":
-            reports.extend(_guarded(
-                lambda: check_extension_towers(sys_, cfg.tol), name))
-        elif name == "coefficient_bound":
-            reports.append(need_star())
-        elif name == "gauge_invariance":
-            reports.append(gauge_invariance_sample(
-                sys_, cfg.samples, cfg.seed, star_report=need_star(),
-                tol=cfg.tol))
-        elif name == "norm_limit":
-            rep, trs = norm_limit_sample(
-                sys_, min(cfg.samples, 50), cfg.seed, cfg.k_max,
-                star_report=need_star())
-            reports.append(rep)
-            traces.extend(trs)
-        elif name == "sum_norm_estimates":
-            reports.append(sum_norm_estimates_sample(
-                cfg.samples, cfg.seed, cfg.tol))
-        elif name == "polar_structure":
-            if loaded.polar is None:
-                raise ConfigError("polar_structure requires a polar model")
-            reports.append(polar_structure_suite(loaded.polar, cfg.k_max))
-        elif name == "qdeform_relations":
-            if loaded.qdeform is None:
-                raise ConfigError("qdeform_relations requires a qdeform model")
-            reports.append(qdeform_relations_suite(loaded.qdeform))
+    @cached_property
+    def star(self) -> ConditionReport:
+        return sample_coefficient_bound(self.system, self.cfg.samples,
+                                        self.cfg.seed, self.tol)
+
+
+def _norm_limit(ctx: _Context) -> ConditionReport:
+    rep, traces = norm_limit_sample(
+        ctx.system, min(ctx.cfg.samples, 50), ctx.cfg.seed, ctx.cfg.k_max,
+        star_report=ctx.star)
+    ctx.traces.extend(traces)
+    return rep
+
+
+# name -> (requirement, runner), in the execution order of --checks all.
+# The requirement is None, "coefficient" (a coefficient algebra; these
+# checks would only repeat the failure on a raw system that is not one, so
+# --checks all skips them there) or the LoadedModel field the check needs.
+# Runners name the checkers at call time, so a rebound module attribute
+# reaches them.
+CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
+    "partial_isometry": (None, lambda c: is_partial_isometry(c.system.u, c.tol)),
+    "intertwining": (
+        None, lambda c: check_intertwining_equivalents(c.system, c.tol)),
+    "coefficient_algebra": (
+        None, lambda c: check_coefficient_algebra(c.system, c.tol)),
+    "adjoint_intertwining": (
+        None, lambda c: check_adjoint_intertwining(c.system, c.tol)),
+    "extendability": (
+        None, lambda c: check_extendability(c.system, c.cfg.n_max, c.tol)),
+    "commutative_extendability": (
+        None, lambda c: check_commutative_extendability(
+            c.system, c.cfg.n_max, c.tol)),
+    "power_structure": (
+        None, lambda c: verify_power_identities(c.system, c.cfg.k_max, c.tol)),
+    "extension_towers": (
+        None, lambda c: check_extension_towers(c.system, c.tol)),
+    "coefficient_bound": ("coefficient", lambda c: c.star),
+    "gauge_invariance": ("coefficient", lambda c: gauge_invariance_sample(
+        c.system, c.cfg.samples, c.cfg.seed, star_report=c.star, tol=c.tol)),
+    "norm_limit": ("coefficient", _norm_limit),
+    "sum_norm_estimates": (None, lambda c: sum_norm_estimates_sample(
+        c.cfg.samples, c.cfg.seed, c.tol)),
+    "polar_structure": (
+        "polar", lambda c: polar_structure_suite(c.loaded.polar, c.cfg.k_max)),
+    "qdeform_relations": (
+        "qdeform", lambda c: qdeform_relations_suite(c.loaded.qdeform)),
+}
+
+
+def _applies(requires: str | None, loaded: LoadedModel) -> bool:
+    if requires == "coefficient":
+        return loaded.system.coefficient_report.passed
+    return requires is None or getattr(loaded, requires) is not None
+
+
+def _run_check(ctx: _Context, name: str) -> ConditionReport:
+    """Run one registered check, converting hypothesis failures into failed
+    reports so one broken condition does not abort the whole batch."""
+    if name not in CHECKS:
+        raise ConfigError(
+            f"unknown check {name!r}; registered: {', '.join(CHECKS)}")
+    requires, run = CHECKS[name]
+    # coefficient checks asked for by name still run, and fail with
+    # NotCoefficientAlgebra on a system that is not one
+    if requires != "coefficient" and not _applies(requires, ctx.loaded):
+        raise ConfigError(f"{name} requires a {requires} model")
+    try:
+        return run(ctx)
+    except (NotCommutative, HypothesisViolated) as exc:
+        rep = ConditionReport(name)
+        failed = getattr(exc, "report", None)
+        if isinstance(exc, NotCommutative):
+            rep.add("hypothesis: algebra commutative",
+                    getattr(exc, "defect", 1.0), 0.0)
         else:
-            raise ConfigError(
-                f"unknown check {name!r}; registered: {', '.join(ALL_CHECKS)}")
-    return reports, traces
-
-
-# order matters: it is the execution order for --checks all
-ALL_CHECKS = [
-    "partial_isometry",
-    "intertwining",
-    "coefficient_algebra",
-    "adjoint_intertwining",
-    "extendability",
-    "commutative_extendability",
-    "power_structure",
-    "extension_towers",
-    "coefficient_bound",
-    "gauge_invariance",
-    "norm_limit",
-    "sum_norm_estimates",
-    "polar_structure",
-    "qdeform_relations",
-]
-
-# checks that presuppose a coefficient algebra; skipped by --checks all on
-# raw systems that fail the basic conditions (they would only repeat the
-# failure), but still available by explicit request
-_COEFFICIENT_CHECKS = {"coefficient_bound", "gauge_invariance", "norm_limit"}
-
-
-def _applicable_checks(loaded: LoadedModel) -> list[str]:
-    names = []
-    coeff_ok = loaded.system.coefficient_report.passed
-    for name in ALL_CHECKS:
-        if name == "polar_structure" and loaded.polar is None:
-            continue
-        if name == "qdeform_relations" and loaded.qdeform is None:
-            continue
-        if name in _COEFFICIENT_CHECKS and not coeff_ok:
-            continue
-        names.append(name)
-    return names
+            worst = failed.worst() if failed is not None else None
+            rep.add("hypothesis", worst.value if worst else 1.0, 0.0)
+        rep.note(str(exc))
+        if failed is not None:
+            rep.merge(failed, prefix="failed hypothesis")
+        return rep
 
 
 def _load_model_file(path: str, tol: float) -> LoadedModel:
@@ -257,58 +231,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="isoalg",
-        description="verification suites for algebras generated by a "
-                    "*-algebra and a partial isometry")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run checker suites against a model")
-    _add_common(p)
-    p.add_argument("--checks", default="all",
-                   help="comma-separated check names, or 'all'")
-
-    p = sub.add_parser("nf", help="parse an expression and print its "
-                                  "canonical normal form")
-    _add_common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--expr", help="expression text")
-    g.add_argument("--expr-file", help="file containing the expression")
-
-    p = sub.add_parser("norm-limit", help="norm-limit trace for an expression")
-    _add_common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--expr", help="expression text")
-    g.add_argument("--expr-file", help="file containing the expression")
-
-    p = sub.add_parser("closure", help="print extension-tower dimensions")
-    _add_common(p)
-
-    p = sub.add_parser("polar", help="polar-decompose a matrix file")
-    p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
-    return ap
-
-
-def _read_expr(args) -> str:
-    if args.expr is not None:
-        return args.expr
-    try:
-        with open(args.expr_file) as fh:
-            return fh.read().strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read expression file: {exc}") from exc
-
-
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[dict, int]:
     loaded = _load_model_file(args.model, args.tol)
     if args.checks.strip() == "all":
-        names = _applicable_checks(loaded)
+        names = [name for name, (requires, _) in CHECKS.items()
+                 if _applies(requires, loaded)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
-    reports, traces = _run_checks(loaded, names, args)
+    ctx = _Context(loaded, args)
+    reports = [_run_check(ctx, name) for name in names]
     ok = all(r.passed for r in reports)
     doc = {
         "config": {"model": args.model, "checks": names, "tol": args.tol,
@@ -317,63 +248,100 @@ def _cmd_run(args) -> int:
         "pass": ok,
         "results": [r.to_json() for r in reports],
     }
-    if traces:
-        doc["traces"] = [t.to_json(include_form=False) for t in traces]
-    _emit(dump_json(doc), args.out)
-    return 0 if ok else 1
+    if ctx.traces:
+        doc["traces"] = [t.to_json(include_form=False) for t in ctx.traces]
+    return doc, 0 if ok else 1
 
 
-def _cmd_nf(args) -> int:
+def _load_form(args) -> tuple[LoadedModel, NormalForm]:
+    """Load the model, then parse and reduce the --expr/--expr-file text."""
     loaded = _load_model_file(args.model, args.tol)
-    text = _read_expr(args)
+    if args.expr is not None:
+        text = args.expr
+    else:
+        try:
+            with open(args.expr_file) as fh:
+                text = fh.read().strip()
+        except OSError as exc:
+            raise ConfigError(f"cannot read expression file: {exc}") from exc
     e = parse(text, loaded.system, loaded.generators)
-    nf = reduce(e, loaded.system)
-    _emit(dump_json(nf.to_json()), args.out)
-    return 0
+    return loaded, reduce(e, loaded.system)
 
 
-def _cmd_norm_limit(args) -> int:
-    loaded = _load_model_file(args.model, args.tol)
-    text = _read_expr(args)
-    e = parse(text, loaded.system, loaded.generators)
-    nf = reduce(e, loaded.system)
+def _cmd_nf(args) -> tuple[dict, int]:
+    _, nf = _load_form(args)
+    return nf.to_json(), 0
+
+
+def _cmd_norm_limit(args) -> tuple[dict, int]:
+    loaded, nf = _load_form(args)
     star = sample_coefficient_bound(loaded.system, args.samples, args.seed,
                                     args.tol)
-    from .norms import norm_limit
     trace = norm_limit(nf, args.k_max, star)
-    doc = {"coefficient_bound": star.to_json(), "trace": trace.to_json()}
-    _emit(dump_json(doc), args.out)
-    return 0
+    return {"coefficient_bound": star.to_json(), "trace": trace.to_json()}, 0
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> tuple[dict, int]:
     loaded = _load_model_file(args.model, args.tol)
     try:
-        doc = _towers_report(loaded)
+        return _towers_report(loaded), 0
     except (HypothesisViolated, NotCommutative) as exc:
         doc = {"error": str(exc)}
-        if isinstance(exc, HypothesisViolated) and exc.report is not None:
+        if getattr(exc, "report", None) is not None:
             doc["report"] = exc.report.to_json()
-        _emit(dump_json(doc), args.out)
-        return 1
-    _emit(dump_json(doc), args.out)
-    return 0
+        return doc, 1
 
 
-def _cmd_polar(args) -> int:
+def _cmd_polar(args) -> tuple[dict, int]:
     try:
         with open(args.matrix) as fh:
             mat = matrix_from_json(json.load(fh))
     except (OSError, json.JSONDecodeError, IsoalgError) as exc:
         raise ConfigError(f"cannot load matrix: {exc}") from exc
     u, abs_a = polar_decompose(mat)
-    doc = {
+    return {
         "U": matrix_to_json(u),
         "abs": matrix_to_json(abs_a),
         "partial_isometry": is_partial_isometry(u, args.tol).to_json(),
-    }
-    _emit(dump_json(doc), args.out)
-    return 0
+    }, 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="isoalg",
+        description="verification suites for algebras generated by a "
+                    "*-algebra and a partial isometry")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name: str, func, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("run", _cmd_run, "run checker suites against a model")
+    _add_common(p)
+    p.add_argument("--checks", default="all",
+                   help="comma-separated check names, or 'all'")
+
+    for name, func, text in (
+            ("nf", _cmd_nf,
+             "parse an expression and print its canonical normal form"),
+            ("norm-limit", _cmd_norm_limit,
+             "norm-limit trace for an expression")):
+        p = command(name, func, text)
+        _add_common(p)
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--expr", help="expression text")
+        g.add_argument("--expr-file", help="file containing the expression")
+
+    _add_common(command("closure", _cmd_closure,
+                        "print extension-tower dimensions"))
+
+    p = command("polar", _cmd_polar, "polar-decompose a matrix file")
+    p.add_argument("--matrix", required=True, help="matrix JSON file")
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--out", default=None)
+    return ap
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -381,23 +349,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.tol is None:
             args.tol = _default_tol()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "nf":
-            return _cmd_nf(args)
-        if args.command == "norm-limit":
-            return _cmd_norm_limit(args)
-        if args.command == "closure":
-            return _cmd_closure(args)
-        if args.command == "polar":
-            return _cmd_polar(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        doc, rc = args.func(args)
     except ConfigError as exc:
         print(f"isoalg: {exc}", file=sys.stderr)
         return 2
     except IsoalgError as exc:
         print(f"isoalg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    _emit(dump_json(doc), args.out)
+    return rc
 
 
 if __name__ == "__main__":

@@ -19,15 +19,19 @@ class NotPSD(IsoalgError):
     """A matrix has a significantly negative eigenvalue."""
 
 
-class NotPartialIsometry(IsoalgError):
-    """An operator fails the partial-isometry characterizations.
-
-    Carries the full diagnostic report in ``report``.
-    """
+class _ReportError(IsoalgError):
+    """An error carrying the failing ConditionReport in ``report``."""
 
     def __init__(self, msg: str, report=None):
         super().__init__(msg)
         self.report = report
+
+
+class NotPartialIsometry(_ReportError):
+    """An operator fails the partial-isometry characterizations.
+
+    Carries the full diagnostic report in ``report``.
+    """
 
 
 class ToleranceCollapse(IsoalgError):
@@ -42,23 +46,15 @@ class NotCommutative(IsoalgError):
     """An algebra required to be commutative has a non-commuting basis pair."""
 
 
-class HypothesisViolated(IsoalgError):
+class HypothesisViolated(_ReportError):
     """A checker's hypothesis failed; carries the failing report."""
 
-    def __init__(self, msg: str, report=None):
-        super().__init__(msg)
-        self.report = report
 
-
-class NotCoefficientAlgebra(IsoalgError):
+class NotCoefficientAlgebra(_ReportError):
     """Normal-form rewriting was requested on a system whose algebra is not
     a coefficient algebra, so the rewrite rules are unsound.  Carries the
     failing report.
     """
-
-    def __init__(self, msg: str, report=None):
-        super().__init__(msg)
-        self.report = report
 
 
 class CoefficientEscape(IsoalgError):

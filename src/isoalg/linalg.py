@@ -109,19 +109,15 @@ def is_partial_isometry(u: np.ndarray, tol: float = DEFAULT_TOL) -> ConditionRep
     ustar = u.conj().T
     rep = ConditionReport("partial_isometry")
 
-    w = np.linalg.eigvalsh(ustar @ u)
-    rep.add("squared singular values of U in {0,1}",
-            float(np.minimum(np.abs(w), np.abs(w - 1.0)).max()), tol)
-    w = np.linalg.eigvalsh(u @ ustar)
-    rep.add("squared singular values of U* in {0,1}",
-            float(np.minimum(np.abs(w), np.abs(w - 1.0)).max()), tol)
-
-    p = ustar @ u
-    rep.add("U*U idempotent and self-adjoint",
-            max(spectral_norm(p @ p - p), spectral_norm(p - p.conj().T)), tol)
-    f = u @ ustar
-    rep.add("UU* idempotent and self-adjoint",
-            max(spectral_norm(f @ f - f), spectral_norm(f - f.conj().T)), tol)
+    p, f = ustar @ u, u @ ustar
+    for label, sq in (("U", p), ("U*", f)):
+        w = np.linalg.eigvalsh(sq)
+        rep.add(f"squared singular values of {label} in {{0,1}}",
+                float(np.minimum(np.abs(w), np.abs(w - 1.0)).max()), tol)
+    for label, sq in (("U*U", p), ("UU*", f)):
+        rep.add(f"{label} idempotent and self-adjoint",
+                max(spectral_norm(sq @ sq - sq), spectral_norm(sq - sq.conj().T)),
+                tol)
 
     rep.add("UU*U = U and U*UU* = U*",
             max(spectral_norm(u @ ustar @ u - u),

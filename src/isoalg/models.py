@@ -28,9 +28,12 @@ import numpy as np
 from .algebra import (
     FiniteStarAlgebra,
     IsometrySystem,
+    _absorption_defect,
+    _commutator_norm,
+    _multiplicativity_defect,
+    _projection_families_defect,
     bicommutant,
-    extend_delta,
-    extend_delta_star,
+    build_towers,
     generate_closure,
 )
 from .errors import PolarConditionViolated, RhoConditionViolated
@@ -81,6 +84,7 @@ class PolarModel:
     abs_a: np.ndarray
     u: np.ndarray
     seed_algebra: FiniteStarAlgebra  # generated by {1, |a|}
+    delta_tower: FiniteStarAlgebra   # the seed extended by delta
     system: IsometrySystem           # over the full coefficient extension
 
 
@@ -99,10 +103,8 @@ def build_polar_model(a: np.ndarray, tol: float = DEFAULT_TOL) -> PolarModel:
         raise PolarConditionViolated(
             f"a a* is outside the algebra generated by |a| "
             f"(defect {defect:.3e})", defect)
-    sys0 = IsometrySystem(seed, u)
-    ext = extend_delta(sys0, tol)
-    full = extend_delta_star(IsometrySystem(ext, u), tol)
-    return PolarModel(a, abs_a, u, seed, IsometrySystem(full, u))
+    ext, full = build_towers(IsometrySystem(seed, u), tol)
+    return PolarModel(a, abs_a, u, seed, ext, IsometrySystem(full, u))
 
 
 def polar_structure_suite(m: PolarModel, k_max: int,
@@ -120,7 +122,6 @@ def polar_structure_suite(m: PolarModel, k_max: int,
     """
     rep = ConditionReport("polar_structure")
     sys = IsometrySystem(m.seed_algebra, m.u)
-    u, ustar = sys.u, adjoint(sys.u)
 
     d = 0.0
     for k in range(1, k_max + 1):
@@ -132,13 +133,8 @@ def polar_structure_suite(m: PolarModel, k_max: int,
 
     gens = [m.abs_a] + [sys.proj_final(j) for j in range(1, k_max + 1)]
     ext = generate_closure(gens, m.seed_algebra.tol)
-    sys_ext = IsometrySystem(ext, m.u)
-    d = 0.0
-    deltas = [sys_ext.delta(b) for b in ext.basis]
-    for b1, d1 in zip(ext.basis, deltas):
-        for b2, d2 in zip(ext.basis, deltas):
-            d = max(d, spectral_norm(sys_ext.delta(b1 @ b2) - d1 @ d2))
-    rep.add("delta multiplicative on the extended algebra", d, tol)
+    rep.add("delta multiplicative on the extended algebra",
+            _multiplicativity_defect(IsometrySystem(ext, m.u)), tol)
 
     dbl = bicommutant(m.seed_algebra)
     d_mem = 0.0
@@ -146,28 +142,14 @@ def polar_structure_suite(m: PolarModel, k_max: int,
     for k in range(1, k_max + 1):
         f = sys.proj_final(k)
         d_mem = max(d_mem, dbl.contains(f)[1])
-        for b in m.seed_algebra.basis:
-            d_comm = max(d_comm, spectral_norm(f @ b - b @ f))
+        d_comm = max(d_comm, _commutator_norm(f, m.seed_algebra.basis))
     rep.add(f"U^k U^{{*k}} in double commutant of seed, k <= {k_max}", d_mem, tol)
     rep.add("U^k U^{*k} commutes with seed algebra", d_comm, tol)
 
-    d = 0.0
-    for l in range(1, k_max + 1):
-        for k in range(1, l + 1):
-            d = max(d, spectral_norm(
-                ustar @ sys.power(k) @ sys.star_power(l)
-                - sys.power(k - 1) @ sys.star_power(l)))
-            d = max(d, spectral_norm(
-                u @ sys.star_power(k) @ sys.power(l)
-                - sys.star_power(k - 1) @ sys.power(l)))
-    rep.add(f"absorption identities, 1 <= k <= l <= {k_max}", d, tol)
-
-    d = 0.0
-    for k in range(0, k_max + 1):
-        for l in range(0, k_max + 1):
-            p, f = sys.proj_initial(l), sys.proj_final(k)
-            d = max(d, spectral_norm(p @ f - f @ p))
-    rep.add("initial and range projection families commute", d, tol)
+    rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
+            _absorption_defect(sys, k_max), tol)
+    rep.add("initial and range projection families commute",
+            _projection_families_defect(sys, k_max), tol)
     return rep
 
 
@@ -229,10 +211,12 @@ class QDeformModel:
     rho_matrix: np.ndarray      # rho(Q)
     a: np.ndarray               # U rho(Q)
     seed_algebra: FiniteStarAlgebra
+    delta_tower: FiniteStarAlgebra
     system: IsometrySystem
 
 
-def build_qdeform(n: int, q: float, rho: RhoSpec | str) -> QDeformModel:
+def build_qdeform(n: int, q: float, rho: RhoSpec | str,
+                  tol: float = DEFAULT_TOL) -> QDeformModel:
     """Build the truncated q-model with the given weight function.
 
     ``rho`` may be a RhoSpec, one of the named choices "heisenberg" / "sl2",
@@ -277,11 +261,9 @@ def build_qdeform(n: int, q: float, rho: RhoSpec | str) -> QDeformModel:
     rho_matrix = np.diag(rho.samples[:n]).astype(complex)
     a = u @ rho_matrix
 
-    seed = generate_closure([big_q])
-    sys0 = IsometrySystem(seed, u)
-    ext = extend_delta(sys0)
-    full = extend_delta_star(IsometrySystem(ext, u))
-    return QDeformModel(n, q, big_q, u, rho, rho_matrix, a, seed,
+    seed = generate_closure([big_q], tol)
+    ext, full = build_towers(IsometrySystem(seed, u), tol)
+    return QDeformModel(n, q, big_q, u, rho, rho_matrix, a, seed, ext,
                         IsometrySystem(full, u))
 
 
@@ -367,7 +349,7 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
         rho = obj["rho"]
         if isinstance(rho, dict):
             rho = RhoSpec("custom", rho["samples"])
-        model = build_qdeform(int(obj["n"]), float(obj["q"]), rho)
+        model = build_qdeform(int(obj["n"]), float(obj["q"]), rho, tol)
         # the model operator a is written U*rhoQ
         return LoadedModel("qdeform", model.system,
                            {"Q": model.big_q, "rhoQ": model.rho_matrix},

@@ -98,29 +98,18 @@ def check_sum_norm_estimates(mats: list[np.ndarray],
     m = len(mats)
     rep = ConditionReport("sum_norm_estimates")
 
-    total = sum(mats)
-    sum_ddstar = sum(d @ adjoint(d) for d in mats)
-    sum_dstard = sum(adjoint(d) @ d for d in mats)
-    lhs = spectral_norm(total) ** 2
-
-    rhs = m * spectral_norm(sum_ddstar)
-    rep.add("||sum d||^2 <= m ||sum dd*||",
-            max(0.0, lhs - rhs) / max(1.0, rhs), tol)
-    rhs = m * spectral_norm(sum_dstard)
-    rep.add("||sum d||^2 <= m ||sum d*d||",
-            max(0.0, lhs - rhs) / max(1.0, rhs), tol)
-
-    abs_sum = sum(psd_sqrt(adjoint(d) @ d) for d in mats)
-    lhs = spectral_norm(abs_sum) ** 2
-    rhs = spectral_norm(sum_dstard) / m
-    rep.add("||sum |d|||^2 >= (1/m) ||sum d*d||",
-            max(0.0, rhs - lhs) / max(1.0, rhs), tol)
-
-    absstar_sum = sum(psd_sqrt(d @ adjoint(d)) for d in mats)
-    lhs = spectral_norm(absstar_sum) ** 2
-    rhs = spectral_norm(sum_ddstar) / m
-    rep.add("||sum sqrt(dd*)||^2 >= (1/m) ||sum dd*||",
-            max(0.0, rhs - lhs) / max(1.0, rhs), tol)
+    squares = {"dd*": [d @ adjoint(d) for d in mats],
+               "d*d": [adjoint(d) @ d for d in mats]}
+    lhs = spectral_norm(sum(mats)) ** 2
+    for key in ("dd*", "d*d"):
+        rhs = m * spectral_norm(sum(squares[key]))
+        rep.add(f"||sum d||^2 <= m ||sum {key}||",
+                max(0.0, lhs - rhs) / max(1.0, rhs), tol)
+    for label, key in (("|d|", "d*d"), ("sqrt(dd*)", "dd*")):
+        lhs = spectral_norm(sum(psd_sqrt(x) for x in squares[key])) ** 2
+        rhs = spectral_norm(sum(squares[key])) / m
+        rep.add(f"||sum {label}||^2 >= (1/m) ||sum {key}||",
+                max(0.0, rhs - lhs) / max(1.0, rhs), tol)
     return rep
 
 
@@ -195,6 +184,24 @@ def norm_limit(x: NormalForm, k_max: int,
                           sandwich_lo, sandwich_hi, n_deg, star)
 
 
+def _sampler_note(star_report: ConditionReport | None) -> str:
+    """The note recording the coefficient-bound sampler's verdict."""
+    verdict = ("not run" if star_report is None else
+               "pass" if star_report.passed else "FAIL")
+    return f"coefficient-bound sampler: {verdict}"
+
+
+def _gauge_deviation(x: NormalForm, lam_grid: int) -> tuple[float, float]:
+    """Worst | ||gauge(x, lam)|| - ||x|| | over the lam_grid-th roots of
+    unity, and the scale max(1, ||x||)."""
+    base = spectral_norm(x.eval())
+    worst = 0.0
+    for j in range(lam_grid):
+        lam = np.exp(2j * np.pi * j / lam_grid)
+        worst = max(worst, abs(spectral_norm(gauge(x, lam).eval()) - base))
+    return worst, max(1.0, base)
+
+
 def gauge_invariance_check(x: NormalForm, lam_grid: int,
                            star_report: ConditionReport | None = None,
                            tol: float | None = None) -> ConditionReport:
@@ -202,18 +209,9 @@ def gauge_invariance_check(x: NormalForm, lam_grid: int,
     over the lam_grid-th roots of unity."""
     tol = x.system.tol if tol is None else tol
     rep = ConditionReport("gauge_invariance")
-    base = spectral_norm(x.eval())
-    scale = max(1.0, base)
-    worst = 0.0
-    for j in range(lam_grid):
-        lam = np.exp(2j * np.pi * j / lam_grid)
-        worst = max(worst, abs(spectral_norm(gauge(x, lam).eval()) - base))
+    worst, scale = _gauge_deviation(x, lam_grid)
     rep.add(f"norm deviation over {lam_grid} roots of unity", worst, tol * scale)
-    if star_report is not None:
-        rep.note("coefficient-bound sampler: "
-                 + ("pass" if star_report.passed else "FAIL"))
-    else:
-        rep.note("coefficient-bound sampler: not run")
+    rep.note(_sampler_note(star_report))
     return rep
 
 
@@ -229,19 +227,14 @@ def gauge_invariance_sample(system: IsometrySystem, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        x = random_normal_form(system, rng, max_degree)
-        base = spectral_norm(x.eval())
-        scale = max(1.0, base)
-        for j in range(lam_grid):
-            lam = np.exp(2j * np.pi * j / lam_grid)
-            dev = abs(spectral_norm(gauge(x, lam).eval()) - base)
-            worst = max(worst, dev / scale)
+        dev, scale = _gauge_deviation(random_normal_form(system, rng, max_degree),
+                                      lam_grid)
+        worst = max(worst, dev / scale)
     rep.add(f"norm deviation over {lam_grid} roots of unity, "
             f"{samples} samples", worst, tol)
     rep.note(f"seed = {seed}")
     if star_report is not None:
-        rep.note("coefficient-bound sampler: "
-                 + ("pass" if star_report.passed else "FAIL"))
+        rep.note(_sampler_note(star_report))
     return rep
 
 
@@ -287,8 +280,7 @@ def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
     rep.add(f"convergence at k = {k_max}", worst_conv, rel_tol)
     rep.note(f"seed = {seed}")
     if star_report is not None:
-        rep.note("coefficient-bound sampler: "
-                 + ("pass" if star_report.passed else "FAIL"))
+        rep.note(_sampler_note(star_report))
     return rep, traces
 
 

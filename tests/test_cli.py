@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isoalg import matrix_from_json, matrix_to_json
-from isoalg.cli import dump_json, main
+from isoalg import load_model, matrix_from_json, matrix_to_json
+from isoalg.cli import CHECKS, dump_json, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
@@ -89,6 +93,40 @@ def test_run_unknown_check_exits_2(specs, capsys):
     assert "registered" in capsys.readouterr().err
 
 
+def test_readme_lists_the_registry():
+    listing = re.search(r"Registered checks, in the order `--checks all` "
+                        r"runs them:(.*?)\(q-models\)", README.read_text(),
+                        re.DOTALL)
+    assert re.findall(r"`(\w+)`", listing.group(1)) == list(CHECKS)
+
+
+def test_run_all_on_raw_broken_system_skips_coefficient_checks(specs):
+    rc, doc = run(["run", "--model", specs["broken.json"], "--checks", "all",
+                   "--samples", "10"], specs, "broken_order")
+    assert rc == 1
+    assert doc["config"]["checks"] == [
+        "partial_isometry", "intertwining", "coefficient_algebra",
+        "adjoint_intertwining", "extendability", "commutative_extendability",
+        "power_structure", "extension_towers", "sum_norm_estimates"]
+    assert len(doc["results"]) == 9
+
+
+def test_run_explicit_coefficient_check_on_raw_system_exits_2(specs, capsys):
+    rc = main(["run", "--model", specs["broken.json"],
+               "--checks", "coefficient_bound"])
+    assert rc == 2
+    assert "NotCoefficientAlgebra" in capsys.readouterr().err
+
+
+def test_unknown_check_message_lists_every_check(specs, capsys):
+    rc = main(["run", "--model", specs["qdeform.json"], "--checks", "bogus"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown check 'bogus'" in err
+    for name in CHECKS:
+        assert name in err
+
+
 def test_run_unbuildable_model_exits_2(specs, capsys):
     rc = main(["run", "--model", specs["badrho.json"], "--checks", "all"])
     assert rc == 2
@@ -166,6 +204,16 @@ def test_closure_subcommand(specs):
     assert rc == 0
     assert doc == {"ambient_dim": 6, "seed_dim": 6,
                    "delta_tower_dim": 6, "full_tower_dim": 6}
+
+
+def test_closure_reports_the_loaded_model_towers(specs):
+    for name in ("polar.json", "qdeform.json"):
+        rc, doc = run(["closure", "--model", specs[name]], specs,
+                      f"closure_{name}")
+        assert rc == 0
+        with open(specs[name]) as fh:
+            loaded = load_model(json.load(fh))
+        assert doc["full_tower_dim"] == loaded.system.algebra.dim
 
 
 def test_closure_broken_exits_1(specs):

@@ -225,6 +225,14 @@ def test_load_model_system():
     assert set(loaded.generators) == {"g0"}
 
 
+def test_load_model_tolerance_reaches_every_model_type():
+    specs = [{"type": "qdeform", "n": 6, "q": 0.5, "rho": "heisenberg"},
+             {"type": "polar", "a": matrix_to_json(2 * E12)}]
+    for spec in specs:
+        assert load_model(spec, tol=1e-6).system.tol == 1e-6
+        assert load_model(spec).system.tol == 1e-9
+
+
 def test_load_model_unknown_type():
     with pytest.raises(ValueError):
         load_model({"type": "nope"})
