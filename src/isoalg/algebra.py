@@ -80,12 +80,13 @@ def _svd_span(mats: list[np.ndarray]) -> np.ndarray:
     return vh[:rank]
 
 
-def _span_defect(flat: np.ndarray, m: np.ndarray) -> float:
-    """Frobenius distance from m to the span of an orthonormal flat basis."""
-    v = m.ravel()
+def _span_defects(flat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Frobenius distance from each matrix of a (K, n, n) stack to the span
+    of an orthonormal flat basis."""
+    v = stack.reshape(stack.shape[0], flat.shape[1])
     if flat.shape[0]:
-        v = v - flat.T @ (flat.conj() @ v)
-    return float(np.linalg.norm(v))
+        v = v - (v @ flat.conj().T) @ flat
+    return np.linalg.norm(v, axis=1)
 
 
 def spans_equal(a: list[np.ndarray], b: list[np.ndarray], tol: float) -> tuple[bool, float]:
@@ -93,8 +94,9 @@ def spans_equal(a: list[np.ndarray], b: list[np.ndarray], tol: float) -> tuple[b
     fa, fb = _svd_span(a), _svd_span(b)
     worst = 0.0
     for flat, mats in ((fa, b), (fb, a)):
-        for m in mats:
-            worst = max(worst, _span_defect(flat, m) / max(1.0, hs_norm(m)))
+        stack = np.array(mats)
+        scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        worst = max(worst, float((_span_defects(flat, stack) / scale).max()))
     return worst <= tol, worst
 
 
@@ -133,13 +135,21 @@ class FiniteStarAlgebra:
         c = self.project_coeffs(m)
         return (self._flat.T @ c).reshape(self.ambient_dim, self.ambient_dim)
 
+    def span_defects(self, stack: np.ndarray) -> np.ndarray:
+        """Frobenius distance to the span of each matrix of a (K, n, n)
+        stack."""
+        stack = np.asarray(stack, dtype=complex)
+        n = self.ambient_dim
+        if stack.ndim != 3 or stack.shape[1:] != (n, n):
+            raise DimensionMismatch(
+                f"expected {n}x{n} matrices (the ambient dim), got shape "
+                f"{stack.shape}")
+        return _span_defects(self._flat, stack)
+
     def contains(self, m: np.ndarray) -> tuple[bool, float]:
         """Membership test; defect is the Frobenius distance to the span."""
         m = as_matrix(m)
-        if m.shape[0] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"matrix dim {m.shape[0]} != ambient dim {self.ambient_dim}")
-        defect = _span_defect(self._flat, m)
+        defect = float(self.span_defects(m[None])[0])
         return defect <= self.tol * max(1.0, hs_norm(m)), defect
 
     def invariant_report(self) -> ConditionReport:
@@ -147,15 +157,15 @@ class FiniteStarAlgebra:
         gram = self._flat.conj() @ self._flat.T
         rep.add("basis orthonormal", float(np.abs(gram - np.eye(self.dim)).max()),
                 10.0 * self.tol)
+        n = self.ambient_dim
         rep.add("identity in span",
-                _span_defect(self._flat, np.eye(self.ambient_dim, dtype=complex)),
-                self.tol * self.ambient_dim)
-        adj = max(_span_defect(self._flat, adjoint(b)) for b in self.basis)
-        rep.add("closed under adjoint", adj, self.tol)
-        prod = 0.0
-        for bi in self.basis:
-            for bj in self.basis:
-                prod = max(prod, _span_defect(self._flat, bi @ bj))
+                float(_span_defects(self._flat, np.eye(n, dtype=complex)[None])[0]),
+                self.tol * n)
+        basis = np.array(self.basis)
+        adj = _span_defects(self._flat, basis.conj().transpose(0, 2, 1)).max()
+        rep.add("closed under adjoint", float(adj), self.tol)
+        prod = max(float(_span_defects(self._flat, bi @ basis).max())
+                   for bi in basis)
         rep.add("closed under product", prod, self.tol)
         return rep
 
@@ -248,7 +258,8 @@ class IsometrySystem:
 
     Powers of U and the projections U^{*k} U^k, U^k U^{*k} are cached eagerly
     up to ``depth`` (further powers are computed on demand without mutating
-    the cache).  The instance is immutable after construction.
+    the cache); ``power_stack`` and ``proj_final_stack`` return many at once.
+    The instance is immutable after construction.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray,
@@ -272,27 +283,40 @@ class IsometrySystem:
             powers.append(nxt)
             if not nxt.any():
                 break
-        self._powers = powers
+        self._powers = np.array(powers)
         self._nilpotent_at = len(powers) - 1 if not powers[-1].any() else None
         self._proj_initial = [adjoint(p) @ p for p in powers]
-        self._proj_final = [p @ adjoint(p) for p in powers]
+        self._proj_final = np.array([p @ adjoint(p) for p in powers])
 
     @property
     def dim(self) -> int:
         return self.algebra.ambient_dim
 
+    @property
+    def nilpotency_index(self) -> int | None:
+        """Smallest k with U^k = 0, or None when U is not nilpotent."""
+        return self._nilpotent_at
+
+    def power_stack(self, ks) -> np.ndarray:
+        """U^k for each k >= 0 in ks, as a (len(ks), n, n) stack."""
+        ks = np.asarray(ks, dtype=int)
+        if ks.size and ks.min() < 0:
+            raise ValueError("negative power; use star_power")
+        if self._nilpotent_at is not None:
+            # the last cached power is U^index = 0
+            ks = np.minimum(ks, self._nilpotent_at)
+        powers = self._powers
+        missing = int(ks.max(initial=0)) - (len(powers) - 1)
+        if missing > 0:
+            more = [powers[-1]]
+            for _ in range(missing):
+                more.append(more[-1] @ self.u)
+            powers = np.concatenate([powers, more[1:]])
+        return powers[ks]
+
     def power(self, k: int) -> np.ndarray:
         """U^k for k >= 0."""
-        if k < 0:
-            raise ValueError("negative power; use star_power")
-        if self._nilpotent_at is not None and k >= self._nilpotent_at:
-            return np.zeros_like(self.u)
-        if k < len(self._powers):
-            return self._powers[k]
-        m = self._powers[-1]
-        for _ in range(k - len(self._powers) + 1):
-            m = m @ self.u
-        return m
+        return self.power_stack([k])[0]
 
     def star_power(self, k: int) -> np.ndarray:
         return adjoint(self.power(k))
@@ -304,12 +328,17 @@ class IsometrySystem:
         p = self.power(k)
         return adjoint(p) @ p
 
+    def proj_final_stack(self, ks) -> np.ndarray:
+        """U^k U^{*k} for each k >= 0 in ks, as a (len(ks), n, n) stack."""
+        ks = np.asarray(ks, dtype=int)
+        if ks.size == 0 or (ks.min() >= 0 and ks.max() < len(self._proj_final)):
+            return self._proj_final[ks]
+        p = self.power_stack(ks)
+        return p @ p.conj().transpose(0, 2, 1)
+
     def proj_final(self, k: int) -> np.ndarray:
         """U^k U^{*k}."""
-        if k < len(self._proj_final):
-            return self._proj_final[k]
-        p = self.power(k)
-        return p @ adjoint(p)
+        return self.proj_final_stack([k])[0]
 
     def delta(self, m: np.ndarray) -> np.ndarray:
         """U m U*."""

@@ -220,6 +220,15 @@ def _default_tol() -> float:
         raise ConfigError(f"ISOALG_TOL={env!r} is not a number")
 
 
+def _check_counts(args) -> None:
+    """Reject --k-max and --samples below 1: a sampler over no samples, or a
+    norm-limit schedule with no stage, would pass vacuously or crash."""
+    for flag, value in (("--k-max", getattr(args, "k_max", 1)),
+                        ("--samples", getattr(args, "samples", 1))):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model spec JSON file")
     p.add_argument("--tol", type=float, default=None,
@@ -349,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.tol is None:
             args.tol = _default_tol()
+        _check_counts(args)
         doc, rc = args.func(args)
     except ConfigError as exc:
         print(f"isoalg: {exc}", file=sys.stderr)

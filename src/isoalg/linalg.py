@@ -49,12 +49,17 @@ def hs_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack of shape (..., n, n),
+    via the eigenvalues of adjoint(m) @ m, in one batched eigensolve."""
+    stack = np.asarray(stack)
+    top = np.linalg.eigvalsh(np.swapaxes(stack.conj(), -1, -2) @ stack)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value, via eigenvalues of adjoint(m) @ m."""
-    m = as_matrix(m)
-    w = np.linalg.eigvalsh(m.conj().T @ m)
-    top = float(w[-1])
-    return float(np.sqrt(top)) if top > 0.0 else 0.0
+    return float(spectral_norms(as_matrix(m)))
 
 
 def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Canonical normal forms over an isometry system.
 
 An element of the algebra generated by a coefficient algebra A and the
-partial isometry U is stored as a finite map degree -> coefficient::
+partial isometry U is a finite sum of degree terms::
 
     degree  k > 0:   a_k U^k          (coefficient on the left)
     degree  k = 0:   a_0
@@ -13,7 +13,17 @@ right-coefficient convention for negative degrees is canonical here; the
 left-coefficient variant is available through :func:`left_coefficients` when
 the adjoint intertwining relation U* a = delta_star(a) U* holds.
 
-Multiplication reduces cross terms with the four product rules
+A form is stored as a sorted degree vector and one (K, n, n) stack of the
+coefficients at those degrees, so normalization, the zero-drop, the
+membership test and the degree arithmetic are batched operations over the
+stack.  Each form also keeps the stack of its monomials M_k (a_k U^k, a_0,
+U^{*|k|} a_|k|), whose sum is the represented matrix.
+
+The product is a convolution of monomials over the degree axis: the
+degree-d monomial of xy is the sum of X_j Y_k over j + k = d, and its
+coefficient is recovered by :func:`strip_power`.  That is sound exactly when
+A is a coefficient algebra, where every such matrix product is again a
+degree-(j+k) monomial by the four product rules
 
     (c U^j)(d U^k)          = c delta^j(d) U^{j+k}
     (U^{*j} c)(U^{*k} d)    = U^{*(j+k)} delta^k(c) d
@@ -22,11 +32,18 @@ Multiplication reduces cross terms with the four product rules
     (U^{*j} c)(d U^k)       = delta_star^j(c d) U^{k-j}             (j <= k)
                             = U^{*(j-k)} delta_star^k(c d)          (j >= k)
 
-where F_k = U^k U^{*k}.  These are sound exactly when A is a coefficient
-algebra, so every constructor refuses systems whose coefficient report fails.
+where F_k = U^k U^{*k}; so every constructor refuses systems whose
+coefficient report fails.  The rules themselves are kept in the tests as the
+reference the convolution is compared against.
+
+Gauge substitution U -> lam U multiplies degree k by lam^k, so the matrices
+of x gauged at many lam are one discrete Fourier transform of the monomial
+stack (:meth:`NormalForm.eval_gauged`).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +51,7 @@ from . import expr as _expr
 from .algebra import IsometrySystem
 from .errors import (
     CoefficientEscape,
+    DimensionMismatch,
     HypothesisViolated,
     InsufficientResolution,
     NotCoefficientAlgebra,
@@ -43,7 +61,6 @@ from .errors import (
 from .linalg import (
     adjoint,
     as_matrix,
-    hs_norm,
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
@@ -59,78 +76,118 @@ def _require_coefficient_system(system: IsometrySystem) -> None:
             "normal-form rewriting would be unsound", rep)
 
 
-def _normalize(system: IsometrySystem, k: int, c: np.ndarray) -> np.ndarray:
-    """Apply the range-projection normalization on the side matching k."""
-    if k == 0:
-        return c
-    f = system.proj_final(abs(k))
-    return c @ f if k > 0 else f @ c
+def _sided(stack: np.ndarray, degrees: np.ndarray, right: np.ndarray,
+           left: np.ndarray) -> np.ndarray:
+    """Multiply stack[i] by right[i] on the right where degrees[i] > 0 and by
+    left[i] on the left where degrees[i] < 0; degree 0 is copied."""
+    out = np.array(stack, dtype=complex)
+    pos, neg = degrees > 0, degrees < 0
+    out[pos] = stack[pos] @ right[pos]
+    out[neg] = left[neg] @ stack[neg]
+    return out
 
 
 class NormalForm:
     """Immutable canonical form over an isometry system.
 
-    ``drop_scale`` sets the zero-coefficient threshold tol * drop_scale;
-    arithmetic passes the scale of its operands so that cancellation leaves
-    genuinely empty forms.  It defaults to the largest input coefficient
-    norm.
+    ``coeffs`` maps degree -> coefficient; with ``degrees`` given it is
+    instead a (K, n, n) stack whose i-th matrix sits at degrees[i] (distinct
+    degrees, any order).  Every coefficient is range-normalized, dropped when
+    its norm is at most tol * drop_scale, and otherwise tested for membership
+    in the algebra (CoefficientEscape names the first failing degree in input
+    order).  Arithmetic passes the scale of its operands as ``drop_scale`` so
+    that cancellation leaves genuinely empty forms; it defaults to the
+    largest input coefficient norm.
     """
 
-    def __init__(self, system: IsometrySystem, coeffs: dict[int, np.ndarray],
-                 drop_scale: float | None = None):
+    def __init__(self, system: IsometrySystem, coeffs,
+                 drop_scale: float | None = None, *, degrees=None):
         _require_coefficient_system(system)
         self.system = system
+        n = system.dim
+        if degrees is None:
+            degrees = [int(k) for k in coeffs]
+            mats = [as_matrix(c) for c in coeffs.values()]
+            for k, c in zip(degrees, mats):
+                if c.shape[0] != n:
+                    raise DimensionMismatch(
+                        f"coefficient at degree {k} has dimension "
+                        f"{c.shape[0]}; the system acts on dimension {n}")
+            stack = np.array(mats) if mats else np.zeros((0, n, n), complex)
+        else:
+            stack = np.asarray(coeffs, dtype=complex)
+        degrees = np.asarray(degrees, dtype=int).reshape(-1)
+        if stack.shape != (degrees.size, n, n):
+            raise DimensionMismatch(
+                f"coefficient stack of shape {stack.shape} for {degrees.size} "
+                f"degrees on dimension {n}")
+        if np.unique(degrees).size != degrees.size:
+            raise DimensionMismatch("repeated degree in coefficient stack")
+
         if drop_scale is None:
-            drop_scale = max((hs_norm(c) for c in coeffs.values()), default=0.0)
-        cleaned: dict[int, np.ndarray] = {}
-        for k, c in coeffs.items():
-            c = _normalize(system, int(k), as_matrix(c))
-            if hs_norm(c) <= system.tol * drop_scale:
-                continue
-            ok, defect = system.algebra.contains(c)
-            if not ok:
-                raise CoefficientEscape(
-                    f"coefficient at degree {k} is outside the algebra "
-                    f"(defect {defect:.3e})")
-            cleaned[int(k)] = c
-        self._coeffs = cleaned
+            drop_scale = np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0)
+        f = system.proj_final_stack(np.abs(degrees))
+        stack = _sided(stack, degrees, f, f)
+        norms = np.linalg.norm(stack, axis=(1, 2))
+        keep = norms > system.tol * drop_scale
+        degrees, stack, norms = degrees[keep], stack[keep], norms[keep]
+        defects = system.algebra.span_defects(stack)
+        escaped = ~(defects <= system.tol * np.maximum(1.0, norms))
+        if escaped.any():
+            i = int(np.argmax(escaped))
+            raise CoefficientEscape(
+                f"coefficient at degree {degrees[i]} is outside the algebra "
+                f"(defect {defects[i]:.3e})")
+        order = np.argsort(degrees)
+        self._degrees = degrees[order]
+        self._coeffs = stack[order]
+        self._norms = norms[order]
 
     # -- access ------------------------------------------------------------
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(self._degrees.tolist())
 
     @property
     def max_degree(self) -> int:
-        return max((abs(k) for k in self._coeffs), default=0)
+        return int(np.abs(self._degrees).max(initial=0))
 
     def coefficient(self, k: int) -> np.ndarray:
         """The stored normalized coefficient at degree k (zero if absent)."""
+        i = int(np.searchsorted(self._degrees, k))
+        if i < self._degrees.size and self._degrees[i] == k:
+            return self._coeffs[i]
         n = self.system.dim
-        if k in self._coeffs:
-            return self._coeffs[k]
         return np.zeros((n, n), dtype=complex)
 
     def scale(self) -> float:
-        return max((hs_norm(c) for c in self._coeffs.values()), default=0.0)
+        return float(self._norms.max(initial=0.0))
+
+    @cached_property
+    def _monomials(self) -> np.ndarray:
+        """The degree terms a_k U^k, a_0, U^{*|k|} a_|k| as a (K, n, n) stack."""
+        p = self.system.power_stack(np.abs(self._degrees))
+        return _sided(self._coeffs, self._degrees, p, p.conj().transpose(0, 2, 1))
 
     def eval(self) -> np.ndarray:
         """The represented matrix: sum of all degree terms."""
+        if not self._degrees.size:
+            n = self.system.dim
+            return np.zeros((n, n), dtype=complex)
+        return self._monomials.sum(axis=0)
+
+    def eval_gauged(self, lams) -> np.ndarray:
+        """eval(gauge(self, lam)) for every lam in ``lams``, as one
+        (len(lams), n, n) stack: the phases lam^k applied to the monomial
+        stack in one matrix product.  ``lams`` are taken to be unimodular."""
+        lams = np.asarray(lams, dtype=complex).reshape(-1)
         n = self.system.dim
-        out = np.zeros((n, n), dtype=complex)
-        for k in sorted(self._coeffs):
-            c = self._coeffs[k]
-            if k > 0:
-                out += c @ self.system.power(k)
-            elif k < 0:
-                out += self.system.star_power(-k) @ c
-            else:
-                out += c
-        return out
+        phases = lams[:, None] ** self._degrees[None, :]
+        return (phases @ self._monomials.reshape(-1, n * n)).reshape(-1, n, n)
 
     def to_json(self) -> dict:
-        return {"degrees": [{"k": k, "coeff": matrix_to_json(self._coeffs[k])}
-                            for k in sorted(self._coeffs)]}
+        return {"degrees": [{"k": k, "coeff": matrix_to_json(c)}
+                            for k, c in zip(self.degrees(), self._coeffs)]}
 
     @staticmethod
     def from_json(obj: dict, system: IsometrySystem) -> "NormalForm":
@@ -157,57 +214,60 @@ def _check_same_system(x: NormalForm, y: NormalForm) -> None:
 
 def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
     _check_same_system(x, y)
-    out: dict[int, np.ndarray] = {k: c.copy() for k, c in x._coeffs.items()}
-    for k, c in y._coeffs.items():
-        out[k] = out[k] + c if k in out else c
-    return NormalForm(x.system, out, drop_scale=max(x.scale(), y.scale()))
+    degrees = np.union1d(x._degrees, y._degrees)
+    n = x.system.dim
+    out = np.zeros((degrees.size, n, n), dtype=complex)
+    out[np.searchsorted(degrees, x._degrees)] += x._coeffs
+    out[np.searchsorted(degrees, y._degrees)] += y._coeffs
+    return NormalForm(x.system, out, drop_scale=max(x.scale(), y.scale()),
+                      degrees=degrees)
 
 
 def nf_scale(x: NormalForm, z: complex) -> NormalForm:
-    return NormalForm(x.system, {k: z * c for k, c in x._coeffs.items()})
+    return NormalForm(x.system, z * x._coeffs, degrees=x._degrees)
 
 
 def nf_adjoint(x: NormalForm) -> NormalForm:
     """Degree k maps to -k with the coefficient adjoint moved to the other
     side; the normalization carries over exactly."""
-    return NormalForm(x.system, {-k: adjoint(c) for k, c in x._coeffs.items()})
-
-
-def _term_product(system: IsometrySystem, j: int, c: np.ndarray,
-                  k: int, d: np.ndarray) -> tuple[int, np.ndarray]:
-    """Product of two canonical single terms, as (degree, raw coefficient)."""
-    if j >= 0 and k >= 0:
-        return j + k, c @ system.delta_n(d, j)
-    if j <= 0 and k <= 0:
-        return j + k, system.delta_n(c, -k) @ d
-    if j > 0:  # j > 0 > k
-        b = -k
-        if j <= b:
-            return j + k, system.delta_n(c, b - j) @ system.proj_final(b) @ d
-        return j + k, c @ system.proj_final(j) @ system.delta_n(d, j - b)
-    # j < 0 < k
-    a = -j
-    m = c @ d
-    return j + k, system.delta_star_n(m, min(a, k))
+    return NormalForm(x.system, x._coeffs.conj().transpose(0, 2, 1),
+                      degrees=-x._degrees)
 
 
 def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
+    """The product as a degree convolution of the monomial stacks: for each
+    degree j of x, one batched product of X_j with every live monomial of y,
+    accumulated at the degrees j + k.  Pairs with |j + k| at or past the
+    nilpotency index of U are skipped (their product is zero)."""
     _check_same_system(x, y)
     system = x.system
-    acc: dict[int, np.ndarray] = {}
-    for j in sorted(x._coeffs):
-        for k in sorted(y._coeffs):
-            deg, c = _term_product(system, j, x._coeffs[j], k, y._coeffs[k])
-            acc[deg] = acc[deg] + c if deg in acc else c
-    return NormalForm(system, acc, drop_scale=x.scale() * y.scale())
+    n = system.dim
+    limit = system.nilpotency_index
+    dx, dy = x._degrees, y._degrees
+    lo, hi = 0, -1  # no output degree unless both forms have terms
+    if dx.size and dy.size:
+        lo, hi = dx[0] + dy[0], dx[-1] + dy[-1]
+        if limit is not None:
+            lo, hi = max(lo, 1 - limit), min(hi, limit - 1)
+    degrees = np.arange(lo, hi + 1)
+    acc = np.zeros((degrees.size, n, n), dtype=complex)
+    my = y._monomials
+    for j, mj in zip(dx, x._monomials):
+        out = j + dy
+        live = (out >= lo) & (out <= hi)
+        # within one j the target degrees are distinct, so += is exact
+        acc[out[live] - lo] += mj @ my[live]
+    return NormalForm(system, _strip(system, acc, degrees),
+                      drop_scale=x.scale() * y.scale(), degrees=degrees)
 
 
 def gauge(x: NormalForm, lam: complex) -> NormalForm:
     """Substitute U -> lam*U for unimodular lam: degree k picks up lam^k."""
     if abs(abs(lam) - 1.0) > 1e-12:
         raise NotUnimodular(f"|lam| = {abs(lam)!r} is not 1")
-    return NormalForm(x.system, {k: (lam ** k) * c
-                                 for k, c in x._coeffs.items()})
+    phases = complex(lam) ** x._degrees
+    return NormalForm(x.system, phases[:, None, None] * x._coeffs,
+                      degrees=x._degrees)
 
 
 def gauge_average(x: NormalForm, k: int, m: int) -> np.ndarray:
@@ -229,15 +289,17 @@ def gauge_average(x: NormalForm, k: int, m: int) -> np.ndarray:
     return out / m
 
 
+def _strip(system: IsometrySystem, monomials: np.ndarray,
+           degrees: np.ndarray) -> np.ndarray:
+    """strip_power over a (K, n, n) stack of monomials at ``degrees``."""
+    p = system.power_stack(np.abs(degrees))
+    return _sided(monomials, degrees, p.conj().transpose(0, 2, 1), p)
+
+
 def strip_power(system: IsometrySystem, monomial: np.ndarray, k: int) -> np.ndarray:
     """Recover the normalized coefficient from a degree-k monomial matrix:
     right-multiply by U^{*k} for k > 0, left-multiply by U^{|k|} for k < 0."""
-    monomial = as_matrix(monomial)
-    if k > 0:
-        return monomial @ system.star_power(k)
-    if k < 0:
-        return system.power(-k) @ monomial
-    return monomial
+    return _strip(system, as_matrix(monomial)[None], np.array([k]))[0]
 
 
 def reduce(e: _expr.Expression, system: IsometrySystem) -> NormalForm:

@@ -52,3 +52,12 @@ def broken_system():
     e12 = np.array([[0, 1], [0, 0]], complex)
     algebra = ia.generate_closure([e12])
     return ia.IsometrySystem(algebra, e12)
+
+
+@pytest.fixture(scope="session")
+def cyclic5():
+    """A system whose U is not nilpotent: the cyclic shift on C^5 (unitary)
+    with the diagonal algebra, which conjugation by U permutes."""
+    u = np.roll(np.eye(5, dtype=complex), 1, axis=0)
+    units = [np.diag(e).astype(complex) for e in np.eye(5)]
+    return ia.IsometrySystem(ia.generate_closure(units), u)

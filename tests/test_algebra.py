@@ -268,14 +268,14 @@ def test_iterated_image_products_stay_inside(qdeform6):
     basis = sys.algebra.basis
     for k in range(0, 5):
         imgs_k = [sys.delta_star_n(b, k) for b in basis]
-        from isoalg.algebra import _svd_span, _span_defect
+        from isoalg.algebra import _svd_span, _span_defects
         span_k = _svd_span(imgs_k)
         for l in range(0, k + 1):
             imgs_l = [sys.delta_star_n(b, l) for b in basis]
             for x in imgs_k[:3]:
                 for y in imgs_l[:3]:
-                    assert _span_defect(span_k, x @ y) <= 1e-9
-                    assert _span_defect(span_k, y @ x) <= 1e-9
+                    assert _span_defects(span_k, np.array([x @ y, y @ x])).max() \
+                        <= 1e-9
 
 
 def test_delta_star_span_decomposition(qdeform6):

@@ -145,6 +145,17 @@ def test_run_inapplicable_check_exits_2(specs):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--k-max", "0"), ("--k-max", "-3"),
+                                         ("--samples", "0"),
+                                         ("--samples", "-1")])
+def test_counts_below_one_exit_2(specs, capsys, flag, value):
+    checks = "norm_limit" if flag == "--k-max" else "coefficient_bound"
+    rc = main(["run", "--model", specs["qdeform.json"], "--checks", checks,
+               flag, value])
+    assert rc == 2
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_run_deterministic(specs):
     args = ["run", "--model", specs["qdeform.json"], "--checks",
             "coefficient_bound,gauge_invariance,norm_limit",

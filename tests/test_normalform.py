@@ -5,6 +5,7 @@ import isoalg as ia
 import isoalg.expr as ex
 from isoalg import (
     CoefficientEscape,
+    DimensionMismatch,
     InsufficientResolution,
     NotCoefficientAlgebra,
     NormalForm,
@@ -27,6 +28,7 @@ from isoalg import (
     strip_power,
     zero_form,
 )
+from isoalg.norms import _gauge_deviation
 
 
 def eval_tree(node, u):
@@ -378,3 +380,123 @@ def test_coefficients_match_matrix_diagonals(qsys):
                 expected[i, i] = m[i, i + k] if k >= 0 else m[i - k, i]
             assert np.linalg.norm(x.coefficient(k) - expected) \
                 <= 1e-10 * max(1.0, x.scale()), k
+
+
+def test_wrong_shape_coefficient_is_a_dimension_mismatch(qsys):
+    for k in (0, 1, -1):
+        with pytest.raises(DimensionMismatch, match=f"degree {k}"):
+            NormalForm(qsys, {k: np.eye(3)})
+        with pytest.raises(DimensionMismatch):
+            NormalForm(qsys, {k: np.ones((6, 5))})
+    with pytest.raises(DimensionMismatch):
+        NormalForm(qsys, np.zeros((2, 5, 5)), degrees=[0, 1])
+    with pytest.raises(DimensionMismatch, match="repeated degree"):
+        NormalForm(qsys, np.zeros((2, 6, 6)), degrees=[1, 1])
+
+
+def test_stack_and_mapping_constructors_agree(qsys):
+    rng = np.random.default_rng(30)
+    x = ia.random_normal_form(qsys, rng)
+    degrees = x.degrees()[::-1]
+    stack = np.array([x.coefficient(k) for k in degrees])
+    y = NormalForm(qsys, stack, degrees=degrees)
+    assert y.degrees() == x.degrees()
+    assert nf_allclose(y, x, tol=0.0)
+
+
+# -- the product against the four product rules ------------------------------
+
+def _term_product(system, j, c, k, d):
+    """Product of two canonical single terms by the four product rules, as
+    (degree, raw coefficient)."""
+    if j >= 0 and k >= 0:
+        return j + k, c @ system.delta_n(d, j)
+    if j <= 0 and k <= 0:
+        return j + k, system.delta_n(c, -k) @ d
+    if j > 0:  # j > 0 > k
+        b = -k
+        if j <= b:
+            return j + k, system.delta_n(c, b - j) @ system.proj_final(b) @ d
+        return j + k, c @ system.proj_final(j) @ system.delta_n(d, j - b)
+    # j < 0 < k
+    a = -j
+    return j + k, system.delta_star_n(c @ d, min(a, k))
+
+
+def rule_product(x, y):
+    """Reference product: every degree pair through the product rules."""
+    acc = {}
+    for j in x.degrees():
+        for k in y.degrees():
+            deg, c = _term_product(x.system, j, x.coefficient(j),
+                                   k, y.coefficient(k))
+            acc[deg] = acc[deg] + c if deg in acc else c
+    return NormalForm(x.system, acc, drop_scale=x.scale() * y.scale())
+
+
+def test_product_matches_the_product_rules(qdeform12, polar6, cyclic5):
+    rng = np.random.default_rng(31)
+    for system in (qdeform12.system, polar6.system, cyclic5):
+        for _ in range(20):
+            x = ia.random_normal_form(system, rng)
+            y = ia.random_normal_form(system, rng)
+            got, ref = nf_multiply(x, y), rule_product(x, y)
+            scale = max(1.0, ref.scale())
+            for k in set(got.degrees()) | set(ref.degrees()):
+                assert np.linalg.norm(got.coefficient(k) - ref.coefficient(k)) \
+                    <= 1e-12 * scale, (system, k)
+
+
+def test_batched_gauge_deviation_matches_per_lam_loop(qdeform12, polar6,
+                                                     cyclic5):
+    rng = np.random.default_rng(32)
+    for system in (qdeform12.system, polar6.system, cyclic5):
+        for _ in range(10):
+            x = ia.random_normal_form(system, rng)
+            base = spectral_norm(x.eval())
+            loop = max(abs(spectral_norm(gauge(x, np.exp(2j * np.pi * j / 16))
+                                         .eval()) - base)
+                       for j in range(16))
+            worst, scale = _gauge_deviation(x, 16)
+            assert scale == max(1.0, base)
+            assert abs(worst - loop) <= 1e-12 * scale
+
+
+# -- a system whose U is not nilpotent ---------------------------------------
+
+def test_oracles_on_a_non_nilpotent_system(cyclic5):
+    # c01 (homomorphism) and c02 (gauge-average extraction) on the cyclic
+    # shift, where products never vanish by nilpotency
+    assert cyclic5.nilpotency_index is None
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        x = ia.random_normal_form(cyclic5, rng)
+        y = ia.random_normal_form(cyclic5, rng)
+        ex, ey = x.eval(), y.eval()
+        nx, ny = spectral_norm(ex), spectral_norm(ey)
+        assert spectral_norm(nf_multiply(x, y).eval() - ex @ ey) \
+            <= 1e-10 * nx * ny
+        m = 2 * x.max_degree + 1
+        for k in x.degrees():
+            got = strip_power(cyclic5, gauge_average(x, k, m), k)
+            assert np.linalg.norm(got - x.coefficient(k)) <= 1e-9 * x.scale()
+
+
+def test_norm_limit_past_the_power_cache(cyclic5):
+    # (xx*)^16 of a degree-4 form reaches degree 128, past the cached power
+    # depth 2n + 4 = 14.  Oracle: its degree-0 coefficient is the average of
+    # the direct matrix powers (y_lam y_lam*)^{2k} over m > 128 roots of
+    # unity, y_lam the matrix of x/||x|| gauged by lam.
+    rng = np.random.default_rng(34)
+    x = ia.random_normal_form(cyclic5, rng)
+    while x.max_degree < 4:
+        x = ia.random_normal_form(cyclic5, rng)
+    tr = ia.norm_limit(x, 8)
+    assert tr.k_values == [1, 2, 4, 8]
+    m = 8 * 8 * 4 + 1
+    lams = np.exp(2j * np.pi * np.arange(m) / m)
+    ys = [gauge(x, lam).eval() / tr.direct_norm for lam in lams]
+    for k, s in zip(tr.k_values, tr.s_values):
+        n0 = sum(np.linalg.matrix_power(y @ adjoint(y), 2 * k) for y in ys) / m
+        direct = tr.direct_norm * spectral_norm(n0) ** (1.0 / (4 * k))
+        assert abs(s - direct) <= 1e-12 * direct, k
