@@ -1,14 +1,18 @@
 """Finite-dimensional *-algebra machinery.
 
-A *-subalgebra of the ambient matrix algebra is stored as a Hilbert-Schmidt
-orthonormal basis, which turns span membership, commutants and generated
-closures into ordinary linear algebra.  On top of that sit the condition
-checkers for a pair (algebra, partial isometry U) and the extension builders
-that enlarge an initial algebra until the maps
+A *-subalgebra of the ambient matrix algebra is stored as one (d, n, n)
+stack of Hilbert-Schmidt orthonormal basis matrices, which turns span
+membership, commutants and generated closures into ordinary linear algebra.
+On top of that sit the condition checkers for a pair (algebra, partial
+isometry U) and the extension builders that enlarge an initial algebra until
+the maps
 
     delta(x) = U x U*,        delta_star(x) = U* x U
 
-send it into itself.
+send it into itself.  Both maps act on stacks, so a checker measures its
+identity over the whole basis in one batched call; identities over pairs
+(of basis elements, or of powers k <= k_max) take one call per row, so that
+no temporary holds all the pairs at once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .linalg import (
     as_matrix,
     hs_norm,
     is_partial_isometry,
-    spectral_norm,
+    spectral_norms,
 )
 from .report import ConditionReport
 
@@ -39,10 +43,6 @@ def _chain_cap(n: int) -> int:
     # longest strictly increasing chain of subspaces of the n*n matrices,
     # plus slack; guards stabilization loops against tolerance oscillation
     return n * n + 2
-
-
-def _flatten(mats: list[np.ndarray]) -> np.ndarray:
-    return np.array([m.ravel() for m in mats])
 
 
 def _orth_insert(flat: list[np.ndarray], cand: np.ndarray, tol: float):
@@ -70,10 +70,11 @@ def _orth_insert(flat: list[np.ndarray], cand: np.ndarray, tol: float):
     return v / r
 
 
-def _svd_span(mats: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal flat basis of the span, for comparisons (no band semantics)."""
-    stack = _flatten(mats)
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+def _svd_span(mats) -> np.ndarray:
+    """Orthonormal flat basis of the span of a (K, n, n) stack, for
+    comparisons (no band semantics)."""
+    stack = np.asarray(mats)
+    _, s, vh = np.linalg.svd(stack.reshape(len(stack), -1), full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return vh[:0]
     rank = int(np.sum(s > 1e-12 * s[0]))
@@ -89,12 +90,13 @@ def _span_defects(flat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=1)
 
 
-def spans_equal(a: list[np.ndarray], b: list[np.ndarray], tol: float) -> tuple[bool, float]:
-    """Mutual containment of two matrix spans; returns (equal, worst defect)."""
+def spans_equal(a, b, tol: float) -> tuple[bool, float]:
+    """Mutual containment of the spans of two (K, n, n) stacks; returns
+    (equal, worst defect)."""
+    a, b = np.asarray(a), np.asarray(b)
     fa, fb = _svd_span(a), _svd_span(b)
     worst = 0.0
-    for flat, mats in ((fa, b), (fb, a)):
-        stack = np.array(mats)
+    for flat, stack in ((fa, b), (fb, a)):
         scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
         worst = max(worst, float((_span_defects(flat, stack) / scale).max()))
     return worst <= tol, worst
@@ -103,37 +105,33 @@ def spans_equal(a: list[np.ndarray], b: list[np.ndarray], tol: float) -> tuple[b
 class FiniteStarAlgebra:
     """A unital *-subalgebra of the n x n matrices.
 
-    ``basis`` is Hilbert-Schmidt orthonormal, closed under adjoints and
-    products within ``tol``, and spans the identity.
+    ``basis`` is one (d, n, n) stack, Hilbert-Schmidt orthonormal, closed
+    under adjoints and products within ``tol``, and spans the identity.
     """
 
-    def __init__(self, basis: list[np.ndarray], tol: float = DEFAULT_TOL,
-                 validate: bool = True):
-        if not basis:
-            raise DimensionMismatch("empty basis")
-        self.basis = [as_matrix(b) for b in basis]
-        self.ambient_dim = self.basis[0].shape[0]
-        if any(b.shape[0] != self.ambient_dim for b in self.basis):
-            raise DimensionMismatch("basis matrices have mixed dimensions")
+    def __init__(self, basis, tol: float = DEFAULT_TOL):
+        basis = np.asarray(basis, dtype=complex)
+        if basis.ndim != 3 or not len(basis) or basis.shape[1] != basis.shape[2]:
+            raise DimensionMismatch(
+                f"expected a nonempty (d, n, n) stack, got shape {basis.shape}")
+        self.basis = basis
+        self.ambient_dim = basis.shape[1]
         self.tol = float(tol)
-        self._flat = _flatten(self.basis)
-        if validate:
-            rep = self.invariant_report()
-            if not rep.passed:
-                raise ValueError(f"invalid *-algebra basis:\n{rep}")
+        self._flat = basis.reshape(len(basis), -1)
+        rep = self.invariant_report()
+        if not rep.passed:
+            raise ValueError(f"invalid *-algebra basis:\n{rep}")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def project_coeffs(self, m: np.ndarray) -> np.ndarray:
-        """Coordinates of the HS projection of m onto the span."""
-        return self._flat.conj() @ np.asarray(m).ravel()
-
     def project(self, m: np.ndarray) -> np.ndarray:
-        """HS projection of m onto the span, as a matrix."""
-        c = self.project_coeffs(m)
-        return (self._flat.T @ c).reshape(self.ambient_dim, self.ambient_dim)
+        """HS projection onto the span of a matrix, or of each matrix of a
+        (K, n, n) stack."""
+        m = np.asarray(m)
+        flat = m.reshape(m.shape[:-2] + self._flat.shape[1:])
+        return ((flat @ self._flat.conj().T) @ self._flat).reshape(m.shape)
 
     def span_defects(self, stack: np.ndarray) -> np.ndarray:
         """Frobenius distance to the span of each matrix of a (K, n, n)
@@ -161,17 +159,13 @@ class FiniteStarAlgebra:
         rep.add("identity in span",
                 float(_span_defects(self._flat, np.eye(n, dtype=complex)[None])[0]),
                 self.tol * n)
-        basis = np.array(self.basis)
+        basis = self.basis
         adj = _span_defects(self._flat, basis.conj().transpose(0, 2, 1)).max()
         rep.add("closed under adjoint", float(adj), self.tol)
         prod = max(float(_span_defects(self._flat, bi @ basis).max())
                    for bi in basis)
         rep.add("closed under product", prod, self.tol)
         return rep
-
-    def to_json(self) -> list[dict]:
-        from .linalg import matrix_to_json
-        return [matrix_to_json(b) for b in self.basis]
 
     def __repr__(self) -> str:
         return (f"FiniteStarAlgebra(dim={self.dim}, "
@@ -221,8 +215,7 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
         if not grew:
             break
 
-    basis = [v.reshape(n, n) for v in flat]
-    return FiniteStarAlgebra(basis, tol=tol, validate=True)
+    return FiniteStarAlgebra(np.reshape(flat, (-1, n, n)), tol=tol)
 
 
 def commutant(mats: list[np.ndarray], tol: float = DEFAULT_TOL) -> FiniteStarAlgebra:
@@ -243,9 +236,9 @@ def commutant(mats: list[np.ndarray], tol: float = DEFAULT_TOL) -> FiniteStarAlg
     _, s, vh = np.linalg.svd(stack)
     smax = s[0] if s.size else 0.0
     cutoff = max(tol * max(1.0, smax), n * n * np.finfo(float).eps * smax)
-    null_rows = [vh[i] for i in range(vh.shape[0]) if i >= s.size or s[i] <= cutoff]
-    basis = [v.conj().reshape(n, n) for v in null_rows]
-    return FiniteStarAlgebra(basis, tol=tol, validate=True)
+    # s is descending with one entry per row of vh
+    null_rows = vh[int(np.count_nonzero(s > cutoff)):]
+    return FiniteStarAlgebra(null_rows.conj().reshape(-1, n, n), tol=tol)
 
 
 def bicommutant(alg: FiniteStarAlgebra) -> FiniteStarAlgebra:
@@ -257,9 +250,9 @@ class IsometrySystem:
     """A *-algebra together with a partial isometry acting on the same space.
 
     Powers of U and the projections U^{*k} U^k, U^k U^{*k} are cached eagerly
-    up to ``depth`` (further powers are computed on demand without mutating
-    the cache); ``power_stack`` and ``proj_final_stack`` return many at once.
-    The instance is immutable after construction.
+    as stacks up to ``depth`` (further powers are computed on demand without
+    mutating the cache); the ``*_stack`` methods return many at once.  The
+    instance is immutable after construction.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray,
@@ -285,8 +278,9 @@ class IsometrySystem:
                 break
         self._powers = np.array(powers)
         self._nilpotent_at = len(powers) - 1 if not powers[-1].any() else None
-        self._proj_initial = [adjoint(p) @ p for p in powers]
-        self._proj_final = np.array([p @ adjoint(p) for p in powers])
+        star = self._powers.conj().transpose(0, 2, 1)
+        self._proj_initial = star @ self._powers
+        self._proj_final = self._powers @ star
 
     @property
     def dim(self) -> int:
@@ -321,52 +315,59 @@ class IsometrySystem:
     def star_power(self, k: int) -> np.ndarray:
         return adjoint(self.power(k))
 
-    def proj_initial(self, k: int) -> np.ndarray:
-        """U^{*k} U^k."""
-        if k < len(self._proj_initial):
-            return self._proj_initial[k]
-        p = self.power(k)
-        return adjoint(p) @ p
+    def _proj_stack(self, ks, initial: bool) -> np.ndarray:
+        """U^{*k} U^k (initial) or U^k U^{*k} for each k >= 0 in ks."""
+        ks = np.asarray(ks, dtype=int)
+        cache = self._proj_initial if initial else self._proj_final
+        if ks.size == 0 or (ks.min() >= 0 and ks.max() < len(cache)):
+            return cache[ks]
+        p = self.power_stack(ks)
+        star = p.conj().transpose(0, 2, 1)
+        return star @ p if initial else p @ star
+
+    def proj_initial_stack(self, ks) -> np.ndarray:
+        """U^{*k} U^k for each k >= 0 in ks, as a (len(ks), n, n) stack."""
+        return self._proj_stack(ks, initial=True)
 
     def proj_final_stack(self, ks) -> np.ndarray:
         """U^k U^{*k} for each k >= 0 in ks, as a (len(ks), n, n) stack."""
-        ks = np.asarray(ks, dtype=int)
-        if ks.size == 0 or (ks.min() >= 0 and ks.max() < len(self._proj_final)):
-            return self._proj_final[ks]
-        p = self.power_stack(ks)
-        return p @ p.conj().transpose(0, 2, 1)
+        return self._proj_stack(ks, initial=False)
+
+    def proj_initial(self, k: int) -> np.ndarray:
+        """U^{*k} U^k."""
+        return self.proj_initial_stack([k])[0]
 
     def proj_final(self, k: int) -> np.ndarray:
         """U^k U^{*k}."""
         return self.proj_final_stack([k])[0]
 
-    def delta(self, m: np.ndarray) -> np.ndarray:
-        """U m U*."""
-        m = as_matrix(m)
-        if m.shape[0] != self.dim:
-            raise DimensionMismatch("dimension mismatch in delta")
-        return self.u @ m @ adjoint(self.u)
-
-    def delta_star(self, m: np.ndarray) -> np.ndarray:
-        """U* m U."""
-        m = as_matrix(m)
-        if m.shape[0] != self.dim:
-            raise DimensionMismatch("dimension mismatch in delta_star")
-        return adjoint(self.u) @ m @ self.u
+    def _conjugate(self, m, n: int, star: bool) -> np.ndarray:
+        m = np.asarray(m, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim, self.dim):
+            raise DimensionMismatch(
+                f"expected {self.dim}x{self.dim} matrices (the ambient dim), "
+                f"got shape {m.shape}")
+        if n == 0:
+            return m
+        p = self.power(n)
+        return adjoint(p) @ m @ p if star else p @ m @ adjoint(p)
 
     def delta_n(self, m: np.ndarray, n: int) -> np.ndarray:
-        """U^n m U^{*n} (the identity map for n = 0)."""
-        if n == 0:
-            return as_matrix(m)
-        p = self.power(n)
-        return p @ m @ adjoint(p)
+        """U^n m U^{*n} for a matrix or each matrix of a (K, n, n) stack
+        (the identity map for n = 0)."""
+        return self._conjugate(m, n, star=False)
 
     def delta_star_n(self, m: np.ndarray, n: int) -> np.ndarray:
-        """U^{*n} m U^n (the identity map for n = 0)."""
-        if n == 0:
-            return as_matrix(m)
-        p = self.power(n)
-        return adjoint(p) @ m @ p
+        """U^{*n} m U^n, likewise."""
+        return self._conjugate(m, n, star=True)
+
+    def delta(self, m: np.ndarray) -> np.ndarray:
+        """U m U*, for a matrix or a stack."""
+        return self.delta_n(m, 1)
+
+    def delta_star(self, m: np.ndarray) -> np.ndarray:
+        """U* m U, for a matrix or a stack."""
+        return self.delta_star_n(m, 1)
 
     @cached_property
     def coefficient_report(self) -> ConditionReport:
@@ -377,37 +378,46 @@ class IsometrySystem:
         return f"IsometrySystem(algebra={self.algebra!r})"
 
 
-def _commutator_norm(p: np.ndarray, mats) -> float:
-    """Worst ||p a - a p|| over a in mats (0 for none)."""
-    return max((spectral_norm(p @ a - a @ p) for a in mats), default=0.0)
+def _worst_norm(stack: np.ndarray) -> float:
+    """Largest spectral norm over a stack of matrices (0 for an empty one)."""
+    return float(spectral_norms(stack).max(initial=0.0))
 
 
-def _commutator_defect(basis: list[np.ndarray]) -> float:
+def _commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
+    """Worst ||a b - b a|| over a in left and b in the stack right (0 for
+    none).  ``left`` is one matrix or a stack, taken one matrix at a time, so
+    that no temporary holds more than len(right) products."""
+    rows = left[None] if left.ndim == 2 else left
+    return max((_worst_norm(a @ right - right @ a) for a in rows), default=0.0)
+
+
+def _commutator_defect(basis: np.ndarray) -> float:
     """Worst commutator norm over distinct basis pairs."""
     return max((_commutator_norm(a, basis[i + 1:])
                 for i, a in enumerate(basis)), default=0.0)
 
 
-def _delta_orbit(sys: IsometrySystem, n_max: int) -> list[list[np.ndarray]]:
-    """The images delta^n(basis) for n = 0, ..., n_max (none if n_max < 0)."""
-    orbit = [list(sys.algebra.basis)]
+def _delta_orbit(sys: IsometrySystem, n_max: int) -> list[np.ndarray]:
+    """The stacks delta^n(basis) for n = 0, ..., n_max (none if n_max < 0),
+    each the delta image of the one before."""
+    orbit = [sys.algebra.basis]
     for _ in range(n_max):
-        orbit.append([sys.delta(a) for a in orbit[-1]])
+        orbit.append(sys.delta(orbit[-1]))
     return orbit[:n_max + 1]
 
 
 def _multiplicativity_defect(sys: IsometrySystem) -> float:
     """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
     basis = sys.algebra.basis
-    deltas = [sys.delta(a) for a in basis]
-    return max(spectral_norm(sys.delta(a @ b) - da @ db)
-               for a, da in zip(basis, deltas) for b, db in zip(basis, deltas))
+    deltas = sys.delta(basis)
+    return max(_worst_norm(sys.delta(a @ basis) - da @ deltas)
+               for a, da in zip(basis, deltas))
 
 
 def _invariance_defect(sys: IsometrySystem, image) -> float:
     """Worst distance from image(a) to the algebra over the basis; ``image``
     is ``sys.delta`` or ``sys.delta_star``."""
-    return max(sys.algebra.contains(image(a))[1] for a in sys.algebra.basis)
+    return float(sys.algebra.span_defects(image(sys.algebra.basis)).max())
 
 
 def _add_delta_hypotheses(rep: ConditionReport, sys: IsometrySystem,
@@ -422,25 +432,19 @@ def _add_delta_hypotheses(rep: ConditionReport, sys: IsometrySystem,
 
 def _projection_families_defect(sys: IsometrySystem, k_max: int) -> float:
     """Worst commutator [U^{*k}U^k, U^lU^{*l}] over 0 <= k, l <= k_max."""
-    finals = [sys.proj_final(l) for l in range(0, k_max + 1)]
-    return max(_commutator_norm(sys.proj_initial(k), finals)
-               for k in range(0, k_max + 1))
+    ks = np.arange(k_max + 1)
+    return _commutator_norm(sys.proj_initial_stack(ks), sys.proj_final_stack(ks))
 
 
 def _absorption_defect(sys: IsometrySystem, k_max: int) -> float:
     """Worst defect of U* U^k U^{*l} = U^{k-1} U^{*l} and
     U U^{*k} U^l = U^{*(k-1)} U^l over 1 <= k <= l <= k_max."""
-    d = 0.0
+    p = sys.power_stack(np.arange(k_max + 1))
+    s = p.conj().transpose(0, 2, 1)
     u, ustar = sys.u, adjoint(sys.u)
-    for l in range(1, k_max + 1):
-        for k in range(1, l + 1):
-            lhs = ustar @ sys.power(k) @ sys.star_power(l)
-            rhs = sys.power(k - 1) @ sys.star_power(l)
-            d = max(d, spectral_norm(lhs - rhs))
-            lhs = u @ sys.star_power(k) @ sys.power(l)
-            rhs = sys.star_power(k - 1) @ sys.power(l)
-            d = max(d, spectral_norm(lhs - rhs))
-    return d
+    return max((max(_worst_norm(ustar @ p[1:l + 1] @ s[l] - p[:l] @ s[l]),
+                    _worst_norm(u @ s[1:l + 1] @ p[l] - s[:l] @ p[l]))
+                for l in range(1, k_max + 1)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +468,7 @@ def check_intertwining_equivalents(sys: IsometrySystem,
     u, ustar = sys.u, adjoint(sys.u)
     basis = sys.algebra.basis
 
-    d_i = max(spectral_norm(u @ a - sys.delta(a) @ u) for a in basis)
+    d_i = _worst_norm(u @ basis - sys.delta(basis) @ u)
     rep.add("(i) Ua = delta(a)U on basis", d_i, tol)
 
     pi = is_partial_isometry(u, tol)
@@ -510,9 +514,14 @@ def check_extendability(sys: IsometrySystem, n_max: int,
     consecutive spans agree is reported as a note.
     """
     tol = sys.tol if tol is None else tol
+    return _extendability(sys, _delta_orbit(sys, n_max), n_max, tol)
+
+
+def _extendability(sys: IsometrySystem, orbit: list[np.ndarray], n_max: int,
+                   tol: float) -> ConditionReport:
+    """The body of check_extendability over an already built delta^n orbit."""
     rep = ConditionReport("extendability")
     p = sys.proj_initial(1)
-    orbit = _delta_orbit(sys, n_max)
     worst = max((_commutator_norm(p, images) for images in orbit), default=0.0)
     stabilized_at = next((n for n in range(1, n_max + 1)
                           if spans_equal(orbit[n - 1], orbit[n], tol)[0]), None)
@@ -542,11 +551,11 @@ def check_commutative_extendability(sys: IsometrySystem, n_max: int,
 
     rep = ConditionReport("commutative_extendability")
     rep.add("algebra commutative", d_comm, tol)
-    worst = max((_commutator_norm(a, images)
-                 for images in _delta_orbit(sys, n_max) for a in basis),
+    orbit = _delta_orbit(sys, n_max)
+    worst = max((_commutator_norm(basis, images) for images in orbit),
                 default=0.0)
     rep.add(f"algebra commutes with delta^n(algebra), n <= {n_max}", worst, tol)
-    rep.merge(check_extendability(sys, n_max, tol))
+    rep.merge(_extendability(sys, orbit, n_max, tol))
     return rep
 
 
@@ -559,8 +568,8 @@ def _tower(sys: IsometrySystem, image, tol: float) -> FiniteStarAlgebra:
     cur = sys.algebra
     cap = _chain_cap(sys.dim)
     for _ in range(cap):
-        imgs = [image(b) for b in cur.basis]
-        nxt = generate_closure(cur.basis + imgs, tol, dim=sys.dim)
+        gens = np.concatenate([cur.basis, image(cur.basis)])
+        nxt = generate_closure(gens, tol, dim=sys.dim)
         if nxt.dim == cur.dim:
             return cur
         cur = nxt
@@ -626,30 +635,21 @@ def verify_power_identities(sys: IsometrySystem, k_max: int,
     rep = ConditionReport("power_structure")
     _add_delta_hypotheses(rep, sys, tol, prefix="hypothesis: ")
 
-    basis = sys.algebra.basis
-    d = 0.0
-    for k in range(1, k_max + 1):
-        uk = sys.power(k)
-        for a in basis:
-            d = max(d, spectral_norm(uk @ a - sys.delta_n(a, k) @ uk))
+    basis, ks = sys.algebra.basis, np.arange(1, k_max + 1)
+    d = max((_worst_norm(uk @ basis - sys.delta_n(basis, k) @ uk)
+             for k, uk in zip(ks, sys.power_stack(ks))), default=0.0)
     rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}", d, tol)
 
-    d = max((_commutator_norm(sys.proj_initial(k), basis)
-             for k in range(1, k_max + 1)), default=0.0)
+    d = _commutator_norm(sys.proj_initial_stack(ks), basis)
     rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}", d, tol)
 
-    for label, proj in (("U^{*k}U^k", sys.proj_initial),
-                        ("U^kU^{*k}", sys.proj_final)):
-        family = [proj(l) for l in range(1, k_max + 1)]
-        d_proj = 0.0
-        d_pair = 0.0
-        d_dec = 0.0
-        for k in range(1, k_max + 1):
-            p = proj(k)
-            d_proj = max(d_proj, spectral_norm(p @ p - p),
-                         spectral_norm(p - adjoint(p)))
-            d_dec = max(d_dec, spectral_norm(p @ proj(k + 1) - proj(k + 1)))
-            d_pair = max(d_pair, _commutator_norm(p, family))
+    for label, stack in (("U^{*k}U^k", sys.proj_initial_stack),
+                         ("U^kU^{*k}", sys.proj_final_stack)):
+        p, nxt = stack(ks), stack(ks + 1)
+        d_proj = max(_worst_norm(p @ p - p),
+                     _worst_norm(p - p.conj().transpose(0, 2, 1)))
+        d_dec = _worst_norm(p @ nxt - nxt)
+        d_pair = _commutator_norm(p, p)
         rep.add(f"{label} are projections, k <= {k_max}", d_proj, tol)
         rep.add(f"{label} pairwise commute", d_pair, tol)
         rep.add(f"{label} decreasing", d_dec, tol)

@@ -221,12 +221,14 @@ def _default_tol() -> float:
 
 
 def _check_counts(args) -> None:
-    """Reject --k-max and --samples below 1: a sampler over no samples, or a
-    norm-limit schedule with no stage, would pass vacuously or crash."""
-    for flag, value in (("--k-max", getattr(args, "k_max", 1)),
-                        ("--samples", getattr(args, "samples", 1))):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    """Reject --k-max and --samples below 1 and --n-max below 0 (the n = 0
+    image is the algebra itself): a sampler over no samples, a norm-limit
+    schedule with no stage or an empty delta^n orbit would pass vacuously."""
+    for flag, least in (("k_max", 1), ("samples", 1), ("n_max", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least "
+                              f"{least}, got {value}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -62,17 +62,16 @@ def weighted_backward_shift(weights) -> np.ndarray:
     return np.diag(np.asarray(weights, dtype=complex), 1)
 
 
-def polar_decompose(a: np.ndarray,
-                    rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition a = U |a| with U a partial isometry.
 
     |a| = sqrt(a* a); U maps |a| xi to a xi and vanishes on ker |a|
-    (eigenvalues of |a| below rank_tol * ||a|| count as kernel).
+    (eigenvalues of |a| below RANK_TOL * ||a|| count as kernel).
     """
     a = as_matrix(a)
     abs_a = psd_sqrt(adjoint(a) @ a)
     w, v = herm_eig(abs_a)
-    thr = rank_tol * spectral_norm(a)
+    thr = RANK_TOL * spectral_norm(a)
     inv = np.where(w > thr, 1.0 / np.where(w > thr, w, 1.0), 0.0)
     u = a @ (v * inv) @ adjoint(v)
     return u, abs_a
@@ -122,27 +121,23 @@ def polar_structure_suite(m: PolarModel, k_max: int,
     """
     rep = ConditionReport("polar_structure")
     sys = IsometrySystem(m.seed_algebra, m.u)
+    seed_tol = m.seed_algebra.tol
+    finals = sys.proj_final_stack(np.arange(1, k_max + 1))
 
     d = 0.0
     for k in range(1, k_max + 1):
-        gens = [m.abs_a] + [sys.proj_final(j) for j in range(1, k)]
-        closure_k = generate_closure(gens, m.seed_algebra.tol)
+        closure_k = generate_closure([m.abs_a, *finals[:k - 1]], seed_tol)
         d = max(d, closure_k.contains(sys.delta_n(m.abs_a, k))[1])
     rep.add(f"delta^k(|a|) in span of |a| and lower projections, k <= {k_max}",
             d, tol)
 
-    gens = [m.abs_a] + [sys.proj_final(j) for j in range(1, k_max + 1)]
-    ext = generate_closure(gens, m.seed_algebra.tol)
+    ext = generate_closure([m.abs_a, *finals], seed_tol)
     rep.add("delta multiplicative on the extended algebra",
             _multiplicativity_defect(IsometrySystem(ext, m.u)), tol)
 
     dbl = bicommutant(m.seed_algebra)
-    d_mem = 0.0
-    d_comm = 0.0
-    for k in range(1, k_max + 1):
-        f = sys.proj_final(k)
-        d_mem = max(d_mem, dbl.contains(f)[1])
-        d_comm = max(d_comm, _commutator_norm(f, m.seed_algebra.basis))
+    d_mem = float(dbl.span_defects(finals).max(initial=0.0))
+    d_comm = _commutator_norm(finals, m.seed_algebra.basis)
     rep.add(f"U^k U^{{*k}} in double commutant of seed, k <= {k_max}", d_mem, tol)
     rep.add("U^k U^{*k} commutes with seed algebra", d_comm, tol)
 

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as _expr
-from .algebra import IsometrySystem
+from .algebra import IsometrySystem, _worst_norm
 from .errors import (
     CoefficientEscape,
     DimensionMismatch,
@@ -63,7 +63,6 @@ from .linalg import (
     as_matrix,
     matrix_from_json,
     matrix_to_json,
-    spectral_norm,
 )
 from .report import ConditionReport
 
@@ -159,6 +158,11 @@ class NormalForm:
             return self._coeffs[i]
         n = self.system.dim
         return np.zeros((n, n), dtype=complex)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The stored coefficients, one (K, n, n) stack in degree order."""
+        return self._coeffs
 
     def scale(self) -> float:
         return float(self._norms.max(initial=0.0))
@@ -347,9 +351,8 @@ def check_adjoint_intertwining(sys: IsometrySystem,
     relation that makes the left-coefficient convention available)."""
     tol = sys.tol if tol is None else tol
     rep = ConditionReport("adjoint_intertwining")
-    ustar = adjoint(sys.u)
-    d = max(spectral_norm(ustar @ a - sys.delta_star(a) @ ustar)
-            for a in sys.algebra.basis)
+    ustar, basis = adjoint(sys.u), sys.algebra.basis
+    d = _worst_norm(ustar @ basis - sys.delta_star(basis) @ ustar)
     rep.add("U*a = delta_star(a)U* on basis", d, tol)
     return rep
 

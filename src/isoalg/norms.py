@@ -38,25 +38,26 @@ from .linalg import (
 from .normalform import NormalForm, nf_adjoint, nf_multiply, nf_scale
 from .report import ConditionReport
 
+# Largest degree of the random canonical forms the samplers draw.
+MAX_SAMPLE_DEGREE = 4
 
-def random_normal_form(system: IsometrySystem, rng: np.random.Generator,
-                       max_degree: int = 4) -> NormalForm:
-    """Draw a random canonical form: a uniform maximum degree N <= max_degree
-    and, for every degree in [-N, N], an i.i.d. standard complex Gaussian
-    matrix projected into the coefficient algebra (then range-normalized by
-    the NormalForm constructor)."""
+
+def random_normal_form(system: IsometrySystem,
+                       rng: np.random.Generator) -> NormalForm:
+    """Draw a random canonical form: a uniform maximum degree
+    N <= MAX_SAMPLE_DEGREE and, for every degree in [-N, N], an i.i.d.
+    standard complex Gaussian matrix, all projected into the coefficient
+    algebra in one call (then range-normalized by the NormalForm constructor)."""
     n = system.dim
-    top = int(rng.integers(0, max_degree + 1))
-    coeffs = {}
-    for k in range(-top, top + 1):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        coeffs[k] = system.algebra.project(g)
-    return NormalForm(system, coeffs)
+    top = int(rng.integers(0, MAX_SAMPLE_DEGREE + 1))
+    draws = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for _ in range(2 * top + 1)]
+    return NormalForm(system, system.algebra.project(np.array(draws)),
+                      degrees=np.arange(-top, top + 1))
 
 
 def sample_coefficient_bound(system: IsometrySystem, samples: int, seed: int,
-                             tol: float | None = None,
-                             max_degree: int = 4) -> ConditionReport:
+                             tol: float | None = None) -> ConditionReport:
     """Sample the coefficient bound ||a_0|| <= ||x|| and its per-degree
     extension ||a_k|| <= ||x|| on random canonical forms.
 
@@ -73,15 +74,16 @@ def sample_coefficient_bound(system: IsometrySystem, samples: int, seed: int,
     worst_zero = -np.inf
     worst_any = -np.inf
     for _ in range(samples):
-        x = random_normal_form(system, rng, max_degree)
+        x = random_normal_form(system, rng)
         norm_x = spectral_norm(x.eval())
-        worst_zero = max(worst_zero, spectral_norm(x.coefficient(0)) - norm_x)
-        for k in x.degrees():
-            worst_any = max(worst_any,
-                            spectral_norm(x.coefficient(k)) - norm_x)
+        margins = spectral_norms(x.coefficients) - norm_x
+        # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
+        worst_zero = max(worst_zero, -norm_x,
+                         *margins[np.asarray(x.degrees()) == 0])
+        worst_any = max(worst_any, margins.max(initial=-np.inf))
     rep.add(f"||a_0|| - ||x|| over {samples} samples", worst_zero, tol)
     rep.add(f"max_k ||a_k|| - ||x|| over {samples} samples", worst_any, tol)
-    rep.note(f"seed = {seed}, max degree = {max_degree}")
+    rep.note(f"seed = {seed}, max degree = {MAX_SAMPLE_DEGREE}")
     return rep
 
 
@@ -228,8 +230,7 @@ def gauge_invariance_check(x: NormalForm, lam_grid: int,
 def gauge_invariance_sample(system: IsometrySystem, samples: int, seed: int,
                             lam_grid: int = 16,
                             star_report: ConditionReport | None = None,
-                            tol: float | None = None,
-                            max_degree: int = 4) -> ConditionReport:
+                            tol: float | None = None) -> ConditionReport:
     """Gauge norm invariance over random canonical forms; the defect is the
     worst norm deviation normalized by max(1, ||x||) per sample."""
     tol = system.tol if tol is None else tol
@@ -237,8 +238,7 @@ def gauge_invariance_sample(system: IsometrySystem, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        dev, scale = _gauge_deviation(random_normal_form(system, rng, max_degree),
-                                      lam_grid)
+        dev, scale = _gauge_deviation(random_normal_form(system, rng), lam_grid)
         worst = max(worst, dev / scale)
     rep.add(f"norm deviation over {lam_grid} roots of unity, "
             f"{samples} samples", worst, tol)
@@ -251,8 +251,7 @@ def gauge_invariance_sample(system: IsometrySystem, samples: int, seed: int,
 def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
                       k_max: int = 8,
                       star_report: ConditionReport | None = None,
-                      rel_tol: float = 0.05, slack: float = 1e-9,
-                      max_degree: int = 4
+                      rel_tol: float = 0.05, slack: float = 1e-9
                       ) -> tuple[ConditionReport, list[NormLimitTrace]]:
     """Run the norm-limit formula on random canonical forms and check, per
     sample:
@@ -270,7 +269,7 @@ def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
     worst_sandwich = 0.0
     worst_conv = 0.0
     for _ in range(samples):
-        x = random_normal_form(system, rng, max_degree)
+        x = random_normal_form(system, rng)
         tr = norm_limit(x, k_max, star_report)
         traces.append(tr)
         if tr.direct_norm == 0.0:

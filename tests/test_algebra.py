@@ -25,6 +25,17 @@ from isoalg import (
     spectral_norm,
     verify_power_identities,
 )
+from isoalg.algebra import (
+    _absorption_defect,
+    _commutator_defect,
+    _commutator_norm,
+    _delta_orbit,
+    _invariance_defect,
+    _multiplicativity_defect,
+    _projection_families_defect,
+)
+from isoalg.models import polar_structure_suite
+from isoalg.normalform import check_adjoint_intertwining
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
@@ -336,3 +347,211 @@ def test_commutative_extendability_yields_coefficient_tower():
     worst = max(spectral_norm(a @ b - b @ a)
                 for a in full.basis for b in full.basis)
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The per-element loops that the stacked defect helpers replaced, kept as the
+# reference they are compared against.
+# ---------------------------------------------------------------------------
+
+def loop_commutator_norm(p, mats):
+    return max((spectral_norm(p @ a - a @ p) for a in mats), default=0.0)
+
+
+def loop_commutator_defect(basis):
+    return max((loop_commutator_norm(a, basis[i + 1:])
+                for i, a in enumerate(basis)), default=0.0)
+
+
+def loop_delta_orbit(sys, n_max):
+    orbit = [list(sys.algebra.basis)]
+    for _ in range(n_max):
+        orbit.append([sys.delta(a) for a in orbit[-1]])
+    return orbit[:n_max + 1]
+
+
+def loop_multiplicativity_defect(sys):
+    basis = sys.algebra.basis
+    deltas = [sys.delta(a) for a in basis]
+    return max(spectral_norm(sys.delta(a @ b) - da @ db)
+               for a, da in zip(basis, deltas) for b, db in zip(basis, deltas))
+
+
+def loop_invariance_defect(sys, image):
+    return max(sys.algebra.contains(image(a))[1] for a in sys.algebra.basis)
+
+
+def loop_power_intertwining(sys, k_max):
+    d = 0.0
+    for k in range(1, k_max + 1):
+        uk = sys.power(k)
+        for a in sys.algebra.basis:
+            d = max(d, spectral_norm(uk @ a - sys.delta_n(a, k) @ uk))
+    return d
+
+
+def loop_projection_families_defect(sys, k_max):
+    finals = [sys.proj_final(l) for l in range(0, k_max + 1)]
+    return max(loop_commutator_norm(sys.proj_initial(k), finals)
+               for k in range(0, k_max + 1))
+
+
+def loop_absorption_defect(sys, k_max):
+    d = 0.0
+    u, ustar = sys.u, adjoint(sys.u)
+    for l in range(1, k_max + 1):
+        for k in range(1, l + 1):
+            lhs = ustar @ sys.power(k) @ sys.star_power(l)
+            rhs = sys.power(k - 1) @ sys.star_power(l)
+            d = max(d, spectral_norm(lhs - rhs))
+            lhs = u @ sys.star_power(k) @ sys.power(l)
+            rhs = sys.star_power(k - 1) @ sys.power(l)
+            d = max(d, spectral_norm(lhs - rhs))
+    return d
+
+
+def loop_adjoint_intertwining(sys):
+    ustar = adjoint(sys.u)
+    return max(spectral_norm(ustar @ a - sys.delta_star(a) @ ustar)
+               for a in sys.algebra.basis)
+
+
+def loop_power_structure(sys, k_max):
+    """The defect values of verify_power_identities after its two
+    hypothesis entries, in report order."""
+    basis = sys.algebra.basis
+    out = [loop_power_intertwining(sys, k_max),
+           max((loop_commutator_norm(sys.proj_initial(k), basis)
+                for k in range(1, k_max + 1)), default=0.0)]
+    for proj in (sys.proj_initial, sys.proj_final):
+        family = [proj(l) for l in range(1, k_max + 1)]
+        d_proj = d_pair = d_dec = 0.0
+        for k in range(1, k_max + 1):
+            p = proj(k)
+            d_proj = max(d_proj, spectral_norm(p @ p - p),
+                         spectral_norm(p - adjoint(p)))
+            d_dec = max(d_dec, spectral_norm(p @ proj(k + 1) - proj(k + 1)))
+            d_pair = max(d_pair, loop_commutator_norm(p, family))
+        out += [d_proj, d_pair, d_dec]
+    return out + [loop_projection_families_defect(sys, k_max),
+                  loop_absorption_defect(sys, k_max)]
+
+
+def loop_polar_structure(m, k_max):
+    """The defect values of polar_structure_suite, in report order."""
+    sys = IsometrySystem(m.seed_algebra, m.u)
+    d = 0.0
+    for k in range(1, k_max + 1):
+        gens = [m.abs_a] + [sys.proj_final(j) for j in range(1, k)]
+        closure_k = generate_closure(gens, m.seed_algebra.tol)
+        d = max(d, closure_k.contains(sys.delta_n(m.abs_a, k))[1])
+    gens = [m.abs_a] + [sys.proj_final(j) for j in range(1, k_max + 1)]
+    ext = generate_closure(gens, m.seed_algebra.tol)
+    dbl = bicommutant(m.seed_algebra)
+    d_mem = d_comm = 0.0
+    for k in range(1, k_max + 1):
+        f = sys.proj_final(k)
+        d_mem = max(d_mem, dbl.contains(f)[1])
+        d_comm = max(d_comm, loop_commutator_norm(f, m.seed_algebra.basis))
+    return [d, loop_multiplicativity_defect(IsometrySystem(ext, m.u)),
+            d_mem, d_comm, loop_absorption_defect(sys, k_max),
+            loop_projection_families_defect(sys, k_max)]
+
+
+def assert_matches_loop(stacked, loop):
+    assert abs(stacked - loop) <= 1e-12 * max(1.0, abs(loop)), (stacked, loop)
+
+
+@pytest.fixture(scope="module")
+def generic_system():
+    """A raw system on which every defect above is nonzero and generic, so
+    that the stacked and the looped values are compared on real data: the
+    complex non-commutative algebra generated by a random block-diagonal
+    matrix (M_2 + C + C) and a random partial isometry of rank 3."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    g[:2, 2:] = g[2:, :2] = g[2, 3] = g[3, 2] = 0.0
+    w, v = (np.linalg.qr(rng.standard_normal((4, 4))
+                         + 1j * rng.standard_normal((4, 4)))[0]
+            for _ in range(2))
+    u = w @ v @ np.diag([1, 1, 1, 0]) @ adjoint(v)
+    return IsometrySystem(generate_closure([g]), u)
+
+
+FIXTURE_SYSTEMS = ["qdeform12", "polar6", "cyclic5", "broken_system",
+                   "generic_system"]
+
+
+def fixture_system(request, name):
+    obj = request.getfixturevalue(name)
+    return obj if isinstance(obj, IsometrySystem) else obj.system
+
+
+@pytest.mark.parametrize("k_max, n_max", [(1, 0), (2, 1), (8, 6)])
+@pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+def test_stacked_defects_match_the_loops(request, name, k_max, n_max):
+    # small k_max and n_max leave few terms in each max, so that a stacked
+    # body that drops a term shows
+    sys = fixture_system(request, name)
+    basis = sys.algebra.basis
+    pairs = [
+        (_commutator_norm(sys.proj_initial(1), basis),
+         loop_commutator_norm(sys.proj_initial(1), basis)),
+        (_commutator_defect(basis), loop_commutator_defect(basis)),
+        (_multiplicativity_defect(sys), loop_multiplicativity_defect(sys)),
+        (_invariance_defect(sys, sys.delta),
+         loop_invariance_defect(sys, sys.delta)),
+        (_invariance_defect(sys, sys.delta_star),
+         loop_invariance_defect(sys, sys.delta_star)),
+        (check_intertwining_equivalents(sys).defects[0].value,
+         loop_power_intertwining(sys, 1)),
+        (_absorption_defect(sys, k_max), loop_absorption_defect(sys, k_max)),
+        (_projection_families_defect(sys, k_max),
+         loop_projection_families_defect(sys, k_max)),
+        (check_adjoint_intertwining(sys).defects[0].value,
+         loop_adjoint_intertwining(sys)),
+    ]
+    power = verify_power_identities(sys, k_max).defects[2:]
+    pairs += zip([d.value for d in power], loop_power_structure(sys, k_max))
+
+    orbit = _delta_orbit(sys, n_max)
+    loop_orbit = loop_delta_orbit(sys, n_max)
+    assert len(orbit) == len(loop_orbit) == n_max + 1
+    for stack, images in zip(orbit, loop_orbit):
+        assert stack.shape == basis.shape
+        assert np.abs(stack - np.array(images)).max() <= 1e-12
+    p = sys.proj_initial(1)
+    loop_ext = max(loop_commutator_norm(p, images) for images in loop_orbit)
+    pairs.append((check_extendability(sys, n_max).defects[0].value, loop_ext))
+    if loop_commutator_defect(basis) <= sys.tol:  # commutative algebras only
+        rep = check_commutative_extendability(sys, n_max)
+        pairs.append((rep.defects[1].value,
+                       max(loop_commutator_norm(a, images)
+                           for images in loop_orbit for a in basis)))
+        pairs.append((rep.defects[2].value, loop_ext))
+    for stacked, loop in pairs:
+        assert_matches_loop(stacked, loop)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 8])
+def test_polar_structure_matches_the_loops(polar6, k_max):
+    got = [d.value for d in polar_structure_suite(polar6, k_max).defects]
+    loops = loop_polar_structure(polar6, k_max)
+    for stacked, loop in zip(got, loops, strict=True):
+        assert_matches_loop(stacked, loop)
+
+
+@pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+def test_basis_is_one_stack_and_project_takes_stacks(request, name):
+    alg = fixture_system(request, name).algebra
+    n = alg.ambient_dim
+    assert alg.basis.shape == (alg.dim, n, n)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    got = alg.project(stack)
+    assert got.shape == stack.shape
+    for g, m in zip(got, stack):
+        by_vdot = sum(np.vdot(b, m) * b for b in alg.basis)
+        for ref in (alg.project(m), by_vdot):
+            assert np.abs(g - ref).max() <= 1e-12 * max(1.0, np.abs(m).max())
+    assert alg.project(stack[:0]).shape == (0, n, n)

@@ -156,6 +156,27 @@ def test_counts_below_one_exit_2(specs, capsys, flag, value):
     assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
 
 
+def test_negative_n_max_exits_2(specs, capsys):
+    # a negative --n-max would leave the delta^n orbit empty, so that
+    # extendability passed on the broken system without checking anything
+    rc = main(["run", "--model", specs["broken.json"],
+               "--checks", "extendability", "--n-max", "-1"])
+    assert rc == 2
+    assert "isoalg: --n-max must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_n_max_zero_checks_the_algebra_itself(specs):
+    # the n = 0 image is the algebra itself, where U*U = E22 does not
+    # commute with E12
+    rc, doc = run(["run", "--model", specs["broken.json"],
+                   "--checks", "extendability", "--n-max", "0"],
+                  specs, "n_max_0")
+    assert rc == 1
+    defect = doc["results"][0]["defects"][0]
+    assert defect["check"] == "U*U commutes with delta^n(basis), n <= 0"
+    assert defect["value"] == pytest.approx(1.0)
+
+
 def test_run_deterministic(specs):
     args = ["run", "--model", specs["qdeform.json"], "--checks",
             "coefficient_bound,gauge_invariance,norm_limit",
