@@ -89,6 +89,7 @@ from .norms import (
     gauge_invariance_check,
     norm_limit,
     random_normal_form,
+    random_normal_forms,
     sample_coefficient_bound,
 )
 from .report import ConditionReport, Defect

@@ -41,6 +41,7 @@ from .norms import (
     gauge_invariance_sample,
     norm_limit,
     norm_limit_sample,
+    random_normal_forms,
     sample_coefficient_bound,
     sum_norm_estimates_sample,
 )
@@ -97,7 +98,8 @@ def _towers_report(loaded: LoadedModel) -> dict:
 
 class _Context:
     """What a check runner sees: the model, the run options, the traces it
-    emits, and the coefficient-bound report shared by the samplers."""
+    emits, and what the samplers share: one draw of random canonical forms
+    and the coefficient-bound report measured on it."""
 
     def __init__(self, loaded: LoadedModel, cfg):
         self.loaded = loaded
@@ -107,15 +109,18 @@ class _Context:
         self.traces = []
 
     @cached_property
+    def forms(self) -> list[NormalForm]:
+        return random_normal_forms(self.system, self.cfg.samples, self.cfg.seed)
+
+    @cached_property
     def star(self) -> ConditionReport:
-        return sample_coefficient_bound(self.system, self.cfg.samples,
-                                        self.cfg.seed, self.tol)
+        return sample_coefficient_bound(self.system, self.forms, self.cfg.seed,
+                                        self.tol)
 
 
 def _norm_limit(ctx: _Context) -> ConditionReport:
-    rep, traces = norm_limit_sample(
-        ctx.system, min(ctx.cfg.samples, 50), ctx.cfg.seed, ctx.cfg.k_max,
-        star_report=ctx.star)
+    rep, traces = norm_limit_sample(ctx.forms[:50], ctx.cfg.seed, ctx.cfg.k_max,
+                                    star_report=ctx.star)
     ctx.traces.extend(traces)
     return rep
 
@@ -145,7 +150,7 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
         None, lambda c: check_extension_towers(c.system, c.tol)),
     "coefficient_bound": ("coefficient", lambda c: c.star),
     "gauge_invariance": ("coefficient", lambda c: gauge_invariance_sample(
-        c.system, c.cfg.samples, c.cfg.seed, star_report=c.star, tol=c.tol)),
+        c.system, c.forms, c.cfg.seed, star_report=c.star, tol=c.tol)),
     "norm_limit": ("coefficient", _norm_limit),
     "sum_norm_estimates": (None, lambda c: sum_norm_estimates_sample(
         c.cfg.samples, c.cfg.seed, c.tol)),
@@ -249,6 +254,12 @@ def _cmd_run(args) -> tuple[dict, int]:
                  if _applies(requires, loaded)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
+        if not names:
+            raise ConfigError(f"--checks {args.checks!r} names no check")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"--checks names {', '.join(repeated)} more "
+                              "than once")
     ctx = _Context(loaded, args)
     reports = [_run_check(ctx, name) for name in names]
     ok = all(r.passed for r in reports)
@@ -286,8 +297,8 @@ def _cmd_nf(args) -> tuple[dict, int]:
 
 def _cmd_norm_limit(args) -> tuple[dict, int]:
     loaded, nf = _load_form(args)
-    star = sample_coefficient_bound(loaded.system, args.samples, args.seed,
-                                    args.tol)
+    forms = random_normal_forms(loaded.system, args.samples, args.seed)
+    star = sample_coefficient_bound(loaded.system, forms, args.seed, args.tol)
     trace = norm_limit(nf, args.k_max, star)
     return {"coefficient_bound": star.to_json(), "trace": trace.to_json()}, 0
 

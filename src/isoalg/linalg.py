@@ -31,8 +31,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -53,7 +53,7 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack of shape (..., n, n),
     via the eigenvalues of adjoint(m) @ m, in one batched eigensolve."""
     stack = np.asarray(stack)
-    top = np.linalg.eigvalsh(np.swapaxes(stack.conj(), -1, -2) @ stack)[..., -1]
+    top = np.linalg.eigvalsh(adjoint(stack) @ stack)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))
 
 
@@ -62,37 +62,57 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(spectral_norms(as_matrix(m)))
 
 
+def _as_matrices(m) -> np.ndarray:
+    """Coerce to a complex square matrix or (m, n, n) stack of them."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
+def _raise_first(bad: np.ndarray, error: type, describe) -> None:
+    """Raise ``error`` for the first matrix flagged in ``bad``, one flag for
+    a matrix or one per matrix of a stack.  ``describe(i)`` words the fault
+    at index i (``()`` for a matrix); a stack's message names i."""
+    if bad.ndim == 0 and bad:
+        raise error(describe(()))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"matrix {i}: " + describe(i))
+
+
 def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a self-adjoint matrix.
+    """Eigendecomposition of a self-adjoint matrix, or of each matrix of an
+    (m, n, n) stack in one batched call.
 
     Returns (w, v) with m = v @ diag(w) @ adjoint(v), eigenvalues ascending,
-    v unitary.  Raises NotSelfAdjoint when the defect norm of m - adjoint(m)
-    exceeds tol * ||m||.
+    v unitary.  Raises NotSelfAdjoint, naming the first offending matrix of
+    a stack, when the defect norm of m - adjoint(m) exceeds tol * ||m||.
     """
-    m = as_matrix(m)
-    scale = spectral_norm(m)
-    defect = spectral_norm(m - m.conj().T)
-    if defect > tol * scale:
-        raise NotSelfAdjoint(
-            f"self-adjointness defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w, v
+    m = _as_matrices(m)
+    mh = adjoint(m)
+    scale = spectral_norms(m)
+    defect = spectral_norms(m - mh)
+    _raise_first(defect > tol * scale, NotSelfAdjoint, lambda i:
+                 f"self-adjointness defect {defect[i]:.3e} exceeds "
+                 f"{tol:.1e} * {scale[i]:.3e}")
+    return np.linalg.eigh((m + mh) / 2.0)
 
 
 def psd_sqrt(m: np.ndarray, tol: float = PSD_CLAMP) -> np.ndarray:
-    """Positive square root of a PSD matrix.
+    """Positive square root of a PSD matrix, or of each matrix of a stack.
 
     Eigenvalues in [-tol * ||m||, 0) are clamped to zero; anything more
-    negative raises NotPSD.
+    negative raises NotPSD, naming the first offending matrix of a stack.
     """
     w, v = herm_eig(m, tol=max(tol, 1e-10))
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if w[0] < -tol * scale:
-        raise NotPSD(
-            f"eigenvalue {w[0]:.3e} below -{tol:.1e} * {scale:.3e}")
+    scale = np.abs(w).max(axis=-1)
+    _raise_first(w[..., 0] < -tol * scale, NotPSD, lambda i:
+                 f"eigenvalue {w[i][0]:.3e} below -{tol:.1e} * {scale[i]:.3e}")
     w = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * w) @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    s = (v * w[..., None, :]) @ adjoint(v)
+    return (s + adjoint(s)) / 2.0
 
 
 def is_partial_isometry(u: np.ndarray, tol: float = DEFAULT_TOL) -> ConditionReport:

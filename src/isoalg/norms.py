@@ -17,6 +17,10 @@ with the two-sided estimate, for x of maximum degree N,
     ||N_0(x x*)|| <= ||x||^2 <= (2N+1) ||N_0(x x*)||
 
 holding at every stage (with 2N+1 growing to 4kN+1 for the k-th power).
+
+The three samplers over canonical forms (coefficient bound, gauge
+invariance, norm limit) measure one shared draw, ``random_normal_forms``;
+each takes the forms and the seed they were drawn with, for its note.
 """
 
 from __future__ import annotations
@@ -27,19 +31,21 @@ import numpy as np
 
 from .algebra import IsometrySystem
 from .errors import DimensionMismatch, Overflow
-from .linalg import (
-    DEFAULT_TOL,
-    adjoint,
-    as_matrix,
-    psd_sqrt,
-    spectral_norm,
-    spectral_norms,
-)
+from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norm, spectral_norms
 from .normalform import NormalForm, nf_adjoint, nf_multiply, nf_scale
 from .report import ConditionReport
 
 # Largest degree of the random canonical forms the samplers draw.
 MAX_SAMPLE_DEGREE = 4
+
+# Largest size m and matrix dimension of the random sum-norm tuples, and
+# the four estimates checked on each tuple, in report order.
+MAX_TUPLE_SIZE = 5
+MAX_TUPLE_DIM = 8
+SUM_NORM_ESTIMATES = ("||sum d||^2 <= m ||sum dd*||",
+                      "||sum d||^2 <= m ||sum d*d||",
+                      "||sum |d|||^2 >= (1/m) ||sum d*d||",
+                      "||sum sqrt(dd*)||^2 >= (1/m) ||sum dd*||")
 
 
 def random_normal_form(system: IsometrySystem,
@@ -48,48 +54,50 @@ def random_normal_form(system: IsometrySystem,
     N <= MAX_SAMPLE_DEGREE and, for every degree in [-N, N], an i.i.d.
     standard complex Gaussian matrix, all projected into the coefficient
     algebra in one call (then range-normalized by the NormalForm constructor)."""
-    n = system.dim
     top = int(rng.integers(0, MAX_SAMPLE_DEGREE + 1))
-    draws = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-             for _ in range(2 * top + 1)]
-    return NormalForm(system, system.algebra.project(np.array(draws)),
+    z = rng.standard_normal((2 * top + 1, 2, system.dim, system.dim))
+    return NormalForm(system, system.algebra.project(z[:, 0] + 1j * z[:, 1]),
                       degrees=np.arange(-top, top + 1))
 
 
-def sample_coefficient_bound(system: IsometrySystem, samples: int, seed: int,
-                             tol: float | None = None) -> ConditionReport:
+def random_normal_forms(system: IsometrySystem, count: int,
+                        seed: int) -> list[NormalForm]:
+    """``count`` draws of random_normal_form from one generator seeded with
+    ``seed``: the forms the samplers measure, so that one draw serves them
+    all (a prefix is what a smaller count would draw)."""
+    rng = np.random.default_rng(seed)
+    return [random_normal_form(system, rng) for _ in range(count)]
+
+
+def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
+                             seed: int, tol: float | None = None) -> ConditionReport:
     """Sample the coefficient bound ||a_0|| <= ||x|| and its per-degree
-    extension ||a_k|| <= ||x|| on random canonical forms.
+    extension ||a_k|| <= ||x|| on the drawn canonical forms.
 
     The reported defect is the worst margin max_k ||a_k|| - ||x|| over all
     samples (negative when the bound holds strictly).
     """
     tol = system.tol if tol is None else tol
     rep = ConditionReport("coefficient_bound")
-    coeff_rep = system.coefficient_report
-    rep.add("hypothesis: coefficient algebra",
-            max((d.value for d in coeff_rep.defects), default=0.0), tol)
-
-    rng = np.random.default_rng(seed)
-    worst_zero = -np.inf
-    worst_any = -np.inf
-    for _ in range(samples):
-        x = random_normal_form(system, rng)
+    rep.add("hypothesis: coefficient algebra", max(
+        (d.value for d in system.coefficient_report.defects), default=0.0), tol)
+    worst_zero = worst_any = -np.inf
+    for x in forms:
         norm_x = spectral_norm(x.eval())
         margins = spectral_norms(x.coefficients) - norm_x
         # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
         worst_zero = max(worst_zero, -norm_x,
                          *margins[np.asarray(x.degrees()) == 0])
         worst_any = max(worst_any, margins.max(initial=-np.inf))
-    rep.add(f"||a_0|| - ||x|| over {samples} samples", worst_zero, tol)
-    rep.add(f"max_k ||a_k|| - ||x|| over {samples} samples", worst_any, tol)
+    rep.add(f"||a_0|| - ||x|| over {len(forms)} samples", worst_zero, tol)
+    rep.add(f"max_k ||a_k|| - ||x|| over {len(forms)} samples", worst_any, tol)
     rep.note(f"seed = {seed}, max degree = {MAX_SAMPLE_DEGREE}")
     return rep
 
 
-def check_sum_norm_estimates(mats: list[np.ndarray],
-                             tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Check the four norm estimates for a tuple d_1, ..., d_m:
+def check_sum_norm_estimates(mats, tol: float = DEFAULT_TOL) -> ConditionReport:
+    """Check the four norm estimates for a tuple d_1, ..., d_m, given as one
+    (m, n, n) stack or a list of matrices:
 
         ||sum d_i||^2        <= m ||sum d_i d_i*||
         ||sum d_i||^2        <= m ||sum d_i* d_i||
@@ -97,28 +105,28 @@ def check_sum_norm_estimates(mats: list[np.ndarray],
         ||sum sqrt(d_i d_i*)||^2 >= (1/m) ||sum d_i d_i*||
 
     These hold in every C*-algebra, so any violation beyond rounding flags a
-    numerical bug; defects are normalized by the right-hand sides.
+    numerical bug; defects are normalized by the right-hand sides.  The
+    tuple costs two batched square roots and one batched norm of five sums.
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    if any(m.shape != mats[0].shape for m in mats):
-        raise DimensionMismatch("mixed dimensions in tuple")
-    m = len(mats)
+    try:
+        stack = np.asarray(mats, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch("mixed dimensions in tuple") from exc
+    if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected a nonempty (m, n, n) tuple of "
+                                f"square matrices, got shape {stack.shape}")
+    m = len(stack)
+    dd, dsd = stack @ adjoint(stack), adjoint(stack) @ stack
+    n_sum, n_dd, n_dsd, n_abs, n_sqrt = spectral_norms(np.array([
+        stack.sum(axis=0), dd.sum(axis=0), dsd.sum(axis=0),
+        psd_sqrt(dsd).sum(axis=0), psd_sqrt(dd).sum(axis=0)]))
+    upper = [max(0.0, n_sum ** 2 - rhs) / max(1.0, rhs)
+             for rhs in (m * n_dd, m * n_dsd)]
+    lower = [max(0.0, rhs - lhs ** 2) / max(1.0, rhs)
+             for lhs, rhs in ((n_abs, n_dsd / m), (n_sqrt, n_dd / m))]
     rep = ConditionReport("sum_norm_estimates")
-
-    squares = {"dd*": [d @ adjoint(d) for d in mats],
-               "d*d": [adjoint(d) @ d for d in mats]}
-    lhs = spectral_norm(sum(mats)) ** 2
-    for key in ("dd*", "d*d"):
-        rhs = m * spectral_norm(sum(squares[key]))
-        rep.add(f"||sum d||^2 <= m ||sum {key}||",
-                max(0.0, lhs - rhs) / max(1.0, rhs), tol)
-    for label, key in (("|d|", "d*d"), ("sqrt(dd*)", "dd*")):
-        lhs = spectral_norm(sum(psd_sqrt(x) for x in squares[key])) ** 2
-        rhs = spectral_norm(sum(squares[key])) / m
-        rep.add(f"||sum {label}||^2 >= (1/m) ||sum {key}||",
-                max(0.0, rhs - lhs) / max(1.0, rhs), tol)
+    for label, value in zip(SUM_NORM_ESTIMATES, upper + lower):
+        rep.add(label, value, tol)
     return rep
 
 
@@ -227,34 +235,32 @@ def gauge_invariance_check(x: NormalForm, lam_grid: int,
     return rep
 
 
-def gauge_invariance_sample(system: IsometrySystem, samples: int, seed: int,
-                            lam_grid: int = 16,
+def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
+                            seed: int, lam_grid: int = 16,
                             star_report: ConditionReport | None = None,
                             tol: float | None = None) -> ConditionReport:
-    """Gauge norm invariance over random canonical forms; the defect is the
-    worst norm deviation normalized by max(1, ||x||) per sample."""
+    """Gauge norm invariance over the drawn canonical forms; the defect is
+    the worst norm deviation normalized by max(1, ||x||) per sample."""
     tol = system.tol if tol is None else tol
     rep = ConditionReport("gauge_invariance")
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        dev, scale = _gauge_deviation(random_normal_form(system, rng), lam_grid)
+    for x in forms:
+        dev, scale = _gauge_deviation(x, lam_grid)
         worst = max(worst, dev / scale)
     rep.add(f"norm deviation over {lam_grid} roots of unity, "
-            f"{samples} samples", worst, tol)
+            f"{len(forms)} samples", worst, tol)
     rep.note(f"seed = {seed}")
     if star_report is not None:
         rep.note(_sampler_note(star_report))
     return rep
 
 
-def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
-                      k_max: int = 8,
+def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
                       star_report: ConditionReport | None = None,
                       rel_tol: float = 0.05, slack: float = 1e-9
                       ) -> tuple[ConditionReport, list[NormLimitTrace]]:
-    """Run the norm-limit formula on random canonical forms and check, per
-    sample:
+    """Run the norm-limit formula on the drawn canonical forms and check,
+    per sample:
 
     - the lower estimate s_k <= ||x|| at every stage;
     - the upper estimate ||x|| <= (4kN+1)^{1/4k} s_k at every stage;
@@ -262,14 +268,9 @@ def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
     - convergence |s_{k_max} - ||x||| / ||x|| <= rel_tol.
     """
     rep = ConditionReport("norm_limit")
-    rng = np.random.default_rng(seed)
     traces = []
-    worst_lower = 0.0
-    worst_upper = 0.0
-    worst_sandwich = 0.0
-    worst_conv = 0.0
-    for _ in range(samples):
-        x = random_normal_form(system, rng)
+    worst_lower = worst_upper = worst_sandwich = worst_conv = 0.0
+    for x in forms:
         tr = norm_limit(x, k_max, star_report)
         traces.append(tr)
         if tr.direct_norm == 0.0:
@@ -283,7 +284,8 @@ def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
                              (tr.sandwich_lo - d * d) / (d * d),
                              (d * d - tr.sandwich_hi) / (d * d))
         worst_conv = max(worst_conv, abs(tr.s_values[-1] - d) / d)
-    rep.add(f"lower estimate s_k <= ||x||, {samples} samples", worst_lower, slack)
+    rep.add(f"lower estimate s_k <= ||x||, {len(forms)} samples",
+            worst_lower, slack)
     rep.add("upper estimate ||x|| <= (4kN+1)^{1/4k} s_k", worst_upper, slack)
     rep.add("first-stage sandwich", worst_sandwich, slack)
     rep.add(f"convergence at k = {k_max}", worst_conv, rel_tol)
@@ -293,23 +295,20 @@ def norm_limit_sample(system: IsometrySystem, samples: int, seed: int,
     return rep, traces
 
 
-def sum_norm_estimates_sample(count: int, seed: int, tol: float = DEFAULT_TOL,
-                              max_m: int = 5, max_dim: int = 8) -> ConditionReport:
-    """Run the sum-norm estimates on random tuples (sizes up to max_m,
-    dimensions up to max_dim) and fold the worst defects."""
+def sum_norm_estimates_sample(count: int, seed: int,
+                              tol: float = DEFAULT_TOL) -> ConditionReport:
+    """The worst sum-norm defects over ``count`` random tuples (sizes up to
+    MAX_TUPLE_SIZE, dimensions up to MAX_TUPLE_DIM)."""
     rng = np.random.default_rng(seed)
-    rep = ConditionReport("sum_norm_estimates")
-    worst = [0.0, 0.0, 0.0, 0.0]
-    labels = None
+    worst = np.zeros(len(SUM_NORM_ESTIMATES))
     for _ in range(count):
-        m = int(rng.integers(1, max_m + 1))
-        n = int(rng.integers(1, max_dim + 1))
-        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                for _ in range(m)]
-        sub = check_sum_norm_estimates(mats, tol)
-        labels = [d.check for d in sub.defects]
-        worst = [max(w, d.value) for w, d in zip(worst, sub.defects)]
-    for label, w in zip(labels or [], worst):
+        m = int(rng.integers(1, MAX_TUPLE_SIZE + 1))
+        n = int(rng.integers(1, MAX_TUPLE_DIM + 1))
+        z = rng.standard_normal((m, 2, n, n))  # real, imaginary part of each
+        sub = check_sum_norm_estimates(z[:, 0] + 1j * z[:, 1], tol)
+        worst = np.maximum(worst, [d.value for d in sub.defects])
+    rep = ConditionReport("sum_norm_estimates")
+    for label, w in zip(SUM_NORM_ESTIMATES, worst):
         rep.add(f"{label} ({count} tuples)", w, tol)
     rep.note(f"seed = {seed}")
     return rep

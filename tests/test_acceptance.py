@@ -35,6 +35,7 @@ from isoalg import (
     polar_structure_suite,
     qdeform_relations_suite,
     random_normal_form,
+    random_normal_forms,
     sample_coefficient_bound,
     spans_equal,
     spectral_norm,
@@ -95,7 +96,8 @@ def test_c03_coefficient_bound(models):
     """||a_k|| <= ||eval(x)|| + 1e-9 for every stored degree, 200 samples
     per model, zero violations"""
     for name, sys in models.items():
-        rep = sample_coefficient_bound(sys, samples=200, seed=SEED, tol=1e-9)
+        forms = random_normal_forms(sys, 200, SEED)
+        rep = sample_coefficient_bound(sys, forms, seed=SEED, tol=1e-9)
         assert rep.passed, f"{name}:\n{rep}"
 
 
@@ -103,8 +105,9 @@ def test_c04_norm_limit_formula(models):
     """|s_8 - ||x||| / ||x|| <= 0.05 on 50 samples per model; the two-sided
     estimate holds with 1e-9 slack at every stage"""
     for name, sys in models.items():
-        star = sample_coefficient_bound(sys, samples=50, seed=SEED)
-        rep, _ = norm_limit_sample(sys, samples=50, seed=SEED, k_max=8,
+        forms = random_normal_forms(sys, 50, SEED)
+        star = sample_coefficient_bound(sys, forms, seed=SEED)
+        rep, _ = norm_limit_sample(forms, seed=SEED, k_max=8,
                                    star_report=star, rel_tol=0.05, slack=1e-9)
         assert rep.passed, f"{name}:\n{rep}"
 
@@ -120,8 +123,8 @@ def test_c06_gauge_norm_invariance(models):
     """substituting U -> lam U moves the norm by at most 1e-9 * scale over
     16 roots of unity, 50 samples per model"""
     for name, sys in models.items():
-        rep = gauge_invariance_sample(sys, samples=50, seed=SEED,
-                                      lam_grid=16, tol=1e-9)
+        rep = gauge_invariance_sample(sys, random_normal_forms(sys, 50, SEED),
+                                      seed=SEED, lam_grid=16, tol=1e-9)
         assert rep.passed, f"{name}:\n{rep}"
 
 

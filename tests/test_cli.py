@@ -188,6 +188,36 @@ def test_run_deterministic(specs):
     assert open(out1).read() == open(out2).read()
 
 
+def test_samplers_share_one_draw_but_not_one_generator(specs):
+    # each sampler reports what it reports when run alone: the three take
+    # one list of drawn forms, not draws from one running generator
+    names = ["coefficient_bound", "gauge_invariance", "norm_limit"]
+    common = ["run", "--model", specs["qdeform.json"], "--seed", "4",
+              "--samples", "12"]
+    _, together = run(common + ["--checks", ",".join(names)], specs, "trio")
+    for name, entry in zip(names, together["results"]):
+        _, alone = run(common + ["--checks", name], specs, f"alone_{name}")
+        assert dump_json(entry) == dump_json(alone["results"][0])
+        if name == "norm_limit":
+            assert dump_json(together["traces"]) == dump_json(alone["traces"])
+
+
+@pytest.mark.parametrize("checks", ["", " , ", ","])
+def test_run_no_checks_exits_2(specs, capsys, checks):
+    # naming no check would pass vacuously
+    rc = main(["run", "--model", specs["qdeform.json"], "--checks", checks])
+    assert rc == 2
+    assert "names no check" in capsys.readouterr().err
+
+
+def test_run_repeated_check_exits_2(specs, capsys):
+    rc = main(["run", "--model", specs["qdeform.json"], "--checks",
+               "norm_limit,partial_isometry, norm_limit"])
+    assert rc == 2
+    assert "--checks names norm_limit more than once" in \
+        capsys.readouterr().err
+
+
 def test_nf_subcommand(specs):
     rc, doc = run(["nf", "--model", specs["polar.json"], "--expr", "U*U'*U"],
                   specs, "nf")

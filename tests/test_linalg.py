@@ -28,6 +28,8 @@ def test_adjoint_examples():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     assert np.array_equal(adjoint(adjoint(m)), m)
+    stack = np.array([m[:2, :2], 2 * E12, np.eye(2)])
+    assert all(np.array_equal(a, adjoint(b)) for a, b in zip(adjoint(stack), stack))
 
 
 def test_spectral_norm_examples():
@@ -53,7 +55,7 @@ def test_herm_eig_examples():
 
 
 def test_herm_eig_rejects_nonhermitian():
-    with pytest.raises(NotSelfAdjoint):
+    with pytest.raises(NotSelfAdjoint, match=r"^self-adjointness defect"):
         herm_eig(E12)
 
 
@@ -78,7 +80,7 @@ def test_psd_sqrt_examples():
 
 
 def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSD):
+    with pytest.raises(NotPSD, match=r"^eigenvalue -1\.000e\+00 below"):
         psd_sqrt(np.diag([-1.0, 1.0]))
 
 
@@ -89,6 +91,44 @@ def test_psd_sqrt_roundtrip_random():
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s = psd_sqrt(g @ adjoint(g))
         assert spectral_norm(psd_sqrt(s @ s) - s) <= 1e-8 * max(1.0, spectral_norm(s))
+
+
+def _psd_stack(rng, m, n):
+    g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return g @ adjoint(g)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (3, 5)])
+def test_stacks_match_per_matrix_calls(m, n):
+    stack = _psd_stack(np.random.default_rng(10 * m + n), m, n)
+    w, v = herm_eig(stack)
+    roots = psd_sqrt(stack)
+    assert w.shape == (m, n) and v.shape == roots.shape == (m, n, n)
+    for i, h in enumerate(stack):
+        wi, vi = herm_eig(h)
+        assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+        assert np.array_equal(roots[i], psd_sqrt(h))
+
+
+def test_stack_with_one_non_self_adjoint_matrix_names_it():
+    stack = _psd_stack(np.random.default_rng(11), 4, 3)
+    stack[2, 0, 1] += 1.0
+    for func in (herm_eig, psd_sqrt):
+        with pytest.raises(NotSelfAdjoint, match=r"^matrix 2: self-adjointness"):
+            func(stack)
+
+
+def test_stack_with_one_negative_matrix_names_it():
+    stack = _psd_stack(np.random.default_rng(12), 4, 3)
+    stack[1] = -stack[1]
+    with pytest.raises(NotPSD, match=r"^matrix 1: eigenvalue"):
+        psd_sqrt(stack)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 0, 0), (2, 2, 3, 3)])
+def test_herm_eig_rejects_non_square_input(shape):
+    with pytest.raises(DimensionMismatch):
+        herm_eig(np.zeros(shape))
 
 
 def test_partial_isometry_examples():

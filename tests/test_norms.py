@@ -8,6 +8,7 @@ from isoalg import (
     check_sum_norm_estimates,
     gauge_invariance_check,
     norm_limit,
+    random_normal_forms,
     sample_coefficient_bound,
     spectral_norm,
 )
@@ -27,15 +28,18 @@ def test_coefficient_bound_zero_degree_equality(qdeform6):
 
 
 def test_coefficient_bound_sampler(qdeform6):
-    rep = sample_coefficient_bound(qdeform6.system, samples=60, seed=1)
+    forms = random_normal_forms(qdeform6.system, 60, seed=1)
+    rep = sample_coefficient_bound(qdeform6.system, forms, seed=1)
     assert rep.passed
     # the bound is exact for this model, not merely within tolerance
     assert all(d.value <= 1e-12 for d in rep.defects)
 
 
 def test_coefficient_bound_deterministic(qdeform6):
-    a = sample_coefficient_bound(qdeform6.system, samples=20, seed=5)
-    b = sample_coefficient_bound(qdeform6.system, samples=20, seed=5)
+    a = sample_coefficient_bound(
+        qdeform6.system, random_normal_forms(qdeform6.system, 20, 5), seed=5)
+    b = sample_coefficient_bound(
+        qdeform6.system, random_normal_forms(qdeform6.system, 20, 5), seed=5)
     assert [d.value for d in a.defects] == [d.value for d in b.defects]
 
 
@@ -94,7 +98,8 @@ def test_norm_limit_zero_form(qdeform6):
 def test_norm_limit_schedule_and_sandwich(qdeform6):
     rng = np.random.default_rng(21)
     x = ia.random_normal_form(qdeform6.system, rng)
-    star = sample_coefficient_bound(qdeform6.system, 20, 0)
+    star = sample_coefficient_bound(
+        qdeform6.system, random_normal_forms(qdeform6.system, 20, 0), 0)
     tr = norm_limit(x, 8, star_report=star)
     assert tr.k_values == [1, 2, 4, 8]
     assert tr.property_star is True
@@ -130,7 +135,8 @@ def test_norm_limit_against_matrix_power_oracle(qdeform6):
 
 
 def test_norm_limit_sample_report(qdeform6):
-    rep, traces = norm_limit_sample(qdeform6.system, samples=10, seed=3)
+    rep, traces = norm_limit_sample(
+        random_normal_forms(qdeform6.system, 10, seed=3), seed=3)
     assert rep.passed
     assert len(traces) == 10
     doc = traces[0].to_json()
@@ -148,5 +154,58 @@ def test_gauge_invariance(qdeform6):
     rep = gauge_invariance_check(x0, 7)
     assert rep.defects[0].value <= 1e-14  # gauge acts trivially in degree 0
 
-    rep = gauge_invariance_sample(qdeform6.system, samples=10, seed=4)
+    rep = gauge_invariance_sample(
+        qdeform6.system, random_normal_forms(qdeform6.system, 10, seed=4), seed=4)
     assert rep.passed
+
+
+def _sum_norm_reference(mats, tol=1e-9):
+    """The per-matrix body of check_sum_norm_estimates: one norm and one
+    square root per matrix, summed in Python."""
+    m = len(mats)
+    rep = ia.ConditionReport("sum_norm_estimates")
+    squares = {"dd*": [d @ adjoint(d) for d in mats],
+               "d*d": [adjoint(d) @ d for d in mats]}
+    lhs = spectral_norm(sum(mats)) ** 2
+    for key in ("dd*", "d*d"):
+        rhs = m * spectral_norm(sum(squares[key]))
+        rep.add(f"||sum d||^2 <= m ||sum {key}||",
+                max(0.0, lhs - rhs) / max(1.0, rhs), tol)
+    for label, key in (("|d|", "d*d"), ("sqrt(dd*)", "dd*")):
+        lhs = spectral_norm(sum(ia.psd_sqrt(x) for x in squares[key])) ** 2
+        rhs = spectral_norm(sum(squares[key])) / m
+        rep.add(f"||sum {label}||^2 >= (1/m) ||sum {key}||",
+                max(0.0, rhs - lhs) / max(1.0, rhs), tol)
+    return rep
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (4, 1), (3, 3), (5, 8)])
+def test_sum_norm_estimates_stack_matches_per_matrix_body(m, n):
+    rng = np.random.default_rng(100 * m + n)
+    for scale in (1e-3, 1.0, 1e3):
+        stack = scale * (rng.standard_normal((m, n, n))
+                         + 1j * rng.standard_normal((m, n, n)))
+        got = check_sum_norm_estimates(stack)
+        want = _sum_norm_reference(list(stack))
+        assert [d.check for d in got.defects] == [d.check for d in want.defects]
+        for g, w in zip(got.defects, want.defects):
+            assert abs(g.value - w.value) <= 1e-12 * max(1.0, abs(w.value))
+
+
+@pytest.mark.parametrize("mats", [[], [np.eye(2), np.eye(3)],
+                                  np.zeros((2, 2, 3))])
+def test_sum_norm_estimates_rejects_bad_tuples(mats):
+    with pytest.raises(ia.DimensionMismatch):
+        check_sum_norm_estimates(mats)
+
+
+def test_random_normal_forms_is_one_generator_of_draws(qdeform6):
+    rng = np.random.default_rng(9)
+    drawn = random_normal_forms(qdeform6.system, 6, seed=9)
+    for x in drawn:
+        y = ia.random_normal_form(qdeform6.system, rng)
+        assert x.degrees() == y.degrees()
+        assert np.array_equal(x.coefficients, y.coefficients)
+    # a smaller count draws a prefix
+    assert all(np.array_equal(x.coefficients, y.coefficients) for x, y in
+               zip(random_normal_forms(qdeform6.system, 3, seed=9), drawn))
