@@ -3,6 +3,27 @@
 A *-subalgebra of the ambient matrix algebra is stored as one (d, n, n)
 stack of Hilbert-Schmidt orthonormal basis matrices, which turns span
 membership, commutants and generated closures into ordinary linear algebra.
+
+``generate_closure`` has two paths to that basis:
+
+- **Spectral.**  A commutative *-algebra is spanned by its minimal
+  projections, and the closure of commuting normal generators is spanned by
+  the spectral projections of one generic Hermitian element of it (the
+  random-element method of Murota, Kanno, Kojima and Kojima, JJIAM 27,
+  2010).  The element is a real combination of the generators' Hermitian
+  and anti-Hermitian parts, with coefficients from a generator seeded by
+  the module constant ``_SPECTRAL_SEED``, so a closure is the same on every
+  call.  Its eigenvalues are split at gaps above ``tol * max(1, |lam|max)``
+  and the basis is ``P_i / sqrt(rank P_i)``.  The result certifies itself
+  or is discarded: every generator must lie in the span within
+  ``tol * max(1, ||g||_F)``, and no gap may fall in the ambiguous band
+  ``(tol, 10 tol] * max(1, |lam|max)``.
+- **Gram-Schmidt.**  Every other generator set (not normal, not commuting,
+  or ambiguous) adjoins adjoints and pairwise products, round after round,
+  with a two-pass Hilbert-Schmidt Gram-Schmidt.  This is the only path for
+  non-commutative systems and the only place ``ToleranceCollapse`` is
+  raised.
+
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
 the maps
@@ -12,11 +33,13 @@ the maps
 send it into itself.  Both maps act on stacks, so a checker measures its
 identity over the whole basis in one batched call; identities over pairs
 (of basis elements, or of powers k <= k_max) take one call per row, so that
-no temporary holds all the pairs at once.
+no temporary holds all the pairs at once.  The delta^n orbit of a basis is
+streamed: a scan over it holds the current and the previous stack only.
 """
 
 from __future__ import annotations
 
+import random
 from functools import cached_property
 
 import numpy as np
@@ -94,7 +117,12 @@ def spans_equal(a, b, tol: float) -> tuple[bool, float]:
     """Mutual containment of the spans of two (K, n, n) stacks; returns
     (equal, worst defect)."""
     a, b = np.asarray(a), np.asarray(b)
-    fa, fb = _svd_span(a), _svd_span(b)
+    return _spans_equal(a, _svd_span(a), b, _svd_span(b), tol)
+
+
+def _spans_equal(a: np.ndarray, fa: np.ndarray, b: np.ndarray,
+                 fb: np.ndarray, tol: float) -> tuple[bool, float]:
+    """spans_equal of two stacks given their ``_svd_span`` bases."""
     worst = 0.0
     for flat, stack in ((fa, b), (fb, a)):
         scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
@@ -172,26 +200,62 @@ class FiniteStarAlgebra:
                 f"ambient={self.ambient_dim}, tol={self.tol:g})")
 
 
-def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
-                     dim: int | None = None) -> FiniteStarAlgebra:
-    """Minimal unital *-algebra containing the generators.
+# Seed of the random combination of the spectral closure path.  Fixed, so
+# that a closure, and every report built on it, is the same on every call.
+_SPECTRAL_SEED = 20100127
 
-    Iteratively adjoins adjoints and pairwise products, re-orthonormalizing
-    by Hilbert-Schmidt Gram-Schmidt, until the dimension stabilizes.  The
-    identity is always adjoined.  ``dim`` is required when ``gens`` is empty.
+
+def _spectral_closure(gens: list[np.ndarray], n: int,
+                      tol: float) -> np.ndarray | None:
+    """Basis P_i / sqrt(rank P_i) of the minimal projections of the closure
+    of commuting normal generators, or None when the generators do not
+    certify it (see the module docstring).
+
+    The Hermitian combination is accumulated, and membership is tested, one
+    generator at a time, so no copy of the generator stack is made.
     """
-    gens = [as_matrix(g) for g in gens]
-    if gens:
-        n = gens[0].shape[0]
-        if any(g.shape[0] != n for g in gens):
-            raise DimensionMismatch("generators have mixed dimensions")
-        if dim is not None and dim != n:
-            raise DimensionMismatch(f"dim={dim} but generators are {n}x{n}")
-    elif dim is None:
-        raise DimensionMismatch("empty generator set needs an explicit dim")
-    else:
-        n = dim
+    # magnitudes in [1, 2]: no generator's eigenvalue gaps shrink in the
+    # combination, where they are split at tol.  The stdlib generator is
+    # portable and, unlike numpy.random, costs no import at model build.
+    draw = random.Random(_SPECTRAL_SEED).uniform
+    h = np.zeros((n, n), dtype=complex)
+    for g in gens:
+        a, b = draw(1.0, 2.0), draw(1.0, 2.0)
+        norm = hs_norm(g)
+        if norm > 0.0:
+            # a Re(g) + b Im(g), with Re(g) = (g + g*)/2, Im(g) = (g - g*)/2i
+            w = complex(a, -b) / (2.0 * norm)
+            h += w * g
+            h += np.conj(w) * adjoint(g)
+    lam, vecs = np.linalg.eigh(h)
+    scale = max(1.0, float(np.abs(lam).max()))
+    gaps = np.diff(lam)
+    if np.any((gaps > tol * scale) & (gaps <= 10.0 * tol * scale)):
+        return None
+    starts = np.concatenate([[0], np.flatnonzero(gaps > tol * scale) + 1])
+    ranks = np.diff(starts, append=n)
+    vecs_h = adjoint(vecs)
+    diag = np.diag_indices(n)
+    for g in gens:
+        # distance from g to span{P_i}: in the eigenbasis, everything off the
+        # diagonal blocks plus each block's deviation from its mean scalar
+        r = vecs_h @ g @ vecs
+        means = np.add.reduceat(r[diag], starts) / ranks
+        r[diag] -= np.repeat(means, ranks)
+        if np.linalg.norm(r) > tol * max(1.0, hs_norm(g)):
+            return None
+    basis = np.empty((len(starts), n, n), dtype=complex)
+    for p, start, rank in zip(basis, starts, ranks):
+        v = vecs[:, start:start + rank]
+        np.matmul(v, adjoint(v) / np.sqrt(rank), out=p)
+    return basis
 
+
+def _gram_schmidt_closure(gens: list[np.ndarray], n: int,
+                          tol: float) -> np.ndarray:
+    """Flat orthonormal basis of the closure by Hilbert-Schmidt
+    Gram-Schmidt over adjoints and pairwise products, until the dimension
+    stabilizes."""
     flat: list[np.ndarray] = []
     eye = np.eye(n, dtype=complex)
     for cand in [eye] + gens:
@@ -214,8 +278,41 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
                 grew = True
         if not grew:
             break
+    return np.reshape(flat, (-1, n, n))
 
-    return FiniteStarAlgebra(np.reshape(flat, (-1, n, n)), tol=tol)
+
+def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
+                     dim: int | None = None) -> FiniteStarAlgebra:
+    """Minimal unital *-algebra containing the generators.
+
+    Commuting normal generators take the spectral path: the minimal
+    projections of one Hermitian combination of the generators, with fixed
+    random coefficients (seed ``_SPECTRAL_SEED``), split at eigenvalue gaps
+    above ``tol * max(1, |lam|max)``.  The path is taken only when it
+    certifies itself: every generator lies in the span within
+    ``tol * max(1, ||g||_F)`` and no gap falls in the ambiguous band
+    ``(tol, 10 tol] * max(1, |lam|max)``.  Every other set falls back to
+    Gram-Schmidt over adjoints and pairwise products, which raises
+    ToleranceCollapse for a residual in its own ambiguous band.  Either
+    basis goes through the FiniteStarAlgebra constructor, which validates
+    it.  ``dim`` is required when ``gens`` is empty.
+    """
+    gens = [as_matrix(g) for g in gens]
+    if gens:
+        n = gens[0].shape[0]
+        if any(g.shape[0] != n for g in gens):
+            raise DimensionMismatch("generators have mixed dimensions")
+        if dim is not None and dim != n:
+            raise DimensionMismatch(f"dim={dim} but generators are {n}x{n}")
+    elif dim is None:
+        raise DimensionMismatch("empty generator set needs an explicit dim")
+    else:
+        n = dim
+
+    basis = _spectral_closure(gens, n, tol)
+    if basis is None:
+        basis = _gram_schmidt_closure(gens, n, tol)
+    return FiniteStarAlgebra(basis, tol=tol)
 
 
 def commutant(mats: list[np.ndarray], tol: float = DEFAULT_TOL) -> FiniteStarAlgebra:
@@ -281,6 +378,22 @@ class IsometrySystem:
         star = self._powers.conj().transpose(0, 2, 1)
         self._proj_initial = star @ self._powers
         self._proj_final = self._powers @ star
+
+    def _with_algebra(self, algebra: FiniteStarAlgebra) -> "IsometrySystem":
+        """The system of the same U over another algebra on the same space.
+
+        U was validated at this system's tolerance, so when the algebra's is
+        no tighter the new system shares U's power and projection stacks
+        instead of re-validating and rebuilding them.
+        """
+        if algebra.ambient_dim != self.dim or algebra.tol < self.tol:
+            return IsometrySystem(algebra, self.u)
+        derived = object.__new__(IsometrySystem)
+        derived.algebra, derived.u, derived.tol = algebra, self.u, algebra.tol
+        derived._powers, derived._nilpotent_at = self._powers, self._nilpotent_at
+        derived._proj_initial = self._proj_initial
+        derived._proj_final = self._proj_final
+        return derived
 
     @property
     def dim(self) -> int:
@@ -397,13 +510,38 @@ def _commutator_defect(basis: np.ndarray) -> float:
                 for i, a in enumerate(basis)), default=0.0)
 
 
-def _delta_orbit(sys: IsometrySystem, n_max: int) -> list[np.ndarray]:
-    """The stacks delta^n(basis) for n = 0, ..., n_max (none if n_max < 0),
-    each the delta image of the one before."""
-    orbit = [sys.algebra.basis]
-    for _ in range(n_max):
-        orbit.append(sys.delta(orbit[-1]))
-    return orbit[:n_max + 1]
+def _delta_orbit(sys: IsometrySystem, n_max: int):
+    """Yield the stacks delta^n(basis) for n = 0, ..., n_max (none if
+    n_max < 0), each the delta image of the one before; only the stack
+    last yielded is kept."""
+    images = sys.algebra.basis
+    for n in range(n_max + 1):
+        yield images
+        if n < n_max:
+            images = sys.delta(images)
+
+
+def _orbit_scan(sys: IsometrySystem, n_max: int, tol: float,
+                lefts: list[np.ndarray]) -> tuple[list[float], int | None]:
+    """One pass over the delta^n orbit, n <= n_max, holding the current and
+    the previous stack only.
+
+    Returns the worst commutator of each stack in ``lefts`` with the orbit
+    (``_commutator_norm``), and the first n >= 1 at which the spans of
+    delta^(n-1)(basis) and delta^n(basis) agree (None if none does).
+    """
+    worst = [0.0] * len(lefts)
+    stabilized_at, prev = None, None
+    for n, images in enumerate(_delta_orbit(sys, n_max)):
+        worst = [max(w, _commutator_norm(left, images))
+                 for w, left in zip(worst, lefts)]
+        if stabilized_at is None:
+            # each stack's span basis is computed once, for both its pairs
+            cur = (images, _svd_span(images))
+            if prev is not None and _spans_equal(*prev, *cur, tol)[0]:
+                stabilized_at = n
+            prev = cur
+    return worst, stabilized_at
 
 
 def _multiplicativity_defect(sys: IsometrySystem) -> float:
@@ -519,17 +657,15 @@ def check_extendability(sys: IsometrySystem, n_max: int,
     consecutive spans agree is reported as a note.
     """
     tol = sys.tol if tol is None else tol
-    return _extendability(sys, _delta_orbit(sys, n_max), n_max, tol)
+    (worst,), stabilized_at = _orbit_scan(sys, n_max, tol,
+                                          [sys.proj_initial(1)])
+    return _extendability(worst, stabilized_at, n_max, tol)
 
 
-def _extendability(sys: IsometrySystem, orbit: list[np.ndarray], n_max: int,
+def _extendability(worst: float, stabilized_at: int | None, n_max: int,
                    tol: float) -> ConditionReport:
-    """The body of check_extendability over an already built delta^n orbit."""
+    """The report of check_extendability from its scan of the orbit."""
     rep = ConditionReport("extendability")
-    p = sys.proj_initial(1)
-    worst = max((_commutator_norm(p, images) for images in orbit), default=0.0)
-    stabilized_at = next((n for n in range(1, n_max + 1)
-                          if spans_equal(orbit[n - 1], orbit[n], tol)[0]), None)
     rep.add(f"U*U commutes with delta^n(basis), n <= {n_max}", worst, tol)
     if stabilized_at is not None:
         rep.note(f"delta^n span stabilizes at n = {stabilized_at}")
@@ -556,11 +692,10 @@ def check_commutative_extendability(sys: IsometrySystem, n_max: int,
 
     rep = ConditionReport("commutative_extendability")
     rep.add("algebra commutative", d_comm, tol)
-    orbit = _delta_orbit(sys, n_max)
-    worst = max((_commutator_norm(basis, images) for images in orbit),
-                default=0.0)
+    (worst, worst_p), stabilized_at = _orbit_scan(
+        sys, n_max, tol, [basis, sys.proj_initial(1)])
     rep.add(f"algebra commutes with delta^n(algebra), n <= {n_max}", worst, tol)
-    rep.merge(_extendability(sys, orbit, n_max, tol))
+    rep.merge(_extendability(worst_p, stabilized_at, n_max, tol))
     return rep
 
 
@@ -618,7 +753,7 @@ def build_towers(sys: IsometrySystem, tol: float | None = None
     algebra the models are built over.
     """
     ext = extend_delta(sys, tol)
-    return ext, extend_delta_star(IsometrySystem(ext, sys.u), tol)
+    return ext, extend_delta_star(sys._with_algebra(ext), tol)
 
 
 def verify_power_identities(sys: IsometrySystem, k_max: int,
@@ -684,7 +819,7 @@ def check_extension_towers(sys: IsometrySystem,
 
     _, tower_a = build_towers(sys, tol)
     ext_s = extend_delta_star(sys, tol)
-    tower_b = extend_delta(IsometrySystem(ext_s, sys.u), tol)
+    tower_b = extend_delta(sys._with_algebra(ext_s), tol)
 
     rep = ConditionReport("extension_towers")
     _, defect = spans_equal(tower_a.basis, tower_b.basis, tol)
@@ -692,7 +827,7 @@ def check_extension_towers(sys: IsometrySystem,
 
     rep.add("tower is commutative", _commutator_defect(tower_a.basis), tol)
 
-    sys_t = IsometrySystem(tower_a, sys.u)
+    sys_t = sys._with_algebra(tower_a)
     rep.add("delta an endomorphism of the tower",
             _invariance_defect(sys_t, sys_t.delta), tol)
     rep.add("delta_star an endomorphism of the tower",

@@ -102,8 +102,9 @@ def build_polar_model(a: np.ndarray, tol: float = DEFAULT_TOL) -> PolarModel:
         raise PolarConditionViolated(
             f"a a* is outside the algebra generated by |a| "
             f"(defect {defect:.3e})", defect)
-    ext, full = build_towers(IsometrySystem(seed, u), tol)
-    return PolarModel(a, abs_a, u, seed, ext, IsometrySystem(full, u))
+    seed_sys = IsometrySystem(seed, u)
+    ext, full = build_towers(seed_sys, tol)
+    return PolarModel(a, abs_a, u, seed, ext, seed_sys._with_algebra(full))
 
 
 def polar_structure_suite(m: PolarModel, k_max: int,
@@ -120,7 +121,7 @@ def polar_structure_suite(m: PolarModel, k_max: int,
     - the two projection families commute.
     """
     rep = ConditionReport("polar_structure")
-    sys = IsometrySystem(m.seed_algebra, m.u)
+    sys = m.system._with_algebra(m.seed_algebra)
     seed_tol = m.seed_algebra.tol
     finals = sys.proj_final_stack(np.arange(1, k_max + 1))
 
@@ -133,7 +134,7 @@ def polar_structure_suite(m: PolarModel, k_max: int,
 
     ext = generate_closure([m.abs_a, *finals], seed_tol)
     rep.add("delta multiplicative on the extended algebra",
-            _multiplicativity_defect(IsometrySystem(ext, m.u)), tol)
+            _multiplicativity_defect(sys._with_algebra(ext)), tol)
 
     dbl = bicommutant(m.seed_algebra)
     d_mem = float(dbl.span_defects(finals).max(initial=0.0))
@@ -257,9 +258,10 @@ def build_qdeform(n: int, q: float, rho: RhoSpec | str,
     a = u @ rho_matrix
 
     seed = generate_closure([big_q], tol)
-    ext, full = build_towers(IsometrySystem(seed, u), tol)
+    seed_sys = IsometrySystem(seed, u)
+    ext, full = build_towers(seed_sys, tol)
     return QDeformModel(n, q, big_q, u, rho, rho_matrix, a, seed, ext,
-                        IsometrySystem(full, u))
+                        seed_sys._with_algebra(full))
 
 
 def qdeform_relations_suite(m: QDeformModel, tol_exact: float = 1e-13,

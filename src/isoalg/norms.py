@@ -105,8 +105,11 @@ def check_sum_norm_estimates(mats, tol: float = DEFAULT_TOL) -> ConditionReport:
         ||sum sqrt(d_i d_i*)||^2 >= (1/m) ||sum d_i d_i*||
 
     These hold in every C*-algebra, so any violation beyond rounding flags a
-    numerical bug; defects are normalized by the right-hand sides.  The
-    tuple costs two batched square roots and one batched norm of five sums.
+    numerical bug.  Each defect is the signed margin, the side that should be
+    smaller minus the other, normalized by max(1, right-hand side): negative
+    when the estimate holds with room, so the report shows how close each
+    estimate came.  The tuple costs two batched square roots and one batched
+    norm of five sums.
     """
     try:
         stack = np.asarray(mats, dtype=complex)
@@ -120,9 +123,9 @@ def check_sum_norm_estimates(mats, tol: float = DEFAULT_TOL) -> ConditionReport:
     n_sum, n_dd, n_dsd, n_abs, n_sqrt = spectral_norms(np.array([
         stack.sum(axis=0), dd.sum(axis=0), dsd.sum(axis=0),
         psd_sqrt(dsd).sum(axis=0), psd_sqrt(dd).sum(axis=0)]))
-    upper = [max(0.0, n_sum ** 2 - rhs) / max(1.0, rhs)
+    upper = [(n_sum ** 2 - rhs) / max(1.0, rhs)
              for rhs in (m * n_dd, m * n_dsd)]
-    lower = [max(0.0, rhs - lhs ** 2) / max(1.0, rhs)
+    lower = [(rhs - lhs ** 2) / max(1.0, rhs)
              for lhs, rhs in ((n_abs, n_dsd / m), (n_sqrt, n_dd / m))]
     rep = ConditionReport("sum_norm_estimates")
     for label, value in zip(SUM_NORM_ESTIMATES, upper + lower):
@@ -297,10 +300,13 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
 
 def sum_norm_estimates_sample(count: int, seed: int,
                               tol: float = DEFAULT_TOL) -> ConditionReport:
-    """The worst sum-norm defects over ``count`` random tuples (sizes up to
-    MAX_TUPLE_SIZE, dimensions up to MAX_TUPLE_DIM)."""
+    """The worst signed sum-norm margins (the largest, closest to a
+    violation) over ``count`` random tuples (sizes up to MAX_TUPLE_SIZE,
+    dimensions up to MAX_TUPLE_DIM)."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
-    worst = np.zeros(len(SUM_NORM_ESTIMATES))
+    worst = np.full(len(SUM_NORM_ESTIMATES), -np.inf)
     for _ in range(count):
         m = int(rng.integers(1, MAX_TUPLE_SIZE + 1))
         n = int(rng.integers(1, MAX_TUPLE_DIM + 1))

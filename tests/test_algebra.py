@@ -30,9 +30,11 @@ from isoalg.algebra import (
     _commutator_defect,
     _commutator_norm,
     _delta_orbit,
+    _gram_schmidt_closure,
     _invariance_defect,
     _multiplicativity_defect,
     _projection_families_defect,
+    _spectral_closure,
 )
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
@@ -137,6 +139,25 @@ def test_system_rejects_non_partial_isometry():
         IsometrySystem(alg, np.diag([1.0, 0.5]))
     with pytest.raises(DimensionMismatch):
         IsometrySystem(alg, np.zeros((3, 3)))
+
+
+def test_tower_systems_reuse_the_validated_u(monkeypatch):
+    tols = []
+    real = ia.algebra.is_partial_isometry
+    monkeypatch.setattr(ia.algebra, "is_partial_isometry",
+                        lambda u, tol: tols.append(tol) or real(u, tol))
+    m = ia.build_qdeform(6, 0.5, "heisenberg")
+    assert tols == [m.system.tol]  # the seed system only
+    fresh = IsometrySystem(m.system.algebra, m.u)
+    assert np.array_equal(m.system.power_stack(range(8)),
+                          fresh.power_stack(range(8)))
+    assert np.array_equal(m.system.proj_final_stack(range(8)),
+                          fresh.proj_final_stack(range(8)))
+    # an algebra at a tighter tolerance re-validates U at that tolerance
+    tight = FiniteStarAlgebra(m.seed_algebra.basis, tol=1e-12)
+    derived = m.system._with_algebra(tight)
+    assert tols[-1] == derived.tol == 1e-12
+    assert derived.algebra is tight
 
 
 def test_power_cache_matches_direct():
@@ -514,7 +535,8 @@ def test_stacked_defects_match_the_loops(request, name, k_max, n_max):
     power = verify_power_identities(sys, k_max).defects[2:]
     pairs += zip([d.value for d in power], loop_power_structure(sys, k_max))
 
-    orbit = _delta_orbit(sys, n_max)
+    # the orbit is streamed; collect it to compare step by step
+    orbit = list(_delta_orbit(sys, n_max))
     loop_orbit = loop_delta_orbit(sys, n_max)
     assert len(orbit) == len(loop_orbit) == n_max + 1
     for stack, images in zip(orbit, loop_orbit):
@@ -555,3 +577,133 @@ def test_basis_is_one_stack_and_project_takes_stacks(request, name):
         for ref in (alg.project(m), by_vdot):
             assert np.abs(g - ref).max() <= 1e-12 * max(1.0, np.abs(m).max())
     assert alg.project(stack[:0]).shape == (0, n, n)
+
+
+# ---------------------------------------------------------------------------
+# The spectral closure path against the Gram-Schmidt path it short-cuts.
+# ---------------------------------------------------------------------------
+
+TOL = ia.DEFAULT_TOL
+
+
+@pytest.fixture(scope="module")
+def ladder_models():
+    """The three models one build-scale ladder pass builds."""
+    polar_weights = [0.7 ** (j / 2) for j in range(1, 24)]
+    return {"q05_n12": ia.build_qdeform(12, 0.5, "heisenberg"),
+            "q09_n24": ia.build_qdeform(24, 0.9, "heisenberg"),
+            "polar07_n24": ia.build_polar_model(
+                ia.weighted_backward_shift(polar_weights))}
+
+
+def closure_generator_sets(seed_gens, sys, ext, full):
+    """The generator sets a model build hands to generate_closure: the seed
+    generators, then a tower algebra together with its image, for both
+    maps on the seed, the delta tower and the full tower."""
+    sets = [list(seed_gens)]
+    for alg in (sys.algebra, ext, full):
+        for image in (sys.delta, sys.delta_star):
+            sets.append(list(np.concatenate([alg.basis, image(alg.basis)])))
+    return sets
+
+
+def model_generator_sets(request, name):
+    if name == "cyclic5":
+        sys = request.getfixturevalue("cyclic5")
+        units = [np.diag(e).astype(complex) for e in np.eye(5)]
+        return closure_generator_sets(units, sys, sys.algebra, sys.algebra)
+    if name in ("qdeform12", "polar6"):
+        m = request.getfixturevalue(name)
+    else:
+        m = request.getfixturevalue("ladder_models")[name]
+    seed = [m.abs_a] if hasattr(m, "abs_a") else [m.big_q]
+    sys = IsometrySystem(m.seed_algebra, m.u)
+    return closure_generator_sets(seed, sys, m.delta_tower, m.system.algebra)
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "polar6", "cyclic5", "q05_n12",
+                                  "q09_n24", "polar07_n24"])
+def test_spectral_closure_matches_gram_schmidt(request, name):
+    for gens in model_generator_sets(request, name):
+        n = gens[0].shape[0]
+        spectral = _spectral_closure(gens, n, TOL)
+        assert spectral is not None  # commuting normal generators
+        reference = _gram_schmidt_closure(gens, n, TOL)
+        assert len(spectral) == len(reference)
+        equal, defect = spans_equal(spectral, reference, TOL)
+        assert equal, defect
+        assert generate_closure(gens).dim == len(reference)
+
+
+@pytest.mark.parametrize("name", ["polar2", "qdeform6", "polar6", "cyclic5"])
+def test_spectral_closure_equals_its_bicommutant(request, name):
+    obj = request.getfixturevalue(name)
+    sys = obj if isinstance(obj, IsometrySystem) else obj.system
+    algebras = [sys.algebra]
+    if not isinstance(obj, IsometrySystem):
+        algebras += [obj.seed_algebra, obj.delta_tower]
+    for alg in algebras:
+        assert alg.ambient_dim <= 6
+        dbl = bicommutant(alg)
+        assert dbl.dim == alg.dim
+        assert spans_equal(dbl.basis, alg.basis, TOL)[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spectral_closure_of_random_commuting_normal_sets(seed):
+    # generators W diag(lam) W* in a random unitary frame W; the joint
+    # eigenvalues are constant on random blocks, so the closure is the span
+    # of the block projections and its dimension is the number of blocks
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    blocks = int(rng.integers(1, n + 1))
+    labels = np.concatenate([np.arange(blocks),
+                             rng.integers(0, blocks, n - blocks)])
+    rng.shuffle(labels)
+    w = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    gens = []
+    for _ in range(int(rng.integers(1, 4))):
+        lam = rng.standard_normal(blocks) + 1j * rng.standard_normal(blocks)
+        gens.append(w @ np.diag(lam[labels]) @ adjoint(w))
+    spectral = _spectral_closure(gens, n, TOL)
+    assert spectral is not None
+    assert len(spectral) == blocks
+    alg = generate_closure(gens)
+    assert alg.dim == blocks == len(_gram_schmidt_closure(gens, n, TOL))
+    assert _commutator_defect(alg.basis) <= 1e-12
+    for g in gens:
+        assert alg.contains(g)[0]
+
+
+def test_spectral_closure_falls_back(generic_system):
+    # not normal
+    assert _spectral_closure([E12], 2, TOL) is None
+    assert generate_closure([E12]).dim == 4
+    # the generic non-commutative raw system
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    g[:2, 2:] = g[2:, :2] = g[2, 3] = g[3, 2] = 0.0
+    assert _spectral_closure([g], 4, TOL) is None
+    assert generate_closure([g]).dim == generic_system.algebra.dim == 6
+    # the generator of test_tolerance_collapse
+    assert _spectral_closure([np.eye(2) + 5e-9 * E12], 2, TOL) is None
+    # normal, with one eigenvalue gap inside the ambiguous band whatever the
+    # combination's coefficient in [1, 2]: the gap of H is c * 4e-9 / ||g||_F
+    g = np.diag([1.0, 1.0 + 4e-9]).astype(complex)
+    assert _spectral_closure([g], 2, TOL) is None
+    with pytest.raises(ToleranceCollapse):
+        generate_closure([g])
+    # clear gaps either side of the band split or merge as the tolerance says
+    assert generate_closure([np.diag([1.0, 1.0 + 1e-7])]).dim == 2
+    assert generate_closure([np.diag([1.0, 1.0 + 1e-10])]).dim == 1
+
+
+def test_spectral_closure_is_deterministic(qdeform12):
+    sys = qdeform12.system
+    gens = list(np.concatenate([sys.algebra.basis,
+                                sys.delta_star(sys.algebra.basis)]))
+    first, second = generate_closure(gens), generate_closure(gens)
+    assert np.array_equal(first.basis, second.basis)
+    assert np.array_equal(_spectral_closure(gens, 12, TOL),
+                          _spectral_closure(gens, 12, TOL))

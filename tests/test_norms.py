@@ -170,12 +170,12 @@ def _sum_norm_reference(mats, tol=1e-9):
     for key in ("dd*", "d*d"):
         rhs = m * spectral_norm(sum(squares[key]))
         rep.add(f"||sum d||^2 <= m ||sum {key}||",
-                max(0.0, lhs - rhs) / max(1.0, rhs), tol)
+                (lhs - rhs) / max(1.0, rhs), tol)
     for label, key in (("|d|", "d*d"), ("sqrt(dd*)", "dd*")):
         lhs = spectral_norm(sum(ia.psd_sqrt(x) for x in squares[key])) ** 2
         rhs = spectral_norm(sum(squares[key])) / m
         rep.add(f"||sum {label}||^2 >= (1/m) ||sum {key}||",
-                max(0.0, rhs - lhs) / max(1.0, rhs), tol)
+                (rhs - lhs) / max(1.0, rhs), tol)
     return rep
 
 
@@ -190,6 +190,39 @@ def test_sum_norm_estimates_stack_matches_per_matrix_body(m, n):
         assert [d.check for d in got.defects] == [d.check for d in want.defects]
         for g, w in zip(got.defects, want.defects):
             assert abs(g.value - w.value) <= 1e-12 * max(1.0, abs(w.value))
+
+
+def test_sum_norm_estimates_report_signed_margins():
+    # d1 = E12, d2 = E13: sum d*d = E22 + E33 (norm 1), sum dd* = 2 E11
+    # (norm 2), sum |d| = E22 + E33 (norm 1), sum sqrt(dd*) = 2 E11 (norm 2),
+    # ||d1 + d2||^2 = 2.  Each estimate pairs its own sides, so swapping the
+    # two lower ones changes their margins (to 0 and -3.5).
+    e = np.eye(3)
+    d1, d2 = np.outer(e[0], e[1]), np.outer(e[0], e[2])
+    rep = check_sum_norm_estimates([d1, d2])
+    want = [(2 - 4) / 4, (2 - 2) / 2, (1 / 2 - 1) / 1, (2 / 2 - 4) / 1]
+    assert [d.check for d in rep.defects] == list(ia.norms.SUM_NORM_ESTIMATES)
+    for got, w in zip(rep.defects, want, strict=True):
+        assert abs(got.value - w) <= 1e-12, (got.value, w)
+    assert rep.passed
+
+
+def test_sum_norm_sample_takes_the_worst_signed_margin():
+    count, seed = 20, 3
+    rep = sum_norm_estimates_sample(count=count, seed=seed)
+    rng = np.random.default_rng(seed)
+    worst = np.full(4, -np.inf)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        z = rng.standard_normal((m, 2, n, n))
+        sub = check_sum_norm_estimates(z[:, 0] + 1j * z[:, 1])
+        worst = np.maximum(worst, [d.value for d in sub.defects])
+    assert [d.value for d in rep.defects] == list(worst)
+    # m = 1 tuples meet every estimate with equality, so the worst margin
+    # over a sample that draws one is rounding-sized, of either sign
+    assert all(abs(d.value) <= 1e-12 for d in rep.defects)
+    with pytest.raises(ValueError):
+        sum_norm_estimates_sample(count=0, seed=seed)
 
 
 @pytest.mark.parametrize("mats", [[], [np.eye(2), np.eye(3)],
