@@ -13,8 +13,10 @@ membership, commutants and generated closures into ordinary linear algebra.
   2010).  The element is a real combination of the generators' Hermitian
   and anti-Hermitian parts, with coefficients from a generator seeded by
   the module constant ``_SPECTRAL_SEED``, so a closure is the same on every
-  call.  Its eigenvalues are split at gaps above ``tol * max(1, |lam|max)``
-  and the basis is ``P_i / sqrt(rank P_i)``.  The result certifies itself
+  call.  The element is scaled so that its smallest coefficient is 1, so a
+  single Hermitian generator g gives g / ||g||_F whatever the draw.  Its
+  eigenvalues are split at gaps above ``tol * max(1, |lam|max)`` and the
+  basis is ``P_i / sqrt(rank P_i)``.  The result certifies itself
   or is discarded: every generator must lie in the span within
   ``tol * max(1, ||g||_F)``, and no gap may fall in the ambiguous band
   ``(tol, 10 tol] * max(1, |lam|max)``.
@@ -39,6 +41,7 @@ streamed: a scan over it holds the current and the previous stack only.
 
 from __future__ import annotations
 
+import copy
 import random
 from functools import cached_property
 
@@ -214,19 +217,30 @@ def _spectral_closure(gens: list[np.ndarray], n: int,
     The Hermitian combination is accumulated, and membership is tested, one
     generator at a time, so no copy of the generator stack is made.
     """
-    # magnitudes in [1, 2]: no generator's eigenvalue gaps shrink in the
-    # combination, where they are split at tol.  The stdlib generator is
-    # portable and, unlike numpy.random, costs no import at model build.
+    # The stdlib generator is portable and, unlike numpy.random, costs no
+    # import at model build.
     draw = random.Random(_SPECTRAL_SEED).uniform
     h = np.zeros((n, n), dtype=complex)
+    weights = []  # coefficients of the parts that enter H above tol
     for g in gens:
         a, b = draw(1.0, 2.0), draw(1.0, 2.0)
         norm = hs_norm(g)
         if norm > 0.0:
             # a Re(g) + b Im(g), with Re(g) = (g + g*)/2, Im(g) = (g - g*)/2i
+            g_h = adjoint(g)
             w = complex(a, -b) / (2.0 * norm)
             h += w * g
-            h += np.conj(w) * adjoint(g)
+            h += np.conj(w) * g_h
+            for c, part in ((a, g + g_h), (b, g - g_h)):
+                if hs_norm(part) > 2.0 * tol * norm:
+                    weights.append(c)
+    # H is scaled so that its smallest weight is 1: no generator's eigenvalue
+    # gaps shrink in the combination, and one Hermitian (or skew-Hermitian)
+    # generator g gives H = g/||g||_F whatever the draw, so where its
+    # closure splits, and whether a gap falls in the band, is the same for
+    # every seed.
+    if weights:
+        h /= min(weights)
     lam, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(lam).max()))
     gaps = np.diff(lam)
@@ -287,9 +301,10 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
 
     Commuting normal generators take the spectral path: the minimal
     projections of one Hermitian combination of the generators, with fixed
-    random coefficients (seed ``_SPECTRAL_SEED``), split at eigenvalue gaps
-    above ``tol * max(1, |lam|max)``.  The path is taken only when it
-    certifies itself: every generator lies in the span within
+    random coefficients (seed ``_SPECTRAL_SEED``) scaled so that the
+    smallest is 1, split at eigenvalue gaps above
+    ``tol * max(1, |lam|max)``.  The path is taken only when it certifies
+    itself: every generator lies in the span within
     ``tol * max(1, ||g||_F)`` and no gap falls in the ambiguous band
     ``(tol, 10 tol] * max(1, |lam|max)``.  Every other set falls back to
     Gram-Schmidt over adjoints and pairwise products, which raises
@@ -388,11 +403,12 @@ class IsometrySystem:
         """
         if algebra.ambient_dim != self.dim or algebra.tol < self.tol:
             return IsometrySystem(algebra, self.u)
-        derived = object.__new__(IsometrySystem)
-        derived.algebra, derived.u, derived.tol = algebra, self.u, algebra.tol
-        derived._powers, derived._nilpotent_at = self._powers, self._nilpotent_at
-        derived._proj_initial = self._proj_initial
-        derived._proj_final = self._proj_final
+        derived = copy.copy(self)
+        derived.algebra, derived.tol = algebra, algebra.tol
+        # cached properties were computed over this system's algebra
+        for name, attr in vars(IsometrySystem).items():
+            if isinstance(attr, cached_property):
+                vars(derived).pop(name, None)
         return derived
 
     @property

@@ -160,6 +160,15 @@ def test_tower_systems_reuse_the_validated_u(monkeypatch):
     assert derived.algebra is tight
 
 
+def test_derived_system_drops_cached_reports(qdeform6):
+    sys = qdeform6.system
+    report = sys.coefficient_report
+    derived = sys._with_algebra(qdeform6.seed_algebra)
+    assert derived.algebra is qdeform6.seed_algebra
+    assert derived.coefficient_report is not report
+    assert sys.coefficient_report is report
+
+
 def test_power_cache_matches_direct():
     alg = generate_closure([], dim=5)
     u = ia.backward_shift(5)
@@ -688,8 +697,8 @@ def test_spectral_closure_falls_back(generic_system):
     assert generate_closure([g]).dim == generic_system.algebra.dim == 6
     # the generator of test_tolerance_collapse
     assert _spectral_closure([np.eye(2) + 5e-9 * E12], 2, TOL) is None
-    # normal, with one eigenvalue gap inside the ambiguous band whatever the
-    # combination's coefficient in [1, 2]: the gap of H is c * 4e-9 / ||g||_F
+    # normal, with one eigenvalue gap inside the ambiguous band: one
+    # Hermitian generator gives H = g/||g||_F, whose gap is 4e-9/sqrt(2)
     g = np.diag([1.0, 1.0 + 4e-9]).astype(complex)
     assert _spectral_closure([g], 2, TOL) is None
     with pytest.raises(ToleranceCollapse):
@@ -697,6 +706,21 @@ def test_spectral_closure_falls_back(generic_system):
     # clear gaps either side of the band split or merge as the tolerance says
     assert generate_closure([np.diag([1.0, 1.0 + 1e-7])]).dim == 2
     assert generate_closure([np.diag([1.0, 1.0 + 1e-10])]).dim == 1
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_one_generator_ceilings_do_not_depend_on_the_draw(monkeypatch, seed):
+    # the seed closure of a q-model has one Hermitian generator Q, so H is
+    # Q/||Q||_F whatever the draw: the last size that builds is the last one
+    # before a gap q^k - q^(k+1) of Q falls in the band (tol, 10 tol]
+    if seed is not None:
+        monkeypatch.setattr(ia.algebra, "_SPECTRAL_SEED", seed)
+    for q, last in ((0.3, 16), (0.5, 27)):
+        m = ia.build_qdeform(last, q, "heisenberg")
+        assert _spectral_closure([m.big_q], last, TOL) is not None
+        assert check_coefficient_algebra(m.system).passed
+        with pytest.raises(ToleranceCollapse):
+            ia.build_qdeform(last + 1, q, "heisenberg")
 
 
 def test_spectral_closure_is_deterministic(qdeform12):
