@@ -208,11 +208,12 @@ class FiniteStarAlgebra:
 _SPECTRAL_SEED = 20100127
 
 
-def _spectral_closure(gens: list[np.ndarray], n: int,
-                      tol: float) -> np.ndarray | None:
+def _spectral_closure(gens: list[np.ndarray], n: int, tol: float,
+                      rejected: list[str] | None = None) -> np.ndarray | None:
     """Basis P_i / sqrt(rank P_i) of the minimal projections of the closure
     of commuting normal generators, or None when the generators do not
-    certify it (see the module docstring).
+    certify it (see the module docstring).  A rejection for a gap in the
+    ambiguous band is described in ``rejected``, when given.
 
     The Hermitian combination is accumulated, and membership is tested, one
     generator at a time, so no copy of the generator stack is made.
@@ -244,7 +245,15 @@ def _spectral_closure(gens: list[np.ndarray], n: int,
     lam, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(lam).max()))
     gaps = np.diff(lam)
-    if np.any((gaps > tol * scale) & (gaps <= 10.0 * tol * scale)):
+    in_band = (gaps > tol * scale) & (gaps <= 10.0 * tol * scale)
+    if in_band.any():
+        if rejected is not None:
+            i = int(np.argmax(in_band))
+            rejected.append(
+                f"the spectral path rejected eigenvalue gap {gaps[i]:.3e} "
+                f"(index {i}, {lam[i]:.3e} to {lam[i + 1]:.3e}) in its "
+                f"ambiguous band ({tol * scale:.1e}, {10 * tol * scale:.1e}]; "
+                f"gaps in the band: {int(in_band.sum())}")
         return None
     starts = np.concatenate([[0], np.flatnonzero(gaps > tol * scale) + 1])
     ranks = np.diff(starts, append=n)
@@ -308,7 +317,9 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     ``tol * max(1, ||g||_F)`` and no gap falls in the ambiguous band
     ``(tol, 10 tol] * max(1, |lam|max)``.  Every other set falls back to
     Gram-Schmidt over adjoints and pairwise products, which raises
-    ToleranceCollapse for a residual in its own ambiguous band.  Either
+    ToleranceCollapse for a residual in its own ambiguous band; when the
+    spectral path was rejected for a gap in its band, the error also names
+    that gap, its index and the band.  Either
     basis goes through the FiniteStarAlgebra constructor, which validates
     it.  ``dim`` is required when ``gens`` is empty.
     """
@@ -324,9 +335,15 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     else:
         n = dim
 
-    basis = _spectral_closure(gens, n, tol)
+    rejected: list[str] = []
+    basis = _spectral_closure(gens, n, tol, rejected)
     if basis is None:
-        basis = _gram_schmidt_closure(gens, n, tol)
+        try:
+            basis = _gram_schmidt_closure(gens, n, tol)
+        except ToleranceCollapse as exc:
+            if not rejected:
+                raise
+            raise ToleranceCollapse(f"{exc}; {rejected[0]}") from exc
     return FiniteStarAlgebra(basis, tol=tol)
 
 

@@ -703,6 +703,15 @@ def test_spectral_closure_falls_back(generic_system):
     assert _spectral_closure([g], 2, TOL) is None
     with pytest.raises(ToleranceCollapse):
         generate_closure([g])
+    rejected = []
+    assert _spectral_closure([g], 2, TOL, rejected) is None
+    assert rejected == [
+        f"the spectral path rejected eigenvalue gap {4e-9 / np.sqrt(2):.3e} "
+        f"(index 0, {1 / np.sqrt(2):.3e} to {1 / np.sqrt(2):.3e}) in its "
+        f"ambiguous band (1.0e-09, 1.0e-08]; gaps in the band: 1"]
+    # a rejection for another cause leaves no description
+    assert _spectral_closure([E12], 2, TOL, rejected) is None
+    assert len(rejected) == 1
     # clear gaps either side of the band split or merge as the tolerance says
     assert generate_closure([np.diag([1.0, 1.0 + 1e-7])]).dim == 2
     assert generate_closure([np.diag([1.0, 1.0 + 1e-10])]).dim == 1

@@ -278,6 +278,23 @@ def test_closure_reports_the_loaded_model_towers(specs):
         assert doc["full_tower_dim"] == loaded.system.algebra.dim
 
 
+def test_closure_names_the_rejected_gap(tmp_path, capsys):
+    # the seed closure Q/||Q||_F of the q = 0.3, n = 18 model has its two
+    # smallest gaps, q^16 - q^17 and q^15 - q^16 over ||Q||_F, in the band
+    # (1e-9, 1e-8]; the Gram-Schmidt fallback then collapses, and the error
+    # names the first of them as the cause
+    spec = tmp_path / "q18.json"
+    spec.write_text(json.dumps({"type": "qdeform", "n": 18, "q": 0.3,
+                                "rho": "heisenberg"}))
+    assert main(["closure", "--model", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "Gram-Schmidt residual" in err
+    gap = 0.3 ** 16 * 0.7 / np.linalg.norm(0.3 ** np.arange(18))
+    assert (f"rejected eigenvalue gap {gap:.3e} (index 0, " in err
+            and "in its ambiguous band (1.0e-09, 1.0e-08]; "
+                "gaps in the band: 2" in err), err
+
+
 def test_closure_broken_exits_1(specs):
     rc, doc = run(["closure", "--model", specs["broken.json"]],
                   specs, "closure_broken")

@@ -434,6 +434,53 @@ def rule_product(x, y):
     return NormalForm(x.system, acc, drop_scale=x.scale() * y.scale())
 
 
+def norm_limit_reference(x, k_max):
+    """Reference norm limit: (yy*)^{2k}, y = x/||x||, by repeated squaring
+    of the canonical form with nf_multiply; returns the s_k on the doubling
+    schedule and the first-stage sandwich (lo, hi)."""
+    direct = spectral_norm(x.eval())
+    y = nf_scale(x, 1.0 / direct)
+    p = nf_multiply(y, nf_adjoint(y))
+    lo = direct * direct * spectral_norm(p.coefficient(0))
+    s_values, k = [], 1
+    while k <= k_max:
+        p = nf_multiply(p, p)
+        s_values.append(direct * spectral_norm(p.coefficient(0)) ** (1 / (4 * k)))
+        k *= 2
+    return s_values, lo, (2 * x.max_degree + 1) * lo
+
+
+@pytest.fixture(scope="module")
+def raw_system():
+    """A raw system spec with a non-commutative coefficient algebra: the
+    shift on C^3 tensored with the identity on C^2, and the algebra of
+    diagonal matrices tensored with M_2."""
+    shift = np.diag(np.ones(2), -1).astype(complex)
+    units = [np.kron(np.diag(e), np.eye(2)) for e in np.eye(3)]
+    e12 = np.kron(np.eye(3), np.array([[0, 1], [0, 0]]))
+    spec = {"type": "system", "U": ia.matrix_to_json(np.kron(shift, np.eye(2))),
+            "generators": [ia.matrix_to_json(g) for g in units + [e12]]}
+    system = ia.load_model(spec).system
+    assert system.coefficient_report.passed
+    assert system.algebra.dim == 12 and system.nilpotency_index == 3
+    return system
+
+
+def test_norm_limit_matches_repeated_squaring(qdeform12, polar6, cyclic5,
+                                              raw_system):
+    rng = np.random.default_rng(35)
+    for system in (qdeform12.system, polar6.system, cyclic5, raw_system):
+        for _ in range(8):
+            x = ia.random_normal_form(system, rng)
+            if spectral_norm(x.eval()) == 0.0:
+                continue
+            tr = ia.norm_limit(x, 8)
+            s_values, lo, hi = norm_limit_reference(x, 8)
+            assert tr.s_values == pytest.approx(s_values, rel=1e-9)
+            assert (tr.sandwich_lo, tr.sandwich_hi) == pytest.approx(
+                (lo, hi), rel=1e-9)
+
+
 def test_product_matches_the_product_rules(qdeform12, polar6, cyclic5):
     rng = np.random.default_rng(31)
     for system in (qdeform12.system, polar6.system, cyclic5):
@@ -500,3 +547,16 @@ def test_norm_limit_past_the_power_cache(cyclic5):
         n0 = sum(np.linalg.matrix_power(y @ adjoint(y), 2 * k) for y in ys) / m
         direct = tr.direct_norm * spectral_norm(n0) ** (1.0 / (4 * k))
         assert abs(s - direct) <= 1e-12 * direct, k
+    # the oracle above is how norm_limit computes; the canonical-form
+    # squaring is independent of it
+    assert tr.s_values == pytest.approx(norm_limit_reference(x, 8)[0], rel=1e-9)
+
+
+def test_norm_limit_overflow(cyclic5):
+    # U^5 = 1 on the cyclic shift, so x = U^5 - (1 - 1e-4) has ||x|| = 1e-4,
+    # while x/||x|| gauged off the fifth roots of unity has norm up to 2e4:
+    # the powers of the gauged stack pass 1e100
+    x = NormalForm(cyclic5, {5: np.eye(5), 0: -(1 - 1e-4) * np.eye(5)})
+    assert spectral_norm(x.eval()) == pytest.approx(1e-4, rel=1e-9)
+    with pytest.raises(ia.Overflow, match="exceeded norm 1e100"):
+        ia.norm_limit(x, 8)

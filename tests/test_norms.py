@@ -211,18 +211,38 @@ def test_sum_norm_sample_takes_the_worst_signed_margin():
     count, seed = 20, 3
     rep = sum_norm_estimates_sample(count=count, seed=seed)
     rng = np.random.default_rng(seed)
-    worst = np.full(4, -np.inf)
+    worst, worst_multi, multi = np.full(4, -np.inf), np.full(4, -np.inf), 0
     for _ in range(count):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
         z = rng.standard_normal((m, 2, n, n))
         sub = check_sum_norm_estimates(z[:, 0] + 1j * z[:, 1])
         worst = np.maximum(worst, [d.value for d in sub.defects])
-    assert [d.value for d in rep.defects] == list(worst)
+        if m >= 2:
+            worst_multi = np.maximum(worst_multi, [d.value for d in sub.defects])
+            multi += 1
+    # the shape-batched sampler gives the per-tuple values bit for bit
+    assert [d.value for d in rep.defects[:4]] == list(worst)
     # m = 1 tuples meet every estimate with equality, so the worst margin
     # over a sample that draws one is rounding-sized, of either sign
-    assert all(abs(d.value) <= 1e-12 for d in rep.defects)
+    assert all(abs(d.value) <= 1e-12 for d in rep.defects[:4])
+    # the m >= 2 lines follow, under the same labels
+    assert 0 < multi < count
+    assert [d.check for d in rep.defects[4:]] == [
+        f"{label} ({multi} tuples with m >= 2)"
+        for label in ia.norms.SUM_NORM_ESTIMATES]
+    assert [d.value for d in rep.defects[4:]] == list(worst_multi)
+    assert all(d.value < -1e-3 for d in rep.defects[4:])
     with pytest.raises(ValueError):
         sum_norm_estimates_sample(count=0, seed=seed)
+
+
+def test_sum_norm_sample_without_multi_element_tuples():
+    # a sample of one m = 1 tuple has no m >= 2 lines
+    seed = next(s for s in range(100)
+                if np.random.default_rng(s).integers(1, 6) == 1)
+    rep = sum_norm_estimates_sample(count=1, seed=seed)
+    assert [d.check for d in rep.defects] == [
+        f"{label} (1 tuples)" for label in ia.norms.SUM_NORM_ESTIMATES]
 
 
 @pytest.mark.parametrize("mats", [[], [np.eye(2), np.eye(3)],
