@@ -16,8 +16,10 @@ the adjoint intertwining relation U* a = delta_star(a) U* holds.
 A form is stored as a sorted degree vector and one (K, n, n) stack of the
 coefficients at those degrees, so normalization, the zero-drop, the
 membership test and the degree arithmetic are batched operations over the
-stack.  Each form also keeps the stack of its monomials M_k (a_k U^k, a_0,
-U^{*|k|} a_|k|), whose sum is the represented matrix.
+stack; the validation body (:func:`_canonical_terms`) also takes the terms
+of many forms in one stack.  Each form also keeps the stack of its
+monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), whose sum is the represented
+matrix, and caches its operator norm.
 
 The product is a convolution of monomials over the degree axis: the
 degree-d monomial of xy is the sum of X_j Y_k over j + k = d, and its
@@ -63,6 +65,8 @@ from .linalg import (
     as_matrix,
     matrix_from_json,
     matrix_to_json,
+    spectral_norm,
+    spectral_norms,
 )
 from .report import ConditionReport
 
@@ -84,6 +88,42 @@ def _sided(stack: np.ndarray, degrees: np.ndarray, right: np.ndarray,
     out[pos] = stack[pos] @ right[pos]
     out[neg] = left[neg] @ stack[neg]
     return out
+
+
+def _canonical_terms(system: IsometrySystem, stack: np.ndarray,
+                    degrees: np.ndarray, drop_scale
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validation body of every canonical form, on a (K, n, n) stack of
+    coefficients at ``degrees``: range-normalize each, drop those whose
+    norm is at most tol * drop_scale, and test the rest for membership in
+    the algebra.  ``drop_scale`` is one scale, or one per coefficient when
+    the stack holds the terms of many forms.
+
+    Returns the mask of kept coefficients and their normalized stack and
+    Frobenius norms, in input order.  CoefficientEscape names the degree of
+    the first kept coefficient, in input order, that is not a member.
+    """
+    f = system.proj_final_stack(np.abs(degrees))
+    stack = _sided(stack, degrees, f, f)
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    keep = norms > system.tol * drop_scale
+    stack, norms = stack[keep], norms[keep]
+    defects = system.algebra.span_defects(stack)
+    escaped = ~(defects <= system.tol * np.maximum(1.0, norms))
+    if escaped.any():
+        i = int(np.argmax(escaped))
+        raise CoefficientEscape(
+            f"coefficient at degree {degrees[keep][i]} is outside the algebra "
+            f"(defect {defects[i]:.3e})")
+    return keep, stack, norms
+
+
+def _monomial_stack(system: IsometrySystem, coeffs: np.ndarray,
+                    degrees: np.ndarray) -> np.ndarray:
+    """The degree terms c U^k, c, U^{*|k|} c of a (K, n, n) coefficient
+    stack at ``degrees``."""
+    p = system.power_stack(np.abs(degrees))
+    return _sided(coeffs, degrees, p, p.conj().transpose(0, 2, 1))
 
 
 class NormalForm:
@@ -125,22 +165,24 @@ class NormalForm:
 
         if drop_scale is None:
             drop_scale = np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0)
-        f = system.proj_final_stack(np.abs(degrees))
-        stack = _sided(stack, degrees, f, f)
-        norms = np.linalg.norm(stack, axis=(1, 2))
-        keep = norms > system.tol * drop_scale
-        degrees, stack, norms = degrees[keep], stack[keep], norms[keep]
-        defects = system.algebra.span_defects(stack)
-        escaped = ~(defects <= system.tol * np.maximum(1.0, norms))
-        if escaped.any():
-            i = int(np.argmax(escaped))
-            raise CoefficientEscape(
-                f"coefficient at degree {degrees[i]} is outside the algebra "
-                f"(defect {defects[i]:.3e})")
+        keep, stack, norms = _canonical_terms(system, stack, degrees, drop_scale)
+        degrees = degrees[keep]
         order = np.argsort(degrees)
         self._degrees = degrees[order]
         self._coeffs = stack[order]
         self._norms = norms[order]
+
+    @classmethod
+    def _from_terms(cls, system: IsometrySystem, degrees: np.ndarray,
+                    coeffs: np.ndarray, norms: np.ndarray,
+                    monomials: np.ndarray) -> "NormalForm":
+        """A form from terms that already went through _canonical_terms, in
+        ascending degree order, with their Frobenius norms and monomials."""
+        x = cls.__new__(cls)
+        x.system = system
+        x._degrees, x._coeffs, x._norms = degrees, coeffs, norms
+        x._monomials = monomials
+        return x
 
     # -- access ------------------------------------------------------------
 
@@ -170,8 +212,13 @@ class NormalForm:
     @cached_property
     def _monomials(self) -> np.ndarray:
         """The degree terms a_k U^k, a_0, U^{*|k|} a_|k| as a (K, n, n) stack."""
-        p = self.system.power_stack(np.abs(self._degrees))
-        return _sided(self._coeffs, self._degrees, p, p.conj().transpose(0, 2, 1))
+        return _monomial_stack(self.system, self._coeffs, self._degrees)
+
+    @cached_property
+    def norm(self) -> float:
+        """The operator norm ||x|| of the represented matrix (measured for
+        many forms at once by :func:`_operator_norms`)."""
+        return spectral_norm(self.eval())
 
     def eval(self) -> np.ndarray:
         """The represented matrix: sum of all degree terms."""
@@ -201,6 +248,17 @@ class NormalForm:
 
     def __repr__(self) -> str:
         return f"NormalForm(degrees={self.degrees()})"
+
+
+def _operator_norms(forms: list[NormalForm]) -> np.ndarray:
+    """||x|| of each form: the forms not yet measured in one batched
+    eigensolve, whose values every later ``x.norm`` reads."""
+    todo = [x for x in forms if "norm" not in vars(x)]
+    if todo:
+        for x, value in zip(todo, spectral_norms(np.array(
+                [x.eval() for x in todo]))):
+            vars(x)["norm"] = float(value)  # prime the cached property
+    return np.array([x.norm for x in forms], dtype=float)
 
 
 def zero_form(system: IsometrySystem) -> NormalForm:

@@ -28,7 +28,15 @@ Fourier extraction of degree 0 once m exceeds the degree of the last power
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
-each takes the forms and the seed they were drawn with, for its note.
+each takes the forms and the seed they were drawn with, for its note.  The
+draw is measured once: all drawn coefficients are projected, validated and
+turned into monomials in one pass, through the validation body the
+NormalForm constructor uses, and ||x|| of every form is one batched
+eigensolve, cached on the form, that all three samplers read.  The
+coefficient bound takes all coefficient norms in one call, the gauge check
+one (lam_grid, n, n) stack per form, and the norm limit squares the forms
+that share a root count m as one (g, m, n, n) stack, split to stay within
+_BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -38,13 +46,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import IsometrySystem
-from .errors import CoefficientEscape, DimensionMismatch, Overflow
-from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norm, spectral_norms
-from .normalform import NormalForm
+from .errors import CoefficientEscape, DimensionMismatch, IsoalgError, Overflow
+from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norms
+from .normalform import (
+    NormalForm,
+    _canonical_terms,
+    _monomial_stack,
+    _operator_norms,
+    _require_coefficient_system,
+)
 from .report import ConditionReport
 
 # Largest degree of the random canonical forms the samplers draw.
 MAX_SAMPLE_DEGREE = 4
+
+# Largest (g, m, n, n) stack, in bytes, of gauged powers that the norm
+# limit squares at once: a batch of forms with one root count m is split to
+# fit, so a large model never holds the powers of a whole sample.
+_BATCH_BYTES = 1 << 22
 
 # Largest size m and matrix dimension of the random sum-norm tuples, and
 # the four estimates checked on each tuple, in report order.
@@ -56,25 +75,59 @@ SUM_NORM_ESTIMATES = ("||sum d||^2 <= m ||sum dd*||",
                       "||sum sqrt(dd*)||^2 >= (1/m) ||sum dd*||")
 
 
-def random_normal_form(system: IsometrySystem,
-                       rng: np.random.Generator) -> NormalForm:
-    """Draw a random canonical form: a uniform maximum degree
-    N <= MAX_SAMPLE_DEGREE and, for every degree in [-N, N], an i.i.d.
-    standard complex Gaussian matrix, all projected into the coefficient
-    algebra in one call (then range-normalized by the NormalForm constructor)."""
+def _draw(system: IsometrySystem, rng: np.random.Generator) -> np.ndarray:
+    """The raw coefficients of one random canonical form: a uniform maximum
+    degree N <= MAX_SAMPLE_DEGREE and, for every degree in [-N, N], an
+    i.i.d. standard complex Gaussian matrix, as a (2N + 1, n, n) stack."""
     top = int(rng.integers(0, MAX_SAMPLE_DEGREE + 1))
     z = rng.standard_normal((2 * top + 1, 2, system.dim, system.dim))
-    return NormalForm(system, system.algebra.project(z[:, 0] + 1j * z[:, 1]),
-                      degrees=np.arange(-top, top + 1))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def _centred(count: int) -> np.ndarray:
+    """The degrees -N..N of a draw of 2N + 1 coefficients."""
+    return np.arange(count) - count // 2
+
+
+def random_normal_form(system: IsometrySystem,
+                       rng: np.random.Generator) -> NormalForm:
+    """Draw a random canonical form: the coefficients of :func:`_draw`, all
+    projected into the coefficient algebra in one call (then
+    range-normalized by the NormalForm constructor)."""
+    z = _draw(system, rng)
+    return NormalForm(system, system.algebra.project(z),
+                      degrees=_centred(len(z)))
 
 
 def random_normal_forms(system: IsometrySystem, count: int,
                         seed: int) -> list[NormalForm]:
     """``count`` draws of random_normal_form from one generator seeded with
     ``seed``: the forms the samplers measure, so that one draw serves them
-    all (a prefix is what a smaller count would draw)."""
+    all (a prefix is what a smaller count would draw).
+
+    The draws are validated as one stack: one projection, and one pass of
+    the NormalForm validation body with each form's own drop scale, then
+    one monomial pass.  The forms are successive random_normal_form draws:
+    bit for bit where BLAS rounds each row of the one projection as it
+    rounds a single form's, else up to rounding."""
     rng = np.random.default_rng(seed)
-    return [random_normal_form(system, rng) for _ in range(count)]
+    draws = [_draw(system, rng) for _ in range(count)]
+    if not draws:
+        return []
+    _require_coefficient_system(system)
+    sizes = np.array([len(z) for z in draws])
+    degrees = np.concatenate([_centred(k) for k in sizes])
+    owner = np.repeat(np.arange(count), sizes)
+    stack = system.algebra.project(np.concatenate(draws))
+    # each form drops against its own largest input coefficient
+    scale = np.maximum.reduceat(np.linalg.norm(stack, axis=(1, 2)),
+                                np.cumsum(sizes) - sizes)
+    keep, stack, norms = _canonical_terms(system, stack, degrees, scale[owner])
+    degrees = degrees[keep]
+    monomials = _monomial_stack(system, stack, degrees)
+    cuts = np.cumsum(np.bincount(owner[keep], minlength=count))[:-1]
+    return [NormalForm._from_terms(system, *terms) for terms in zip(
+        *(np.split(a, cuts) for a in (degrees, stack, norms, monomials)))]
 
 
 def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
@@ -83,20 +136,23 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
     extension ||a_k|| <= ||x|| on the drawn canonical forms.
 
     The reported defect is the worst margin max_k ||a_k|| - ||x|| over all
-    samples (negative when the bound holds strictly).
+    samples (negative when the bound holds strictly).  ||x|| of every form
+    and the norms of all their coefficients are two batched calls.
     """
     tol = system.tol if tol is None else tol
     rep = ConditionReport("coefficient_bound")
     rep.add("hypothesis: coefficient algebra", max(
         (d.value for d in system.coefficient_report.defects), default=0.0), tol)
-    worst_zero = worst_any = -np.inf
-    for x in forms:
-        norm_x = spectral_norm(x.eval())
-        margins = spectral_norms(x.coefficients) - norm_x
-        # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
-        worst_zero = max(worst_zero, -norm_x,
-                         *margins[np.asarray(x.degrees()) == 0])
-        worst_any = max(worst_any, margins.max(initial=-np.inf))
+    norm_x = _operator_norms(forms)
+    coeffs = [np.zeros((0, system.dim, system.dim))]
+    coeffs += [x.coefficients for x in forms]
+    margins = spectral_norms(np.concatenate(coeffs)) - np.repeat(
+        norm_x, [len(c) for c in coeffs[1:]])
+    degrees = np.array([k for x in forms for k in x.degrees()], dtype=int)
+    # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
+    worst_zero = np.concatenate([-norm_x, margins[degrees == 0]]).max(
+        initial=-np.inf)
+    worst_any = margins.max(initial=-np.inf)
     rep.add(f"||a_0|| - ||x|| over {len(forms)} samples", worst_zero, tol)
     rep.add(f"max_k ||a_k|| - ||x|| over {len(forms)} samples", worst_any, tol)
     rep.note(f"seed = {seed}, max degree = {MAX_SAMPLE_DEGREE}")
@@ -194,51 +250,107 @@ def norm_limit(x: NormalForm, k_max: int,
     given, records whether the coefficient-bound sampler passed; without it
     the trace is marked as unchecked.
     """
+    return _norm_limit_traces([x], k_max, star_report)[0]
+
+
+def _root_count(x: NormalForm, k_last: int) -> int:
+    """m = D + 1 roots of unity for the last power (xx*)^{2 k_last} of x:
+    no degree d != 0 with |d| <= D is a multiple of m."""
+    top = 4 * k_last * x.max_degree
+    if x.system.nilpotency_index is not None:
+        top = min(top, x.system.nilpotency_index - 1)
+    return top + 1
+
+
+def _gauged_n0(forms: list[NormalForm], norms: np.ndarray, m: int,
+               stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """N_0 of xx* and of its ``stages`` successive squares for g forms of
+    root count m, as a (g, stages + 1, n, n) stack, from one (g, m, n, n)
+    stack of the forms gauged at the m-th roots of unity and scaled to norm
+    one; and which forms' powers passed the overflow guard's 1e100 (their
+    stacks are zeroed from then on)."""
+    lams = np.exp(2j * np.pi * np.arange(m) / m)
+    y = np.array([x.eval_gauged(lams) for x in forms]) \
+        / norms[:, None, None, None]
+    p = y @ adjoint(y)
+    n0 = [p.mean(axis=1)]
+    overflow = np.zeros(len(forms), dtype=bool)
+    for _ in range(stages):
+        np.matmul(p, p, out=p)
+        big = np.linalg.norm(p, axis=(2, 3)).max(axis=1) > 1e100
+        p[big] = 0.0
+        overflow |= big
+        n0.append(p.mean(axis=1))
+    return np.stack(n0, axis=1), overflow
+
+
+def _norm_limit_traces(forms: list[NormalForm], k_max: int,
+                       star_report: ConditionReport | None
+                       ) -> list[NormLimitTrace]:
+    """The body of :func:`norm_limit`, for one form or a whole sample of
+    forms over one system.
+
+    Forms that share a root count m are squared together as one
+    (g, m, n, n) stack, split so that no stack exceeds _BATCH_BYTES.  A
+    zero form gets a zero trace.  An Overflow or CoefficientEscape is
+    raised for the first offending form in input order, with the message
+    that form alone gives."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    direct = spectral_norm(x.eval())
-    n_deg = x.max_degree
     schedule = [1]
     while 2 * schedule[-1] <= k_max:
         schedule.append(2 * schedule[-1])
-
     star = None if star_report is None else star_report.passed
-    if direct == 0.0:
-        return NormLimitTrace(x, schedule, [0.0] * len(schedule), 0.0,
-                              0.0, 0.0, n_deg, star)
+    direct = _operator_norms(forms)
+    live = np.flatnonzero(direct != 0.0)
+    roots = np.array([_root_count(forms[i], schedule[-1]) for i in live],
+                     dtype=int)
+    stage_norms: dict[int, np.ndarray] = {}
+    failures: dict[int, IsoalgError] = {}
+    system = forms[0].system if forms else None
+    for m in np.unique(roots).tolist():
+        n = system.dim
+        group = live[roots == m]
+        per = max(1, _BATCH_BYTES // (16 * m * n * n))  # complex128
+        for idx in np.split(group, np.arange(per, len(group), per)):
+            n0, overflow = _gauged_n0([forms[i] for i in idx], direct[idx],
+                                      m, len(schedule))
+            flat = n0.reshape(-1, n, n)
+            defects = system.algebra.span_defects(flat).reshape(n0.shape[:2])
+            escaped = ~(defects <= system.tol * np.maximum(
+                1.0, np.linalg.norm(n0, axis=(2, 3))))
+            for i, over, esc, dfs in zip(idx, overflow, escaped, defects):
+                if over:
+                    failures[i] = Overflow(
+                        "powers of x/||x|| gauged at roots of unity "
+                        "exceeded norm 1e100: the gauge action is far "
+                        "from isometric on x")
+                elif esc.any():
+                    s = int(np.argmax(esc))
+                    power = "xx*" if s == 0 else f"(xx*)^{2 * schedule[s - 1]}"
+                    failures[i] = CoefficientEscape(
+                        f"N_0[{power}] is outside the algebra "
+                        f"(defect {dfs[s]:.3e})")
+            stage_norms.update(zip(idx.tolist(), spectral_norms(flat).reshape(
+                n0.shape[:2])))
+    if failures:
+        raise failures[min(failures)]
 
-    system = x.system
-    top = 4 * schedule[-1] * n_deg
-    if system.nilpotency_index is not None:
-        top = min(top, system.nilpotency_index - 1)
-    m = top + 1  # no degree d != 0 with |d| <= top is a multiple of m
-    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / direct
-    p = y @ adjoint(y)
-    n0 = [p.mean(axis=0)]
-    for _ in schedule:
-        np.matmul(p, p, out=p)
-        if np.linalg.norm(p, axis=(1, 2)).max() > 1e100:
-            raise Overflow("powers of x/||x|| gauged at roots of unity "
-                           "exceeded norm 1e100: the gauge action is far "
-                           "from isometric on x")
-        n0.append(p.mean(axis=0))
-
-    n0 = np.array(n0)
-    defects = system.algebra.span_defects(n0)
-    escaped = ~(defects <= system.tol * np.maximum(
-        1.0, np.linalg.norm(n0, axis=(1, 2))))
-    if escaped.any():
-        i = int(np.argmax(escaped))
-        power = "xx*" if i == 0 else f"(xx*)^{2 * schedule[i - 1]}"
-        raise CoefficientEscape(f"N_0[{power}] is outside the algebra "
-                                f"(defect {defects[i]:.3e})")
-    norms = spectral_norms(n0)
-    sandwich_lo = direct * direct * norms[0]
-    sandwich_hi = (2 * n_deg + 1) * direct * direct * norms[0]
-    s_values = [direct * s ** (1.0 / (4 * k))
-                for k, s in zip(schedule, norms[1:])]
-    return NormLimitTrace(x, schedule, s_values, direct,
-                          sandwich_lo, sandwich_hi, n_deg, star)
+    traces = []
+    for i, x in enumerate(forms):
+        d, n_deg = float(direct[i]), x.max_degree
+        if d == 0.0:
+            traces.append(NormLimitTrace(x, schedule, [0.0] * len(schedule),
+                                         0.0, 0.0, 0.0, n_deg, star))
+            continue
+        norms = stage_norms[i]
+        sandwich_lo = d * d * norms[0]
+        sandwich_hi = (2 * n_deg + 1) * d * d * norms[0]
+        s_values = [d * s ** (1.0 / (4 * k))
+                    for k, s in zip(schedule, norms[1:])]
+        traces.append(NormLimitTrace(x, schedule, s_values, d,
+                                     sandwich_lo, sandwich_hi, n_deg, star))
+    return traces
 
 
 def _sampler_note(star_report: ConditionReport | None) -> str:
@@ -256,7 +368,7 @@ def _gauge_deviation(x: NormalForm, lam_grid: int) -> tuple[float, float]:
     and their norms from one batched eigensolve.  No gauged form is built:
     lam^k c_k with |lam| = 1 has the same membership defect and threshold as
     the already validated c_k."""
-    base = spectral_norm(x.eval())
+    base = x.norm
     lams = np.exp(2j * np.pi * np.arange(lam_grid) / lam_grid)
     norms = spectral_norms(x.eval_gauged(lams))
     return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
@@ -284,6 +396,7 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     tol = system.tol if tol is None else tol
     rep = ConditionReport("gauge_invariance")
     worst = 0.0
+    _operator_norms(forms)  # ||x|| of every form in one call, for x.norm
     for x in forms:
         dev, scale = _gauge_deviation(x, lam_grid)
         worst = max(worst, dev / scale)
@@ -308,11 +421,9 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
     - convergence |s_{k_max} - ||x||| / ||x|| <= rel_tol.
     """
     rep = ConditionReport("norm_limit")
-    traces = []
+    traces = _norm_limit_traces(forms, k_max, star_report)
     worst_lower = worst_upper = worst_sandwich = worst_conv = 0.0
-    for x in forms:
-        tr = norm_limit(x, k_max, star_report)
-        traces.append(tr)
+    for tr in traces:
         if tr.direct_norm == 0.0:
             continue
         d = tr.direct_norm
@@ -340,9 +451,11 @@ def sum_norm_estimates_sample(count: int, seed: int,
     """The worst signed sum-norm margins (the largest, closest to a
     violation) over ``count`` random tuples (sizes m up to MAX_TUPLE_SIZE,
     dimensions up to MAX_TUPLE_DIM), then the same over the tuples with
-    m >= 2 when any were drawn: an m = 1 tuple meets every estimate with
-    equality, so only the second set of lines shows how close the estimates
-    come.  The tuples are checked in batches of one shape (m, n)."""
+    m >= 2 and n >= 2 when any were drawn: an m = 1 tuple meets every
+    estimate with equality, and for scalars |d| = sqrt(dd*), so the two
+    lower estimates coincide; only the second set of lines shows how close
+    the estimates come, and which of the two lower ones is closer.  The
+    tuples are checked in batches of one shape (m, n)."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -353,11 +466,11 @@ def sum_norm_estimates_sample(count: int, seed: int,
         z = rng.standard_normal((m, 2, n, n))  # real, imaginary part of each
         shapes.setdefault((m, n), []).append(z[:, 0] + 1j * z[:, 1])
     worst = np.full((2, len(SUM_NORM_ESTIMATES)), -np.inf)
-    multi = 0  # tuples with m >= 2
-    for (m, _), tuples in shapes.items():
+    multi = 0  # tuples with m >= 2 and n >= 2
+    for (m, n), tuples in shapes.items():
         margins = _sum_norm_margins(np.array(tuples)).max(axis=0)
         worst[0] = np.maximum(worst[0], margins)
-        if m >= 2:
+        if m >= 2 and n >= 2:
             worst[1] = np.maximum(worst[1], margins)
             multi += len(tuples)
     rep = ConditionReport("sum_norm_estimates")
@@ -365,6 +478,6 @@ def sum_norm_estimates_sample(count: int, seed: int,
         rep.add(f"{label} ({count} tuples)", w, tol)
     if multi:
         for label, w in zip(SUM_NORM_ESTIMATES, worst[1]):
-            rep.add(f"{label} ({multi} tuples with m >= 2)", w, tol)
+            rep.add(f"{label} ({multi} tuples with m >= 2, n >= 2)", w, tol)
     rep.note(f"seed = {seed}")
     return rep

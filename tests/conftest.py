@@ -61,3 +61,19 @@ def cyclic5():
     u = np.roll(np.eye(5, dtype=complex), 1, axis=0)
     units = [np.diag(e).astype(complex) for e in np.eye(5)]
     return ia.IsometrySystem(ia.generate_closure(units), u)
+
+
+@pytest.fixture(scope="session")
+def raw_system():
+    """A raw system spec with a non-commutative coefficient algebra: the
+    shift on C^3 tensored with the identity on C^2, and the algebra of
+    diagonal matrices tensored with M_2."""
+    shift = np.diag(np.ones(2), -1).astype(complex)
+    units = [np.kron(np.diag(e), np.eye(2)) for e in np.eye(3)]
+    e12 = np.kron(np.eye(3), np.array([[0, 1], [0, 0]]))
+    spec = {"type": "system", "U": ia.matrix_to_json(np.kron(shift, np.eye(2))),
+            "generators": [ia.matrix_to_json(g) for g in units + [e12]]}
+    system = ia.load_model(spec).system
+    assert system.coefficient_report.passed
+    assert system.algebra.dim == 12 and system.nilpotency_index == 3
+    return system

@@ -12,6 +12,7 @@ from isoalg import (
     sample_coefficient_bound,
     spectral_norm,
 )
+from isoalg.linalg import spectral_norms
 from isoalg.norms import (
     gauge_invariance_sample,
     norm_limit_sample,
@@ -217,7 +218,7 @@ def test_sum_norm_sample_takes_the_worst_signed_margin():
         z = rng.standard_normal((m, 2, n, n))
         sub = check_sum_norm_estimates(z[:, 0] + 1j * z[:, 1])
         worst = np.maximum(worst, [d.value for d in sub.defects])
-        if m >= 2:
+        if m >= 2 and n >= 2:
             worst_multi = np.maximum(worst_multi, [d.value for d in sub.defects])
             multi += 1
     # the shape-batched sampler gives the per-tuple values bit for bit
@@ -225,19 +226,22 @@ def test_sum_norm_sample_takes_the_worst_signed_margin():
     # m = 1 tuples meet every estimate with equality, so the worst margin
     # over a sample that draws one is rounding-sized, of either sign
     assert all(abs(d.value) <= 1e-12 for d in rep.defects[:4])
-    # the m >= 2 lines follow, under the same labels
+    # the lines over m >= 2, n >= 2 follow, under the same labels
     assert 0 < multi < count
     assert [d.check for d in rep.defects[4:]] == [
-        f"{label} ({multi} tuples with m >= 2)"
+        f"{label} ({multi} tuples with m >= 2, n >= 2)"
         for label in ia.norms.SUM_NORM_ESTIMATES]
     assert [d.value for d in rep.defects[4:]] == list(worst_multi)
     assert all(d.value < -1e-3 for d in rep.defects[4:])
+    # for scalars |d| = sqrt(dd*), so the two lower estimates coincide;
+    # without scalar tuples their worst margins differ, and a swap shows
+    assert rep.defects[6].value != rep.defects[7].value
     with pytest.raises(ValueError):
         sum_norm_estimates_sample(count=0, seed=seed)
 
 
 def test_sum_norm_sample_without_multi_element_tuples():
-    # a sample of one m = 1 tuple has no m >= 2 lines
+    # a sample of one m = 1 tuple has no m >= 2, n >= 2 lines
     seed = next(s for s in range(100)
                 if np.random.default_rng(s).integers(1, 6) == 1)
     rep = sum_norm_estimates_sample(count=1, seed=seed)
@@ -262,3 +266,211 @@ def test_random_normal_forms_is_one_generator_of_draws(qdeform6):
     # a smaller count draws a prefix
     assert all(np.array_equal(x.coefficients, y.coefficients) for x, y in
                zip(random_normal_forms(qdeform6.system, 3, seed=9), drawn))
+
+
+# -- per-form references for the batched samplers ----------------------------
+
+def _close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def _coefficient_bound_reference(forms):
+    """The per-form loop of sample_coefficient_bound: the worst ||a_0|| - ||x||
+    and max_k ||a_k|| - ||x||, one norm of x and one coefficient stack per
+    form."""
+    worst_zero = worst_any = -np.inf
+    for x in forms:
+        norm_x = spectral_norm(x.eval())
+        margins = spectral_norms(x.coefficients) - norm_x
+        worst_zero = max(worst_zero, -norm_x,
+                         *margins[np.asarray(x.degrees()) == 0])
+        worst_any = max(worst_any, margins.max(initial=-np.inf))
+    return worst_zero, worst_any
+
+
+def _gauge_deviation_reference(x, lam_grid):
+    """The per-form body of the gauge check, with its own ||x||."""
+    base = spectral_norm(x.eval())
+    lams = np.exp(2j * np.pi * np.arange(lam_grid) / lam_grid)
+    norms = spectral_norms(x.eval_gauged(lams))
+    return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
+
+
+def _norm_limit_per_form(x, k_max):
+    """The one-form body of norm_limit: (||x||, s_k, sandwich lo, hi) from
+    x/||x|| gauged at m roots of unity as one (m, n, n) stack."""
+    direct = spectral_norm(x.eval())
+    schedule = [2 ** i for i in range(k_max.bit_length())]
+    if direct == 0.0:
+        return 0.0, [0.0] * len(schedule), 0.0, 0.0
+    top = 4 * schedule[-1] * x.max_degree
+    if x.system.nilpotency_index is not None:
+        top = min(top, x.system.nilpotency_index - 1)
+    m = top + 1
+    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / direct
+    p = y @ adjoint(y)
+    n0 = [p.mean(axis=0)]
+    for _ in schedule:
+        p = p @ p
+        n0.append(p.mean(axis=0))
+    norms = spectral_norms(np.array(n0))
+    lo = direct * direct * norms[0]
+    s_values = [direct * s ** (1.0 / (4 * k))
+                for k, s in zip(schedule, norms[1:])]
+    return direct, s_values, lo, (2 * x.max_degree + 1) * lo
+
+
+def _norm_limit_defects(forms, rows, k_values):
+    """The four worst values of norm_limit_sample from reference rows."""
+    lower = upper = sandwich = conv = 0.0
+    for x, (d, s_values, lo, hi) in zip(forms, rows):
+        if d == 0.0:
+            continue
+        for k, s in zip(k_values, s_values):
+            lower = max(lower, (s - d) / d)
+            bound = (4 * k * x.max_degree + 1) ** (1.0 / (4 * k)) * s
+            upper = max(upper, (d - bound) / d)
+        sandwich = max(sandwich, (lo - d * d) / (d * d), (d * d - hi) / (d * d))
+        conv = max(conv, abs(s_values[-1] - d) / d)
+    return [lower, upper, sandwich, conv]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
+                                                  cyclic5, raw_system):
+    for system in (qdeform12.system, polar6.system, cyclic5, raw_system):
+        forms = random_normal_forms(system, 200, seed)
+        star = sample_coefficient_bound(system, forms, seed)
+        for got, want in zip(star.defects[1:],
+                             _coefficient_bound_reference(forms), strict=True):
+            _close(got.value, want)
+
+        gauge = gauge_invariance_sample(system, forms, seed)
+        want = max(dev / scale for dev, scale in
+                   (_gauge_deviation_reference(x, 16) for x in forms))
+        _close(gauge.defects[0].value, want)
+
+        rep, traces = norm_limit_sample(forms[:50], seed, star_report=star)
+        rows = [_norm_limit_per_form(x, 8) for x in forms[:50]]
+        for tr, (d, s_values, lo, hi) in zip(traces, rows, strict=True):
+            assert tr.k_values == [1, 2, 4, 8]
+            for got, want in zip([tr.direct_norm, tr.sandwich_lo,
+                                  tr.sandwich_hi, *tr.s_values],
+                                 [d, lo, hi, *s_values], strict=True):
+                _close(got, want)
+        for got, want in zip(rep.defects, _norm_limit_defects(
+                forms[:50], rows, [1, 2, 4, 8]), strict=True):
+            _close(got.value, want)
+
+
+# -- batch edges ---------------------------------------------------------------
+
+def _mixed_forms(system):
+    """A zero form, two degree-0 forms (one root) and random forms of every
+    maximum degree 1..MAX_SAMPLE_DEGREE, interleaved."""
+    n = system.dim
+    rng = np.random.default_rng(40)
+    by_degree = {}
+    while len(by_degree) < ia.norms.MAX_SAMPLE_DEGREE:
+        x = ia.random_normal_form(system, rng)
+        if x.max_degree > 0:
+            by_degree.setdefault(x.max_degree, []).append(x)
+    diag = np.diag(np.arange(1.0, n + 1))
+    forms = [by_degree[4][0], ia.zero_form(system), NormalForm(system, {0: diag}),
+             by_degree[1][0], NormalForm(system, {0: -2j * np.eye(n)})]
+    for k in (3, 2, 1):
+        forms += by_degree[k][:2]
+    return forms
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40_000])
+def test_norm_limit_batch_matches_one_form_at_a_time(budget, qdeform12,
+                                                     cyclic5, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(ia.norms, "_BATCH_BYTES", budget)
+    for system in (qdeform12.system, cyclic5):
+        forms = _mixed_forms(system)
+        _, traces = norm_limit_sample(forms, 0)
+        for x, tr in zip(forms, traces, strict=True):
+            alone = norm_limit(x, 8)
+            assert (tr.s_values, tr.direct_norm, tr.sandwich_lo,
+                    tr.sandwich_hi, tr.max_degree) == (
+                alone.s_values, alone.direct_norm, alone.sandwich_lo,
+                alone.sandwich_hi, alone.max_degree)
+            d, s_values, lo, hi = _norm_limit_per_form(x, 8)
+            for got, want in zip([tr.direct_norm, tr.sandwich_lo,
+                                  tr.sandwich_hi, *tr.s_values],
+                                 [d, lo, hi, *s_values], strict=True):
+                _close(got, want)
+        assert traces[1].s_values == [0.0] * 4
+
+
+def _poison(monkeypatch, algebra, matrices):
+    """Make span_defects report a defect of 1 more for the given matrices."""
+    real = algebra.span_defects
+
+    def span_defects(stack):
+        defects = real(stack)
+        for t in matrices:
+            hit = np.abs(stack - t).max(axis=(1, 2)) <= 1e-12 * np.abs(t).max()
+            defects[hit] += 1.0
+        return defects
+    monkeypatch.setattr(algebra, "span_defects", span_defects)
+
+
+def _stage_n0(x, stage):
+    """N_0 of (xx*)^(2^stage) for x/||x||, as norm_limit takes it."""
+    m = ia.norms._root_count(x, 8)
+    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / x.norm
+    p = y @ adjoint(y)
+    for _ in range(stage):
+        p = p @ p
+    return p.mean(axis=0)
+
+
+def _raised(fn, *args):
+    with pytest.raises(ia.IsoalgError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_norm_limit_batch_raises_for_the_first_offending_form(cyclic5,
+                                                              monkeypatch):
+    forms = _mixed_forms(cyclic5)
+    deg1, deg2 = forms[3], forms[-3]  # root counts 33 and 65
+    over = NormalForm(cyclic5, {5: np.eye(5), 0: -(1 - 1e-4) * np.eye(5)})
+    _poison(monkeypatch, cyclic5.algebra,
+            [_stage_n0(deg1, 0), _stage_n0(deg2, 2)])
+    cases = {"deg1": deg1, "deg2": deg2, "over": over}
+    alone = {name: _raised(norm_limit, x, 8) for name, x in cases.items()}
+    assert alone["deg1"] == (ia.CoefficientEscape, "N_0[xx*] is outside the "
+                             "algebra (defect 1.000e+00)")
+    assert alone["deg2"][1].startswith("N_0[(xx*)^4] is outside")
+    assert alone["over"][0] is ia.Overflow
+    # the groups run by root count, ascending; the error is the one of the
+    # first offending form in input order, whatever its group
+    for first, second in (("deg2", "deg1"), ("deg1", "deg2"), ("over", "deg2"),
+                          ("deg2", "over"), ("over", "deg1")):
+        sample = [forms[0], forms[2], cases[first], forms[4], cases[second]]
+        assert _raised(norm_limit_sample, sample, 0) == alone[first]
+
+
+def test_canonical_terms_names_the_escaping_degree_in_a_batch(qdeform12):
+    # three forms' terms in one stack; the model operator a = U rho(Q) is
+    # not a coefficient, at degree 2 of the second form and 3 of the third,
+    # and a zero coefficient ahead of them is dropped
+    system = qdeform12.system
+    rng = np.random.default_rng(41)
+    z = rng.standard_normal((9, 12, 12)) + 1j * rng.standard_normal((9, 12, 12))
+    stack = system.algebra.project(z)
+    stack[5] = stack[6] = qdeform12.a
+    stack[1] = 0.0
+    degrees = np.array([-1, 0, 1, 0, 1, 2, 3, -3, 0])
+    scale = np.linalg.norm(stack, axis=(1, 2)).reshape(3, 3).max(axis=1)
+    with pytest.raises(ia.CoefficientEscape) as batch:
+        ia.normalform._canonical_terms(system, stack, degrees,
+                                       np.repeat(scale, 3))
+    with pytest.raises(ia.CoefficientEscape) as single:
+        NormalForm(system, stack[3:6], degrees=degrees[3:6])
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith("coefficient at degree 2 is outside")
