@@ -37,6 +37,8 @@ identity over the whole basis in one batched call; identities over pairs
 (of basis elements, or of powers k <= k_max) take one call per row, so that
 no temporary holds all the pairs at once.  The delta^n orbit of a basis is
 streamed: a scan over it holds the current and the previous stack only.
+An extension tower is built in one walk: each stage's images are computed
+once, for the hypothesis check, the fixed-point test and the next closure.
 """
 
 from __future__ import annotations
@@ -362,7 +364,7 @@ def commutant(mats: list[np.ndarray], tol: float = DEFAULT_TOL) -> FiniteStarAlg
     eye = np.eye(n)
     blocks = [np.kron(s, eye) - np.kron(eye, s.T) for s in mats]
     stack = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stack)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     smax = s[0] if s.size else 0.0
     cutoff = max(tol * max(1.0, smax), n * n * np.finfo(float).eps * smax)
     # s is descending with one entry per row of vh
@@ -732,34 +734,52 @@ def check_commutative_extendability(sys: IsometrySystem, n_max: int,
     return rep
 
 
-def _tower(sys: IsometrySystem, image, tol: float) -> FiniteStarAlgebra:
-    """Generated closure of all iterated images of the algebra under ``image``.
-
-    Because the chain is nested, two consecutive equal dimensions certify a
-    fixed point.
-    """
+def _tower(sys: IsometrySystem, image, tol: float,
+           check=None) -> FiniteStarAlgebra:
+    """Generated closure of all iterated images of the algebra under
+    ``image``, in one walk: each stage's images are computed once, passed
+    with the stage number to ``check`` (when given; it raises when they
+    break the tower's hypothesis), and tested for membership in the stage
+    as ``contains`` does, within ``tol * max(1, ||img||_F)``.  The walk stops
+    when all lie in it and otherwise closes the stage with them."""
     cur = sys.algebra
-    cap = _chain_cap(sys.dim)
-    for _ in range(cap):
-        gens = np.concatenate([cur.basis, image(cur.basis)])
-        nxt = generate_closure(gens, tol, dim=sys.dim)
-        if nxt.dim == cur.dim:
+    for stage in range(_chain_cap(sys.dim)):
+        images = image(cur.basis)
+        if check is not None:
+            check(stage, images)
+        scale = np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))
+        if np.all(cur.span_defects(images) <= tol * scale):
             return cur
-        cur = nxt
+        cur = generate_closure(np.concatenate([cur.basis, images]), tol,
+                               dim=sys.dim)
     return cur
 
 
 def extend_delta(sys: IsometrySystem, tol: float | None = None) -> FiniteStarAlgebra:
     """Smallest *-algebra containing the algebra and all its delta^n images.
 
-    Requires extendability (otherwise the result need not intertwine with U);
-    raises HypothesisViolated carrying the failed report.
+    Requires extendability: U*U commutes with every delta^n(a) (otherwise
+    the result need not intertwine with U).  The walk checks U*U against
+    the algebra, then against each stage's delta images.  Stage n-1's
+    images contain delta^n(algebra) and lie in the *-algebra the orbit
+    generates, which the commutant of U*U (a *-algebra) contains when the
+    hypothesis holds; so the check is the hypothesis itself.  A failure
+    raises HypothesisViolated carrying the report, whose last entry names
+    the stage.
     """
     tol = sys.tol if tol is None else tol
-    pre = check_extendability(sys, n_max=sys.dim, tol=tol)
-    if not pre.passed:
-        raise HypothesisViolated("extendability fails; delta tower unsound", pre)
-    return _tower(sys, sys.delta, tol)
+    p = sys.proj_initial(1)
+    rep = ConditionReport("extendability")
+
+    def commutes(label: str, stack: np.ndarray) -> None:
+        rep.add(f"U*U commutes with {label}", _commutator_norm(p, stack), tol)
+        if not rep.passed:
+            raise HypothesisViolated(
+                "extendability fails; delta tower unsound", rep)
+
+    commutes("the algebra", sys.algebra.basis)
+    return _tower(sys, sys.delta, tol, lambda stage, images: commutes(
+        f"delta(tower stage {stage})", images))
 
 
 def extend_delta_star(sys: IsometrySystem,

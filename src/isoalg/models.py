@@ -335,25 +335,37 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
     it does not require a coefficient algebra, so it can express the
     deliberately broken configurations used as negative controls.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"a model spec is a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
+
+    def field(key: str):
+        if key not in obj:
+            raise ValueError(f"{kind} model spec has no {key!r} field")
+        return obj[key]
+
     if kind == "polar":
-        model = build_polar_model(matrix_from_json(obj["a"]), tol)
+        model = build_polar_model(matrix_from_json(field("a")), tol)
         # generator names must denote coefficient-algebra elements; the
         # operator itself is written U*absa
         return LoadedModel("polar", model.system,
                            {"absa": model.abs_a}, polar=model)
     if kind == "qdeform":
-        rho = obj["rho"]
+        rho = field("rho")
         if isinstance(rho, dict):
+            if "samples" not in rho:
+                raise ValueError("qdeform model spec has no 'samples' field "
+                                 "in its 'rho' object")
             rho = RhoSpec("custom", rho["samples"])
-        model = build_qdeform(int(obj["n"]), float(obj["q"]), rho, tol)
+        model = build_qdeform(int(field("n")), float(field("q")), rho, tol)
         # the model operator a is written U*rhoQ
         return LoadedModel("qdeform", model.system,
                            {"Q": model.big_q, "rhoQ": model.rho_matrix},
                            qdeform=model)
     if kind == "system":
-        gens = [matrix_from_json(g) for g in obj["generators"]]
-        u = matrix_from_json(obj["U"])
+        gens = [matrix_from_json(g) for g in field("generators")]
+        u = matrix_from_json(field("U"))
         algebra = generate_closure(gens, tol, dim=u.shape[0])
         table = {f"g{i}": g for i, g in enumerate(gens)}
         return LoadedModel("system", IsometrySystem(algebra, u), table)

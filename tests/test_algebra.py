@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from isoalg.algebra import (
     _multiplicativity_defect,
     _projection_families_defect,
     _spectral_closure,
+    build_towers,
 )
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
@@ -740,3 +743,98 @@ def test_spectral_closure_is_deterministic(qdeform12):
     assert np.array_equal(first.basis, second.basis)
     assert np.array_equal(_spectral_closure(gens, 12, TOL),
                           _spectral_closure(gens, 12, TOL))
+
+
+# ---------------------------------------------------------------------------
+# The one-walk towers against the pre-check-then-rebuild walk.
+# ---------------------------------------------------------------------------
+
+def reference_tower(sys, image, tol):
+    """The tower walk that certifies a fixed point by building the next
+    closure and finding its dimension unchanged."""
+    cur = sys.algebra
+    for _ in range(sys.dim ** 2 + 2):
+        nxt = generate_closure(np.concatenate([cur.basis, image(cur.basis)]),
+                               tol, dim=sys.dim)
+        if nxt.dim == cur.dim:
+            return cur
+        cur = nxt
+    return cur
+
+
+def reference_towers(sys):
+    """build_towers with the extendability pre-check, an orbit scan to
+    n = dim, ahead of the delta tower."""
+    assert check_extendability(sys, n_max=sys.dim).passed
+    ext = reference_tower(sys, sys.delta, sys.tol)
+    ext_sys = IsometrySystem(ext, sys.u)
+    return ext, reference_tower(ext_sys, ext_sys.delta_star, sys.tol)
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "polar6", "cyclic5",
+                                  "raw_system", "span1_shift5", "q05_n12",
+                                  "q09_n24", "polar07_n24"])
+def test_one_walk_towers_match_the_reference(request, name):
+    if name == "span1_shift5":
+        # span{1} with the backward shift on C^5: the delta tower grows 1 -> 5
+        sys = IsometrySystem(generate_closure([], dim=5), ia.backward_shift(5))
+        towers = build_towers(sys)
+        assert [t.dim for t in towers] == [5, 5]
+    elif name in ("cyclic5", "raw_system"):
+        sys = request.getfixturevalue(name)
+        towers = build_towers(sys)
+    else:
+        m = (request.getfixturevalue(name) if name in ("qdeform12", "polar6")
+             else request.getfixturevalue("ladder_models")[name])
+        sys = IsometrySystem(m.seed_algebra, m.u)
+        towers = (m.delta_tower, m.system.algebra)
+    for got, ref in zip(towers, reference_towers(sys), strict=True):
+        assert got.dim == ref.dim
+        equal, defect = spans_equal(got.basis, ref.basis, TOL)
+        assert equal, defect
+
+
+def test_extend_delta_checks_every_stage():
+    # the backward shift on C^4 with A = C*(e34 + e43): U*U = 1 - e11
+    # commutes with A and with delta(A), but delta^2(A) holds e12 + e21
+    x = np.zeros((4, 4), complex)
+    x[2, 3] = x[3, 2] = 1.0
+    sys = IsometrySystem(generate_closure([x]), ia.backward_shift(4))
+    assert check_extendability(sys, n_max=1).passed
+    assert not check_extendability(sys, n_max=2).passed
+    with pytest.raises(HypothesisViolated,
+                       match="extendability fails; delta tower unsound") as info:
+        extend_delta(sys)
+    rep = info.value.report
+    assert rep.name == "extendability"
+    assert [d.check for d in rep.defects] == [
+        "U*U commutes with the algebra",
+        "U*U commutes with delta(tower stage 0)",
+        "U*U commutes with delta(tower stage 1)"]
+    assert [d.ok for d in rep.defects] == [True, True, False]
+
+
+def test_model_builds_scan_no_orbit(monkeypatch):
+    calls = []
+    real = ia.algebra._orbit_scan
+    monkeypatch.setattr(ia.algebra, "_orbit_scan",
+                        lambda *args: calls.append(args) or real(*args))
+    ia.build_qdeform(6, 0.5, "heisenberg")
+    ia.build_polar_model(ia.weighted_backward_shift(
+        [0.5 ** (j / 2) for j in range(1, 6)]))
+    assert calls == []
+
+
+def test_commutant_keeps_no_left_singular_basis():
+    # the joint commutator system of a 12-dim algebra on C^12 has
+    # 12 * 144 rows; a full left-singular basis of it alone is 48 MB
+    alg = generate_closure([np.diag(np.arange(1.0, 13.0)).astype(complex)])
+    assert alg.dim == 12
+    tracemalloc.start()
+    try:
+        c = commutant(alg.basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spans_equal(c.basis, alg.basis, TOL)[0]
+    assert peak < 24 * 2 ** 20, peak

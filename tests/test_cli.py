@@ -342,3 +342,36 @@ def test_dump_json_17_digits():
     parsed = json.loads(text)
     assert parsed["x"] == 0.1
     assert parsed["inf"] == float("inf")
+
+
+def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
+    # the model build and the tower builds scan no delta^n orbit, only the
+    # three checks that report on it do; and the coefficient_algebra check
+    # reads the report the system caches for the coefficient checks
+    import isoalg.algebra as algebra
+    calls = dict.fromkeys(["_orbit_scan", "check_intertwining_equivalents"], 0)
+    for name in calls:
+        def counted(*args, real=getattr(algebra, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(algebra, name, counted)
+    rc, doc = run(["run", "--model", specs["qdeform.json"], "--checks", "all"],
+                  specs, "counted")
+    assert rc == 0 and "coefficient_algebra" in doc["config"]["checks"]
+    assert calls == {"_orbit_scan": 3, "check_intertwining_equivalents": 1}
+
+
+@pytest.mark.parametrize("spec, fault", [
+    ([], "a model spec is a JSON object, got list"),
+    ({"type": "qdeform", "n": 6, "q": 0.5},
+     "qdeform model spec has no 'rho' field"),
+    ({"type": "qdeform", "n": 6, "q": 0.5, "rho": {}},
+     "qdeform model spec has no 'samples' field in its 'rho' object"),
+])
+@pytest.mark.parametrize("command", ["run", "closure"])
+def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"isoalg: model does not build: {fault}\n")
