@@ -333,39 +333,61 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
     Matrices are {"dim": n, "entries": [[[re, im], ...], ...]}.  The raw
     "system" form generates the *-algebra closure of the given generators;
     it does not require a coefficient algebra, so it can express the
-    deliberately broken configurations used as negative controls.
+    deliberately broken configurations used as negative controls.  A
+    missing field, or one of the wrong JSON type, raises ValueError naming
+    the field (and the type expected); an integral float such as 12.0 is
+    an integer "n".
     """
     if not isinstance(obj, dict):
         raise ValueError(
             f"a model spec is a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
 
-    def field(key: str):
+    def expect(value, key: str, types, what: str):
+        # a JSON true or false is no number
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{kind} model spec field {key!r} must be "
+                             f"{what}, got {type(value).__name__}")
+        return value
+
+    def field(key: str, types, what: str):
         if key not in obj:
             raise ValueError(f"{kind} model spec has no {key!r} field")
-        return obj[key]
+        return expect(obj[key], key, types, what)
 
+    matrix, number = "a matrix object", (int, float)
     if kind == "polar":
-        model = build_polar_model(matrix_from_json(field("a")), tol)
+        model = build_polar_model(matrix_from_json(field("a", dict, matrix)),
+                                  tol)
         # generator names must denote coefficient-algebra elements; the
         # operator itself is written U*absa
         return LoadedModel("polar", model.system,
                            {"absa": model.abs_a}, polar=model)
     if kind == "qdeform":
-        rho = field("rho")
+        rho = field("rho", (str, dict), "a rho name or a samples object")
         if isinstance(rho, dict):
             if "samples" not in rho:
                 raise ValueError("qdeform model spec has no 'samples' field "
                                  "in its 'rho' object")
-            rho = RhoSpec("custom", rho["samples"])
-        model = build_qdeform(int(field("n")), float(field("q")), rho, tol)
+            samples = expect(rho["samples"], "rho.samples", list, "a list")
+            for i, x in enumerate(samples):
+                expect(x, f"rho.samples[{i}]", number, "a number")
+            rho = RhoSpec("custom", samples)
+        n = field("n", number, "an integer")
+        # an integral float such as 12.0 is an integer
+        if isinstance(n, float) and not n.is_integer():
+            raise ValueError(f"{kind} model spec field 'n' must be an "
+                             f"integer, got {n!r}")
+        model = build_qdeform(int(n), float(field("q", number, "a number")),
+                              rho, tol)
         # the model operator a is written U*rhoQ
         return LoadedModel("qdeform", model.system,
                            {"Q": model.big_q, "rhoQ": model.rho_matrix},
                            qdeform=model)
     if kind == "system":
-        gens = [matrix_from_json(g) for g in field("generators")]
-        u = matrix_from_json(field("U"))
+        gens = [matrix_from_json(expect(g, f"generators[{i}]", dict, matrix))
+                for i, g in enumerate(field("generators", list, "a list"))]
+        u = matrix_from_json(field("U", dict, matrix))
         algebra = generate_closure(gens, tol, dim=u.shape[0])
         table = {f"g{i}": g for i, g in enumerate(gens)}
         return LoadedModel("system", IsometrySystem(algebra, u), table)

@@ -63,17 +63,42 @@ def cyclic5():
     return ia.IsometrySystem(ia.generate_closure(units), u)
 
 
+def system_spec(u, gens):
+    """The raw "system" model spec of U and the generators."""
+    return {"type": "system", "U": ia.matrix_to_json(u),
+            "generators": [ia.matrix_to_json(g) for g in gens]}
+
+
 @pytest.fixture(scope="session")
-def raw_system():
+def raw_system_spec():
     """A raw system spec with a non-commutative coefficient algebra: the
     shift on C^3 tensored with the identity on C^2, and the algebra of
     diagonal matrices tensored with M_2."""
     shift = np.diag(np.ones(2), -1).astype(complex)
     units = [np.kron(np.diag(e), np.eye(2)) for e in np.eye(3)]
     e12 = np.kron(np.eye(3), np.array([[0, 1], [0, 0]]))
-    spec = {"type": "system", "U": ia.matrix_to_json(np.kron(shift, np.eye(2))),
-            "generators": [ia.matrix_to_json(g) for g in units + [e12]]}
-    system = ia.load_model(spec).system
+    return system_spec(np.kron(shift, np.eye(2)), units + [e12])
+
+
+@pytest.fixture(scope="session")
+def raw_system(raw_system_spec):
+    system = ia.load_model(raw_system_spec).system
     assert system.coefficient_report.passed
     assert system.algebra.dim == 12 and system.nilpotency_index == 3
     return system
+
+
+@pytest.fixture(scope="session")
+def shift3_projection_spec():
+    """A commutative system that is not commutatively extendable: the shift
+    on C^3 with A = C*(P), P the projection onto (e1 + e2)/sqrt(2).  U*U =
+    1 - e33 commutes with P but not with delta(P), the projection onto
+    (e2 + e3)/sqrt(2), and neither does P."""
+    v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    shift = np.diag(np.ones(2), -1).astype(complex)
+    return system_spec(shift, [np.outer(v, v).astype(complex)])
+
+
+@pytest.fixture(scope="session")
+def shift3_projection(shift3_projection_spec):
+    return ia.load_model(shift3_projection_spec).system

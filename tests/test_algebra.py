@@ -39,6 +39,7 @@ from isoalg.algebra import (
     _spectral_closure,
     build_towers,
 )
+from isoalg.linalg import spectral_norms
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
 
@@ -522,10 +523,22 @@ def fixture_system(request, name):
 
 @pytest.mark.parametrize("k_max, n_max", [(1, 0), (2, 1), (8, 6)])
 @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
-def test_stacked_defects_match_the_loops(request, name, k_max, n_max):
+def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
+                                        n_max):
     # small k_max and n_max leave few terms in each max, so that a stacked
     # body that drops a term shows
     sys = fixture_system(request, name)
+    # and every stack measured on the way is measured as the full solve
+    # would, with no eigensolve pruned that could change the value
+    stacks = []
+
+    def checked(stack, real=ia.algebra._worst_norm):
+        stacks.append(len(stack))
+        got = real(stack)
+        assert got == full_worst_norm(stack)
+        return got
+
+    monkeypatch.setattr(ia.algebra, "_worst_norm", checked)
     basis = sys.algebra.basis
     pairs = [
         (_commutator_norm(sys.proj_initial(1), basis),
@@ -565,6 +578,7 @@ def test_stacked_defects_match_the_loops(request, name, k_max, n_max):
         pairs.append((rep.defects[2].value, loop_ext))
     for stacked, loop in pairs:
         assert_matches_loop(stacked, loop)
+    assert stacks
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 8])
@@ -794,12 +808,16 @@ def test_one_walk_towers_match_the_reference(request, name):
         assert equal, defect
 
 
-def test_extend_delta_checks_every_stage():
-    # the backward shift on C^4 with A = C*(e34 + e43): U*U = 1 - e11
-    # commutes with A and with delta(A), but delta^2(A) holds e12 + e21
+def shift4_system():
+    """The backward shift on C^4 with A = C*(e34 + e43): U*U = 1 - e11
+    commutes with A and with delta(A), but delta^2(A) holds e12 + e21."""
     x = np.zeros((4, 4), complex)
     x[2, 3] = x[3, 2] = 1.0
-    sys = IsometrySystem(generate_closure([x]), ia.backward_shift(4))
+    return IsometrySystem(generate_closure([x]), ia.backward_shift(4))
+
+
+def test_extend_delta_checks_every_stage():
+    sys = shift4_system()
     assert check_extendability(sys, n_max=1).passed
     assert not check_extendability(sys, n_max=2).passed
     with pytest.raises(HypothesisViolated,
@@ -838,3 +856,107 @@ def test_commutant_keeps_no_left_singular_basis():
         tracemalloc.stop()
     assert spans_equal(c.basis, alg.basis, TOL)[0]
     assert peak < 24 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# extension_towers checks commutative extendability on its own delta walk,
+# in place of a pre-check scan of the delta^n orbit.
+# ---------------------------------------------------------------------------
+
+def precheck_verdict(sys):
+    """The verdict of the pre-check the walk replaced."""
+    try:
+        rep = check_commutative_extendability(sys, n_max=sys.dim)
+    except NotCommutative:
+        return "not commutative"
+    return "passes" if rep.passed else "commutative extendability fails"
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "polar6", "cyclic5",
+                                  "raw_system", "broken_system", "shift4",
+                                  "shift3_projection"])
+def test_extension_towers_verdict_matches_the_precheck(request, name):
+    sys = (shift4_system() if name == "shift4"
+           else fixture_system(request, name))
+    try:
+        rep = check_extension_towers(sys)
+    except NotCommutative:
+        verdict = "not commutative"
+    except HypothesisViolated as exc:
+        verdict = str(exc)
+    else:
+        assert rep.passed
+        verdict = "passes"
+    assert verdict == precheck_verdict(sys)
+
+
+@pytest.mark.parametrize("name, entries", [
+    ("shift3_projection", ["algebra commutative",
+                           "U*U commutes with the algebra",
+                           "U*U commutes with delta(tower stage 0)"]),
+    # U*U commutes with stage 0's images; the algebra does not
+    ("shift4", ["algebra commutative", "U*U commutes with the algebra",
+                "U*U commutes with delta(tower stage 0)",
+                "the algebra commutes with delta(tower stage 0)"]),
+])
+def test_extension_towers_names_the_failing_stage(request, name, entries):
+    sys = (shift4_system() if name == "shift4"
+           else request.getfixturevalue(name))
+    with pytest.raises(HypothesisViolated,
+                       match="^commutative extendability fails$") as info:
+        check_extension_towers(sys)
+    rep = info.value.report
+    assert rep.name == "commutative_extendability"
+    assert [d.check for d in rep.defects] == entries
+    assert [d.ok for d in rep.defects] == [True] * (len(entries) - 1) + [False]
+
+
+# ---------------------------------------------------------------------------
+# _worst_norm skips the eigensolve of an all-zero stack; its value is the
+# full solve's, bit for bit.
+# ---------------------------------------------------------------------------
+
+def full_worst_norm(stack):
+    return float(spectral_norms(stack).max(initial=0.0))
+
+
+def worst_norm_stacks():
+    rng = np.random.default_rng(5)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    big_small = 1e-6 * cplx(30, 5, 5)
+    big_small[17] = cplx(5, 5)
+    mixed = cplx(20, 3, 3)
+    mixed[::2] = 0.0
+    one_entry = np.zeros((4, 3, 3), complex)
+    one_entry[2, 0, 1] = 1e-300
+    return {
+        "empty": np.zeros((0, 3, 3), complex),
+        "all zero": np.zeros((6, 4, 4), complex),
+        "single": cplx(1, 5, 5),
+        "rank one": cplx(7, 4, 1) @ cplx(7, 1, 4),
+        "one large among small": big_small,
+        "random": cplx(50, 6, 6),
+        "zeros and random": mixed,
+        "one tiny entry": one_entry,
+        "imaginary entries only": 1j * rng.standard_normal((3, 4, 4)),
+        "squares underflowing to zero": 1e-170 * cplx(5, 4, 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(worst_norm_stacks()))
+def test_worst_norm_matches_the_full_solve(name):
+    stack = worst_norm_stacks()[name]
+    assert ia.algebra._worst_norm(stack) == full_worst_norm(stack)
+
+
+def test_worst_norm_fails_on_non_finite_stacks_as_the_full_solve():
+    for bad in (np.nan, np.inf):
+        stack = np.zeros((5, 3, 3), complex)
+        stack[3, 1, 2] = bad
+        for func in (full_worst_norm, ia.algebra._worst_norm):
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    np.linalg.LinAlgError, match="did not converge"):
+                func(stack)

@@ -346,7 +346,8 @@ def test_dump_json_17_digits():
 
 def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     # the model build and the tower builds scan no delta^n orbit, only the
-    # three checks that report on it do; and the coefficient_algebra check
+    # two checks that report on it do (extension_towers checks its
+    # hypothesis on its own delta walk); and the coefficient_algebra check
     # reads the report the system caches for the coefficient checks
     import isoalg.algebra as algebra
     calls = dict.fromkeys(["_orbit_scan", "check_intertwining_equivalents"], 0)
@@ -358,7 +359,7 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     rc, doc = run(["run", "--model", specs["qdeform.json"], "--checks", "all"],
                   specs, "counted")
     assert rc == 0 and "coefficient_algebra" in doc["config"]["checks"]
-    assert calls == {"_orbit_scan": 3, "check_intertwining_equivalents": 1}
+    assert calls == {"_orbit_scan": 2, "check_intertwining_equivalents": 1}
 
 
 @pytest.mark.parametrize("spec, fault", [
@@ -367,6 +368,23 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
      "qdeform model spec has no 'rho' field"),
     ({"type": "qdeform", "n": 6, "q": 0.5, "rho": {}},
      "qdeform model spec has no 'samples' field in its 'rho' object"),
+    ({"type": "system", "generators": 5, "U": matrix_to_json(E12)},
+     "system model spec field 'generators' must be a list, got int"),
+    ({"type": "system", "generators": [5], "U": matrix_to_json(E12)},
+     "system model spec field 'generators[0]' must be a matrix object, "
+     "got int"),
+    ({"type": "polar", "a": [[0, 1], [0, 0]]},
+     "polar model spec field 'a' must be a matrix object, got list"),
+    ({"type": "qdeform", "n": "x", "q": 0.5, "rho": "heisenberg"},
+     "qdeform model spec field 'n' must be an integer, got str"),
+    ({"type": "qdeform", "n": 6.5, "q": 0.5, "rho": "heisenberg"},
+     "qdeform model spec field 'n' must be an integer, got 6.5"),
+    ({"type": "qdeform", "n": 6, "q": True, "rho": "heisenberg"},
+     "qdeform model spec field 'q' must be a number, got bool"),
+    ({"type": "qdeform", "n": 6, "q": 0.5, "rho": {"samples": "abc"}},
+     "qdeform model spec field 'rho.samples' must be a list, got str"),
+    ({"type": "qdeform", "n": 2, "q": 0.5, "rho": {"samples": [0, 1, "a"]}},
+     "qdeform model spec field 'rho.samples[2]' must be a number, got str"),
 ])
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):
@@ -375,3 +393,32 @@ def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):
     assert main([command, "--model", str(path)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"isoalg: model does not build: {fault}\n")
+
+
+def test_integral_float_n_builds_as_the_integer(tmp_path, capsys):
+    outs = []
+    for n in (6, 6.0):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "qdeform", "n": n, "q": 0.5,
+                                    "rho": "heisenberg"}))
+        assert main(["closure", "--model", str(path)]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("fixture, first, last", [
+    ("shift3_projection_spec", "hypothesis",
+     "failed hypothesis: U*U commutes with delta(tower stage 0)"),
+    ("raw_system_spec", "hypothesis: algebra commutative",
+     "hypothesis: algebra commutative"),
+])
+def test_run_extension_towers_reports_the_failed_hypothesis(
+        request, tmp_path, fixture, first, last):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(request.getfixturevalue(fixture)))
+    out = tmp_path / "out.json"
+    assert main(["run", "--model", str(path), "--checks", "extension_towers",
+                 "--out", str(out)]) == 1
+    (rep,) = json.loads(out.read_text())["results"]
+    checks = [d["check"] for d in rep["defects"]]
+    assert rep["pass"] is False and (checks[0], checks[-1]) == (first, last)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import isoalg.linalg
 from isoalg import (
     DimensionMismatch,
     NotPSD,
@@ -123,6 +124,109 @@ def test_stack_with_one_negative_matrix_names_it():
     stack[1] = -stack[1]
     with pytest.raises(NotPSD, match=r"^matrix 1: eigenvalue"):
         psd_sqrt(stack)
+
+
+def reference_herm_eig(m, tol=1e-10):
+    """herm_eig with its exact self-adjointness test always taken."""
+    m = isoalg.linalg._as_matrices(m)
+    mh = adjoint(m)
+    scale = isoalg.linalg.spectral_norms(m)
+    defect = isoalg.linalg.spectral_norms(m - mh)
+    isoalg.linalg._raise_first(
+        defect > tol * scale, NotSelfAdjoint, lambda i:
+        f"self-adjointness defect {defect[i]:.3e} exceeds "
+        f"{tol:.1e} * {scale[i]:.3e}")
+    return np.linalg.eigh((m + mh) / 2.0)
+
+
+def herm_eig_inputs():
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    herm = g + adjoint(g)
+    near = herm + 1e-13 * g  # self-adjoint within tol, not exactly
+    zero = herm.copy()
+    zero[2] = 0.0
+    return [herm, _psd_stack(rng, 4, 3), near, zero, np.zeros((2, 4, 4)),
+            np.ones((1, 1, 1)), 1e-160 * herm, 1e150 * herm]
+
+
+@pytest.mark.parametrize("i", range(len(herm_eig_inputs())))
+def test_herm_eig_matches_the_exact_test_reference(i):
+    stack = herm_eig_inputs()[i]
+    for m in [stack] + list(stack):
+        w, v = herm_eig(m)
+        w_ref, v_ref = reference_herm_eig(m)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def test_herm_eig_takes_column_strided_views():
+    rng = np.random.default_rng(14)
+    g = rng.standard_normal((5, 10)) + 1j * rng.standard_normal((5, 10))
+    wide = np.zeros((5, 10), complex)
+    wide[:, ::2] = g[:, :5] + adjoint(g[:, :5])
+    for m in (wide[:, ::2], np.array([wide, wide])[:, :, ::2]):
+        assert not m.flags.c_contiguous
+        w, v = herm_eig(m)
+        w_ref, v_ref = reference_herm_eig(m)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    psd = _psd_stack(rng, 1, 5)[0]
+    wide[:, ::2] = psd
+    assert np.array_equal(psd_sqrt(wide[:, ::2]), psd_sqrt(psd))
+
+
+def test_herm_eig_on_non_finite_input_matches_the_reference():
+    for entry in ((0, 1), (1, 1)):
+        m = np.eye(3, dtype=complex)
+        m[entry] = np.inf
+        outcomes = []
+        for func in (reference_herm_eig, herm_eig):
+            with np.errstate(invalid="ignore", over="ignore"):
+                try:
+                    outcomes.append(func(m))
+                except (np.linalg.LinAlgError, NotSelfAdjoint) as exc:
+                    outcomes.append((type(exc), str(exc)))
+        if isinstance(outcomes[0][0], type):
+            assert outcomes[0] == outcomes[1]
+        else:
+            for ref, got in zip(*outcomes):
+                assert np.array_equal(ref, got, equal_nan=True)
+
+
+def epsilon_matrix(eps):
+    # diag(1, 0, ..., 0) + eps i 1 on C^6: ||m - m*||_2 = 2 eps, ||m||_2 ~ 1,
+    # ||m - m*||_F = 2 sqrt(6) eps, ||m||_F ~ 1
+    return np.diag([1.0, 0, 0, 0, 0, 0]) + 1j * eps * np.eye(6)
+
+
+def test_herm_eig_takes_the_exact_test_where_the_bound_cannot_decide(
+        monkeypatch):
+    tol = 1e-10
+    solves = []
+    real = isoalg.linalg.spectral_norms
+    monkeypatch.setattr(isoalg.linalg, "spectral_norms",
+                        lambda m: solves.append(m.shape) or real(m))
+    herm_eig(np.diag([1.0, 0, 0, 0, 0, 0]))
+    assert solves == []  # exactly self-adjoint: decided by the bound
+    # within the exact test's tol but not within the bound's tol / 12
+    m = epsilon_matrix(0.3 * tol)
+    w, v = herm_eig(m)
+    assert solves == [(6, 6), (6, 6)]
+    w_ref, v_ref = reference_herm_eig(m)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    # outside it: the same error as the exact test alone; the last matrix
+    # has a flat spectrum, ||m||_F = sqrt(6) ||m||_2, and only the sqrt(n)
+    # of the bound keeps it from passing
+    flat = np.eye(6) + 1j * tol * np.diag([1.0, 0, 0, 0, 0, 0])
+    for bad in (epsilon_matrix(0.6 * tol),
+                np.array([np.eye(6), epsilon_matrix(0.6 * tol)]),
+                np.array([np.eye(6), flat])):
+        with pytest.raises(NotSelfAdjoint) as ref:
+            reference_herm_eig(bad)
+        with pytest.raises(NotSelfAdjoint) as got:
+            herm_eig(bad)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(
+            "matrix 1: " if bad.ndim == 3 else "self-adjointness defect")
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 0, 0), (2, 2, 3, 3)])
