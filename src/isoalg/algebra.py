@@ -35,10 +35,11 @@ the maps
 send it into itself.  Both maps act on stacks, so a checker measures its
 identity over the whole basis in one batched call; identities over pairs
 (of basis elements, or of powers k <= k_max) take one call per row, so that
-no temporary holds all the pairs at once.  The delta^n orbit of a basis is
-streamed: a scan over it holds the current and the previous stack only.
-An extension tower is built in one walk: each stage's images are computed
-once, for the hypothesis check, the fixed-point test and the next closure.
+no temporary holds all the pairs at once.  An extension tower is built in
+one walk: each stage's images are computed once, for the hypothesis check,
+the fixed-point test and the next closure.  The delta tower's walk is also
+where extendability is decided: it stops at the first stage whose images
+break the hypothesis, or at the closed tower, so no orbit depth is guessed.
 """
 
 from __future__ import annotations
@@ -122,14 +123,8 @@ def spans_equal(a, b, tol: float) -> tuple[bool, float]:
     """Mutual containment of the spans of two (K, n, n) stacks; returns
     (equal, worst defect)."""
     a, b = np.asarray(a), np.asarray(b)
-    return _spans_equal(a, _svd_span(a), b, _svd_span(b), tol)
-
-
-def _spans_equal(a: np.ndarray, fa: np.ndarray, b: np.ndarray,
-                 fb: np.ndarray, tol: float) -> tuple[bool, float]:
-    """spans_equal of two stacks given their ``_svd_span`` bases."""
     worst = 0.0
-    for flat, stack in ((fa, b), (fb, a)):
+    for flat, stack in ((_svd_span(a), b), (_svd_span(b), a)):
         scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
         worst = max(worst, float((_span_defects(flat, stack) / scale).max()))
     return worst <= tol, worst
@@ -553,40 +548,6 @@ def _commutator_defect(basis: np.ndarray) -> float:
                 for i, a in enumerate(basis)), default=0.0)
 
 
-def _delta_orbit(sys: IsometrySystem, n_max: int):
-    """Yield the stacks delta^n(basis) for n = 0, ..., n_max (none if
-    n_max < 0), each the delta image of the one before; only the stack
-    last yielded is kept."""
-    images = sys.algebra.basis
-    for n in range(n_max + 1):
-        yield images
-        if n < n_max:
-            images = sys.delta(images)
-
-
-def _orbit_scan(sys: IsometrySystem, n_max: int, tol: float,
-                lefts: list[np.ndarray]) -> tuple[list[float], int | None]:
-    """One pass over the delta^n orbit, n <= n_max, holding the current and
-    the previous stack only.
-
-    Returns the worst commutator of each stack in ``lefts`` with the orbit
-    (``_commutator_norm``), and the first n >= 1 at which the spans of
-    delta^(n-1)(basis) and delta^n(basis) agree (None if none does).
-    """
-    worst = [0.0] * len(lefts)
-    stabilized_at, prev = None, None
-    for n, images in enumerate(_delta_orbit(sys, n_max)):
-        worst = [max(w, _commutator_norm(left, images))
-                 for w, left in zip(worst, lefts)]
-        if stabilized_at is None:
-            # each stack's span basis is computed once, for both its pairs
-            cur = (images, _svd_span(images))
-            if prev is not None and _spans_equal(*prev, *cur, tol)[0]:
-                stabilized_at = n
-            prev = cur
-    return worst, stabilized_at
-
-
 def _multiplicativity_defect(sys: IsometrySystem) -> float:
     """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
     basis = sys.algebra.basis
@@ -690,33 +651,6 @@ def check_coefficient_algebra(sys: IsometrySystem,
     return rep
 
 
-def check_extendability(sys: IsometrySystem, n_max: int,
-                        tol: float | None = None) -> ConditionReport:
-    """Check that U*U commutes with every iterated image delta^n(a).
-
-    This is the obstruction for extending the algebra to one satisfying the
-    intertwining relation with delta mapping it into itself.  The span chain
-    delta^n(basis) stabilizes in finite dimension; the first index where two
-    consecutive spans agree is reported as a note.
-    """
-    tol = sys.tol if tol is None else tol
-    (worst,), stabilized_at = _orbit_scan(sys, n_max, tol,
-                                          [sys.proj_initial(1)])
-    return _extendability(worst, stabilized_at, n_max, tol)
-
-
-def _extendability(worst: float, stabilized_at: int | None, n_max: int,
-                   tol: float) -> ConditionReport:
-    """The report of check_extendability from its scan of the orbit."""
-    rep = ConditionReport("extendability")
-    rep.add(f"U*U commutes with delta^n(basis), n <= {n_max}", worst, tol)
-    if stabilized_at is not None:
-        rep.note(f"delta^n span stabilizes at n = {stabilized_at}")
-    else:
-        rep.note(f"delta^n span did not stabilize within n <= {n_max}")
-    return rep
-
-
 def _require_commutative(basis: np.ndarray, tol: float) -> float:
     """The commutator defect of a basis; raises NotCommutative, carrying
     it, when it exceeds tol."""
@@ -729,39 +663,20 @@ def _require_commutative(basis: np.ndarray, tol: float) -> float:
     return d_comm
 
 
-def check_commutative_extendability(sys: IsometrySystem, n_max: int,
-                                    tol: float | None = None) -> ConditionReport:
-    """Check the two conditions for a commutative coefficient extension:
-    the algebra commutes with all delta^n images of itself, and U*U does too.
-
-    Raises NotCommutative when the algebra itself is not commutative.
-    """
-    tol = sys.tol if tol is None else tol
-    basis = sys.algebra.basis
-    d_comm = _require_commutative(basis, tol)
-
-    rep = ConditionReport("commutative_extendability")
-    rep.add("algebra commutative", d_comm, tol)
-    (worst, worst_p), stabilized_at = _orbit_scan(
-        sys, n_max, tol, [basis, sys.proj_initial(1)])
-    rep.add(f"algebra commutes with delta^n(algebra), n <= {n_max}", worst, tol)
-    rep.merge(_extendability(worst_p, stabilized_at, n_max, tol))
-    return rep
-
-
 def _tower(sys: IsometrySystem, image, tol: float,
-           check=None) -> FiniteStarAlgebra:
+           check=None) -> FiniteStarAlgebra | None:
     """Generated closure of all iterated images of the algebra under
     ``image``, in one walk: each stage's images are computed once, passed
-    with the stage number to ``check`` (when given; it raises when they
-    break the tower's hypothesis), and tested for membership in the stage
-    as ``contains`` does, within ``tol * max(1, ||img||_F)``.  The walk stops
-    when all lie in it and otherwise closes the stage with them."""
+    with the stage number to ``check`` (when given; it returns False when
+    they break the tower's hypothesis, and the walk then returns None),
+    and tested for membership in the stage as ``contains`` does, within
+    ``tol * max(1, ||img||_F)``.  The walk stops when all lie in it and
+    otherwise closes the stage with them."""
     cur = sys.algebra
     for stage in range(_chain_cap(sys.dim)):
         images = image(cur.basis)
-        if check is not None:
-            check(stage, images)
+        if check is not None and not check(stage, images):
+            return None
         scale = np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))
         if np.all(cur.span_defects(images) <= tol * scale):
             return cur
@@ -771,44 +686,91 @@ def _tower(sys: IsometrySystem, image, tol: float,
 
 
 def _checked_delta_tower(sys: IsometrySystem, tol: float,
-                         rep: ConditionReport, message: str,
-                         lefts: list[tuple[str, np.ndarray]]
-                         ) -> FiniteStarAlgebra:
-    """The delta tower, walked with its hypothesis checked on the way: U*U
-    against the algebra, then, at each stage, U*U and each named stack of
-    ``lefts`` against the stage's delta images.  Each commutator norm is
-    one entry of ``rep``; the first failing one raises
-    HypothesisViolated(message, rep)."""
-    lefts = [("U*U", sys.proj_initial(1))] + lefts
+                         commutative: bool = False
+                         ) -> tuple[ConditionReport, FiniteStarAlgebra | None]:
+    """The delta tower, walked with its hypothesis checked on the way, and
+    the report of the check; the tower is None when the hypothesis fails.
 
-    def commute(pairs, label: str, stack: np.ndarray) -> None:
-        for name, left in pairs:
-            rep.add(f"{name} commutes with {label}",
-                    _commutator_norm(left, stack), tol)
-            if not rep.passed:
-                raise HypothesisViolated(message, rep)
+    The hypothesis is extendability, U*U commuting with every delta^n(a):
+    U*U is checked against the algebra, then against each stage's delta
+    images.  Stage n-1's images contain delta^n(algebra) and lie in the
+    *-algebra the orbit generates, which the commutant of U*U (a
+    *-algebra) contains when the hypothesis holds; and the closed tower's
+    images contain delta^n(algebra) for every n.  So the walk decides the
+    hypothesis itself, at no orbit depth chosen in advance.
 
-    commute(lefts[:1], "the algebra", sys.algebra.basis)
-    return _tower(sys, sys.delta, tol, lambda stage, images: commute(
+    With ``commutative`` the report is "commutative_extendability": the
+    algebra must be commutative (NotCommutative otherwise), and at each
+    stage it is checked against the images after U*U.  Given
+    extendability, it commutes with each stage's images iff it commutes
+    with every delta^n(algebra), by the same containments.
+
+    Each commutator norm is one entry of the report.  The walk stops at the
+    first failing entry, which is then the report's last; on a pass the
+    report notes the tower's dimension.
+    """
+    basis = sys.algebra.basis
+    lefts = [("U*U", sys.proj_initial(1))]
+    if commutative:
+        rep = ConditionReport("commutative_extendability")
+        rep.add("algebra commutative", _require_commutative(basis, tol), tol)
+        lefts.append(("the algebra", basis))
+    else:
+        rep = ConditionReport("extendability")
+
+    def commute(pairs, label: str, stack: np.ndarray) -> bool:
+        return all(rep.add(f"{name} commutes with {label}",
+                           _commutator_norm(left, stack), tol).ok
+                   for name, left in pairs)
+
+    if not commute(lefts[:1], "the algebra", basis):
+        return rep, None
+    ext = _tower(sys, sys.delta, tol, lambda stage, images: commute(
         lefts, f"delta(tower stage {stage})", images))
+    if ext is not None:
+        rep.note(f"the delta tower closes at dimension {ext.dim}")
+    return rep, ext
+
+
+def check_extendability(sys: IsometrySystem, *,
+                        tol: float | None = None) -> ConditionReport:
+    """Check that U*U commutes with every iterated image delta^n(a).
+
+    This is the obstruction for extending the algebra to one satisfying the
+    intertwining relation with delta mapping it into itself.  It is decided
+    on the walk of the delta tower (``_checked_delta_tower``), whose report
+    this is: a failure's last entry names the stage, and a pass notes the
+    dimension of the closed tower.
+    """
+    return _checked_delta_tower(sys, sys.tol if tol is None else tol)[0]
+
+
+def check_commutative_extendability(sys: IsometrySystem, *,
+                                    tol: float | None = None
+                                    ) -> ConditionReport:
+    """Check the two conditions for a commutative coefficient extension:
+    the algebra commutes with all delta^n images of itself, and U*U does too.
+
+    Decided on the walk of the delta tower, as ``check_extendability`` is.
+    Raises NotCommutative when the algebra itself is not commutative.
+    """
+    return _checked_delta_tower(sys, sys.tol if tol is None else tol,
+                                commutative=True)[0]
 
 
 def extend_delta(sys: IsometrySystem, tol: float | None = None) -> FiniteStarAlgebra:
     """Smallest *-algebra containing the algebra and all its delta^n images.
 
     Requires extendability: U*U commutes with every delta^n(a) (otherwise
-    the result need not intertwine with U).  The walk checks U*U against
-    the algebra, then against each stage's delta images.  Stage n-1's
-    images contain delta^n(algebra) and lie in the *-algebra the orbit
-    generates, which the commutant of U*U (a *-algebra) contains when the
-    hypothesis holds; so the check is the hypothesis itself.  A failure
-    raises HypothesisViolated carrying the report, whose last entry names
-    the stage.
+    the result need not intertwine with U).  The walk checks it on the way
+    (``_checked_delta_tower``); a failure raises HypothesisViolated
+    carrying the report, whose last entry names the stage.
     """
-    tol = sys.tol if tol is None else tol
-    return _checked_delta_tower(
-        sys, tol, ConditionReport("extendability"),
-        "extendability fails; delta tower unsound", [])
+    rep, ext = _checked_delta_tower(sys, sys.tol if tol is None else tol)
+    if ext is None:
+        raise HypothesisViolated("extendability fails; delta tower unsound",
+                                 rep)
+    return ext
 
 
 def extend_delta_star(sys: IsometrySystem,
@@ -891,25 +853,16 @@ def check_extension_towers(sys: IsometrySystem,
     delta_star then delta, the result is commutative, and both maps send it
     into itself.
 
-    Requires commutative extendability.  Raises NotCommutative when the
-    algebra is not commutative.  The rest of the hypothesis is checked on
-    the first delta walk: at each stage, U*U and then the algebra against
-    the stage's delta images.  Given extendability, which the U*U half of
-    the same walk checks as ``extend_delta`` does, the algebra commutes
-    with each stage's images iff it commutes with every delta^n(algebra):
-    stage n-1's images contain delta^n(algebra) and lie in the *-algebra
-    generated by delta(algebra), ..., delta^n(algebra).  The first failing
-    entry raises HypothesisViolated("commutative extendability fails",
-    report), and the report names the stage.
+    Requires commutative extendability, which is checked on the first
+    delta walk, the walk of ``check_commutative_extendability``.  Raises
+    NotCommutative when the algebra is not commutative, and
+    HypothesisViolated("commutative extendability fails", report) at the
+    walk's first failing entry; the report names the stage.
     """
     tol = sys.tol if tol is None else tol
-    basis = sys.algebra.basis
-    d_comm = _require_commutative(basis, tol)
-    pre = ConditionReport("commutative_extendability")
-    pre.add("algebra commutative", d_comm, tol)
-    ext = _checked_delta_tower(sys, tol, pre,
-                               "commutative extendability fails",
-                               [("the algebra", basis)])
+    pre, ext = _checked_delta_tower(sys, tol, commutative=True)
+    if ext is None:
+        raise HypothesisViolated("commutative extendability fails", pre)
     tower_a = extend_delta_star(sys._with_algebra(ext), tol)
     ext_s = extend_delta_star(sys, tol)
     tower_b = extend_delta(sys._with_algebra(ext_s), tol)

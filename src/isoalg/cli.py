@@ -139,10 +139,10 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
     "adjoint_intertwining": (
         None, lambda c: check_adjoint_intertwining(c.system, c.tol)),
     "extendability": (
-        None, lambda c: check_extendability(c.system, c.cfg.n_max, c.tol)),
+        None, lambda c: check_extendability(c.system, tol=c.tol)),
     "commutative_extendability": (
-        None, lambda c: check_commutative_extendability(
-            c.system, c.cfg.n_max, c.tol)),
+        None,
+        lambda c: check_commutative_extendability(c.system, tol=c.tol)),
     "power_structure": (
         None, lambda c: verify_power_identities(c.system, c.cfg.k_max, c.tol)),
     "extension_towers": (
@@ -225,14 +225,13 @@ def _default_tol() -> float:
 
 
 def _check_counts(args) -> None:
-    """Reject --k-max and --samples below 1 and --n-max below 0 (the n = 0
-    image is the algebra itself): a sampler over no samples, a norm-limit
-    schedule with no stage or an empty delta^n orbit would pass vacuously."""
-    for flag, least in (("k_max", 1), ("samples", 1), ("n_max", 0)):
-        value = getattr(args, flag, least)
-        if value < least:
+    """Reject --k-max and --samples below 1: a sampler over no samples or a
+    norm-limit schedule with no stage would pass vacuously."""
+    for flag in ("k_max", "samples"):
+        value = getattr(args, flag, 1)
+        if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least "
-                              f"{least}, got {value}")
+                              f"1, got {value}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -241,7 +240,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="tolerance (default 1e-9, or ISOALG_TOL)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
-    p.add_argument("--n-max", type=int, default=6, dest="n_max")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -264,7 +262,7 @@ def _cmd_run(args) -> tuple[dict, int]:
     ok = all(r.passed for r in reports)
     doc = {
         "config": {"model": args.model, "checks": names, "tol": args.tol,
-                   "seed": args.seed, "k_max": args.k_max, "n_max": args.n_max,
+                   "seed": args.seed, "k_max": args.k_max,
                    "samples": args.samples},
         "pass": ok,
         "results": [r.to_json() for r in reports],

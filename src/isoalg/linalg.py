@@ -198,16 +198,25 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; bit-exact for 64-bit float entries."""
+    """Inverse of matrix_to_json; bit-exact for 64-bit float entries.
+    Anything else raises DimensionMismatch naming the fault."""
     try:
         n = int(obj["dim"])
         entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
+        square = (n >= 1 and len(entries) == n
+                  and all(len(row) == n for row in entries))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed matrix object: {exc}") from exc
-    if n < 1 or len(entries) != n or any(len(row) != n for row in entries):
+    if not square:
         raise DimensionMismatch(f"entries do not form a {n}x{n} matrix")
     m = np.empty((n, n), dtype=complex)
     for i, row in enumerate(entries):
-        for j, (re, im) in enumerate(row):
-            m[i, j] = complex(re, im)
+        for j, entry in enumerate(row):
+            try:
+                re, im = entry
+                m[i, j] = complex(re, im)
+            except (TypeError, ValueError) as exc:
+                raise DimensionMismatch(
+                    f"entry [{i}][{j}] is not a [re, im] pair of numbers, "
+                    f"got {entry!r}") from exc
     return m

@@ -32,11 +32,14 @@ from .algebra import (
     _commutator_norm,
     _multiplicativity_defect,
     _projection_families_defect,
-    bicommutant,
     build_towers,
     generate_closure,
 )
-from .errors import PolarConditionViolated, RhoConditionViolated
+from .errors import (
+    DimensionMismatch,
+    PolarConditionViolated,
+    RhoConditionViolated,
+)
 from .linalg import (
     DEFAULT_TOL,
     adjoint,
@@ -115,7 +118,11 @@ def polar_structure_suite(m: PolarModel, k_max: int,
       projections U U*, ..., U^{k-1} U^{*(k-1)};
     - delta is multiplicative on that algebra;
     - the range projections U^k U^{*k} = delta^k(1) lie in the double
-      commutant of the seed algebra and commute with it;
+      commutant of the seed algebra and commute with it.  The double
+      commutant is the seed algebra itself, by von Neumann's double
+      commutant theorem: the seed is a unital *-algebra (its constructor
+      validates that), and in finite dimension such an algebra equals its
+      double commutant.  So membership is tested against the seed;
     - the absorption identities U* U^k U^{*l} = U^{k-1} U^{*l} and
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l;
     - the two projection families commute.
@@ -136,8 +143,7 @@ def polar_structure_suite(m: PolarModel, k_max: int,
     rep.add("delta multiplicative on the extended algebra",
             _multiplicativity_defect(sys._with_algebra(ext)), tol)
 
-    dbl = bicommutant(m.seed_algebra)
-    d_mem = float(dbl.span_defects(finals).max(initial=0.0))
+    d_mem = float(m.seed_algebra.span_defects(finals).max(initial=0.0))
     d_comm = _commutator_norm(finals, m.seed_algebra.basis)
     rep.add(f"U^k U^{{*k}} in double commutant of seed, k <= {k_max}", d_mem, tol)
     rep.add("U^k U^{*k} commutes with seed algebra", d_comm, tol)
@@ -334,9 +340,10 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
     "system" form generates the *-algebra closure of the given generators;
     it does not require a coefficient algebra, so it can express the
     deliberately broken configurations used as negative controls.  A
-    missing field, or one of the wrong JSON type, raises ValueError naming
-    the field (and the type expected); an integral float such as 12.0 is
-    an integer "n".
+    missing field, one of the wrong JSON type, or a matrix object that is
+    not a matrix raises ValueError naming the field (and the type expected,
+    or the matrix's fault); an integral float such as 12.0 is an integer
+    "n".
     """
     if not isinstance(obj, dict):
         raise ValueError(
@@ -350,15 +357,23 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
                              f"{what}, got {type(value).__name__}")
         return value
 
-    def field(key: str, types, what: str):
+    def field(key: str, types=None, what: str = ""):
         if key not in obj:
             raise ValueError(f"{kind} model spec has no {key!r} field")
-        return expect(obj[key], key, types, what)
+        value = obj[key]
+        return value if types is None else expect(value, key, types, what)
 
-    matrix, number = "a matrix object", (int, float)
+    def matrix(value, key: str) -> np.ndarray:
+        expect(value, key, dict, "a matrix object")
+        try:
+            return matrix_from_json(value)
+        except DimensionMismatch as exc:
+            raise ValueError(f"{kind} model spec field {key!r} is not a "
+                             f"matrix: {exc}") from exc
+
+    number = (int, float)
     if kind == "polar":
-        model = build_polar_model(matrix_from_json(field("a", dict, matrix)),
-                                  tol)
+        model = build_polar_model(matrix(field("a"), "a"), tol)
         # generator names must denote coefficient-algebra elements; the
         # operator itself is written U*absa
         return LoadedModel("polar", model.system,
@@ -385,9 +400,9 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
                            {"Q": model.big_q, "rhoQ": model.rho_matrix},
                            qdeform=model)
     if kind == "system":
-        gens = [matrix_from_json(expect(g, f"generators[{i}]", dict, matrix))
+        gens = [matrix(g, f"generators[{i}]")
                 for i, g in enumerate(field("generators", list, "a list"))]
-        u = matrix_from_json(field("U", dict, matrix))
+        u = matrix(field("U"), "U")
         algebra = generate_closure(gens, tol, dim=u.shape[0])
         table = {f"g{i}": g for i, g in enumerate(gens)}
         return LoadedModel("system", IsometrySystem(algebra, u), table)

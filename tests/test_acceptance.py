@@ -137,7 +137,7 @@ def test_c07_structure_battery(models):
         assert rep.passed, f"{name}:\n{rep}"
         assert not rep.notes  # the three equivalent conditions agree
 
-        rep = check_extendability(sys, n_max=6)
+        rep = check_extendability(sys)
         assert rep.passed, f"{name}:\n{rep}"
 
         rep = verify_power_identities(sys, k_max=5, tol=1e-12)
@@ -153,7 +153,7 @@ def test_c08_commutative_battery(polar6, qdeform12):
     and the two extension towers produce equal spans"""
     for name, model in (("polar", polar6), ("qdeform", qdeform12)):
         seed_sys = IsometrySystem(model.seed_algebra, model.u)
-        rep = check_commutative_extendability(seed_sys, n_max=6)
+        rep = check_commutative_extendability(seed_sys)
         assert rep.passed, f"{name}:\n{rep}"
         rep = check_extension_towers(seed_sys)
         assert rep.passed, f"{name}:\n{rep}"
@@ -193,7 +193,7 @@ def test_c11_negative_controls(broken_system):
     # non-central U*U
     assert is_partial_isometry(broken_system.u).passed
     assert not check_intertwining_equivalents(broken_system).passed
-    assert not check_extendability(broken_system, n_max=4).passed
+    assert not check_extendability(broken_system).passed
     assert sum_norm_estimates_sample(count=50, seed=SEED).passed
 
     # constant rho: the kernel condition is the designated check

@@ -31,7 +31,6 @@ from isoalg.algebra import (
     _absorption_defect,
     _commutator_defect,
     _commutator_norm,
-    _delta_orbit,
     _gram_schmidt_closure,
     _invariance_defect,
     _multiplicativity_defect,
@@ -228,8 +227,9 @@ def test_extendability_and_growth():
     n = 5
     trivial = generate_closure([], dim=n)
     sys = IsometrySystem(trivial, ia.backward_shift(n))
-    rep = check_extendability(sys, n_max=n)
+    rep = check_extendability(sys)
     assert rep.passed
+    assert rep.notes == [f"the delta tower closes at dimension {n}"]
 
     ext = extend_delta(sys)
     assert ext.dim == n
@@ -242,7 +242,7 @@ def test_extendability_and_growth():
 
 
 def test_extendability_negative(broken_system):
-    rep = check_extendability(broken_system, n_max=4)
+    rep = check_extendability(broken_system)
     assert not rep.passed
     assert rep.defects[0].value > 0.1
     with pytest.raises(HypothesisViolated):
@@ -263,7 +263,7 @@ def test_extension_fixed_point(qdeform6):
 
 def test_commutative_extendability_rejects_noncommutative(broken_system):
     with pytest.raises(NotCommutative):
-        check_commutative_extendability(broken_system, n_max=3)
+        check_commutative_extendability(broken_system)
 
 
 def test_power_identities_shift():
@@ -373,7 +373,7 @@ def test_commutative_extendability_yields_coefficient_tower():
     n = 5
     trivial = generate_closure([], dim=n)
     sys = IsometrySystem(trivial, ia.backward_shift(n))
-    assert check_commutative_extendability(sys, n_max=n).passed
+    assert check_commutative_extendability(sys).passed
     ext = extend_delta(sys)
     full = extend_delta_star(IsometrySystem(ext, sys.u))
     full_sys = IsometrySystem(full, sys.u)
@@ -402,6 +402,20 @@ def loop_delta_orbit(sys, n_max):
     for _ in range(n_max):
         orbit.append([sys.delta(a) for a in orbit[-1]])
     return orbit[:n_max + 1]
+
+
+def loop_extendability(sys):
+    """Per n, the worst commutator of U*U and of the algebra with
+    delta^n(algebra), over the whole orbit: to U's nilpotency index, past
+    which delta^n is 0, or else to n = dim^2.  The spans of delta^0..delta^n
+    of the algebra grow until two agree and then stay put, which they do
+    by n = dim^2, so every further image lies in their span."""
+    depth = sys.nilpotency_index or sys.dim ** 2
+    p = sys.proj_initial(1)
+    orbit = loop_delta_orbit(sys, depth)
+    return ([loop_commutator_norm(p, images) for images in orbit],
+            [max(loop_commutator_norm(a, images) for a in sys.algebra.basis)
+             for images in orbit])
 
 
 def loop_multiplicativity_defect(sys):
@@ -560,22 +574,29 @@ def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
     power = verify_power_identities(sys, k_max).defects[2:]
     pairs += zip([d.value for d in power], loop_power_structure(sys, k_max))
 
-    # the orbit is streamed; collect it to compare step by step
-    orbit = list(_delta_orbit(sys, n_max))
+    # the delta^n orbit to n_max, stacked and looped
+    orbit = [sys.delta_n(basis, n) for n in range(n_max + 1)]
     loop_orbit = loop_delta_orbit(sys, n_max)
     assert len(orbit) == len(loop_orbit) == n_max + 1
     for stack, images in zip(orbit, loop_orbit):
         assert stack.shape == basis.shape
         assert np.abs(stack - np.array(images)).max() <= 1e-12
-    p = sys.proj_initial(1)
-    loop_ext = max(loop_commutator_norm(p, images) for images in loop_orbit)
-    pairs.append((check_extendability(sys, n_max).defects[0].value, loop_ext))
+    # each fixture's delta walk stops by tower stage 0, whose images are
+    # delta(algebra): each of its commutator norms is a loop's at n <= 1
+    reps = [check_extendability(sys)]
     if loop_commutator_defect(basis) <= sys.tol:  # commutative algebras only
-        rep = check_commutative_extendability(sys, n_max)
-        pairs.append((rep.defects[1].value,
-                       max(loop_commutator_norm(a, images)
-                           for images in loop_orbit for a in basis)))
-        pairs.append((rep.defects[2].value, loop_ext))
+        reps.append(check_commutative_extendability(sys))
+        pairs.append((reps[-1].defects[0].value,
+                      loop_commutator_defect(basis)))
+    at = {"the algebra": 0, "delta(tower stage 0)": 1}
+    lefts = {"U*U": [sys.proj_initial(1)], "the algebra": basis}
+    for rep in reps:
+        for d in rep.defects:
+            name, _, label = d.check.partition(" commutes with ")
+            if label and at[label] <= n_max:
+                pairs.append((d.value, max(
+                    loop_commutator_norm(a, loop_orbit[at[label]])
+                    for a in lefts[name])))
     for stacked, loop in pairs:
         assert_matches_loop(stacked, loop)
     assert stacks
@@ -777,9 +798,9 @@ def reference_tower(sys, image, tol):
 
 
 def reference_towers(sys):
-    """build_towers with the extendability pre-check, an orbit scan to
-    n = dim, ahead of the delta tower."""
-    assert check_extendability(sys, n_max=sys.dim).passed
+    """build_towers with the extendability pre-check, the orbit loops,
+    ahead of the delta tower."""
+    assert max(loop_extendability(sys)[0]) <= sys.tol
     ext = reference_tower(sys, sys.delta, sys.tol)
     ext_sys = IsometrySystem(ext, sys.u)
     return ext, reference_tower(ext_sys, ext_sys.delta_star, sys.tol)
@@ -808,18 +829,19 @@ def test_one_walk_towers_match_the_reference(request, name):
         assert equal, defect
 
 
-def shift4_system():
-    """The backward shift on C^4 with A = C*(e34 + e43): U*U = 1 - e11
-    commutes with A and with delta(A), but delta^2(A) holds e12 + e21."""
-    x = np.zeros((4, 4), complex)
-    x[2, 3] = x[3, 2] = 1.0
-    return IsometrySystem(generate_closure([x]), ia.backward_shift(4))
+def corner_shift_system(n):
+    """The backward shift on C^n with A = C*(e_{n-1,n} + e_{n,n-1}).  U*U =
+    1 - e11 commutes with delta^k(A) for k < n - 2, but delta^(n-2)(A)
+    holds e12 + e21."""
+    x = np.zeros((n, n), complex)
+    x[n - 2, n - 1] = x[n - 1, n - 2] = 1.0
+    return IsometrySystem(generate_closure([x]), ia.backward_shift(n))
 
 
 def test_extend_delta_checks_every_stage():
-    sys = shift4_system()
-    assert check_extendability(sys, n_max=1).passed
-    assert not check_extendability(sys, n_max=2).passed
+    sys = corner_shift_system(4)
+    assert [w <= sys.tol for w in loop_extendability(sys)[0][:3]] == [
+        True, True, False]
     with pytest.raises(HypothesisViolated,
                        match="extendability fails; delta tower unsound") as info:
         extend_delta(sys)
@@ -830,17 +852,21 @@ def test_extend_delta_checks_every_stage():
         "U*U commutes with delta(tower stage 0)",
         "U*U commutes with delta(tower stage 1)"]
     assert [d.ok for d in rep.defects] == [True, True, False]
+    # the check's report is the walk's
+    assert check_extendability(sys) == rep
 
 
 def test_model_builds_scan_no_orbit(monkeypatch):
+    # a build checks extendability on its delta tower's own walk, the one
+    # walk it makes, and runs no separate check of it
     calls = []
-    real = ia.algebra._orbit_scan
-    monkeypatch.setattr(ia.algebra, "_orbit_scan",
+    real = ia.algebra._checked_delta_tower
+    monkeypatch.setattr(ia.algebra, "_checked_delta_tower",
                         lambda *args: calls.append(args) or real(*args))
     ia.build_qdeform(6, 0.5, "heisenberg")
     ia.build_polar_model(ia.weighted_backward_shift(
         [0.5 ** (j / 2) for j in range(1, 6)]))
-    assert calls == []
+    assert len(calls) == 2
 
 
 def test_commutant_keeps_no_left_singular_basis():
@@ -859,24 +885,68 @@ def test_commutant_keeps_no_left_singular_basis():
 
 
 # ---------------------------------------------------------------------------
-# extension_towers checks commutative extendability on its own delta walk,
-# in place of a pre-check scan of the delta^n orbit.
+# The extendability checks and extension_towers decide their hypotheses on
+# the delta tower's walk; the orbit loops over every delta^n are the
+# reference.
 # ---------------------------------------------------------------------------
 
 def precheck_verdict(sys):
-    """The verdict of the pre-check the walk replaced."""
-    try:
-        rep = check_commutative_extendability(sys, n_max=sys.dim)
-    except NotCommutative:
+    """The verdict of commutative extendability from the orbit loops."""
+    if loop_commutator_defect(sys.algebra.basis) > sys.tol:
         return "not commutative"
-    return "passes" if rep.passed else "commutative extendability fails"
+    worst = max(max(per_n) for per_n in loop_extendability(sys))
+    return ("passes" if worst <= sys.tol
+            else "commutative extendability fails")
+
+
+def assert_verdicts_match_the_loops(sys):
+    """Compare both checks' verdicts with the loops'; returns the
+    extendability report."""
+    rep = check_extendability(sys)
+    assert rep.passed == (max(loop_extendability(sys)[0]) <= sys.tol)
+    verdict = precheck_verdict(sys)
+    if verdict == "not commutative":
+        with pytest.raises(NotCommutative):
+            check_commutative_extendability(sys)
+    else:
+        assert check_commutative_extendability(sys).passed == (
+            verdict == "passes")
+    return rep
+
+
+@pytest.mark.parametrize("name", FIXTURE_SYSTEMS + ["shift4",
+                                                    "shift3_projection"])
+def test_extendability_verdicts_match_the_orbit_loops(request, name):
+    sys = (corner_shift_system(4) if name == "shift4"
+           else fixture_system(request, name))
+    assert_verdicts_match_the_loops(sys)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_corner_shifts_fail_at_delta_n_minus_2(n):
+    sys = corner_shift_system(n)
+    rep = assert_verdicts_match_the_loops(sys)
+    per_n = loop_extendability(sys)[0]
+    assert [w <= sys.tol for w in per_n[:n - 1]] == [True] * (n - 2) + [False]
+    # delta^(n-2)(A) is among the images of tower stage n - 3
+    assert rep.defects[-1].check == (
+        f"U*U commutes with delta(tower stage {n - 3})")
+    assert [d.ok for d in rep.defects] == [True] * (n - 2) + [False]
+
+
+def test_extendability_checks_take_tol_by_keyword(qdeform12):
+    sys = qdeform12.system
+    for check in (check_extendability, check_commutative_extendability):
+        with pytest.raises(TypeError):
+            check(sys, 6)
+        assert {d.tol for d in check(sys, tol=1e-6).defects} == {1e-6}
 
 
 @pytest.mark.parametrize("name", ["qdeform12", "polar6", "cyclic5",
                                   "raw_system", "broken_system", "shift4",
                                   "shift3_projection"])
 def test_extension_towers_verdict_matches_the_precheck(request, name):
-    sys = (shift4_system() if name == "shift4"
+    sys = (corner_shift_system(4) if name == "shift4"
            else fixture_system(request, name))
     try:
         rep = check_extension_towers(sys)
@@ -900,7 +970,7 @@ def test_extension_towers_verdict_matches_the_precheck(request, name):
                 "the algebra commutes with delta(tower stage 0)"]),
 ])
 def test_extension_towers_names_the_failing_stage(request, name, entries):
-    sys = (shift4_system() if name == "shift4"
+    sys = (corner_shift_system(4) if name == "shift4"
            else request.getfixturevalue(name))
     with pytest.raises(HypothesisViolated,
                        match="^commutative extendability fails$") as info:

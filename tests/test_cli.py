@@ -156,27 +156,6 @@ def test_counts_below_one_exit_2(specs, capsys, flag, value):
     assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
 
 
-def test_negative_n_max_exits_2(specs, capsys):
-    # a negative --n-max would leave the delta^n orbit empty, so that
-    # extendability passed on the broken system without checking anything
-    rc = main(["run", "--model", specs["broken.json"],
-               "--checks", "extendability", "--n-max", "-1"])
-    assert rc == 2
-    assert "isoalg: --n-max must be at least 0, got -1" in capsys.readouterr().err
-
-
-def test_n_max_zero_checks_the_algebra_itself(specs):
-    # the n = 0 image is the algebra itself, where U*U = E22 does not
-    # commute with E12
-    rc, doc = run(["run", "--model", specs["broken.json"],
-                   "--checks", "extendability", "--n-max", "0"],
-                  specs, "n_max_0")
-    assert rc == 1
-    defect = doc["results"][0]["defects"][0]
-    assert defect["check"] == "U*U commutes with delta^n(basis), n <= 0"
-    assert defect["value"] == pytest.approx(1.0)
-
-
 def test_run_deterministic(specs):
     args = ["run", "--model", specs["qdeform.json"], "--checks",
             "coefficient_bound,gauge_invariance,norm_limit",
@@ -345,21 +324,24 @@ def test_dump_json_17_digits():
 
 
 def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
-    # the model build and the tower builds scan no delta^n orbit, only the
-    # two checks that report on it do (extension_towers checks its
-    # hypothesis on its own delta walk); and the coefficient_algebra check
+    # the delta tower is walked once by the model build, once by each of
+    # extendability and commutative_extendability, and twice by
+    # extension_towers (its checked walk and the delta tower over the
+    # delta_star tower), and nowhere else; and the coefficient_algebra check
     # reads the report the system caches for the coefficient checks
     import isoalg.algebra as algebra
-    calls = dict.fromkeys(["_orbit_scan", "check_intertwining_equivalents"], 0)
+    calls = dict.fromkeys(["_checked_delta_tower",
+                           "check_intertwining_equivalents"], 0)
     for name in calls:
-        def counted(*args, real=getattr(algebra, name), name=name):
+        def counted(*args, real=getattr(algebra, name), name=name, **kw):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kw)
         monkeypatch.setattr(algebra, name, counted)
     rc, doc = run(["run", "--model", specs["qdeform.json"], "--checks", "all"],
                   specs, "counted")
     assert rc == 0 and "coefficient_algebra" in doc["config"]["checks"]
-    assert calls == {"_orbit_scan": 2, "check_intertwining_equivalents": 1}
+    assert calls == {"_checked_delta_tower": 5,
+                     "check_intertwining_equivalents": 1}
 
 
 @pytest.mark.parametrize("spec, fault", [
@@ -385,6 +367,17 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
      "qdeform model spec field 'rho.samples' must be a list, got str"),
     ({"type": "qdeform", "n": 2, "q": 0.5, "rho": {"samples": [0, 1, "a"]}},
      "qdeform model spec field 'rho.samples[2]' must be a number, got str"),
+    ({"type": "system", "U": matrix_to_json(E12),
+      "generators": [{"dim": 2, "entries": [[[0, 0]], [[0, 0], [1, 0]]]}]},
+     "system model spec field 'generators[0]' is not a matrix: entries do "
+     "not form a 2x2 matrix"),
+    ({"type": "system", "generators": [],
+      "U": {"dim": 2, "entries": [[[0, 0], ["a", 0]], [[0, 0], [0, 0]]]}},
+     "system model spec field 'U' is not a matrix: entry [0][1] is not a "
+     "[re, im] pair of numbers, got ['a', 0]"),
+    ({"type": "polar", "a": {"dim": 2}},
+     "polar model spec field 'a' is not a matrix: malformed matrix object: "
+     "'entries'"),
 ])
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):
@@ -422,3 +415,24 @@ def test_run_extension_towers_reports_the_failed_hypothesis(
     (rep,) = json.loads(out.read_text())["results"]
     checks = [d["check"] for d in rep["defects"]]
     assert rep["pass"] is False and (checks[0], checks[-1]) == (first, last)
+
+
+def test_run_and_closure_name_the_same_late_failing_stage(tmp_path):
+    # the backward shift on C^9 with A = C*(e89 + e98): U*U commutes with
+    # delta^n(A) for n < 7 only, and delta^7(A) is among the images of
+    # delta tower stage 6
+    x = np.zeros((9, 9), complex)
+    x[7, 8] = x[8, 7] = 1.0
+    shift = np.diag(np.ones(8), 1).astype(complex)
+    path = tmp_path / "shift9.json"
+    path.write_text(json.dumps({"type": "system", "U": matrix_to_json(shift),
+                                "generators": [matrix_to_json(x)]}))
+    failing = "U*U commutes with delta(tower stage 6)"
+    out = tmp_path / "out.json"
+    for argv in (["run", "--checks", "extendability"], ["closure"]):
+        assert main(argv + ["--model", str(path), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        rep = doc["results"][0] if argv[0] == "run" else doc["report"]
+        assert rep["name"] == "extendability" and rep["pass"] is False
+        assert rep["defects"][-1]["check"] == failing
+        assert [d["ok"] for d in rep["defects"]] == [True] * 7 + [False]

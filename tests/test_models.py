@@ -8,6 +8,7 @@ from isoalg import (
     RhoConditionViolated,
     adjoint,
     backward_shift,
+    bicommutant,
     build_polar_model,
     build_qdeform,
     constant_rho,
@@ -243,3 +244,21 @@ def test_shift_helpers():
     assert np.allclose(u, np.diag([1.0, 1.0, 1.0], 1))
     a = weighted_backward_shift([2.0, 3.0])
     assert np.allclose(a, np.array([[0, 2, 0], [0, 0, 3], [0, 0, 0]]))
+
+
+@pytest.mark.parametrize("name", ["polar2", "polar6"]
+                         + [f"polar07_n{n}" for n in range(2, 13)])
+def test_polar_seed_is_its_own_double_commutant(request, name):
+    # polar_structure_suite tests U^k U^{*k} for membership in the seed
+    # algebra in place of its double commutant; the two are one algebra
+    if name.startswith("polar07"):
+        n = int(name.removeprefix("polar07_n"))
+        m = build_polar_model(weighted_backward_shift(
+            [0.7 ** (j / 2) for j in range(1, n)]))
+    else:
+        m = request.getfixturevalue(name)
+    dbl = bicommutant(m.seed_algebra)
+    assert dbl.dim == m.seed_algebra.dim
+    equal, defect = spans_equal(dbl.basis, m.seed_algebra.basis,
+                                m.seed_algebra.tol)
+    assert equal, defect
