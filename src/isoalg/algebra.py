@@ -16,15 +16,17 @@ membership, commutants and generated closures into ordinary linear algebra.
   call.  The element is scaled so that its smallest coefficient is 1, so a
   single Hermitian generator g gives g / ||g||_F whatever the draw.  Its
   eigenvalues are split at gaps above ``tol * max(1, |lam|max)`` and the
-  basis is ``P_i / sqrt(rank P_i)``.  The result certifies itself
-  or is discarded: every generator must lie in the span within
-  ``tol * max(1, ||g||_F)``, and no gap may fall in the ambiguous band
-  ``(tol, 10 tol] * max(1, |lam|max)``.
-- **Gram-Schmidt.**  Every other generator set (not normal, not commuting,
-  or ambiguous) adjoins adjoints and pairwise products, round after round,
-  with a two-pass Hilbert-Schmidt Gram-Schmidt.  This is the only path for
-  non-commutative systems and the only place ``ToleranceCollapse`` is
-  raised.
+  basis is ``P_i / sqrt(rank P_i)``.  A gap in the ambiguous band
+  ``(tol, 10 tol] * max(1, |lam|max)`` raises ``ToleranceCollapse``.
+  Otherwise the result certifies itself or is discarded: every generator
+  must lie in the span within ``tol * max(1, ||g||_F)``.
+- **Gram-Schmidt by words.**  Every other generator set (not normal or not
+  commuting) starts from the identity and multiplies each basis element,
+  once reached, by the span of the generators and their adjoints.  Each
+  batch of products extends the basis in one Hilbert-Schmidt Gram-Schmidt
+  step with two batched passes, which raises ``ToleranceCollapse`` for a
+  residual in its ambiguous band.  This is the only path for
+  non-commutative systems.
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
@@ -74,29 +76,39 @@ def _chain_cap(n: int) -> int:
     return n * n + 2
 
 
-def _orth_insert(flat: list[np.ndarray], cand: np.ndarray, tol: float):
-    """Try to extend an orthonormal flat basis by one candidate.
+def _extend(flat: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
+    """Extend an orthonormal flat basis (k, N) by the directions of a
+    (m, N) candidate stack that it does not span.
 
-    Returns the new unit vector, or None when the candidate lies in the span.
-    Raises ToleranceCollapse for residual norms in the ambiguous band
-    (tol, 10*tol) after normalizing the candidate.
+    Each candidate is scaled to unit norm (those of norm <= tol are dropped)
+    and projected off the basis in two batched passes.  The candidate with
+    the largest residual above 10 tol is then taken as the next direction
+    and projected off the rest, until no residual is above 10 tol.  A
+    residual left in the ambiguous band (tol, 10 tol] raises
+    ToleranceCollapse, whatever the candidates' order.
     """
-    norm = np.linalg.norm(cand)
-    if norm <= tol:
-        return None
-    v = cand / norm
-    # two Gram-Schmidt passes for orthogonality at machine precision
+    norms = np.linalg.norm(cands, axis=1)
+    keep = norms > tol
+    v = cands[keep] / norms[keep, None]
     for _ in range(2):
-        for b in flat:
-            v = v - np.vdot(b, v) * b
-    r = np.linalg.norm(v)
-    if r <= tol:
-        return None
-    if r < 10.0 * tol:
+        v = v - (v @ flat.conj().T) @ flat
+    new: list[np.ndarray] = []
+    r = np.linalg.norm(v, axis=1)
+    while r.size and r.max() > 10.0 * tol:
+        w = v[np.argmax(r)]
+        # a second pass against this call's directions, as for the basis
+        for b in new:
+            w = w - np.vdot(b, w) * b
+        w = w / np.linalg.norm(w)
+        new.append(w)
+        v = v - np.outer(v @ w.conj(), w)
+        r = np.linalg.norm(v, axis=1)
+    r = r[r > tol]
+    if r.size:
         raise ToleranceCollapse(
-            f"Gram-Schmidt residual {r:.3e} in ambiguous band "
-            f"({tol:.1e}, {10 * tol:.1e}); generator set is ill-conditioned")
-    return v / r
+            f"Gram-Schmidt residual {r.max():.3e} in ambiguous band "
+            f"({tol:.1e}, {10 * tol:.1e}]; generator set is ill-conditioned")
+    return np.concatenate([flat, np.reshape(new, (-1, flat.shape[1]))])
 
 
 def _svd_span(mats) -> np.ndarray:
@@ -205,12 +217,13 @@ class FiniteStarAlgebra:
 _SPECTRAL_SEED = 20100127
 
 
-def _spectral_closure(gens: list[np.ndarray], n: int, tol: float,
-                      rejected: list[str] | None = None) -> np.ndarray | None:
+def _spectral_closure(gens: list[np.ndarray], n: int,
+                      tol: float) -> np.ndarray | None:
     """Basis P_i / sqrt(rank P_i) of the minimal projections of the closure
     of commuting normal generators, or None when the generators do not
-    certify it (see the module docstring).  A rejection for a gap in the
-    ambiguous band is described in ``rejected``, when given.
+    certify it (see the module docstring).  An eigenvalue gap in the
+    ambiguous band raises ToleranceCollapse naming the gap, before the
+    certificate is tested.
 
     The Hermitian combination is accumulated, and membership is tested, one
     generator at a time, so no copy of the generator stack is made.
@@ -244,14 +257,12 @@ def _spectral_closure(gens: list[np.ndarray], n: int, tol: float,
     gaps = np.diff(lam)
     in_band = (gaps > tol * scale) & (gaps <= 10.0 * tol * scale)
     if in_band.any():
-        if rejected is not None:
-            i = int(np.argmax(in_band))
-            rejected.append(
-                f"the spectral path rejected eigenvalue gap {gaps[i]:.3e} "
-                f"(index {i}, {lam[i]:.3e} to {lam[i + 1]:.3e}) in its "
-                f"ambiguous band ({tol * scale:.1e}, {10 * tol * scale:.1e}]; "
-                f"gaps in the band: {int(in_band.sum())}")
-        return None
+        i = int(np.argmax(in_band))
+        raise ToleranceCollapse(
+            f"the spectral path rejected eigenvalue gap {gaps[i]:.3e} "
+            f"(index {i}, {lam[i]:.3e} to {lam[i + 1]:.3e}) in its "
+            f"ambiguous band ({tol * scale:.1e}, {10 * tol * scale:.1e}]; "
+            f"gaps in the band: {int(in_band.sum())}")
     starts = np.concatenate([[0], np.flatnonzero(gaps > tol * scale) + 1])
     ranks = np.diff(starts, append=n)
     vecs_h = adjoint(vecs)
@@ -273,32 +284,22 @@ def _spectral_closure(gens: list[np.ndarray], n: int, tol: float,
 
 def _gram_schmidt_closure(gens: list[np.ndarray], n: int,
                           tol: float) -> np.ndarray:
-    """Flat orthonormal basis of the closure by Hilbert-Schmidt
-    Gram-Schmidt over adjoints and pairwise products, until the dimension
-    stabilizes."""
-    flat: list[np.ndarray] = []
-    eye = np.eye(n, dtype=complex)
-    for cand in [eye] + gens:
-        v = _orth_insert(flat, cand.ravel(), tol)
-        if v is not None:
-            flat.append(v)
-
-    cap = _chain_cap(n)
-    for _ in range(cap):
-        grew = False
-        mats = [v.reshape(n, n) for v in flat]
-        candidates = [adjoint(m) for m in mats]
-        for mi in mats:
-            for mj in mats:
-                candidates.append(mi @ mj)
-        for cand in candidates:
-            v = _orth_insert(flat, cand.ravel(), tol)
-            if v is not None:
-                flat.append(v)
-                grew = True
-        if not grew:
-            break
-    return np.reshape(flat, (-1, n, n))
+    """Orthonormal basis of the closure by words: a span that holds 1 and
+    is closed under right multiplication by the span W of the generators
+    and their adjoints holds every word in them.  Each basis element, once
+    reached, is multiplied by W in one batched product, and the basis is
+    extended by the products (see ``_extend``)."""
+    gens = np.asarray(gens, dtype=complex).reshape(-1, n, n)
+    letters = np.concatenate([gens, adjoint(gens)]).reshape(-1, n * n)
+    w = _extend(np.empty((0, n * n), complex), letters, tol).reshape(-1, n, n)
+    flat = _extend(np.eye(n, dtype=complex).reshape(1, -1) / np.sqrt(n),
+                   letters, tol)
+    i = 0
+    while i < len(flat):
+        flat = _extend(flat, (flat[i].reshape(n, n) @ w).reshape(-1, n * n),
+                       tol)
+        i += 1
+    return flat.reshape(-1, n, n)
 
 
 def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
@@ -312,11 +313,10 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     ``tol * max(1, |lam|max)``.  The path is taken only when it certifies
     itself: every generator lies in the span within
     ``tol * max(1, ||g||_F)`` and no gap falls in the ambiguous band
-    ``(tol, 10 tol] * max(1, |lam|max)``.  Every other set falls back to
-    Gram-Schmidt over adjoints and pairwise products, which raises
-    ToleranceCollapse for a residual in its own ambiguous band; when the
-    spectral path was rejected for a gap in its band, the error also names
-    that gap, its index and the band.  Either
+    ``(tol, 10 tol] * max(1, |lam|max)``.  A gap in that band is final: it
+    raises ToleranceCollapse naming the gap, its index and the band.  Every
+    other set falls back to a Gram-Schmidt closure by words, which raises
+    ToleranceCollapse for a residual in its own ambiguous band.  Either
     basis goes through the FiniteStarAlgebra constructor, which validates
     it.  ``dim`` is required when ``gens`` is empty.
     """
@@ -332,15 +332,9 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     else:
         n = dim
 
-    rejected: list[str] = []
-    basis = _spectral_closure(gens, n, tol, rejected)
+    basis = _spectral_closure(gens, n, tol)
     if basis is None:
-        try:
-            basis = _gram_schmidt_closure(gens, n, tol)
-        except ToleranceCollapse as exc:
-            if not rejected:
-                raise
-            raise ToleranceCollapse(f"{exc}; {rejected[0]}") from exc
+        basis = _gram_schmidt_closure(gens, n, tol)
     return FiniteStarAlgebra(basis, tol=tol)
 
 

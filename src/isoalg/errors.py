@@ -35,10 +35,14 @@ class NotPartialIsometry(_ReportError):
 
 
 class ToleranceCollapse(IsoalgError):
-    """Gram-Schmidt produced a residual in the ambiguous band (tol, 10*tol).
+    """A closure met a quantity in its ambiguous band (tol, 10*tol].
 
-    Signals an ill-conditioned generator set: the candidate is neither
-    clearly inside nor clearly outside the current span.
+    Raised by either path of ``generate_closure``: the spectral path for an
+    eigenvalue gap of its Hermitian combination in the band (the gap cannot
+    be told from a repeated eigenvalue), the Gram-Schmidt closure for a
+    candidate residual in the band (the candidate is neither clearly inside
+    nor clearly outside the current span).  Either signals a generator set
+    that is ill-conditioned at ``tol``.
     """
 
 

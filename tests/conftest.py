@@ -88,6 +88,30 @@ def raw_system(raw_system_spec):
     return system
 
 
+def amplified_generators(n, q):
+    """Generators Q (x) 1, 1 (x) sigma_x and 1 (x) sigma_z of the q-model on
+    C^n amplified by M_2: Q = diag(q^0, ..., q^(n-1)) on the first factor,
+    the full 2x2 algebra on the second."""
+    big_q = np.diag(q ** np.arange(n))
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma_z = np.diag([1.0, -1.0])
+    return [np.kron(big_q, np.eye(2)), np.kron(np.eye(n), sigma_x),
+            np.kron(np.eye(n), sigma_z)]
+
+
+@pytest.fixture(scope="session")
+def amplified_q12_spec():
+    """The q-model n = 12, q = 1/2 amplified by M_2: U (x) 1 on
+    C^12 (x) C^2, a non-commutative coefficient algebra (diagonal (x) M_2)."""
+    return system_spec(np.kron(ia.backward_shift(12), np.eye(2)),
+                       amplified_generators(12, 0.5))
+
+
+@pytest.fixture(scope="session")
+def amplified_q12(amplified_q12_spec):
+    return ia.load_model(amplified_q12_spec).system
+
+
 @pytest.fixture(scope="session")
 def shift3_projection_spec():
     """A commutative system that is not commutatively extendable: the shift

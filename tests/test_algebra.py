@@ -31,6 +31,7 @@ from isoalg.algebra import (
     _absorption_defect,
     _commutator_defect,
     _commutator_norm,
+    _extend,
     _gram_schmidt_closure,
     _invariance_defect,
     _multiplicativity_defect,
@@ -41,6 +42,8 @@ from isoalg.algebra import (
 from isoalg.linalg import spectral_norms
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
+
+from conftest import amplified_generators
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
@@ -510,6 +513,13 @@ def assert_matches_loop(stacked, loop):
     assert abs(stacked - loop) <= 1e-12 * max(1.0, abs(loop)), (stacked, loop)
 
 
+def generic_generator(rng):
+    """A random block-diagonal 4x4 matrix (M_2 + C + C)."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    g[:2, 2:] = g[2:, :2] = g[2, 3] = g[3, 2] = 0.0
+    return g
+
+
 @pytest.fixture(scope="module")
 def generic_system():
     """A raw system on which every defect above is nonzero and generic, so
@@ -517,8 +527,7 @@ def generic_system():
     complex non-commutative algebra generated by a random block-diagonal
     matrix (M_2 + C + C) and a random partial isometry of rank 3."""
     rng = np.random.default_rng(11)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    g[:2, 2:] = g[2:, :2] = g[2, 3] = g[3, 2] = 0.0
+    g = generic_generator(rng)
     w, v = (np.linalg.qr(rng.standard_normal((4, 4))
                          + 1j * rng.standard_normal((4, 4)))[0]
             for _ in range(2))
@@ -728,28 +737,26 @@ def test_spectral_closure_falls_back(generic_system):
     assert _spectral_closure([E12], 2, TOL) is None
     assert generate_closure([E12]).dim == 4
     # the generic non-commutative raw system
-    rng = np.random.default_rng(11)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    g[:2, 2:] = g[2:, :2] = g[2, 3] = g[3, 2] = 0.0
+    g = generic_generator(np.random.default_rng(11))
     assert _spectral_closure([g], 4, TOL) is None
     assert generate_closure([g]).dim == generic_system.algebra.dim == 6
-    # the generator of test_tolerance_collapse
-    assert _spectral_closure([np.eye(2) + 5e-9 * E12], 2, TOL) is None
+    # the generator of test_tolerance_collapse: its Hermitian combination
+    # has a gap in the ambiguous band, which is final
+    with pytest.raises(ToleranceCollapse, match="rejected eigenvalue gap"):
+        _spectral_closure([np.eye(2) + 5e-9 * E12], 2, TOL)
     # normal, with one eigenvalue gap inside the ambiguous band: one
     # Hermitian generator gives H = g/||g||_F, whose gap is 4e-9/sqrt(2)
     g = np.diag([1.0, 1.0 + 4e-9]).astype(complex)
-    assert _spectral_closure([g], 2, TOL) is None
-    with pytest.raises(ToleranceCollapse):
-        generate_closure([g])
-    rejected = []
-    assert _spectral_closure([g], 2, TOL, rejected) is None
-    assert rejected == [
+    with pytest.raises(ToleranceCollapse) as info:
+        _spectral_closure([g], 2, TOL)
+    assert str(info.value) == (
         f"the spectral path rejected eigenvalue gap {4e-9 / np.sqrt(2):.3e} "
         f"(index 0, {1 / np.sqrt(2):.3e} to {1 / np.sqrt(2):.3e}) in its "
-        f"ambiguous band (1.0e-09, 1.0e-08]; gaps in the band: 1"]
-    # a rejection for another cause leaves no description
-    assert _spectral_closure([E12], 2, TOL, rejected) is None
-    assert len(rejected) == 1
+        f"ambiguous band (1.0e-09, 1.0e-08]; gaps in the band: 1")
+    with pytest.raises(ToleranceCollapse):
+        generate_closure([g])
+    # a rejection for another cause raises nothing
+    assert _spectral_closure([E12], 2, TOL) is None
     # clear gaps either side of the band split or merge as the tolerance says
     assert generate_closure([np.diag([1.0, 1.0 + 1e-7])]).dim == 2
     assert generate_closure([np.diag([1.0, 1.0 + 1e-10])]).dim == 1
@@ -778,6 +785,157 @@ def test_spectral_closure_is_deterministic(qdeform12):
     assert np.array_equal(first.basis, second.basis)
     assert np.array_equal(_spectral_closure(gens, 12, TOL),
                           _spectral_closure(gens, 12, TOL))
+
+
+# ---------------------------------------------------------------------------
+# The word closure against the all-pairs Gram-Schmidt closure it replaced.
+# ---------------------------------------------------------------------------
+
+def reference_orth_insert(flat, cand, tol):
+    """Extend an orthonormal flat basis by one candidate: the new unit
+    vector, or None when the candidate lies in the span; ToleranceCollapse
+    for a residual in (tol, 10 tol) after normalizing the candidate."""
+    norm = np.linalg.norm(cand)
+    if norm <= tol:
+        return None
+    v = cand / norm
+    for _ in range(2):
+        for b in flat:
+            v = v - np.vdot(b, v) * b
+    r = np.linalg.norm(v)
+    if r <= tol:
+        return None
+    if r < 10.0 * tol:
+        raise ToleranceCollapse(f"Gram-Schmidt residual {r:.3e}")
+    return v / r
+
+
+def reference_gram_schmidt_closure(gens, n, tol):
+    """Gram-Schmidt over the identity and the generators, then over the
+    adjoints and all pairwise products of the basis, round after round,
+    until the dimension stabilizes."""
+    flat = []
+    for cand in [np.eye(n, dtype=complex)] + list(gens):
+        v = reference_orth_insert(flat, cand.ravel(), tol)
+        if v is not None:
+            flat.append(v)
+    for _ in range(n * n + 2):
+        grew = False
+        mats = [v.reshape(n, n) for v in flat]
+        candidates = [adjoint(m) for m in mats]
+        candidates += [mi @ mj for mi in mats for mj in mats]
+        for cand in candidates:
+            v = reference_orth_insert(flat, cand.ravel(), tol)
+            if v is not None:
+                flat.append(v)
+                grew = True
+        if not grew:
+            break
+    return np.reshape(flat, (-1, n, n))
+
+
+def corner_shift_stage_sets(n):
+    """The generator sets the delta tower walk of the corner shift on C^n
+    hands to generate_closure: the seed generator, then each stage with its
+    images, until the tower closes."""
+    sys = corner_shift_system(n)
+    sets = [[sys.algebra.basis[0]]]
+    cur = sys.algebra
+    while True:
+        gens = np.concatenate([cur.basis, sys.delta(cur.basis)])
+        sets.append(list(gens))
+        nxt = generate_closure(gens, dim=n)
+        if nxt.dim == cur.dim:
+            return sets
+        cur = nxt
+
+
+def word_closure_sets(request, name):
+    if name == "E12":
+        return [[E12]]
+    if name == "generic_system":
+        return [[generic_generator(np.random.default_rng(11))]]
+    if name == "raw_system":
+        spec = request.getfixturevalue("raw_system_spec")
+        return [[ia.matrix_from_json(g) for g in spec["generators"]]]
+    if name.startswith("generic_n"):
+        n = int(name[len("generic_n"):])
+        rng = np.random.default_rng(n)
+        return [[rng.standard_normal((n, n))
+                 + 1j * rng.standard_normal((n, n))]]
+    if name.startswith("corner_shift_n"):
+        return corner_shift_stage_sets(int(name[len("corner_shift_n"):]))
+    if name.startswith("amplified_n"):
+        return [amplified_generators(int(name[len("amplified_n"):]), 0.5)]
+    return model_generator_sets(request, name)
+
+
+@pytest.mark.parametrize("name", [
+    "E12", "generic_system", "raw_system",
+    *(f"generic_n{n}" for n in range(2, 7)),
+    *(f"corner_shift_n{n}" for n in range(4, 8)),
+    *(f"amplified_n{n}" for n in range(3, 7)),
+    "qdeform12", "polar6", "cyclic5", "q05_n12", "q09_n24", "polar07_n24"])
+def test_word_closure_matches_the_reference(request, name):
+    for gens in word_closure_sets(request, name):
+        n = gens[0].shape[0]
+        got = _gram_schmidt_closure(gens, n, TOL)
+        ref = reference_gram_schmidt_closure(gens, n, TOL)
+        assert len(got) == len(ref)
+        equal, defect = spans_equal(got, ref, TOL)
+        assert equal, defect
+        flat = got.reshape(len(got), -1)
+        gram = flat.conj() @ flat.T
+        assert np.abs(gram - np.eye(len(got))).max() <= 1e-13
+
+
+def unit(N, *entries):
+    v = np.zeros(N, complex)
+    for i, x in entries:
+        v[i] = x
+    return v
+
+
+@pytest.mark.parametrize("order", ["given", "reversed", "permuted"])
+def test_extend_raises_for_a_residual_in_the_band(order):
+    # e1 + 3e-9 e3 has unit residual ~3e-9 off span{e1}, whichever of the
+    # clear candidates are taken first
+    flat = unit(6, (0, 1.0))[None]
+    cands = np.array([unit(6, (1, 1.0)), unit(6, (0, 1.0), (2, 3e-9)),
+                      unit(6, (3, 1.0), (1, 1.0)), unit(6, (4, 2.0))])
+    if order == "reversed":
+        cands = cands[::-1]
+    elif order == "permuted":
+        cands = cands[np.random.default_rng(0).permutation(len(cands))]
+    with pytest.raises(ToleranceCollapse, match="Gram-Schmidt residual 3.0"):
+        _extend(flat, cands, TOL)
+
+
+def test_extend_drops_small_residuals_and_keeps_clear_ones():
+    flat = unit(4, (0, 1.0))[None]
+    assert np.array_equal(
+        _extend(flat, unit(4, (0, 1.0), (1, 1e-10))[None], TOL), flat)
+    # a zero candidate and one of norm <= tol are dropped before scaling
+    assert np.array_equal(
+        _extend(flat, np.array([np.zeros(4), unit(4, (2, 1e-10))]), TOL), flat)
+    got = _extend(flat, unit(4, (0, 1.0), (1, 1e-7))[None], TOL)
+    assert len(got) == 2 and np.array_equal(got[0], flat[0])
+    assert abs(abs(got[1, 1]) - 1.0) <= 1e-12
+    assert np.abs(got[1, [0, 2, 3]]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ia.build_qdeform(17, 0.3, "heisenberg"),
+    lambda: ia.build_qdeform(28, 0.5, "heisenberg"),
+    lambda: generate_closure([np.diag([1.0, 1.0 + 4e-9])]),
+], ids=["q03_n17", "q05_n28", "diag_band"])
+def test_a_gap_in_the_band_is_final(monkeypatch, build):
+    def fallback(*args):
+        raise AssertionError("the Gram-Schmidt fallback was called")
+
+    monkeypatch.setattr(ia.algebra, "_gram_schmidt_closure", fallback)
+    with pytest.raises(ToleranceCollapse, match="rejected eigenvalue gap"):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,13 @@ def test_closure_reports_the_loaded_model_towers(specs):
 def test_closure_names_the_rejected_gap(tmp_path, capsys):
     # the seed closure Q/||Q||_F of the q = 0.3, n = 18 model has its two
     # smallest gaps, q^16 - q^17 and q^15 - q^16 over ||Q||_F, in the band
-    # (1e-9, 1e-8]; the Gram-Schmidt fallback then collapses, and the error
-    # names the first of them as the cause
+    # (1e-9, 1e-8]; a gap in the band is final, and the error names the
+    # first of them as the cause
     spec = tmp_path / "q18.json"
     spec.write_text(json.dumps({"type": "qdeform", "n": 18, "q": 0.3,
                                 "rho": "heisenberg"}))
     assert main(["closure", "--model", str(spec)]) == 2
     err = capsys.readouterr().err
-    assert "Gram-Schmidt residual" in err
     gap = 0.3 ** 16 * 0.7 / np.linalg.norm(0.3 ** np.arange(18))
     assert (f"rejected eigenvalue gap {gap:.3e} (index 0, " in err
             and "in its ambiguous band (1.0e-09, 1.0e-08]; "
@@ -415,6 +414,30 @@ def test_run_extension_towers_reports_the_failed_hypothesis(
     (rep,) = json.loads(out.read_text())["results"]
     checks = [d["check"] for d in rep["defects"]]
     assert rep["pass"] is False and (checks[0], checks[-1]) == (first, last)
+
+
+def test_amplified_q12_checks(amplified_q12_spec, amplified_q12, tmp_path):
+    # the q-model n = 12 amplified by M_2 builds through the word closure;
+    # its algebra is not commutative, and that is the one failure of the
+    # structure checks
+    assert amplified_q12.algebra.dim == 48
+    path = tmp_path / "amplified_q12.json"
+    path.write_text(json.dumps(amplified_q12_spec))
+    out = tmp_path / "out.json"
+    checks = ["coefficient_algebra", "extendability", "power_structure",
+              "coefficient_bound", "commutative_extendability",
+              "extension_towers"]
+    assert main(["run", "--model", str(path), "--checks", ",".join(checks),
+                 "--seed", "0", "--out", str(out)]) == 1
+    reps = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+    for name in ("coefficient_algebra", "extendability", "power_structure",
+                 "coefficient_bound"):
+        assert reps[name]["pass"] is True, name
+    assert "the delta tower closes at dimension 48" in \
+        reps["extendability"]["notes"]
+    for name in ("commutative_extendability", "extension_towers"):
+        failed = [d["check"] for d in reps[name]["defects"] if not d["ok"]]
+        assert failed == ["hypothesis: algebra commutative"], name
 
 
 def test_run_and_closure_name_the_same_late_failing_stage(tmp_path):

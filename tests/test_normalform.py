@@ -513,6 +513,23 @@ def test_oracles_on_a_non_nilpotent_system(cyclic5):
             assert np.linalg.norm(got - x.coefficient(k)) <= 1e-9 * x.scale()
 
 
+def test_oracles_on_the_amplified_q_model(amplified_q12):
+    # c01 (homomorphism) and c02 (gauge-average extraction) on a
+    # non-commutative coefficient algebra, diagonal (x) M_2
+    rng = np.random.default_rng(36)
+    for _ in range(50):
+        x = ia.random_normal_form(amplified_q12, rng)
+        y = ia.random_normal_form(amplified_q12, rng)
+        ex, ey = x.eval(), y.eval()
+        nx, ny = spectral_norm(ex), spectral_norm(ey)
+        assert spectral_norm(nf_multiply(x, y).eval() - ex @ ey) \
+            <= 1e-10 * nx * ny
+        m = 2 * x.max_degree + 1
+        for k in x.degrees():
+            got = strip_power(amplified_q12, gauge_average(x, k, m), k)
+            assert np.linalg.norm(got - x.coefficient(k)) <= 1e-9 * x.scale()
+
+
 def test_norm_limit_past_the_power_cache(cyclic5):
     # (xx*)^16 of a degree-4 form reaches degree 128, past the cached power
     # depth 2n + 4 = 14.  Oracle: its degree-0 coefficient is the average of
