@@ -26,7 +26,6 @@ from .errors import (
     InsufficientResolution,
     IsoalgError,
     NotCoefficientAlgebra,
-    NotCommutative,
     NotPSD,
     NotPartialIsometry,
     NotSelfAdjoint,

@@ -42,6 +42,13 @@ one walk: each stage's images are computed once, for the hypothesis check,
 the fixed-point test and the next closure.  The delta tower's walk is also
 where extendability is decided: it stops at the first stage whose images
 break the hypothesis, or at the closed tower, so no orbit depth is guessed.
+
+Every checker has one contract: ``check(sys[, k_max]) -> ConditionReport``,
+measured at ``sys.tol``, the tolerance the system was built at.  A failed
+hypothesis is an entry of the report, never an exception; a report that
+stops early ends at the failing entry.  The builders (``extend_delta``,
+``extend_delta_star``, ``build_towers``) are not checkers: they raise
+HypothesisViolated, carrying the same report.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
-    NotCommutative,
     NotPartialIsometry,
     ToleranceCollapse,
 )
@@ -189,6 +195,14 @@ class FiniteStarAlgebra:
         m = as_matrix(m)
         defect = float(self.span_defects(m[None])[0])
         return defect <= self.tol * max(1.0, hs_norm(m)), defect
+
+    @cached_property
+    def commutator_defect(self) -> float:
+        """Worst commutator norm over distinct basis pairs: 0 up to rounding
+        exactly when the algebra is commutative."""
+        basis = self.basis
+        return max((_commutator_norm(a, basis[i + 1:])
+                    for i, a in enumerate(basis)), default=0.0)
 
     def invariant_report(self) -> ConditionReport:
         rep = ConditionReport("star_algebra_invariants")
@@ -370,13 +384,13 @@ class IsometrySystem:
     """A *-algebra together with a partial isometry acting on the same space.
 
     Powers of U and the projections U^{*k} U^k, U^k U^{*k} are cached eagerly
-    as stacks up to ``depth`` (further powers are computed on demand without
-    mutating the cache); the ``*_stack`` methods return many at once.  The
-    instance is immutable after construction.
+    as stacks up to k = 2n + 4 on C^n (further powers are computed on demand
+    without mutating the cache); the ``*_stack`` methods return many at
+    once.  ``tol`` is the algebra's, the tolerance every checker measures
+    the system at.  The instance is immutable after construction.
     """
 
-    def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray,
-                 depth: int | None = None):
+    def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray):
         self.algebra = algebra
         self.u = as_matrix(u)
         if self.u.shape[0] != algebra.ambient_dim:
@@ -387,11 +401,9 @@ class IsometrySystem:
         if not rep.passed:
             raise NotPartialIsometry("U is not a partial isometry", rep)
 
-        if depth is None:
-            depth = 2 * algebra.ambient_dim + 4
         n = algebra.ambient_dim
         powers = [np.eye(n, dtype=complex)]
-        for _ in range(depth):
+        for _ in range(2 * n + 4):
             nxt = powers[-1] @ self.u
             powers.append(nxt)
             if not nxt.any():
@@ -536,12 +548,6 @@ def _commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
     return max((_worst_norm(a @ right - right @ a) for a in rows), default=0.0)
 
 
-def _commutator_defect(basis: np.ndarray) -> float:
-    """Worst commutator norm over distinct basis pairs."""
-    return max((_commutator_norm(a, basis[i + 1:])
-                for i, a in enumerate(basis)), default=0.0)
-
-
 def _multiplicativity_defect(sys: IsometrySystem) -> float:
     """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
     basis = sys.algebra.basis
@@ -563,12 +569,13 @@ def _intertwining_defect(sys: IsometrySystem) -> float:
 
 
 def _add_delta_hypotheses(rep: ConditionReport, sys: IsometrySystem,
-                          tol: float, prefix: str = "") -> None:
+                          prefix: str = "") -> None:
     """Record the hypotheses of the delta_star tower and of the power
     identities: intertwining (i) and delta mapping the algebra into itself."""
-    rep.add(prefix + "intertwining relation", _intertwining_defect(sys), tol)
+    rep.add(prefix + "intertwining relation", _intertwining_defect(sys),
+            sys.tol)
     rep.add(prefix + "delta maps algebra into itself",
-            _invariance_defect(sys, sys.delta), tol)
+            _invariance_defect(sys, sys.delta), sys.tol)
 
 
 def _projection_families_defect(sys: IsometrySystem, k_max: int) -> float:
@@ -592,8 +599,7 @@ def _absorption_defect(sys: IsometrySystem, k_max: int) -> float:
 # condition checkers
 # ---------------------------------------------------------------------------
 
-def check_intertwining_equivalents(sys: IsometrySystem,
-                                   tol: float | None = None) -> ConditionReport:
+def check_intertwining_equivalents(sys: IsometrySystem) -> ConditionReport:
     """Check the three equivalent forms of the intertwining relation.
 
     (i)   U a = delta(a) U for every basis element a;
@@ -604,7 +610,7 @@ def check_intertwining_equivalents(sys: IsometrySystem,
     The three are equivalent in exact arithmetic, so a disagreement among
     them flags a numerical fault and is noted on the report.
     """
-    tol = sys.tol if tol is None else tol
+    tol = sys.tol
     rep = ConditionReport("intertwining_equivalents")
     u, ustar = sys.u, adjoint(sys.u)
     basis = sys.algebra.basis
@@ -629,35 +635,21 @@ def check_intertwining_equivalents(sys: IsometrySystem,
     return rep
 
 
-def check_coefficient_algebra(sys: IsometrySystem,
-                              tol: float | None = None) -> ConditionReport:
+def check_coefficient_algebra(sys: IsometrySystem) -> ConditionReport:
     """Check that the algebra is a coefficient algebra for (algebra, U):
     the intertwining relation holds and both delta and delta_star map the
     algebra into itself.
     """
-    tol = sys.tol if tol is None else tol
     rep = ConditionReport("coefficient_algebra")
-    rep.merge(check_intertwining_equivalents(sys, tol))
+    rep.merge(check_intertwining_equivalents(sys))
     rep.add("delta maps algebra into itself",
-            _invariance_defect(sys, sys.delta), tol)
+            _invariance_defect(sys, sys.delta), sys.tol)
     rep.add("delta_star maps algebra into itself",
-            _invariance_defect(sys, sys.delta_star), tol)
+            _invariance_defect(sys, sys.delta_star), sys.tol)
     return rep
 
 
-def _require_commutative(basis: np.ndarray, tol: float) -> float:
-    """The commutator defect of a basis; raises NotCommutative, carrying
-    it, when it exceeds tol."""
-    d_comm = _commutator_defect(basis)
-    if d_comm > tol:
-        exc = NotCommutative(
-            f"algebra has commutator defect {d_comm:.3e} > {tol:.1e}")
-        exc.defect = d_comm
-        raise exc
-    return d_comm
-
-
-def _tower(sys: IsometrySystem, image, tol: float,
+def _tower(sys: IsometrySystem, image,
            check=None) -> FiniteStarAlgebra | None:
     """Generated closure of all iterated images of the algebra under
     ``image``, in one walk: each stage's images are computed once, passed
@@ -666,6 +658,7 @@ def _tower(sys: IsometrySystem, image, tol: float,
     and tested for membership in the stage as ``contains`` does, within
     ``tol * max(1, ||img||_F)``.  The walk stops when all lie in it and
     otherwise closes the stage with them."""
+    tol = sys.tol
     cur = sys.algebra
     for stage in range(_chain_cap(sys.dim)):
         images = image(cur.basis)
@@ -679,8 +672,7 @@ def _tower(sys: IsometrySystem, image, tol: float,
     return cur
 
 
-def _checked_delta_tower(sys: IsometrySystem, tol: float,
-                         commutative: bool = False
+def _checked_delta_tower(sys: IsometrySystem, commutative: bool = False
                          ) -> tuple[ConditionReport, FiniteStarAlgebra | None]:
     """The delta tower, walked with its hypothesis checked on the way, and
     the report of the check; the tower is None when the hypothesis fails.
@@ -693,9 +685,9 @@ def _checked_delta_tower(sys: IsometrySystem, tol: float,
     images contain delta^n(algebra) for every n.  So the walk decides the
     hypothesis itself, at no orbit depth chosen in advance.
 
-    With ``commutative`` the report is "commutative_extendability": the
-    algebra must be commutative (NotCommutative otherwise), and at each
-    stage it is checked against the images after U*U.  Given
+    With ``commutative`` the report is "commutative_extendability": its
+    first entry is the algebra's commutator defect, and at each stage the
+    algebra is checked against the images after U*U.  Given
     extendability, it commutes with each stage's images iff it commutes
     with every delta^n(algebra), by the same containments.
 
@@ -703,11 +695,13 @@ def _checked_delta_tower(sys: IsometrySystem, tol: float,
     first failing entry, which is then the report's last; on a pass the
     report notes the tower's dimension.
     """
-    basis = sys.algebra.basis
+    tol, basis = sys.tol, sys.algebra.basis
     lefts = [("U*U", sys.proj_initial(1))]
     if commutative:
         rep = ConditionReport("commutative_extendability")
-        rep.add("algebra commutative", _require_commutative(basis, tol), tol)
+        if not rep.add("algebra commutative", sys.algebra.commutator_defect,
+                       tol).ok:
+            return rep, None
         lefts.append(("the algebra", basis))
     else:
         rep = ConditionReport("extendability")
@@ -719,15 +713,25 @@ def _checked_delta_tower(sys: IsometrySystem, tol: float,
 
     if not commute(lefts[:1], "the algebra", basis):
         return rep, None
-    ext = _tower(sys, sys.delta, tol, lambda stage, images: commute(
+    ext = _tower(sys, sys.delta, lambda stage, images: commute(
         lefts, f"delta(tower stage {stage})", images))
     if ext is not None:
         rep.note(f"the delta tower closes at dimension {ext.dim}")
     return rep, ext
 
 
-def check_extendability(sys: IsometrySystem, *,
-                        tol: float | None = None) -> ConditionReport:
+def _checked_delta_star_tower(sys: IsometrySystem
+                              ) -> tuple[ConditionReport,
+                                         FiniteStarAlgebra | None]:
+    """The delta_star tower and the report of its hypothesis, intertwining
+    and delta mapping the algebra into itself, checked before the walk;
+    the tower is None when the hypothesis fails."""
+    rep = ConditionReport("delta_star_tower_hypotheses")
+    _add_delta_hypotheses(rep, sys)
+    return rep, _tower(sys, sys.delta_star) if rep.passed else None
+
+
+def check_extendability(sys: IsometrySystem) -> ConditionReport:
     """Check that U*U commutes with every iterated image delta^n(a).
 
     This is the obstruction for extending the algebra to one satisfying the
@@ -736,23 +740,30 @@ def check_extendability(sys: IsometrySystem, *,
     this is: a failure's last entry names the stage, and a pass notes the
     dimension of the closed tower.
     """
-    return _checked_delta_tower(sys, sys.tol if tol is None else tol)[0]
+    return _checked_delta_tower(sys)[0]
 
 
-def check_commutative_extendability(sys: IsometrySystem, *,
-                                    tol: float | None = None
-                                    ) -> ConditionReport:
-    """Check the two conditions for a commutative coefficient extension:
-    the algebra commutes with all delta^n images of itself, and U*U does too.
+def check_commutative_extendability(sys: IsometrySystem) -> ConditionReport:
+    """Check the conditions for a commutative coefficient extension: the
+    algebra is commutative, and it and U*U commute with all delta^n images
+    of itself.
 
-    Decided on the walk of the delta tower, as ``check_extendability`` is.
-    Raises NotCommutative when the algebra itself is not commutative.
+    Decided on the walk of the delta tower, as ``check_extendability`` is;
+    on a non-commutative algebra the report ends at its failing first
+    entry, "algebra commutative".
     """
-    return _checked_delta_tower(sys, sys.tol if tol is None else tol,
-                                commutative=True)[0]
+    return _checked_delta_tower(sys, commutative=True)[0]
 
 
-def extend_delta(sys: IsometrySystem, tol: float | None = None) -> FiniteStarAlgebra:
+def _built(walk, what: str) -> FiniteStarAlgebra:
+    """The tower of a checked walk, or HypothesisViolated(what, report)."""
+    rep, tower = walk
+    if tower is None:
+        raise HypothesisViolated(what, rep)
+    return tower
+
+
+def extend_delta(sys: IsometrySystem) -> FiniteStarAlgebra:
     """Smallest *-algebra containing the algebra and all its delta^n images.
 
     Requires extendability: U*U commutes with every delta^n(a) (otherwise
@@ -760,42 +771,34 @@ def extend_delta(sys: IsometrySystem, tol: float | None = None) -> FiniteStarAlg
     (``_checked_delta_tower``); a failure raises HypothesisViolated
     carrying the report, whose last entry names the stage.
     """
-    rep, ext = _checked_delta_tower(sys, sys.tol if tol is None else tol)
-    if ext is None:
-        raise HypothesisViolated("extendability fails; delta tower unsound",
-                                 rep)
-    return ext
+    return _built(_checked_delta_tower(sys),
+                  "extendability fails; delta tower unsound")
 
 
-def extend_delta_star(sys: IsometrySystem,
-                      tol: float | None = None) -> FiniteStarAlgebra:
+def extend_delta_star(sys: IsometrySystem) -> FiniteStarAlgebra:
     """Smallest *-algebra containing the algebra and all delta_star^n images.
 
     Requires the intertwining relation and delta mapping the algebra into
     itself; raises HypothesisViolated carrying the failed report.
     """
-    tol = sys.tol if tol is None else tol
-    pre = ConditionReport("delta_star_tower_hypotheses")
-    _add_delta_hypotheses(pre, sys, tol)
-    if not pre.passed:
-        raise HypothesisViolated(
-            "intertwining or delta-invariance fails; delta_star tower unsound", pre)
-    return _tower(sys, sys.delta_star, tol)
+    return _built(_checked_delta_star_tower(sys),
+                  "intertwining or delta-invariance fails; "
+                  "delta_star tower unsound")
 
 
-def build_towers(sys: IsometrySystem, tol: float | None = None
+def build_towers(sys: IsometrySystem
                  ) -> tuple[FiniteStarAlgebra, FiniteStarAlgebra]:
     """Extend the algebra by delta, then the result by delta_star.
 
     Returns (delta tower, full tower); the full tower is the coefficient
     algebra the models are built over.
     """
-    ext = extend_delta(sys, tol)
-    return ext, extend_delta_star(sys._with_algebra(ext), tol)
+    ext = extend_delta(sys)
+    return ext, extend_delta_star(sys._with_algebra(ext))
 
 
-def verify_power_identities(sys: IsometrySystem, k_max: int,
-                            tol: float | None = None) -> ConditionReport:
+def verify_power_identities(sys: IsometrySystem,
+                            k_max: int) -> ConditionReport:
     """Verify the power structure of a coefficient system up to k_max:
 
     - U^k a = delta^k(a) U^k on the basis;
@@ -806,12 +809,12 @@ def verify_power_identities(sys: IsometrySystem, k_max: int,
     - the absorption identities U* U^k U^{*l} = U^{k-1} U^{*l} and
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l.
 
-    Report-valued; the hypothesis (intertwining + delta-invariance) is
-    recorded as the first entries instead of raising.
+    The hypothesis (intertwining + delta-invariance) is recorded as the
+    first entries.
     """
-    tol = sys.tol if tol is None else tol
+    tol = sys.tol
     rep = ConditionReport("power_structure")
-    _add_delta_hypotheses(rep, sys, tol, prefix="hypothesis: ")
+    _add_delta_hypotheses(rep, sys, prefix="hypothesis: ")
 
     basis, ks = sys.algebra.basis, np.arange(1, k_max + 1)
     d = max((_worst_norm(uk @ basis - sys.delta_n(basis, k) @ uk)
@@ -839,33 +842,39 @@ def verify_power_identities(sys: IsometrySystem, k_max: int,
     return rep
 
 
-def check_extension_towers(sys: IsometrySystem,
-                           tol: float | None = None) -> ConditionReport:
+def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
     """Verify that the two extension towers agree:
 
     extending by delta then delta_star yields the same span as extending by
     delta_star then delta, the result is commutative, and both maps send it
     into itself.
 
-    Requires commutative extendability, which is checked on the first
-    delta walk, the walk of ``check_commutative_extendability``.  Raises
-    NotCommutative when the algebra is not commutative, and
-    HypothesisViolated("commutative extendability fails", report) at the
-    walk's first failing entry; the report names the stage.
+    The towers are four checked walks: the delta tower (the walk of
+    ``check_commutative_extendability``), the delta_star tower over it, the
+    delta_star tower, and the delta tower over that.  When a walk's
+    hypothesis fails, the report holds that walk's entries prefixed
+    "hypothesis: ", the failing one last, and a note naming the walk.
     """
-    tol = sys.tol if tol is None else tol
-    pre, ext = _checked_delta_tower(sys, tol, commutative=True)
-    if ext is None:
-        raise HypothesisViolated("commutative extendability fails", pre)
-    tower_a = extend_delta_star(sys._with_algebra(ext), tol)
-    ext_s = extend_delta_star(sys, tol)
-    tower_b = extend_delta(sys._with_algebra(ext_s), tol)
-
+    tol = sys.tol
     rep = ConditionReport("extension_towers")
+    towers: list[FiniteStarAlgebra] = []
+    for walk in (lambda: _checked_delta_tower(sys, commutative=True),
+                 lambda: _checked_delta_star_tower(
+                     sys._with_algebra(towers[0])),
+                 lambda: _checked_delta_star_tower(sys),
+                 lambda: _checked_delta_tower(sys._with_algebra(towers[2]))):
+        walk_rep, tower = walk()
+        if tower is None:
+            rep.merge(walk_rep, prefix="hypothesis")
+            rep.note(f"hypothesis failed: {walk_rep.name}; no towers built")
+            return rep
+        towers.append(tower)
+    tower_a, tower_b = towers[1], towers[3]
+
     _, defect = spans_equal(tower_a.basis, tower_b.basis, tol)
     rep.add("towers have equal spans", defect, tol)
 
-    rep.add("tower is commutative", _commutator_defect(tower_a.basis), tol)
+    rep.add("tower is commutative", tower_a.commutator_defect, tol)
 
     sys_t = sys._with_algebra(tower_a)
     rep.add("delta an endomorphism of the tower",

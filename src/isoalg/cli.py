@@ -25,7 +25,7 @@ from .algebra import (
     check_intertwining_equivalents,
     verify_power_identities,
 )
-from .errors import IsoalgError, NotCommutative, HypothesisViolated
+from .errors import HypothesisViolated, IsoalgError
 from .expr import parse
 from .linalg import is_partial_isometry, matrix_from_json, matrix_to_json
 from .models import (
@@ -98,13 +98,13 @@ def _towers_report(loaded: LoadedModel) -> dict:
 class _Context:
     """What a check runner sees: the model, the run options, the traces it
     emits, and what the samplers share: one draw of random canonical forms
-    and the coefficient-bound report measured on it."""
+    and the coefficient-bound report measured on it.  The system was built
+    at --tol, so its checkers measure at --tol."""
 
     def __init__(self, loaded: LoadedModel, cfg):
         self.loaded = loaded
         self.system = loaded.system
         self.cfg = cfg
-        self.tol = cfg.tol
         self.traces = []
 
     @cached_property
@@ -113,8 +113,7 @@ class _Context:
 
     @cached_property
     def star(self) -> ConditionReport:
-        return sample_coefficient_bound(self.system, self.forms, self.cfg.seed,
-                                        self.tol)
+        return sample_coefficient_bound(self.system, self.forms, self.cfg.seed)
 
 
 def _norm_limit(ctx: _Context) -> ConditionReport:
@@ -125,73 +124,62 @@ def _norm_limit(ctx: _Context) -> ConditionReport:
 
 
 # name -> (requirement, runner), in the execution order of --checks all.
-# The requirement is None, "coefficient" (a coefficient algebra; these
-# checks would only repeat the failure on a raw system that is not one, so
-# --checks all skips them there) or the LoadedModel field the check needs.
-# Runners name the checkers at call time, so a rebound module attribute
-# reaches them.
+# Every runner returns a report; a failed hypothesis is entries of it.  The
+# requirement is None, a property of the system (see _SYSTEM_PROPERTIES) or
+# the LoadedModel field the check needs.  Runners name the checkers at call
+# time, so a rebound module attribute reaches them.
 CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
-    "partial_isometry": (None, lambda c: is_partial_isometry(c.system.u, c.tol)),
-    "intertwining": (
-        None, lambda c: check_intertwining_equivalents(c.system, c.tol)),
-    # the system was built at c.tol, so its cached report is this check's
+    "partial_isometry": (
+        None, lambda c: is_partial_isometry(c.system.u, c.system.tol)),
+    "intertwining": (None, lambda c: check_intertwining_equivalents(c.system)),
+    # the system's cached report is this check's
     "coefficient_algebra": (None, lambda c: c.system.coefficient_report),
     "adjoint_intertwining": (
-        None, lambda c: check_adjoint_intertwining(c.system, c.tol)),
-    "extendability": (
-        None, lambda c: check_extendability(c.system, tol=c.tol)),
+        None, lambda c: check_adjoint_intertwining(c.system)),
+    "extendability": (None, lambda c: check_extendability(c.system)),
     "commutative_extendability": (
-        None,
-        lambda c: check_commutative_extendability(c.system, tol=c.tol)),
+        "commutative", lambda c: check_commutative_extendability(c.system)),
     "power_structure": (
-        None, lambda c: verify_power_identities(c.system, c.cfg.k_max, c.tol)),
+        None, lambda c: verify_power_identities(c.system, c.cfg.k_max)),
     "extension_towers": (
-        None, lambda c: check_extension_towers(c.system, c.tol)),
+        "commutative", lambda c: check_extension_towers(c.system)),
     "coefficient_bound": ("coefficient", lambda c: c.star),
     "gauge_invariance": ("coefficient", lambda c: gauge_invariance_sample(
-        c.system, c.forms, c.cfg.seed, star_report=c.star, tol=c.tol)),
+        c.system, c.forms, c.cfg.seed, star_report=c.star)),
     "norm_limit": ("coefficient", _norm_limit),
     "sum_norm_estimates": (None, lambda c: sum_norm_estimates_sample(
-        c.cfg.samples, c.cfg.seed, c.tol)),
+        c.cfg.samples, c.cfg.seed, c.cfg.tol)),
     "polar_structure": (
         "polar", lambda c: polar_structure_suite(c.loaded.polar, c.cfg.k_max)),
     "qdeform_relations": (
         "qdeform", lambda c: qdeform_relations_suite(c.loaded.qdeform)),
 }
 
+# The system properties a check can require.  --checks all skips the check
+# on a system without it, where it would only repeat that failure; asked for
+# by name it runs (a coefficient check then fails with NotCoefficientAlgebra)
+_SYSTEM_PROPERTIES: dict[str, Callable] = {
+    "coefficient": lambda s: s.coefficient_report.passed,
+    "commutative": lambda s: s.algebra.commutator_defect <= s.tol,
+}
+
 
 def _applies(requires: str | None, loaded: LoadedModel) -> bool:
-    if requires == "coefficient":
-        return loaded.system.coefficient_report.passed
+    if requires in _SYSTEM_PROPERTIES:
+        return _SYSTEM_PROPERTIES[requires](loaded.system)
     return requires is None or getattr(loaded, requires) is not None
 
 
 def _run_check(ctx: _Context, name: str) -> ConditionReport:
-    """Run one registered check, converting hypothesis failures into failed
-    reports so one broken condition does not abort the whole batch."""
+    """Run one registered check by name."""
     if name not in CHECKS:
         raise ConfigError(
             f"unknown check {name!r}; registered: {', '.join(CHECKS)}")
     requires, run = CHECKS[name]
-    # coefficient checks asked for by name still run, and fail with
-    # NotCoefficientAlgebra on a system that is not one
-    if requires != "coefficient" and not _applies(requires, ctx.loaded):
+    if requires not in _SYSTEM_PROPERTIES and not _applies(requires,
+                                                           ctx.loaded):
         raise ConfigError(f"{name} requires a {requires} model")
-    try:
-        return run(ctx)
-    except (NotCommutative, HypothesisViolated) as exc:
-        rep = ConditionReport(name)
-        failed = getattr(exc, "report", None)
-        if isinstance(exc, NotCommutative):
-            rep.add("hypothesis: algebra commutative",
-                    getattr(exc, "defect", 1.0), 0.0)
-        else:
-            worst = failed.worst() if failed is not None else None
-            rep.add("hypothesis", worst.value if worst else 1.0, 0.0)
-        rep.note(str(exc))
-        if failed is not None:
-            rep.merge(failed, prefix="failed hypothesis")
-        return rep
+    return run(ctx)
 
 
 def _load_model_file(path: str, tol: float) -> LoadedModel:
@@ -295,7 +283,7 @@ def _cmd_nf(args) -> tuple[dict, int]:
 def _cmd_norm_limit(args) -> tuple[dict, int]:
     loaded, nf = _load_form(args)
     forms = random_normal_forms(loaded.system, args.samples, args.seed)
-    star = sample_coefficient_bound(loaded.system, forms, args.seed, args.tol)
+    star = sample_coefficient_bound(loaded.system, forms, args.seed)
     trace = norm_limit(nf, args.k_max, star)
     return {"coefficient_bound": star.to_json(), "trace": trace.to_json()}, 0
 
@@ -304,11 +292,8 @@ def _cmd_closure(args) -> tuple[dict, int]:
     loaded = _load_model_file(args.model, args.tol)
     try:
         return _towers_report(loaded), 0
-    except (HypothesisViolated, NotCommutative) as exc:
-        doc = {"error": str(exc)}
-        if getattr(exc, "report", None) is not None:
-            doc["report"] = exc.report.to_json()
-        return doc, 1
+    except HypothesisViolated as exc:
+        return {"error": str(exc), "report": exc.report.to_json()}, 1
 
 
 def _cmd_polar(args) -> tuple[dict, int]:

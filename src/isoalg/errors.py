@@ -46,12 +46,9 @@ class ToleranceCollapse(IsoalgError):
     """
 
 
-class NotCommutative(IsoalgError):
-    """An algebra required to be commutative has a non-commuting basis pair."""
-
-
 class HypothesisViolated(_ReportError):
-    """A checker's hypothesis failed; carries the failing report."""
+    """A builder's hypothesis failed; carries the failing report.  Checkers
+    never raise it: a failed hypothesis is entries of their report."""
 
 
 class NotCoefficientAlgebra(_ReportError):

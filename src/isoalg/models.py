@@ -54,6 +54,11 @@ from .report import ConditionReport
 # Eigenvalues of |a| below RANK_TOL * ||a|| are treated as kernel.
 RANK_TOL = 1e-10
 
+# Tolerances of the polar structure suite, and of the q-model relations
+# suite's exact identities and derived truncation defects.
+POLAR_TOL = 1e-12
+QDEFORM_TOL_EXACT, QDEFORM_TOL_EDGE = 1e-13, 1e-10
+
 
 def backward_shift(n: int) -> np.ndarray:
     """The truncated backward shift on C^n: U e_j = e_{j-1}, U e_1 = 0."""
@@ -106,13 +111,13 @@ def build_polar_model(a: np.ndarray, tol: float = DEFAULT_TOL) -> PolarModel:
             f"a a* is outside the algebra generated by |a| "
             f"(defect {defect:.3e})", defect)
     seed_sys = IsometrySystem(seed, u)
-    ext, full = build_towers(seed_sys, tol)
+    ext, full = build_towers(seed_sys)
     return PolarModel(a, abs_a, u, seed, ext, seed_sys._with_algebra(full))
 
 
-def polar_structure_suite(m: PolarModel, k_max: int,
-                          tol: float = 1e-12) -> ConditionReport:
-    """Structure checks for the polar model, up to power k_max:
+def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
+    """Structure checks for the polar model, up to power k_max, each within
+    POLAR_TOL:
 
     - delta^k(|a|) lies in the algebra generated by |a| and the range
       projections U U*, ..., U^{k-1} U^{*(k-1)};
@@ -127,6 +132,7 @@ def polar_structure_suite(m: PolarModel, k_max: int,
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l;
     - the two projection families commute.
     """
+    tol = POLAR_TOL
     rep = ConditionReport("polar_structure")
     sys = m.system._with_algebra(m.seed_algebra)
     seed_tol = m.seed_algebra.tol
@@ -265,15 +271,15 @@ def build_qdeform(n: int, q: float, rho: RhoSpec | str,
 
     seed = generate_closure([big_q], tol)
     seed_sys = IsometrySystem(seed, u)
-    ext, full = build_towers(seed_sys, tol)
+    ext, full = build_towers(seed_sys)
     return QDeformModel(n, q, big_q, u, rho, rho_matrix, a, seed, ext,
                         seed_sys._with_algebra(full))
 
 
-def qdeform_relations_suite(m: QDeformModel, tol_exact: float = 1e-13,
-                            tol_edge: float = 1e-10) -> ConditionReport:
+def qdeform_relations_suite(m: QDeformModel) -> ConditionReport:
     """Verify the defining relations of the q-model, separating exact
-    identities from the analytically derived truncation defects:
+    identities (within QDEFORM_TOL_EXACT) from the analytically derived
+    truncation defects (within QDEFORM_TOL_EDGE):
 
     - a* a = rho^2(Q), a Q = q Q a and Q a* = q a* Q hold globally;
     - U Q = q Q U holds globally (the backward orientation makes it exact);
@@ -282,6 +288,7 @@ def qdeform_relations_suite(m: QDeformModel, tol_exact: float = 1e-13,
     - the global defect of U Q U* = q Q must equal q^n.
     """
     n, q = m.n, m.q
+    tol_exact, tol_edge = QDEFORM_TOL_EXACT, QDEFORM_TOL_EDGE
     rep = ConditionReport("qdeform_relations")
     a, astar = m.a, adjoint(m.a)
     rho2_q = np.diag(m.rho.samples[:n] ** 2).astype(complex)

@@ -403,15 +403,13 @@ def reduce(e: _expr.Expression, system: IsometrySystem) -> NormalForm:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def check_adjoint_intertwining(sys: IsometrySystem,
-                               tol: float | None = None) -> ConditionReport:
+def check_adjoint_intertwining(sys: IsometrySystem) -> ConditionReport:
     """Check U* a = delta_star(a) U* on the basis (the mirror intertwining
     relation that makes the left-coefficient convention available)."""
-    tol = sys.tol if tol is None else tol
     rep = ConditionReport("adjoint_intertwining")
     ustar, basis = adjoint(sys.u), sys.algebra.basis
     d = _worst_norm(ustar @ basis - sys.delta_star(basis) @ ustar)
-    rep.add("U*a = delta_star(a)U* on basis", d, tol)
+    rep.add("U*a = delta_star(a)U* on basis", d, sys.tol)
     return rep
 
 

@@ -34,7 +34,7 @@ turned into monomials in one pass, through the validation body the
 NormalForm constructor uses, and ||x|| of every form is one batched
 eigensolve, cached on the form, that all three samplers read.  The
 coefficient bound takes all coefficient norms in one call, the gauge check
-one (lam_grid, n, n) stack per form, and the norm limit squares the forms
+one (GAUGE_GRID, n, n) stack per form, and the norm limit squares the forms
 that share a root count m as one (g, m, n, n) stack, split to stay within
 _BATCH_BYTES.
 """
@@ -64,6 +64,11 @@ MAX_SAMPLE_DEGREE = 4
 # limit squares at once: a batch of forms with one root count m is split to
 # fit, so a large model never holds the powers of a whole sample.
 _BATCH_BYTES = 1 << 22
+
+# The roots of unity per form of the gauge-invariance sampler, and the
+# norm-limit sampler's convergence bound and per-stage estimate slack.
+GAUGE_GRID = 16
+NORM_LIMIT_REL_TOL, NORM_LIMIT_SLACK = 0.05, 1e-9
 
 # Largest size m and matrix dimension of the random sum-norm tuples, and
 # the four estimates checked on each tuple, in report order.
@@ -131,7 +136,7 @@ def random_normal_forms(system: IsometrySystem, count: int,
 
 
 def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
-                             seed: int, tol: float | None = None) -> ConditionReport:
+                             seed: int) -> ConditionReport:
     """Sample the coefficient bound ||a_0|| <= ||x|| and its per-degree
     extension ||a_k|| <= ||x|| on the drawn canonical forms.
 
@@ -139,7 +144,7 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
     samples (negative when the bound holds strictly).  ||x|| of every form
     and the norms of all their coefficients are two batched calls.
     """
-    tol = system.tol if tol is None else tol
+    tol = system.tol
     rep = ConditionReport("coefficient_bound")
     rep.add("hypothesis: coefficient algebra", max(
         (d.value for d in system.coefficient_report.defects), default=0.0), tol)
@@ -375,33 +380,33 @@ def _gauge_deviation(x: NormalForm, lam_grid: int) -> tuple[float, float]:
 
 
 def gauge_invariance_check(x: NormalForm, lam_grid: int,
-                           star_report: ConditionReport | None = None,
-                           tol: float | None = None) -> ConditionReport:
+                           star_report: ConditionReport | None = None
+                           ) -> ConditionReport:
     """Check that the substitution U -> lam*U preserves the operator norm
     over the lam_grid-th roots of unity."""
-    tol = x.system.tol if tol is None else tol
     rep = ConditionReport("gauge_invariance")
     worst, scale = _gauge_deviation(x, lam_grid)
-    rep.add(f"norm deviation over {lam_grid} roots of unity", worst, tol * scale)
+    rep.add(f"norm deviation over {lam_grid} roots of unity", worst,
+            x.system.tol * scale)
     rep.note(_sampler_note(star_report))
     return rep
 
 
 def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
-                            seed: int, lam_grid: int = 16,
-                            star_report: ConditionReport | None = None,
-                            tol: float | None = None) -> ConditionReport:
-    """Gauge norm invariance over the drawn canonical forms; the defect is
-    the worst norm deviation normalized by max(1, ||x||) per sample."""
-    tol = system.tol if tol is None else tol
+                            seed: int,
+                            star_report: ConditionReport | None = None
+                            ) -> ConditionReport:
+    """Gauge norm invariance over the drawn canonical forms at the
+    GAUGE_GRID-th roots of unity; the defect is the worst norm deviation
+    normalized by max(1, ||x||) per sample."""
     rep = ConditionReport("gauge_invariance")
     worst = 0.0
     _operator_norms(forms)  # ||x|| of every form in one call, for x.norm
     for x in forms:
-        dev, scale = _gauge_deviation(x, lam_grid)
+        dev, scale = _gauge_deviation(x, GAUGE_GRID)
         worst = max(worst, dev / scale)
-    rep.add(f"norm deviation over {lam_grid} roots of unity, "
-            f"{len(forms)} samples", worst, tol)
+    rep.add(f"norm deviation over {GAUGE_GRID} roots of unity, "
+            f"{len(forms)} samples", worst, system.tol)
     rep.note(f"seed = {seed}")
     if star_report is not None:
         rep.note(_sampler_note(star_report))
@@ -409,8 +414,7 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
 
 
 def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
-                      star_report: ConditionReport | None = None,
-                      rel_tol: float = 0.05, slack: float = 1e-9
+                      star_report: ConditionReport | None = None
                       ) -> tuple[ConditionReport, list[NormLimitTrace]]:
     """Run the norm-limit formula on the drawn canonical forms and check,
     per sample:
@@ -418,7 +422,10 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
     - the lower estimate s_k <= ||x|| at every stage;
     - the upper estimate ||x|| <= (4kN+1)^{1/4k} s_k at every stage;
     - the first-stage sandwich lo <= ||x||^2 <= hi;
-    - convergence |s_{k_max} - ||x||| / ||x|| <= rel_tol.
+    - convergence |s_{k_max} - ||x||| / ||x|| <= NORM_LIMIT_REL_TOL.
+
+    The first three are relative to ||x|| (or ||x||^2), within
+    NORM_LIMIT_SLACK.
     """
     rep = ConditionReport("norm_limit")
     traces = _norm_limit_traces(forms, k_max, star_report)
@@ -436,10 +443,11 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
                              (d * d - tr.sandwich_hi) / (d * d))
         worst_conv = max(worst_conv, abs(tr.s_values[-1] - d) / d)
     rep.add(f"lower estimate s_k <= ||x||, {len(forms)} samples",
-            worst_lower, slack)
-    rep.add("upper estimate ||x|| <= (4kN+1)^{1/4k} s_k", worst_upper, slack)
-    rep.add("first-stage sandwich", worst_sandwich, slack)
-    rep.add(f"convergence at k = {k_max}", worst_conv, rel_tol)
+            worst_lower, NORM_LIMIT_SLACK)
+    rep.add("upper estimate ||x|| <= (4kN+1)^{1/4k} s_k", worst_upper,
+            NORM_LIMIT_SLACK)
+    rep.add("first-stage sandwich", worst_sandwich, NORM_LIMIT_SLACK)
+    rep.add(f"convergence at k = {k_max}", worst_conv, NORM_LIMIT_REL_TOL)
     rep.note(f"seed = {seed}")
     if star_report is not None:
         rep.note(_sampler_note(star_report))

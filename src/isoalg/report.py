@@ -3,7 +3,8 @@
 Every checker in the package is report-valued: it measures defect norms for
 each sub-condition and aggregates them into a :class:`ConditionReport`.  A
 defect passes when its value is at most its tolerance; the report passes when
-every defect does.
+every defect does.  A failed hypothesis of a checker is recorded the same
+way, as entries of its report, never raised.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ class ConditionReport:
             self.defects.append(Defect(p + d.check, d.value, d.tol))
         for n in sub.notes:
             self.notes.append(p + n)
-
-    def worst(self) -> Defect | None:
-        """The defect with the largest value/tolerance ratio."""
-        if not self.defects:
-            return None
-        return max(self.defects, key=lambda d: d.value / d.tol if d.tol > 0
-                   else (0.0 if d.value == 0 else float("inf")))
 
     def to_json(self) -> dict:
         return {

@@ -97,7 +97,7 @@ def test_c03_coefficient_bound(models):
     per model, zero violations"""
     for name, sys in models.items():
         forms = random_normal_forms(sys, 200, SEED)
-        rep = sample_coefficient_bound(sys, forms, seed=SEED, tol=1e-9)
+        rep = sample_coefficient_bound(sys, forms, seed=SEED)
         assert rep.passed, f"{name}:\n{rep}"
 
 
@@ -108,7 +108,7 @@ def test_c04_norm_limit_formula(models):
         forms = random_normal_forms(sys, 50, SEED)
         star = sample_coefficient_bound(sys, forms, seed=SEED)
         rep, _ = norm_limit_sample(forms, seed=SEED, k_max=8,
-                                   star_report=star, rel_tol=0.05, slack=1e-9)
+                                   star_report=star)
         assert rep.passed, f"{name}:\n{rep}"
 
 
@@ -124,7 +124,7 @@ def test_c06_gauge_norm_invariance(models):
     16 roots of unity, 50 samples per model"""
     for name, sys in models.items():
         rep = gauge_invariance_sample(sys, random_normal_forms(sys, 50, SEED),
-                                      seed=SEED, lam_grid=16, tol=1e-9)
+                                      seed=SEED)
         assert rep.passed, f"{name}:\n{rep}"
 
 
@@ -140,8 +140,9 @@ def test_c07_structure_battery(models):
         rep = check_extendability(sys)
         assert rep.passed, f"{name}:\n{rep}"
 
-        rep = verify_power_identities(sys, k_max=5, tol=1e-12)
+        rep = verify_power_identities(sys, k_max=5)
         assert rep.passed, f"{name}:\n{rep}"
+        assert max(d.value for d in rep.defects) <= 1e-12, f"{name}:\n{rep}"
 
         for ext in (extend_delta(sys), extend_delta_star(sys)):
             assert ext.dim == sys.algebra.dim, name
@@ -163,7 +164,7 @@ def test_c09_polar_structure_suite(polar2, polar6):
     """the polar-model structure suite passes with defects <= 1e-12 on the
     2x2 rank-one model (k_max = 3) and the 6-dim weighted shift (k_max = 4)"""
     for model, k_max in ((polar2, 3), (polar6, 4)):
-        rep = polar_structure_suite(model, k_max=k_max, tol=1e-12)
+        rep = polar_structure_suite(model, k_max=k_max)
         assert rep.passed, f"\n{rep}"
         assert max(d.value for d in rep.defects) <= 1e-12
 
@@ -171,7 +172,7 @@ def test_c09_polar_structure_suite(polar2, polar6):
 def test_c10_qdeform_relations_suite(qdeform12):
     """q-model relations at n = 12, q = 1/2: exact identities <= 1e-13
     globally, truncation defects equal to q^12 and rho^2(q^12) within 1e-10"""
-    rep = qdeform_relations_suite(qdeform12, tol_exact=1e-13, tol_edge=1e-10)
+    rep = qdeform_relations_suite(qdeform12)
     assert rep.passed, f"\n{rep}"
 
     q_n = 0.5 ** 12

@@ -9,7 +9,6 @@ from isoalg import (
     FiniteStarAlgebra,
     HypothesisViolated,
     IsometrySystem,
-    NotCommutative,
     NotPartialIsometry,
     ToleranceCollapse,
     adjoint,
@@ -29,7 +28,6 @@ from isoalg import (
 )
 from isoalg.algebra import (
     _absorption_defect,
-    _commutator_defect,
     _commutator_norm,
     _extend,
     _gram_schmidt_closure,
@@ -176,14 +174,16 @@ def test_derived_system_drops_cached_reports(qdeform6):
 
 
 def test_power_cache_matches_direct():
-    alg = generate_closure([], dim=5)
-    u = ia.backward_shift(5)
-    sys = IsometrySystem(alg, u, depth=3)
-    for k in range(0, 9):
-        assert np.allclose(sys.power(k), np.linalg.matrix_power(u, k))
-        p = np.linalg.matrix_power(u, k)
-        assert np.allclose(sys.proj_initial(k), adjoint(p) @ p)
-        assert np.allclose(sys.proj_final(k), p @ adjoint(p))
+    # the cache holds U^k for k <= 2n + 4 (k <= 10 on C^3); the cyclic shift
+    # is not nilpotent, so its powers past that are computed on demand
+    for u in (ia.backward_shift(5), np.roll(np.eye(3), 1, axis=0)):
+        n = len(u)
+        sys = IsometrySystem(generate_closure([], dim=n), u)
+        for k in range(0, 2 * n + 9):
+            p = np.linalg.matrix_power(u, k)
+            assert np.allclose(sys.power(k), p)
+            assert np.allclose(sys.proj_initial(k), adjoint(p) @ p)
+            assert np.allclose(sys.proj_final(k), p @ adjoint(p))
 
 
 def test_intertwining_equivalents():
@@ -265,15 +265,19 @@ def test_extension_fixed_point(qdeform6):
 
 
 def test_commutative_extendability_rejects_noncommutative(broken_system):
-    with pytest.raises(NotCommutative):
-        check_commutative_extendability(broken_system)
+    # the walk stops at its first entry, the failing commutativity check
+    rep = check_commutative_extendability(broken_system)
+    assert rep.name == "commutative_extendability" and not rep.passed
+    assert [d.check for d in rep.defects] == ["algebra commutative"]
+    assert rep.defects[0].value == pytest.approx(np.sqrt(2.0))
+    assert rep.defects[0].tol == broken_system.tol and not rep.notes
 
 
 def test_power_identities_shift():
     n = 7
     u = ia.backward_shift(n)
     diag = generate_closure([np.diag(np.arange(1.0, n + 1)).astype(complex)])
-    rep = verify_power_identities(IsometrySystem(diag, u), k_max=5, tol=1e-12)
+    rep = verify_power_identities(IsometrySystem(diag, u), k_max=5)
     assert rep.passed
     assert max(d.value for d in rep.defects) <= 1e-13
 
@@ -566,7 +570,9 @@ def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
     pairs = [
         (_commutator_norm(sys.proj_initial(1), basis),
          loop_commutator_norm(sys.proj_initial(1), basis)),
-        (_commutator_defect(basis), loop_commutator_defect(basis)),
+        # the uncached body of the property
+        (FiniteStarAlgebra.commutator_defect.func(sys.algebra),
+         loop_commutator_defect(basis)),
         (_multiplicativity_defect(sys), loop_multiplicativity_defect(sys)),
         (_invariance_defect(sys, sys.delta),
          loop_invariance_defect(sys, sys.delta)),
@@ -727,7 +733,7 @@ def test_spectral_closure_of_random_commuting_normal_sets(seed):
     assert len(spectral) == blocks
     alg = generate_closure(gens)
     assert alg.dim == blocks == len(_gram_schmidt_closure(gens, n, TOL))
-    assert _commutator_defect(alg.basis) <= 1e-12
+    assert alg.commutator_defect <= 1e-12
     for g in gens:
         assert alg.contains(g)[0]
 
@@ -1063,12 +1069,10 @@ def assert_verdicts_match_the_loops(sys):
     rep = check_extendability(sys)
     assert rep.passed == (max(loop_extendability(sys)[0]) <= sys.tol)
     verdict = precheck_verdict(sys)
+    comm = check_commutative_extendability(sys)
+    assert comm.passed == (verdict == "passes")
     if verdict == "not commutative":
-        with pytest.raises(NotCommutative):
-            check_commutative_extendability(sys)
-    else:
-        assert check_commutative_extendability(sys).passed == (
-            verdict == "passes")
+        assert [d.check for d in comm.defects] == ["algebra commutative"]
     return rep
 
 
@@ -1092,12 +1096,30 @@ def test_corner_shifts_fail_at_delta_n_minus_2(n):
     assert [d.ok for d in rep.defects] == [True] * (n - 2) + [False]
 
 
-def test_extendability_checks_take_tol_by_keyword(qdeform12):
-    sys = qdeform12.system
-    for check in (check_extendability, check_commutative_extendability):
-        with pytest.raises(TypeError):
-            check(sys, 6)
-        assert {d.tol for d in check(sys, tol=1e-6).defects} == {1e-6}
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_system_checkers_measure_at_the_build_tolerance(tol):
+    # every checker of a system measures at the tolerance the system was
+    # built at; the q-model n = 6 builds at each of these
+    m = ia.build_qdeform(6, 0.5, "heisenberg", tol)
+    sys = m.system
+    assert sys.tol == tol
+    forms = ia.random_normal_forms(sys, 5, 0)
+    reports = [check(sys) for check in SYSTEM_CHECKERS] + [
+        verify_power_identities(sys, 3),
+        ia.sample_coefficient_bound(sys, forms, 0),
+        ia.norms.gauge_invariance_sample(sys, forms, 0)]
+    for rep in reports:
+        assert rep.passed, rep
+        assert {d.tol for d in rep.defects} == {tol}, rep.name
+    # the gauge check of one form scales the tolerance by max(1, ||x||)
+    x = forms[0]
+    (d,) = ia.gauge_invariance_check(x, 8).defects
+    assert d.tol == tol * max(1.0, x.norm)
+
+
+SYSTEM_CHECKERS = [check_intertwining_equivalents, check_coefficient_algebra,
+                   check_extendability, check_commutative_extendability,
+                   check_extension_towers, check_adjoint_intertwining]
 
 
 @pytest.mark.parametrize("name", ["qdeform12", "polar6", "cyclic5",
@@ -1106,16 +1128,18 @@ def test_extendability_checks_take_tol_by_keyword(qdeform12):
 def test_extension_towers_verdict_matches_the_precheck(request, name):
     sys = (corner_shift_system(4) if name == "shift4"
            else fixture_system(request, name))
-    try:
-        rep = check_extension_towers(sys)
-    except NotCommutative:
-        verdict = "not commutative"
-    except HypothesisViolated as exc:
-        verdict = str(exc)
-    else:
-        assert rep.passed
-        verdict = "passes"
-    assert verdict == precheck_verdict(sys)
+    rep = check_extension_towers(sys)
+    verdict = precheck_verdict(sys)
+    assert rep.passed == (verdict == "passes")
+    if not rep.passed:
+        # the failing walk is the first, that of commutative_extendability
+        walk = check_commutative_extendability(sys)
+        assert [(d.check, d.value, d.tol) for d in rep.defects] == [
+            ("hypothesis: " + d.check, d.value, d.tol) for d in walk.defects]
+        assert rep.notes == [
+            "hypothesis failed: commutative_extendability; no towers built"]
+        assert [d.ok for d in rep.defects] == (
+            [True] * (len(rep.defects) - 1) + [False])
 
 
 @pytest.mark.parametrize("name, entries", [
@@ -1130,13 +1154,50 @@ def test_extension_towers_verdict_matches_the_precheck(request, name):
 def test_extension_towers_names_the_failing_stage(request, name, entries):
     sys = (corner_shift_system(4) if name == "shift4"
            else request.getfixturevalue(name))
-    with pytest.raises(HypothesisViolated,
-                       match="^commutative extendability fails$") as info:
-        check_extension_towers(sys)
-    rep = info.value.report
-    assert rep.name == "commutative_extendability"
-    assert [d.check for d in rep.defects] == entries
+    rep = check_extension_towers(sys)
+    assert rep.name == "extension_towers"
+    assert [d.check for d in rep.defects] == [
+        "hypothesis: " + check for check in entries]
     assert [d.ok for d in rep.defects] == [True] * (len(entries) - 1) + [False]
+    assert rep.notes == [
+        "hypothesis failed: commutative_extendability; no towers built"]
+
+
+# The hypothesis failure of check_extension_towers on each system, as the
+# checker raised it before it returned reports: a commutator defect (from
+# NotCommutative, which carried no report), or the entries of the
+# commutative_extendability report carried by HypothesisViolated.
+RAISED_HYPOTHESES = {
+    "raw_system": [("algebra commutative", 0.9428090415820631)],
+    "broken_system": [("algebra commutative", 1.414213562373095)],
+    "amplified_q12": [("algebra commutative", 0.6943993112015562)],
+    "shift3_projection": [
+        ("algebra commutative", 2.2993471702930907e-17),
+        ("U*U commutes with the algebra", 0.0),
+        ("U*U commutes with delta(tower stage 0)", 0.4999999999999999)],
+    "shift4": [("algebra commutative", 2.465190328815662e-32),
+               ("U*U commutes with the algebra", 0.0),
+               ("U*U commutes with delta(tower stage 0)", 0.0),
+               ("the algebra commutes with delta(tower stage 0)",
+                0.4330127018922192)],
+}
+
+
+@pytest.mark.parametrize("name", list(RAISED_HYPOTHESES))
+def test_failed_hypotheses_are_the_raised_reports_entries(request, name):
+    sys = (corner_shift_system(4) if name == "shift4"
+           else request.getfixturevalue(name))
+    raised = RAISED_HYPOTHESES[name]
+    for rep, prefix in ((check_commutative_extendability(sys), ""),
+                        (check_extension_towers(sys), "hypothesis: ")):
+        assert not rep.passed
+        assert [d.check for d in rep.defects] == [
+            prefix + check for check, _ in raised]
+        assert [d.value for d in rep.defects] == pytest.approx(
+            [value for _, value in raised], rel=1e-12, abs=1e-15)
+        assert {d.tol for d in rep.defects} == {sys.tol}
+        assert [d.ok for d in rep.defects] == [True] * (len(raised) - 1) + [
+            False]
 
 
 # ---------------------------------------------------------------------------
@@ -1188,3 +1249,21 @@ def test_worst_norm_fails_on_non_finite_stacks_as_the_full_solve():
             with np.errstate(invalid="ignore"), pytest.raises(
                     np.linalg.LinAlgError, match="did not converge"):
                 func(stack)
+
+
+def test_extension_towers_reports_a_failed_delta_star_walk():
+    # span{1} with the backward shift on C^5 is commutatively extendable,
+    # but delta(1) = UU* is outside span{1}: the third walk, the delta_star
+    # tower of the algebra itself, fails its hypothesis
+    sys = IsometrySystem(generate_closure([], dim=5), ia.backward_shift(5))
+    assert check_commutative_extendability(sys).passed
+    rep = check_extension_towers(sys)
+    assert [(d.check, d.ok) for d in rep.defects] == [
+        ("hypothesis: intertwining relation", True),
+        ("hypothesis: delta maps algebra into itself", False)]
+    assert rep.notes == [
+        "hypothesis failed: delta_star_tower_hypotheses; no towers built"]
+    with pytest.raises(HypothesisViolated) as info:
+        extend_delta_star(sys)
+    assert [(d.check, d.value) for d in info.value.report.defects] == [
+        (d.check.removeprefix("hypothesis: "), d.value) for d in rep.defects]

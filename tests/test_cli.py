@@ -7,6 +7,7 @@ import pytest
 
 from isoalg import load_model, matrix_from_json, matrix_to_json
 from isoalg.cli import CHECKS, dump_json, main
+from isoalg.report import ConditionReport
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -101,14 +102,37 @@ def test_readme_lists_the_registry():
 
 
 def test_run_all_on_raw_broken_system_skips_coefficient_checks(specs):
+    # the broken system's algebra is neither a coefficient algebra nor
+    # commutative, so the checks that require either are skipped
     rc, doc = run(["run", "--model", specs["broken.json"], "--checks", "all",
                    "--samples", "10"], specs, "broken_order")
     assert rc == 1
     assert doc["config"]["checks"] == [
         "partial_isometry", "intertwining", "coefficient_algebra",
-        "adjoint_intertwining", "extendability", "commutative_extendability",
-        "power_structure", "extension_towers", "sum_norm_estimates"]
-    assert len(doc["results"]) == 9
+        "adjoint_intertwining", "extendability", "power_structure",
+        "sum_norm_estimates"]
+    assert len(doc["results"]) == 7
+
+
+def test_run_all_skips_commutative_checks_on_a_noncommutative_algebra(
+        raw_system_spec, tmp_path):
+    path = tmp_path / "raw_system.json"
+    path.write_text(json.dumps(raw_system_spec))
+    out = tmp_path / "out.json"
+    assert main(["run", "--model", str(path), "--checks", "all",
+                 "--out", str(out)]) == 0
+    names = json.loads(out.read_text())["config"]["checks"]
+    assert names == [n for n in CHECKS if n not in (
+        "commutative_extendability", "extension_towers", "polar_structure",
+        "qdeform_relations")]
+    # asked for by name, they run and report the failed hypothesis
+    assert main(["run", "--model", str(path), "--checks",
+                 "commutative_extendability,extension_towers",
+                 "--out", str(out)]) == 1
+    reps = json.loads(out.read_text())["results"]
+    assert [[d["check"] for d in r["defects"]] for r in reps] == [
+        ["algebra commutative"], ["hypothesis: algebra commutative"]]
+    assert all(d["tol"] == 1e-9 for r in reps for d in r["defects"])
 
 
 def test_run_explicit_coefficient_check_on_raw_system_exits_2(specs, capsys):
@@ -399,8 +423,8 @@ def test_integral_float_n_builds_as_the_integer(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fixture, first, last", [
-    ("shift3_projection_spec", "hypothesis",
-     "failed hypothesis: U*U commutes with delta(tower stage 0)"),
+    ("shift3_projection_spec", "hypothesis: algebra commutative",
+     "hypothesis: U*U commutes with delta(tower stage 0)"),
     ("raw_system_spec", "hypothesis: algebra commutative",
      "hypothesis: algebra commutative"),
 ])
@@ -419,7 +443,7 @@ def test_run_extension_towers_reports_the_failed_hypothesis(
 def test_amplified_q12_checks(amplified_q12_spec, amplified_q12, tmp_path):
     # the q-model n = 12 amplified by M_2 builds through the word closure;
     # its algebra is not commutative, and that is the one failure of the
-    # structure checks
+    # structure checks, asked for by name
     assert amplified_q12.algebra.dim == 48
     path = tmp_path / "amplified_q12.json"
     path.write_text(json.dumps(amplified_q12_spec))
@@ -435,9 +459,10 @@ def test_amplified_q12_checks(amplified_q12_spec, amplified_q12, tmp_path):
         assert reps[name]["pass"] is True, name
     assert "the delta tower closes at dimension 48" in \
         reps["extendability"]["notes"]
-    for name in ("commutative_extendability", "extension_towers"):
+    for name, prefix in (("commutative_extendability", ""),
+                         ("extension_towers", "hypothesis: ")):
         failed = [d["check"] for d in reps[name]["defects"] if not d["ok"]]
-        assert failed == ["hypothesis: algebra commutative"], name
+        assert failed == [prefix + "algebra commutative"], name
 
 
 def test_run_and_closure_name_the_same_late_failing_stage(tmp_path):
@@ -459,3 +484,109 @@ def test_run_and_closure_name_the_same_late_failing_stage(tmp_path):
         assert rep["name"] == "extendability" and rep["pass"] is False
         assert rep["defects"][-1]["check"] == failing
         assert [d["ok"] for d in rep["defects"]] == [True] * 7 + [False]
+
+
+# ---------------------------------------------------------------------------
+# One contract for every check: a report, never a raised hypothesis.
+# ---------------------------------------------------------------------------
+
+def corner_shift9_spec():
+    """The backward shift on C^9 with A = C*(e89 + e98), the system of
+    test_run_and_closure_name_the_same_late_failing_stage."""
+    x = np.zeros((9, 9), complex)
+    x[7, 8] = x[8, 7] = 1.0
+    return {"type": "system", "U": matrix_to_json(np.diag(np.ones(8), 1)),
+            "generators": [matrix_to_json(x)]}
+
+
+CONTRACT_MODELS = ["q12", "p6", "cyclic5", "raw_system", "broken",
+                   "shift3_projection", "corner_shift9", "amplified_q12"]
+
+
+@pytest.fixture(scope="module")
+def contract_specs(request, specs):
+    u5 = np.roll(np.eye(5), 1, axis=0)
+    paths = {}
+    for name, spec in {
+            "q12": {"type": "qdeform", "n": 12, "q": 0.5,
+                    "rho": "heisenberg"},
+            "p6": {"type": "polar", "a": matrix_to_json(
+                np.diag([0.5 ** (j / 2) for j in range(1, 6)], 1))},
+            "cyclic5": {"type": "system", "U": matrix_to_json(u5),
+                        "generators": [matrix_to_json(np.diag(e))
+                                       for e in np.eye(5)]},
+            "raw_system": request.getfixturevalue("raw_system_spec"),
+            "shift3_projection":
+                request.getfixturevalue("shift3_projection_spec"),
+            "corner_shift9": corner_shift9_spec(),
+            "amplified_q12": request.getfixturevalue("amplified_q12_spec"),
+    }.items():
+        path = Path(specs["root"]) / f"contract_{name}.json"
+        path.write_text(json.dumps(spec))
+        paths[name] = str(path)
+    paths["broken"] = specs["broken.json"]
+    return paths
+
+
+@pytest.fixture(scope="module")
+def loaded_once(contract_specs):
+    """Each contract model built once: the command runs share it."""
+    return {name: load_model(json.loads(Path(path).read_text()))
+            for name, path in contract_specs.items()}
+
+
+def expected_exit_2(check, loaded):
+    """The exit-2 cases the README documents: a coefficient check on a
+    system that is not a coefficient system, and a model-specific check on
+    another model type."""
+    requires = CHECKS[check][0]
+    if requires == "coefficient":
+        return not loaded.system.coefficient_report.passed
+    return requires in ("polar", "qdeform") and getattr(loaded, requires) is None
+
+
+@pytest.mark.parametrize("model", CONTRACT_MODELS)
+def test_every_check_exits_0_or_1_with_one_report(
+        monkeypatch, tmp_path, capsys, contract_specs, loaded_once, model):
+    import isoalg.cli as cli
+    loaded = loaded_once[model]
+    monkeypatch.setattr(cli, "load_model", lambda spec, tol: loaded)
+    out = tmp_path / "out.json"
+    for check in CHECKS:
+        out.unlink(missing_ok=True)
+        rc = main(["run", "--model", contract_specs[model], "--checks", check,
+                   "--samples", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        if expected_exit_2(check, loaded):
+            assert rc == 2 and not out.exists(), check
+            assert ("NotCoefficientAlgebra" in err
+                    or f"{check} requires a" in err), (check, err)
+            continue
+        assert rc in (0, 1), (check, err)
+        (rep,) = json.loads(out.read_text())["results"]
+        assert rep["pass"] is (rc == 0), check
+
+
+@pytest.mark.parametrize("model", CONTRACT_MODELS)
+def test_library_checkers_return_reports(loaded_once, model):
+    import isoalg as ia
+    from isoalg.norms import (gauge_invariance_sample, norm_limit_sample,
+                              random_normal_forms)
+    loaded = loaded_once[model]
+    sys = loaded.system
+    reports = [check(sys) for check in (
+        ia.check_intertwining_equivalents, ia.check_coefficient_algebra,
+        ia.check_extendability, ia.check_commutative_extendability,
+        ia.check_extension_towers, ia.check_adjoint_intertwining)]
+    reports.append(ia.verify_power_identities(sys, 4))
+    if sys.coefficient_report.passed:
+        forms = random_normal_forms(sys, 10, 0)
+        star = ia.sample_coefficient_bound(sys, forms, 0)
+        reports += [star, gauge_invariance_sample(sys, forms, 0, star),
+                    norm_limit_sample(forms, 0, 4, star)[0]]
+    if loaded.polar is not None:
+        reports.append(ia.polar_structure_suite(loaded.polar, 4))
+    if loaded.qdeform is not None:
+        reports.append(ia.qdeform_relations_suite(loaded.qdeform))
+    for rep in reports:
+        assert isinstance(rep, ConditionReport) and rep.defects, rep
