@@ -37,11 +37,14 @@ the maps
 send it into itself.  Both maps act on stacks, so a checker measures its
 identity over the whole basis in one batched call; identities over pairs
 (of basis elements, or of powers k <= k_max) take one call per row, so that
-no temporary holds all the pairs at once.  An extension tower is built in
-one walk: each stage's images are computed once, for the hypothesis check,
-the fixed-point test and the next closure.  The delta tower's walk is also
-where extendability is decided: it stops at the first stage whose images
-break the hypothesis, or at the closed tower, so no orbit depth is guessed.
+no temporary holds all the pairs at once.
+
+One checked walk, ``_checked_walk``, builds both extension towers: it
+decides the tower's hypotheses, then the entries of each stage, one at a
+time, and stops at the first that fails.  Each stage's images serve those
+entries, the fixed-point test and the next closure, so extendability is
+decided on the delta tower's own walk at no orbit depth guessed.  A system
+caches its walks and its intertwining report: each is made once per system.
 
 Every checker has one contract: ``check(sys[, k_max]) -> ConditionReport``,
 measured at ``sys.tol``, the tolerance the system was built at.  A failed
@@ -74,6 +77,9 @@ from .linalg import (
     spectral_norms,
 )
 from .report import ConditionReport
+
+# A checked tower walk: its report, and the tower (None when it failed).
+Walk = tuple[ConditionReport, "FiniteStarAlgebra | None"]
 
 
 def _chain_cap(n: int) -> int:
@@ -387,7 +393,8 @@ class IsometrySystem:
     as stacks up to k = 2n + 4 on C^n (further powers are computed on demand
     without mutating the cache); the ``*_stack`` methods return many at
     once.  ``tol`` is the algebra's, the tolerance every checker measures
-    the system at.  The instance is immutable after construction.
+    the system at.  The instance is immutable after construction, so its
+    walks and reports are cached properties.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray):
@@ -519,9 +526,28 @@ class IsometrySystem:
         return self.delta_star_n(m, 1)
 
     @cached_property
+    def intertwining_report(self) -> ConditionReport:
+        """Cached result of check_intertwining_equivalents on this system."""
+        return check_intertwining_equivalents(self)
+
+    @cached_property
     def coefficient_report(self) -> ConditionReport:
         """Cached result of check_coefficient_algebra on this system."""
         return check_coefficient_algebra(self)
+
+    @cached_property
+    def delta_walk(self) -> Walk:
+        return _delta_walk(self, commutative=False)
+
+    @cached_property
+    def commutative_delta_walk(self) -> Walk:
+        return _delta_walk(self, commutative=True)
+
+    @cached_property
+    def delta_star_walk(self) -> Walk:
+        """Its hypotheses are decided before the walk; no stage entries."""
+        return _checked_walk(self, "delta_star_tower_hypotheses",
+                             "delta_star", _delta_hypotheses(self))
 
     def __repr__(self) -> str:
         return f"IsometrySystem(algebra={self.algebra!r})"
@@ -568,14 +594,13 @@ def _intertwining_defect(sys: IsometrySystem) -> float:
     return _worst_norm(sys.u @ basis - sys.delta(basis) @ sys.u)
 
 
-def _add_delta_hypotheses(rep: ConditionReport, sys: IsometrySystem,
-                          prefix: str = "") -> None:
-    """Record the hypotheses of the delta_star tower and of the power
-    identities: intertwining (i) and delta mapping the algebra into itself."""
-    rep.add(prefix + "intertwining relation", _intertwining_defect(sys),
-            sys.tol)
-    rep.add(prefix + "delta maps algebra into itself",
-            _invariance_defect(sys, sys.delta), sys.tol)
+def _delta_hypotheses(sys: IsometrySystem) -> list:
+    """The hypotheses of the delta_star tower and of the power identities,
+    as (label, measure) entries: intertwining (i) and delta mapping the
+    algebra into itself."""
+    return [("intertwining relation", lambda: _intertwining_defect(sys)),
+            ("delta maps algebra into itself",
+             lambda: _invariance_defect(sys, sys.delta))]
 
 
 def _projection_families_defect(sys: IsometrySystem, k_max: int) -> float:
@@ -641,7 +666,7 @@ def check_coefficient_algebra(sys: IsometrySystem) -> ConditionReport:
     algebra into itself.
     """
     rep = ConditionReport("coefficient_algebra")
-    rep.merge(check_intertwining_equivalents(sys))
+    rep.merge(sys.intertwining_report)
     rep.add("delta maps algebra into itself",
             _invariance_defect(sys, sys.delta), sys.tol)
     rep.add("delta_star maps algebra into itself",
@@ -649,33 +674,42 @@ def check_coefficient_algebra(sys: IsometrySystem) -> ConditionReport:
     return rep
 
 
-def _tower(sys: IsometrySystem, image,
-           check=None) -> FiniteStarAlgebra | None:
-    """Generated closure of all iterated images of the algebra under
-    ``image``, in one walk: each stage's images are computed once, passed
-    with the stage number to ``check`` (when given; it returns False when
-    they break the tower's hypothesis, and the walk then returns None),
-    and tested for membership in the stage as ``contains`` does, within
-    ``tol * max(1, ||img||_F)``.  The walk stops when all lie in it and
-    otherwise closes the stage with them."""
+def _checked_walk(sys: IsometrySystem, name: str, image: str,
+                  hypotheses: list, lefts: list = ()) -> Walk:
+    """The tower of the map ``image`` ("delta" or "delta_star") over the
+    algebra, and the report ``name`` of its hypothesis.  The entries are
+    the (label, measure) ``hypotheses``, then, at each stage, the
+    commutator norm of each (label, matrix or stack) of ``lefts`` against
+    the stage's images.  Each is measured when the walk reaches it; the
+    first that fails ends the report and the walk, with tower None.  The
+    walk stops when every image lies in the stage, within
+    ``tol * max(1, ||img||_F)`` as ``contains`` tests, and otherwise
+    closes the stage with them; the report notes the closed tower's
+    dimension."""
     tol = sys.tol
+    rep = ConditionReport(name)
+    for label, measure in hypotheses:
+        if not rep.add(label, measure(), tol).ok:
+            return rep, None
     cur = sys.algebra
     for stage in range(_chain_cap(sys.dim)):
-        images = image(cur.basis)
-        if check is not None and not check(stage, images):
-            return None
+        images = getattr(sys, image)(cur.basis)
+        for label, left in lefts:
+            if not rep.add(f"{label} commutes with {image}(tower stage "
+                           f"{stage})", _commutator_norm(left, images),
+                           tol).ok:
+                return rep, None
         scale = np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))
         if np.all(cur.span_defects(images) <= tol * scale):
-            return cur
+            break
         cur = generate_closure(np.concatenate([cur.basis, images]), tol,
                                dim=sys.dim)
-    return cur
+    rep.note(f"the {image} tower closes at dimension {cur.dim}")
+    return rep, cur
 
 
-def _checked_delta_tower(sys: IsometrySystem, commutative: bool = False
-                         ) -> tuple[ConditionReport, FiniteStarAlgebra | None]:
-    """The delta tower, walked with its hypothesis checked on the way, and
-    the report of the check; the tower is None when the hypothesis fails.
+def _delta_walk(sys: IsometrySystem, commutative: bool) -> Walk:
+    """The checked walk of the delta tower (``_checked_walk``).
 
     The hypothesis is extendability, U*U commuting with every delta^n(a):
     U*U is checked against the algebra, then against each stage's delta
@@ -690,45 +724,18 @@ def _checked_delta_tower(sys: IsometrySystem, commutative: bool = False
     algebra is checked against the images after U*U.  Given
     extendability, it commutes with each stage's images iff it commutes
     with every delta^n(algebra), by the same containments.
-
-    Each commutator norm is one entry of the report.  The walk stops at the
-    first failing entry, which is then the report's last; on a pass the
-    report notes the tower's dimension.
     """
-    tol, basis = sys.tol, sys.algebra.basis
-    lefts = [("U*U", sys.proj_initial(1))]
+    basis, uu = sys.algebra.basis, sys.proj_initial(1)
+    hypotheses = [("U*U commutes with the algebra",
+                   lambda: _commutator_norm(uu, basis))]
+    lefts = [("U*U", uu)]
     if commutative:
-        rep = ConditionReport("commutative_extendability")
-        if not rep.add("algebra commutative", sys.algebra.commutator_defect,
-                       tol).ok:
-            return rep, None
+        hypotheses.insert(0, ("algebra commutative",
+                              lambda: sys.algebra.commutator_defect))
         lefts.append(("the algebra", basis))
-    else:
-        rep = ConditionReport("extendability")
-
-    def commute(pairs, label: str, stack: np.ndarray) -> bool:
-        return all(rep.add(f"{name} commutes with {label}",
-                           _commutator_norm(left, stack), tol).ok
-                   for name, left in pairs)
-
-    if not commute(lefts[:1], "the algebra", basis):
-        return rep, None
-    ext = _tower(sys, sys.delta, lambda stage, images: commute(
-        lefts, f"delta(tower stage {stage})", images))
-    if ext is not None:
-        rep.note(f"the delta tower closes at dimension {ext.dim}")
-    return rep, ext
-
-
-def _checked_delta_star_tower(sys: IsometrySystem
-                              ) -> tuple[ConditionReport,
-                                         FiniteStarAlgebra | None]:
-    """The delta_star tower and the report of its hypothesis, intertwining
-    and delta mapping the algebra into itself, checked before the walk;
-    the tower is None when the hypothesis fails."""
-    rep = ConditionReport("delta_star_tower_hypotheses")
-    _add_delta_hypotheses(rep, sys)
-    return rep, _tower(sys, sys.delta_star) if rep.passed else None
+    return _checked_walk(
+        sys, "commutative_extendability" if commutative else "extendability",
+        "delta", hypotheses, lefts)
 
 
 def check_extendability(sys: IsometrySystem) -> ConditionReport:
@@ -736,11 +743,11 @@ def check_extendability(sys: IsometrySystem) -> ConditionReport:
 
     This is the obstruction for extending the algebra to one satisfying the
     intertwining relation with delta mapping it into itself.  It is decided
-    on the walk of the delta tower (``_checked_delta_tower``), whose report
+    on the system's walk of the delta tower (``_delta_walk``), whose report
     this is: a failure's last entry names the stage, and a pass notes the
     dimension of the closed tower.
     """
-    return _checked_delta_tower(sys)[0]
+    return sys.delta_walk[0]
 
 
 def check_commutative_extendability(sys: IsometrySystem) -> ConditionReport:
@@ -748,14 +755,14 @@ def check_commutative_extendability(sys: IsometrySystem) -> ConditionReport:
     algebra is commutative, and it and U*U commute with all delta^n images
     of itself.
 
-    Decided on the walk of the delta tower, as ``check_extendability`` is;
-    on a non-commutative algebra the report ends at its failing first
-    entry, "algebra commutative".
+    Decided on the system's commutative walk of the delta tower, as
+    ``check_extendability`` is; on a non-commutative algebra the report
+    ends at its failing first entry, "algebra commutative".
     """
-    return _checked_delta_tower(sys, commutative=True)[0]
+    return sys.commutative_delta_walk[0]
 
 
-def _built(walk, what: str) -> FiniteStarAlgebra:
+def _built(walk: Walk, what: str) -> FiniteStarAlgebra:
     """The tower of a checked walk, or HypothesisViolated(what, report)."""
     rep, tower = walk
     if tower is None:
@@ -767,21 +774,19 @@ def extend_delta(sys: IsometrySystem) -> FiniteStarAlgebra:
     """Smallest *-algebra containing the algebra and all its delta^n images.
 
     Requires extendability: U*U commutes with every delta^n(a) (otherwise
-    the result need not intertwine with U).  The walk checks it on the way
-    (``_checked_delta_tower``); a failure raises HypothesisViolated
-    carrying the report, whose last entry names the stage.
+    the result need not intertwine with U).  The system's delta walk checks
+    it; a failure raises HypothesisViolated carrying the walk's report.
     """
-    return _built(_checked_delta_tower(sys),
-                  "extendability fails; delta tower unsound")
+    return _built(sys.delta_walk, "extendability fails; delta tower unsound")
 
 
 def extend_delta_star(sys: IsometrySystem) -> FiniteStarAlgebra:
     """Smallest *-algebra containing the algebra and all delta_star^n images.
 
     Requires the intertwining relation and delta mapping the algebra into
-    itself; raises HypothesisViolated carrying the failed report.
+    itself; raises HypothesisViolated carrying the walk's report.
     """
-    return _built(_checked_delta_star_tower(sys),
+    return _built(sys.delta_star_walk,
                   "intertwining or delta-invariance fails; "
                   "delta_star tower unsound")
 
@@ -809,12 +814,13 @@ def verify_power_identities(sys: IsometrySystem,
     - the absorption identities U* U^k U^{*l} = U^{k-1} U^{*l} and
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l.
 
-    The hypothesis (intertwining + delta-invariance) is recorded as the
+    Both hypotheses (intertwining + delta-invariance) are recorded as the
     first entries.
     """
     tol = sys.tol
     rep = ConditionReport("power_structure")
-    _add_delta_hypotheses(rep, sys, prefix="hypothesis: ")
+    for label, measure in _delta_hypotheses(sys):
+        rep.add("hypothesis: " + label, measure(), tol)
 
     basis, ks = sys.algebra.basis, np.arange(1, k_max + 1)
     d = max((_worst_norm(uk @ basis - sys.delta_n(basis, k) @ uk)
@@ -849,7 +855,7 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
     delta_star then delta, the result is commutative, and both maps send it
     into itself.
 
-    The towers are four checked walks: the delta tower (the walk of
+    The towers are four cached walks: the delta tower (the walk of
     ``check_commutative_extendability``), the delta_star tower over it, the
     delta_star tower, and the delta tower over that.  When a walk's
     hypothesis fails, the report holds that walk's entries prefixed
@@ -858,11 +864,10 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
     tol = sys.tol
     rep = ConditionReport("extension_towers")
     towers: list[FiniteStarAlgebra] = []
-    for walk in (lambda: _checked_delta_tower(sys, commutative=True),
-                 lambda: _checked_delta_star_tower(
-                     sys._with_algebra(towers[0])),
-                 lambda: _checked_delta_star_tower(sys),
-                 lambda: _checked_delta_tower(sys._with_algebra(towers[2]))):
+    for walk in (lambda: sys.commutative_delta_walk,
+                 lambda: sys._with_algebra(towers[0]).delta_star_walk,
+                 lambda: sys.delta_star_walk,
+                 lambda: sys._with_algebra(towers[2]).delta_walk):
         walk_rep, tower = walk()
         if tower is None:
             rep.merge(walk_rep, prefix="hypothesis")

@@ -22,12 +22,16 @@ from .algebra import (
     check_commutative_extendability,
     check_extendability,
     check_extension_towers,
-    check_intertwining_equivalents,
     verify_power_identities,
 )
 from .errors import HypothesisViolated, IsoalgError
 from .expr import parse
-from .linalg import is_partial_isometry, matrix_from_json, matrix_to_json
+from .linalg import (
+    DEFAULT_TOL,
+    is_partial_isometry,
+    matrix_from_json,
+    matrix_to_json,
+)
 from .models import (
     LoadedModel,
     load_model,
@@ -37,6 +41,7 @@ from .models import (
 )
 from .normalform import NormalForm, check_adjoint_intertwining, reduce
 from .norms import (
+    coefficient_hypothesis,
     gauge_invariance_sample,
     norm_limit,
     norm_limit_sample,
@@ -131,8 +136,8 @@ def _norm_limit(ctx: _Context) -> ConditionReport:
 CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
     "partial_isometry": (
         None, lambda c: is_partial_isometry(c.system.u, c.system.tol)),
-    "intertwining": (None, lambda c: check_intertwining_equivalents(c.system)),
-    # the system's cached report is this check's
+    # the system's cached reports are these checks'
+    "intertwining": (None, lambda c: c.system.intertwining_report),
     "coefficient_algebra": (None, lambda c: c.system.coefficient_report),
     "adjoint_intertwining": (
         None, lambda c: check_adjoint_intertwining(c.system)),
@@ -157,7 +162,7 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
 
 # The system properties a check can require.  --checks all skips the check
 # on a system without it, where it would only repeat that failure; asked for
-# by name it runs (a coefficient check then fails with NotCoefficientAlgebra)
+# by name it reports that failed hypothesis
 _SYSTEM_PROPERTIES: dict[str, Callable] = {
     "coefficient": lambda s: s.coefficient_report.passed,
     "commutative": lambda s: s.algebra.commutator_defect <= s.tol,
@@ -171,13 +176,17 @@ def _applies(requires: str | None, loaded: LoadedModel) -> bool:
 
 
 def _run_check(ctx: _Context, name: str) -> ConditionReport:
-    """Run one registered check by name."""
+    """Run one registered check by name.  A coefficient check on a system
+    that is not a coefficient system reports that alone, drawing no form."""
     if name not in CHECKS:
         raise ConfigError(
             f"unknown check {name!r}; registered: {', '.join(CHECKS)}")
     requires, run = CHECKS[name]
-    if requires not in _SYSTEM_PROPERTIES and not _applies(requires,
-                                                           ctx.loaded):
+    if _applies(requires, ctx.loaded):
+        return run(ctx)
+    if requires == "coefficient":
+        return coefficient_hypothesis(ctx.system, name)
+    if requires not in _SYSTEM_PROPERTIES:
         raise ConfigError(f"{name} requires a {requires} model")
     return run(ctx)
 
@@ -205,7 +214,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _default_tol() -> float:
     env = os.environ.get("ISOALG_TOL")
     if env is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         return float(env)
     except ValueError:
@@ -282,8 +291,7 @@ def _cmd_nf(args) -> tuple[dict, int]:
 
 def _cmd_norm_limit(args) -> tuple[dict, int]:
     loaded, nf = _load_form(args)
-    forms = random_normal_forms(loaded.system, args.samples, args.seed)
-    star = sample_coefficient_bound(loaded.system, forms, args.seed)
+    star = _Context(loaded, args).star  # the draw and bound of `run`
     trace = norm_limit(nf, args.k_max, star)
     return {"coefficient_bound": star.to_json(), "trace": trace.to_json()}, 0
 

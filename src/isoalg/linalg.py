@@ -16,7 +16,8 @@ in the squares of entries below about 1e-154, by an absolute error below
 n * 2^-536.5; the test's margin covers both, so it passes a matrix only
 where the computed spectral norms would.
 
-All tolerances are explicit parameters; there are no hidden globals.
+The tolerances of ``herm_eig`` and ``psd_sqrt`` are module constants;
+every other tolerance is a parameter.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .report import ConditionReport
 
 DEFAULT_TOL = 1e-9
 
-# Eigenvalue clamping threshold for PSD inputs, relative to the matrix norm.
-# Matches the rounding accumulated in products of <= 1e3 desk-scale factors.
+# herm_eig's self-adjointness tolerance and psd_sqrt's eigenvalue clamp,
+# relative to the matrix norm: the rounding of <= 1e3 desk-scale products.
+SELF_ADJOINT_TOL = 1e-10
 PSD_CLAMP = 1e-10
 
 
@@ -102,13 +104,14 @@ def _raise_first(bad: np.ndarray, error: type, describe) -> None:
         raise error(f"matrix {i}: " + describe(i))
 
 
-def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a self-adjoint matrix, or of each matrix of an
     (m, n, n) stack in one batched call.
 
     Returns (w, v) with m = v @ diag(w) @ adjoint(v), eigenvalues ascending,
     v unitary.  Raises NotSelfAdjoint, naming the first offending matrix of
-    a stack, when the defect norm of m - adjoint(m) exceeds tol * ||m||.
+    a stack, when the defect norm of m - adjoint(m) exceeds tol * ||m||,
+    tol = SELF_ADJOINT_TOL.
 
     The two spectral norms of that test are taken only when some matrix
     does not pass it by the Frobenius bounds: ||m - m*||_F * sqrt(n) within
@@ -116,6 +119,7 @@ def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     That is a sufficient condition for the exact test, so the test raises
     exactly when it did without it.
     """
+    tol = SELF_ADJOINT_TOL
     m = _as_matrices(m)
     mh = adjoint(m)
     d = m - mh
@@ -134,13 +138,15 @@ def herm_eig(m: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]
     return np.linalg.eigh((m + mh) / 2.0)
 
 
-def psd_sqrt(m: np.ndarray, tol: float = PSD_CLAMP) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Positive square root of a PSD matrix, or of each matrix of a stack.
 
-    Eigenvalues in [-tol * ||m||, 0) are clamped to zero; anything more
-    negative raises NotPSD, naming the first offending matrix of a stack.
+    Eigenvalues in [-tol * ||m||, 0), tol = PSD_CLAMP, are clamped to zero;
+    anything more negative raises NotPSD, naming the first offending matrix
+    of a stack.
     """
-    w, v = herm_eig(m, tol=max(tol, 1e-10))
+    tol = PSD_CLAMP
+    w, v = herm_eig(m)
     scale = np.abs(w).max(axis=-1)
     _raise_first(w[..., 0] < -tol * scale, NotPSD, lambda i:
                  f"eigenvalue {w[i][0]:.3e} below -{tol:.1e} * {scale[i]:.3e}")

@@ -135,6 +135,17 @@ def random_normal_forms(system: IsometrySystem, count: int,
         *(np.split(a, cuts) for a in (degrees, stack, norms, monomials)))]
 
 
+def coefficient_hypothesis(system: IsometrySystem,
+                           name: str) -> ConditionReport:
+    """A report ``name`` whose first entry is the samplers' hypothesis:
+    the worst defect of the system's coefficient report."""
+    rep = ConditionReport(name)
+    worst = max((d.value for d in system.coefficient_report.defects),
+                default=0.0)
+    rep.add("hypothesis: coefficient algebra", worst, system.tol)
+    return rep
+
+
 def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
                              seed: int) -> ConditionReport:
     """Sample the coefficient bound ||a_0|| <= ||x|| and its per-degree
@@ -145,9 +156,7 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
     and the norms of all their coefficients are two batched calls.
     """
     tol = system.tol
-    rep = ConditionReport("coefficient_bound")
-    rep.add("hypothesis: coefficient algebra", max(
-        (d.value for d in system.coefficient_report.defects), default=0.0), tol)
+    rep = coefficient_hypothesis(system, "coefficient_bound")
     norm_x = _operator_norms(forms)
     coeffs = [np.zeros((0, system.dim, system.dim))]
     coeffs += [x.coefficients for x in forms]
@@ -365,8 +374,8 @@ def _sampler_note(star_report: ConditionReport | None) -> str:
     return f"coefficient-bound sampler: {verdict}"
 
 
-def _gauge_deviation(x: NormalForm, lam_grid: int) -> tuple[float, float]:
-    """Worst | ||gauge(x, lam)|| - ||x|| | over the lam_grid-th roots of
+def _gauge_deviation(x: NormalForm) -> tuple[float, float]:
+    """Worst | ||gauge(x, lam)|| - ||x|| | over the GAUGE_GRID-th roots of
     unity, and the scale max(1, ||x||).
 
     The gauged matrices come from one Fourier pass over the monomial stack
@@ -374,19 +383,19 @@ def _gauge_deviation(x: NormalForm, lam_grid: int) -> tuple[float, float]:
     lam^k c_k with |lam| = 1 has the same membership defect and threshold as
     the already validated c_k."""
     base = x.norm
-    lams = np.exp(2j * np.pi * np.arange(lam_grid) / lam_grid)
+    lams = np.exp(2j * np.pi * np.arange(GAUGE_GRID) / GAUGE_GRID)
     norms = spectral_norms(x.eval_gauged(lams))
     return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
 
 
-def gauge_invariance_check(x: NormalForm, lam_grid: int,
+def gauge_invariance_check(x: NormalForm,
                            star_report: ConditionReport | None = None
                            ) -> ConditionReport:
     """Check that the substitution U -> lam*U preserves the operator norm
-    over the lam_grid-th roots of unity."""
+    over the GAUGE_GRID-th roots of unity."""
     rep = ConditionReport("gauge_invariance")
-    worst, scale = _gauge_deviation(x, lam_grid)
-    rep.add(f"norm deviation over {lam_grid} roots of unity", worst,
+    worst, scale = _gauge_deviation(x)
+    rep.add(f"norm deviation over {GAUGE_GRID} roots of unity", worst,
             x.system.tol * scale)
     rep.note(_sampler_note(star_report))
     return rep
@@ -403,7 +412,7 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     worst = 0.0
     _operator_norms(forms)  # ||x|| of every form in one call, for x.norm
     for x in forms:
-        dev, scale = _gauge_deviation(x, GAUGE_GRID)
+        dev, scale = _gauge_deviation(x)
         worst = max(worst, dev / scale)
     rep.add(f"norm deviation over {GAUGE_GRID} roots of unity, "
             f"{len(forms)} samples", worst, system.tol)

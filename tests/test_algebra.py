@@ -553,8 +553,10 @@ def fixture_system(request, name):
 def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
                                         n_max):
     # small k_max and n_max leave few terms in each max, so that a stacked
-    # body that drops a term shows
-    sys = fixture_system(request, name)
+    # body that drops a term shows; the system is a copy without the
+    # fixture's cached walks, so that the walks below are measured here
+    fixture = fixture_system(request, name)
+    sys = fixture._with_algebra(fixture.algebra)
     # and every stack measured on the way is measured as the full solve
     # would, with no eigensolve pruned that could change the value
     stacks = []
@@ -1024,13 +1026,136 @@ def test_model_builds_scan_no_orbit(monkeypatch):
     # a build checks extendability on its delta tower's own walk, the one
     # walk it makes, and runs no separate check of it
     calls = []
-    real = ia.algebra._checked_delta_tower
-    monkeypatch.setattr(ia.algebra, "_checked_delta_tower",
+    real = ia.algebra._checked_walk
+    monkeypatch.setattr(ia.algebra, "_checked_walk",
                         lambda *args: calls.append(args) or real(*args))
     ia.build_qdeform(6, 0.5, "heisenberg")
     ia.build_polar_model(ia.weighted_backward_shift(
         [0.5 ** (j / 2) for j in range(1, 6)]))
-    assert len(calls) == 2
+    assert [args[2] for args in calls] == ["delta", "delta_star"] * 2
+
+
+# ---------------------------------------------------------------------------
+# The one checked walker against the two walks it replaced: a delta tower
+# walk with its checks passed in as a callback, and a delta_star walk that
+# recorded both of its hypotheses before it decided.
+# ---------------------------------------------------------------------------
+
+def reference_tower_walk(sys, image, check=None):
+    """The callback walk: each stage's images go to ``check`` (False stops
+    the walk with None), then to the fixed-point test."""
+    cur = sys.algebra
+    for stage in range(sys.dim ** 2 + 2):
+        images = image(cur.basis)
+        if check is not None and not check(stage, images):
+            return None
+        scale = np.maximum(1.0, np.linalg.norm(images, axis=(1, 2)))
+        if np.all(cur.span_defects(images) <= sys.tol * scale):
+            return cur
+        cur = generate_closure(np.concatenate([cur.basis, images]), sys.tol,
+                               dim=sys.dim)
+    return cur
+
+
+def reference_delta_walk(sys, commutative=False):
+    tol, basis = sys.tol, sys.algebra.basis
+    lefts = [("U*U", sys.proj_initial(1))]
+    if commutative:
+        rep = ia.ConditionReport("commutative_extendability")
+        if not rep.add("algebra commutative", sys.algebra.commutator_defect,
+                       tol).ok:
+            return rep, None
+        lefts.append(("the algebra", basis))
+    else:
+        rep = ia.ConditionReport("extendability")
+
+    def commute(pairs, label, stack):
+        return all(rep.add(f"{name} commutes with {label}",
+                           _commutator_norm(left, stack), tol).ok
+                   for name, left in pairs)
+
+    if not commute(lefts[:1], "the algebra", basis):
+        return rep, None
+    ext = reference_tower_walk(sys, sys.delta, lambda stage, images: commute(
+        lefts, f"delta(tower stage {stage})", images))
+    if ext is not None:
+        rep.note(f"the delta tower closes at dimension {ext.dim}")
+    return rep, ext
+
+
+def reference_delta_star_walk(sys):
+    rep = ia.ConditionReport("delta_star_tower_hypotheses")
+    rep.add("intertwining relation",
+            check_intertwining_equivalents(sys).defects[0].value, sys.tol)
+    rep.add("delta maps algebra into itself",
+            _invariance_defect(sys, sys.delta), sys.tol)
+    return rep, (reference_tower_walk(sys, sys.delta_star) if rep.passed
+                 else None)
+
+
+def assert_same_walk(got, ref):
+    (rep, tower), (ref_rep, ref_tower) = got, ref
+    assert rep.to_json() == ref_rep.to_json()
+    assert (tower is None) == (ref_tower is None)
+    if tower is not None:
+        assert np.array_equal(tower.basis, ref_tower.basis)
+
+
+@pytest.mark.parametrize("name", FIXTURE_SYSTEMS + [
+    "shift3_projection", *(f"corner_shift{n}" for n in range(4, 11))])
+def test_walker_reports_match_the_replaced_walks(request, name):
+    sys = (corner_shift_system(int(name[12:]))
+           if name.startswith("corner_shift") else fixture_system(request, name))
+    assert_same_walk(sys.delta_walk, reference_delta_walk(sys))
+    assert_same_walk(sys.commutative_delta_walk,
+                     reference_delta_walk(sys, commutative=True))
+    ref_rep, ref_tower = reference_delta_star_walk(sys)
+    if ref_rep.passed:
+        # a passing walk notes its tower's dimension, as the delta walks do
+        ref_rep.note(f"the delta_star tower closes at dimension "
+                     f"{ref_tower.dim}")
+        assert_same_walk(sys.delta_star_walk, (ref_rep, ref_tower))
+        return
+    # the one difference: the walk stops at its first failing entry, where
+    # the replaced walk recorded both hypotheses whatever the first gave
+    rep, tower = sys.delta_star_walk
+    assert tower is None and ref_tower is None
+    first = [d.ok for d in ref_rep.defects].index(False)
+    assert rep.defects == ref_rep.defects[:first + 1] and not rep.notes
+
+
+def test_extend_delta_star_report_ends_at_the_failing_entry(broken_system):
+    with pytest.raises(HypothesisViolated, match="delta_star tower unsound"
+                       ) as info:
+        extend_delta_star(broken_system)
+    rep = info.value.report
+    assert [(d.check, d.ok) for d in rep.defects] == [
+        ("intertwining relation", False)]
+    # power_structure still records both hypotheses
+    power = verify_power_identities(broken_system, 2)
+    assert [(d.check, d.ok) for d in power.defects[:2]] == [
+        ("hypothesis: intertwining relation", False),
+        ("hypothesis: delta maps algebra into itself", True)]
+
+
+def test_walks_and_intertwining_report_are_made_once_per_system(
+        qdeform6, monkeypatch):
+    calls = []
+    real = ia.algebra._checked_walk
+    monkeypatch.setattr(ia.algebra, "_checked_walk",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    sys = qdeform6.system._with_algebra(qdeform6.system.algebra)
+    assert "delta_walk" not in vars(sys)  # dropped by _with_algebra
+    for _ in range(2):
+        check_extendability(sys)
+        check_commutative_extendability(sys)
+        extend_delta(sys)
+        extend_delta_star(sys)
+        check_coefficient_algebra(sys)
+    assert calls == ["extendability", "commutative_extendability",
+                     "delta_star_tower_hypotheses"]
+    assert check_coefficient_algebra(sys).defects[:4] == (
+        sys.intertwining_report.defects)
 
 
 def test_commutant_keeps_no_left_singular_basis():
@@ -1113,7 +1238,7 @@ def test_system_checkers_measure_at_the_build_tolerance(tol):
         assert {d.tol for d in rep.defects} == {tol}, rep.name
     # the gauge check of one form scales the tolerance by max(1, ||x||)
     x = forms[0]
-    (d,) = ia.gauge_invariance_check(x, 8).defects
+    (d,) = ia.gauge_invariance_check(x).defects
     assert d.tol == tol * max(1.0, x.norm)
 
 

@@ -135,11 +135,25 @@ def test_run_all_skips_commutative_checks_on_a_noncommutative_algebra(
     assert all(d["tol"] == 1e-9 for r in reps for d in r["defects"])
 
 
-def test_run_explicit_coefficient_check_on_raw_system_exits_2(specs, capsys):
-    rc = main(["run", "--model", specs["broken.json"],
-               "--checks", "coefficient_bound"])
-    assert rc == 2
-    assert "NotCoefficientAlgebra" in capsys.readouterr().err
+def test_run_explicit_coefficient_check_on_raw_system_reports_the_hypothesis(
+        specs, capsys):
+    # asked for by name on a system that is not a coefficient system, each
+    # coefficient check reports that failed hypothesis alone: no forms are
+    # drawn and no traces are emitted
+    from isoalg.norms import coefficient_hypothesis
+    system = load_model(json.loads(Path(specs["broken.json"]).read_text())
+                        ).system
+    worst = max(d.value for d in system.coefficient_report.defects)
+    for check in ("coefficient_bound", "gauge_invariance", "norm_limit"):
+        rc, doc = run(["run", "--model", specs["broken.json"], "--checks",
+                       check], specs, "explicit_" + check)
+        assert rc == 1 and capsys.readouterr().err == ""
+        assert "traces" not in doc
+        (rep,) = doc["results"]
+        assert rep == coefficient_hypothesis(system, check).to_json()
+        assert rep["defects"] == [{"check": "hypothesis: coefficient algebra",
+                                   "value": worst, "tol": 1e-9, "ok": False}]
+        assert rep["name"] == check and rep["notes"] == []
 
 
 def test_unknown_check_message_lists_every_check(specs, capsys):
@@ -348,23 +362,42 @@ def test_dump_json_17_digits():
 
 def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     # the delta tower is walked once by the model build, once by each of
-    # extendability and commutative_extendability, and twice by
-    # extension_towers (its checked walk and the delta tower over the
-    # delta_star tower), and nowhere else; and the coefficient_algebra check
-    # reads the report the system caches for the coefficient checks
+    # extendability and commutative_extendability, and once more by
+    # extension_towers (the delta tower over the delta_star tower; its
+    # commutative walk is the system's cached one), and nowhere else; and
+    # the intertwining and coefficient_algebra checks read the reports the
+    # system caches, so the intertwining equivalents are computed once.
+    # Every binding of the counted functions is patched, the CLI's too.
     import isoalg.algebra as algebra
-    calls = dict.fromkeys(["_checked_delta_tower",
-                           "check_intertwining_equivalents"], 0)
-    for name in calls:
-        def counted(*args, real=getattr(algebra, name), name=name, **kw):
-            calls[name] += 1
-            return real(*args, **kw)
-        monkeypatch.setattr(algebra, name, counted)
-    rc, doc = run(["run", "--model", specs["qdeform.json"], "--checks", "all"],
-                  specs, "counted")
-    assert rc == 0 and "coefficient_algebra" in doc["config"]["checks"]
-    assert calls == {"_checked_delta_tower": 5,
-                     "check_intertwining_equivalents": 1}
+    import isoalg.cli as cli
+    calls = {"delta walks": 0, "check_intertwining_equivalents": 0}
+
+    def walk(sys, name, image, *args, real=algebra._checked_walk):
+        calls["delta walks"] += image == "delta"
+        return real(sys, name, image, *args)
+
+    def intertwining(*args, real=algebra.check_intertwining_equivalents):
+        calls["check_intertwining_equivalents"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_checked_walk", walk)
+    for module in (algebra, cli):
+        if hasattr(module, "check_intertwining_equivalents"):
+            monkeypatch.setattr(module, "check_intertwining_equivalents",
+                                intertwining)
+    q12 = Path(specs["root"]) / "q12.json"
+    q12.write_text(json.dumps({"type": "qdeform", "n": 12, "q": 0.5,
+                               "rho": "heisenberg"}))
+    # q12 fails only norm_limit at seed 0 (its known convergence margin)
+    for path, exit_code in ((specs["qdeform.json"], 0), (str(q12), 1)):
+        for key in calls:
+            calls[key] = 0
+        rc, doc = run(["run", "--model", path, "--checks", "all"], specs,
+                      "counted")
+        assert "coefficient_algebra" in doc["config"]["checks"]
+        assert rc == exit_code
+        assert calls == {"delta walks": 4,
+                         "check_intertwining_equivalents": 1}
 
 
 @pytest.mark.parametrize("spec, fault", [
@@ -536,12 +569,9 @@ def loaded_once(contract_specs):
 
 
 def expected_exit_2(check, loaded):
-    """The exit-2 cases the README documents: a coefficient check on a
-    system that is not a coefficient system, and a model-specific check on
+    """The exit-2 case the README documents: a model-specific check on
     another model type."""
     requires = CHECKS[check][0]
-    if requires == "coefficient":
-        return not loaded.system.coefficient_report.passed
     return requires in ("polar", "qdeform") and getattr(loaded, requires) is None
 
 
@@ -559,8 +589,7 @@ def test_every_check_exits_0_or_1_with_one_report(
         err = capsys.readouterr().err
         if expected_exit_2(check, loaded):
             assert rc == 2 and not out.exists(), check
-            assert ("NotCoefficientAlgebra" in err
-                    or f"{check} requires a" in err), (check, err)
+            assert f"{check} requires a" in err, (check, err)
             continue
         assert rc in (0, 1), (check, err)
         (rep,) = json.loads(out.read_text())["results"]

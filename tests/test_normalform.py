@@ -488,7 +488,7 @@ def test_batched_gauge_deviation_matches_per_lam_loop(qdeform12, polar6,
             loop = max(abs(spectral_norm(gauge(x, np.exp(2j * np.pi * j / 16))
                                          .eval()) - base)
                        for j in range(16))
-            worst, scale = _gauge_deviation(x, 16)
+            worst, scale = _gauge_deviation(x)  # 16 roots
             assert scale == max(1.0, base)
             assert abs(worst - loop) <= 1e-12 * scale
 
