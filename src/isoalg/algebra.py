@@ -44,7 +44,9 @@ decides the tower's hypotheses, then the entries of each stage, one at a
 time, and stops at the first that fails.  Each stage's images serve those
 entries, the fixed-point test and the next closure, so extendability is
 decided on the delta tower's own walk at no orbit depth guessed.  A system
-caches its walks and its intertwining report: each is made once per system.
+is the pair (algebra, U): over its own algebra, ``_with_algebra`` is the
+system itself.  It caches its walks, U's partial-isometry report and each
+defect that several reports share, so each is measured once per system.
 
 Every checker has one contract: ``check(sys[, k_max]) -> ConditionReport``,
 measured at ``sys.tol``, the tolerance the system was built at.  A failed
@@ -56,7 +58,6 @@ HypothesisViolated, carrying the same report.
 
 from __future__ import annotations
 
-import copy
 import random
 from functools import cached_property
 
@@ -393,8 +394,9 @@ class IsometrySystem:
     as stacks up to k = 2n + 4 on C^n (further powers are computed on demand
     without mutating the cache); the ``*_stack`` methods return many at
     once.  ``tol`` is the algebra's, the tolerance every checker measures
-    the system at.  The instance is immutable after construction, so its
-    walks and reports are cached properties.
+    the system at, and ``partial_isometry`` is U's report at it.  The
+    instance is immutable after construction, so its walks and the defects
+    that several reports share are cached properties.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray):
@@ -404,7 +406,7 @@ class IsometrySystem:
             raise DimensionMismatch(
                 f"U dim {self.u.shape[0]} != ambient dim {algebra.ambient_dim}")
         self.tol = algebra.tol
-        rep = is_partial_isometry(self.u, self.tol)
+        rep = self.partial_isometry = is_partial_isometry(self.u, self.tol)
         if not rep.passed:
             raise NotPartialIsometry("U is not a partial isometry", rep)
 
@@ -422,21 +424,10 @@ class IsometrySystem:
         self._proj_final = self._powers @ star
 
     def _with_algebra(self, algebra: FiniteStarAlgebra) -> "IsometrySystem":
-        """The system of the same U over another algebra on the same space.
-
-        U was validated at this system's tolerance, so when the algebra's is
-        no tighter the new system shares U's power and projection stacks
-        instead of re-validating and rebuilding them.
-        """
-        if algebra.ambient_dim != self.dim or algebra.tol < self.tol:
-            return IsometrySystem(algebra, self.u)
-        derived = copy.copy(self)
-        derived.algebra, derived.tol = algebra, algebra.tol
-        # cached properties were computed over this system's algebra
-        for name, attr in vars(IsometrySystem).items():
-            if isinstance(attr, cached_property):
-                vars(derived).pop(name, None)
-        return derived
+        """This system, with its cached walks and defects, over its own
+        algebra; otherwise a new system of U, validated at ``algebra.tol``."""
+        return (self if algebra is self.algebra
+                else IsometrySystem(algebra, self.u))
 
     @property
     def dim(self) -> int:
@@ -526,9 +517,34 @@ class IsometrySystem:
         return self.delta_star_n(m, 1)
 
     @cached_property
-    def intertwining_report(self) -> ConditionReport:
-        """Cached result of check_intertwining_equivalents on this system."""
-        return check_intertwining_equivalents(self)
+    def intertwining_defect(self) -> float:
+        """Intertwining (i): worst ||U a - delta(a) U|| over the basis."""
+        basis = self.algebra.basis
+        return _worst_norm(self.u @ basis - self.delta(basis) @ self.u)
+
+    @cached_property
+    def uu_commutator_defect(self) -> float:
+        """Worst ||[U*U, a]|| over the basis."""
+        return _commutator_norm(self.proj_initial(1), self.algebra.basis)
+
+    @cached_property
+    def multiplicativity_defect(self) -> float:
+        """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
+        basis, deltas = self.algebra.basis, self.delta(self.algebra.basis)
+        return max(_worst_norm(self.delta(a @ basis) - da @ deltas)
+                   for a, da in zip(basis, deltas))
+
+    @cached_property
+    def delta_invariance_defect(self) -> float:
+        """Worst distance from delta(a) to the algebra over the basis."""
+        return float(self.algebra.span_defects(
+            self.delta(self.algebra.basis)).max())
+
+    @cached_property
+    def delta_star_invariance_defect(self) -> float:
+        """Likewise for delta_star(a)."""
+        return float(self.algebra.span_defects(
+            self.delta_star(self.algebra.basis)).max())
 
     @cached_property
     def coefficient_report(self) -> ConditionReport:
@@ -574,33 +590,13 @@ def _commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
     return max((_worst_norm(a @ right - right @ a) for a in rows), default=0.0)
 
 
-def _multiplicativity_defect(sys: IsometrySystem) -> float:
-    """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
-    basis = sys.algebra.basis
-    deltas = sys.delta(basis)
-    return max(_worst_norm(sys.delta(a @ basis) - da @ deltas)
-               for a, da in zip(basis, deltas))
-
-
-def _invariance_defect(sys: IsometrySystem, image) -> float:
-    """Worst distance from image(a) to the algebra over the basis; ``image``
-    is ``sys.delta`` or ``sys.delta_star``."""
-    return float(sys.algebra.span_defects(image(sys.algebra.basis)).max())
-
-
-def _intertwining_defect(sys: IsometrySystem) -> float:
-    """Intertwining (i): worst ||U a - delta(a) U|| over the basis."""
-    basis = sys.algebra.basis
-    return _worst_norm(sys.u @ basis - sys.delta(basis) @ sys.u)
-
-
 def _delta_hypotheses(sys: IsometrySystem) -> list:
     """The hypotheses of the delta_star tower and of the power identities,
     as (label, measure) entries: intertwining (i) and delta mapping the
     algebra into itself."""
-    return [("intertwining relation", lambda: _intertwining_defect(sys)),
+    return [("intertwining relation", lambda: sys.intertwining_defect),
             ("delta maps algebra into itself",
-             lambda: _invariance_defect(sys, sys.delta))]
+             lambda: sys.delta_invariance_defect)]
 
 
 def _projection_families_defect(sys: IsometrySystem, k_max: int) -> float:
@@ -633,23 +629,17 @@ def check_intertwining_equivalents(sys: IsometrySystem) -> ConditionReport:
           basis pairs.
 
     The three are equivalent in exact arithmetic, so a disagreement among
-    them flags a numerical fault and is noted on the report.
+    them flags a numerical fault and is noted on the report.  Each entry is
+    a value the system caches.
     """
     tol = sys.tol
     rep = ConditionReport("intertwining_equivalents")
-    u, ustar = sys.u, adjoint(sys.u)
-    basis = sys.algebra.basis
-
-    d_i = _intertwining_defect(sys)
+    d_i, d_comm = sys.intertwining_defect, sys.uu_commutator_defect
+    d_pi = max(d.value for d in sys.partial_isometry.defects)
+    d_mult = sys.multiplicativity_defect
     rep.add("(i) Ua = delta(a)U on basis", d_i, tol)
-
-    pi = is_partial_isometry(u, tol)
-    d_pi = max(d.value for d in pi.defects)
     rep.add("(ii) U is a partial isometry", d_pi, tol)
-    d_comm = _commutator_norm(ustar @ u, basis)
     rep.add("(ii)/(iii) U*U commutes with algebra", d_comm, tol)
-
-    d_mult = _multiplicativity_defect(sys)
     rep.add("(iii) delta multiplicative on basis pairs", d_mult, tol)
 
     verdicts = [d_i <= tol,
@@ -666,11 +656,11 @@ def check_coefficient_algebra(sys: IsometrySystem) -> ConditionReport:
     algebra into itself.
     """
     rep = ConditionReport("coefficient_algebra")
-    rep.merge(sys.intertwining_report)
-    rep.add("delta maps algebra into itself",
-            _invariance_defect(sys, sys.delta), sys.tol)
+    rep.merge(check_intertwining_equivalents(sys))
+    rep.add("delta maps algebra into itself", sys.delta_invariance_defect,
+            sys.tol)
     rep.add("delta_star maps algebra into itself",
-            _invariance_defect(sys, sys.delta_star), sys.tol)
+            sys.delta_star_invariance_defect, sys.tol)
     return rep
 
 
@@ -725,14 +715,13 @@ def _delta_walk(sys: IsometrySystem, commutative: bool) -> Walk:
     extendability, it commutes with each stage's images iff it commutes
     with every delta^n(algebra), by the same containments.
     """
-    basis, uu = sys.algebra.basis, sys.proj_initial(1)
     hypotheses = [("U*U commutes with the algebra",
-                   lambda: _commutator_norm(uu, basis))]
-    lefts = [("U*U", uu)]
+                   lambda: sys.uu_commutator_defect)]
+    lefts = [("U*U", sys.proj_initial(1))]
     if commutative:
         hypotheses.insert(0, ("algebra commutative",
                               lambda: sys.algebra.commutator_defect))
-        lefts.append(("the algebra", basis))
+        lefts.append(("the algebra", sys.algebra.basis))
     return _checked_walk(
         sys, "commutative_extendability" if commutative else "extendability",
         "delta", hypotheses, lefts)
@@ -883,9 +872,9 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
 
     sys_t = sys._with_algebra(tower_a)
     rep.add("delta an endomorphism of the tower",
-            _invariance_defect(sys_t, sys_t.delta), tol)
+            sys_t.delta_invariance_defect, tol)
     rep.add("delta_star an endomorphism of the tower",
-            _invariance_defect(sys_t, sys_t.delta_star), tol)
+            sys_t.delta_star_invariance_defect, tol)
     rep.note(f"tower dimensions: start {sys.algebra.dim}, delta-first "
              f"{tower_a.dim}, delta_star-first {tower_b.dim}")
     return rep

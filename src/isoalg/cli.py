@@ -22,6 +22,7 @@ from .algebra import (
     check_commutative_extendability,
     check_extendability,
     check_extension_towers,
+    check_intertwining_equivalents,
     verify_power_identities,
 )
 from .errors import HypothesisViolated, IsoalgError
@@ -134,10 +135,9 @@ def _norm_limit(ctx: _Context) -> ConditionReport:
 # the LoadedModel field the check needs.  Runners name the checkers at call
 # time, so a rebound module attribute reaches them.
 CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
-    "partial_isometry": (
-        None, lambda c: is_partial_isometry(c.system.u, c.system.tol)),
-    # the system's cached reports are these checks'
-    "intertwining": (None, lambda c: c.system.intertwining_report),
+    "partial_isometry": (None, lambda c: c.system.partial_isometry),
+    "intertwining": (
+        None, lambda c: check_intertwining_equivalents(c.system)),
     "coefficient_algebra": (None, lambda c: c.system.coefficient_report),
     "adjoint_intertwining": (
         None, lambda c: check_adjoint_intertwining(c.system)),
@@ -221,14 +221,18 @@ def _default_tol() -> float:
         raise ConfigError(f"ISOALG_TOL={env!r} is not a number")
 
 
-def _check_counts(args) -> None:
-    """Reject --k-max and --samples below 1: a sampler over no samples or a
-    norm-limit schedule with no stage would pass vacuously."""
-    for flag in ("k_max", "samples"):
-        value = getattr(args, flag, 1)
-        if value < 1:
+def _check_counts(args, tol_name: str) -> None:
+    """Reject --k-max and --samples below 1 (a sampler or the norm limit
+    would pass vacuously), a --seed below 0 (numpy refuses it), and a tol
+    ``tol_name`` not finite and above 0 (at inf every check passes)."""
+    for flag, least in (("k_max", 1), ("samples", 1), ("seed", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least "
-                              f"1, got {value}")
+                              f"{least}, got {value}")
+    if not 0.0 < args.tol < float("inf"):  # NaN fails both
+        raise ConfigError(f"{tol_name} must be a finite number above 0, "
+                          f"got {args.tol:g}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -359,9 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        tol_name = "ISOALG_TOL" if args.tol is None else "--tol"
         if args.tol is None:
             args.tol = _default_tol()
-        _check_counts(args)
+        _check_counts(args, tol_name)
         doc, rc = args.func(args)
     except ConfigError as exc:
         print(f"isoalg: {exc}", file=sys.stderr)

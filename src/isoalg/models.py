@@ -30,7 +30,6 @@ from .algebra import (
     IsometrySystem,
     _absorption_defect,
     _commutator_norm,
-    _multiplicativity_defect,
     _projection_families_defect,
     build_towers,
     generate_closure,
@@ -151,7 +150,7 @@ def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
     rep.add(f"delta^k(|a|) in span of |a| and lower projections, k <= {k_max}",
             d, tol)
     rep.add("delta multiplicative on the extended algebra",
-            _multiplicativity_defect(sys), tol)
+            sys.multiplicativity_defect, tol)
 
     d_mem = float(seed.span_defects(finals).max(initial=0.0))
     d_comm = _commutator_norm(finals, seed.basis)

@@ -298,6 +298,13 @@ def _gauged_n0(forms: list[NormalForm], norms: np.ndarray, m: int,
     return np.stack(n0, axis=1), overflow
 
 
+def _doubling_schedule(k_max: int) -> list[int]:
+    """k = 1, 2, 4, ... up to k_max: the stages of the norm limit."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return [2 ** j for j in range(int(k_max).bit_length())]
+
+
 def _norm_limit_traces(forms: list[NormalForm], k_max: int,
                        star_report: ConditionReport | None
                        ) -> list[NormLimitTrace]:
@@ -309,11 +316,7 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
     zero form gets a zero trace.  An Overflow or CoefficientEscape is
     raised for the first offending form in input order, with the message
     that form alone gives."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    schedule = [1]
-    while 2 * schedule[-1] <= k_max:
-        schedule.append(2 * schedule[-1])
+    schedule = _doubling_schedule(k_max)
     star = None if star_report is None else star_report.passed
     direct = _operator_norms(forms)
     live = np.flatnonzero(direct != 0.0)
@@ -431,7 +434,8 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
     - the lower estimate s_k <= ||x|| at every stage;
     - the upper estimate ||x|| <= (4kN+1)^{1/4k} s_k at every stage;
     - the first-stage sandwich lo <= ||x||^2 <= hi;
-    - convergence |s_{k_max} - ||x||| / ||x|| <= NORM_LIMIT_REL_TOL.
+    - convergence |s_k - ||x||| / ||x|| <= NORM_LIMIT_REL_TOL at the
+      schedule's last k, the largest power of two <= k_max.
 
     The first three are relative to ||x|| (or ||x||^2), within
     NORM_LIMIT_SLACK.
@@ -456,7 +460,8 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
     rep.add("upper estimate ||x|| <= (4kN+1)^{1/4k} s_k", worst_upper,
             NORM_LIMIT_SLACK)
     rep.add("first-stage sandwich", worst_sandwich, NORM_LIMIT_SLACK)
-    rep.add(f"convergence at k = {k_max}", worst_conv, NORM_LIMIT_REL_TOL)
+    rep.add(f"convergence at k = {_doubling_schedule(k_max)[-1]}",
+            worst_conv, NORM_LIMIT_REL_TOL)
     rep.note(f"seed = {seed}")
     if star_report is not None:
         rep.note(_sampler_note(star_report))

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,24 @@ def shift3_projection_spec():
 @pytest.fixture(scope="session")
 def shift3_projection(shift3_projection_spec):
     return ia.load_model(shift3_projection_spec).system
+
+
+# The defects an IsometrySystem caches: each is measured once per system.
+CACHED_DEFECTS = ("intertwining_defect", "uu_commutator_defect",
+                  "multiplicativity_defect", "delta_invariance_defect",
+                  "delta_star_invariance_defect")
+
+
+def count_cached_defects(monkeypatch) -> dict:
+    """Replace each cached defect of IsometrySystem by a cached property
+    that counts the runs of the same body; returns the live counts."""
+    calls = dict.fromkeys(CACHED_DEFECTS, 0)
+    for name in CACHED_DEFECTS:
+        def counted(sys, name=name, body=vars(ia.IsometrySystem)[name].func):
+            calls[name] += 1
+            return body(sys)
+
+        prop = cached_property(counted)
+        prop.__set_name__(ia.IsometrySystem, name)
+        monkeypatch.setattr(ia.IsometrySystem, name, prop)
+    return calls

@@ -31,8 +31,6 @@ from isoalg.algebra import (
     _commutator_norm,
     _extend,
     _gram_schmidt_closure,
-    _invariance_defect,
-    _multiplicativity_defect,
     _projection_families_defect,
     _spectral_closure,
     build_towers,
@@ -41,7 +39,7 @@ from isoalg.linalg import spectral_norms
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
 
-from conftest import amplified_generators
+from conftest import CACHED_DEFECTS, amplified_generators, count_cached_defects
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
@@ -164,12 +162,29 @@ def test_tower_systems_reuse_the_validated_u(monkeypatch):
     assert derived.algebra is tight
 
 
-def test_derived_system_drops_cached_reports(qdeform6):
+def test_derived_system_drops_cached_reports(qdeform6, monkeypatch):
+    # over its own algebra a system is itself, with its cached walks and
+    # reports: the q-model's tower closes at its seed, so its system is the
+    # seed system the build walked
     sys = qdeform6.system
     report = sys.coefficient_report
-    derived = sys._with_algebra(qdeform6.seed_algebra)
-    assert derived.algebra is qdeform6.seed_algebra
+    assert sys.algebra is qdeform6.seed_algebra
+    assert sys._with_algebra(qdeform6.seed_algebra) is sys
+    assert sys._with_algebra(sys.algebra).delta_walk is sys.delta_walk
+    # over another algebra object, even of the same span, it is a new
+    # system with its own reports, which validates U at that algebra's tol
+    tols = []
+    real = ia.algebra.is_partial_isometry
+    monkeypatch.setattr(ia.algebra, "is_partial_isometry",
+                        lambda u, tol: tols.append(tol) or real(u, tol))
+    other = FiniteStarAlgebra(sys.algebra.basis, tol=1e-11)
+    derived = sys._with_algebra(other)
+    assert derived is not sys and derived.algebra is other
+    assert tols == [derived.tol] == [1e-11]
+    assert derived.partial_isometry is not sys.partial_isometry
+    assert "delta_walk" not in vars(derived)
     assert derived.coefficient_report is not report
+    assert derived.coefficient_report.passed
     assert sys.coefficient_report is report
 
 
@@ -553,10 +568,10 @@ def fixture_system(request, name):
 def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
                                         n_max):
     # small k_max and n_max leave few terms in each max, so that a stacked
-    # body that drops a term shows; the system is a copy without the
-    # fixture's cached walks, so that the walks below are measured here
+    # body that drops a term shows; the system is a new one without the
+    # fixture's cached walks and defects, so that they are measured here
     fixture = fixture_system(request, name)
-    sys = fixture._with_algebra(fixture.algebra)
+    sys = IsometrySystem(fixture.algebra, fixture.u)
     # and every stack measured on the way is measured as the full solve
     # would, with no eigensolve pruned that could change the value
     stacks = []
@@ -570,15 +585,14 @@ def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
     monkeypatch.setattr(ia.algebra, "_worst_norm", checked)
     basis = sys.algebra.basis
     pairs = [
-        (_commutator_norm(sys.proj_initial(1), basis),
+        (sys.uu_commutator_defect,
          loop_commutator_norm(sys.proj_initial(1), basis)),
         # the uncached body of the property
         (FiniteStarAlgebra.commutator_defect.func(sys.algebra),
          loop_commutator_defect(basis)),
-        (_multiplicativity_defect(sys), loop_multiplicativity_defect(sys)),
-        (_invariance_defect(sys, sys.delta),
-         loop_invariance_defect(sys, sys.delta)),
-        (_invariance_defect(sys, sys.delta_star),
+        (sys.multiplicativity_defect, loop_multiplicativity_defect(sys)),
+        (sys.delta_invariance_defect, loop_invariance_defect(sys, sys.delta)),
+        (sys.delta_star_invariance_defect,
          loop_invariance_defect(sys, sys.delta_star)),
         (check_intertwining_equivalents(sys).defects[0].value,
          loop_power_intertwining(sys, 1)),
@@ -1087,8 +1101,8 @@ def reference_delta_star_walk(sys):
     rep = ia.ConditionReport("delta_star_tower_hypotheses")
     rep.add("intertwining relation",
             check_intertwining_equivalents(sys).defects[0].value, sys.tol)
-    rep.add("delta maps algebra into itself",
-            _invariance_defect(sys, sys.delta), sys.tol)
+    rep.add("delta maps algebra into itself", sys.delta_invariance_defect,
+            sys.tol)
     return rep, (reference_tower_walk(sys, sys.delta_star) if rep.passed
                  else None)
 
@@ -1144,18 +1158,24 @@ def test_walks_and_intertwining_report_are_made_once_per_system(
     real = ia.algebra._checked_walk
     monkeypatch.setattr(ia.algebra, "_checked_walk",
                         lambda *args: calls.append(args[1]) or real(*args))
-    sys = qdeform6.system._with_algebra(qdeform6.system.algebra)
-    assert "delta_walk" not in vars(sys)  # dropped by _with_algebra
+    bodies = count_cached_defects(monkeypatch)
+    sys = IsometrySystem(qdeform6.system.algebra, qdeform6.u)
     for _ in range(2):
         check_extendability(sys)
         check_commutative_extendability(sys)
         extend_delta(sys)
         extend_delta_star(sys)
         check_coefficient_algebra(sys)
+        check_intertwining_equivalents(sys)
+        verify_power_identities(sys, 2)
+        check_extension_towers(sys)
+    # the tower closes at the system's own algebra, so extension_towers
+    # reads the system's walks and its endomorphism entries its defects
     assert calls == ["extendability", "commutative_extendability",
                      "delta_star_tower_hypotheses"]
+    assert bodies == dict.fromkeys(CACHED_DEFECTS, 1)
     assert check_coefficient_algebra(sys).defects[:4] == (
-        sys.intertwining_report.defects)
+        check_intertwining_equivalents(sys).defects)
 
 
 def test_commutant_keeps_no_left_singular_basis():

@@ -9,6 +9,8 @@ from isoalg import load_model, matrix_from_json, matrix_to_json
 from isoalg.cli import CHECKS, dump_json, main
 from isoalg.report import ConditionReport
 
+from conftest import CACHED_DEFECTS, count_cached_defects
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 E12 = np.array([[0, 1], [0, 0]], complex)
@@ -194,6 +196,52 @@ def test_counts_below_one_exit_2(specs, capsys, flag, value):
     assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, args, env, message", [
+    ("run", ["--checks", "coefficient_bound", "--seed", "-1"], None,
+     "--seed must be at least 0, got -1"),
+    ("run", ["--checks", "sum_norm_estimates", "--seed", "-1"], None,
+     "--seed must be at least 0, got -1"),
+    ("run", ["--checks", "all", "--tol", "inf"], None,
+     "--tol must be a finite number above 0, got inf"),
+    ("run", ["--checks", "all", "--tol", "0"], None,
+     "--tol must be a finite number above 0, got 0"),
+    ("run", ["--checks", "all", "--tol=-1e-9"], None,
+     "--tol must be a finite number above 0, got -1e-09"),
+    ("run", ["--checks", "all", "--tol", "nan"], None,
+     "--tol must be a finite number above 0, got nan"),
+    ("run", ["--checks", "all"], "-1",
+     "ISOALG_TOL must be a finite number above 0, got -1"),
+    ("run", ["--checks", "all"], "inf",
+     "ISOALG_TOL must be a finite number above 0, got inf"),
+    ("closure", ["--tol", "0"], None,
+     "--tol must be a finite number above 0, got 0"),
+])
+def test_bad_seed_or_tol_exits_2(specs, monkeypatch, capsys, command, args,
+                                 env, message):
+    # a negative seed is refused by numpy's generators, a tol of inf passes
+    # every check, and a tol of 0 or below (or NaN) builds no basis
+    if env is not None:
+        monkeypatch.setenv("ISOALG_TOL", env)
+    model = specs["broken.json" if command == "closure" else "qdeform.json"]
+    assert main([command, "--model", model, *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"isoalg: {message}\n"
+
+
+@pytest.mark.parametrize("k_max, k_last", [(12, 8), (8, 8), (1, 1)])
+def test_norm_limit_label_names_the_measured_k(specs, k_max, k_last):
+    # convergence is measured at the last k of the doubling schedule, the
+    # largest power of two <= k_max, and the entry is labelled with it
+    rc, doc = run(["run", "--model", specs["qdeform.json"], "--checks",
+                   "norm_limit", "--k-max", str(k_max), "--samples", "5"],
+                  specs, "label")
+    assert rc in (0, 1)
+    assert doc["results"][0]["defects"][-1]["check"] == (
+        f"convergence at k = {k_last}")
+    assert {tuple(t["k_values"]) for t in doc["traces"]} == {
+        tuple(2 ** j for j in range(k_last.bit_length()))}
+
+
 def test_run_deterministic(specs):
     args = ["run", "--model", specs["qdeform.json"], "--checks",
             "coefficient_bound,gauge_invariance,norm_limit",
@@ -361,30 +409,33 @@ def test_dump_json_17_digits():
 
 
 def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
-    # the delta tower is walked once by the model build, once by each of
-    # extendability and commutative_extendability, and once more by
-    # extension_towers (the delta tower over the delta_star tower; its
-    # commutative walk is the system's cached one), and nowhere else; and
-    # the intertwining and coefficient_algebra checks read the reports the
-    # system caches, so the intertwining equivalents are computed once.
-    # Every binding of the counted functions is patched, the CLI's too.
+    # a model's system is the seed system its build walked (the towers
+    # close at the seed), so one run, build included, makes three walks:
+    # the build's delta and delta_star walks and the commutative walk of
+    # commutative_extendability, which extension_towers reads as well.
+    # Every defect the system caches is measured once, and U is validated
+    # once, by the system's constructor.  Every binding of the counted
+    # functions is patched, the CLI's too.
+    import isoalg
     import isoalg.algebra as algebra
-    import isoalg.cli as cli
-    calls = {"delta walks": 0, "check_intertwining_equivalents": 0}
+    import isoalg.cli
+    import isoalg.linalg
+    import isoalg.models
+    calls = count_cached_defects(monkeypatch)
+    calls.update(walks=0, is_partial_isometry=0)
 
-    def walk(sys, name, image, *args, real=algebra._checked_walk):
-        calls["delta walks"] += image == "delta"
-        return real(sys, name, image, *args)
+    def counted(key, real):
+        def call(*args):
+            calls[key] += 1
+            return real(*args)
+        return call
 
-    def intertwining(*args, real=algebra.check_intertwining_equivalents):
-        calls["check_intertwining_equivalents"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(algebra, "_checked_walk", walk)
-    for module in (algebra, cli):
-        if hasattr(module, "check_intertwining_equivalents"):
-            monkeypatch.setattr(module, "check_intertwining_equivalents",
-                                intertwining)
+    monkeypatch.setattr(algebra, "_checked_walk",
+                        counted("walks", algebra._checked_walk))
+    pi = counted("is_partial_isometry", isoalg.linalg.is_partial_isometry)
+    for module in (isoalg, isoalg.linalg, algebra, isoalg.models, isoalg.cli):
+        if hasattr(module, "is_partial_isometry"):
+            monkeypatch.setattr(module, "is_partial_isometry", pi)
     q12 = Path(specs["root"]) / "q12.json"
     q12.write_text(json.dumps({"type": "qdeform", "n": 12, "q": 0.5,
                                "rho": "heisenberg"}))
@@ -396,8 +447,8 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
                       "counted")
         assert "coefficient_algebra" in doc["config"]["checks"]
         assert rc == exit_code
-        assert calls == {"delta walks": 4,
-                         "check_intertwining_equivalents": 1}
+        assert calls == {**dict.fromkeys(CACHED_DEFECTS, 1), "walks": 3,
+                         "is_partial_isometry": 1}
 
 
 @pytest.mark.parametrize("spec, fault", [

@@ -30,7 +30,6 @@ from isoalg import (
 from isoalg.algebra import (
     _absorption_defect,
     _commutator_norm,
-    _multiplicativity_defect,
     _projection_families_defect,
     generate_closure,
 )
@@ -148,7 +147,7 @@ def reference_polar_structure(m, k_max):
 
     ext = generate_closure([m.abs_a, *finals], seed_tol)
     rep.add("delta multiplicative on the extended algebra",
-            _multiplicativity_defect(sys._with_algebra(ext)), tol)
+            IsometrySystem(ext, m.u).multiplicativity_defect, tol)
 
     d_mem = float(m.seed_algebra.span_defects(finals).max(initial=0.0))
     d_comm = _commutator_norm(finals, m.seed_algebra.basis)
