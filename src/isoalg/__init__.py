@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     InsufficientResolution,
+    InvalidBasis,
     IsoalgError,
     NotCoefficientAlgebra,
     NotPSD,

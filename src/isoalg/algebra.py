@@ -19,7 +19,8 @@ membership, commutants and generated closures into ordinary linear algebra.
   basis is ``P_i / sqrt(rank P_i)``.  A gap in the ambiguous band
   ``(tol, 10 tol] * max(1, |lam|max)`` raises ``ToleranceCollapse``.
   Otherwise the result certifies itself or is discarded: every generator
-  must lie in the span within ``tol * max(1, ||g||_F)``.
+  must lie in the span within ``tol * max(1, ||g||_F)``.  The algebra
+  keeps the path's *frame* (see below).
 - **Gram-Schmidt by words.**  Every other generator set (not normal or not
   commuting) starts from the identity and multiplies each basis element,
   once reached, by the span of the generators and their adjoints.  Each
@@ -27,6 +28,35 @@ membership, commutants and generated closures into ordinary linear algebra.
   step with two batched passes, which raises ``ToleranceCollapse`` for a
   residual in its ambiguous band.  This is the only path for
   non-commutative systems.
+
+**The frame.**  The frame of a spectral closure is (V, r): V the n x n
+eigenvectors of the Hermitian element, its columns in consecutive blocks
+V_i of the block ranks r_i, and basis element b_i = V_i V_i* / sqrt(r_i),
+built from the frame in one place, ``Frame.basis``.  It covers the seed
+algebras and every commutative tower stage.  With E = V*V - I (0 for a
+unitary V), every pair identity of the basis reduces to n x n products,
+in O(n^3) instead of O(d^2 n^3):
+
+- b_i b_j - delta_ij b_i / sqrt(r_i) = V_i E_ij V_j* / sqrt(r_i r_j), so
+  the distance of b_i b_j to the span is at most
+  (1 + ||E||_F) ||E_ij||_F / sqrt(r_i r_j) ("closed under product");
+- <b_i, b_j>_HS = ||(V*V)_ij||_F^2 / sqrt(r_i r_j), exactly ("basis
+  orthonormal");
+- I - sum_i sqrt(r_i) b_i = I - V V*, and ||I - V V*||_F = ||E||_F for a
+  square V, which bounds the distance of I to the span ("identity in
+  span");
+- b_i* lies within ||b_i - b_i*||_F of b_i, which is in the span ("closed
+  under adjoint", an O(d n^2) bound);
+- [b_i, b_j] = (V_i E_ij V_j* - V_j E_ji V_i*) / sqrt(r_i r_j) for i != j,
+  whose norm is ||E_ij|| / sqrt(r_i r_j) within the factor 1 +- ||E||
+  (``commutator_defect`` reports the upper end);
+- delta(ab) - delta(a) delta(b) = U a (1 - U*U) b U*, so pair (i, j) of
+  the multiplicativity defect is ||(U V_i) Q_ij (U V_j)*|| / sqrt(r_i r_j)
+  with Q = V*(1 - U*U)V, exactly.
+
+The stored basis is the frame's up to the rounding of its products, which
+the bounds do not count.  Algebras without a frame (Gram-Schmidt closures,
+commutants, bases given directly) are measured by the pair loops.
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
@@ -60,12 +90,14 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
+    InvalidBasis,
     NotPartialIsometry,
     ToleranceCollapse,
 )
@@ -155,14 +187,89 @@ def spans_equal(a, b, tol: float) -> tuple[bool, float]:
     return worst <= tol, worst
 
 
+class Frame(NamedTuple):
+    """The frame of a spectral closure: an n x n matrix ``vecs`` = V whose
+    columns fall into consecutive blocks V_i of the block ``ranks`` r_i."""
+
+    vecs: np.ndarray
+    ranks: np.ndarray
+
+    def basis(self) -> np.ndarray:
+        """The (d, n, n) stack of b_i = V_i V_i* / sqrt(r_i), the one place
+        a basis is built from a frame."""
+        n = len(self.vecs)
+        basis = np.empty((len(self.ranks), n, n), dtype=complex)
+        starts = np.cumsum(self.ranks) - self.ranks
+        for p, start, rank in zip(basis, starts, self.ranks):
+            v = self.vecs[:, start:start + rank]
+            np.matmul(v, adjoint(v) / np.sqrt(rank), out=p)
+        return basis
+
+
+def _block_sums(m: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The (d, d) sums of the blocks of an (n, n) matrix cut at the ranks."""
+    starts = np.cumsum(ranks) - ranks
+    return np.add.reduceat(np.add.reduceat(m, starts, axis=0), starts, axis=1)
+
+
+def _block_norms(m: np.ndarray, ranks: np.ndarray,
+                 gram: np.ndarray | None = None) -> np.ndarray:
+    """The (d, d) spectral norms of S_i m_ij S_j over the blocks m_ij of an
+    (n, n) matrix cut at the ranks, with S_i the square root of the PSD
+    diagonal block gram_ii (the identity when ``gram`` is None).  The
+    blocks of each pair of ranks are solved in one batch."""
+    starts = np.cumsum(ranks) - ranks
+    groups = []
+    for r in np.unique(ranks):
+        at = np.flatnonzero(ranks == r)
+        idx = (starts[at, None] + np.arange(r)).ravel()
+        root = None
+        if gram is not None:
+            g = gram[np.ix_(idx, idx)].reshape(len(at), r, len(at), r)
+            w, v = np.linalg.eigh(g[np.arange(len(at)), :, np.arange(len(at))])
+            root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None]) @ adjoint(v)
+        groups.append((at, idx, r, root))
+    out = np.empty((len(ranks), len(ranks)))
+    for at_a, rows, ra, root_a in groups:
+        for at_b, cols, rb, root_b in groups:
+            blocks = m[np.ix_(rows, cols)].reshape(
+                len(at_a), ra, len(at_b), rb).swapaxes(1, 2)
+            if gram is not None:
+                blocks = root_a[:, None] @ blocks @ root_b[None]
+            out[np.ix_(at_a, at_b)] = spectral_norms(blocks)
+    return out
+
+
 class FiniteStarAlgebra:
     """A unital *-subalgebra of the n x n matrices.
 
     ``basis`` is one (d, n, n) stack, Hilbert-Schmidt orthonormal, closed
-    under adjoints and products within ``tol``, and spans the identity.
+    under adjoints and products within ``tol``, and spans the identity.  The
+    constructor takes the stack, or a ``Frame``, from which it builds the
+    stack and which it keeps as ``frame`` (None for a stack).  It validates
+    the basis (``invariant_report``) and raises InvalidBasis, carrying the
+    report, when an invariant fails.
+
+    With a frame (V, r) and E = V*V - I, the four invariants are measured in
+    O(n^3) (see the module docstring); each is exact or an upper bound on
+    the pair value for the basis the frame defines:
+
+    - "basis orthonormal": max |<b_i, b_j> - delta_ij| with
+      <b_i, b_j> = ||(V*V)_ij||_F^2 / sqrt(r_i r_j), exact;
+    - "identity in span": ||E||_F = ||I - V V*||_F >= dist(I, span);
+    - "closed under adjoint": max ||b_i - b_i*||_F >= dist(b_i*, span);
+    - "closed under product": max (1 + ||E||_F) ||E_ij||_F / sqrt(r_i r_j)
+      >= dist(b_i b_j, span), from b_i b_j - delta_ij b_i / sqrt(r_i) =
+      V_i E_ij V_j* / sqrt(r_i r_j).
+
+    Without a frame they are the pair loops over the basis, the product
+    entry in O(d^3 n^2).
     """
 
     def __init__(self, basis, tol: float = DEFAULT_TOL):
+        self.frame = basis if isinstance(basis, Frame) else None
+        if self.frame is not None:
+            basis = self.frame.basis()
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim != 3 or not len(basis) or basis.shape[1] != basis.shape[2]:
             raise DimensionMismatch(
@@ -173,7 +280,7 @@ class FiniteStarAlgebra:
         self._flat = basis.reshape(len(basis), -1)
         rep = self.invariant_report()
         if not rep.passed:
-            raise ValueError(f"invalid *-algebra basis:\n{rep}")
+            raise InvalidBasis(f"invalid *-algebra basis:\n{rep}", rep)
 
     @property
     def dim(self) -> int:
@@ -204,29 +311,75 @@ class FiniteStarAlgebra:
         return defect <= self.tol * max(1.0, hs_norm(m)), defect
 
     @cached_property
+    def _frame_gram(self) -> np.ndarray:
+        """V*V of the frame: the identity, up to E, for a unitary V."""
+        v = self.frame.vecs
+        return adjoint(v) @ v
+
+    @cached_property
     def commutator_defect(self) -> float:
         """Worst commutator norm over distinct basis pairs: 0 up to rounding
-        exactly when the algebra is commutative."""
-        basis = self.basis
-        return max((_commutator_norm(a, basis[i + 1:])
-                    for i, a in enumerate(basis)), default=0.0)
+        exactly when the algebra is commutative.  With a frame, the bound
+        (1 + ||E||_F) ||E_ij|| / sqrt(r_i r_j) of pair (i, j), within the
+        factor (1 + ||E||) / (1 - ||E||) of its value."""
+        if self.frame is None:
+            basis = self.basis
+            return max((_commutator_norm(a, basis[i + 1:])
+                        for i, a in enumerate(basis)), default=0.0)
+        ranks = self.frame.ranks
+        e = self._frame_gram - np.eye(self.ambient_dim)
+        norms = _block_norms(e, ranks) / np.sqrt(np.outer(ranks, ranks))
+        np.fill_diagonal(norms, 0.0)
+        return float(norms.max()) * (1.0 + float(np.linalg.norm(e)))
 
     def invariant_report(self) -> ConditionReport:
-        rep = ConditionReport("star_algebra_invariants")
-        gram = self._flat.conj() @ self._flat.T
-        rep.add("basis orthonormal", float(np.abs(gram - np.eye(self.dim)).max()),
-                10.0 * self.tol)
+        """The four *-algebra invariants, in the frame when there is one
+        (see the class docstring)."""
         n = self.ambient_dim
-        rep.add("identity in span",
-                float(_span_defects(self._flat, np.eye(n, dtype=complex)[None])[0]),
-                self.tol * n)
+        if self.frame is None:
+            values = self._pair_invariants()
+        else:
+            values = self._frame_invariants()
+        rep = ConditionReport("star_algebra_invariants")
+        for (label, tol), value in zip(
+                (("basis orthonormal", 10.0 * self.tol),
+                 ("identity in span", self.tol * n),
+                 ("closed under adjoint", self.tol),
+                 ("closed under product", self.tol)), values):
+            rep.add(label, value, tol)
+        return rep
+
+    def _pair_invariants(self) -> tuple[float, ...]:
+        gram = self._flat.conj() @ self._flat.T
+        orth = float(np.abs(gram - np.eye(self.dim)).max())
+        n = self.ambient_dim
+        ident = float(
+            _span_defects(self._flat, np.eye(n, dtype=complex)[None])[0])
         basis = self.basis
         adj = _span_defects(self._flat, basis.conj().transpose(0, 2, 1)).max()
-        rep.add("closed under adjoint", float(adj), self.tol)
         prod = max(float(_span_defects(self._flat, bi @ basis).max())
                    for bi in basis)
-        rep.add("closed under product", prod, self.tol)
-        return rep
+        return orth, ident, float(adj), prod
+
+    def _frame_invariants(self) -> tuple[float, ...]:
+        vecs, ranks = self.frame
+        n = self.ambient_dim
+        if vecs.shape != (n, n) or ranks.min() < 1 or ranks.sum() != n:
+            raise DimensionMismatch(
+                f"a frame of {n}x{n} matrices needs {n}x{n} vectors in "
+                f"blocks of ranks >= 1 summing to {n}, got {vecs.shape} "
+                f"and ranks {ranks.tolist()}")
+        gram = self._frame_gram
+        e = gram - np.eye(n)
+        err = float(np.linalg.norm(e))
+        scale = np.sqrt(np.outer(ranks, ranks))
+        inner = _block_sums(np.abs(gram) ** 2, ranks) / scale
+        orth = float(np.abs(inner - np.eye(self.dim)).max())
+        adj = float(np.linalg.norm(self.basis - adjoint(self.basis),
+                                   axis=(1, 2)).max())
+        prod = float((np.sqrt(_block_sums(np.abs(e) ** 2, ranks))
+                      / scale).max()) * (1.0 + err)
+        return orth, err, adj, prod
 
     def __repr__(self) -> str:
         return (f"FiniteStarAlgebra(dim={self.dim}, "
@@ -239,11 +392,17 @@ _SPECTRAL_SEED = 20100127
 
 
 def _spectral_closure(gens: list[np.ndarray], n: int,
-                      tol: float) -> np.ndarray | None:
-    """Basis P_i / sqrt(rank P_i) of the minimal projections of the closure
-    of commuting normal generators, or None when the generators do not
-    certify it (see the module docstring).  An eigenvalue gap in the
-    ambiguous band raises ToleranceCollapse naming the gap, before the
+                      tol: float) -> Frame | None:
+    """The frame (V, r) of the closure of commuting normal generators, or
+    None when the generators do not certify it (see the module docstring).
+    V holds the eigenvectors of the Hermitian combination H, and the blocks
+    of ranks r are its eigenspaces split at gaps above tol * max(1,
+    |lam|max), so the closure is spanned by the minimal projections
+    V_i V_i*, whose basis ``Frame.basis`` builds.  V is unitary up to the
+    eigensolver's rounding: E = V*V - I, which bounds the algebra's
+    invariants and pair defects (see ``FiniteStarAlgebra``), is exactly 0
+    when H is diagonal and of order n eps otherwise.  An eigenvalue gap in
+    the ambiguous band raises ToleranceCollapse naming the gap, before the
     certificate is tested.
 
     The Hermitian combination is accumulated, and membership is tested, one
@@ -296,11 +455,7 @@ def _spectral_closure(gens: list[np.ndarray], n: int,
         r[diag] -= np.repeat(means, ranks)
         if np.linalg.norm(r) > tol * max(1.0, hs_norm(g)):
             return None
-    basis = np.empty((len(starts), n, n), dtype=complex)
-    for p, start, rank in zip(basis, starts, ranks):
-        v = vecs[:, start:start + rank]
-        np.matmul(v, adjoint(v) / np.sqrt(rank), out=p)
-    return basis
+    return Frame(vecs, ranks)
 
 
 def _gram_schmidt_closure(gens: list[np.ndarray], n: int,
@@ -339,7 +494,8 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     other set falls back to a Gram-Schmidt closure by words, which raises
     ToleranceCollapse for a residual in its own ambiguous band.  Either
     basis goes through the FiniteStarAlgebra constructor, which validates
-    it.  ``dim`` is required when ``gens`` is empty.
+    it; a spectral closure keeps its frame.  ``dim`` is required when
+    ``gens`` is empty.
     """
     gens = [as_matrix(g) for g in gens]
     if gens:
@@ -353,10 +509,10 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     else:
         n = dim
 
-    basis = _spectral_closure(gens, n, tol)
-    if basis is None:
-        basis = _gram_schmidt_closure(gens, n, tol)
-    return FiniteStarAlgebra(basis, tol=tol)
+    frame = _spectral_closure(gens, n, tol)
+    if frame is None:
+        return FiniteStarAlgebra(_gram_schmidt_closure(gens, n, tol), tol=tol)
+    return FiniteStarAlgebra(frame, tol=tol)
 
 
 def commutant(mats: list[np.ndarray], tol: float = DEFAULT_TOL) -> FiniteStarAlgebra:
@@ -529,10 +685,24 @@ class IsometrySystem:
 
     @cached_property
     def multiplicativity_defect(self) -> float:
-        """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs."""
-        basis, deltas = self.algebra.basis, self.delta(self.algebra.basis)
-        return max(_worst_norm(self.delta(a @ basis) - da @ deltas)
-                   for a, da in zip(basis, deltas))
+        """Worst ||delta(ab) - delta(a)delta(b)|| over basis pairs.
+
+        With a frame, delta(ab) - delta(a)delta(b) = U a (1 - U*U) b U*, so
+        pair (i, j) is ||(U V_i) Q_ij (U V_j)*|| / sqrt(r_i r_j) with
+        Q = V*(1 - U*U)V, measured as ||S_i Q_ij S_j|| / sqrt(r_i r_j),
+        S_i = |U V_i|: in O(n^3), from one solve per pair of block ranks
+        (for rank-1 blocks, |Q_ij| ||U V_i|| ||U V_j||).
+        """
+        alg = self.algebra
+        if alg.frame is None:
+            basis, deltas = alg.basis, self.delta(alg.basis)
+            return max(_worst_norm(self.delta(a @ basis) - da @ deltas)
+                       for a, da in zip(basis, deltas))
+        vecs, ranks = alg.frame
+        uv = self.u @ vecs
+        h = adjoint(uv) @ uv
+        norms = _block_norms(alg._frame_gram - h, ranks, h)
+        return float((norms / np.sqrt(np.outer(ranks, ranks))).max())
 
     @cached_property
     def delta_invariance_defect(self) -> float:

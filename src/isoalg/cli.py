@@ -199,7 +199,10 @@ def _load_model_file(path: str, tol: float) -> LoadedModel:
         raise ConfigError(f"cannot load model spec {path!r}: {exc}") from exc
     try:
         return load_model(spec, tol)
-    except (IsoalgError, ValueError, KeyError, TypeError) as exc:
+    except IsoalgError as exc:
+        raise ConfigError(f"model does not build: {type(exc).__name__}: "
+                          f"{exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"model does not build: {exc}") from exc
 
 
@@ -360,8 +363,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--option VALUE`` as ``--option=VALUE`` when VALUE is a
+    negative number, such as -1e-9 or -inf, that argparse would take for an
+    option: so that it reaches the range check, which names it."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
         tol_name = "ISOALG_TOL" if args.tol is None else "--tol"
         if args.tol is None:

@@ -27,6 +27,14 @@ class _ReportError(IsoalgError):
         self.report = report
 
 
+class InvalidBasis(_ReportError, ValueError):
+    """A basis fails the *-algebra invariants (orthonormal, spans the
+    identity, closed under adjoints and products).  Carries the
+    ``star_algebra_invariants`` report in ``report``.  It is also a
+    ValueError, so a caller that catches a bad basis as one still does.
+    """
+
+
 class NotPartialIsometry(_ReportError):
     """An operator fails the partial-isometry characterizations.
 

@@ -8,6 +8,7 @@ from isoalg import (
     DimensionMismatch,
     FiniteStarAlgebra,
     HypothesisViolated,
+    InvalidBasis,
     IsometrySystem,
     NotPartialIsometry,
     ToleranceCollapse,
@@ -27,11 +28,13 @@ from isoalg import (
     verify_power_identities,
 )
 from isoalg.algebra import (
+    Frame,
     _absorption_defect,
     _commutator_norm,
     _extend,
     _gram_schmidt_closure,
     _projection_families_defect,
+    _span_defects,
     _spectral_closure,
     build_towers,
 )
@@ -121,8 +124,13 @@ def test_contains_examples(polar2):
 
 
 def test_algebra_rejects_bad_basis():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidBasis) as info:
         FiniteStarAlgebra([E12])  # not closed, no identity
+    assert isinstance(info.value, ValueError)
+    rep = info.value.report
+    assert rep.name == "star_algebra_invariants" and not rep.passed
+    # E12^2 = 0 lies in the span; E12* and the identity do not
+    assert [d.ok for d in rep.defects] == [True, False, False, True]
 
 
 def test_delta_examples():
@@ -704,13 +712,17 @@ def model_generator_sets(request, name):
 def test_spectral_closure_matches_gram_schmidt(request, name):
     for gens in model_generator_sets(request, name):
         n = gens[0].shape[0]
-        spectral = _spectral_closure(gens, n, TOL)
-        assert spectral is not None  # commuting normal generators
+        frame = _spectral_closure(gens, n, TOL)
+        assert frame is not None  # commuting normal generators
+        assert frame.vecs.shape == (n, n) and frame.ranks.sum() == n
+        spectral = frame.basis()
         reference = _gram_schmidt_closure(gens, n, TOL)
-        assert len(spectral) == len(reference)
+        assert len(spectral) == len(frame.ranks) == len(reference)
         equal, defect = spans_equal(spectral, reference, TOL)
         assert equal, defect
-        assert generate_closure(gens).dim == len(reference)
+        alg = generate_closure(gens)
+        assert alg.dim == len(reference)
+        assert np.array_equal(alg.basis, spectral)
 
 
 @pytest.mark.parametrize("name", ["polar2", "qdeform6", "polar6", "cyclic5"])
@@ -727,11 +739,10 @@ def test_spectral_closure_equals_its_bicommutant(request, name):
         assert spans_equal(dbl.basis, alg.basis, TOL)[0]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_spectral_closure_of_random_commuting_normal_sets(seed):
-    # generators W diag(lam) W* in a random unitary frame W; the joint
-    # eigenvalues are constant on random blocks, so the closure is the span
-    # of the block projections and its dimension is the number of blocks
+def random_commuting_normal_set(seed):
+    """Generators W diag(lam) W* in a random unitary frame W, with the
+    joint eigenvalues constant on random blocks; returns (generators, the
+    block label of each eigenvector)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
     blocks = int(rng.integers(1, n + 1))
@@ -744,10 +755,20 @@ def test_spectral_closure_of_random_commuting_normal_sets(seed):
     for _ in range(int(rng.integers(1, 4))):
         lam = rng.standard_normal(blocks) + 1j * rng.standard_normal(blocks)
         gens.append(w @ np.diag(lam[labels]) @ adjoint(w))
-    spectral = _spectral_closure(gens, n, TOL)
-    assert spectral is not None
-    assert len(spectral) == blocks
+    return gens, labels
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spectral_closure_of_random_commuting_normal_sets(seed):
+    # the closure is the span of the block projections, and its dimension
+    # is the number of blocks
+    gens, labels = random_commuting_normal_set(seed)
+    n, blocks = len(labels), labels.max() + 1
+    frame = _spectral_closure(gens, n, TOL)
+    assert frame is not None
+    assert sorted(frame.ranks) == sorted(np.bincount(labels))
     alg = generate_closure(gens)
+    assert alg.frame is not None
     assert alg.dim == blocks == len(_gram_schmidt_closure(gens, n, TOL))
     assert alg.commutator_defect <= 1e-12
     for g in gens:
@@ -805,8 +826,9 @@ def test_spectral_closure_is_deterministic(qdeform12):
                                 sys.delta_star(sys.algebra.basis)]))
     first, second = generate_closure(gens), generate_closure(gens)
     assert np.array_equal(first.basis, second.basis)
-    assert np.array_equal(_spectral_closure(gens, 12, TOL),
-                          _spectral_closure(gens, 12, TOL))
+    for a, b in zip(_spectral_closure(gens, 12, TOL),
+                    _spectral_closure(gens, 12, TOL), strict=True):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1412,3 +1434,181 @@ def test_extension_towers_reports_a_failed_delta_star_walk():
         extend_delta_star(sys)
     assert [(d.check, d.value) for d in info.value.report.defects] == [
         (d.check.removeprefix("hypothesis: "), d.value) for d in rep.defects]
+
+
+# ---------------------------------------------------------------------------
+# The frame bodies against the pair bodies, which measure algebras without a
+# frame and are kept here as the reference.
+# ---------------------------------------------------------------------------
+
+def reference_invariants(alg):
+    """The four star_algebra_invariants values by the pair loops over the
+    basis, the product entry in O(d^3 n^2)."""
+    flat, basis = alg.basis.reshape(alg.dim, -1), alg.basis
+    gram = flat.conj() @ flat.T
+    eye = np.eye(alg.ambient_dim, dtype=complex)
+    return [float(np.abs(gram - np.eye(alg.dim)).max()),
+            float(_span_defects(flat, eye[None])[0]),
+            float(_span_defects(flat, adjoint(basis)).max()),
+            max(float(_span_defects(flat, b @ basis).max()) for b in basis)]
+
+
+def measured_values(alg, u):
+    """The invariants, the commutator defect and the multiplicativity
+    defect of a new system of u, as the algebra measures them."""
+    return ([d.value for d in alg.invariant_report().defects]
+            + [alg.commutator_defect,
+               IsometrySystem(alg, u).multiplicativity_defect])
+
+
+def reference_values(alg, u):
+    """The same values by the pair loops (``reference_invariants`` and the
+    per-pair loops above)."""
+    return reference_invariants(alg) + [
+        loop_commutator_defect(alg.basis),
+        loop_multiplicativity_defect(IsometrySystem(alg, u))]
+
+
+P6 = ia.weighted_backward_shift([0.5 ** (j / 2) for j in range(1, 6)])
+# |a| of W + W has three eigenvalues of multiplicity 2: blocks of rank 2
+W_PLUS_W = np.kron(np.eye(2), ia.weighted_backward_shift([0.7, 0.4]))
+
+
+def rotated(a, s):
+    """Q a Q*, Q the unitary QR factor of a complex Gaussian matrix drawn
+    with seed s."""
+    rng = np.random.default_rng(s)
+    n = len(a)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return q @ a @ adjoint(q)
+
+
+def frame_case(request, name):
+    """The algebras a fixture builds by the spectral path, and its U."""
+    if name in ("cyclic5", "shift3_projection"):
+        sys = request.getfixturevalue(name)
+        return [sys.algebra], sys.u
+    if name == "corner9":
+        sys = corner_shift_system(9)
+        return [sys.algebra], sys.u
+    if name in ("qdeform12", "polar6"):
+        m = request.getfixturevalue(name)
+    elif name.startswith("polar07_n"):
+        m = ia.build_polar_model(ia.weighted_backward_shift(
+            [0.7 ** (j / 2) for j in range(1, int(name[9:]))]))
+    else:  # p6 or w_plus_w, rotated by the unitary of seed s
+        base, _, s = name.partition("_rotated")
+        a = P6 if base == "p6" else W_PLUS_W
+        m = ia.build_polar_model(rotated(a, int(s)) if s else a)
+    return [m.seed_algebra, m.delta_tower, m.system.algebra], m.u
+
+
+FRAME_CASES = (["qdeform12", "polar6", "cyclic5", "shift3_projection",
+                "corner9", "w_plus_w"]
+               + [f"polar07_n{n}" for n in (8, 12, 16, 24)]
+               + [f"p6_rotated{s}" for s in range(4)]
+               + [f"w_plus_w_rotated{s}" for s in range(2)])
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_frame_values_match_the_pair_bodies(request, name):
+    # each value within 1e-14 of its scale of the pair body's: the frame
+    # measures the basis the frame defines, the pair body the stored one,
+    # which is that up to the rounding of its products
+    algebras, u = frame_case(request, name)
+    for alg in algebras:
+        assert alg.frame is not None
+        got, ref = measured_values(alg, u), reference_values(alg, u)
+        for g, r in zip(got, ref, strict=True):
+            assert abs(g - r) <= 1e-14 * max(1.0, r), (g, r)
+
+
+def random_partial_isometry(rng, n):
+    w, v = (np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    keep = np.arange(n) < int(rng.integers(1, n))
+    return w @ v @ np.diag(keep.astype(float)) @ adjoint(v)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 8])
+def test_frame_multiplicativity_on_random_blocks(seed):
+    # blocks of random ranks (the seeds give at least two blocks, ranks 1
+    # to 4) and a random partial isometry of rank below n, so that the
+    # multiplicativity defect is of order 1 and every pair of block ranks
+    # is measured on generic data
+    gens, labels = random_commuting_normal_set(seed)
+    alg = generate_closure(gens)
+    u = random_partial_isometry(np.random.default_rng(seed), len(labels))
+    assert sorted(alg.frame.ranks) == sorted(np.bincount(labels))
+    got, ref = measured_values(alg, u), reference_values(alg, u)
+    assert ref[-1] > 1e-3
+    for g, r in zip(got, ref, strict=True):
+        assert abs(g - r) <= 1e-14 * max(1.0, r), (g, r)
+
+
+def perturbed_frame(frame, size, seed=0):
+    rng = np.random.default_rng(seed)
+    n = len(frame.vecs)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return Frame(frame.vecs + size * noise, frame.ranks)
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "w_plus_w_rotated0"])
+def test_frame_bounds_hold_on_a_perturbed_frame(request, name):
+    # V perturbed by 1e-6, so E = V*V - I is far above rounding and the
+    # basis is orthonormal only to about 1e-5: each bound holds for the
+    # distance to the span (which the pair bodies, projecting as if the
+    # basis were orthonormal, measure only to that 1e-5), orthonormality
+    # and multiplicativity are exact, and the commutator bound is within
+    # the factor (1 + ||E||) / (1 - ||E||) of its value
+    (alg, *_), u = frame_case(request, name)
+    frame = perturbed_frame(alg.frame, 1e-6)
+    pert = FiniteStarAlgebra(frame, tol=1e-3)
+    basis = pert.basis
+    e = np.linalg.norm(adjoint(frame.vecs) @ frame.vecs - np.eye(len(u)), 2)
+    assert 1e-7 < e < 1e-4
+    orth, ident, adj, prod, comm, mult = measured_values(pert, u)
+    ref = reference_values(pert, u)
+    assert abs(orth - ref[0]) <= 1e-14
+    span = ia.algebra._svd_span(basis)
+    assert len(span) == pert.dim
+    for bound, stack in ((ident, np.eye(len(u), dtype=complex)[None]),
+                         (adj, adjoint(basis)),
+                         (prod, np.concatenate([b @ basis for b in basis]))):
+        distance = float(_span_defects(span, stack).max())
+        assert distance <= bound + 1e-14, (bound, distance)
+    assert ref[4] <= comm + 1e-14 <= ref[4] * (1 + e) / (1 - e) + 2e-14
+    assert ref[4] > 1e-8
+    assert abs(mult - ref[5]) <= 1e-14 * max(1.0, ref[5])
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "p6_rotated0", "w_plus_w"])
+def test_a_frame_perturbed_beyond_tol_is_rejected(request, name):
+    (alg, *_), _ = frame_case(request, name)
+    frame = perturbed_frame(alg.frame, 1e-6)
+    with pytest.raises(InvalidBasis) as info:
+        FiniteStarAlgebra(frame, tol=TOL)
+    rep = info.value.report
+    failed = [d.check for d in rep.defects if not d.ok]
+    assert "closed under product" in failed
+    # the pair body rejects the frame's basis too
+    with pytest.raises(InvalidBasis):
+        FiniteStarAlgebra(frame.basis(), tol=TOL)
+    # a frame whose blocks miss a column spans no identity
+    with pytest.raises(DimensionMismatch):
+        FiniteStarAlgebra(Frame(alg.frame.vecs, alg.frame.ranks[:-1]), TOL)
+
+
+@pytest.mark.parametrize("name", ["broken_system", "raw_system",
+                                  "amplified_q12", "generic_system"])
+def test_frameless_algebras_keep_the_pair_bodies(request, name):
+    # a Gram-Schmidt closure has no frame; its values are the pair bodies'
+    # to the last bit
+    sys = request.getfixturevalue(name)
+    assert sys.algebra.frame is None
+    fresh = IsometrySystem(sys.algebra, sys.u)
+    assert (measured_values(fresh.algebra, fresh.u)
+            == reference_values(fresh.algebra, fresh.u))
+    assert FiniteStarAlgebra(sys.algebra.basis).frame is None

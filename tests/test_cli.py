@@ -170,7 +170,21 @@ def test_unknown_check_message_lists_every_check(specs, capsys):
 def test_run_unbuildable_model_exits_2(specs, capsys):
     rc = main(["run", "--model", specs["badrho.json"], "--checks", "all"])
     assert rc == 2
-    assert "does not build" in capsys.readouterr().err
+    assert "does not build: RhoConditionViolated: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "closure"])
+def test_invalid_basis_exits_2_naming_the_invariant(specs, capsys, command):
+    # at tol 1e-16 the word closure of E12 (the full 2x2 algebra) is closed
+    # under products only to its rounding, which the constructor rejects
+    assert main([command, "--model", specs["broken.json"],
+                 "--tol", "1e-16"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("isoalg: model does not build: InvalidBasis: "
+                          "invalid *-algebra basis:\n"
+                          "star_algebra_invariants: FAIL")
+    assert "[BAD] closed under product" in err
 
 
 def test_run_missing_file_exits_2(specs):
@@ -215,6 +229,12 @@ def test_counts_below_one_exit_2(specs, capsys, flag, value):
      "ISOALG_TOL must be a finite number above 0, got inf"),
     ("closure", ["--tol", "0"], None,
      "--tol must be a finite number above 0, got 0"),
+    # argparse takes a negative number in exponent form for an option; the
+    # CLI attaches it to --tol, so both spellings get the range message
+    ("run", ["--checks", "all", "--tol", "-1e-9"], None,
+     "--tol must be a finite number above 0, got -1e-09"),
+    ("closure", ["--tol", "-inf"], None,
+     "--tol must be a finite number above 0, got -inf"),
 ])
 def test_bad_seed_or_tol_exits_2(specs, monkeypatch, capsys, command, args,
                                  env, message):
