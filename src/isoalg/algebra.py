@@ -56,7 +56,19 @@ in O(n^3) instead of O(d^2 n^3):
 
 The stored basis is the frame's up to the rounding of its products, which
 the bounds do not count.  Algebras without a frame (Gram-Schmidt closures,
-commutants, bases given directly) are measured by the pair loops.
+commutants, bases given directly) are measured by the pair loops, as
+distances to an SVD basis of their span.
+
+**The gauge generator.**  In the frame, a system may certify its gauge
+action U -> lam U (an Huef and Raeburn, ETDS 17, 1997; Exel, ETDS 23,
+2003): with U~ = V*UV, the integer potentials h with h_i - h_j = 1
+wherever |U~_ij| > tol give H = V diag(h) V*, self-adjoint and in the
+commutant of the algebra, with [H, U] = U.  Then W_lam = lam^H fixes the
+algebra and sends U to lam U, so the gauge action is implemented by
+unitaries.  ``IsometrySystem.gauge_generator`` keeps (V, h) with the
+residual ||[H, U] - U|| and max ||[H, b_i]|| over the basis when both are
+within tol, and is None otherwise (no frame, or no consistent potentials,
+as on a cycle).
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
@@ -350,14 +362,17 @@ class FiniteStarAlgebra:
         return rep
 
     def _pair_invariants(self) -> tuple[float, ...]:
+        """Orthonormality of the stored basis, and the distances to its span
+        measured against an orthonormal basis of that span (an SVD), so
+        that they are distances however far "basis orthonormal" is from 0
+        within its 10 tol."""
         gram = self._flat.conj() @ self._flat.T
         orth = float(np.abs(gram - np.eye(self.dim)).max())
-        n = self.ambient_dim
-        ident = float(
-            _span_defects(self._flat, np.eye(n, dtype=complex)[None])[0])
-        basis = self.basis
-        adj = _span_defects(self._flat, basis.conj().transpose(0, 2, 1)).max()
-        prod = max(float(_span_defects(self._flat, bi @ basis).max())
+        n, basis = self.ambient_dim, self.basis
+        span = _svd_span(basis)
+        ident = float(_span_defects(span, np.eye(n, dtype=complex)[None])[0])
+        adj = _span_defects(span, adjoint(basis)).max()
+        prod = max(float(_span_defects(span, bi @ basis).max())
                    for bi in basis)
         return orth, ident, float(adj), prod
 
@@ -543,6 +558,47 @@ def bicommutant(alg: FiniteStarAlgebra) -> FiniteStarAlgebra:
     return commutant(commutant(alg.basis, alg.tol).basis, alg.tol)
 
 
+class GaugeGenerator(NamedTuple):
+    """H = V diag(h) V*, self-adjoint, with [H, U] = U and H in the
+    commutant of the algebra, within ``residual`` = ||[H, U] - U|| and
+    ``commutation`` = max ||[H, b_i]|| over the basis."""
+
+    vecs: np.ndarray
+    potentials: np.ndarray
+    residual: float
+    commutation: float
+
+    def matrix(self) -> np.ndarray:
+        """H = V diag(h) V*, made exactly self-adjoint."""
+        h = (self.vecs * self.potentials) @ adjoint(self.vecs)
+        return (h + adjoint(h)) / 2.0
+
+
+def _gauge_potentials(ut: np.ndarray, tol: float) -> np.ndarray | None:
+    """Integer potentials h with h_i - h_j = 1 on every edge (i, j), an entry
+    |ut_ij| > tol of U in frame coordinates, or None when the edges admit
+    none (a cycle whose potentials disagree).
+
+    Each connected component is walked breadth first from its lowest index,
+    which gets 0, neighbours in index order, so h is integral by
+    construction and the same on every call."""
+    edges = np.abs(ut) > tol
+    h = np.zeros(len(ut), dtype=int)
+    seen = np.zeros(len(ut), dtype=bool)
+    for root in range(len(ut)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for i in queue:
+            for step, row in ((-1, edges[i]), (1, edges[:, i])):
+                new = np.flatnonzero(row & ~seen)
+                h[new], seen[new] = h[i] + step, True
+                queue.extend(new.tolist())
+    rows, cols = np.nonzero(edges)
+    return h if np.all(h[rows] - h[cols] == 1) else None
+
+
 class IsometrySystem:
     """A *-algebra together with a partial isometry acting on the same space.
 
@@ -720,6 +776,26 @@ class IsometrySystem:
     def coefficient_report(self) -> ConditionReport:
         """Cached result of check_coefficient_algebra on this system."""
         return check_coefficient_algebra(self)
+
+    @cached_property
+    def gauge_generator(self) -> GaugeGenerator | None:
+        """The generator of the gauge action in the algebra's frame (see
+        the module docstring) when it certifies the system: its residual
+        and commutation are within tol.  None without a frame, without
+        consistent potentials, or with a defect above tol."""
+        frame = self.algebra.frame
+        if frame is None:
+            return None
+        vecs, u = frame.vecs, self.u
+        potentials = _gauge_potentials(adjoint(vecs) @ u @ vecs, self.tol)
+        if potentials is None:
+            return None
+        h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
+        gen = GaugeGenerator(vecs, potentials,
+                             _worst_norm((h @ u - u @ h - u)[None]),
+                             _commutator_norm(h, self.algebra.basis))
+        certified = gen.residual <= self.tol and gen.commutation <= self.tol
+        return gen if certified else None
 
     @cached_property
     def delta_walk(self) -> Walk:

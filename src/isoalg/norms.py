@@ -19,12 +19,21 @@ with the two-sided estimate, for x of maximum degree N,
 holding at every stage (with 2N+1 growing to 4kN+1 for the k-th power).
 
 N_0 is the average of the gauge action U -> lam U over the circle, so the
-powers are never built as canonical forms: :func:`norm_limit` evaluates x
-gauged at m roots of unity as one (m, n, n) stack, squares it as matrices,
-and reads N_0 of every stage as the mean of the stack.  That mean is the
-sum of the degree terms whose degree is a multiple of m, so it is exact
-Fourier extraction of degree 0 once m exceeds the degree of the last power
-(extracting every degree would need m above twice that).
+powers are never built as canonical forms.  When the system's gauge
+generator certifies it (``IsometrySystem.gauge_generator``: H = V diag(h) V*
+with [H, U] = U and H commuting with the algebra, within tol), the gauge
+action is conjugation by W_lam = lam^H, and N_0 is the compression onto
+the eigenspaces of H: N_0(y) = V (mask o V*yV) V* with mask_ij = [h_i = h_j].
+:func:`norm_limit` then squares P = xx*/||x||^2 of every form as one
+(g, n, n) stack in frame coordinates.  This certifies the polar and
+q-models, whose frames have rank-one blocks and whose U is a chain in them
+(also in a rotated basis).  Every other system takes the stack body: x
+gauged at m roots of unity is one (m, n, n) stack, squared as matrices,
+and N_0 of every stage is the mean of the stack.  That mean is the sum of
+the degree terms whose degree is a multiple of m, so it is exact Fourier
+extraction of degree 0 once m exceeds the degree of the last power
+(extracting every degree would need m above twice that).  Either way each
+stage's N_0 is tested for membership in the algebra.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
@@ -33,10 +42,14 @@ draw is measured once: all drawn coefficients are projected, validated and
 turned into monomials in one pass, through the validation body the
 NormalForm constructor uses, and ||x|| of every form is one batched
 eigensolve, cached on the form, that all three samplers read.  The
-coefficient bound takes all coefficient norms in one call, the gauge check
-one (GAUGE_GRID, n, n) stack per form, and the norm limit squares the forms
-that share a root count m as one (g, m, n, n) stack, split to stay within
-_BATCH_BYTES.
+coefficient bound takes all coefficient norms in one call.  On a certified
+system the gauge check reports the generator's two defects and a proven
+bound on the norm deviation over the whole circle, read off the Frobenius
+norms stored on each form, with no eigensolve; otherwise (no frame, as for
+non-commutative algebras, or no consistent potentials, as for the cyclic
+shift) it solves one (GAUGE_GRID, n, n) stack per form, and the norm limit
+squares the forms that share a root count m as one (g, m, n, n) stack,
+split to stay within _BATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import IsometrySystem
+from .algebra import GaugeGenerator, IsometrySystem
 from .errors import CoefficientEscape, DimensionMismatch, IsoalgError, Overflow
 from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norms
 from .normalform import (
@@ -256,13 +269,16 @@ def norm_limit(x: NormalForm, k_max: int,
 
     x is pre-scaled by 1/||x|| and the s_k are rescaled afterwards, so the
     powers stay bounded by one.  The powers are matrices, not canonical
-    forms: with D = min(4 k_max N, nilpotency index - 1) bounding the degree
-    of the last power, Y = x/||x|| gauged at m = D + 1 roots of unity is one
-    (m, n, n) stack, P = YY* is squared in place, and N_0 of each stage is
-    the mean of P over the roots.  Every stage's N_0 must lie in the
-    coefficient algebra (else CoefficientEscape).  ``star_report``, when
-    given, records whether the coefficient-bound sampler passed; without it
-    the trace is marked as unchecked.
+    forms.  On a system its gauge generator certifies, P = xx*/||x||^2 is
+    squared in frame coordinates and N_0 is the compression onto the
+    eigenspaces of H.  Otherwise, with D = min(4 k_max N, nilpotency
+    index - 1) bounding the degree of the last power, Y = x/||x|| gauged at
+    m = D + 1 roots of unity is one (m, n, n) stack, P = YY* is squared in
+    place, and N_0 of each stage is the mean of P over the roots.  Every
+    stage's N_0 must lie in the coefficient algebra (else
+    CoefficientEscape).  ``star_report``, when given, records whether the
+    coefficient-bound sampler passed; without it the trace is marked as
+    unchecked.
     """
     return _norm_limit_traces([x], k_max, star_report)[0]
 
@@ -274,6 +290,25 @@ def _root_count(x: NormalForm, k_last: int) -> int:
     if x.system.nilpotency_index is not None:
         top = min(top, x.system.nilpotency_index - 1)
     return top + 1
+
+
+def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
+                   gen: GaugeGenerator, stages: int) -> np.ndarray:
+    """N_0 of xx* and of its ``stages`` successive squares for g forms of a
+    system that a gauge generator certifies, as a (g, stages + 1, n, n)
+    stack: P = xx*/||x||^2 of all forms is one (g, n, n) stack in frame
+    coordinates V*PV, squared in place, and N_0 of each stage is
+    V (mask o V*PV) V* with mask_ij = [h_i = h_j], the compression onto the
+    eigenspaces of H.  ||P|| = 1, so no power can overflow."""
+    vecs, h = gen.vecs, gen.potentials
+    mask = h[:, None] == h[None, :]
+    y = np.array([x.eval() for x in forms]) / norms[:, None, None]
+    p = adjoint(vecs) @ (y @ adjoint(y)) @ vecs
+    n0 = [p * mask]
+    for _ in range(stages):
+        np.matmul(p, p, out=p)
+        n0.append(p * mask)
+    return vecs @ np.stack(n0, axis=1) @ adjoint(vecs)
 
 
 def _gauged_n0(forms: list[NormalForm], norms: np.ndarray, m: int,
@@ -298,6 +333,22 @@ def _gauged_n0(forms: list[NormalForm], norms: np.ndarray, m: int,
     return np.stack(n0, axis=1), overflow
 
 
+def _gauged_batches(forms: list[NormalForm], direct: np.ndarray,
+                    live: np.ndarray, schedule: list[int]):
+    """(indices, N_0 stack, overflow) of :func:`_gauged_n0` for the live
+    forms, grouped by root count m, ascending, and split so that no
+    (g, m, n, n) stack exceeds _BATCH_BYTES."""
+    roots = np.array([_root_count(forms[i], schedule[-1]) for i in live],
+                     dtype=int)
+    for m in np.unique(roots).tolist():
+        n = forms[0].system.dim
+        group = live[roots == m]
+        per = max(1, _BATCH_BYTES // (16 * m * n * n))  # complex128
+        for idx in np.split(group, np.arange(per, len(group), per)):
+            yield (idx, *_gauged_n0([forms[i] for i in idx], direct[idx], m,
+                                    len(schedule)))
+
+
 def _doubling_schedule(k_max: int) -> list[int]:
     """k = 1, 2, 4, ... up to k_max: the stages of the norm limit."""
     if k_max < 1:
@@ -311,45 +362,48 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
     """The body of :func:`norm_limit`, for one form or a whole sample of
     forms over one system.
 
-    Forms that share a root count m are squared together as one
-    (g, m, n, n) stack, split so that no stack exceeds _BATCH_BYTES.  A
-    zero form gets a zero trace.  An Overflow or CoefficientEscape is
-    raised for the first offending form in input order, with the message
-    that form alone gives."""
+    On a system that its gauge generator certifies, the live forms are
+    squared together as one (g, n, n) stack in frame coordinates
+    (:func:`_compressed_n0`).  Otherwise forms that share a root count m
+    are squared together as one (g, m, n, n) stack, split so that no stack
+    exceeds _BATCH_BYTES (:func:`_gauged_n0`).  Either way every stage's
+    N_0 is tested for membership.  A zero form gets a zero trace.  An
+    Overflow or CoefficientEscape is raised for the first offending form in
+    input order, with the message that form alone gives."""
     schedule = _doubling_schedule(k_max)
     star = None if star_report is None else star_report.passed
     direct = _operator_norms(forms)
     live = np.flatnonzero(direct != 0.0)
-    roots = np.array([_root_count(forms[i], schedule[-1]) for i in live],
-                     dtype=int)
     stage_norms: dict[int, np.ndarray] = {}
     failures: dict[int, IsoalgError] = {}
     system = forms[0].system if forms else None
-    for m in np.unique(roots).tolist():
+    gen = system.gauge_generator if live.size else None
+    if gen is None:
+        batches = _gauged_batches(forms, direct, live, schedule)
+    else:
+        batches = [(live, _compressed_n0([forms[i] for i in live],
+                                         direct[live], gen, len(schedule)),
+                    np.zeros(live.size, dtype=bool))]
+    for idx, n0, overflow in batches:
         n = system.dim
-        group = live[roots == m]
-        per = max(1, _BATCH_BYTES // (16 * m * n * n))  # complex128
-        for idx in np.split(group, np.arange(per, len(group), per)):
-            n0, overflow = _gauged_n0([forms[i] for i in idx], direct[idx],
-                                      m, len(schedule))
-            flat = n0.reshape(-1, n, n)
-            defects = system.algebra.span_defects(flat).reshape(n0.shape[:2])
-            escaped = ~(defects <= system.tol * np.maximum(
-                1.0, np.linalg.norm(n0, axis=(2, 3))))
-            for i, over, esc, dfs in zip(idx, overflow, escaped, defects):
-                if over:
-                    failures[i] = Overflow(
-                        "powers of x/||x|| gauged at roots of unity "
-                        "exceeded norm 1e100: the gauge action is far "
-                        "from isometric on x")
-                elif esc.any():
-                    s = int(np.argmax(esc))
-                    power = "xx*" if s == 0 else f"(xx*)^{2 * schedule[s - 1]}"
-                    failures[i] = CoefficientEscape(
-                        f"N_0[{power}] is outside the algebra "
-                        f"(defect {dfs[s]:.3e})")
-            stage_norms.update(zip(idx.tolist(), spectral_norms(flat).reshape(
-                n0.shape[:2])))
+        flat = n0.reshape(-1, n, n)
+        defects = system.algebra.span_defects(flat).reshape(n0.shape[:2])
+        escaped = ~(defects <= system.tol * np.maximum(
+            1.0, np.linalg.norm(n0, axis=(2, 3))))
+        for i, over, esc, dfs in zip(idx, overflow, escaped, defects):
+            if over:
+                failures[i] = Overflow(
+                    "powers of x/||x|| gauged at roots of unity "
+                    "exceeded norm 1e100: the gauge action is far "
+                    "from isometric on x")
+            elif esc.any():
+                s = int(np.argmax(esc))
+                power = "xx*" if s == 0 else f"(xx*)^{2 * schedule[s - 1]}"
+                failures[i] = CoefficientEscape(
+                    f"N_0[{power}] is outside the algebra "
+                    f"(defect {dfs[s]:.3e})")
+        stage_norms.update(zip(idx.tolist(), spectral_norms(flat).reshape(
+            n0.shape[:2])))
     if failures:
         raise failures[min(failures)]
 
@@ -370,11 +424,10 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
     return traces
 
 
-def _sampler_note(star_report: ConditionReport | None) -> str:
+def _sampler_note(star_report: ConditionReport) -> str:
     """The note recording the coefficient-bound sampler's verdict."""
-    verdict = ("not run" if star_report is None else
-               "pass" if star_report.passed else "FAIL")
-    return f"coefficient-bound sampler: {verdict}"
+    return ("coefficient-bound sampler: "
+            + ("pass" if star_report.passed else "FAIL"))
 
 
 def _gauge_deviation(x: NormalForm) -> tuple[float, float]:
@@ -391,35 +444,93 @@ def _gauge_deviation(x: NormalForm) -> tuple[float, float]:
     return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
 
 
+def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
+                          dim: int) -> np.ndarray:
+    """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F of each form, from the
+    Frobenius norms stored on it: the bound on the norm deviation over the
+    whole circle that :func:`gauge_invariance_sample` proves."""
+    owner = np.repeat(np.arange(len(forms)), [len(x._norms) for x in forms])
+    degrees = np.concatenate([np.zeros(0, int)] + [x._degrees for x in forms])
+    fro = np.concatenate([np.zeros(0)] + [x._norms for x in forms])
+    weights = (np.abs(degrees) * gen.residual
+               + np.sqrt(dim) * gen.commutation) * fro
+    return np.pi * np.bincount(owner, weights, minlength=len(forms))
+
+
 def gauge_invariance_check(x: NormalForm,
                            star_report: ConditionReport | None = None
                            ) -> ConditionReport:
-    """Check that the substitution U -> lam*U preserves the operator norm
-    over the GAUGE_GRID-th roots of unity."""
-    rep = ConditionReport("gauge_invariance")
-    worst, scale = _gauge_deviation(x)
-    rep.add(f"norm deviation over {GAUGE_GRID} roots of unity", worst,
-            x.system.tol * scale)
-    rep.note(_sampler_note(star_report))
-    return rep
+    """Gauge norm invariance of one canonical form:
+    :func:`gauge_invariance_sample` on the sample [x], with no seed."""
+    return gauge_invariance_sample(x.system, [x], None, star_report)
 
 
 def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
-                            seed: int,
+                            seed: int | None,
                             star_report: ConditionReport | None = None
                             ) -> ConditionReport:
-    """Gauge norm invariance over the drawn canonical forms at the
-    GAUGE_GRID-th roots of unity; the defect is the worst norm deviation
-    normalized by max(1, ||x||) per sample."""
+    """Gauge norm invariance, ||x_lam|| = ||x|| for x_lam = sum_k lam^k M_k
+    (the monomials M_k of x gauged by U -> lam U), over the drawn canonical
+    forms; each defect is normalized by max(1, ||x||), and every entry is at
+    the system's tol.
+
+    **Certified.**  When the system's gauge generator H certifies it, with
+    eps = ||[H, U] - U||, eta = max ||[H, b_i]|| over the d basis elements
+    and a_k the coefficients of x, the report is eps, eta, and the worst
+    over the forms of
+
+        pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F / max(1, ||x||),
+
+    which bounds | ||x_lam|| - ||x|| | / max(1, ||x||) for every lam on the
+    circle, with no eigensolve.  Proof: let lam = e^{it}, |t| <= pi, and
+    W = e^{itH}, unitary since H is self-adjoint, so ||W x W*|| = ||x|| and
+
+        | ||x_lam|| - ||x|| | <= ||x_lam - W x W*||.
+
+    d/ds (e^{-iks} W_s U^k W_s*) = i e^{-iks} W_s ([H, U^k] - k U^k) W_s*,
+    and [H, U^k] - k U^k = sum_j U^j ([H, U] - U) U^{k-1-j} has norm at most
+    k eps, as ||U|| <= 1; so ||W U^k W* - lam^k U^k|| <= pi |k| eps, and the
+    same holds for U^{*k}.  Likewise ||W a W* - a|| <= pi ||[H, a]||
+    <= pi eta sum_i |c_i| <= pi sqrt(d) eta ||a||_F for a = sum_i c_i b_i in
+    the algebra (the basis is HS-orthonormal, and the coefficients of a
+    form are members, up to the tol of their validation).  For
+    M_k = a_k U^k,
+
+        W M_k W* - lam^k M_k = (W a_k W* - a_k) W U^k W*
+                               + a_k (W U^k W* - lam^k U^k),
+
+    of norm at most pi (sqrt(d) eta + |k| eps) ||a_k||_F, and likewise for
+    M_k = U^{*|k|} a_|k|; summing over k bounds ||x_lam - W x W*||.  In
+    particular ||W U W* - lam U|| <= pi eps.
+
+    **Sampled.**  Otherwise the report is the one entry of the worst
+    deviation at the GAUGE_GRID-th roots of unity, one batched eigensolve
+    per form (:func:`_gauge_deviation`).
+
+    The notes give the seed, unless it is None, and the coefficient-bound
+    sampler's verdict, when ``star_report`` is given.
+    """
+    tol = system.tol
     rep = ConditionReport("gauge_invariance")
-    worst = 0.0
-    _operator_norms(forms)  # ||x|| of every form in one call, for x.norm
-    for x in forms:
-        dev, scale = _gauge_deviation(x)
-        worst = max(worst, dev / scale)
-    rep.add(f"norm deviation over {GAUGE_GRID} roots of unity, "
-            f"{len(forms)} samples", worst, system.tol)
-    rep.note(f"seed = {seed}")
+    norms = _operator_norms(forms)  # one call, for x.norm
+    gen = system.gauge_generator
+    if gen is None:
+        worst = 0.0
+        for x in forms:
+            dev, scale = _gauge_deviation(x)
+            worst = max(worst, dev / scale)
+        rep.add(f"norm deviation over {GAUGE_GRID} roots of unity, "
+                f"{len(forms)} samples", worst, tol)
+    else:
+        bounds = _certified_deviations(forms, gen, system.algebra.dim)
+        rep.add("gauge generator: ||[H, U] - U||", gen.residual, tol)
+        rep.add("gauge generator: max ||[H, b_i]||", gen.commutation, tol)
+        rep.add(f"norm deviation bound over the circle, {len(forms)} "
+                f"samples", float((bounds / np.maximum(1.0, norms)).max(
+                    initial=0.0)), tol)
+        rep.note("certified by a gauge generator")
+    if seed is not None:
+        rep.note(f"seed = {seed}")
     if star_report is not None:
         rep.note(_sampler_note(star_report))
     return rep

@@ -65,6 +65,33 @@ def cyclic5():
     return ia.IsometrySystem(ia.generate_closure(units), u)
 
 
+def rotated(a, s):
+    """Q a Q*, Q the unitary factor of the QR decomposition of a complex
+    Gaussian matrix drawn with seed s."""
+    n = len(a)
+    rng = np.random.default_rng(s)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    return q @ a @ ia.adjoint(q)
+
+
+@pytest.fixture(scope="session")
+def certified_systems(qdeform12, polar6):
+    """The systems whose gauge generator certifies them, by name: q12, p6,
+    p6 in four rotated bases, and the q-models q = 0.9 and the polar models
+    of the weighted shifts with weights 0.7^{j/2} at n = 8, 16, 24."""
+    p6 = ia.weighted_backward_shift([0.5 ** (j / 2) for j in range(1, 6)])
+    systems = {"qdeform12": qdeform12.system, "polar6": polar6.system}
+    for s in range(4):
+        systems[f"p6_rotated{s}"] = ia.build_polar_model(rotated(p6, s)).system
+    for n in (8, 16, 24):
+        systems[f"q09_n{n}"] = ia.build_qdeform(n, 0.9, "heisenberg").system
+        systems[f"polar07_n{n}"] = ia.build_polar_model(
+            ia.weighted_backward_shift([0.7 ** (j / 2) for j in range(1, n)])
+        ).system
+    return systems
+
+
 def system_spec(u, gens):
     """The raw "system" model spec of U and the generators."""
     return {"type": "system", "U": ia.matrix_to_json(u),

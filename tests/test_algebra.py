@@ -36,13 +36,19 @@ from isoalg.algebra import (
     _projection_families_defect,
     _span_defects,
     _spectral_closure,
+    _svd_span,
     build_towers,
 )
 from isoalg.linalg import spectral_norms
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
 
-from conftest import CACHED_DEFECTS, amplified_generators, count_cached_defects
+from conftest import (
+    CACHED_DEFECTS,
+    amplified_generators,
+    count_cached_defects,
+    rotated,
+)
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
@@ -1278,10 +1284,11 @@ def test_system_checkers_measure_at_the_build_tolerance(tol):
     for rep in reports:
         assert rep.passed, rep
         assert {d.tol for d in rep.defects} == {tol}, rep.name
-    # the gauge check of one form scales the tolerance by max(1, ||x||)
+    # the gauge check of one form is the sample's body on [x], at tol too
     x = forms[0]
-    (d,) = ia.gauge_invariance_check(x).defects
-    assert d.tol == tol * max(1.0, x.norm)
+    rep = ia.gauge_invariance_check(x)
+    assert rep.passed and {d.tol for d in rep.defects} == {tol}
+    assert rep.defects == ia.norms.gauge_invariance_sample(sys, [x], 0).defects
 
 
 SYSTEM_CHECKERS = [check_intertwining_equivalents, check_coefficient_algebra,
@@ -1443,14 +1450,16 @@ def test_extension_towers_reports_a_failed_delta_star_walk():
 
 def reference_invariants(alg):
     """The four star_algebra_invariants values by the pair loops over the
-    basis, the product entry in O(d^3 n^2)."""
+    basis, the product entry in O(d^3 n^2); the last three are distances to
+    an SVD basis of the span."""
     flat, basis = alg.basis.reshape(alg.dim, -1), alg.basis
+    span = _svd_span(basis)
     gram = flat.conj() @ flat.T
     eye = np.eye(alg.ambient_dim, dtype=complex)
     return [float(np.abs(gram - np.eye(alg.dim)).max()),
-            float(_span_defects(flat, eye[None])[0]),
-            float(_span_defects(flat, adjoint(basis)).max()),
-            max(float(_span_defects(flat, b @ basis).max()) for b in basis)]
+            float(_span_defects(span, eye[None])[0]),
+            float(_span_defects(span, adjoint(basis)).max()),
+            max(float(_span_defects(span, b @ basis).max()) for b in basis)]
 
 
 def measured_values(alg, u):
@@ -1472,16 +1481,6 @@ def reference_values(alg, u):
 P6 = ia.weighted_backward_shift([0.5 ** (j / 2) for j in range(1, 6)])
 # |a| of W + W has three eigenvalues of multiplicity 2: blocks of rank 2
 W_PLUS_W = np.kron(np.eye(2), ia.weighted_backward_shift([0.7, 0.4]))
-
-
-def rotated(a, s):
-    """Q a Q*, Q the unitary QR factor of a complex Gaussian matrix drawn
-    with seed s."""
-    rng = np.random.default_rng(s)
-    n = len(a)
-    q = np.linalg.qr(rng.standard_normal((n, n))
-                     + 1j * rng.standard_normal((n, n)))[0]
-    return q @ a @ adjoint(q)
 
 
 def frame_case(request, name):
@@ -1584,6 +1583,46 @@ def test_frame_bounds_hold_on_a_perturbed_frame(request, name):
     assert abs(mult - ref[5]) <= 1e-14 * max(1.0, ref[5])
 
 
+def lstsq_distances(basis, stack):
+    """Frobenius distance from each matrix of a stack to the span of a
+    basis, by least squares on the basis as given: no orthonormality
+    assumed."""
+    cols = basis.reshape(len(basis), -1).T
+    rhs = stack.reshape(len(stack), -1).T
+    coef = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+    return np.linalg.norm(rhs - cols @ coef, axis=0)
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "w_plus_w_rotated0"])
+def test_pair_invariants_are_distances_on_a_perturbed_stack(request, name):
+    # the perturbed frame of test_frame_bounds_hold_on_a_perturbed_frame,
+    # given as a plain stack: the basis is orthonormal only to about 1e-5,
+    # and the pair body still reads the distances to its span, within the
+    # frame's bounds
+    (alg, *_), _ = frame_case(request, name)
+    frame = perturbed_frame(alg.frame, 1e-6)
+    basis = frame.basis()
+    plain = FiniteStarAlgebra(basis, tol=1e-3)
+    assert plain.frame is None
+    orth, *got = [d.value for d in plain.invariant_report().defects]
+    _, *bounds = [d.value for d in FiniteStarAlgebra(
+        frame, tol=1e-3).invariant_report().defects]
+    assert 1e-7 < orth < 1e-4
+    n = alg.ambient_dim
+    stacks = [np.eye(n, dtype=complex)[None], adjoint(basis),
+              np.concatenate([b @ basis for b in basis])]
+    for value, bound, stack in zip(got, bounds, stacks, strict=True):
+        distance = float(lstsq_distances(basis, stack).max())
+        assert abs(value - distance) <= 1e-13, (value, distance)
+        assert value <= bound + 1e-14, (value, bound)
+    # every b_i is Hermitian, so b_i* lies in the span; projecting onto the
+    # non-orthonormal basis as if it were orthonormal reads the
+    # orthonormality error instead
+    assert got[1] <= 1e-14
+    flat = basis.reshape(len(basis), -1)
+    assert _span_defects(flat, adjoint(basis)).max() > 1e-7
+
+
 @pytest.mark.parametrize("name", ["qdeform12", "p6_rotated0", "w_plus_w"])
 def test_a_frame_perturbed_beyond_tol_is_rejected(request, name):
     (alg, *_), _ = frame_case(request, name)
@@ -1612,3 +1651,87 @@ def test_frameless_algebras_keep_the_pair_bodies(request, name):
     assert (measured_values(fresh.algebra, fresh.u)
             == reference_values(fresh.algebra, fresh.u))
     assert FiniteStarAlgebra(sys.algebra.basis).frame is None
+
+
+# ---------------------------------------------------------------------------
+# The gauge generator
+# ---------------------------------------------------------------------------
+
+def test_gauge_generator_certifies_the_frame_models(certified_systems):
+    # W = V diag(lam^h) V* implements the gauge action: it sends U to lam U
+    # within pi eps and fixes the basis within pi max ||[H, b_i]||
+    angles = np.linspace(-np.pi, np.pi, 7)
+    for name, sys in certified_systems.items():
+        gen = sys.gauge_generator
+        assert gen is not None, name
+        assert gen.residual <= sys.tol and gen.commutation <= sys.tol, name
+        assert gen.potentials.dtype.kind == "i"
+        h = gen.matrix()
+        assert np.array_equal(h, adjoint(h))
+        basis = sys.algebra.basis
+        for t in angles:
+            w = (gen.vecs * np.exp(1j * t * gen.potentials)) @ adjoint(gen.vecs)
+            lam_u = np.exp(1j * t) * sys.u
+            assert spectral_norm(w @ sys.u @ adjoint(w) - lam_u) \
+                <= np.pi * gen.residual + 1e-13, name
+            fixed = spectral_norms(w @ basis @ adjoint(w) - basis).max()
+            assert fixed <= np.pi * gen.commutation + 1e-13, name
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "raw_system", "amplified_q12"])
+def test_gauge_generator_is_none_without_a_certificate(request, name):
+    sys = request.getfixturevalue(name)
+    assert sys.gauge_generator is None
+    if name == "cyclic5":
+        # a frame, but its edges close a 5-cycle: no consistent potentials
+        vecs = sys.algebra.frame.vecs
+        ut = adjoint(vecs) @ sys.u @ vecs
+        assert ia.algebra._gauge_potentials(ut, sys.tol) is None
+    else:
+        assert sys.algebra.frame is None
+
+
+def test_gauge_potentials_walk_each_component_from_its_lowest_index():
+    # edges (i, j) ask h_i - h_j = 1; components {0, 1, 2} and {3, 4}, and
+    # the isolated node 5, each rooted at 0
+    ut = np.zeros((6, 6))
+    for i, j in ((1, 0), (2, 1), (4, 3)):
+        ut[i, j] = 0.5
+    assert ia.algebra._gauge_potentials(ut, 1e-9).tolist() == [0, 1, 2, 0, 1, 0]
+    # reached from the larger index first, the potentials are the same
+    ut2 = np.zeros((3, 3))
+    ut2[0, 2], ut2[1, 2] = 1.0, 1.0  # h_0 = h_1 = h_2 + 1
+    assert ia.algebra._gauge_potentials(ut2, 1e-9).tolist() == [0, 0, -1]
+    # a 2-cycle, a self-loop, and an entry at tol (no edge)
+    for i, j in ((0, 1), (1, 1)):
+        bad = ut.copy()
+        bad[i, j] = 1.0
+        assert ia.algebra._gauge_potentials(bad, 1e-9) is None
+    weak = ut.copy()
+    weak[0, 1] = 1e-9
+    assert ia.algebra._gauge_potentials(weak, 1e-9).tolist() == [0, 1, 2, 0, 1, 0]
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "polar6", "p6_rotated0",
+                                  "polar07_n24"])
+def test_a_shifted_potential_is_not_certified(certified_systems, name,
+                                              monkeypatch):
+    sys = certified_systems[name]
+    real = ia.algebra._gauge_potentials
+
+    def shifted(ut, tol):
+        h = real(ut, tol).copy()
+        h[3] += 1  # node 3 lies on the shift's chain in every model here
+        return h
+    monkeypatch.setattr(ia.algebra, "_gauge_potentials", shifted)
+    fresh = IsometrySystem(sys.algebra, sys.u)
+    assert fresh.gauge_generator is None
+    # the shift breaks [H, U] = U on the edges at node 3; H still commutes
+    # with the algebra
+    vecs = sys.algebra.frame.vecs
+    h_mut = ia.algebra.GaugeGenerator(
+        vecs, shifted(adjoint(vecs) @ sys.u @ vecs, sys.tol), 0.0, 0.0
+    ).matrix()
+    assert spectral_norm(h_mut @ sys.u - sys.u @ h_mut - sys.u) > 1e-3
+    assert spectral_norms(h_mut @ sys.algebra.basis
+                          - sys.algebra.basis @ h_mut).max() <= sys.tol

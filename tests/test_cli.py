@@ -32,6 +32,11 @@ def specs(tmp_path_factory):
     write("broken.json", {"type": "system",
                           "generators": [matrix_to_json(E12)],
                           "U": matrix_to_json(E12)})
+    # the path Laplacian on C^4: integer entries, irrational eigenvectors
+    lap = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    write("laplacian.json", {"type": "system",
+                             "generators": [matrix_to_json(lap)],
+                             "U": matrix_to_json(np.eye(4))})
     write("badrho.json", {"type": "qdeform", "n": 6, "q": 0.5,
                           "rho": {"samples": [1.0] * 7}})
     write("matrix.json", matrix_to_json(2 * E12))
@@ -175,10 +180,11 @@ def test_run_unbuildable_model_exits_2(specs, capsys):
 
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_invalid_basis_exits_2_naming_the_invariant(specs, capsys, command):
-    # at tol 1e-16 the word closure of E12 (the full 2x2 algebra) is closed
-    # under products only to its rounding, which the constructor rejects
-    assert main([command, "--model", specs["broken.json"],
-                 "--tol", "1e-16"]) == 2
+    # at tol 5e-16 the spectral closure of the path Laplacian is closed
+    # under products only to the rounding of its eigenvectors (the frame's
+    # bound reads 1.4e-15), which the constructor rejects
+    assert main([command, "--model", specs["laplacian.json"],
+                 "--tol", "5e-16"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("isoalg: model does not build: InvalidBasis: "

@@ -35,6 +35,8 @@ from isoalg.algebra import (
 )
 from isoalg.cli import main
 
+from conftest import rotated
+
 E12 = np.array([[0, 1], [0, 0]], complex)
 
 
@@ -169,16 +171,6 @@ def polar_shift(n, base):
 # W + W: the 3-dim weighted shift with weights 0.7, 0.4, twice; |a| has
 # three distinct eigenvalues, each of multiplicity 2
 W_PLUS_W = np.kron(np.eye(2), weighted_backward_shift([0.7, 0.4]))
-
-
-def rotated(a, s):
-    """Q a Q*, Q the unitary factor of the QR decomposition of a complex
-    Gaussian matrix drawn with seed s."""
-    n = len(a)
-    rng = np.random.default_rng(s)
-    q = np.linalg.qr(rng.standard_normal((n, n))
-                     + 1j * rng.standard_normal((n, n)))[0]
-    return q @ a @ adjoint(q)
 
 
 @pytest.mark.parametrize("name", ["p6", "w_plus_w",

@@ -153,7 +153,7 @@ def test_gauge_invariance(qdeform6):
 
     x0 = NormalForm(qdeform6.system, {0: qdeform6.big_q})
     rep = gauge_invariance_check(x0)
-    assert rep.defects[0].value <= 1e-14  # gauge acts trivially in degree 0
+    assert rep.defects[-1].value <= 1e-14  # gauge acts trivially in degree 0
 
     rep = gauge_invariance_sample(
         qdeform6.system, random_normal_forms(qdeform6.system, 10, seed=4), seed=4)
@@ -288,6 +288,16 @@ def _coefficient_bound_reference(forms):
     return worst_zero, worst_any
 
 
+def _certified_bound_reference(x):
+    """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F, one degree at a time."""
+    system = x.system
+    gen = system.gauge_generator
+    root_d = np.sqrt(system.algebra.dim)
+    return np.pi * sum(
+        (abs(k) * gen.residual + root_d * gen.commutation)
+        * np.linalg.norm(x.coefficient(k)) for k in x.degrees())
+
+
 def _gauge_deviation_reference(x, lam_grid):
     """The per-form body of the gauge check, with its own ||x||."""
     base = spectral_norm(x.eval())
@@ -346,9 +356,15 @@ def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
             _close(got.value, want)
 
         gauge = gauge_invariance_sample(system, forms, seed)
-        want = max(dev / scale for dev, scale in
-                   (_gauge_deviation_reference(x, 16) for x in forms))
-        _close(gauge.defects[0].value, want)
+        sampled = max(dev / scale for dev, scale in
+                      (_gauge_deviation_reference(x, 16) for x in forms))
+        if system.gauge_generator is None:
+            _close(gauge.defects[0].value, sampled)
+        else:
+            bound = max(_certified_bound_reference(x) / max(1.0, x.norm)
+                        for x in forms)
+            _close(gauge.defects[-1].value, bound)
+            assert sampled <= bound + 1e-13
 
         rep, traces = norm_limit_sample(forms[:50], seed, star_report=star)
         rows = [_norm_limit_per_form(x, 8) for x in forms[:50]]
@@ -388,6 +404,8 @@ def test_norm_limit_batch_matches_one_form_at_a_time(budget, qdeform12,
                                                      cyclic5, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(ia.norms, "_BATCH_BYTES", budget)
+    # the stack path, as on a system without a gauge generator
+    monkeypatch.setitem(vars(qdeform12.system), "gauge_generator", None)
     for system in (qdeform12.system, cyclic5):
         forms = _mixed_forms(system)
         _, traces = norm_limit_sample(forms, 0)
@@ -474,3 +492,59 @@ def test_canonical_terms_names_the_escaping_degree_in_a_batch(qdeform12):
         NormalForm(system, stack[3:6], degrees=degrees[3:6])
     assert str(batch.value) == str(single.value)
     assert str(batch.value).startswith("coefficient at degree 2 is outside")
+
+
+# -- the certified path: a gauge generator -----------------------------------
+
+def test_compressed_norm_limit_matches_the_stack_body(certified_systems):
+    for name, system in certified_systems.items():
+        forms = random_normal_forms(system, 20, 0)
+        _, traces = norm_limit_sample(forms, 0)
+        for x, tr in zip(forms, traces, strict=True):
+            d, s_values, lo, _ = _norm_limit_per_form(x, 8)
+            _close(tr.direct_norm, d)
+            for got, want in zip(tr.s_values, s_values, strict=True):
+                assert abs(got - want) <= 1e-14 * want, (name, got, want)
+            # ||N_0(xx*)|| is not damped by a root 1/4k as s_k is: the
+            # rounding of a rotated frame (eps up to 1.2e-14) shows in full
+            assert abs(tr.sandwich_lo - lo) <= 1e-13 * lo, (name, lo)
+
+
+def test_sampled_gauge_deviation_is_within_the_certified_bound(
+        certified_systems):
+    # the bound holds on the whole circle, not only at the 16 roots
+    rng = np.random.default_rng(50)
+    lams = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
+    for name, system in certified_systems.items():
+        forms = random_normal_forms(system, 30, 0)
+        rep = gauge_invariance_sample(system, forms, 0)
+        assert [d.check for d in rep.defects] == [
+            "gauge generator: ||[H, U] - U||",
+            "gauge generator: max ||[H, b_i]||",
+            "norm deviation bound over the circle, 30 samples"]
+        assert rep.notes == ["certified by a gauge generator", "seed = 0"]
+        assert rep.passed and {d.tol for d in rep.defects} == {system.tol}
+        worst = 0.0
+        for x in forms:
+            bound = _certified_bound_reference(x)
+            worst = max(worst, bound / max(1.0, x.norm))
+            for dev in (ia.norms._gauge_deviation(x)[0],
+                        np.abs(spectral_norms(x.eval_gauged(lams))
+                               - x.norm).max()):
+                assert dev <= bound + 1e-13 * max(1.0, x.norm), (name, dev)
+        _close(rep.defects[-1].value, worst)
+
+
+def test_compressed_norm_limit_guards_every_stage(qdeform12, monkeypatch):
+    # the membership guard of the stack path runs on the compressed N_0:
+    # poison stage 2 of one form, and the sample raises what it alone gives
+    system = qdeform12.system
+    forms = random_normal_forms(system, 6, 3)
+    x = forms[4]
+    n0 = ia.norms._compressed_n0([x], np.array([x.norm]),
+                                 system.gauge_generator, 4)
+    _poison(monkeypatch, system.algebra, [n0[0, 2]])
+    alone = _raised(norm_limit, x, 8)
+    assert alone == (ia.CoefficientEscape, "N_0[(xx*)^4] is outside the "
+                     "algebra (defect 1.000e+00)")
+    assert _raised(norm_limit_sample, forms, 3) == alone
