@@ -59,16 +59,19 @@ the bounds do not count.  Algebras without a frame (Gram-Schmidt closures,
 commutants, bases given directly) are measured by the pair loops, as
 distances to an SVD basis of their span.
 
-**The gauge generator.**  In the frame, a system may certify its gauge
-action U -> lam U (an Huef and Raeburn, ETDS 17, 1997; Exel, ETDS 23,
-2003): with U~ = V*UV, the integer potentials h with h_i - h_j = 1
-wherever |U~_ij| > tol give H = V diag(h) V*, self-adjoint and in the
-commutant of the algebra, with [H, U] = U.  Then W_lam = lam^H fixes the
-algebra and sends U to lam U, so the gauge action is implemented by
-unitaries.  ``IsometrySystem.gauge_generator`` keeps (V, h) with the
-residual ||[H, U] - U|| and max ||[H, b_i]|| over the basis when both are
-within tol, and is None otherwise (no frame, or no consistent potentials,
-as on a cycle).
+**The gauge generator.**  A system may certify its gauge action
+U -> lam U (an Huef and Raeburn, ETDS 17, 1997; Exel, ETDS 23, 2003) from
+U alone: H = -sum_{k=1}^{K} U^{*k}U^k over the cached initial projections
+satisfies [H, U] = U - U^{*K}U^{K+1} by the absorption identities, and
+commutes with the algebra when the projections do.  For a coefficient
+system they lie in A and commute with it, so H lies in A and in its
+commutant A'; for a nilpotent U with U^K = 0, [H, U] = U.  Then
+W_lam = lam^H fixes the algebra and sends U to lam U, so the gauge action
+is implemented by unitaries.  ``IsometrySystem.gauge_generator`` keeps
+the eigenvectors V of H and its eigenvalues rounded to integers h, with
+the residual ||[H', U] - U|| and max ||[H', b_i]|| over the basis of
+H' = V diag(h) V*, when both are within tol, and is None otherwise.  It
+needs no frame, so it certifies non-commutative systems too.
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
@@ -559,9 +562,9 @@ def bicommutant(alg: FiniteStarAlgebra) -> FiniteStarAlgebra:
 
 
 class GaugeGenerator(NamedTuple):
-    """H = V diag(h) V*, self-adjoint, with [H, U] = U and H in the
-    commutant of the algebra, within ``residual`` = ||[H, U] - U|| and
-    ``commutation`` = max ||[H, b_i]|| over the basis."""
+    """H = V diag(h) V*, self-adjoint with integer eigenvalues h, with
+    [H, U] = U and H in the commutant of the algebra, within ``residual`` =
+    ||[H, U] - U|| and ``commutation`` = max ||[H, b_i]|| over the basis."""
 
     vecs: np.ndarray
     potentials: np.ndarray
@@ -574,38 +577,14 @@ class GaugeGenerator(NamedTuple):
         return (h + adjoint(h)) / 2.0
 
 
-def _gauge_potentials(ut: np.ndarray, tol: float) -> np.ndarray | None:
-    """Integer potentials h with h_i - h_j = 1 on every edge (i, j), an entry
-    |ut_ij| > tol of U in frame coordinates, or None when the edges admit
-    none (a cycle whose potentials disagree).
-
-    Each connected component is walked breadth first from its lowest index,
-    which gets 0, neighbours in index order, so h is integral by
-    construction and the same on every call."""
-    edges = np.abs(ut) > tol
-    h = np.zeros(len(ut), dtype=int)
-    seen = np.zeros(len(ut), dtype=bool)
-    for root in range(len(ut)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for i in queue:
-            for step, row in ((-1, edges[i]), (1, edges[:, i])):
-                new = np.flatnonzero(row & ~seen)
-                h[new], seen[new] = h[i] + step, True
-                queue.extend(new.tolist())
-    rows, cols = np.nonzero(edges)
-    return h if np.all(h[rows] - h[cols] == 1) else None
-
-
 class IsometrySystem:
     """A *-algebra together with a partial isometry acting on the same space.
 
     Powers of U and the projections U^{*k} U^k, U^k U^{*k} are cached eagerly
-    as stacks up to k = 2n + 4 on C^n (further powers are computed on demand
-    without mutating the cache); the ``*_stack`` methods return many at
-    once.  ``tol`` is the algebra's, the tolerance every checker measures
+    as stacks up to k = 2n + 4 on C^n, or up to the first power that is
+    zero at tol, stored as an exact zero (further powers are computed on
+    demand without mutating the cache); the ``*_stack`` methods return many
+    at once.  ``tol`` is the algebra's, the tolerance every checker measures
     the system at, and ``partial_isometry`` is U's report at it.  The
     instance is immutable after construction, so its walks and the defects
     that several reports share are cached properties.
@@ -626,9 +605,10 @@ class IsometrySystem:
         powers = [np.eye(n, dtype=complex)]
         for _ in range(2 * n + 4):
             nxt = powers[-1] @ self.u
-            powers.append(nxt)
-            if not nxt.any():
+            if hs_norm(nxt) <= self.tol:
+                powers.append(np.zeros_like(nxt))
                 break
+            powers.append(nxt)
         self._powers = np.array(powers)
         self._nilpotent_at = len(powers) - 1 if not powers[-1].any() else None
         star = self._powers.conj().transpose(0, 2, 1)
@@ -647,7 +627,8 @@ class IsometrySystem:
 
     @property
     def nilpotency_index(self) -> int | None:
-        """Smallest k with U^k = 0, or None when U is not nilpotent."""
+        """Smallest k with U^k = 0 at tol (||U^k||_F <= tol), or None when
+        no power up to 2n + 4 is."""
         return self._nilpotent_at
 
     def power_stack(self, ks) -> np.ndarray:
@@ -779,17 +760,27 @@ class IsometrySystem:
 
     @cached_property
     def gauge_generator(self) -> GaugeGenerator | None:
-        """The generator of the gauge action in the algebra's frame (see
-        the module docstring) when it certifies the system: its residual
-        and commutation are within tol.  None without a frame, without
-        consistent potentials, or with a defect above tol."""
-        frame = self.algebra.frame
-        if frame is None:
-            return None
-        vecs, u = frame.vecs, self.u
-        potentials = _gauge_potentials(adjoint(vecs) @ u @ vecs, self.tol)
-        if potentials is None:
-            return None
+        """The generator of the gauge action (see the module docstring),
+        from the eigenvectors V and the rounded eigenvalues h of
+        H = -sum_{k=1}^{K} P_k, P_k = U^{*k}U^k and K the nilpotency index
+        or 2n + 4, when it certifies the system: the residual and
+        commutation of H' = V diag(h) V* are within tol.  None otherwise.
+
+        With P_0 = 1, the absorption identity U P_k = P_{k-1} U gives
+
+            [H, U] = sum_{k=1}^{K} (U P_k - P_k U)
+                   = sum_{k=1}^{K} (P_{k-1} U - P_k U) = U - P_K U,
+
+        a telescoping sum, with P_K U = U^{*K}U^{K+1}.  [H, U] = U makes U
+        nilpotent: it sends the lam-eigenspace of H into the
+        (lam + 1)-eigenspace, and H has finitely many eigenvalues.  So a
+        non-nilpotent U keeps a residual ||U^{*K}U^{K+1}|| (1 for the
+        cyclic shift), and a failed absorption identity or a P_k that does
+        not commute with the algebra shows in the residual or the
+        commutation."""
+        u = self.u
+        vals, vecs = np.linalg.eigh(-self._proj_initial[1:].sum(axis=0))
+        potentials = np.rint(vals).astype(int)
         h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
         gen = GaugeGenerator(vecs, potentials,
                              _worst_norm((h @ u - u @ h - u)[None]),

@@ -178,16 +178,9 @@ def _applies(requires: str | None, loaded: LoadedModel) -> bool:
 def _run_check(ctx: _Context, name: str) -> ConditionReport:
     """Run one registered check by name.  A coefficient check on a system
     that is not a coefficient system reports that alone, drawing no form."""
-    if name not in CHECKS:
-        raise ConfigError(
-            f"unknown check {name!r}; registered: {', '.join(CHECKS)}")
     requires, run = CHECKS[name]
-    if _applies(requires, ctx.loaded):
-        return run(ctx)
-    if requires == "coefficient":
+    if requires == "coefficient" and not _applies(requires, ctx.loaded):
         return coefficient_hypothesis(ctx.system, name)
-    if requires not in _SYSTEM_PROPERTIES:
-        raise ConfigError(f"{name} requires a {requires} model")
     return run(ctx)
 
 
@@ -261,6 +254,15 @@ def _cmd_run(args) -> tuple[dict, int]:
         if repeated:
             raise ConfigError(f"--checks names {', '.join(repeated)} more "
                               "than once")
+        # every name is validated before any check runs
+        for name in names:
+            if name not in CHECKS:
+                raise ConfigError(f"unknown check {name!r}; registered: "
+                                  f"{', '.join(CHECKS)}")
+            requires = CHECKS[name][0]
+            if (requires not in _SYSTEM_PROPERTIES
+                    and not _applies(requires, loaded)):
+                raise ConfigError(f"{name} requires a {requires} model")
     ctx = _Context(loaded, args)
     reports = [_run_check(ctx, name) for name in names]
     ok = all(r.passed for r in reports)

@@ -21,19 +21,22 @@ holding at every stage (with 2N+1 growing to 4kN+1 for the k-th power).
 N_0 is the average of the gauge action U -> lam U over the circle, so the
 powers are never built as canonical forms.  When the system's gauge
 generator certifies it (``IsometrySystem.gauge_generator``: H = V diag(h) V*
-with [H, U] = U and H commuting with the algebra, within tol), the gauge
-action is conjugation by W_lam = lam^H, and N_0 is the compression onto
-the eigenspaces of H: N_0(y) = V (mask o V*yV) V* with mask_ij = [h_i = h_j].
+with [H, U] = U and H commuting with the algebra, within tol, built from
+the initial projections of U), the gauge action is conjugation by
+W_lam = lam^H, and N_0 is the compression onto the eigenspaces of H:
+N_0(y) = V (mask o V*yV) V* with mask_ij = [h_i = h_j].
 :func:`norm_limit` then squares P = xx*/||x||^2 of every form as one
-(g, n, n) stack in frame coordinates.  This certifies the polar and
-q-models, whose frames have rank-one blocks and whose U is a chain in them
-(also in a rotated basis).  Every other system takes the stack body: x
-gauged at m roots of unity is one (m, n, n) stack, squared as matrices,
-and N_0 of every stage is the mean of the stack.  That mean is the sum of
-the degree terms whose degree is a multiple of m, so it is exact Fourier
-extraction of degree 0 once m exceeds the degree of the last power
-(extracting every degree would need m above twice that).  Either way each
-stage's N_0 is tested for membership in the algebra.
+(g, n, n) stack in the eigenbasis of H.  A coefficient system is
+certified when its U is nilpotent: the polar and q-models (also in a
+rotated basis) and non-commutative systems alike.  Every other system,
+such as the cyclic shift, whose U is not nilpotent, takes the stack body,
+one form at a time: x gauged at m roots of unity is one (m, n, n) stack,
+squared as matrices, and N_0 of every stage is the mean of the stack.
+That mean is the sum of the degree terms whose degree is a multiple of m,
+so it is exact Fourier extraction of degree 0 once m exceeds the degree
+of the last power (extracting every degree would need m above twice
+that).  Either way the N_0 of all forms are tested for membership in the
+algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
@@ -45,11 +48,8 @@ eigensolve, cached on the form, that all three samplers read.  The
 coefficient bound takes all coefficient norms in one call.  On a certified
 system the gauge check reports the generator's two defects and a proven
 bound on the norm deviation over the whole circle, read off the Frobenius
-norms stored on each form, with no eigensolve; otherwise (no frame, as for
-non-commutative algebras, or no consistent potentials, as for the cyclic
-shift) it solves one (GAUGE_GRID, n, n) stack per form, and the norm limit
-squares the forms that share a root count m as one (g, m, n, n) stack,
-split to stay within _BATCH_BYTES.
+norms stored on each form, with no eigensolve; otherwise it solves one
+(GAUGE_GRID, n, n) stack per form.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GaugeGenerator, IsometrySystem
-from .errors import CoefficientEscape, DimensionMismatch, IsoalgError, Overflow
+from .errors import CoefficientEscape, DimensionMismatch, Overflow
 from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norms
 from .normalform import (
     NormalForm,
@@ -72,11 +72,6 @@ from .report import ConditionReport
 
 # Largest degree of the random canonical forms the samplers draw.
 MAX_SAMPLE_DEGREE = 4
-
-# Largest (g, m, n, n) stack, in bytes, of gauged powers that the norm
-# limit squares at once: a batch of forms with one root count m is split to
-# fit, so a large model never holds the powers of a whole sample.
-_BATCH_BYTES = 1 << 22
 
 # The roots of unity per form of the gauge-invariance sampler, and the
 # norm-limit sampler's convergence bound and per-stage estimate slack.
@@ -270,7 +265,7 @@ def norm_limit(x: NormalForm, k_max: int,
     x is pre-scaled by 1/||x|| and the s_k are rescaled afterwards, so the
     powers stay bounded by one.  The powers are matrices, not canonical
     forms.  On a system its gauge generator certifies, P = xx*/||x||^2 is
-    squared in frame coordinates and N_0 is the compression onto the
+    squared in the eigenbasis of H and N_0 is the compression onto the
     eigenspaces of H.  Otherwise, with D = min(4 k_max N, nilpotency
     index - 1) bounding the degree of the last power, Y = x/||x|| gauged at
     m = D + 1 roots of unity is one (m, n, n) stack, P = YY* is squared in
@@ -296,8 +291,8 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
                    gen: GaugeGenerator, stages: int) -> np.ndarray:
     """N_0 of xx* and of its ``stages`` successive squares for g forms of a
     system that a gauge generator certifies, as a (g, stages + 1, n, n)
-    stack: P = xx*/||x||^2 of all forms is one (g, n, n) stack in frame
-    coordinates V*PV, squared in place, and N_0 of each stage is
+    stack: P = xx*/||x||^2 of all forms is one (g, n, n) stack in the
+    eigenbasis of H, V*PV, squared in place, and N_0 of each stage is
     V (mask o V*PV) V* with mask_ij = [h_i = h_j], the compression onto the
     eigenspaces of H.  ||P|| = 1, so no power can overflow."""
     vecs, h = gen.vecs, gen.potentials
@@ -311,42 +306,22 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
     return vecs @ np.stack(n0, axis=1) @ adjoint(vecs)
 
 
-def _gauged_n0(forms: list[NormalForm], norms: np.ndarray, m: int,
-               stages: int) -> tuple[np.ndarray, np.ndarray]:
-    """N_0 of xx* and of its ``stages`` successive squares for g forms of
-    root count m, as a (g, stages + 1, n, n) stack, from one (g, m, n, n)
-    stack of the forms gauged at the m-th roots of unity and scaled to norm
-    one; and which forms' powers passed the overflow guard's 1e100 (their
-    stacks are zeroed from then on)."""
-    lams = np.exp(2j * np.pi * np.arange(m) / m)
-    y = np.array([x.eval_gauged(lams) for x in forms]) \
-        / norms[:, None, None, None]
+def _gauged_n0(x: NormalForm, norm: float,
+               schedule: list[int]) -> np.ndarray | None:
+    """N_0 of xx* and of its successive squares, one per stage of
+    ``schedule``, as a (stages + 1, n, n) stack, from one (m, n, n) stack
+    of x/norm gauged at the m = _root_count roots of unity; None when a
+    power exceeds the overflow guard's 1e100."""
+    m = _root_count(x, schedule[-1])
+    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / norm
     p = y @ adjoint(y)
-    n0 = [p.mean(axis=1)]
-    overflow = np.zeros(len(forms), dtype=bool)
-    for _ in range(stages):
+    n0 = [p.mean(axis=0)]
+    for _ in schedule:
         np.matmul(p, p, out=p)
-        big = np.linalg.norm(p, axis=(2, 3)).max(axis=1) > 1e100
-        p[big] = 0.0
-        overflow |= big
-        n0.append(p.mean(axis=1))
-    return np.stack(n0, axis=1), overflow
-
-
-def _gauged_batches(forms: list[NormalForm], direct: np.ndarray,
-                    live: np.ndarray, schedule: list[int]):
-    """(indices, N_0 stack, overflow) of :func:`_gauged_n0` for the live
-    forms, grouped by root count m, ascending, and split so that no
-    (g, m, n, n) stack exceeds _BATCH_BYTES."""
-    roots = np.array([_root_count(forms[i], schedule[-1]) for i in live],
-                     dtype=int)
-    for m in np.unique(roots).tolist():
-        n = forms[0].system.dim
-        group = live[roots == m]
-        per = max(1, _BATCH_BYTES // (16 * m * n * n))  # complex128
-        for idx in np.split(group, np.arange(per, len(group), per)):
-            yield (idx, *_gauged_n0([forms[i] for i in idx], direct[idx], m,
-                                    len(schedule)))
+        if np.linalg.norm(p, axis=(1, 2)).max() > 1e100:
+            return None
+        n0.append(p.mean(axis=0))
+    return np.array(n0)
 
 
 def _doubling_schedule(k_max: int) -> list[int]:
@@ -363,49 +338,46 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
     forms over one system.
 
     On a system that its gauge generator certifies, the live forms are
-    squared together as one (g, n, n) stack in frame coordinates
-    (:func:`_compressed_n0`).  Otherwise forms that share a root count m
-    are squared together as one (g, m, n, n) stack, split so that no stack
-    exceeds _BATCH_BYTES (:func:`_gauged_n0`).  Either way every stage's
-    N_0 is tested for membership.  A zero form gets a zero trace.  An
-    Overflow or CoefficientEscape is raised for the first offending form in
-    input order, with the message that form alone gives."""
+    squared together as one (g, n, n) stack in the eigenbasis of H
+    (:func:`_compressed_n0`); otherwise each form's gauged stack is
+    squared alone (:func:`_gauged_n0`).  The N_0 of all live forms are one
+    (g, stages + 1, n, n) stack, tested for membership and normed in one
+    call each.  A zero form gets a zero trace.  An Overflow or
+    CoefficientEscape is raised for the first offending form in input
+    order, with the message that form alone gives."""
     schedule = _doubling_schedule(k_max)
     star = None if star_report is None else star_report.passed
     direct = _operator_norms(forms)
     live = np.flatnonzero(direct != 0.0)
-    stage_norms: dict[int, np.ndarray] = {}
-    failures: dict[int, IsoalgError] = {}
-    system = forms[0].system if forms else None
-    gen = system.gauge_generator if live.size else None
-    if gen is None:
-        batches = _gauged_batches(forms, direct, live, schedule)
-    else:
-        batches = [(live, _compressed_n0([forms[i] for i in live],
-                                         direct[live], gen, len(schedule)),
-                    np.zeros(live.size, dtype=bool))]
-    for idx, n0, overflow in batches:
+    stage_norms = {}
+    if live.size:
+        system = forms[0].system
+        gen = system.gauge_generator
         n = system.dim
-        flat = n0.reshape(-1, n, n)
-        defects = system.algebra.span_defects(flat).reshape(n0.shape[:2])
+        if gen is None:
+            n0 = [_gauged_n0(forms[i], direct[i], schedule) for i in live]
+            blank = np.zeros((len(schedule) + 1, n, n), dtype=complex)
+            stack = np.array([blank if s is None else s for s in n0])
+        else:
+            stack = _compressed_n0([forms[i] for i in live], direct[live],
+                                   gen, len(schedule))
+            n0 = list(stack)
+        flat = stack.reshape(-1, n, n)
+        defects = system.algebra.span_defects(flat).reshape(stack.shape[:2])
         escaped = ~(defects <= system.tol * np.maximum(
-            1.0, np.linalg.norm(n0, axis=(2, 3))))
-        for i, over, esc, dfs in zip(idx, overflow, escaped, defects):
-            if over:
-                failures[i] = Overflow(
-                    "powers of x/||x|| gauged at roots of unity "
-                    "exceeded norm 1e100: the gauge action is far "
-                    "from isometric on x")
-            elif esc.any():
-                s = int(np.argmax(esc))
-                power = "xx*" if s == 0 else f"(xx*)^{2 * schedule[s - 1]}"
-                failures[i] = CoefficientEscape(
-                    f"N_0[{power}] is outside the algebra "
-                    f"(defect {dfs[s]:.3e})")
-        stage_norms.update(zip(idx.tolist(), spectral_norms(flat).reshape(
-            n0.shape[:2])))
-    if failures:
-        raise failures[min(failures)]
+            1.0, np.linalg.norm(stack, axis=(2, 3))))
+        for s, esc, dfs in zip(n0, escaped, defects):
+            if s is None:
+                raise Overflow("powers of x/||x|| gauged at roots of unity "
+                               "exceeded norm 1e100: the gauge action is far "
+                               "from isometric on x")
+            if esc.any():
+                k = int(np.argmax(esc))
+                power = "xx*" if k == 0 else f"(xx*)^{2 * schedule[k - 1]}"
+                raise CoefficientEscape(f"N_0[{power}] is outside the "
+                                        f"algebra (defect {dfs[k]:.3e})")
+        stage_norms = dict(zip(live.tolist(), spectral_norms(flat).reshape(
+            stack.shape[:2])))
 
     traces = []
     for i, x in enumerate(forms):

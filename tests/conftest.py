@@ -76,10 +76,11 @@ def rotated(a, s):
 
 
 @pytest.fixture(scope="session")
-def certified_systems(qdeform12, polar6):
+def certified_systems(qdeform12, polar6, raw_system, amplified_q12):
     """The systems whose gauge generator certifies them, by name: q12, p6,
-    p6 in four rotated bases, and the q-models q = 0.9 and the polar models
-    of the weighted shifts with weights 0.7^{j/2} at n = 8, 16, 24."""
+    p6 in four rotated bases, the q-models q = 0.9 and the polar models of
+    the weighted shifts with weights 0.7^{j/2} at n = 8, 16, 24, and the
+    non-commutative raw_system and amplified_q12."""
     p6 = ia.weighted_backward_shift([0.5 ** (j / 2) for j in range(1, 6)])
     systems = {"qdeform12": qdeform12.system, "polar6": polar6.system}
     for s in range(4):
@@ -89,6 +90,7 @@ def certified_systems(qdeform12, polar6):
         systems[f"polar07_n{n}"] = ia.build_polar_model(
             ia.weighted_backward_shift([0.7 ** (j / 2) for j in range(1, n)])
         ).system
+    systems["raw_system"], systems["amplified_q12"] = raw_system, amplified_q12
     return systems
 
 
@@ -155,6 +157,20 @@ def shift3_projection_spec():
 @pytest.fixture(scope="session")
 def shift3_projection(shift3_projection_spec):
     return ia.load_model(shift3_projection_spec).system
+
+
+def corner_shift9_spec():
+    """The backward shift on C^9 with A = C*(e89 + e98): U*U commutes with
+    delta^n(A) for n < 7 only, so the delta tower fails at stage 7."""
+    x = np.zeros((9, 9), complex)
+    x[7, 8] = x[8, 7] = 1.0
+    return {"type": "system", "U": ia.matrix_to_json(np.diag(np.ones(8), 1)),
+            "generators": [ia.matrix_to_json(x)]}
+
+
+@pytest.fixture(scope="session")
+def corner_shift9():
+    return ia.load_model(corner_shift9_spec()).system
 
 
 # The defects an IsometrySystem caches: each is measured once per system.

@@ -1678,38 +1678,39 @@ def test_gauge_generator_certifies_the_frame_models(certified_systems):
             assert fixed <= np.pi * gen.commutation + 1e-13, name
 
 
-@pytest.mark.parametrize("name", ["cyclic5", "raw_system", "amplified_q12"])
+def _unrounded_generator_defects(sys):
+    """||[H, U] - U|| and max ||[H, b_i]|| of H = -sum_k U^{*k}U^k over
+    1 <= k <= K, K the nilpotency index or 2n + 4, unrounded."""
+    top = sys.nilpotency_index or 2 * sys.dim + 4
+    h = -sys.proj_initial_stack(np.arange(1, top + 1)).sum(axis=0)
+    basis = sys.algebra.basis
+    return (spectral_norm(h @ sys.u - sys.u @ h - sys.u),
+            spectral_norms(h @ basis - basis @ h).max())
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "corner_shift9",
+                                  "shift3_projection", "broken_system"])
 def test_gauge_generator_is_none_without_a_certificate(request, name):
     sys = request.getfixturevalue(name)
     assert sys.gauge_generator is None
+    residual, commutation = _unrounded_generator_defects(sys)
     if name == "cyclic5":
-        # a frame, but its edges close a 5-cycle: no consistent potentials
-        vecs = sys.algebra.frame.vecs
-        ut = adjoint(vecs) @ sys.u @ vecs
-        assert ia.algebra._gauge_potentials(ut, sys.tol) is None
+        # U is unitary, not nilpotent: H = -14, and [H, U] - U = -U
+        assert residual == pytest.approx(1.0) and commutation <= sys.tol
     else:
-        assert sys.algebra.frame is None
+        # U is nilpotent, so [H, U] = U; U^{*k}U^k fails to commute with A
+        assert residual <= sys.tol and commutation >= 0.49
 
 
-def test_gauge_potentials_walk_each_component_from_its_lowest_index():
-    # edges (i, j) ask h_i - h_j = 1; components {0, 1, 2} and {3, 4}, and
-    # the isolated node 5, each rooted at 0
-    ut = np.zeros((6, 6))
-    for i, j in ((1, 0), (2, 1), (4, 3)):
-        ut[i, j] = 0.5
-    assert ia.algebra._gauge_potentials(ut, 1e-9).tolist() == [0, 1, 2, 0, 1, 0]
-    # reached from the larger index first, the potentials are the same
-    ut2 = np.zeros((3, 3))
-    ut2[0, 2], ut2[1, 2] = 1.0, 1.0  # h_0 = h_1 = h_2 + 1
-    assert ia.algebra._gauge_potentials(ut2, 1e-9).tolist() == [0, 0, -1]
-    # a 2-cycle, a self-loop, and an entry at tol (no edge)
-    for i, j in ((0, 1), (1, 1)):
-        bad = ut.copy()
-        bad[i, j] = 1.0
-        assert ia.algebra._gauge_potentials(bad, 1e-9) is None
-    weak = ut.copy()
-    weak[0, 1] = 1e-9
-    assert ia.algebra._gauge_potentials(weak, 1e-9).tolist() == [0, 1, 2, 0, 1, 0]
+def test_generator_of_a_coefficient_system_lies_in_the_algebra(
+        certified_systems):
+    # H is a sum of the initial projections, which lie in A for a
+    # coefficient system, with integer eigenvalues 1 - index .. 0
+    for name, sys in certified_systems.items():
+        gen = sys.gauge_generator
+        assert sys.algebra.span_defects(gen.matrix()[None])[0] <= sys.tol
+        assert np.unique(gen.potentials).tolist() == list(
+            range(1 - sys.nilpotency_index, 1)), name
 
 
 @pytest.mark.parametrize("name", ["qdeform12", "polar6", "p6_rotated0",
@@ -1717,21 +1718,30 @@ def test_gauge_potentials_walk_each_component_from_its_lowest_index():
 def test_a_shifted_potential_is_not_certified(certified_systems, name,
                                               monkeypatch):
     sys = certified_systems[name]
-    real = ia.algebra._gauge_potentials
+    gen = sys.gauge_generator
+    real = ia.algebra.GaugeGenerator
 
-    def shifted(ut, tol):
-        h = real(ut, tol).copy()
-        h[3] += 1  # node 3 lies on the shift's chain in every model here
-        return h
-    monkeypatch.setattr(ia.algebra, "_gauge_potentials", shifted)
+    def shifted(vecs, potentials, residual, commutation):
+        h = potentials.copy()
+        h[3] += 1
+        return real(vecs, h, residual, commutation)
+    monkeypatch.setattr(ia.algebra, "GaugeGenerator", shifted)
     fresh = IsometrySystem(sys.algebra, sys.u)
     assert fresh.gauge_generator is None
-    # the shift breaks [H, U] = U on the edges at node 3; H still commutes
-    # with the algebra
-    vecs = sys.algebra.frame.vecs
-    h_mut = ia.algebra.GaugeGenerator(
-        vecs, shifted(adjoint(vecs) @ sys.u @ vecs, sys.tol), 0.0, 0.0
-    ).matrix()
+    # the shift breaks [H, U] = U on the edges at eigenvector 3, which U
+    # moves in every model here; H still commutes with the algebra, whose
+    # minimal projections are rank one
+    h_mut = shifted(gen.vecs, gen.potentials, 0.0, 0.0).matrix()
     assert spectral_norm(h_mut @ sys.u - sys.u @ h_mut - sys.u) > 1e-3
     assert spectral_norms(h_mut @ sys.algebra.basis
                           - sys.algebra.basis @ h_mut).max() <= sys.tol
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nilpotency_is_measured_at_tol(seed, certified_systems):
+    # in a rotated basis ||U^6||_F is rounding, not 0: the index is 6, and
+    # the sixth power is cached as an exact zero
+    sys = certified_systems[f"p6_rotated{seed}"]
+    assert sys.nilpotency_index == 6
+    assert not sys.power(6).any() and not sys.power_stack([7, 9]).any()
+    assert np.linalg.norm(sys.power(5)) > 0.1

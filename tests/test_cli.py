@@ -9,7 +9,7 @@ from isoalg import load_model, matrix_from_json, matrix_to_json
 from isoalg.cli import CHECKS, dump_json, main
 from isoalg.report import ConditionReport
 
-from conftest import CACHED_DEFECTS, count_cached_defects
+from conftest import CACHED_DEFECTS, corner_shift9_spec, count_cached_defects
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -170,6 +170,21 @@ def test_unknown_check_message_lists_every_check(specs, capsys):
     assert "unknown check 'bogus'" in err
     for name in CHECKS:
         assert name in err
+
+
+@pytest.mark.parametrize("checks, message", [
+    ("power_structure,bogus", "unknown check 'bogus'"),
+    ("power_structure,polar_structure", "polar_structure requires a polar "
+                                        "model")])
+def test_checks_are_validated_before_any_runs(specs, monkeypatch, capsys,
+                                              checks, message):
+    import isoalg.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "verify_power_identities",
+                        lambda *args: calls.append(args))
+    rc = main(["run", "--model", specs["qdeform.json"], "--checks", checks])
+    assert rc == 2 and calls == []
+    assert message in capsys.readouterr().err
 
 
 def test_run_unbuildable_model_exits_2(specs, capsys):
@@ -576,15 +591,9 @@ def test_amplified_q12_checks(amplified_q12_spec, amplified_q12, tmp_path):
 
 
 def test_run_and_closure_name_the_same_late_failing_stage(tmp_path):
-    # the backward shift on C^9 with A = C*(e89 + e98): U*U commutes with
-    # delta^n(A) for n < 7 only, and delta^7(A) is among the images of
-    # delta tower stage 6
-    x = np.zeros((9, 9), complex)
-    x[7, 8] = x[8, 7] = 1.0
-    shift = np.diag(np.ones(8), 1).astype(complex)
+    # delta^7(A) is among the images of delta tower stage 6
     path = tmp_path / "shift9.json"
-    path.write_text(json.dumps({"type": "system", "U": matrix_to_json(shift),
-                                "generators": [matrix_to_json(x)]}))
+    path.write_text(json.dumps(corner_shift9_spec()))
     failing = "U*U commutes with delta(tower stage 6)"
     out = tmp_path / "out.json"
     for argv in (["run", "--checks", "extendability"], ["closure"]):
@@ -599,15 +608,6 @@ def test_run_and_closure_name_the_same_late_failing_stage(tmp_path):
 # ---------------------------------------------------------------------------
 # One contract for every check: a report, never a raised hypothesis.
 # ---------------------------------------------------------------------------
-
-def corner_shift9_spec():
-    """The backward shift on C^9 with A = C*(e89 + e98), the system of
-    test_run_and_closure_name_the_same_late_failing_stage."""
-    x = np.zeros((9, 9), complex)
-    x[7, 8] = x[8, 7] = 1.0
-    return {"type": "system", "U": matrix_to_json(np.diag(np.ones(8), 1)),
-            "generators": [matrix_to_json(x)]}
-
 
 CONTRACT_MODELS = ["q12", "p6", "cyclic5", "raw_system", "broken",
                    "shift3_projection", "corner_shift9", "amplified_q12"]

@@ -399,11 +399,8 @@ def _mixed_forms(system):
     return forms
 
 
-@pytest.mark.parametrize("budget", [None, 1, 40_000])
-def test_norm_limit_batch_matches_one_form_at_a_time(budget, qdeform12,
-                                                     cyclic5, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(ia.norms, "_BATCH_BYTES", budget)
+def test_norm_limit_batch_matches_one_form_at_a_time(qdeform12, cyclic5,
+                                                     monkeypatch):
     # the stack path, as on a system without a gauge generator
     monkeypatch.setitem(vars(qdeform12.system), "gauge_generator", None)
     for system in (qdeform12.system, cyclic5):
@@ -465,8 +462,8 @@ def test_norm_limit_batch_raises_for_the_first_offending_form(cyclic5,
                              "algebra (defect 1.000e+00)")
     assert alone["deg2"][1].startswith("N_0[(xx*)^4] is outside")
     assert alone["over"][0] is ia.Overflow
-    # the groups run by root count, ascending; the error is the one of the
-    # first offending form in input order, whatever its group
+    # the forms of different root counts are guarded as one stack; the
+    # error is the one of the first offending form in input order
     for first, second in (("deg2", "deg1"), ("deg1", "deg2"), ("over", "deg2"),
                           ("deg2", "over"), ("over", "deg1")):
         sample = [forms[0], forms[2], cases[first], forms[4], cases[second]]
@@ -506,7 +503,7 @@ def test_compressed_norm_limit_matches_the_stack_body(certified_systems):
             for got, want in zip(tr.s_values, s_values, strict=True):
                 assert abs(got - want) <= 1e-14 * want, (name, got, want)
             # ||N_0(xx*)|| is not damped by a root 1/4k as s_k is: the
-            # rounding of a rotated frame (eps up to 1.2e-14) shows in full
+            # rounding of a rotated basis (eps up to 1.1e-14) shows in full
             assert abs(tr.sandwich_lo - lo) <= 1e-13 * lo, (name, lo)
 
 
