@@ -301,12 +301,18 @@ class FiniteStarAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    def coordinates(self, m: np.ndarray) -> np.ndarray:
+        """The HS coordinates <b_i, m> of a matrix, as a (d,) vector, or of
+        each matrix of a (K, n, n) stack, as a (K, d) array."""
+        m = np.asarray(m)
+        flat = m.reshape(m.shape[:-2] + self._flat.shape[1:])
+        return flat @ self._flat.conj().T
+
     def project(self, m: np.ndarray) -> np.ndarray:
         """HS projection onto the span of a matrix, or of each matrix of a
         (K, n, n) stack."""
         m = np.asarray(m)
-        flat = m.reshape(m.shape[:-2] + self._flat.shape[1:])
-        return ((flat @ self._flat.conj().T) @ self._flat).reshape(m.shape)
+        return (self.coordinates(m) @ self._flat).reshape(m.shape)
 
     def span_defects(self, stack: np.ndarray) -> np.ndarray:
         """Frobenius distance to the span of each matrix of a (K, n, n)

@@ -65,6 +65,22 @@ def weighted_backward_shift(weights) -> np.ndarray:
     return np.diag(np.asarray(weights, dtype=complex), 1)
 
 
+def _polar_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                         np.ndarray, float]:
+    """The body of :func:`polar_decompose`: U, |a|, the singular values of
+    a as computed, before the kernel rule, and the rule's threshold
+    sqrt(n eps) ||a||."""
+    a = as_matrix(a)
+    w, v = herm_eig(adjoint(a) @ a)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    cut = np.sqrt(len(a) * np.finfo(float).eps) * s[-1]
+    kept = np.where(s > cut, s, 0.0)
+    abs_a = (v * kept) @ adjoint(v)
+    inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
+    u = a @ (v * inv) @ adjoint(v)
+    return u, (abs_a + adjoint(abs_a)) / 2.0, s, float(cut)
+
+
 def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition a = U |a| with U a partial isometry.
 
@@ -73,14 +89,7 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n eps ||a||^2, so an s <= sqrt(n eps) ||a|| counts as kernel, in |a|
     too: |a| has no eigenvalue made of that rounding alone.
     """
-    a = as_matrix(a)
-    w, v = herm_eig(adjoint(a) @ a)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    s[s <= np.sqrt(len(a) * np.finfo(float).eps) * s[-1]] = 0.0
-    abs_a = (v * s) @ adjoint(v)
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
-    u = a @ (v * inv) @ adjoint(v)
-    return u, (abs_a + adjoint(abs_a)) / 2.0
+    return _polar_parts(a)[:2]
 
 
 @dataclass
@@ -98,16 +107,25 @@ def build_polar_model(a: np.ndarray, tol: float = DEFAULT_TOL) -> PolarModel:
     algebra.
 
     Raises PolarConditionViolated (carrying the membership defect) when
-    a a* does not lie in the algebra generated by |a|.
+    a a* does not lie in the algebra generated by |a|.  When
+    :func:`polar_decompose` counted a nonzero singular value as kernel,
+    the message also names the largest such value and the threshold
+    sqrt(n eps) ||a|| it fell under: the condition may then fail only
+    because |a| lumps that direction with the kernel.
     """
     a = as_matrix(a)
-    u, abs_a = polar_decompose(a)
+    u, abs_a, s, cut = _polar_parts(a)
     seed = generate_closure([abs_a], tol)
     ok, defect = seed.contains(a @ adjoint(a))
     if not ok:
-        raise PolarConditionViolated(
-            f"a a* is outside the algebra generated by |a| "
-            f"(defect {defect:.3e})", defect)
+        msg = (f"a a* is outside the algebra generated by |a| "
+               f"(defect {defect:.3e})")
+        zeroed = s[(s > 0.0) & (s <= cut)]
+        if zeroed.size:
+            msg += (f"; polar_decompose counted the singular value "
+                    f"{zeroed.max():.3e} as kernel, at or below its "
+                    f"threshold sqrt(n eps) ||a|| = {cut:.3e}")
+        raise PolarConditionViolated(msg, defect)
     seed_sys = IsometrySystem(seed, u)
     ext, full = build_towers(seed_sys)
     return PolarModel(a, abs_a, u, seed, ext, seed_sys._with_algebra(full))

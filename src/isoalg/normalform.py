@@ -79,14 +79,25 @@ def _require_coefficient_system(system: IsometrySystem) -> None:
             "normal-form rewriting would be unsound", rep)
 
 
-def _sided(stack: np.ndarray, degrees: np.ndarray, right: np.ndarray,
-           left: np.ndarray) -> np.ndarray:
-    """Multiply stack[i] by right[i] on the right where degrees[i] > 0 and by
-    left[i] on the left where degrees[i] < 0; degree 0 is copied."""
+def _sided(stack: np.ndarray, degrees: np.ndarray, right, left) -> np.ndarray:
+    """Multiply stack[i] by right(k) on the right where k = degrees[i] > 0
+    and by left(-k) on the left where k < 0; degree 0 is copied.  ``right``
+    and ``left`` map a power k >= 1 to an n x n matrix.
+
+    One product per distinct degree k: on the right, the m matrices of
+    degree k as one (m n, n) matrix times right(k); on the left, left(-k)
+    times the m matrices side by side as one n x (m n) matrix.  So no
+    factor is gathered into a (K, n, n) copy."""
     out = np.array(stack, dtype=complex)
-    pos, neg = degrees > 0, degrees < 0
-    out[pos] = stack[pos] @ right[pos]
-    out[neg] = left[neg] @ stack[neg]
+    n = out.shape[-1]
+    for k in np.unique(degrees[degrees != 0]).tolist():
+        at = np.flatnonzero(degrees == k)
+        m = at.size
+        if k > 0:
+            out[at] = (out[at].reshape(m * n, n) @ right(k)).reshape(m, n, n)
+        else:
+            side = out[at].transpose(1, 0, 2).reshape(n, m * n)
+            out[at] = (left(-k) @ side).reshape(n, m, n).transpose(1, 0, 2)
     return out
 
 
@@ -103,8 +114,7 @@ def _canonical_terms(system: IsometrySystem, stack: np.ndarray,
     Frobenius norms, in input order.  CoefficientEscape names the degree of
     the first kept coefficient, in input order, that is not a member.
     """
-    f = system.proj_final_stack(np.abs(degrees))
-    stack = _sided(stack, degrees, f, f)
+    stack = _sided(stack, degrees, system.proj_final, system.proj_final)
     norms = np.linalg.norm(stack, axis=(1, 2))
     keep = norms > system.tol * drop_scale
     stack, norms = stack[keep], norms[keep]
@@ -122,8 +132,7 @@ def _monomial_stack(system: IsometrySystem, coeffs: np.ndarray,
                     degrees: np.ndarray) -> np.ndarray:
     """The degree terms c U^k, c, U^{*|k|} c of a (K, n, n) coefficient
     stack at ``degrees``."""
-    p = system.power_stack(np.abs(degrees))
-    return _sided(coeffs, degrees, p, p.conj().transpose(0, 2, 1))
+    return _sided(coeffs, degrees, system.power, system.star_power)
 
 
 class NormalForm:
@@ -354,8 +363,7 @@ def gauge_average(x: NormalForm, k: int, m: int) -> np.ndarray:
 def _strip(system: IsometrySystem, monomials: np.ndarray,
            degrees: np.ndarray) -> np.ndarray:
     """strip_power over a (K, n, n) stack of monomials at ``degrees``."""
-    p = system.power_stack(np.abs(degrees))
-    return _sided(monomials, degrees, p.conj().transpose(0, 2, 1), p)
+    return _sided(monomials, degrees, system.star_power, system.power)
 
 
 def strip_power(system: IsometrySystem, monomial: np.ndarray, k: int) -> np.ndarray:

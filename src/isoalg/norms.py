@@ -45,7 +45,10 @@ draw is measured once: all drawn coefficients are projected, validated and
 turned into monomials in one pass, through the validation body the
 NormalForm constructor uses, and ||x|| of every form is one batched
 eigensolve, cached on the form, that all three samplers read.  The
-coefficient bound takes all coefficient norms in one call.  On a certified
+coefficient bound reads each coefficient norm off the coefficient's
+coordinates when the algebra has a spectral frame (V, r): ||a|| =
+max_i |c_i| / sqrt(r_i), all from one flat product against the basis;
+otherwise all coefficient norms are one batched eigensolve.  On a certified
 system the gauge check reports the generator's two defects and a proven
 bound on the norm deviation over the whole circle, read off the Frobenius
 norms stored on each form, with no eigensolve; otherwise it solves one
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GaugeGenerator, IsometrySystem
+from .algebra import FiniteStarAlgebra, GaugeGenerator, IsometrySystem
 from .errors import CoefficientEscape, DimensionMismatch, Overflow
 from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norms
 from .normalform import (
@@ -154,6 +157,18 @@ def coefficient_hypothesis(system: IsometrySystem,
     return rep
 
 
+def _coefficient_norms(algebra: FiniteStarAlgebra,
+                       stack: np.ndarray) -> np.ndarray:
+    """||a|| of each member a of a (K, n, n) stack: max_i |c_i| / sqrt(r_i)
+    from its coordinates c_i = <b_i, a> (one flat product) when the
+    algebra has a frame (V, r), else one batched eigensolve."""
+    frame = algebra.frame
+    if frame is None:
+        return spectral_norms(stack)
+    scaled = np.abs(algebra.coordinates(stack)) / np.sqrt(frame.ranks)
+    return scaled.max(axis=1, initial=0.0)
+
+
 def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
                              seed: int) -> ConditionReport:
     """Sample the coefficient bound ||a_0|| <= ||x|| and its per-degree
@@ -161,15 +176,27 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
 
     The reported defect is the worst margin max_k ||a_k|| - ||x|| over all
     samples (negative when the bound holds strictly).  ||x|| of every form
-    and the norms of all their coefficients are two batched calls.
+    is one batched eigensolve.  When the algebra has a frame (V, r), with
+    basis b_i = V_i V_i* / sqrt(r_i), the norms of all coefficients are one
+    flat product: a = sum_i c_i b_i + (a - sum_i c_i b_i) with
+    c_i = <b_i, a>, and sum_i c_i b_i = V D V* with D = c_i / sqrt(r_i) on
+    block i.  With E = V*V - I (``_frame_gram``), ||V D V*|| lies within
+    the factors 1 +- ||E|| of ||D|| = max_i |c_i| / sqrt(r_i), so
+
+        | ||a|| - max_i |c_i| / sqrt(r_i) |
+            <= dist(a, A) + ||E|| max_i |c_i| / sqrt(r_i),
+
+    where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
+    each coefficient passed when it was validated.  Without a frame the
+    coefficient norms are one batched eigensolve.
     """
     tol = system.tol
     rep = coefficient_hypothesis(system, "coefficient_bound")
     norm_x = _operator_norms(forms)
     coeffs = [np.zeros((0, system.dim, system.dim))]
     coeffs += [x.coefficients for x in forms]
-    margins = spectral_norms(np.concatenate(coeffs)) - np.repeat(
-        norm_x, [len(c) for c in coeffs[1:]])
+    norms = _coefficient_norms(system.algebra, np.concatenate(coeffs))
+    margins = norms - np.repeat(norm_x, [len(c) for c in coeffs[1:]])
     degrees = np.array([k for x in forms for k in x.degrees()], dtype=int)
     # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
     worst_zero = np.concatenate([-norm_x, margins[degrees == 0]]).max(
@@ -181,21 +208,23 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
     return rep
 
 
-def _sum_norm_margins(tuples: np.ndarray) -> np.ndarray:
+def _sum_norm_margins(stack: np.ndarray, sizes) -> np.ndarray:
     """The four signed margins of :func:`check_sum_norm_estimates` for each
-    tuple of a (g, m, n, n) stack of g tuples of one shape, as a (g, 4)
-    array: two batched square roots and one batched norm of five sums per
-    tuple."""
-    g, m, n, _ = tuples.shape
-    dd, dsd = tuples @ adjoint(tuples), adjoint(tuples) @ tuples
-    roots = psd_sqrt(np.concatenate([dsd, dd]).reshape(-1, n, n))
-    abs_d, sqrt_dd = roots.reshape(2, g, m, n, n).sum(axis=2)
-    n_sum, n_dd, n_dsd, n_abs, n_sqrt = spectral_norms(np.array([
-        tuples.sum(axis=1), dd.sum(axis=1), dsd.sum(axis=1), abs_d, sqrt_dd]))
+    of g tuples of n x n matrices, cut in order out of one (sum m, n, n)
+    stack at the tuple ``sizes`` m, as a (g, 4) array: two batched square
+    roots, the five sums of each tuple cut out by ``np.add.reduceat``, and
+    one batched norm of all of them."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    dd, dsd = stack @ adjoint(stack), adjoint(stack) @ stack
+    roots = psd_sqrt(np.concatenate([dsd, dd]))
+    sums = [np.add.reduceat(a, starts) for a in (
+        stack, dd, dsd, roots[:len(stack)], roots[len(stack):])]
+    n_sum, n_dd, n_dsd, n_abs, n_sqrt = spectral_norms(np.array(sums))
     upper = [(n_sum ** 2 - rhs) / np.maximum(1.0, rhs)
-             for rhs in (m * n_dd, m * n_dsd)]
+             for rhs in (sizes * n_dd, sizes * n_dsd)]
     lower = [(rhs - lhs ** 2) / np.maximum(1.0, rhs)
-             for lhs, rhs in ((n_abs, n_dsd / m), (n_sqrt, n_dd / m))]
+             for lhs, rhs in ((n_abs, n_dsd / sizes), (n_sqrt, n_dd / sizes))]
     return np.stack(upper + lower, axis=1)
 
 
@@ -221,7 +250,7 @@ def check_sum_norm_estimates(mats, tol: float = DEFAULT_TOL) -> ConditionReport:
     if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch(f"expected a nonempty (m, n, n) tuple of "
                                 f"square matrices, got shape {stack.shape}")
-    margins = _sum_norm_margins(stack[None])[0]
+    margins = _sum_norm_margins(stack, [len(stack)])[0]
     rep = ConditionReport("sum_norm_estimates")
     for label, value in zip(SUM_NORM_ESTIMATES, margins):
         rep.add(label, value, tol)
@@ -560,24 +589,28 @@ def sum_norm_estimates_sample(count: int, seed: int,
     estimate with equality, and for scalars |d| = sqrt(dd*), so the two
     lower estimates coincide; only the second set of lines shows how close
     the estimates come, and which of the two lower ones is closer.  The
-    tuples are checked in batches of one shape (m, n)."""
+    tuples are checked in one batch per dimension n
+    (:func:`_sum_norm_margins`)."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
-    shapes: dict[tuple[int, int], list[np.ndarray]] = {}
+    dims: dict[int, list[np.ndarray]] = {}
     for _ in range(count):
         m = int(rng.integers(1, MAX_TUPLE_SIZE + 1))
         n = int(rng.integers(1, MAX_TUPLE_DIM + 1))
         z = rng.standard_normal((m, 2, n, n))  # real, imaginary part of each
-        shapes.setdefault((m, n), []).append(z[:, 0] + 1j * z[:, 1])
+        dims.setdefault(n, []).append(z[:, 0] + 1j * z[:, 1])
     worst = np.full((2, len(SUM_NORM_ESTIMATES)), -np.inf)
     multi = 0  # tuples with m >= 2 and n >= 2
-    for (m, n), tuples in shapes.items():
-        margins = _sum_norm_margins(np.array(tuples)).max(axis=0)
-        worst[0] = np.maximum(worst[0], margins)
-        if m >= 2 and n >= 2:
-            worst[1] = np.maximum(worst[1], margins)
-            multi += len(tuples)
+    for n, tuples in dims.items():
+        sizes = np.array([len(d) for d in tuples])
+        margins = _sum_norm_margins(np.concatenate(tuples), sizes)
+        worst[0] = np.maximum(worst[0], margins.max(axis=0))
+        if n >= 2:
+            wide = sizes >= 2
+            worst[1] = np.maximum(worst[1], margins[wide].max(
+                axis=0, initial=-np.inf))
+            multi += int(wide.sum())
     rep = ConditionReport("sum_norm_estimates")
     for label, w in zip(SUM_NORM_ESTIMATES, worst[0]):
         rep.add(f"{label} ({count} tuples)", w, tol)

@@ -144,6 +144,19 @@ def amplified_q12(amplified_q12_spec):
 
 
 @pytest.fixture(scope="session")
+def q6x2():
+    """The q-model n = 6, q = 1/2 amplified by the identity on C^2 (Q x 1
+    with U x 1): commutative, with a spectral frame of blocks of rank 2."""
+    i2 = np.eye(2)
+    system = ia.load_model(system_spec(
+        np.kron(ia.backward_shift(6), i2),
+        [np.kron(np.diag(0.5 ** np.arange(6)), i2)])).system
+    assert system.coefficient_report.passed
+    assert (system.algebra.frame.ranks == 2).all()
+    return system
+
+
+@pytest.fixture(scope="session")
 def shift3_projection_spec():
     """A commutative system that is not commutatively extendable: the shift
     on C^3 with A = C*(P), P the projection onto (e1 + e2)/sqrt(2).  U*U =

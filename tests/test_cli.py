@@ -193,6 +193,18 @@ def test_run_unbuildable_model_exits_2(specs, capsys):
     assert "does not build: RhoConditionViolated: " in capsys.readouterr().err
 
 
+def test_polar_kernel_rule_failure_exits_2_naming_the_value(tmp_path, capsys):
+    spec = tmp_path / "kernel.json"
+    a = np.diag([1.0, 0.5, 1e-9], 1)
+    spec.write_text(json.dumps({"type": "polar", "a": matrix_to_json(a)}))
+    assert main(["run", "--model", str(spec), "--checks", "all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isoalg: model does not build: "
+                          "PolarConditionViolated: ")
+    assert "singular value 1.000e-09 as kernel" in err
+    assert "sqrt(n eps) ||a|| = 2.980e-08" in err
+
+
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_invalid_basis_exits_2_naming_the_invariant(specs, capsys, command):
     # at tol 5e-16 the spectral closure of the path Laplacian is closed

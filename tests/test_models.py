@@ -104,6 +104,20 @@ def test_build_polar_model_rejects_range_escape():
     assert spectral_norm(u @ abs_a - a) <= 1e-10
 
 
+@pytest.mark.parametrize("weights, zeroed, cut", [
+    # 1e-9 lies under sqrt(4 eps) * 1 = 2.98e-8
+    ([1.0, 0.5, 1e-9], "1.000e-09", "2.980e-08"),
+    # polar07 at n = 91: 0.7^45 = 1.07e-7 under sqrt(91 eps) = 1.19e-7
+    ([0.7 ** (j / 2) for j in range(1, 91)], "1.070e-07", "1.189e-07")])
+def test_build_polar_model_names_a_zeroed_singular_value(weights, zeroed, cut):
+    with pytest.raises(PolarConditionViolated) as err:
+        build_polar_model(weighted_backward_shift(weights))
+    assert str(err.value).endswith(
+        f"; polar_decompose counted the singular value {zeroed} as kernel, "
+        f"at or below its threshold sqrt(n eps) ||a|| = {cut}")
+    assert err.value.defect > 0.1
+
+
 def test_polar_structure_suite(polar2, polar6):
     rep = polar_structure_suite(polar2, k_max=3)
     assert rep.passed

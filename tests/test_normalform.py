@@ -3,6 +3,7 @@ import pytest
 
 import isoalg as ia
 import isoalg.expr as ex
+import isoalg.normalform as nf
 from isoalg import (
     CoefficientEscape,
     DimensionMismatch,
@@ -432,6 +433,54 @@ def rule_product(x, y):
                                    k, y.coefficient(k))
             acc[deg] = acc[deg] + c if deg in acc else c
     return NormalForm(x.system, acc, drop_scale=x.scale() * y.scale())
+
+
+# -- one product per degree against the per-matrix body ----------------------
+
+def _sided_reference(stack, degrees, right, left):
+    """The per-matrix body of the sided products: stack[i] @ right[i] where
+    degrees[i] > 0 and left[i] @ stack[i] where degrees[i] < 0, with the
+    factors gathered into (K, n, n) stacks, one per term."""
+    out = np.array(stack, dtype=complex)
+    pos, neg = degrees > 0, degrees < 0
+    out[pos] = stack[pos] @ right[pos]
+    out[neg] = left[neg] @ stack[neg]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sided_products_match_the_per_matrix_body(
+        seed, qdeform12, polar6, certified_systems, raw_system,
+        amplified_q12, cyclic5):
+    # range normalization, monomials and strip_power over the coefficients
+    # of 20 drawn forms: bit for bit on q12 and p6, within rounding of the
+    # scale elsewhere
+    exact = {"q12": qdeform12.system, "p6": polar6.system}
+    close = {f"p6_rotated{s}": certified_systems[f"p6_rotated{s}"]
+             for s in range(4)}
+    close.update(raw_system=raw_system, amplified_q12=amplified_q12,
+                 cyclic5=cyclic5)
+    for name, system in {**exact, **close}.items():
+        rng = np.random.default_rng(seed)
+        draws = [ia.norms._draw(system, rng) for _ in range(20)]
+        stack = system.algebra.project(np.concatenate(draws))
+        degrees = np.concatenate([np.arange(len(z)) - len(z) // 2
+                                  for z in draws])
+        p = system.power_stack(np.abs(degrees))
+        f = system.proj_final_stack(np.abs(degrees))
+        keep, normalized, _ = nf._canonical_terms(system, stack, degrees, 0.0)
+        pairs = [
+            (normalized, _sided_reference(stack, degrees, f, f)[keep]),
+            (nf._monomial_stack(system, stack, degrees),
+             _sided_reference(stack, degrees, p, adjoint(p))),
+            (nf._strip(system, stack, degrees),
+             _sided_reference(stack, degrees, adjoint(p), p))]
+        scale = np.linalg.norm(stack, axis=(1, 2)).max()
+        for got, want in pairs:
+            if name in exact:
+                assert np.array_equal(got, want), name
+            else:
+                assert np.abs(got - want).max() <= 1e-14 * scale, name
 
 
 def norm_limit_reference(x, k_max):

@@ -208,6 +208,25 @@ def test_sum_norm_estimates_report_signed_margins():
     assert rep.passed
 
 
+def test_sum_norm_batch_of_one_dimension_matches_each_tuple():
+    # tuples of sizes 1..5 and one dimension, as the sampler batches them:
+    # the batch gives each tuple's check_sum_norm_estimates bit for bit,
+    # and both agree with the per-matrix reference
+    rng = np.random.default_rng(11)
+    n, sizes = 4, [3, 1, 5, 2, 4, 1, 2]
+    tuples = [rng.standard_normal((m, n, n)) + 1j * rng.standard_normal(
+        (m, n, n)) for m in sizes]
+    batch = ia.norms._sum_norm_margins(np.concatenate(tuples), sizes)
+    assert batch.shape == (len(sizes), 4)
+    for margins, mats in zip(batch, tuples, strict=True):
+        got = check_sum_norm_estimates(mats)
+        assert [d.value for d in got.defects] == list(margins)
+        for g, w in zip(got.defects, _sum_norm_reference(list(mats)).defects,
+                        strict=True):
+            assert g.check == w.check
+            assert abs(g.value - w.value) <= 1e-12 * max(1.0, abs(w.value))
+
+
 def test_sum_norm_sample_takes_the_worst_signed_margin():
     count, seed = 20, 3
     rep = sum_norm_estimates_sample(count=count, seed=seed)
@@ -286,6 +305,39 @@ def _coefficient_bound_reference(forms):
                          *margins[np.asarray(x.degrees()) == 0])
         worst_any = max(worst_any, margins.max(initial=-np.inf))
     return worst_zero, worst_any
+
+
+def test_coordinate_norms_within_the_frame_bound(certified_systems, cyclic5,
+                                                 q6x2):
+    # | ||a|| - max_i |c_i|/sqrt(r_i) | <= dist(a, A) + ||E|| max_i
+    # |c_i|/sqrt(r_i), E = V*V - I, up to the rounding of the two norms
+    systems = {name: system for name, system in certified_systems.items()
+               if system.algebra.frame is not None}
+    assert len(systems) == 12
+    systems.update(cyclic5=cyclic5, q6x2=q6x2)
+    for name, system in systems.items():
+        alg = system.algebra
+        stack = np.concatenate([x.coefficients for x in
+                                random_normal_forms(system, 40, seed=3)])
+        got = ia.norms._coefficient_norms(alg, stack)
+        want = spectral_norms(stack)
+        e = spectral_norm(alg._frame_gram - np.eye(system.dim))
+        bound = alg.span_defects(stack) + e * got
+        slack = 1e-14 * np.maximum(1.0, want)
+        assert (np.abs(got - want) <= bound + slack).all(), name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_coefficient_bound_without_a_frame_is_the_eigensolve_path(
+        seed, raw_system, amplified_q12):
+    # without a frame every coefficient norm is an eigensolve: the report's
+    # values are the per-form reference's, bit for bit
+    for system in (raw_system, amplified_q12):
+        assert system.algebra.frame is None
+        forms = random_normal_forms(system, 200, seed)
+        rep = sample_coefficient_bound(system, forms, seed)
+        assert [d.value for d in rep.defects[1:]] == list(
+            _coefficient_bound_reference(forms))
 
 
 def _certified_bound_reference(x):
