@@ -6,17 +6,14 @@ finite matrix scale."""
 from .algebra import (
     FiniteStarAlgebra,
     IsometrySystem,
-    bicommutant,
     check_coefficient_algebra,
     check_commutative_extendability,
     check_extendability,
     check_extension_towers,
     check_intertwining_equivalents,
-    commutant,
     extend_delta,
     extend_delta_star,
     generate_closure,
-    spans_equal,
     verify_power_identities,
 )
 from .errors import (
@@ -86,7 +83,6 @@ from .normalform import (
 from .norms import (
     NormLimitTrace,
     check_sum_norm_estimates,
-    gauge_invariance_check,
     norm_limit,
     random_normal_form,
     random_normal_forms,

@@ -204,8 +204,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; bit-exact for 64-bit float entries.
-    Anything else raises DimensionMismatch naming the fault."""
+    """Inverse of matrix_to_json; bit-exact for finite 64-bit float
+    entries.  Anything else, a NaN or an infinity too, raises
+    DimensionMismatch naming the fault."""
     try:
         n = int(obj["dim"])
         entries = obj["entries"]
@@ -225,4 +226,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
                 raise DimensionMismatch(
                     f"entry [{i}][{j}] is not a [re, im] pair of numbers, "
                     f"got {entry!r}") from exc
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise DimensionMismatch(f"entry [{i}][{j}] is not a finite number, "
+                                f"got {entries[i][j]!r}")
     return m

@@ -368,10 +368,10 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
     "system" form generates the *-algebra closure of the given generators;
     it does not require a coefficient algebra, so it can express the
     deliberately broken configurations used as negative controls.  A
-    missing field, one of the wrong JSON type, or a matrix object that is
-    not a matrix raises ValueError naming the field (and the type expected,
-    or the matrix's fault); an integral float such as 12.0 is an integer
-    "n".
+    missing field, one of the wrong JSON type, a NaN or infinite sample or
+    matrix entry, or a matrix object that is not a matrix raises ValueError
+    naming the field (and the type expected, or the matrix's fault); an
+    integral float such as 12.0 is an integer "n".
     """
     if not isinstance(obj, dict):
         raise ValueError(
@@ -415,6 +415,10 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
             samples = expect(rho["samples"], "rho.samples", list, "a list")
             for i, x in enumerate(samples):
                 expect(x, f"rho.samples[{i}]", number, "a number")
+                if isinstance(x, float) and not np.isfinite(x):
+                    raise ValueError(f"{kind} model spec field "
+                                     f"'rho.samples[{i}]' must be a finite "
+                                     f"number, got {x!r}")
             rho = RhoSpec("custom", samples)
         n = field("n", number, "an integer")
         # an integral float such as 12.0 is an integer

@@ -61,6 +61,7 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import (
+    _frobenius_norms,
     adjoint,
     as_matrix,
     matrix_from_json,
@@ -115,7 +116,7 @@ def _canonical_terms(system: IsometrySystem, stack: np.ndarray,
     the first kept coefficient, in input order, that is not a member.
     """
     stack = _sided(stack, degrees, system.proj_final, system.proj_final)
-    norms = np.linalg.norm(stack, axis=(1, 2))
+    norms = _frobenius_norms(stack)
     keep = norms > system.tol * drop_scale
     stack, norms = stack[keep], norms[keep]
     defects = system.algebra.span_defects(stack)
@@ -173,7 +174,7 @@ class NormalForm:
             raise DimensionMismatch("repeated degree in coefficient stack")
 
         if drop_scale is None:
-            drop_scale = np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0)
+            drop_scale = _frobenius_norms(stack).max(initial=0.0)
         keep, stack, norms = _canonical_terms(system, stack, degrees, drop_scale)
         degrees = degrees[keep]
         order = np.argsort(degrees)

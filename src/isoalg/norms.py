@@ -63,7 +63,13 @@ import numpy as np
 
 from .algebra import FiniteStarAlgebra, GaugeGenerator, IsometrySystem
 from .errors import CoefficientEscape, DimensionMismatch, Overflow
-from .linalg import DEFAULT_TOL, adjoint, psd_sqrt, spectral_norms
+from .linalg import (
+    DEFAULT_TOL,
+    _frobenius_norms,
+    adjoint,
+    psd_sqrt,
+    spectral_norms,
+)
 from .normalform import (
     NormalForm,
     _canonical_terms,
@@ -136,7 +142,7 @@ def random_normal_forms(system: IsometrySystem, count: int,
     owner = np.repeat(np.arange(count), sizes)
     stack = system.algebra.project(np.concatenate(draws))
     # each form drops against its own largest input coefficient
-    scale = np.maximum.reduceat(np.linalg.norm(stack, axis=(1, 2)),
+    scale = np.maximum.reduceat(_frobenius_norms(stack),
                                 np.cumsum(sizes) - sizes)
     keep, stack, norms = _canonical_terms(system, stack, degrees, scale[owner])
     degrees = degrees[keep]
@@ -347,7 +353,7 @@ def _gauged_n0(x: NormalForm, norm: float,
     n0 = [p.mean(axis=0)]
     for _ in schedule:
         np.matmul(p, p, out=p)
-        if np.linalg.norm(p, axis=(1, 2)).max() > 1e100:
+        if _frobenius_norms(p).max() > 1e100:
             return None
         n0.append(p.mean(axis=0))
     return np.array(n0)
@@ -394,7 +400,7 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
         flat = stack.reshape(-1, n, n)
         defects = system.algebra.span_defects(flat).reshape(stack.shape[:2])
         escaped = ~(defects <= system.tol * np.maximum(
-            1.0, np.linalg.norm(stack, axis=(2, 3))))
+            1.0, _frobenius_norms(stack)))
         for s, esc, dfs in zip(n0, escaped, defects):
             if s is None:
                 raise Overflow("powers of x/||x|| gauged at roots of unity "
@@ -456,14 +462,6 @@ def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
     weights = (np.abs(degrees) * gen.residual
                + np.sqrt(dim) * gen.commutation) * fro
     return np.pi * np.bincount(owner, weights, minlength=len(forms))
-
-
-def gauge_invariance_check(x: NormalForm,
-                           star_report: ConditionReport | None = None
-                           ) -> ConditionReport:
-    """Gauge norm invariance of one canonical form:
-    :func:`gauge_invariance_sample` on the sample [x], with no seed."""
-    return gauge_invariance_sample(x.system, [x], None, star_report)
 
 
 def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],

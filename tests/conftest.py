@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import isoalg as ia
+from isoalg.algebra import _span_defects, _svd_span, commutant
 
 _acceptance_results = []
 
@@ -28,12 +29,32 @@ def polar2():
     return ia.build_polar_model(np.array([[0, 2], [0, 0]], complex))
 
 
+def weighted_shift(n, base):
+    """The n-dim weighted backward shift with weights base^{j/2},
+    j = 1..n-1."""
+    return ia.weighted_backward_shift([base ** (j / 2) for j in range(1, n)])
+
+
+def polar_spec(a):
+    """The "polar" model spec of the operator a."""
+    return {"type": "polar", "a": ia.matrix_to_json(a)}
+
+
+def qdeform_spec(n, q):
+    """The "qdeform" model spec with the Heisenberg weight."""
+    return {"type": "qdeform", "n": n, "q": q, "rho": "heisenberg"}
+
+
+def system_spec(u, gens):
+    """The raw "system" model spec of U and the generators."""
+    return {"type": "system", "U": ia.matrix_to_json(u),
+            "generators": [ia.matrix_to_json(g) for g in gens]}
+
+
 @pytest.fixture(scope="session")
 def polar6():
     """Polar model of a 6-dim weighted backward shift, weights q^{j/2}."""
-    q = 0.5
-    weights = [q ** (j / 2) for j in range(1, 6)]
-    return ia.build_polar_model(ia.weighted_backward_shift(weights))
+    return ia.build_polar_model(weighted_shift(6, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -56,13 +77,34 @@ def broken_system():
     return ia.IsometrySystem(algebra, e12)
 
 
-@pytest.fixture(scope="session")
-def cyclic5():
+def cyclic5_spec():
     """A system whose U is not nilpotent: the cyclic shift on C^5 (unitary)
     with the diagonal algebra, which conjugation by U permutes."""
-    u = np.roll(np.eye(5, dtype=complex), 1, axis=0)
-    units = [np.diag(e).astype(complex) for e in np.eye(5)]
-    return ia.IsometrySystem(ia.generate_closure(units), u)
+    return system_spec(np.roll(np.eye(5), 1, axis=0),
+                       [np.diag(e) for e in np.eye(5)])
+
+
+@pytest.fixture(scope="session")
+def cyclic5():
+    return ia.load_model(cyclic5_spec()).system
+
+
+def spans_equal(a, b, tol: float) -> tuple[bool, float]:
+    """Oracle: mutual containment of the spans of two (K, n, n) stacks,
+    each measured against an SVD basis of the other's span, relative to
+    max(1, ||m||_F); returns (equal, worst defect)."""
+    a, b = np.asarray(a), np.asarray(b)
+    worst = 0.0
+    for flat, stack in ((_svd_span(a), b), (_svd_span(b), a)):
+        scale = np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        worst = max(worst, float((_span_defects(flat, stack) / scale).max()))
+    return worst <= tol, worst
+
+
+def bicommutant(alg):
+    """Oracle: the commutant of the commutant (the von Neumann algebra
+    generated), from two commutant solves."""
+    return commutant(commutant(alg.basis, alg.tol).basis, alg.tol)
 
 
 def rotated(a, s):
@@ -81,26 +123,18 @@ def certified_systems(qdeform12, polar6, raw_system, amplified_q12):
     p6 in four rotated bases, the q-models q = 0.9 and the polar models of
     the weighted shifts with weights 0.7^{j/2} at n = 8, 16, 24, and the
     non-commutative raw_system and amplified_q12."""
-    p6 = ia.weighted_backward_shift([0.5 ** (j / 2) for j in range(1, 6)])
+    p6 = weighted_shift(6, 0.5)
     systems = {"qdeform12": qdeform12.system, "polar6": polar6.system}
     for s in range(4):
         systems[f"p6_rotated{s}"] = ia.build_polar_model(rotated(p6, s)).system
     for n in (8, 16, 24):
         systems[f"q09_n{n}"] = ia.build_qdeform(n, 0.9, "heisenberg").system
         systems[f"polar07_n{n}"] = ia.build_polar_model(
-            ia.weighted_backward_shift([0.7 ** (j / 2) for j in range(1, n)])
-        ).system
+            weighted_shift(n, 0.7)).system
     systems["raw_system"], systems["amplified_q12"] = raw_system, amplified_q12
     return systems
 
 
-def system_spec(u, gens):
-    """The raw "system" model spec of U and the generators."""
-    return {"type": "system", "U": ia.matrix_to_json(u),
-            "generators": [ia.matrix_to_json(g) for g in gens]}
-
-
-@pytest.fixture(scope="session")
 def raw_system_spec():
     """A raw system spec with a non-commutative coefficient algebra: the
     shift on C^3 tensored with the identity on C^2, and the algebra of
@@ -112,8 +146,8 @@ def raw_system_spec():
 
 
 @pytest.fixture(scope="session")
-def raw_system(raw_system_spec):
-    system = ia.load_model(raw_system_spec).system
+def raw_system():
+    system = ia.load_model(raw_system_spec()).system
     assert system.coefficient_report.passed
     assert system.algebra.dim == 12 and system.nilpotency_index == 3
     return system
@@ -130,7 +164,6 @@ def amplified_generators(n, q):
             np.kron(np.eye(n), sigma_z)]
 
 
-@pytest.fixture(scope="session")
 def amplified_q12_spec():
     """The q-model n = 12, q = 1/2 amplified by M_2: U (x) 1 on
     C^12 (x) C^2, a non-commutative coefficient algebra (diagonal (x) M_2)."""
@@ -139,24 +172,26 @@ def amplified_q12_spec():
 
 
 @pytest.fixture(scope="session")
-def amplified_q12(amplified_q12_spec):
-    return ia.load_model(amplified_q12_spec).system
+def amplified_q12():
+    return ia.load_model(amplified_q12_spec()).system
+
+
+def q6x2_spec():
+    """The q-model n = 6, q = 1/2 amplified by the identity on C^2 (Q x 1
+    with U x 1): commutative, with a spectral frame of blocks of rank 2."""
+    i2 = np.eye(2)
+    return system_spec(np.kron(ia.backward_shift(6), i2),
+                       [np.kron(np.diag(0.5 ** np.arange(6)), i2)])
 
 
 @pytest.fixture(scope="session")
 def q6x2():
-    """The q-model n = 6, q = 1/2 amplified by the identity on C^2 (Q x 1
-    with U x 1): commutative, with a spectral frame of blocks of rank 2."""
-    i2 = np.eye(2)
-    system = ia.load_model(system_spec(
-        np.kron(ia.backward_shift(6), i2),
-        [np.kron(np.diag(0.5 ** np.arange(6)), i2)])).system
+    system = ia.load_model(q6x2_spec()).system
     assert system.coefficient_report.passed
     assert (system.algebra.frame.ranks == 2).all()
     return system
 
 
-@pytest.fixture(scope="session")
 def shift3_projection_spec():
     """A commutative system that is not commutatively extendable: the shift
     on C^3 with A = C*(P), P the projection onto (e1 + e2)/sqrt(2).  U*U =
@@ -168,8 +203,8 @@ def shift3_projection_spec():
 
 
 @pytest.fixture(scope="session")
-def shift3_projection(shift3_projection_spec):
-    return ia.load_model(shift3_projection_spec).system
+def shift3_projection():
+    return ia.load_model(shift3_projection_spec()).system
 
 
 def corner_shift9_spec():

@@ -13,17 +13,14 @@ from isoalg import (
     NotPartialIsometry,
     ToleranceCollapse,
     adjoint,
-    bicommutant,
     check_coefficient_algebra,
     check_commutative_extendability,
     check_extendability,
     check_extension_towers,
     check_intertwining_equivalents,
-    commutant,
     extend_delta,
     extend_delta_star,
     generate_closure,
-    spans_equal,
     spectral_norm,
     verify_power_identities,
 )
@@ -38,6 +35,7 @@ from isoalg.algebra import (
     _spectral_closure,
     _svd_span,
     build_towers,
+    commutant,
 )
 from isoalg.linalg import spectral_norms
 from isoalg.models import polar_structure_suite
@@ -46,8 +44,11 @@ from isoalg.normalform import check_adjoint_intertwining
 from conftest import (
     CACHED_DEFECTS,
     amplified_generators,
+    bicommutant,
     count_cached_defects,
+    raw_system_spec,
     rotated,
+    spans_equal,
 )
 
 E12 = np.array([[0, 1], [0, 0]], complex)
@@ -906,7 +907,7 @@ def word_closure_sets(request, name):
     if name == "generic_system":
         return [[generic_generator(np.random.default_rng(11))]]
     if name == "raw_system":
-        spec = request.getfixturevalue("raw_system_spec")
+        spec = raw_system_spec()
         return [[ia.matrix_from_json(g) for g in spec["generators"]]]
     if name.startswith("generic_n"):
         n = int(name[len("generic_n"):])
@@ -1284,11 +1285,6 @@ def test_system_checkers_measure_at_the_build_tolerance(tol):
     for rep in reports:
         assert rep.passed, rep
         assert {d.tol for d in rep.defects} == {tol}, rep.name
-    # the gauge check of one form is the sample's body on [x], at tol too
-    x = forms[0]
-    rep = ia.gauge_invariance_check(x)
-    assert rep.passed and {d.tol for d in rep.defects} == {tol}
-    assert rep.defects == ia.norms.gauge_invariance_sample(sys, [x], 0).defects
 
 
 SYSTEM_CHECKERS = [check_intertwining_equivalents, check_coefficient_algebra,
@@ -1441,6 +1437,61 @@ def test_extension_towers_reports_a_failed_delta_star_walk():
         extend_delta_star(sys)
     assert [(d.check, d.value) for d in info.value.report.defects] == [
         (d.check.removeprefix("hypothesis: "), d.value) for d in rep.defects]
+
+
+def equal_spans_entry(sys):
+    """check_extension_towers' "towers have equal spans" value, and the
+    spans_equal oracle on the two towers it compares."""
+    rep = check_extension_towers(sys)
+    value = next(d.value for d in rep.defects
+                 if d.check == "towers have equal spans")
+    tower_a = sys._with_algebra(
+        sys.commutative_delta_walk[1]).delta_star_walk[1]
+    tower_b = sys._with_algebra(sys.delta_star_walk[1]).delta_walk[1]
+    return rep, value, spans_equal(tower_a.basis, tower_b.basis, sys.tol)[1]
+
+
+@pytest.mark.parametrize("name", [
+    "qdeform12", "polar6", *(f"p6_rotated{s}" for s in range(4)),
+    *(f"{family}_n{n}" for family in ("q09", "polar07") for n in (8, 16, 24)),
+    "q6x2", "cyclic5"])
+def test_equal_spans_entry_matches_the_oracle(request, certified_systems,
+                                              name):
+    # the entry measures each tower on the other's validated basis; the
+    # oracle measures it on an SVD basis of the span
+    sys = (certified_systems[name] if name in certified_systems
+           else fixture_system(request, name))
+    _, value, oracle = equal_spans_entry(sys)
+    assert abs(value - oracle) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["qdeform12", "polar6"])
+def test_equal_spans_entry_compares_two_distinct_towers(request, name):
+    # every reference model's towers close at stage 0, so both are the seed
+    # algebra; a primed delta walk makes the second tower another object:
+    # the delta_star walks and the delta tower are the seed's, and the
+    # delta tower over the delta_star tower is the primed one.  A proper
+    # subalgebra and the full matrix algebra fail each direction of the
+    # mutual containment alone
+    seed = fixture_system(request, name)
+    alg, n, tol = seed.algebra, seed.dim, seed.tol
+    same = FiniteStarAlgebra(_gram_schmidt_closure(list(alg.basis), n, tol),
+                             tol=tol)
+    sub = generate_closure([alg.basis[0]], tol)
+    full = FiniteStarAlgebra(np.eye(n * n).reshape(-1, n, n), tol=tol)
+    assert same.frame is None and sub.dim == 2 < alg.dim < full.dim
+    for other, passes in ((same, True), (sub, False), (full, False)):
+        sys = IsometrySystem(alg, seed.u)
+        sys.delta_walk = (sys.delta_walk[0], other)
+        rep, value, oracle = equal_spans_entry(sys)
+        assert sys._with_algebra(sys.delta_star_walk[1]).delta_walk[1] is other
+        if passes:
+            assert value <= 1e-14
+        else:
+            assert abs(value - oracle) <= 1e-14 * oracle
+        assert rep.passed == passes
+        assert [d.check for d in rep.defects if not d.ok] == (
+            [] if passes else ["towers have equal spans"])
 
 
 # ---------------------------------------------------------------------------

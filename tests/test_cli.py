@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +12,25 @@ from isoalg import load_model, matrix_from_json, matrix_to_json
 from isoalg.cli import CHECKS, dump_json, main
 from isoalg.report import ConditionReport
 
-from conftest import CACHED_DEFECTS, corner_shift9_spec, count_cached_defects
+from conftest import (
+    CACHED_DEFECTS,
+    amplified_q12_spec,
+    corner_shift9_spec,
+    count_cached_defects,
+    cyclic5_spec,
+    polar_spec,
+    q6x2_spec,
+    qdeform_spec,
+    raw_system_spec,
+    rotated,
+    shift3_projection_spec,
+    weighted_shift,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 E12 = np.array([[0, 1], [0, 0]], complex)
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +139,9 @@ def test_run_all_on_raw_broken_system_skips_coefficient_checks(specs):
 
 
 def test_run_all_skips_commutative_checks_on_a_noncommutative_algebra(
-        raw_system_spec, tmp_path):
+        tmp_path):
     path = tmp_path / "raw_system.json"
-    path.write_text(json.dumps(raw_system_spec))
+    path.write_text(json.dumps(raw_system_spec()))
     out = tmp_path / "out.json"
     assert main(["run", "--model", str(path), "--checks", "all",
                  "--out", str(out)]) == 0
@@ -427,6 +444,16 @@ def test_polar_subcommand(specs):
     assert doc["partial_isometry"]["pass"] is True
 
 
+def test_polar_subcommand_rejects_a_non_finite_entry(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[[0, 0], [1, -INF]],
+                                                      [[0, 0], [0, 0]]]}))
+    assert main(["polar", "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == ("", "isoalg: cannot load matrix: entry "
+                                   "[0][1] is not a finite number, got "
+                                   "[1, -inf]\n")
+
+
 def test_env_tolerance(specs, monkeypatch, capsys):
     monkeypatch.setenv("ISOALG_TOL", "not-a-number")
     rc = main(["run", "--model", specs["qdeform.json"],
@@ -440,8 +467,6 @@ def test_env_tolerance(specs, monkeypatch, capsys):
 
 
 def test_console_entry_point(specs):
-    import subprocess
-    import sys
     proc = subprocess.run(
         [sys.executable, "-m", "isoalg.cli", "run", "--model",
          specs["qdeform.json"], "--checks", "partial_isometry"],
@@ -538,6 +563,24 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     ({"type": "polar", "a": {"dim": 2}},
      "polar model spec field 'a' is not a matrix: malformed matrix object: "
      "'entries'"),
+    # JSON's NaN and Infinity parse as floats, which pass every type
+    # check; unrejected, the first of these passes all 12 checks
+    ({"type": "system", "U": {"dim": 1, "entries": [[[0, 0]]]},
+      "generators": [{"dim": 1, "entries": [[[NAN, 0]]]}]},
+     "system model spec field 'generators[0]' is not a matrix: entry [0][0] "
+     "is not a finite number, got [nan, 0]"),
+    ({"type": "system", "U": matrix_to_json(E12),
+      "generators": [{"dim": 2, "entries": [[[NAN, 0], [0, 0]],
+                                            [[0, 0], [1, 0]]]}]},
+     "system model spec field 'generators[0]' is not a matrix: entry [0][0] "
+     "is not a finite number, got [nan, 0]"),
+    ({"type": "polar", "a": {"dim": 2, "entries": [[[0, 0], [INF, 0]],
+                                                   [[0, 0], [0, 0]]]}},
+     "polar model spec field 'a' is not a matrix: entry [0][1] is not a "
+     "finite number, got [inf, 0]"),
+    ({"type": "qdeform", "n": 2, "q": 0.5, "rho": {"samples": [0, NAN, 1]}},
+     "qdeform model spec field 'rho.samples[1]' must be a finite number, "
+     "got nan"),
 ])
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):
@@ -559,16 +602,16 @@ def test_integral_float_n_builds_as_the_integer(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("fixture, first, last", [
+@pytest.mark.parametrize("builder, first, last", [
     ("shift3_projection_spec", "hypothesis: algebra commutative",
      "hypothesis: U*U commutes with delta(tower stage 0)"),
     ("raw_system_spec", "hypothesis: algebra commutative",
      "hypothesis: algebra commutative"),
 ])
 def test_run_extension_towers_reports_the_failed_hypothesis(
-        request, tmp_path, fixture, first, last):
+        tmp_path, builder, first, last):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(request.getfixturevalue(fixture)))
+    path.write_text(json.dumps(globals()[builder]()))
     out = tmp_path / "out.json"
     assert main(["run", "--model", str(path), "--checks", "extension_towers",
                  "--out", str(out)]) == 1
@@ -577,13 +620,13 @@ def test_run_extension_towers_reports_the_failed_hypothesis(
     assert rep["pass"] is False and (checks[0], checks[-1]) == (first, last)
 
 
-def test_amplified_q12_checks(amplified_q12_spec, amplified_q12, tmp_path):
+def test_amplified_q12_checks(amplified_q12, tmp_path):
     # the q-model n = 12 amplified by M_2 builds through the word closure;
     # its algebra is not commutative, and that is the one failure of the
     # structure checks, asked for by name
     assert amplified_q12.algebra.dim == 48
     path = tmp_path / "amplified_q12.json"
-    path.write_text(json.dumps(amplified_q12_spec))
+    path.write_text(json.dumps(amplified_q12_spec()))
     out = tmp_path / "out.json"
     checks = ["coefficient_algebra", "extendability", "power_structure",
               "coefficient_bound", "commutative_extendability",
@@ -626,22 +669,16 @@ CONTRACT_MODELS = ["q12", "p6", "cyclic5", "raw_system", "broken",
 
 
 @pytest.fixture(scope="module")
-def contract_specs(request, specs):
-    u5 = np.roll(np.eye(5), 1, axis=0)
+def contract_specs(specs):
     paths = {}
     for name, spec in {
-            "q12": {"type": "qdeform", "n": 12, "q": 0.5,
-                    "rho": "heisenberg"},
-            "p6": {"type": "polar", "a": matrix_to_json(
-                np.diag([0.5 ** (j / 2) for j in range(1, 6)], 1))},
-            "cyclic5": {"type": "system", "U": matrix_to_json(u5),
-                        "generators": [matrix_to_json(np.diag(e))
-                                       for e in np.eye(5)]},
-            "raw_system": request.getfixturevalue("raw_system_spec"),
-            "shift3_projection":
-                request.getfixturevalue("shift3_projection_spec"),
+            "q12": qdeform_spec(12, 0.5),
+            "p6": polar_spec(weighted_shift(6, 0.5)),
+            "cyclic5": cyclic5_spec(),
+            "raw_system": raw_system_spec(),
+            "shift3_projection": shift3_projection_spec(),
             "corner_shift9": corner_shift9_spec(),
-            "amplified_q12": request.getfixturevalue("amplified_q12_spec"),
+            "amplified_q12": amplified_q12_spec(),
     }.items():
         path = Path(specs["root"]) / f"contract_{name}.json"
         path.write_text(json.dumps(spec))
@@ -708,3 +745,83 @@ def test_library_checkers_return_reports(loaded_once, model):
         reports.append(ia.qdeform_relations_suite(loaded.qdeform))
     for rep in reports:
         assert isinstance(rep, ConditionReport) and rep.defects, rep
+
+
+# ---------------------------------------------------------------------------
+# Reports do not depend on the interpreter's hash seed.
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# model: (spec, exit code of run --checks all --seed 7, exit code of
+# closure, whether a gauge generator certifies gauge_invariance).  shift9
+# and shift3_projection fail extendability and extension_towers, and their
+# delta tower does not build; amplified_q12, q09_24 and polar07_24 fail
+# norm_limit at seed 7, and cyclic5 gauge_invariance and norm_limit.  The
+# generator certifies every nilpotent coefficient system here, and not
+# cyclic5, whose U is unitary; shift9 and shift3_projection are no
+# coefficient systems (None)
+HASH_SEED_MODELS = {
+    "q12": (lambda: qdeform_spec(12, 0.5), 0, 0, True),
+    "p6": (lambda: polar_spec(weighted_shift(6, 0.5)), 0, 0, True),
+    # polar_decompose must count the rounding of a*a on ker a as kernel,
+    # or U is no partial isometry
+    "p6_rotated": (lambda: polar_spec(rotated(weighted_shift(6, 0.5), 3)),
+                   0, 0, True),
+    # non-zero defects, so the report passes through the eigensolves that
+    # all-zero stacks skip
+    "raw_system": (raw_system_spec, 0, 0, True),
+    "shift9": (corner_shift9_spec, 1, 1, None),
+    # a 48-dim non-commutative algebra built by the word closure
+    "amplified_q12": (amplified_q12_spec, 1, 0, True),
+    "shift3_projection": (shift3_projection_spec, 1, 1, None),
+    # the build-scale rungs, whose spectral closures keep their frames
+    "q09_24": (lambda: qdeform_spec(24, 0.9), 1, 0, True),
+    "polar07_24": (lambda: polar_spec(weighted_shift(24, 0.7)), 1, 0, True),
+    "cyclic5": (cyclic5_spec, 1, 0, False),
+    # every frame block of rank 2
+    "q6x2": (q6x2_spec, 0, 0, True),
+}
+
+
+# One process: `isoalg run --checks all --seed 7` and `isoalg closure` on
+# the spec argv[1], into argv[2]-run.json and argv[2]-closure.json; prints
+# the two exit codes.
+HASH_SEED_DRIVER = """
+import json, sys
+from isoalg.cli import main
+spec, out = sys.argv[1:]
+print(json.dumps([
+    main(["run", "--checks", "all", "--seed", "7", "--model", spec,
+          "--out", out + "-run.json"]),
+    main(["closure", "--model", spec, "--out", out + "-closure.json"])]))
+"""
+
+
+@pytest.mark.parametrize("model", HASH_SEED_MODELS)
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, model):
+    # one process per PYTHONHASHSEED, 1 and 2.  A crash also exits 1, so a
+    # RuntimeWarning is an error, as under pytest, and stderr must be
+    # empty: the CLI writes to it only when it exits 2
+    build, run_code, closure_code, certified = HASH_SEED_MODELS[model]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(build()))
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c",
+             HASH_SEED_DRIVER, str(spec), str(tmp_path / seed)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), seed
+        assert json.loads(proc.stdout) == [run_code, closure_code], seed
+    for command in ("run", "closure"):
+        out1, out2 = ((tmp_path / f"{seed}-{command}.json").read_bytes()
+                      for seed in ("1", "2"))
+        assert out1 == out2, command
+    if certified is not None:
+        results = {r["name"]: r for r in json.loads(
+            (tmp_path / "1-run.json").read_text())["results"]}
+        notes = results["gauge_invariance"]["notes"]
+        assert ("certified by a gauge generator" in notes) is certified

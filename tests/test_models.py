@@ -11,7 +11,6 @@ from isoalg import (
     RhoConditionViolated,
     adjoint,
     backward_shift,
-    bicommutant,
     build_polar_model,
     build_qdeform,
     constant_rho,
@@ -23,7 +22,6 @@ from isoalg import (
     polar_structure_suite,
     qdeform_relations_suite,
     sl2_rho,
-    spans_equal,
     spectral_norm,
     weighted_backward_shift,
 )
@@ -35,7 +33,7 @@ from isoalg.algebra import (
 )
 from isoalg.cli import main
 
-from conftest import rotated
+from conftest import bicommutant, rotated, spans_equal
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
