@@ -67,11 +67,13 @@ commutes with the algebra when the projections do.  For a coefficient
 system they lie in A and commute with it, so H lies in A and in its
 commutant A'; for a nilpotent U with U^K = 0, [H, U] = U.  Then
 W_lam = lam^H fixes the algebra and sends U to lam U, so the gauge action
-is implemented by unitaries.  ``IsometrySystem.gauge_generator`` keeps
+is implemented by unitaries.  ``IsometrySystem.gauge_candidate`` keeps
 the eigenvectors V of H and its eigenvalues rounded to integers h, with
 the residual ||[H', U] - U|| and max ||[H', b_i]|| over the basis of
-H' = V diag(h) V*, when both are within tol, and is None otherwise.  It
-needs no frame, so it certifies non-commutative systems too.
+H' = V diag(h) V*; ``IsometrySystem.gauge_generator`` is the candidate
+when both are within tol, and None otherwise.  It needs no frame, so it
+certifies non-commutative systems too.  It certifies exactly the
+nilpotent U, on which alone the coefficient bound holds (``isoalg.norms``).
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
@@ -315,11 +317,27 @@ class FiniteStarAlgebra:
                 f"{stack.shape}")
         return _span_defects(self._flat, stack)
 
+    def membership(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The membership rule on a (K, n, n) stack: whether each matrix m
+        lies in the span, within tol * max(1, ||m||_F), and its Frobenius
+        distance to the span."""
+        defects = self.span_defects(stack)
+        scale = np.maximum(1.0, _frobenius_norms(stack))
+        return defects <= self.tol * scale, defects
+
     def contains(self, m: np.ndarray) -> tuple[bool, float]:
-        """Membership test; defect is the Frobenius distance to the span."""
-        m = as_matrix(m)
-        defect = float(self.span_defects(m[None])[0])
-        return defect <= self.tol * max(1.0, hs_norm(m)), defect
+        """The membership rule on one matrix, and its distance."""
+        inside, defects = self.membership(as_matrix(m)[None])
+        return bool(inside[0]), float(defects[0])
+
+    def member_norms(self, stack: np.ndarray) -> np.ndarray:
+        """||a|| of each member a of a (K, n, n) stack: max_i |c_i| /
+        sqrt(r_i) from its coordinates c_i = <b_i, a> when the algebra has a
+        frame (V, r) (bound in sample_coefficient_bound), else eigensolves."""
+        if self.frame is None:
+            return spectral_norms(stack)
+        scaled = np.abs(self.coordinates(stack)) / np.sqrt(self.frame.ranks)
+        return scaled.max(axis=1, initial=0.0)
 
     @cached_property
     def _frame_gram(self) -> np.ndarray:
@@ -749,12 +767,13 @@ class IsometrySystem:
         return check_coefficient_algebra(self)
 
     @cached_property
-    def gauge_generator(self) -> GaugeGenerator | None:
-        """The generator of the gauge action (see the module docstring),
-        from the eigenvectors V and the rounded eigenvalues h of
+    def gauge_candidate(self) -> GaugeGenerator:
+        """The candidate generator of the gauge action (see the module
+        docstring), whether or not it certifies the system: the
+        eigenvectors V and the rounded eigenvalues h of
         H = -sum_{k=1}^{K} P_k, P_k = U^{*k}U^k and K the nilpotency index
-        or 2n + 4, when it certifies the system: the residual and
-        commutation of H' = V diag(h) V* are within tol.  None otherwise.
+        or 2n + 4, with the residual ||[H', U] - U|| and the commutation
+        max ||[H', b_i]|| of H' = V diag(h) V*.
 
         With P_0 = 1, the absorption identity U P_k = P_{k-1} U gives
 
@@ -772,9 +791,15 @@ class IsometrySystem:
         vals, vecs = np.linalg.eigh(-self._proj_initial[1:].sum(axis=0))
         potentials = np.rint(vals).astype(int)
         h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
-        gen = GaugeGenerator(vecs, potentials,
-                             _worst_norm((h @ u - u @ h - u)[None]),
-                             _commutator_norm(h, self.algebra.basis))
+        return GaugeGenerator(vecs, potentials,
+                              _worst_norm((h @ u - u @ h - u)[None]),
+                              _commutator_norm(h, self.algebra.basis))
+
+    @cached_property
+    def gauge_generator(self) -> GaugeGenerator | None:
+        """The gauge candidate when it certifies the system, its residual
+        and commutation within tol; None otherwise."""
+        gen = self.gauge_candidate
         certified = gen.residual <= self.tol and gen.commutation <= self.tol
         return gen if certified else None
 
@@ -899,10 +924,9 @@ def _checked_walk(sys: IsometrySystem, name: str, image: str,
     commutator norm of each (label, matrix or stack) of ``lefts`` against
     the stage's images.  Each is measured when the walk reaches it; the
     first that fails ends the report and the walk, with tower None.  The
-    walk stops when every image lies in the stage, within
-    ``tol * max(1, ||img||_F)`` as ``contains`` tests, and otherwise
-    closes the stage with them; the report notes the closed tower's
-    dimension."""
+    walk stops when every image lies in the stage by its membership rule
+    (``FiniteStarAlgebra.membership``), and otherwise closes the stage with
+    them; the report notes the closed tower's dimension."""
     tol = sys.tol
     rep = ConditionReport(name)
     for label, measure in hypotheses:
@@ -916,8 +940,7 @@ def _checked_walk(sys: IsometrySystem, name: str, image: str,
                            f"{stage})", _commutator_norm(left, images),
                            tol).ok:
                 return rep, None
-        scale = np.maximum(1.0, _frobenius_norms(images))
-        if np.all(cur.span_defects(images) <= tol * scale):
+        if cur.membership(images)[0].all():
             break
         cur = generate_closure(np.concatenate([cur.basis, images]), tol,
                                dim=sys.dim)

@@ -42,12 +42,12 @@ from .models import (
 )
 from .normalform import NormalForm, check_adjoint_intertwining, reduce
 from .norms import (
-    coefficient_hypothesis,
     gauge_invariance_sample,
     norm_limit,
     norm_limit_sample,
     random_normal_forms,
     sample_coefficient_bound,
+    sampler_hypothesis,
     sum_norm_estimates_sample,
 )
 from .report import ConditionReport
@@ -177,10 +177,13 @@ def _applies(requires: str | None, loaded: LoadedModel) -> bool:
 
 def _run_check(ctx: _Context, name: str) -> ConditionReport:
     """Run one registered check by name.  A coefficient check on a system
-    that is not a coefficient system reports that alone, drawing no form."""
+    that fails the samplers' hypothesis reports that alone, drawing no
+    form."""
     requires, run = CHECKS[name]
-    if requires == "coefficient" and not _applies(requires, ctx.loaded):
-        return coefficient_hypothesis(ctx.system, name)
+    if requires == "coefficient":
+        hypothesis = sampler_hypothesis(ctx.system, name)
+        if not hypothesis.passed:
+            return hypothesis
     return run(ctx)
 
 
@@ -188,7 +191,7 @@ def _load_model_file(path: str, tol: float) -> LoadedModel:
     try:
         with open(path) as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON
         raise ConfigError(f"cannot load model spec {path!r}: {exc}") from exc
     try:
         return load_model(spec, tol)
@@ -289,8 +292,12 @@ def _load_form(args) -> tuple[LoadedModel, NormalForm]:
                 text = fh.read().strip()
         except OSError as exc:
             raise ConfigError(f"cannot read expression file: {exc}") from exc
-    e = parse(text, loaded.system, loaded.generators)
-    return loaded, reduce(e, loaded.system)
+    try:
+        e = parse(text, loaded.system, loaded.generators)
+        return loaded, reduce(e, loaded.system)
+    except RecursionError as exc:
+        raise ConfigError("expression nests deeper than the parser and the "
+                          "normal-form rewrite can recurse") from exc
 
 
 def _cmd_nf(args) -> tuple[dict, int]:
@@ -300,8 +307,11 @@ def _cmd_nf(args) -> tuple[dict, int]:
 
 def _cmd_norm_limit(args) -> tuple[dict, int]:
     loaded, nf = _load_form(args)
-    star = _Context(loaded, args).star  # the draw and bound of `run`
-    trace = norm_limit(nf, args.k_max, star)
+    star = _run_check(_Context(loaded, args), "coefficient_bound")
+    try:
+        trace = norm_limit(nf, args.k_max, star)
+    except HypothesisViolated as exc:
+        return {"error": str(exc), "report": exc.report.to_json()}, 1
     return {"coefficient_bound": star.to_json(), "trace": trace.to_json()}, 0
 
 
@@ -317,7 +327,7 @@ def _cmd_polar(args) -> tuple[dict, int]:
     try:
         with open(args.matrix) as fh:
             mat = matrix_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, IsoalgError) as exc:
+    except (OSError, ValueError, IsoalgError) as exc:
         raise ConfigError(f"cannot load matrix: {exc}") from exc
     u, abs_a = polar_decompose(mat)
     return {

@@ -55,8 +55,9 @@ class ToleranceCollapse(IsoalgError):
 
 
 class HypothesisViolated(_ReportError):
-    """A builder's hypothesis failed; carries the failing report.  Checkers
-    never raise it: a failed hypothesis is entries of their report."""
+    """A builder's or the norm limit's hypothesis failed; carries the failing
+    report.  Checkers never raise it: a failed hypothesis is entries of their
+    report."""
 
 
 class NotCoefficientAlgebra(_ReportError):
@@ -83,7 +84,7 @@ class InsufficientResolution(IsoalgError):
 
 
 class Overflow(IsoalgError):
-    """Coefficient norms exceeded the representable range while powering."""
+    """A coefficient's norm is not finite: it left the float range."""
 
 
 class ParseError(IsoalgError):

@@ -9,8 +9,9 @@ Grammar (whitespace ignored)::
 
 ``'`` is the adjoint, ``U`` names the distinguished partial isometry and any
 other identifier is looked up in the generator table.  Numbers may carry an
-``i``/``j`` suffix for imaginary literals.  Powers must be non-negative
-integers; adjoint powers are written ``(U')^k``.
+``i``/``j`` suffix for imaginary literals, and must be finite as floats
+(``1e400`` is a ParseError).  Powers must be non-negative integers; adjoint
+powers are written ``(U')^k``.
 """
 
 from __future__ import annotations
@@ -155,9 +156,12 @@ class _Parser:
     def parse_primary(self):
         kind, val, pos = self.next()
         if kind == "number":
-            if val[-1] in "ij":
-                return Scalar(complex(0.0, float(val[:-1])))
-            return Scalar(complex(float(val), 0.0))
+            imaginary = val[-1] in "ij"
+            value = float(val[:-1] if imaginary else val)
+            if not np.isfinite(value):
+                raise ParseError(f"number {val!r} is not finite", pos)
+            return Scalar(complex(0.0, value) if imaginary
+                          else complex(value, 0.0))
         if kind == "ident":
             if val == "U":
                 return USym()

@@ -205,8 +205,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of matrix_to_json; bit-exact for finite 64-bit float
-    entries.  Anything else, a NaN or an infinity too, raises
-    DimensionMismatch naming the fault."""
+    entries.  Anything else, a NaN, an infinity or an integer beyond the
+    float range too, raises DimensionMismatch naming the fault."""
     try:
         n = int(obj["dim"])
         entries = obj["entries"]
@@ -226,6 +226,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
                 raise DimensionMismatch(
                     f"entry [{i}][{j}] is not a [re, im] pair of numbers, "
                     f"got {entry!r}") from exc
+            except OverflowError:  # an integer beyond the float range
+                m[i, j] = np.inf
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0]

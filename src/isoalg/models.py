@@ -368,10 +368,11 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
     "system" form generates the *-algebra closure of the given generators;
     it does not require a coefficient algebra, so it can express the
     deliberately broken configurations used as negative controls.  A
-    missing field, one of the wrong JSON type, a NaN or infinite sample or
-    matrix entry, or a matrix object that is not a matrix raises ValueError
-    naming the field (and the type expected, or the matrix's fault); an
-    integral float such as 12.0 is an integer "n".
+    missing field, one of the wrong JSON type, a NaN, infinite or
+    float-overflowing "q", sample or matrix entry, or a matrix object that
+    is not a matrix raises ValueError naming the field (and the type
+    expected, or the matrix's fault); an integral float such as 12.0 is an
+    integer "n".
     """
     if not isinstance(obj, dict):
         raise ValueError(
@@ -400,6 +401,17 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
                              f"matrix: {exc}") from exc
 
     number = (int, float)
+
+    def finite(value, key: str) -> float:
+        expect(value, key, number, "a number")
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = np.inf
+        if not np.isfinite(x):
+            raise ValueError(f"{kind} model spec field {key!r} must be a "
+                             f"finite number, got {value!r}")
+        return x
     if kind == "polar":
         model = build_polar_model(matrix(field("a"), "a"), tol)
         # generator names must denote coefficient-algebra elements; the
@@ -413,20 +425,14 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
                 raise ValueError("qdeform model spec has no 'samples' field "
                                  "in its 'rho' object")
             samples = expect(rho["samples"], "rho.samples", list, "a list")
-            for i, x in enumerate(samples):
-                expect(x, f"rho.samples[{i}]", number, "a number")
-                if isinstance(x, float) and not np.isfinite(x):
-                    raise ValueError(f"{kind} model spec field "
-                                     f"'rho.samples[{i}]' must be a finite "
-                                     f"number, got {x!r}")
-            rho = RhoSpec("custom", samples)
+            rho = RhoSpec("custom", [finite(x, f"rho.samples[{i}]")
+                                     for i, x in enumerate(samples)])
         n = field("n", number, "an integer")
         # an integral float such as 12.0 is an integer
         if isinstance(n, float) and not n.is_integer():
             raise ValueError(f"{kind} model spec field 'n' must be an "
                              f"integer, got {n!r}")
-        model = build_qdeform(int(n), float(field("q", number, "a number")),
-                              rho, tol)
+        model = build_qdeform(int(n), finite(field("q"), "q"), rho, tol)
         # the model operator a is written U*rhoQ
         return LoadedModel("qdeform", model.system,
                            {"Q": model.big_q, "rhoQ": model.rho_matrix},

@@ -38,9 +38,13 @@ where F_k = U^k U^{*k}; so every constructor refuses systems whose
 coefficient report fails.  The rules themselves are kept in the tests as the
 reference the convolution is compared against.
 
-Gauge substitution U -> lam U multiplies degree k by lam^k, so the matrices
-of x gauged at many lam are one discrete Fourier transform of the monomial
-stack (:meth:`NormalForm.eval_gauged`).
+Gauge substitution U -> lam U multiplies degree k by lam^k (:func:`gauge`).
+On the matrices C*(A, U) it is a *-automorphism, conjugation by lam^H with
+H = -sum_k U^{*k}U^k, exactly when U is nilpotent, which is exactly when
+the coefficient bound ||a_0|| <= ||x|| holds: a canonical form's matrix
+then determines its coefficients.  On the cyclic shift it does not:
+U^5 - 1 is the zero matrix.  The proof is in ``isoalg.norms``, whose
+estimates use the gauge action only on such systems.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .errors import (
     InsufficientResolution,
     NotCoefficientAlgebra,
     NotUnimodular,
+    Overflow,
     SystemMismatch,
 )
 from .linalg import (
@@ -112,17 +117,21 @@ def _canonical_terms(system: IsometrySystem, stack: np.ndarray,
     the stack holds the terms of many forms.
 
     Returns the mask of kept coefficients and their normalized stack and
-    Frobenius norms, in input order.  CoefficientEscape names the degree of
-    the first kept coefficient, in input order, that is not a member.
+    Frobenius norms, in input order.  Overflow names the degree of the first
+    coefficient whose norm is not finite, and CoefficientEscape that of the
+    first kept coefficient, in input order, that is not a member.
     """
     stack = _sided(stack, degrees, system.proj_final, system.proj_final)
     norms = _frobenius_norms(stack)
+    if not np.isfinite(norms).all():
+        i = int(np.argmin(np.isfinite(norms)))
+        raise Overflow(f"coefficient at degree {degrees[i]} overflows: its "
+                       f"norm is {norms[i]}")
     keep = norms > system.tol * drop_scale
     stack, norms = stack[keep], norms[keep]
-    defects = system.algebra.span_defects(stack)
-    escaped = ~(defects <= system.tol * np.maximum(1.0, norms))
-    if escaped.any():
-        i = int(np.argmax(escaped))
+    inside, defects = system.algebra.membership(stack)
+    if not inside.all():
+        i = int(np.argmin(inside))
         raise CoefficientEscape(
             f"coefficient at degree {degrees[keep][i]} is outside the algebra "
             f"(defect {defects[i]:.3e})")
@@ -236,15 +245,6 @@ class NormalForm:
             n = self.system.dim
             return np.zeros((n, n), dtype=complex)
         return self._monomials.sum(axis=0)
-
-    def eval_gauged(self, lams) -> np.ndarray:
-        """eval(gauge(self, lam)) for every lam in ``lams``, as one
-        (len(lams), n, n) stack: the phases lam^k applied to the monomial
-        stack in one matrix product.  ``lams`` are taken to be unimodular."""
-        lams = np.asarray(lams, dtype=complex).reshape(-1)
-        n = self.system.dim
-        phases = lams[:, None] ** self._degrees[None, :]
-        return (phases @ self._monomials.reshape(-1, n * n)).reshape(-1, n, n)
 
     def to_json(self) -> dict:
         return {"degrees": [{"k": k, "coeff": matrix_to_json(c)}

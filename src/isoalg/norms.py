@@ -3,12 +3,37 @@ formula and gauge invariance.
 
 The central hypothesis is the *coefficient bound*: for every finite canonical
 form x, the zero-degree coefficient satisfies ||a_0|| <= ||x||.  It is a
-hypothesis about the pair (algebra, U), not a theorem, so it is sampled and
-never assumed: every routine whose soundness depends on it records the
-sampler's verdict instead of taking it for granted.
+hypothesis about the pair (algebra, U), and on a finite-dimensional
+coefficient system U alone decides it.
 
-When the bound holds, the operator norm of x can be computed from coefficient
-data alone::
+**The bound holds exactly when U is nilpotent.**  Let (A, U) be a
+coefficient system on C^n, P_k = U^{*k}U^k and H = -sum_{k=1}^{K} P_k.
+
+- *U nilpotent => the bound holds.*  With U^K = 0, [H, U] = U (the
+  telescoping sum of ``IsometrySystem.gauge_candidate``).  Each
+  P_k = delta_star^k(1) lies in A and commutes with A, because
+  U^k a = delta^k(a) U^k.  So W_lam = lam^H fixes A and sends U to lam U,
+  and a_0 = int W_lam x W_lam* dlam over the circle, so ||a_0|| <= ||x||.
+  Gauge invariance and the norm-limit formula follow the same way.
+- *The bound => U nilpotent.*  The bound makes eval injective on
+  normalized coefficient tuples, because the degree-0 coefficient of
+  x U^{*k} is a_k (and that of U^k x is a_{-k}).  The product rules
+  preserve degree, so sum_k a_k U^k -> sum_k lam^k a_k U^k is a
+  well-defined, injective, unital *-endomorphism of the finite-dimensional
+  C*(A, U), hence an automorphism sending U to lam U.  Then
+  sigma(U) = lam sigma(U) for every |lam| = 1.  A finite set with that
+  property is {0}, so U is nilpotent.
+
+So a coefficient system that the gauge generator does not certify has
+either a U that is not nilpotent, where the bound fails (on the cyclic
+shift of C^5, x = U^5 - 1 evaluates to 0 while ||a_0|| = 1), or a
+nilpotent U whose certificate failed at tol, a numerical failure.  The
+three samplers measure only certified systems: on any other one each
+reports the generator's residual and commutation as failing hypothesis
+entries (:func:`sampler_hypothesis`) and measures nothing.
+
+On a certified system the operator norm of x can be computed from
+coefficient data alone::
 
     ||x|| = lim_k  || N_0[ (x x*)^{2k} ] || ^ (1/4k)
 
@@ -19,24 +44,13 @@ with the two-sided estimate, for x of maximum degree N,
 holding at every stage (with 2N+1 growing to 4kN+1 for the k-th power).
 
 N_0 is the average of the gauge action U -> lam U over the circle, so the
-powers are never built as canonical forms.  When the system's gauge
-generator certifies it (``IsometrySystem.gauge_generator``: H = V diag(h) V*
-with [H, U] = U and H commuting with the algebra, within tol, built from
-the initial projections of U), the gauge action is conjugation by
-W_lam = lam^H, and N_0 is the compression onto the eigenspaces of H:
-N_0(y) = V (mask o V*yV) V* with mask_ij = [h_i = h_j].
-:func:`norm_limit` then squares P = xx*/||x||^2 of every form as one
-(g, n, n) stack in the eigenbasis of H.  A coefficient system is
-certified when its U is nilpotent: the polar and q-models (also in a
-rotated basis) and non-commutative systems alike.  Every other system,
-such as the cyclic shift, whose U is not nilpotent, takes the stack body,
-one form at a time: x gauged at m roots of unity is one (m, n, n) stack,
-squared as matrices, and N_0 of every stage is the mean of the stack.
-That mean is the sum of the degree terms whose degree is a multiple of m,
-so it is exact Fourier extraction of degree 0 once m exceeds the degree
-of the last power (extracting every degree would need m above twice
-that).  Either way the N_0 of all forms are tested for membership in the
-algebra as one stack.
+powers are never built as canonical forms.  The gauge action is
+conjugation by W_lam = lam^H, with H = V diag(h) V* the certified
+generator (``IsometrySystem.gauge_generator``), and N_0 is the compression
+onto the eigenspaces of H: N_0(y) = V (mask o V*yV) V* with
+mask_ij = [h_i = h_j].  :func:`norm_limit` squares P = xx*/||x||^2 of
+every form as one (g, n, n) stack in the eigenbasis of H, and the N_0 of
+all forms are tested for membership in the algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
@@ -44,15 +58,7 @@ each takes the forms and the seed they were drawn with, for its note.  The
 draw is measured once: all drawn coefficients are projected, validated and
 turned into monomials in one pass, through the validation body the
 NormalForm constructor uses, and ||x|| of every form is one batched
-eigensolve, cached on the form, that all three samplers read.  The
-coefficient bound reads each coefficient norm off the coefficient's
-coordinates when the algebra has a spectral frame (V, r): ||a|| =
-max_i |c_i| / sqrt(r_i), all from one flat product against the basis;
-otherwise all coefficient norms are one batched eigensolve.  On a certified
-system the gauge check reports the generator's two defects and a proven
-bound on the norm deviation over the whole circle, read off the Frobenius
-norms stored on each form, with no eigensolve; otherwise it solves one
-(GAUGE_GRID, n, n) stack per form.
+eigensolve, cached on the form, that all three samplers read.
 """
 
 from __future__ import annotations
@@ -61,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteStarAlgebra, GaugeGenerator, IsometrySystem
-from .errors import CoefficientEscape, DimensionMismatch, Overflow
+from .algebra import GaugeGenerator, IsometrySystem
+from .errors import CoefficientEscape, DimensionMismatch, HypothesisViolated
 from .linalg import (
     DEFAULT_TOL,
     _frobenius_norms,
@@ -82,9 +88,7 @@ from .report import ConditionReport
 # Largest degree of the random canonical forms the samplers draw.
 MAX_SAMPLE_DEGREE = 4
 
-# The roots of unity per form of the gauge-invariance sampler, and the
-# norm-limit sampler's convergence bound and per-stage estimate slack.
-GAUGE_GRID = 16
+# The norm-limit sampler's convergence bound and per-stage estimate slack.
 NORM_LIMIT_REL_TOL, NORM_LIMIT_SLACK = 0.05, 1e-9
 
 # Largest size m and matrix dimension of the random sum-norm tuples, and
@@ -152,27 +156,26 @@ def random_normal_forms(system: IsometrySystem, count: int,
         *(np.split(a, cuts) for a in (degrees, stack, norms, monomials)))]
 
 
-def coefficient_hypothesis(system: IsometrySystem,
-                           name: str) -> ConditionReport:
-    """A report ``name`` whose first entry is the samplers' hypothesis:
-    the worst defect of the system's coefficient report."""
+def sampler_hypothesis(system: IsometrySystem, name: str) -> ConditionReport:
+    """A report ``name`` of the samplers' hypothesis, at tol, ending at its
+    first failing entry: the worst defect of the system's coefficient
+    report, then, when the gauge generator does not certify the system, the
+    gauge candidate's residual eps = ||[H', U] - U|| and commutation
+    eta = max ||[H', b_i]||.  It passes exactly on a certified coefficient
+    system, the only kind the samplers measure (see the module docstring).
+    """
+    tol = system.tol
     rep = ConditionReport(name)
     worst = max((d.value for d in system.coefficient_report.defects),
                 default=0.0)
-    rep.add("hypothesis: coefficient algebra", worst, system.tol)
+    if (rep.add("hypothesis: coefficient algebra", worst, tol).ok
+            and system.gauge_generator is None):
+        gen = system.gauge_candidate
+        if rep.add("hypothesis: gauge generator ||[H, U] - U||",
+                   gen.residual, tol).ok:
+            rep.add("hypothesis: gauge generator max ||[H, b_i]||",
+                    gen.commutation, tol)
     return rep
-
-
-def _coefficient_norms(algebra: FiniteStarAlgebra,
-                       stack: np.ndarray) -> np.ndarray:
-    """||a|| of each member a of a (K, n, n) stack: max_i |c_i| / sqrt(r_i)
-    from its coordinates c_i = <b_i, a> (one flat product) when the
-    algebra has a frame (V, r), else one batched eigensolve."""
-    frame = algebra.frame
-    if frame is None:
-        return spectral_norms(stack)
-    scaled = np.abs(algebra.coordinates(stack)) / np.sqrt(frame.ranks)
-    return scaled.max(axis=1, initial=0.0)
 
 
 def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
@@ -195,13 +198,18 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
     where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
     each coefficient passed when it was validated.  Without a frame the
     coefficient norms are one batched eigensolve.
+
+    On a system that fails :func:`sampler_hypothesis` the report is that
+    hypothesis alone.
     """
     tol = system.tol
-    rep = coefficient_hypothesis(system, "coefficient_bound")
+    rep = sampler_hypothesis(system, "coefficient_bound")
+    if not rep.passed:
+        return rep
     norm_x = _operator_norms(forms)
     coeffs = [np.zeros((0, system.dim, system.dim))]
     coeffs += [x.coefficients for x in forms]
-    norms = _coefficient_norms(system.algebra, np.concatenate(coeffs))
+    norms = system.algebra.member_norms(np.concatenate(coeffs))
     margins = norms - np.repeat(norm_x, [len(c) for c in coeffs[1:]])
     degrees = np.array([k for x in forms for k in x.degrees()], dtype=int)
     # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
@@ -299,27 +307,19 @@ def norm_limit(x: NormalForm, k_max: int,
 
     x is pre-scaled by 1/||x|| and the s_k are rescaled afterwards, so the
     powers stay bounded by one.  The powers are matrices, not canonical
-    forms.  On a system its gauge generator certifies, P = xx*/||x||^2 is
-    squared in the eigenbasis of H and N_0 is the compression onto the
-    eigenspaces of H.  Otherwise, with D = min(4 k_max N, nilpotency
-    index - 1) bounding the degree of the last power, Y = x/||x|| gauged at
-    m = D + 1 roots of unity is one (m, n, n) stack, P = YY* is squared in
-    place, and N_0 of each stage is the mean of P over the roots.  Every
-    stage's N_0 must lie in the coefficient algebra (else
-    CoefficientEscape).  ``star_report``, when given, records whether the
-    coefficient-bound sampler passed; without it the trace is marked as
-    unchecked.
+    forms: P = xx*/||x||^2 is squared in the eigenbasis of the gauge
+    generator H, and N_0 is the compression onto the eigenspaces of H.
+    Every stage's N_0 must lie in the coefficient algebra (else
+    CoefficientEscape).  On a system that fails :func:`sampler_hypothesis`
+    the formula has no ground, and HypothesisViolated carries that report.
+    ``star_report``, when given, records whether the coefficient-bound
+    sampler passed; without it the trace is marked as unchecked.
     """
+    rep = sampler_hypothesis(x.system, "norm_limit")
+    if not rep.passed:
+        raise HypothesisViolated("the norm-limit formula needs a system its "
+                                 "gauge generator certifies", rep)
     return _norm_limit_traces([x], k_max, star_report)[0]
-
-
-def _root_count(x: NormalForm, k_last: int) -> int:
-    """m = D + 1 roots of unity for the last power (xx*)^{2 k_last} of x:
-    no degree d != 0 with |d| <= D is a multiple of m."""
-    top = 4 * k_last * x.max_degree
-    if x.system.nilpotency_index is not None:
-        top = min(top, x.system.nilpotency_index - 1)
-    return top + 1
 
 
 def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
@@ -341,24 +341,6 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
     return vecs @ np.stack(n0, axis=1) @ adjoint(vecs)
 
 
-def _gauged_n0(x: NormalForm, norm: float,
-               schedule: list[int]) -> np.ndarray | None:
-    """N_0 of xx* and of its successive squares, one per stage of
-    ``schedule``, as a (stages + 1, n, n) stack, from one (m, n, n) stack
-    of x/norm gauged at the m = _root_count roots of unity; None when a
-    power exceeds the overflow guard's 1e100."""
-    m = _root_count(x, schedule[-1])
-    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / norm
-    p = y @ adjoint(y)
-    n0 = [p.mean(axis=0)]
-    for _ in schedule:
-        np.matmul(p, p, out=p)
-        if _frobenius_norms(p).max() > 1e100:
-            return None
-        n0.append(p.mean(axis=0))
-    return np.array(n0)
-
-
 def _doubling_schedule(k_max: int) -> list[int]:
     """k = 1, 2, 4, ... up to k_max: the stages of the norm limit."""
     if k_max < 1:
@@ -370,16 +352,13 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
                        star_report: ConditionReport | None
                        ) -> list[NormLimitTrace]:
     """The body of :func:`norm_limit`, for one form or a whole sample of
-    forms over one system.
+    forms over one certified system.
 
-    On a system that its gauge generator certifies, the live forms are
-    squared together as one (g, n, n) stack in the eigenbasis of H
-    (:func:`_compressed_n0`); otherwise each form's gauged stack is
-    squared alone (:func:`_gauged_n0`).  The N_0 of all live forms are one
-    (g, stages + 1, n, n) stack, tested for membership and normed in one
-    call each.  A zero form gets a zero trace.  An Overflow or
-    CoefficientEscape is raised for the first offending form in input
-    order, with the message that form alone gives."""
+    The live forms are squared together as one (g, n, n) stack in the
+    eigenbasis of H (:func:`_compressed_n0`), and their N_0 are tested for
+    membership and normed in one call each.  A zero form gets a zero
+    trace.  CoefficientEscape is raised for the first offending form in
+    input order, with the message that form alone gives."""
     schedule = _doubling_schedule(k_max)
     star = None if star_report is None else star_report.passed
     direct = _operator_norms(forms)
@@ -387,27 +366,15 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
     stage_norms = {}
     if live.size:
         system = forms[0].system
-        gen = system.gauge_generator
         n = system.dim
-        if gen is None:
-            n0 = [_gauged_n0(forms[i], direct[i], schedule) for i in live]
-            blank = np.zeros((len(schedule) + 1, n, n), dtype=complex)
-            stack = np.array([blank if s is None else s for s in n0])
-        else:
-            stack = _compressed_n0([forms[i] for i in live], direct[live],
-                                   gen, len(schedule))
-            n0 = list(stack)
+        stack = _compressed_n0([forms[i] for i in live], direct[live],
+                               system.gauge_generator, len(schedule))
         flat = stack.reshape(-1, n, n)
-        defects = system.algebra.span_defects(flat).reshape(stack.shape[:2])
-        escaped = ~(defects <= system.tol * np.maximum(
-            1.0, _frobenius_norms(stack)))
-        for s, esc, dfs in zip(n0, escaped, defects):
-            if s is None:
-                raise Overflow("powers of x/||x|| gauged at roots of unity "
-                               "exceeded norm 1e100: the gauge action is far "
-                               "from isometric on x")
-            if esc.any():
-                k = int(np.argmax(esc))
+        inside, defects = (a.reshape(stack.shape[:2])
+                           for a in system.algebra.membership(flat))
+        for ins, dfs in zip(inside, defects):
+            if not ins.all():
+                k = int(np.argmin(ins))
                 power = "xx*" if k == 0 else f"(xx*)^{2 * schedule[k - 1]}"
                 raise CoefficientEscape(f"N_0[{power}] is outside the "
                                         f"algebra (defect {dfs[k]:.3e})")
@@ -437,20 +404,6 @@ def _sampler_note(star_report: ConditionReport) -> str:
             + ("pass" if star_report.passed else "FAIL"))
 
 
-def _gauge_deviation(x: NormalForm) -> tuple[float, float]:
-    """Worst | ||gauge(x, lam)|| - ||x|| | over the GAUGE_GRID-th roots of
-    unity, and the scale max(1, ||x||).
-
-    The gauged matrices come from one Fourier pass over the monomial stack
-    and their norms from one batched eigensolve.  No gauged form is built:
-    lam^k c_k with |lam| = 1 has the same membership defect and threshold as
-    the already validated c_k."""
-    base = x.norm
-    lams = np.exp(2j * np.pi * np.arange(GAUGE_GRID) / GAUGE_GRID)
-    norms = spectral_norms(x.eval_gauged(lams))
-    return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
-
-
 def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
                           dim: int) -> np.ndarray:
     """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F of each form, from the
@@ -473,10 +426,9 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     forms; each defect is normalized by max(1, ||x||), and every entry is at
     the system's tol.
 
-    **Certified.**  When the system's gauge generator H certifies it, with
-    eps = ||[H, U] - U||, eta = max ||[H, b_i]|| over the d basis elements
-    and a_k the coefficients of x, the report is eps, eta, and the worst
-    over the forms of
+    With eps = ||[H, U] - U||, eta = max ||[H, b_i]|| over the d basis
+    elements of the certified gauge generator H and a_k the coefficients of
+    x, the report is eps, eta, and the worst over the forms of
 
         pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F / max(1, ||x||),
 
@@ -502,32 +454,24 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     M_k = U^{*|k|} a_|k|; summing over k bounds ||x_lam - W x W*||.  In
     particular ||W U W* - lam U|| <= pi eps.
 
-    **Sampled.**  Otherwise the report is the one entry of the worst
-    deviation at the GAUGE_GRID-th roots of unity, one batched eigensolve
-    per form (:func:`_gauge_deviation`).
-
     The notes give the seed, unless it is None, and the coefficient-bound
-    sampler's verdict, when ``star_report`` is given.
+    sampler's verdict, when ``star_report`` is given.  On a system that
+    fails :func:`sampler_hypothesis` the report is that hypothesis alone.
     """
     tol = system.tol
+    hypothesis = sampler_hypothesis(system, "gauge_invariance")
+    if not hypothesis.passed:
+        return hypothesis
+    gen = system.gauge_generator
     rep = ConditionReport("gauge_invariance")
     norms = _operator_norms(forms)  # one call, for x.norm
-    gen = system.gauge_generator
-    if gen is None:
-        worst = 0.0
-        for x in forms:
-            dev, scale = _gauge_deviation(x)
-            worst = max(worst, dev / scale)
-        rep.add(f"norm deviation over {GAUGE_GRID} roots of unity, "
-                f"{len(forms)} samples", worst, tol)
-    else:
-        bounds = _certified_deviations(forms, gen, system.algebra.dim)
-        rep.add("gauge generator: ||[H, U] - U||", gen.residual, tol)
-        rep.add("gauge generator: max ||[H, b_i]||", gen.commutation, tol)
-        rep.add(f"norm deviation bound over the circle, {len(forms)} "
-                f"samples", float((bounds / np.maximum(1.0, norms)).max(
-                    initial=0.0)), tol)
-        rep.note("certified by a gauge generator")
+    bounds = _certified_deviations(forms, gen, system.algebra.dim)
+    rep.add("gauge generator: ||[H, U] - U||", gen.residual, tol)
+    rep.add("gauge generator: max ||[H, b_i]||", gen.commutation, tol)
+    rep.add(f"norm deviation bound over the circle, {len(forms)} "
+            f"samples", float((bounds / np.maximum(1.0, norms)).max(
+                initial=0.0)), tol)
+    rep.note("certified by a gauge generator")
     if seed is not None:
         rep.note(f"seed = {seed}")
     if star_report is not None:
@@ -548,8 +492,13 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
       schedule's last k, the largest power of two <= k_max.
 
     The first three are relative to ||x|| (or ||x||^2), within
-    NORM_LIMIT_SLACK.
+    NORM_LIMIT_SLACK.  On a system that fails :func:`sampler_hypothesis`
+    the report is that hypothesis alone, with no trace.
     """
+    if forms:
+        hypothesis = sampler_hypothesis(forms[0].system, "norm_limit")
+        if not hypothesis.passed:
+            return hypothesis, []
     rep = ConditionReport("norm_limit")
     traces = _norm_limit_traces(forms, k_max, star_report)
     worst_lower = worst_upper = worst_sandwich = worst_conv = 0.0

@@ -5,6 +5,7 @@ import pytest
 
 import isoalg as ia
 from isoalg.algebra import _span_defects, _svd_span, commutant
+from isoalg.linalg import spectral_norms
 
 _acceptance_results = []
 
@@ -87,6 +88,68 @@ def cyclic5_spec():
 @pytest.fixture(scope="session")
 def cyclic5():
     return ia.load_model(cyclic5_spec()).system
+
+
+def cyclic3_shift4_spec():
+    """A coefficient system whose U is not nilpotent but has a nilpotent
+    part: the cyclic shift on C^3 plus the backward shift on C^4, with the
+    diagonal algebra on C^7."""
+    u = np.zeros((7, 7), complex)
+    u[:3, :3] = np.roll(np.eye(3), 1, axis=0)
+    u[3:, 3:] = ia.backward_shift(4)
+    return system_spec(u, [np.diag(e) for e in np.eye(7)])
+
+
+@pytest.fixture(scope="session")
+def cyclic3_shift4():
+    return ia.load_model(cyclic3_shift4_spec()).system
+
+
+def gauged_matrices(x, lams):
+    """Oracle: the matrices of x gauged at every lam of ``lams``, as one
+    (len(lams), n, n) stack: the phases lam^k applied to the monomial stack
+    of x in one matrix product."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    n = x.system.dim
+    phases = lams[:, None] ** np.asarray(x.degrees(), dtype=int)[None, :]
+    return (phases @ x._monomials.reshape(-1, n * n)).reshape(-1, n, n)
+
+
+def gauge_deviation_oracle(x, grid: int = 16):
+    """Oracle: the worst | ||x_lam|| - ||x|| | over the grid-th roots of
+    unity, with ||x|| measured here, and the scale max(1, ||x||)."""
+    base = ia.spectral_norm(x.eval())
+    lams = np.exp(2j * np.pi * np.arange(grid) / grid)
+    norms = spectral_norms(gauged_matrices(x, lams))
+    return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
+
+
+def norm_limit_stack_body(x, k_max):
+    """Oracle: the one-form stack body of the norm limit, (||x||, s_k,
+    sandwich lo, hi).  x/||x|| gauged at m roots of unity is one (m, n, n)
+    stack, P = YY* is squared as matrices, and N_0 of every stage is the
+    mean of the stack: exact Fourier extraction of degree 0 once m exceeds
+    the degree of the last power, m = D + 1 with D = min(4 k_max N,
+    nilpotency index - 1)."""
+    direct = ia.spectral_norm(x.eval())
+    schedule = [2 ** i for i in range(k_max.bit_length())]
+    if direct == 0.0:
+        return 0.0, [0.0] * len(schedule), 0.0, 0.0
+    top = 4 * schedule[-1] * x.max_degree
+    if x.system.nilpotency_index is not None:
+        top = min(top, x.system.nilpotency_index - 1)
+    m = top + 1
+    y = gauged_matrices(x, np.exp(2j * np.pi * np.arange(m) / m)) / direct
+    p = y @ ia.adjoint(y)
+    n0 = [p.mean(axis=0)]
+    for _ in schedule:
+        p = p @ p
+        n0.append(p.mean(axis=0))
+    norms = spectral_norms(np.array(n0))
+    lo = direct * direct * norms[0]
+    s_values = [direct * s ** (1.0 / (4 * k))
+                for k, s in zip(schedule, norms[1:])]
+    return direct, s_values, lo, (2 * x.max_degree + 1) * lo
 
 
 def spans_equal(a, b, tol: float) -> tuple[bool, float]:

@@ -130,6 +130,20 @@ def test_contains_examples(polar2):
         diag2.contains(np.eye(3))
 
 
+def test_membership_is_one_rule_at_the_scale_of_each_matrix():
+    # a member lies within tol * max(1, ||m||_F) of the span: tol below
+    # norm 1, growing with the matrix above it; contains is the same rule
+    diag2 = generate_closure([np.diag([1.0, 2.0]).astype(complex)])
+    tol = diag2.tol
+    big = 100.0 * np.eye(2)  # ||big||_F = 141.4
+    stack = np.array([0.9 * tol * E12, 1.1 * tol * E12,
+                      big + 140.0 * tol * E12, big + 142.0 * tol * E12])
+    inside, defects = diag2.membership(stack)
+    assert inside.tolist() == [True, False, True, False]
+    for m, ok, defect in zip(stack, inside, defects):
+        assert diag2.contains(m) == (ok, defect)
+
+
 def test_algebra_rejects_bad_basis():
     with pytest.raises(InvalidBasis) as info:
         FiniteStarAlgebra([E12])  # not closed, no identity
@@ -1751,6 +1765,21 @@ def test_gauge_generator_is_none_without_a_certificate(request, name):
     else:
         # U is nilpotent, so [H, U] = U; U^{*k}U^k fails to commute with A
         assert residual <= sys.tol and commutation >= 0.49
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "corner_shift9",
+                                  "shift3_projection", "broken_system",
+                                  "raw_system", "amplified_q12"])
+def test_gauge_candidate_carries_the_defects_that_decide(request, name):
+    # the generator is the candidate exactly when both defects are within
+    # tol; the samplers report the candidate's defects otherwise
+    sys = request.getfixturevalue(name)
+    gen = sys.gauge_candidate
+    certified = gen.residual <= sys.tol and gen.commutation <= sys.tol
+    assert certified is (name in ("raw_system", "amplified_q12"))
+    assert sys.gauge_generator is (gen if certified else None)
+    if name == "cyclic5":
+        assert gen.residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_generator_of_a_coefficient_system_lies_in_the_algebra(

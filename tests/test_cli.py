@@ -17,6 +17,7 @@ from conftest import (
     amplified_q12_spec,
     corner_shift9_spec,
     count_cached_defects,
+    cyclic3_shift4_spec,
     cyclic5_spec,
     polar_spec,
     q6x2_spec,
@@ -31,6 +32,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 NAN, INF = float("nan"), float("inf")
+# a JSON integer beyond the float range
+BIG = 10 ** 400
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +167,7 @@ def test_run_explicit_coefficient_check_on_raw_system_reports_the_hypothesis(
     # asked for by name on a system that is not a coefficient system, each
     # coefficient check reports that failed hypothesis alone: no forms are
     # drawn and no traces are emitted
-    from isoalg.norms import coefficient_hypothesis
+    from isoalg.norms import sampler_hypothesis
     system = load_model(json.loads(Path(specs["broken.json"]).read_text())
                         ).system
     worst = max(d.value for d in system.coefficient_report.defects)
@@ -174,7 +177,7 @@ def test_run_explicit_coefficient_check_on_raw_system_reports_the_hypothesis(
         assert rc == 1 and capsys.readouterr().err == ""
         assert "traces" not in doc
         (rep,) = doc["results"]
-        assert rep == coefficient_hypothesis(system, check).to_json()
+        assert rep == sampler_hypothesis(system, check).to_json()
         assert rep["defects"] == [{"check": "hypothesis: coefficient algebra",
                                    "value": worst, "tol": 1e-9, "ok": False}]
         assert rep["name"] == check and rep["notes"] == []
@@ -395,6 +398,36 @@ def test_norm_limit_subcommand(specs):
     assert "x" in tr
 
 
+@pytest.mark.parametrize("builder", [cyclic5_spec, cyclic3_shift4_spec])
+def test_samplers_refuse_a_system_the_generator_does_not_certify(
+        tmp_path, builder):
+    # U is not nilpotent, so the coefficient bound fails: each sampler
+    # reports the generator's residual as a failed hypothesis, draws
+    # nothing and emits no trace; norm-limit exits 1 with that report
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(builder()))
+    out = tmp_path / "out.json"
+    names = ["coefficient_bound", "gauge_invariance", "norm_limit"]
+    assert main(["run", "--model", str(path), "--checks", ",".join(names),
+                 "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert "traces" not in doc
+    results = doc["results"]
+    for name, rep in zip(names, results, strict=True):
+        assert (rep["name"], rep["pass"], rep["notes"]) == (name, False, [])
+        assert [(d["check"], d["ok"]) for d in rep["defects"]] == [
+            ("hypothesis: coefficient algebra", True),
+            ("hypothesis: gauge generator ||[H, U] - U||", False)]
+        assert rep["defects"][1]["value"] == pytest.approx(1.0, abs=1e-12)
+    assert main(["norm-limit", "--model", str(path), "--expr", "U",
+                 "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == ["error", "report"]
+    assert doc["error"] == ("the norm-limit formula needs a system its "
+                            "gauge generator certifies")
+    assert doc["report"] == results[2]
+
+
 def test_closure_subcommand(specs):
     rc, doc = run(["closure", "--model", specs["qdeform.json"]],
                   specs, "closure")
@@ -452,6 +485,44 @@ def test_polar_subcommand_rejects_a_non_finite_entry(tmp_path, capsys):
     assert capsys.readouterr() == ("", "isoalg: cannot load matrix: entry "
                                    "[0][1] is not a finite number, got "
                                    "[1, -inf]\n")
+
+
+def test_polar_subcommand_rejects_a_huge_integer_entry(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 1, "entries": [[[0, BIG]]]}))
+    assert main(["polar", "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == ("", "isoalg: cannot load matrix: entry "
+                                   "[0][0] is not a finite number, got "
+                                   f"[0, {BIG}]\n")
+
+
+def test_a_spec_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json refuses to convert an integer of more than 4300 digits
+    path = tmp_path / "spec.json"
+    path.write_text('{"type": "qdeform", "n": 2, "rho": "heisenberg", '
+                    '"q": 1' + "0" * 5000 + "}")
+    assert main(["run", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        f"isoalg: cannot load model spec {str(path)!r}: Exceeds the limit")
+
+
+@pytest.mark.parametrize("expr, fault", [
+    ("1e400*U", "ParseError: number '1e400' is not finite (at position 0)"),
+    ("U*1e400 + U", "ParseError: number '1e400' is not finite (at position "
+                    "2)"),
+    ("1e200*1e200*U", "Overflow: coefficient at degree 0 overflows: its norm "
+                      "is inf"),
+    ("(" * 3000 + "U" + ")" * 3000, "expression nests deeper than the parser "
+     "and the normal-form rewrite can recurse"),
+    ("U" + "'" * 5000, "expression nests deeper than the parser and the "
+     "normal-form rewrite can recurse"),
+], ids=["huge-literal", "huge-literal-in-a-sum", "overflowing-product",
+        "deep-parentheses", "deep-adjoints"])
+def test_nf_expression_faults_exit_2(specs, capsys, expr, fault):
+    assert main(["nf", "--model", specs["qdeform.json"], "--expr", expr]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"isoalg: {fault}"), err
 
 
 def test_env_tolerance(specs, monkeypatch, capsys):
@@ -581,6 +652,19 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     ({"type": "qdeform", "n": 2, "q": 0.5, "rho": {"samples": [0, NAN, 1]}},
      "qdeform model spec field 'rho.samples[1]' must be a finite number, "
      "got nan"),
+    # integers beyond the float range, which float() refuses
+    pytest.param({"type": "system", "U": {"dim": 1, "entries": [[[0, 0]]]},
+                  "generators": [{"dim": 1, "entries": [[[BIG, 0]]]}]},
+                 "system model spec field 'generators[0]' is not a matrix: "
+                 f"entry [0][0] is not a finite number, got [{BIG}, 0]",
+                 id="huge-matrix-entry"),
+    pytest.param({"type": "qdeform", "n": 2, "q": 0.5,
+                  "rho": {"samples": [0, BIG, 1]}},
+                 "qdeform model spec field 'rho.samples[1]' must be a finite "
+                 f"number, got {BIG}", id="huge-rho-sample"),
+    pytest.param({"type": "qdeform", "n": 2, "q": BIG, "rho": "heisenberg"},
+                 f"qdeform model spec field 'q' must be a finite number, got "
+                 f"{BIG}", id="huge-q"),
 ])
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):
@@ -757,9 +841,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # closure, whether a gauge generator certifies gauge_invariance).  shift9
 # and shift3_projection fail extendability and extension_towers, and their
 # delta tower does not build; amplified_q12, q09_24 and polar07_24 fail
-# norm_limit at seed 7, and cyclic5 gauge_invariance and norm_limit.  The
-# generator certifies every nilpotent coefficient system here, and not
-# cyclic5, whose U is unitary; shift9 and shift3_projection are no
+# norm_limit at seed 7.  The generator certifies every nilpotent
+# coefficient system here, and neither cyclic5, whose U is unitary, nor
+# cyclic3_shift4, whose U is not nilpotent: each fails the three samplers
+# on the generator's residual.  shift9 and shift3_projection are no
 # coefficient systems (None)
 HASH_SEED_MODELS = {
     "q12": (lambda: qdeform_spec(12, 0.5), 0, 0, True),
@@ -779,6 +864,8 @@ HASH_SEED_MODELS = {
     "q09_24": (lambda: qdeform_spec(24, 0.9), 1, 0, True),
     "polar07_24": (lambda: polar_spec(weighted_shift(24, 0.7)), 1, 0, True),
     "cyclic5": (cyclic5_spec, 1, 0, False),
+    # the cyclic shift on C^3 plus the backward shift on C^4
+    "cyclic3_shift4": (cyclic3_shift4_spec, 1, 0, False),
     # every frame block of rank 2
     "q6x2": (q6x2_spec, 0, 0, True),
 }

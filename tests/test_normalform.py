@@ -29,7 +29,8 @@ from isoalg import (
     strip_power,
     zero_form,
 )
-from isoalg.norms import _gauge_deviation
+
+from conftest import gauge_deviation_oracle
 
 
 def eval_tree(node, u):
@@ -110,6 +111,33 @@ def test_parse_errors(qsys, qtable):
 
 
 # -- reduce ------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, position", [
+    ("1e400*U", 0), ("U*1e400 + U", 2), ("U + 2e999j", 4)])
+def test_parse_rejects_a_literal_that_is_not_finite(qsys, qtable, text,
+                                                    position):
+    # a literal that overflows a float would become inf, and inf * U a
+    # form of NaN coefficients
+    with pytest.raises(ParseError, match="is not finite") as err:
+        parse(text, qsys, qtable)
+    assert err.value.position == position
+
+
+def test_a_coefficient_that_overflows_is_named(qsys, qtable):
+    # 1e200 * 1e200 overflows to inf, which the drop rule, inf > tol * inf,
+    # would drop; the form would be zero
+    n = qsys.dim
+    with pytest.raises(ia.Overflow, match="coefficient at degree 0 overflows"):
+        reduce(parse("1e200*1e200*U", qsys, qtable), qsys)
+    big = NormalForm(qsys, {0: 1e150 * np.eye(n)})  # its square overflows
+    with pytest.raises(ia.Overflow, match="coefficient at degree 0 overflows"):
+        nf_multiply(big, big)
+    bad = np.zeros((n, n))
+    bad[0, 0] = np.inf
+    with pytest.raises(ia.Overflow, match="at degree 0 overflows: its "
+                                          "norm is inf"):
+        NormalForm(qsys, {2: np.eye(n), 0: bad})
+
 
 def test_reduce_shift_examples(qsys, qtable):
     nf = reduce(parse("U * U' * U", qsys, qtable), qsys)
@@ -499,10 +527,9 @@ def norm_limit_reference(x, k_max):
     return s_values, lo, (2 * x.max_degree + 1) * lo
 
 
-def test_norm_limit_matches_repeated_squaring(qdeform12, polar6, cyclic5,
-                                              raw_system):
+def test_norm_limit_matches_repeated_squaring(qdeform12, polar6, raw_system):
     rng = np.random.default_rng(35)
-    for system in (qdeform12.system, polar6.system, cyclic5, raw_system):
+    for system in (qdeform12.system, polar6.system, raw_system):
         for _ in range(8):
             x = ia.random_normal_form(system, rng)
             if spectral_norm(x.eval()) == 0.0:
@@ -537,7 +564,7 @@ def test_batched_gauge_deviation_matches_per_lam_loop(qdeform12, polar6,
             loop = max(abs(spectral_norm(gauge(x, np.exp(2j * np.pi * j / 16))
                                          .eval()) - base)
                        for j in range(16))
-            worst, scale = _gauge_deviation(x)  # 16 roots
+            worst, scale = gauge_deviation_oracle(x)  # 16 roots
             assert scale == max(1.0, base)
             assert abs(worst - loop) <= 1e-12 * scale
 
@@ -581,32 +608,23 @@ def test_oracles_on_the_amplified_q_model(amplified_q12):
 
 def test_norm_limit_past_the_power_cache(cyclic5):
     # (xx*)^16 of a degree-4 form reaches degree 128, past the cached power
-    # depth 2n + 4 = 14.  Oracle: its degree-0 coefficient is the average of
-    # the direct matrix powers (y_lam y_lam*)^{2k} over m > 128 roots of
-    # unity, y_lam the matrix of x/||x|| gauged by lam.
+    # depth 2n + 4 = 14, in the canonical-form squaring of
+    # norm_limit_reference.  Oracle: its degree-0 coefficient is the average
+    # of the direct matrix powers (y_lam y_lam*)^{2k} over m > 128 roots of
+    # unity, y_lam the matrix of x/||x|| gauged by lam.  U is not nilpotent,
+    # so norm_limit itself refuses the system
     rng = np.random.default_rng(34)
     x = ia.random_normal_form(cyclic5, rng)
     while x.max_degree < 4:
         x = ia.random_normal_form(cyclic5, rng)
-    tr = ia.norm_limit(x, 8)
-    assert tr.k_values == [1, 2, 4, 8]
+    with pytest.raises(ia.HypothesisViolated):
+        ia.norm_limit(x, 8)
+    s_values = norm_limit_reference(x, 8)[0]
+    direct = spectral_norm(x.eval())
     m = 8 * 8 * 4 + 1
     lams = np.exp(2j * np.pi * np.arange(m) / m)
-    ys = [gauge(x, lam).eval() / tr.direct_norm for lam in lams]
-    for k, s in zip(tr.k_values, tr.s_values):
+    ys = [gauge(x, lam).eval() / direct for lam in lams]
+    for k, s in zip([1, 2, 4, 8], s_values):
         n0 = sum(np.linalg.matrix_power(y @ adjoint(y), 2 * k) for y in ys) / m
-        direct = tr.direct_norm * spectral_norm(n0) ** (1.0 / (4 * k))
-        assert abs(s - direct) <= 1e-12 * direct, k
-    # the oracle above is how norm_limit computes; the canonical-form
-    # squaring is independent of it
-    assert tr.s_values == pytest.approx(norm_limit_reference(x, 8)[0], rel=1e-9)
-
-
-def test_norm_limit_overflow(cyclic5):
-    # U^5 = 1 on the cyclic shift, so x = U^5 - (1 - 1e-4) has ||x|| = 1e-4,
-    # while x/||x|| gauged off the fifth roots of unity has norm up to 2e4:
-    # the powers of the gauged stack pass 1e100
-    x = NormalForm(cyclic5, {5: np.eye(5), 0: -(1 - 1e-4) * np.eye(5)})
-    assert spectral_norm(x.eval()) == pytest.approx(1e-4, rel=1e-9)
-    with pytest.raises(ia.Overflow, match="exceeded norm 1e100"):
-        ia.norm_limit(x, 8)
+        want = direct * spectral_norm(n0) ** (1.0 / (4 * k))
+        assert s == pytest.approx(want, rel=1e-9), k

@@ -18,6 +18,12 @@ from isoalg.norms import (
     sum_norm_estimates_sample,
 )
 
+from conftest import (
+    gauge_deviation_oracle,
+    gauged_matrices,
+    norm_limit_stack_body,
+)
+
 
 def test_coefficient_bound_zero_degree_equality(qdeform6):
     # a single degree-0 term realizes equality ||a_0|| = ||x||
@@ -318,7 +324,7 @@ def test_coordinate_norms_within_the_frame_bound(certified_systems, cyclic5,
         alg = system.algebra
         stack = np.concatenate([x.coefficients for x in
                                 random_normal_forms(system, 40, seed=3)])
-        got = ia.norms._coefficient_norms(alg, stack)
+        got = alg.member_norms(stack)
         want = spectral_norms(stack)
         e = spectral_norm(alg._frame_gram - np.eye(system.dim))
         bound = alg.span_defects(stack) + e * got
@@ -349,38 +355,6 @@ def _certified_bound_reference(x):
         * np.linalg.norm(x.coefficient(k)) for k in x.degrees())
 
 
-def _gauge_deviation_reference(x, lam_grid):
-    """The per-form body of the gauge check, with its own ||x||."""
-    base = spectral_norm(x.eval())
-    lams = np.exp(2j * np.pi * np.arange(lam_grid) / lam_grid)
-    norms = spectral_norms(x.eval_gauged(lams))
-    return float(np.abs(norms - base).max(initial=0.0)), max(1.0, base)
-
-
-def _norm_limit_per_form(x, k_max):
-    """The one-form body of norm_limit: (||x||, s_k, sandwich lo, hi) from
-    x/||x|| gauged at m roots of unity as one (m, n, n) stack."""
-    direct = spectral_norm(x.eval())
-    schedule = [2 ** i for i in range(k_max.bit_length())]
-    if direct == 0.0:
-        return 0.0, [0.0] * len(schedule), 0.0, 0.0
-    top = 4 * schedule[-1] * x.max_degree
-    if x.system.nilpotency_index is not None:
-        top = min(top, x.system.nilpotency_index - 1)
-    m = top + 1
-    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / direct
-    p = y @ adjoint(y)
-    n0 = [p.mean(axis=0)]
-    for _ in schedule:
-        p = p @ p
-        n0.append(p.mean(axis=0))
-    norms = spectral_norms(np.array(n0))
-    lo = direct * direct * norms[0]
-    s_values = [direct * s ** (1.0 / (4 * k))
-                for k, s in zip(schedule, norms[1:])]
-    return direct, s_values, lo, (2 * x.max_degree + 1) * lo
-
-
 def _norm_limit_defects(forms, rows, k_values):
     """The four worst values of norm_limit_sample from reference rows."""
     lower = upper = sandwich = conv = 0.0
@@ -398,8 +372,8 @@ def _norm_limit_defects(forms, rows, k_values):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
-                                                  cyclic5, raw_system):
-    for system in (qdeform12.system, polar6.system, cyclic5, raw_system):
+                                                  raw_system):
+    for system in (qdeform12.system, polar6.system, raw_system):
         forms = random_normal_forms(system, 200, seed)
         star = sample_coefficient_bound(system, forms, seed)
         for got, want in zip(star.defects[1:],
@@ -408,17 +382,14 @@ def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
 
         gauge = gauge_invariance_sample(system, forms, seed)
         sampled = max(dev / scale for dev, scale in
-                      (_gauge_deviation_reference(x, 16) for x in forms))
-        if system.gauge_generator is None:
-            _close(gauge.defects[0].value, sampled)
-        else:
-            bound = max(_certified_bound_reference(x) / max(1.0, x.norm)
-                        for x in forms)
-            _close(gauge.defects[-1].value, bound)
-            assert sampled <= bound + 1e-13
+                      (gauge_deviation_oracle(x) for x in forms))
+        bound = max(_certified_bound_reference(x) / max(1.0, x.norm)
+                    for x in forms)
+        _close(gauge.defects[-1].value, bound)
+        assert sampled <= bound + 1e-13
 
         rep, traces = norm_limit_sample(forms[:50], seed, star_report=star)
-        rows = [_norm_limit_per_form(x, 8) for x in forms[:50]]
+        rows = [norm_limit_stack_body(x, 8) for x in forms[:50]]
         for tr, (d, s_values, lo, hi) in zip(traces, rows, strict=True):
             assert tr.k_values == [1, 2, 4, 8]
             for got, want in zip([tr.direct_norm, tr.sandwich_lo,
@@ -450,11 +421,9 @@ def _mixed_forms(system):
     return forms
 
 
-def test_norm_limit_batch_matches_one_form_at_a_time(qdeform12, cyclic5,
-                                                     monkeypatch):
-    # the stack path, as on a system without a gauge generator
-    monkeypatch.setitem(vars(qdeform12.system), "gauge_generator", None)
-    for system in (qdeform12.system, cyclic5):
+def test_norm_limit_batch_matches_one_form_at_a_time(qdeform12,
+                                                     amplified_q12):
+    for system in (qdeform12.system, amplified_q12):
         forms = _mixed_forms(system)
         _, traces = norm_limit_sample(forms, 0)
         for x, tr in zip(forms, traces, strict=True):
@@ -463,7 +432,7 @@ def test_norm_limit_batch_matches_one_form_at_a_time(qdeform12, cyclic5,
                     tr.sandwich_hi, tr.max_degree) == (
                 alone.s_values, alone.direct_norm, alone.sandwich_lo,
                 alone.sandwich_hi, alone.max_degree)
-            d, s_values, lo, hi = _norm_limit_per_form(x, 8)
+            d, s_values, lo, hi = norm_limit_stack_body(x, 8)
             for got, want in zip([tr.direct_norm, tr.sandwich_lo,
                                   tr.sandwich_hi, *tr.s_values],
                                  [d, lo, hi, *s_values], strict=True):
@@ -486,12 +455,9 @@ def _poison(monkeypatch, algebra, matrices):
 
 def _stage_n0(x, stage):
     """N_0 of (xx*)^(2^stage) for x/||x||, as norm_limit takes it."""
-    m = ia.norms._root_count(x, 8)
-    y = x.eval_gauged(np.exp(2j * np.pi * np.arange(m) / m)) / x.norm
-    p = y @ adjoint(y)
-    for _ in range(stage):
-        p = p @ p
-    return p.mean(axis=0)
+    system = x.system
+    return ia.norms._compressed_n0([x], np.array([x.norm]),
+                                   system.gauge_generator, 4)[0, stage]
 
 
 def _raised(fn, *args):
@@ -500,23 +466,21 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_norm_limit_batch_raises_for_the_first_offending_form(cyclic5,
+def test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
                                                               monkeypatch):
-    forms = _mixed_forms(cyclic5)
-    deg1, deg2 = forms[3], forms[-3]  # root counts 33 and 65
-    over = NormalForm(cyclic5, {5: np.eye(5), 0: -(1 - 1e-4) * np.eye(5)})
-    _poison(monkeypatch, cyclic5.algebra,
+    system = qdeform12.system
+    forms = _mixed_forms(system)
+    deg1, deg2 = forms[3], forms[-3]
+    _poison(monkeypatch, system.algebra,
             [_stage_n0(deg1, 0), _stage_n0(deg2, 2)])
-    cases = {"deg1": deg1, "deg2": deg2, "over": over}
+    cases = {"deg1": deg1, "deg2": deg2}
     alone = {name: _raised(norm_limit, x, 8) for name, x in cases.items()}
     assert alone["deg1"] == (ia.CoefficientEscape, "N_0[xx*] is outside the "
                              "algebra (defect 1.000e+00)")
     assert alone["deg2"][1].startswith("N_0[(xx*)^4] is outside")
-    assert alone["over"][0] is ia.Overflow
-    # the forms of different root counts are guarded as one stack; the
-    # error is the one of the first offending form in input order
-    for first, second in (("deg2", "deg1"), ("deg1", "deg2"), ("over", "deg2"),
-                          ("deg2", "over"), ("over", "deg1")):
+    # the forms are guarded as one stack; the error is the one of the
+    # first offending form in input order
+    for first, second in (("deg2", "deg1"), ("deg1", "deg2")):
         sample = [forms[0], forms[2], cases[first], forms[4], cases[second]]
         assert _raised(norm_limit_sample, sample, 0) == alone[first]
 
@@ -549,7 +513,7 @@ def test_compressed_norm_limit_matches_the_stack_body(certified_systems):
         forms = random_normal_forms(system, 20, 0)
         _, traces = norm_limit_sample(forms, 0)
         for x, tr in zip(forms, traces, strict=True):
-            d, s_values, lo, _ = _norm_limit_per_form(x, 8)
+            d, s_values, lo, _ = norm_limit_stack_body(x, 8)
             _close(tr.direct_norm, d)
             for got, want in zip(tr.s_values, s_values, strict=True):
                 assert abs(got - want) <= 1e-14 * want, (name, got, want)
@@ -576,8 +540,8 @@ def test_sampled_gauge_deviation_is_within_the_certified_bound(
         for x in forms:
             bound = _certified_bound_reference(x)
             worst = max(worst, bound / max(1.0, x.norm))
-            for dev in (ia.norms._gauge_deviation(x)[0],
-                        np.abs(spectral_norms(x.eval_gauged(lams))
+            for dev in (gauge_deviation_oracle(x)[0],
+                        np.abs(spectral_norms(gauged_matrices(x, lams))
                                - x.norm).max()):
                 assert dev <= bound + 1e-13 * max(1.0, x.norm), (name, dev)
         _close(rep.defects[-1].value, worst)
@@ -596,3 +560,76 @@ def test_compressed_norm_limit_guards_every_stage(qdeform12, monkeypatch):
     assert alone == (ia.CoefficientEscape, "N_0[(xx*)^4] is outside the "
                      "algebra (defect 1.000e+00)")
     assert _raised(norm_limit_sample, forms, 3) == alone
+
+
+# -- the decided hypothesis: no certificate, no sample --------------------------
+
+def _witness(system):
+    """The exact witness against the coefficient bound on the systems whose
+    U is not nilpotent: x = e U^p - e with e the projection onto the cyclic
+    part and p its length, which evaluates to 0 while ||a_0|| = 1."""
+    if system.dim == 5:  # the cyclic shift: U^5 - 1
+        e, p = np.eye(5), 5
+    else:  # the cyclic shift on C^3 plus the backward shift on C^4
+        e, p = np.diag([1.0, 1, 1, 0, 0, 0, 0]), 3
+    return NormalForm(system, {p: e, 0: -e})
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "cyclic3_shift4"])
+def test_the_bound_fails_exactly_where_the_generator_refuses(request, name):
+    system = request.getfixturevalue(name)
+    assert system.coefficient_report.passed
+    assert system.nilpotency_index is None and system.gauge_generator is None
+    assert system.gauge_candidate.residual == pytest.approx(1.0, abs=1e-12)
+    x = _witness(system)
+    assert x.degrees() == (0, x.max_degree)
+    assert not x.eval().any()
+    assert spectral_norm(x.coefficient(0)) == 1.0
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "cyclic3_shift4"])
+def test_samplers_report_the_refused_generator_and_measure_nothing(
+        request, name, monkeypatch):
+    system = request.getfixturevalue(name)
+    forms = random_normal_forms(system, 20, 0)
+
+    def measured(*args):
+        raise AssertionError("a sampler measured an uncertified system")
+    for body in ("_operator_norms", "_compressed_n0", "_certified_deviations"):
+        monkeypatch.setattr(ia.norms, body, measured)
+    monkeypatch.setattr(system.algebra, "member_norms", measured)
+    star = sample_coefficient_bound(system, forms, 0)
+    gauge = gauge_invariance_sample(system, forms, 0, star)
+    limit, traces = norm_limit_sample(forms, 0, 8, star)
+    assert traces == []
+    for rep, report_name in ((star, "coefficient_bound"),
+                             (gauge, "gauge_invariance"),
+                             (limit, "norm_limit")):
+        assert rep.name == report_name and rep.notes == []
+        assert [(d.check, d.ok) for d in rep.defects] == [
+            ("hypothesis: coefficient algebra", True),
+            ("hypothesis: gauge generator ||[H, U] - U||", False)]
+        assert rep.defects[1].value == pytest.approx(1.0, abs=1e-12)
+        assert rep.defects[1].tol == system.tol
+    with pytest.raises(ia.HypothesisViolated) as info:
+        norm_limit(_witness(system), 8)
+    assert info.value.report.to_json() == limit.to_json()
+
+
+def test_a_nilpotent_system_with_a_failed_certificate_reports_eta(
+        qdeform12, monkeypatch):
+    # no system here is nilpotent with a certificate that fails at tol;
+    # fake one by a commutation defect above tol: the report names
+    # eps, which passes, then eta, and ends there
+    system = ia.IsometrySystem(qdeform12.system.algebra, qdeform12.system.u)
+    gen = system.gauge_candidate._replace(commutation=3e-9)
+    monkeypatch.setitem(vars(system), "gauge_candidate", gen)
+    monkeypatch.setitem(vars(system), "gauge_generator", None)
+    rep = ia.norms.sampler_hypothesis(system, "gauge_invariance")
+    assert [(d.check, d.value, d.ok) for d in rep.defects] == [
+        ("hypothesis: coefficient algebra", 0.0, True),
+        ("hypothesis: gauge generator ||[H, U] - U||", gen.residual, True),
+        ("hypothesis: gauge generator max ||[H, b_i]||", 3e-9, False)]
+    x = random_normal_forms(system, 1, 0)[0]
+    with pytest.raises(ia.HypothesisViolated):
+        norm_limit(x, 8)
