@@ -77,14 +77,10 @@ nilpotent U, on which alone the coefficient bound holds (``isoalg.norms``).
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
-the maps
-
-    delta(x) = U x U*,        delta_star(x) = U* x U
-
-send it into itself.  Both maps act on stacks, so a checker measures its
-identity over the whole basis in one batched call; identities over pairs
-(of basis elements, or of powers k <= k_max) take one call per row, so that
-no temporary holds all the pairs at once.
+the maps delta(x) = U x U* and delta_star(x) = U* x U send it into itself.
+Both maps act on stacks, so a checker measures its identity over the whole
+basis in one batched call; identities over pairs take one call per row, so
+that no temporary holds all the pairs at once.
 
 One checked walk, ``_checked_walk``, builds both extension towers: it
 decides the tower's hypotheses, then the entries of each stage, one at a
@@ -94,6 +90,25 @@ decided on the delta tower's own walk at no orbit depth guessed.  A system
 is the pair (algebra, U): over its own algebra, ``_with_algebra`` is the
 system itself.  It caches its walks, U's partial-isometry report and each
 defect that several reports share, so each is measured once per system.
+
+**Commutative extendability on the tower.**  Let T be the closed delta
+tower (S_0 = A, S_{s+1} = C*(S_s u delta(S_s)), T the fixed point) and
+P = U*U.  Given extendability, which the delta walk decides, P commutes
+with A and with every delta(S_s), hence with T; then A commutes with every
+delta^n(A) if and only if T is commutative.  If T is, A and every
+delta^n(A) lie in it.  Conversely, delta(x) delta(y) = U x P y U* =
+delta(xy) on T, so delta^m is a *-homomorphism of T, and for a, b in A and
+m <= n, delta^m(a) delta^n(b) = delta^m(a delta^{n-m}(b)) =
+delta^m(delta^{n-m}(b) a) = delta^n(b) delta^m(a): the delta^n(A) form a
+commuting, *-closed set.  By induction each S_s is the C*-algebra of its
+part of that set, so T is commutative.  ``check_commutative_extendability``
+is therefore "algebra commutative", the delta walk's report and "delta
+tower commutative" (T's ``commutator_defect``), with no walk of its own.
+Numerically every image s lies within tol * max(1, ||s||_F) of T (the
+walk's fixed-point test or the certificate of the closure it entered), so
+with c that defect and alpha, sigma the coordinates in T of a in A and of
+the projection of s, ||[a, s]|| <= ||alpha||_1 ||sigma||_1 c +
+2 ||a|| dist_F(s, T).
 
 Every checker has one contract: ``check(sys[, k_max]) -> ConditionReport``,
 measured at ``sys.tol``, the tolerance the system was built at.  A failed
@@ -257,20 +272,11 @@ class FiniteStarAlgebra:
     the basis (``invariant_report``) and raises InvalidBasis, carrying the
     report, when an invariant fails.
 
-    With a frame (V, r) and E = V*V - I, the four invariants are measured in
-    O(n^3) (see the module docstring); each is exact or an upper bound on
-    the pair value for the basis the frame defines:
-
-    - "basis orthonormal": max |<b_i, b_j> - delta_ij| with
-      <b_i, b_j> = ||(V*V)_ij||_F^2 / sqrt(r_i r_j), exact;
-    - "identity in span": ||E||_F = ||I - V V*||_F >= dist(I, span);
-    - "closed under adjoint": max ||b_i - b_i*||_F >= dist(b_i*, span);
-    - "closed under product": max (1 + ||E||_F) ||E_ij||_F / sqrt(r_i r_j)
-      >= dist(b_i b_j, span), from b_i b_j - delta_ij b_i / sqrt(r_i) =
-      V_i E_ij V_j* / sqrt(r_i r_j).
-
-    Without a frame they are the pair loops over the basis, the product
-    entry in O(d^3 n^2).
+    With a frame (V, r), the four invariants are measured in O(n^3), each
+    exact or an upper bound on the pair value for the basis the frame
+    defines, by the identities the module docstring lists under their
+    names.  Without a frame they are the pair loops over the basis, the
+    product entry in O(d^3 n^2).
     """
 
     def __init__(self, basis, tol: float = DEFAULT_TOL):
@@ -640,21 +646,26 @@ class IsometrySystem:
         return self._nilpotent_at
 
     def power_stack(self, ks) -> np.ndarray:
-        """U^k for each k >= 0 in ks, as a (len(ks), n, n) stack."""
+        """U^k for each k >= 0 in ks, as a (len(ks), n, n) stack.  A power
+        past the cache, U^{qT + r} with U^T the last cached one, is U^r
+        times U^{qT} by repeated squaring: O(log k) products, none kept."""
         ks = np.asarray(ks, dtype=int)
         if ks.size and ks.min() < 0:
             raise ValueError("negative power; use star_power")
         if self._nilpotent_at is not None:
             # the last cached power is U^index = 0
             ks = np.minimum(ks, self._nilpotent_at)
-        powers = self._powers
-        missing = int(ks.max(initial=0)) - (len(powers) - 1)
-        if missing > 0:
-            more = [powers[-1]]
-            for _ in range(missing):
-                more.append(more[-1] @ self.u)
-            powers = np.concatenate([powers, more[1:]])
-        return powers[ks]
+        top = len(self._powers) - 1
+        out = self._powers[np.minimum(ks, top)]
+        for i in np.flatnonzero(ks > top):
+            q, r = divmod(int(ks[i]), top)
+            out[i], square = self._powers[r], self._powers[top]
+            while q:
+                if q & 1:
+                    out[i] = out[i] @ square
+                q >>= 1
+                square = square @ square if q else square
+        return out
 
     def power(self, k: int) -> np.ndarray:
         """U^k for k >= 0."""
@@ -805,11 +816,21 @@ class IsometrySystem:
 
     @cached_property
     def delta_walk(self) -> Walk:
-        return _delta_walk(self, commutative=False)
+        """The checked walk of the delta tower (``_checked_walk``).
 
-    @cached_property
-    def commutative_delta_walk(self) -> Walk:
-        return _delta_walk(self, commutative=True)
+        The hypothesis is extendability, U*U commuting with every
+        delta^n(a): U*U is checked against the algebra, then against each
+        stage's delta images.  Stage n-1's images contain delta^n(algebra)
+        and lie in the *-algebra the orbit generates, which the commutant
+        of U*U (a *-algebra) contains when the hypothesis holds; and the
+        closed tower's images contain delta^n(algebra) for every n.  So
+        the walk decides the hypothesis itself, at no orbit depth chosen
+        in advance."""
+        return _checked_walk(
+            self, "extendability", "delta",
+            [("U*U commutes with the algebra",
+              lambda: self.uu_commutator_defect)],
+            ("U*U", self.proj_initial(1)))
 
     @cached_property
     def delta_star_walk(self) -> Walk:
@@ -917,14 +938,14 @@ def check_coefficient_algebra(sys: IsometrySystem) -> ConditionReport:
 
 
 def _checked_walk(sys: IsometrySystem, name: str, image: str,
-                  hypotheses: list, lefts: list = ()) -> Walk:
+                  hypotheses: list, left: tuple | None = None) -> Walk:
     """The tower of the map ``image`` ("delta" or "delta_star") over the
     algebra, and the report ``name`` of its hypothesis.  The entries are
     the (label, measure) ``hypotheses``, then, at each stage, the
-    commutator norm of each (label, matrix or stack) of ``lefts`` against
-    the stage's images.  Each is measured when the walk reaches it; the
-    first that fails ends the report and the walk, with tower None.  The
-    walk stops when every image lies in the stage by its membership rule
+    commutator norm of the (label, matrix) ``left`` against the stage's
+    images.  Each is measured when the walk reaches it; the first that
+    fails ends the report and the walk, with tower None.  The walk stops
+    when every image lies in the stage by its membership rule
     (``FiniteStarAlgebra.membership``), and otherwise closes the stage with
     them; the report notes the closed tower's dimension."""
     tol = sys.tol
@@ -935,11 +956,10 @@ def _checked_walk(sys: IsometrySystem, name: str, image: str,
     cur = sys.algebra
     for stage in range(_chain_cap(sys.dim)):
         images = getattr(sys, image)(cur.basis)
-        for label, left in lefts:
-            if not rep.add(f"{label} commutes with {image}(tower stage "
-                           f"{stage})", _commutator_norm(left, images),
-                           tol).ok:
-                return rep, None
+        if left is not None and not rep.add(
+                f"{left[0]} commutes with {image}(tower stage {stage})",
+                _commutator_norm(left[1], images), tol).ok:
+            return rep, None
         if cur.membership(images)[0].all():
             break
         cur = generate_closure(np.concatenate([cur.basis, images]), tol,
@@ -948,43 +968,14 @@ def _checked_walk(sys: IsometrySystem, name: str, image: str,
     return rep, cur
 
 
-def _delta_walk(sys: IsometrySystem, commutative: bool) -> Walk:
-    """The checked walk of the delta tower (``_checked_walk``).
-
-    The hypothesis is extendability, U*U commuting with every delta^n(a):
-    U*U is checked against the algebra, then against each stage's delta
-    images.  Stage n-1's images contain delta^n(algebra) and lie in the
-    *-algebra the orbit generates, which the commutant of U*U (a
-    *-algebra) contains when the hypothesis holds; and the closed tower's
-    images contain delta^n(algebra) for every n.  So the walk decides the
-    hypothesis itself, at no orbit depth chosen in advance.
-
-    With ``commutative`` the report is "commutative_extendability": its
-    first entry is the algebra's commutator defect, and at each stage the
-    algebra is checked against the images after U*U.  Given
-    extendability, it commutes with each stage's images iff it commutes
-    with every delta^n(algebra), by the same containments.
-    """
-    hypotheses = [("U*U commutes with the algebra",
-                   lambda: sys.uu_commutator_defect)]
-    lefts = [("U*U", sys.proj_initial(1))]
-    if commutative:
-        hypotheses.insert(0, ("algebra commutative",
-                              lambda: sys.algebra.commutator_defect))
-        lefts.append(("the algebra", sys.algebra.basis))
-    return _checked_walk(
-        sys, "commutative_extendability" if commutative else "extendability",
-        "delta", hypotheses, lefts)
-
-
 def check_extendability(sys: IsometrySystem) -> ConditionReport:
     """Check that U*U commutes with every iterated image delta^n(a).
 
     This is the obstruction for extending the algebra to one satisfying the
     intertwining relation with delta mapping it into itself.  It is decided
-    on the system's walk of the delta tower (``_delta_walk``), whose report
-    this is: a failure's last entry names the stage, and a pass notes the
-    dimension of the closed tower.
+    on the system's walk of the delta tower (``IsometrySystem.delta_walk``),
+    whose report this is: a failure's last entry names the stage, and a
+    pass notes the dimension of the closed tower.
     """
     return sys.delta_walk[0]
 
@@ -992,13 +983,18 @@ def check_extendability(sys: IsometrySystem) -> ConditionReport:
 def check_commutative_extendability(sys: IsometrySystem) -> ConditionReport:
     """Check the conditions for a commutative coefficient extension: the
     algebra is commutative, and it and U*U commute with all delta^n images
-    of itself.
-
-    Decided on the system's commutative walk of the delta tower, as
-    ``check_extendability`` is; on a non-commutative algebra the report
-    ends at its failing first entry, "algebra commutative".
-    """
-    return sys.commutative_delta_walk[0]
+    of itself.  Given extendability, the second holds exactly when the
+    closed delta tower is commutative (see the module docstring), so the
+    report reads the system's delta walk and makes none."""
+    rep = ConditionReport("commutative_extendability")
+    if rep.add("algebra commutative", sys.algebra.commutator_defect,
+               sys.tol).ok:
+        walk_rep, tower = sys.delta_walk
+        rep.merge(walk_rep)
+        if tower is not None:
+            rep.add("delta tower commutative", tower.commutator_defect,
+                    sys.tol)
+    return rep
 
 
 def _built(walk: Walk, what: str) -> FiniteStarAlgebra:
@@ -1094,11 +1090,12 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
     delta_star then delta, the result is commutative, and both maps send it
     into itself.
 
-    The towers are four cached walks: the delta tower (the walk of
-    ``check_commutative_extendability``), the delta_star tower over it, the
-    delta_star tower, and the delta tower over that.  When a walk's
-    hypothesis fails, the report holds that walk's entries prefixed
-    "hypothesis: ", the failing one last, and a note naming the walk.
+    The towers are four cached walks: the delta tower, read with the
+    report of ``check_commutative_extendability``, the delta_star tower
+    over it, the delta_star tower, and the delta tower over that.  When a
+    walk's hypothesis fails, the report holds that walk's entries and notes
+    prefixed "hypothesis: ", the failing entry last, and a note naming the
+    walk.
 
     "towers have equal spans" is the larger of the two ``span_defects``
     of each tower's basis against the other tower, as every membership
@@ -1111,7 +1108,8 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
     tol = sys.tol
     rep = ConditionReport("extension_towers")
     towers: list[FiniteStarAlgebra] = []
-    for walk in (lambda: sys.commutative_delta_walk,
+    comm = check_commutative_extendability(sys)
+    for walk in (lambda: (comm, sys.delta_walk[1] if comm.passed else None),
                  lambda: sys._with_algebra(towers[0]).delta_star_walk,
                  lambda: sys.delta_star_walk,
                  lambda: sys._with_algebra(towers[2]).delta_walk):

@@ -84,7 +84,8 @@ class InsufficientResolution(IsoalgError):
 
 
 class Overflow(IsoalgError):
-    """A coefficient's norm is not finite: it left the float range."""
+    """A coefficient's norm is not finite: it left the float range; or a
+    degree left the 64-bit integer range."""
 
 
 class ParseError(IsoalgError):

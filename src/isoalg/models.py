@@ -372,7 +372,7 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
     float-overflowing "q", sample or matrix entry, or a matrix object that
     is not a matrix raises ValueError naming the field (and the type
     expected, or the matrix's fault); an integral float such as 12.0 is an
-    integer "n".
+    integer "n", and an "n" whose matrices cannot be allocated is named too.
     """
     if not isinstance(obj, dict):
         raise ValueError(
@@ -432,7 +432,16 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
         if isinstance(n, float) and not n.is_integer():
             raise ValueError(f"{kind} model spec field 'n' must be an "
                              f"integer, got {n!r}")
-        model = build_qdeform(int(n), finite(field("q"), "q"), rho, tol)
+        n, q = int(n), finite(field("q"), "q")
+        too_large = ValueError(f"{kind} model spec field 'n' is too large: "
+                               f"its n x n complex matrices cannot be "
+                               f"allocated")
+        if 16 * n * n > np.iinfo(np.intp).max:  # past the address range
+            raise too_large
+        try:
+            model = build_qdeform(n, q, rho, tol)
+        except MemoryError as exc:
+            raise too_large from exc
         # the model operator a is written U*rhoQ
         return LoadedModel("qdeform", model.system,
                            {"Q": model.big_q, "rhoQ": model.rho_matrix},

@@ -310,7 +310,8 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     """The product as a degree convolution of the monomial stacks: for each
     degree j of x, one batched product of X_j with every live monomial of y,
     accumulated at the degrees j + k.  Pairs with |j + k| at or past the
-    nilpotency index of U are skipped (their product is zero)."""
+    nilpotency index of U are skipped (their product is zero).  Overflow
+    names an output degree past the 64-bit integer range."""
     _check_same_system(x, y)
     system = x.system
     n = system.dim
@@ -318,9 +319,13 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     dx, dy = x._degrees, y._degrees
     lo, hi = 0, -1  # no output degree unless both forms have terms
     if dx.size and dy.size:
-        lo, hi = dx[0] + dy[0], dx[-1] + dy[-1]
+        lo, hi = int(dx[0]) + int(dy[0]), int(dx[-1]) + int(dy[-1])
         if limit is not None:
             lo, hi = max(lo, 1 - limit), min(hi, limit - 1)
+        top = np.iinfo(np.int64).max - 1  # so that hi + 1 is an int64
+        if max(-lo, hi) > top:
+            raise Overflow(f"the product has degrees {lo} to {hi}, outside "
+                           f"the range -{top} to {top}")
     degrees = np.arange(lo, hi + 1)
     acc = np.zeros((degrees.size, n, n), dtype=complex)
     my = y._monomials
@@ -376,10 +381,10 @@ def strip_power(system: IsometrySystem, monomial: np.ndarray, k: int) -> np.ndar
 def reduce(e: _expr.Expression, system: IsometrySystem) -> NormalForm:
     """Rewrite a parsed expression to its canonical normal form.
 
-    Distributes over sums and folds products left with the term product
-    rules.  Refuses (NotCoefficientAlgebra) when the system's coefficient
-    report fails, since the rewrite rules are only sound for coefficient
-    algebras.
+    Distributes over sums, folds products left with the term product rules
+    and takes powers by repeated squaring.  Refuses (NotCoefficientAlgebra)
+    when the system's coefficient report fails, since the rewrite rules are
+    only sound for coefficient algebras.
     """
     _require_coefficient_system(system)
     n = system.dim
@@ -404,10 +409,12 @@ def reduce(e: _expr.Expression, system: IsometrySystem) -> NormalForm:
     if isinstance(e, _expr.Adj):
         return nf_adjoint(reduce(e.item, system))
     if isinstance(e, _expr.Pow):
-        out = identity_form(system)
-        base = reduce(e.item, system)
-        for _ in range(e.exponent):
-            out = nf_multiply(out, base)
+        out, base, k = identity_form(system), reduce(e.item, system), e.exponent
+        while k:
+            if k & 1:
+                out = nf_multiply(out, base)
+            k >>= 1
+            base = nf_multiply(base, base) if k else base
         return out
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -270,6 +270,21 @@ def shift3_projection():
     return ia.load_model(shift3_projection_spec()).system
 
 
+def rotation_pi6_spec():
+    """An extendable system whose delta tower is not commutative: U the
+    rotation by pi/6 on C^2 with A = C*(diag(1, 0)).  U is unitary, so U*U =
+    1 commutes with everything, but delta(A) does not commute with A, and
+    the delta tower is M_2."""
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    return system_spec(np.array([[c, -s], [s, c]], complex),
+                       [np.diag([1.0, 0.0]).astype(complex)])
+
+
+@pytest.fixture(scope="session")
+def rotation_pi6():
+    return ia.load_model(rotation_pi6_spec()).system
+
+
 def corner_shift9_spec():
     """The backward shift on C^9 with A = C*(e89 + e98): U*U commutes with
     delta^n(A) for n < 7 only, so the delta tower fails at stage 7."""

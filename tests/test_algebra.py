@@ -1159,13 +1159,18 @@ def assert_same_walk(got, ref):
 
 
 @pytest.mark.parametrize("name", FIXTURE_SYSTEMS + [
-    "shift3_projection", *(f"corner_shift{n}" for n in range(4, 11))])
+    "shift3_projection", "rotation_pi6",
+    *(f"corner_shift{n}" for n in range(4, 11))])
 def test_walker_reports_match_the_replaced_walks(request, name):
     sys = (corner_shift_system(int(name[12:]))
            if name.startswith("corner_shift") else fixture_system(request, name))
     assert_same_walk(sys.delta_walk, reference_delta_walk(sys))
-    assert_same_walk(sys.commutative_delta_walk,
-                     reference_delta_walk(sys, commutative=True))
+    # commutative extendability is decided on the delta tower itself: its
+    # verdict is the interleaved pair walk's, its entries are not
+    ref_rep, ref_tower = reference_delta_walk(sys, commutative=True)
+    rep = check_commutative_extendability(sys)
+    assert rep.passed == ref_rep.passed == (ref_tower is not None)
+    assert rep.defects[0] == ref_rep.defects[0]  # "algebra commutative"
     ref_rep, ref_tower = reference_delta_star_walk(sys)
     if ref_rep.passed:
         # a passing walk notes its tower's dimension, as the delta walks do
@@ -1214,11 +1219,44 @@ def test_walks_and_intertwining_report_are_made_once_per_system(
         check_extension_towers(sys)
     # the tower closes at the system's own algebra, so extension_towers
     # reads the system's walks and its endomorphism entries its defects
-    assert calls == ["extendability", "commutative_extendability",
-                     "delta_star_tower_hypotheses"]
+    assert calls == ["extendability", "delta_star_tower_hypotheses"]
     assert bodies == dict.fromkeys(CACHED_DEFECTS, 1)
     assert check_coefficient_algebra(sys).defects[:4] == (
         check_intertwining_equivalents(sys).defects)
+
+
+def test_commutative_extendability_takes_no_pair_loop(ladder_models,
+                                                      monkeypatch):
+    # on a frame system the check reads the delta walk and the tower's
+    # frame commutator defect: every commutator norm it takes is U*U's, one
+    # matrix against a stack, never a basis stack against the images
+    m = ladder_models["q09_n24"]
+    sys = IsometrySystem(m.seed_algebra, m.u)
+    lefts = []
+    real = ia.algebra._commutator_norm
+    monkeypatch.setattr(ia.algebra, "_commutator_norm", lambda left, right: (
+        lefts.append(left.shape) or real(left, right)))
+    rep = check_commutative_extendability(sys)
+    assert rep.passed and sys.delta_walk[1].frame is not None
+    assert lefts and all(len(shape) == 2 for shape in lefts), lefts
+
+
+def test_powers_past_the_cache_are_taken_by_squaring(cyclic5):
+    # the cache holds U^0..U^{2n+4}; a power past it is built from cached
+    # powers in O(log k) products, and the cache does not grow
+    sys = IsometrySystem(generate_closure([], dim=5), cyclic5.u @ np.diag(
+        np.exp(1j * np.arange(5))))
+    top = len(sys._powers) - 1
+    ks = [0, 3, top, top + 1, 2 * top + 3, 100, 10 ** 9]
+    got = sys.power_stack(ks)
+    for k, p in zip(ks, got):
+        # the phases' rounding grows with k in any float power
+        want = np.linalg.matrix_power(sys.u, k)
+        assert np.abs(p - want).max() <= 8 * np.finfo(float).eps * max(1, k)
+    assert len(sys._powers) == top + 1
+    # a permutation's powers are exact either way
+    assert np.array_equal(cyclic5.power(10 ** 9),
+                          np.linalg.matrix_power(cyclic5.u, 10 ** 9))
 
 
 def test_commutant_keeps_no_left_singular_basis():
@@ -1264,8 +1302,8 @@ def assert_verdicts_match_the_loops(sys):
     return rep
 
 
-@pytest.mark.parametrize("name", FIXTURE_SYSTEMS + ["shift4",
-                                                    "shift3_projection"])
+@pytest.mark.parametrize("name", FIXTURE_SYSTEMS + [
+    "shift4", "shift3_projection", "rotation_pi6"])
 def test_extendability_verdicts_match_the_orbit_loops(request, name):
     sys = (corner_shift_system(4) if name == "shift4"
            else fixture_system(request, name))
@@ -1308,7 +1346,7 @@ SYSTEM_CHECKERS = [check_intertwining_equivalents, check_coefficient_algebra,
 
 @pytest.mark.parametrize("name", ["qdeform12", "polar6", "cyclic5",
                                   "raw_system", "broken_system", "shift4",
-                                  "shift3_projection"])
+                                  "shift3_projection", "rotation_pi6"])
 def test_extension_towers_verdict_matches_the_precheck(request, name):
     sys = (corner_shift_system(4) if name == "shift4"
            else fixture_system(request, name))
@@ -1320,7 +1358,8 @@ def test_extension_towers_verdict_matches_the_precheck(request, name):
         walk = check_commutative_extendability(sys)
         assert [(d.check, d.value, d.tol) for d in rep.defects] == [
             ("hypothesis: " + d.check, d.value, d.tol) for d in walk.defects]
-        assert rep.notes == [
+        # a failure after the delta walk closed carries the walk's note
+        assert rep.notes == ["hypothesis: " + note for note in walk.notes] + [
             "hypothesis failed: commutative_extendability; no towers built"]
         assert [d.ok for d in rep.defects] == (
             [True] * (len(rep.defects) - 1) + [False])
@@ -1330,10 +1369,10 @@ def test_extension_towers_verdict_matches_the_precheck(request, name):
     ("shift3_projection", ["algebra commutative",
                            "U*U commutes with the algebra",
                            "U*U commutes with delta(tower stage 0)"]),
-    # U*U commutes with stage 0's images; the algebra does not
+    # U*U commutes with stage 0's images, not with stage 1's
     ("shift4", ["algebra commutative", "U*U commutes with the algebra",
                 "U*U commutes with delta(tower stage 0)",
-                "the algebra commutes with delta(tower stage 0)"]),
+                "U*U commutes with delta(tower stage 1)"]),
 ])
 def test_extension_towers_names_the_failing_stage(request, name, entries):
     sys = (corner_shift_system(4) if name == "shift4"
@@ -1350,7 +1389,9 @@ def test_extension_towers_names_the_failing_stage(request, name, entries):
 # The hypothesis failure of check_extension_towers on each system, as the
 # checker raised it before it returned reports: a commutator defect (from
 # NotCommutative, which carried no report), or the entries of the
-# commutative_extendability report carried by HypothesisViolated.
+# commutative_extendability report carried by HypothesisViolated.  shift4
+# fails extendability itself; rotation_pi6 is extendable, and its delta
+# tower, M_2, is not commutative.
 RAISED_HYPOTHESES = {
     "raw_system": [("algebra commutative", 0.9428090415820631)],
     "broken_system": [("algebra commutative", 1.414213562373095)],
@@ -1362,8 +1403,14 @@ RAISED_HYPOTHESES = {
     "shift4": [("algebra commutative", 2.465190328815662e-32),
                ("U*U commutes with the algebra", 0.0),
                ("U*U commutes with delta(tower stage 0)", 0.0),
-               ("the algebra commutes with delta(tower stage 0)",
-                0.4330127018922192)],
+               ("U*U commutes with delta(tower stage 1)",
+                0.9128709291752768)],
+    "rotation_pi6": [("algebra commutative", 0.0),
+                     ("U*U commutes with the algebra", 7.437084071668725e-18),
+                     ("U*U commutes with delta(tower stage 0)", 0.0),
+                     ("U*U commutes with delta(tower stage 1)",
+                      1.0517625158662835e-17),
+                     ("delta tower commutative", 1.0000000000000002)],
 }
 
 
@@ -1459,8 +1506,7 @@ def equal_spans_entry(sys):
     rep = check_extension_towers(sys)
     value = next(d.value for d in rep.defects
                  if d.check == "towers have equal spans")
-    tower_a = sys._with_algebra(
-        sys.commutative_delta_walk[1]).delta_star_walk[1]
+    tower_a = sys._with_algebra(sys.delta_walk[1]).delta_star_walk[1]
     tower_b = sys._with_algebra(sys.delta_star_walk[1]).delta_walk[1]
     return rep, value, spans_equal(tower_a.basis, tower_b.basis, sys.tol)[1]
 
@@ -1480,13 +1526,14 @@ def test_equal_spans_entry_matches_the_oracle(request, certified_systems,
 
 
 @pytest.mark.parametrize("name", ["qdeform12", "polar6"])
-def test_equal_spans_entry_compares_two_distinct_towers(request, name):
+def test_equal_spans_entry_compares_two_distinct_towers(request, name,
+                                                       monkeypatch):
     # every reference model's towers close at stage 0, so both are the seed
-    # algebra; a primed delta walk makes the second tower another object:
-    # the delta_star walks and the delta tower are the seed's, and the
-    # delta tower over the delta_star tower is the primed one.  A proper
-    # subalgebra and the full matrix algebra fail each direction of the
-    # mutual containment alone
+    # algebra.  Priming makes the second tower another object: the delta
+    # tower, which commutative_extendability reads, is the seed's; the
+    # delta_star tower is a copy of the seed, and the delta walk over the
+    # copy is primed.  A proper subalgebra and the full matrix algebra fail
+    # each direction of the mutual containment alone
     seed = fixture_system(request, name)
     alg, n, tol = seed.algebra, seed.dim, seed.tol
     same = FiniteStarAlgebra(_gram_schmidt_closure(list(alg.basis), n, tol),
@@ -1494,9 +1541,16 @@ def test_equal_spans_entry_compares_two_distinct_towers(request, name):
     sub = generate_closure([alg.basis[0]], tol)
     full = FiniteStarAlgebra(np.eye(n * n).reshape(-1, n, n), tol=tol)
     assert same.frame is None and sub.dim == 2 < alg.dim < full.dim
+    real = IsometrySystem._with_algebra
     for other, passes in ((same, True), (sub, False), (full, False)):
         sys = IsometrySystem(alg, seed.u)
-        sys.delta_walk = (sys.delta_walk[0], other)
+        copy = FiniteStarAlgebra(alg.frame, tol=tol)
+        primed = IsometrySystem(copy, seed.u)
+        primed.delta_walk = (primed.delta_walk[0], other)
+        sys.delta_star_walk = (sys.delta_star_walk[0], copy)
+        monkeypatch.setattr(
+            IsometrySystem, "_with_algebra",
+            lambda self, a: primed if a is copy else real(self, a))
         rep, value, oracle = equal_spans_entry(sys)
         assert sys._with_algebra(sys.delta_star_walk[1]).delta_walk[1] is other
         if passes:

@@ -559,9 +559,9 @@ def test_dump_json_17_digits():
 
 def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     # a model's system is the seed system its build walked (the towers
-    # close at the seed), so one run, build included, makes three walks:
-    # the build's delta and delta_star walks and the commutative walk of
-    # commutative_extendability, which extension_towers reads as well.
+    # close at the seed), so one run, build included, makes two walks: the
+    # build's delta and delta_star walks, which commutative_extendability
+    # and extension_towers read as well.
     # Every defect the system caches is measured once, and U is validated
     # once, by the system's constructor.  Every binding of the counted
     # functions is patched, the CLI's too.
@@ -596,7 +596,7 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
                       "counted")
         assert "coefficient_algebra" in doc["config"]["checks"]
         assert rc == exit_code
-        assert calls == {**dict.fromkeys(CACHED_DEFECTS, 1), "walks": 3,
+        assert calls == {**dict.fromkeys(CACHED_DEFECTS, 1), "walks": 2,
                          "is_partial_isometry": 1}
 
 
@@ -665,6 +665,13 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
     pytest.param({"type": "qdeform", "n": 2, "q": BIG, "rho": "heisenberg"},
                  f"qdeform model spec field 'q' must be a finite number, got "
                  f"{BIG}", id="huge-q"),
+    # an n whose matrices are past the address range, or whose first n x n
+    # allocation is refused outright
+    *(pytest.param({"type": "qdeform", "n": n, "q": 0.5, "rho": "heisenberg"},
+                   "qdeform model spec field 'n' is too large: its n x n "
+                   "complex matrices cannot be allocated", id=f"huge-n-{label}")
+      for n, label in ((10 ** 400, "1e400"), (10 ** 11, "1e11"),
+                       (10 ** 6, "1e6"))),
 ])
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,35 @@ def test_reduce_confluence(qsys, qtable):
         a = reduce(parse(left, qsys, qtable), qsys)
         b = reduce(parse(right, qsys, qtable), qsys)
         assert nf_allclose(a, b), (left, right)
+
+
+def test_reduce_takes_powers_by_squaring(qdeform12, cyclic5, monkeypatch):
+    # U^e costs O(log e) products: on the q-model n = 12 (U^12 = 0) a huge
+    # power is the zero form, and on cyclic5 U^(10^9) is the degree-10^9
+    # form of the matrix power
+    calls = []
+    real = nf.nf_multiply
+    monkeypatch.setattr(nf, "nf_multiply",
+                        lambda x, y: calls.append(1) or real(x, y))
+    q12 = qdeform12.system
+    start = time.perf_counter()
+    x = reduce(parse("U^100000000", q12, {}), q12)
+    assert time.perf_counter() - start < 1.0
+    assert x.degrees() == () and len(calls) <= 2 * 27
+    calls.clear()
+    x = reduce(parse("U^1000000000", cyclic5, {}), cyclic5)
+    assert x.degrees() == (10 ** 9,) and len(calls) <= 2 * 30
+    assert np.array_equal(x.eval(), np.linalg.matrix_power(cyclic5.u, 10 ** 9))
+
+
+def test_a_degree_past_the_integer_range_overflows(cyclic5):
+    # 2^62 squared is degree 2^63, which no 64-bit degree holds
+    x = reduce(parse(f"U^{2 ** 62}", cyclic5, {}), cyclic5)
+    assert x.degrees() == (2 ** 62,)
+    for text in (f"U^{2 ** 63}", f"U^{2 ** 62} * U^{2 ** 62}",
+                 f"U'^{2 ** 62} * U'^{2 ** 62}"):
+        with pytest.raises(ia.Overflow, match="outside the range"):
+            reduce(parse(text, cyclic5, {}), cyclic5)
 
 
 def test_reduce_refuses_broken_system(broken_system):
