@@ -59,6 +59,36 @@ the bounds do not count.  Algebras without a frame (Gram-Schmidt closures,
 commutants, bases given directly) are measured by the pair loops, as
 distances to an SVD basis of their span.
 
+**Images in the frame.**  With W = UV (U*V for delta_star), delta(b_i) =
+W_i W_i* / sqrt(r_i), of rank r_i.  The walks, the two invariance defects
+and the power entries measure the images from n x n products made once,
+in O(n^2) per basis element (``_Images``):
+
+- dist_F(delta(b_i), A) is that of Y_i = U~_i U~_i* / sqrt(r_i),
+  U~ = V^{-1} W (V*UV for a unitary V), to the block-scalar matrices: the
+  off-block mass of Y_i plus its part off each diagonal block's mean
+  scalar.  delta(b_i) - sum_j c_j V_j V_j* = V (Y_i - sum_j c_j J_j) V*
+  with J_j the identity on block j, and the singular values of V lie in
+  [sqrt(1 - ||E||), sqrt(1 + ||E||)], so the ambient distance lies
+  within the factor 1 +- ||E|| of the frame value, which it equals for a
+  unitary V;
+- ||[P, delta(b_i)]|| for a Hermitian P (U*U in the walk) is
+  ||[P, W_i W_i*]|| / sqrt(r_i): for r_i = 1 exactly
+  ||w|| ||Pw - (w*Pw / ||w||^2) w||, for r_i > 1 the norm of a
+  2r_i x 2r_i core from thin QR factors (``_commutator_norms``);
+- U^k b_i - delta^k(b_i) U^k = U^k b_i (1 - P_k), P_k = U^{*k}U^k, so
+  that power entry is ||(U^k V_i)((1 - P_k) V_i)*|| / sqrt(r_i), and
+  ||[P_k, b_i]|| is ``_commutator_norms`` of P_k V_i and V_i, both exact
+  from the products U^k V and P_k V.  Their k = 1 cases are
+  ``intertwining_defect`` and ``uu_commutator_defect``; U* for U gives
+  ``adjoint_intertwining_defect``.
+
+None of them cancels: no norm is the square root of a difference of
+squares, which leaves noise near sqrt(eps) where the value is 0, and an
+off-block sum is an exclusive sum, never a total minus the diagonal.  The
+stack of images is built (``Frame.basis`` on (W, r)) only for a stage
+that does not close, whose closure needs it.
+
 **The gauge generator.**  A system may certify its gauge action
 U -> lam U (an Huef and Raeburn, ETDS 17, 1997; Exel, ETDS 23, 2003) from
 U alone: H = -sum_{k=1}^{K} U^{*k}U^k over the cached initial projections
@@ -218,14 +248,122 @@ class Frame(NamedTuple):
 
     def basis(self) -> np.ndarray:
         """The (d, n, n) stack of b_i = V_i V_i* / sqrt(r_i), the one place
-        a basis is built from a frame."""
+        a basis is built from a frame, in one batched product per distinct
+        rank.  On W = xV it is the stack of images x b_i x*."""
         n = len(self.vecs)
         basis = np.empty((len(self.ranks), n, n), dtype=complex)
-        starts = np.cumsum(self.ranks) - self.ranks
-        for p, start, rank in zip(basis, starts, self.ranks):
-            v = self.vecs[:, start:start + rank]
-            np.matmul(v, adjoint(v) / np.sqrt(rank), out=p)
+        for at, r, cols in _rank_groups(self.ranks):
+            v = _block_columns(self.vecs, cols)
+            if at[-1] - at[0] == len(at) - 1:  # consecutive: no temporary
+                np.matmul(v, adjoint(v) / np.sqrt(r),
+                          out=basis[at[0]:at[-1] + 1])
+            else:
+                basis[at] = v @ (adjoint(v) / np.sqrt(r))
         return basis
+
+
+def _rank_groups(ranks: np.ndarray):
+    """Per distinct block rank r: the blocks of that rank, r, and their
+    (len(at), r) column indices."""
+    starts = np.cumsum(ranks) - ranks
+    # not np.unique, whose first call imports numpy.ma
+    for r in sorted(set(ranks.tolist())):
+        at = np.flatnonzero(ranks == r)
+        yield at, r, starts[at, None] + np.arange(r)
+
+
+def _block_columns(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (..., k, n, r) stack of the column blocks at the (k, r) column
+    indices ``cols`` of an (n, n) matrix or of each of an (..., n, n)
+    stack."""
+    return np.ascontiguousarray(np.moveaxis(m[..., cols], -3, -2))
+
+
+def _outer_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The spectral norms ||a_i b_i*|| over (..., n, r) stacks a and b: the
+    product of the two vectors' norms for r = 1, else ||R_a R_b*|| from the
+    thin QR factors a_i = Q R_a and b_i = Q' R_b, exactly."""
+    if a.shape[-1] == 1:
+        return (np.linalg.norm(a[..., 0], axis=-1)
+                * np.linalg.norm(b[..., 0], axis=-1))
+    ra, rb = np.linalg.qr(a, mode="r"), np.linalg.qr(b, mode="r")
+    return spectral_norms(ra @ adjoint(rb))
+
+
+def _commutator_norms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||[P, w_i w_i*]|| for a Hermitian P over (..., n, r) stacks w and
+    x = P w: x w* - w x* has rank at most 2r.  For r = 1 it is
+    ||w|| ||x - (w*x / ||w||^2) w||, exactly, which takes the residual
+    itself and not sqrt(||x||^2 ||w||^2 - |<w, x>|^2), whose cancellation
+    leaves noise near sqrt(eps) where the value is 0.  For r > 1 it is
+    ||L R*|| with L = [x, -w] and R = [w, x] (``_outer_norms``), and 0
+    where the commutator, formed in O(n^2 r), has no nonzero entry."""
+    w = np.broadcast_to(w, x.shape)
+    if w.shape[-1] > 1:
+        nonzero = (x @ adjoint(w) - w @ adjoint(x)).any(axis=(-2, -1))
+        return np.where(nonzero, _outer_norms(
+            np.concatenate([x, -w], axis=-1),
+            np.concatenate([w, x], axis=-1)), 0.0)
+    w, x = w[..., 0], x[..., 0]
+    # one expression for both inner products, so that x = w gives alpha = 1
+    mass = np.einsum("...i,...i->...", w.conj(), w).real
+    alpha = np.divide(np.einsum("...i,...i->...", w.conj(), x), mass,
+                      out=np.zeros(mass.shape, complex), where=mass > 0.0)
+    return np.sqrt(mass) * np.linalg.norm(x - alpha[..., None] * w, axis=-1)
+
+
+def _per_block(norms, a: np.ndarray, b: np.ndarray,
+               ranks: np.ndarray) -> np.ndarray:
+    """norms(A_i, B_i) / sqrt(r_i) over the column blocks A_i, B_i of an
+    (..., n, n) stack a and an (n, n) matrix or a stack b, cut at the
+    ranks, as an (..., d) array: one call per distinct rank."""
+    out = np.empty(a.shape[:-2] + (len(ranks),))
+    for at, r, cols in _rank_groups(ranks):
+        out[..., at] = norms(_block_columns(a, cols),
+                             _block_columns(b, cols)) / np.sqrt(r)
+    return out
+
+
+def _exclusive_sums(s: np.ndarray) -> np.ndarray:
+    """sum_{k != j} s_k for each j along the first axis of a nonnegative
+    array, as the sum of the entries before j and the entries after it:
+    never the total minus s_j, which leaves the total's rounding where the
+    mass sits in one entry."""
+    out = np.zeros_like(s)
+    np.cumsum(s[:-1], axis=0, out=out[1:])
+    out[:-1] += np.cumsum(s[:0:-1], axis=0)[::-1]
+    return out
+
+
+def _block_scalar_distances(coords: np.ndarray,
+                            ranks: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each Y_i = C_i C_i* / sqrt(r_i), C_i the i-th
+    column block of the (n, n) matrix ``coords``, to the block-scalar
+    matrices of the ranks: its off-block mass plus, inside each diagonal
+    block, its part off the block's mean scalar.
+
+    For a rank-1 column c, with s_j = ||c_j||^2 the mass of c in row
+    block j, the squared distance is sum_j s_j sum_{k != j} s_k +
+    sum_j s_j^2 (1 - 1/r_j), each a sum of nonnegative terms, in O(n)
+    per column.  A column block of rank r > 1 is formed as C_i C_i* in
+    O(n^2 r), and its block means are taken off the diagonal."""
+    starts = np.cumsum(ranks) - ranks
+    out = np.empty(len(ranks))
+    for at, r, cols in _rank_groups(ranks):
+        if r == 1:
+            c = coords[:, cols[:, 0]]
+            mass = np.add.reduceat(c.real ** 2 + c.imag ** 2, starts, axis=0)
+            off = np.einsum("jk,jk->k", mass, _exclusive_sums(mass))
+            inner = np.einsum("jk,jk,j->k", mass, mass, 1.0 - 1.0 / ranks)
+            out[at] = np.sqrt(off + inner)
+            continue
+        c = _block_columns(coords, cols)
+        y = c @ adjoint(c)
+        i = np.arange(len(coords))
+        means = np.add.reduceat(y[:, i, i], starts, axis=1) / ranks
+        y[:, i, i] -= np.repeat(means, ranks, axis=1)
+        out[at] = _frobenius_norms(y) / np.sqrt(r)
+    return out
 
 
 def _block_sums(m: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -240,11 +378,9 @@ def _block_norms(m: np.ndarray, ranks: np.ndarray,
     (n, n) matrix cut at the ranks, with S_i the square root of the PSD
     diagonal block gram_ii (the identity when ``gram`` is None).  The
     blocks of each pair of ranks are solved in one batch."""
-    starts = np.cumsum(ranks) - ranks
     groups = []
-    for r in np.unique(ranks):
-        at = np.flatnonzero(ranks == r)
-        idx = (starts[at, None] + np.arange(r)).ravel()
+    for at, r, cols in _rank_groups(ranks):
+        idx = cols.ravel()
         root = None
         if gram is not None:
             g = gram[np.ix_(idx, idx)].reshape(len(at), r, len(at), r)
@@ -328,8 +464,11 @@ class FiniteStarAlgebra:
         lies in the span, within tol * max(1, ||m||_F), and its Frobenius
         distance to the span."""
         defects = self.span_defects(stack)
-        scale = np.maximum(1.0, _frobenius_norms(stack))
-        return defects <= self.tol * scale, defects
+        return self._within(defects, _frobenius_norms(stack)), defects
+
+    def _within(self, defects: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """The membership rule, on distances and Frobenius norms."""
+        return defects <= self.tol * np.maximum(1.0, norms)
 
     def contains(self, m: np.ndarray) -> tuple[bool, float]:
         """The membership rule on one matrix, and its distance."""
@@ -350,6 +489,12 @@ class FiniteStarAlgebra:
         """V*V of the frame: the identity, up to E, for a unitary V."""
         v = self.frame.vecs
         return adjoint(v) @ v
+
+    @cached_property
+    def _frame_inverse(self) -> np.ndarray:
+        """V^{-1} of the frame, which takes a matrix to frame coordinates:
+        V*, up to E, for a unitary V."""
+        return np.linalg.inv(self.frame.vecs)
 
     @cached_property
     def commutator_defect(self) -> float:
@@ -709,7 +854,7 @@ class IsometrySystem:
         if n == 0:
             return m
         p = self.power(n)
-        return adjoint(p) @ m @ p if star else p @ m @ adjoint(p)
+        return _conjugates(adjoint(p) if star else p, m)
 
     def delta_n(self, m: np.ndarray, n: int) -> np.ndarray:
         """U^n m U^{*n} for a matrix or each matrix of a (K, n, n) stack
@@ -731,13 +876,17 @@ class IsometrySystem:
     @cached_property
     def intertwining_defect(self) -> float:
         """Intertwining (i): worst ||U a - delta(a) U|| over the basis."""
-        basis = self.algebra.basis
-        return _worst_norm(self.u @ basis - self.delta(basis) @ self.u)
+        return _intertwining_entry(self, np.array([1]))
+
+    @cached_property
+    def adjoint_intertwining_defect(self) -> float:
+        """Worst ||U* a - delta_star(a) U*|| over the basis."""
+        return _intertwining_entry(self, np.array([1]), star=True)
 
     @cached_property
     def uu_commutator_defect(self) -> float:
         """Worst ||[U*U, a]|| over the basis."""
-        return _commutator_norm(self.proj_initial(1), self.algebra.basis)
+        return _projection_entry(self, np.array([1]))
 
     @cached_property
     def multiplicativity_defect(self) -> float:
@@ -754,23 +903,32 @@ class IsometrySystem:
             basis, deltas = alg.basis, self.delta(alg.basis)
             return max(_worst_norm(self.delta(a @ basis) - da @ deltas)
                        for a, da in zip(basis, deltas))
-        vecs, ranks = alg.frame
-        uv = self.u @ vecs
+        uv, ranks = self._images(alg, False)._factors, alg.frame.ranks
         h = adjoint(uv) @ uv
         norms = _block_norms(alg._frame_gram - h, ranks, h)
         return float((norms / np.sqrt(np.outer(ranks, ranks))).max())
 
+    def _images(self, algebra: FiniteStarAlgebra, star: bool) -> "_Images":
+        """The delta (or delta_star) images of an algebra's basis; those of
+        the system's own algebra are made once."""
+        if algebra is self.algebra:
+            return self._own_images[star]
+        return _Images(self.u, algebra, star)
+
+    @cached_property
+    def _own_images(self) -> tuple["_Images", "_Images"]:
+        return (_Images(self.u, self.algebra, False),
+                _Images(self.u, self.algebra, True))
+
     @cached_property
     def delta_invariance_defect(self) -> float:
         """Worst distance from delta(a) to the algebra over the basis."""
-        return float(self.algebra.span_defects(
-            self.delta(self.algebra.basis)).max())
+        return float(self._images(self.algebra, False).distances.max())
 
     @cached_property
     def delta_star_invariance_defect(self) -> float:
         """Likewise for delta_star(a)."""
-        return float(self.algebra.span_defects(
-            self.delta_star(self.algebra.basis)).max())
+        return float(self._images(self.algebra, True).distances.max())
 
     @cached_property
     def coefficient_report(self) -> ConditionReport:
@@ -863,6 +1021,117 @@ def _commutator_norm(left: np.ndarray, right: np.ndarray) -> float:
     return max((_worst_norm(a @ right - right @ a) for a in rows), default=0.0)
 
 
+def _conjugates(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x m x* for a matrix or each matrix of a stack."""
+    return x @ m @ adjoint(x)
+
+
+class _Images:
+    """The images x b_i x* of an algebra's basis under delta (x = U) or
+    delta_star (x = U*), and the walk's measures of them.
+
+    Without a frame they are the (d, n, n) stack of conjugates.  With a
+    frame (V, r), image i is W_i W_i* / sqrt(r_i) with W = xV, one n x n
+    product, and each measure takes O(n^2) per image from W:
+
+    - its Frobenius norm is ||W_i* W_i||_F / sqrt(r_i);
+    - its distance to the algebra is that of U~_i U~_i* / sqrt(r_i), with
+      U~ = V^{-1} W, to the block-scalar matrices
+      (``_block_scalar_distances``);
+    - ||[P, image]|| for a Hermitian P is ``_commutator_norms`` of the
+      column blocks of PW and W, over sqrt(r_i).
+
+    The stack is built (``Frame.basis`` on (W, r)) only when it is asked
+    for: by a stage that does not close, for its closure.
+    """
+
+    def __init__(self, u: np.ndarray, algebra: FiniteStarAlgebra,
+                 star: bool):
+        # U, not its system: a system caches its own images
+        self.x = adjoint(u) if star else u
+        self.algebra = algebra
+
+    @cached_property
+    def _factors(self) -> np.ndarray:
+        return self.x @ self.algebra.frame.vecs
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        alg = self.algebra
+        if alg.frame is None:
+            return _conjugates(self.x, alg.basis)
+        return Frame(self._factors, alg.frame.ranks).basis()
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The Frobenius distance of each image to the algebra."""
+        alg = self.algebra
+        if alg.frame is None:
+            return alg.span_defects(self.stack)
+        return _block_scalar_distances(alg._frame_inverse @ self._factors,
+                                       alg.frame.ranks)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The Frobenius norm of each image."""
+        alg = self.algebra
+        if alg.frame is None:
+            return _frobenius_norms(self.stack)
+        norms = np.empty(alg.dim)
+        for at, r, cols in _rank_groups(alg.frame.ranks):
+            w = _block_columns(self._factors, cols)
+            norms[at] = _frobenius_norms(adjoint(w) @ w) / np.sqrt(r)
+        return norms
+
+    @cached_property
+    def closed(self) -> bool:
+        """Whether every image lies in the algebra by its membership rule
+        (``FiniteStarAlgebra.membership``)."""
+        return bool(self.algebra._within(self.distances, self.norms).all())
+
+    def commutator_norm(self, p: np.ndarray) -> float:
+        """Worst ||[p, image]|| over the images, for a Hermitian p."""
+        alg = self.algebra
+        if alg.frame is None:
+            return _commutator_norm(p, self.stack)
+        return float(_per_block(_commutator_norms, p @ self._factors,
+                                self._factors, alg.frame.ranks).max())
+
+
+def _intertwining_entry(sys: IsometrySystem, ks: np.ndarray,
+                        star: bool = False) -> float:
+    """Worst ||X^k a - delta_X^k(a) X^k|| over k in ks and the basis, with
+    X = U and delta_X = delta, or X = U* and delta_X = delta_star (star).
+
+    It is X^k a (1 - X^{*k}X^k), so with a frame it is
+    ||(X^k V_i)((1 - X^{*k}X^k) V_i)*|| / sqrt(r_i) (``_outer_norms``),
+    from the products X^k V and X^{*k}X^k V."""
+    alg, powers = sys.algebra, sys.power_stack(ks)
+    if star:
+        powers = adjoint(powers)
+    if alg.frame is None:
+        basis = alg.basis
+        image = sys.delta_star_n if star else sys.delta_n
+        return max((_worst_norm(xk @ basis - image(basis, k) @ xk)
+                    for k, xk in zip(ks, powers)), default=0.0)
+    v, ranks = alg.frame
+    projs = sys._proj_stack(ks, initial=not star)
+    return float(_per_block(_outer_norms, powers @ v, v - projs @ v,
+                            ranks).max(initial=0.0))
+
+
+def _projection_entry(sys: IsometrySystem, ks: np.ndarray) -> float:
+    """Worst ||[P_k, a]||, P_k = U^{*k}U^k, over k in ks and the basis;
+    with a frame, ``_commutator_norms`` of the column blocks of P_k V and V
+    over sqrt(r_i)."""
+    alg, projs = sys.algebra, sys.proj_initial_stack(ks)
+    if alg.frame is None:
+        return _commutator_norm(projs, alg.basis)
+    v, ranks = alg.frame
+    return float(_per_block(_commutator_norms, projs @ v, v,
+                            ranks).max(initial=0.0))
+
+
 def _delta_hypotheses(sys: IsometrySystem) -> list:
     """The hypotheses of the delta_star tower and of the power identities,
     as (label, measure) entries: intertwining (i) and delta mapping the
@@ -947,7 +1216,8 @@ def _checked_walk(sys: IsometrySystem, name: str, image: str,
     fails ends the report and the walk, with tower None.  The walk stops
     when every image lies in the stage by its membership rule
     (``FiniteStarAlgebra.membership``), and otherwise closes the stage with
-    them; the report notes the closed tower's dimension."""
+    them; the report notes the closed tower's dimension.  A stage with a
+    frame measures its images in it (``_Images``)."""
     tol = sys.tol
     rep = ConditionReport(name)
     for label, measure in hypotheses:
@@ -955,15 +1225,15 @@ def _checked_walk(sys: IsometrySystem, name: str, image: str,
             return rep, None
     cur = sys.algebra
     for stage in range(_chain_cap(sys.dim)):
-        images = getattr(sys, image)(cur.basis)
+        images = sys._images(cur, image == "delta_star")
         if left is not None and not rep.add(
                 f"{left[0]} commutes with {image}(tower stage {stage})",
-                _commutator_norm(left[1], images), tol).ok:
+                images.commutator_norm(left[1]), tol).ok:
             return rep, None
-        if cur.membership(images)[0].all():
+        if images.closed:
             break
-        cur = generate_closure(np.concatenate([cur.basis, images]), tol,
-                               dim=sys.dim)
+        cur = generate_closure(np.concatenate([cur.basis, images.stack]),
+                               tol, dim=sys.dim)
     rep.note(f"the {image} tower closes at dimension {cur.dim}")
     return rep, cur
 
@@ -1057,13 +1327,11 @@ def verify_power_identities(sys: IsometrySystem,
     for label, measure in _delta_hypotheses(sys):
         rep.add("hypothesis: " + label, measure(), tol)
 
-    basis, ks = sys.algebra.basis, np.arange(1, k_max + 1)
-    d = max((_worst_norm(uk @ basis - sys.delta_n(basis, k) @ uk)
-             for k, uk in zip(ks, sys.power_stack(ks))), default=0.0)
-    rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}", d, tol)
-
-    d = _commutator_norm(sys.proj_initial_stack(ks), basis)
-    rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}", d, tol)
+    ks = np.arange(1, k_max + 1)
+    rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}",
+            _intertwining_entry(sys, ks), tol)
+    rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}",
+            _projection_entry(sys, ks), tol)
 
     for label, stack in (("U^{*k}U^k", sys.proj_initial_stack),
                          ("U^kU^{*k}", sys.proj_final_stack)):

@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -337,7 +338,10 @@ def _cmd_polar(args) -> tuple[dict, int]:
     }, 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each ``parse_args`` call fills a
+    new namespace, so calls share no state."""
     ap = argparse.ArgumentParser(
         prog="isoalg",
         description="verification suites for algebras generated by a "

@@ -28,8 +28,12 @@ from isoalg.algebra import (
     Frame,
     _absorption_defect,
     _commutator_norm,
+    _commutator_norms,
     _extend,
     _gram_schmidt_closure,
+    _intertwining_entry,
+    _per_block,
+    _projection_entry,
     _projection_families_defect,
     _span_defects,
     _spectral_closure,
@@ -49,6 +53,7 @@ from conftest import (
     raw_system_spec,
     rotated,
     spans_equal,
+    weighted_shift,
 )
 
 E12 = np.array([[0, 1], [0, 0]], complex)
@@ -1186,6 +1191,182 @@ def test_walker_reports_match_the_replaced_walks(request, name):
     assert rep.defects == ref_rep.defects[:first + 1] and not rep.notes
 
 
+# ---------------------------------------------------------------------------
+# The frame measures of the delta and delta_star images and of the power
+# entries against the dense bodies they replaced, kept as oracles.  Each
+# is exact for a unitary frame V; a distance to the algebra is within the
+# factor 1 +- ||E||, E = V*V - I; both up to the rounding of the products.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def frame_models(ladder_models, qdeform12, polar6):
+    """Models whose algebras all have frames: q12, p6, a rotated p6, the
+    rotated polar models rot09 at n = 24 and 48 (dense frames, E != 0)
+    and the ladder models."""
+    models = {"qdeform12": qdeform12, "polar6": polar6,
+              "p6_rotated": ia.build_polar_model(
+                  rotated(weighted_shift(6, 0.5), 3))}
+    for n in (24, 48):
+        models[f"rot09_n{n}"] = ia.build_polar_model(
+            rotated(weighted_shift(n, 0.9), 0))
+    return {**models, **ladder_models}
+
+
+def frame_oracle_systems(request, name):
+    """Fresh systems over each algebra of a model (or of a raw system)."""
+    if name == "q6x2":
+        sys = request.getfixturevalue("q6x2")
+        return [IsometrySystem(sys.algebra, sys.u)]
+    m = request.getfixturevalue("frame_models")[name]
+    algebras = {id(alg): alg for alg in (m.seed_algebra, m.delta_tower,
+                                          m.system.algebra)}
+    return [IsometrySystem(alg, m.u) for alg in algebras.values()]
+
+
+def frame_error(alg):
+    return float(np.linalg.norm(alg._frame_gram - np.eye(alg.ambient_dim)))
+
+
+def assert_within_frame_bound(got, want, n, e=0.0):
+    """|got - want| within the factor 1 +- e of got, plus the rounding of
+    n x n products: 4 n eps relative to max(1, |want|)."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    slack = 4 * n * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+    assert (np.abs(got - want) <= e * np.abs(got) + slack).all(), (got, want)
+
+
+FRAME_MODELS = ["qdeform12", "polar6", "p6_rotated", "rot09_n24",
+                "rot09_n48", "q6x2", "q05_n12", "q09_n24", "polar07_n24"]
+
+
+def assert_images_match_the_dense_images(sys, projections):
+    """Per delta and delta_star image of the basis: its distance to the
+    algebra, its Frobenius norm, its commutator with each Hermitian
+    projection, the fixed-point verdict and the stack, against the dense
+    stack of conjugates."""
+    alg, n = sys.algebra, sys.dim
+    e, ranks = frame_error(alg), alg.frame.ranks
+    for star, image in ((False, sys.delta), (True, sys.delta_star)):
+        images, dense = sys._images(alg, star), image(alg.basis)
+        assert_within_frame_bound(images.distances, alg.span_defects(dense),
+                                  n, e)
+        assert_within_frame_bound(images.norms,
+                                  np.linalg.norm(dense, axis=(1, 2)), n)
+        w = images._factors
+        for p in projections:
+            assert_within_frame_bound(
+                _per_block(_commutator_norms, p @ w, w, ranks),
+                spectral_norms(p @ dense - dense @ p), n)
+        assert images.closed == bool(alg.membership(dense)[0].all())
+        # the stack, built only for a closure, is the dense one
+        assert np.abs(images.stack - dense).max() <= 4 * n * np.finfo(
+            float).eps
+
+
+def assert_power_entries_match_the_dense_bodies(sys, k_max):
+    """Per k <= k_max: ||X^k a - delta_X^k(a) X^k|| for X = U and U*, and
+    ||[U^{*k}U^k, a]||, worst over the basis, against the dense bodies."""
+    basis, n = sys.algebra.basis, sys.dim
+    for k in range(1, k_max + 1):
+        ks, uk, pk = np.array([k]), sys.power(k), sys.proj_initial(k)
+        for star, xk, image in ((False, uk, sys.delta_n),
+                                (True, adjoint(uk), sys.delta_star_n)):
+            assert_within_frame_bound(
+                _intertwining_entry(sys, ks, star),
+                spectral_norms(xk @ basis - image(basis, k) @ xk).max(), n)
+        assert_within_frame_bound(
+            _projection_entry(sys, ks),
+            spectral_norms(pk @ basis - basis @ pk).max(), n)
+
+
+@pytest.mark.parametrize("name", FRAME_MODELS)
+def test_frame_images_and_power_entries_match_the_dense_bodies(request,
+                                                               name):
+    for sys in frame_oracle_systems(request, name):
+        assert sys.algebra.frame is not None
+        assert_images_match_the_dense_images(sys, [sys.proj_initial(1)])
+        assert_power_entries_match_the_dense_bodies(sys, 8)
+        # the report entries are the worst over k
+        basis = sys.algebra.basis
+        got = [d.value for d in verify_power_identities(sys, 8).defects[2:4]]
+        assert_within_frame_bound(got, [
+            loop_power_intertwining(sys, 8),
+            max(loop_commutator_norm(sys.proj_initial(k), basis)
+                for k in range(1, 9))], sys.dim)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_measures_match_the_dense_bodies_on_generic_systems(seed):
+    # random frames with blocks of mixed ranks and a random partial
+    # isometry: every value is generic and far from 0
+    gens, labels = random_commuting_normal_set(seed)
+    alg, n = generate_closure(gens), len(labels)
+    rng = np.random.default_rng(100 + seed)
+    w, v = (np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    sys = IsometrySystem(alg, w @ v @ np.diag([1.0] * (n - 1) + [0.0])
+                         @ adjoint(v))
+    # (only the identity, in a 1-dim algebra, commutes with U*U)
+    assert alg.dim == 1 or (sys.delta_invariance_defect > 0.1
+                            and sys.uu_commutator_defect > 0.1)
+    assert_images_match_the_dense_images(
+        sys, [sys.proj_initial(1), sys.proj_final(2)])
+    assert_power_entries_match_the_dense_bodies(sys, 3)
+
+
+@pytest.mark.parametrize("ranks", [[1] * 6, [2, 1, 3]])
+def test_frame_distances_keep_their_bound_on_a_perturbed_frame(ranks):
+    # V = V0 (1 + 1e-6 G), so ||E|| ~ 1e-5, and U = V0 S V0* maps the
+    # algebra of V0 into itself: the images lie at distances of order
+    # ||E|| from the algebra of V, which V* in place of V^{-1} would miss
+    # by a term of the same order
+    rng = np.random.default_rng(7)
+    n = 6
+    v0, g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for _ in range(2))
+    v0 = np.linalg.qr(v0)[0]
+    alg = FiniteStarAlgebra(Frame(v0 @ (np.eye(n) + 1e-6 * g),
+                                  np.array(ranks)), tol=1e-4)
+    u = v0 @ ia.backward_shift(n) @ adjoint(v0)
+    sys, e = IsometrySystem(alg, u), frame_error(alg)
+    assert 1e-6 < e < 1e-4
+    span = _svd_span(alg.basis)
+    for star, x in ((False, u), (True, adjoint(u))):
+        distances = _span_defects(span, x @ alg.basis @ adjoint(x))
+        assert_within_frame_bound(sys._images(alg, star).distances,
+                                  distances, n, e)
+
+
+def assert_walk_within_frame_bound(got, ref, n, e):
+    """The same entries, verdicts, notes and tower span as the dense
+    walk's, with values within the frame bound."""
+    (rep, tower), (ref_rep, ref_tower) = got, ref
+    assert [(d.check, d.ok) for d in rep.defects] == [
+        (d.check, d.ok) for d in ref_rep.defects]
+    assert rep.notes == ref_rep.notes
+    assert_within_frame_bound([d.value for d in rep.defects],
+                              [d.value for d in ref_rep.defects], n, e)
+    assert (tower is None) == (ref_tower is None)
+    if tower is not None:
+        assert tower.dim == ref_tower.dim
+        assert spans_equal(tower.basis, ref_tower.basis, TOL)[0]
+
+
+@pytest.mark.parametrize("name", FRAME_MODELS)
+def test_frame_walks_match_the_dense_walks(request, name):
+    for sys in frame_oracle_systems(request, name):
+        e = frame_error(sys.algebra)
+        assert_walk_within_frame_bound(sys.delta_walk,
+                                       reference_delta_walk(sys), sys.dim, e)
+        ref_rep, ref_tower = reference_delta_star_walk(sys)
+        assert ref_rep.passed
+        ref_rep.note(f"the delta_star tower closes at dimension "
+                     f"{ref_tower.dim}")
+        assert_walk_within_frame_bound(sys.delta_star_walk,
+                                       (ref_rep, ref_tower), sys.dim, e)
+
+
 def test_extend_delta_star_report_ends_at_the_failing_entry(broken_system):
     with pytest.raises(HypothesisViolated, match="delta_star tower unsound"
                        ) as info:
@@ -1228,8 +1409,8 @@ def test_walks_and_intertwining_report_are_made_once_per_system(
 def test_commutative_extendability_takes_no_pair_loop(ladder_models,
                                                       monkeypatch):
     # on a frame system the check reads the delta walk and the tower's
-    # frame commutator defect: every commutator norm it takes is U*U's, one
-    # matrix against a stack, never a basis stack against the images
+    # frame commutator defect, and the walk takes its U*U entries in the
+    # frame: no commutator norm of a dense stack is taken at all
     m = ladder_models["q09_n24"]
     sys = IsometrySystem(m.seed_algebra, m.u)
     lefts = []
@@ -1238,7 +1419,41 @@ def test_commutative_extendability_takes_no_pair_loop(ladder_models,
         lefts.append(left.shape) or real(left, right)))
     rep = check_commutative_extendability(sys)
     assert rep.passed and sys.delta_walk[1].frame is not None
-    assert lefts and all(len(shape) == 2 for shape in lefts), lefts
+    assert [d.check for d in rep.defects if d.check.startswith("U*U")] == [
+        "U*U commutes with the algebra",
+        "U*U commutes with delta(tower stage 0)"]
+    assert lefts == []
+
+
+def test_frame_systems_conjugate_no_basis_stack(ladder_models, raw_system,
+                                                monkeypatch):
+    # a frame build, and every algebra check on its systems, takes the
+    # images of a basis from W = UV and U*V: no (d, n, n) stack of
+    # conjugates is made, by IsometrySystem._conjugate or otherwise
+    shapes = []
+    real = ia.algebra._conjugates
+    monkeypatch.setattr(ia.algebra, "_conjugates", lambda x, m: (
+        shapes.append(np.shape(m)) or real(x, m)))
+    # the dense bodies of a frame-less system do make them
+    check_coefficient_algebra(IsometrySystem(raw_system.algebra,
+                                             raw_system.u))
+    assert shapes and all(len(shape) == 3 for shape in shapes)
+    shapes.clear()
+    models = [ia.build_qdeform(12, 0.5, "heisenberg"),
+              ia.build_polar_model(weighted_shift(24, 0.7)),
+              ia.build_polar_model(rotated(weighted_shift(6, 0.5), 3)),
+              *ladder_models.values()]
+    for m in models:
+        for sys in (IsometrySystem(m.seed_algebra, m.u),
+                    IsometrySystem(m.system.algebra, m.u)):
+            assert sys.algebra.frame is not None
+            for rep in (check_coefficient_algebra(sys),
+                        check_adjoint_intertwining(sys),
+                        check_commutative_extendability(sys),
+                        verify_power_identities(sys, 8),
+                        check_extension_towers(sys)):
+                assert rep.passed, rep
+    assert not [shape for shape in shapes if len(shape) == 3], shapes
 
 
 def test_powers_past_the_cache_are_taken_by_squaring(cyclic5):

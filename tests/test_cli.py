@@ -246,6 +246,37 @@ def test_run_missing_file_exits_2(specs):
     assert rc == 2
 
 
+def test_parser_is_built_once_and_parses_each_argv_afresh(specs, capsys):
+    from isoalg.cli import _build_parser
+    parser = _build_parser()
+    assert _build_parser() is parser
+    run = parser.parse_args(["run", "--model", "a.json", "--seed", "3",
+                             "--checks", "norm_limit"])
+    nf = parser.parse_args(["nf", "--model", "b.json", "--expr", "U"])
+    # the second parse neither reuses nor alters the first namespace
+    assert run is not nf
+    assert vars(run) == {"command": "run", "func": vars(run)["func"],
+                         "model": "a.json", "tol": None, "seed": 3,
+                         "k_max": 8, "samples": 200, "out": None,
+                         "checks": "norm_limit"}
+    assert (nf.command, nf.model, nf.seed, nf.expr, nf.expr_file) == (
+        "nf", "b.json", 0, "U", None)
+    assert not hasattr(nf, "checks")
+    # an argparse error still exits 2, and a later call is unaffected
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--model"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["frobnicate"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["run", "--model", specs["qdeform.json"],
+                 "--checks", "bogus"]) == 2
+    assert main(["closure", "--model", specs["qdeform.json"],
+                 "--out", os.devnull]) == 0
+    assert _build_parser() is parser
+
+
 def test_run_inapplicable_check_exits_2(specs):
     rc = main(["run", "--model", specs["polar.json"],
                "--checks", "qdeform_relations"])

@@ -267,6 +267,25 @@ def test_a_degree_past_the_integer_range_overflows(cyclic5):
             reduce(parse(text, cyclic5, {}), cyclic5)
 
 
+def test_product_holds_only_the_degrees_that_occur(cyclic5):
+    # (U^k + U'^k)^2 has the degrees -2k, 0 and 2k; a product that held
+    # every degree of -2k..2k took seconds at k = 10000
+    k = 10000
+    x = reduce(parse(f"U^{k} + U'^{k}", cyclic5, {}), cyclic5)
+    start = time.perf_counter()
+    y = nf_multiply(x, x)
+    assert time.perf_counter() - start < 0.5
+    assert y.degrees() == (-2 * k, 0, 2 * k)
+    # on the permutation U every matrix of the product is exact
+    u = np.linalg.matrix_power(cyclic5.u, k)
+    s = u + adjoint(u)
+    assert np.array_equal(y.eval(), s @ s)
+    z = reduce(parse(f"(U^{k} + U'^{k})*(U^{k} + U'^{k})", cyclic5, {}),
+               cyclic5)
+    assert z.degrees() == y.degrees()
+    assert np.array_equal(z.eval(), y.eval())
+
+
 def test_reduce_refuses_broken_system(broken_system):
     with pytest.raises(NotCoefficientAlgebra):
         reduce(ex.USym(False), broken_system)
