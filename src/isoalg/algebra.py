@@ -739,14 +739,19 @@ class GaugeGenerator(NamedTuple):
 class IsometrySystem:
     """A *-algebra together with a partial isometry acting on the same space.
 
-    Powers of U and the projections U^{*k} U^k, U^k U^{*k} are cached eagerly
-    as stacks up to k = 2n + 4 on C^n, or up to the first power that is
-    zero at tol, stored as an exact zero (further powers are computed on
-    demand without mutating the cache); the ``*_stack`` methods return many
-    at once.  ``tol`` is the algebra's, the tolerance every checker measures
-    the system at, and ``partial_isometry`` is U's report at it.  The
-    instance is immutable after construction, so its walks and the defects
-    that several reports share are cached properties.
+    The powers of U are cached as they are asked for, each by one product
+    U^{k+1} = U^k U, up to k = 2n + 4 on C^n or up to the first power that
+    is zero at tol, stored as an exact zero; a power past the cap is taken
+    from cached ones by repeated squaring, and none past it is kept.  The
+    projections U^{*k} U^k and U^k U^{*k} are formed from the powers for
+    the k asked for, and the ``*_stack`` methods return many at once.  So a
+    build, which reads U and U*U, holds two powers, and a check holds
+    those up to the depth it measures.  ``tol`` is the algebra's, the
+    tolerance every checker measures the system at, and
+    ``partial_isometry`` is U's report at it.  The system is immutable
+    after construction, apart from the power cache, which only grows, so
+    its walks and the defects that several reports share are cached
+    properties.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray):
@@ -759,20 +764,20 @@ class IsometrySystem:
         rep = self.partial_isometry = is_partial_isometry(self.u, self.tol)
         if not rep.passed:
             raise NotPartialIsometry("U is not a partial isometry", rep)
+        self._powers = [np.eye(algebra.ambient_dim, dtype=complex)]
+        self._nilpotent_at: int | None = None
 
-        n = algebra.ambient_dim
-        powers = [np.eye(n, dtype=complex)]
-        for _ in range(2 * n + 4):
+    def _grow(self, k: int) -> None:
+        """Extend the power cache by U^{j+1} = U^j U until it holds U^k,
+        U^{2n+4} or the first power with ||U^j||_F <= tol, which is stored
+        as an exact zero and ends it."""
+        powers, top = self._powers, min(k, 2 * self.dim + 4)
+        while len(powers) <= top and self._nilpotent_at is None:
             nxt = powers[-1] @ self.u
             if hs_norm(nxt) <= self.tol:
-                powers.append(np.zeros_like(nxt))
-                break
+                nxt = np.zeros_like(nxt)
+                self._nilpotent_at = len(powers)
             powers.append(nxt)
-        self._powers = np.array(powers)
-        self._nilpotent_at = len(powers) - 1 if not powers[-1].any() else None
-        star = self._powers.conj().transpose(0, 2, 1)
-        self._proj_initial = star @ self._powers
-        self._proj_final = self._powers @ star
 
     def _with_algebra(self, algebra: FiniteStarAlgebra) -> "IsometrySystem":
         """This system, with its cached walks and defects, over its own
@@ -787,24 +792,46 @@ class IsometrySystem:
     @property
     def nilpotency_index(self) -> int | None:
         """Smallest k with U^k = 0 at tol (||U^k||_F <= tol), or None when
-        no power up to 2n + 4 is."""
+        no power up to 2n + 4 is; the cache grows until it is decided."""
+        self._grow(2 * self.dim + 4)
         return self._nilpotent_at
+
+    def _power_depth(self, k_max: int) -> int:
+        """The largest k <= k_max whose power U^k can be nonzero: k_max, or
+        one less than the nilpotency index when that is at most k_max.
+        Every later power is an exact zero, so every identity of powers
+        reads 0 on it.  The cache grows to at most U^{k_max}.  MemoryError
+        when a stack of the powers up to the depth is past the address
+        range (U not nilpotent and k_max huge)."""
+        self._grow(k_max)
+        index = self._nilpotent_at
+        depth = k_max if index is None else min(k_max, index - 1)
+        if 16 * depth * self.dim * self.dim > np.iinfo(np.intp).max:
+            raise MemoryError(f"{depth} powers of {self.dim} x {self.dim} "
+                              f"complex matrices are past the address range")
+        return depth
 
     def power_stack(self, ks) -> np.ndarray:
         """U^k for each k >= 0 in ks, as a (len(ks), n, n) stack.  A power
-        past the cache, U^{qT + r} with U^T the last cached one, is U^r
-        times U^{qT} by repeated squaring: O(log k) products, none kept."""
+        past the cap, U^{qT + r} with U^T = U^{2n+4}, is U^r times U^{qT} by
+        repeated squaring: O(log k) products, none kept."""
         ks = np.asarray(ks, dtype=int)
         if ks.size and ks.min() < 0:
             raise ValueError("negative power; use star_power")
+        if ks.size:
+            self._grow(int(ks.max()))
         if self._nilpotent_at is not None:
             # the last cached power is U^index = 0
             ks = np.minimum(ks, self._nilpotent_at)
-        top = len(self._powers) - 1
-        out = self._powers[np.minimum(ks, top)]
-        for i in np.flatnonzero(ks > top):
-            q, r = divmod(int(ks[i]), top)
-            out[i], square = self._powers[r], self._powers[top]
+        powers = self._powers
+        top = len(powers) - 1
+        out = np.empty((ks.size, self.dim, self.dim), dtype=complex)
+        for i, k in enumerate(ks):
+            if k <= top:
+                out[i] = powers[k]
+                continue
+            q, r = divmod(int(k), top)
+            out[i], square = powers[r], powers[top]
             while q:
                 if q & 1:
                     out[i] = out[i] @ square
@@ -820,13 +847,10 @@ class IsometrySystem:
         return adjoint(self.power(k))
 
     def _proj_stack(self, ks, initial: bool) -> np.ndarray:
-        """U^{*k} U^k (initial) or U^k U^{*k} for each k >= 0 in ks."""
-        ks = np.asarray(ks, dtype=int)
-        cache = self._proj_initial if initial else self._proj_final
-        if ks.size == 0 or (ks.min() >= 0 and ks.max() < len(cache)):
-            return cache[ks]
+        """U^{*k} U^k (initial) or U^k U^{*k} for each k >= 0 in ks, one
+        product each; none is kept."""
         p = self.power_stack(ks)
-        star = p.conj().transpose(0, 2, 1)
+        star = adjoint(p)
         return star @ p if initial else p @ star
 
     def proj_initial_stack(self, ks) -> np.ndarray:
@@ -955,9 +979,15 @@ class IsometrySystem:
         non-nilpotent U keeps a residual ||U^{*K}U^{K+1}|| (1 for the
         cyclic shift), and a failed absorption identity or a P_k that does
         not commute with the algebra shows in the residual or the
-        commutation."""
+        commutation.  The sum is accumulated in order of k, one P_k at a
+        time, so no stack of the P_k is held."""
         u = self.u
-        vals, vecs = np.linalg.eigh(-self._proj_initial[1:].sum(axis=0))
+        self._grow(2 * self.dim + 4)
+        first, *rest = self._powers[1:]
+        total = adjoint(first) @ first
+        for p in rest:
+            total += adjoint(p) @ p
+        vals, vecs = np.linalg.eigh(-total)
         potentials = np.rint(vals).astype(int)
         h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
         return GaugeGenerator(vecs, potentials,
@@ -1320,14 +1350,17 @@ def verify_power_identities(sys: IsometrySystem,
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l.
 
     Both hypotheses (intertwining + delta-invariance) are recorded as the
-    first entries.
+    first entries.  Each entry is measured for k only up to
+    ``_power_depth``: past it every power is an exact zero, and so is every
+    entry's value.
     """
     tol = sys.tol
     rep = ConditionReport("power_structure")
     for label, measure in _delta_hypotheses(sys):
         rep.add("hypothesis: " + label, measure(), tol)
 
-    ks = np.arange(1, k_max + 1)
+    depth = sys._power_depth(k_max)
+    ks = np.arange(1, depth + 1)
     rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}",
             _intertwining_entry(sys, ks), tol)
     rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}",
@@ -1345,9 +1378,9 @@ def verify_power_identities(sys: IsometrySystem,
         rep.add(f"{label} decreasing", d_dec, tol)
 
     rep.add("[U^{*k}U^k, U^lU^{*l}] = 0",
-            _projection_families_defect(sys, k_max), tol)
+            _projection_families_defect(sys, depth), tol)
     rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
-            _absorption_defect(sys, k_max), tol)
+            _absorption_defect(sys, depth), tol)
     return rep
 
 

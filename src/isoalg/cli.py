@@ -130,6 +130,21 @@ def _norm_limit(ctx: _Context) -> ConditionReport:
     return rep
 
 
+def _to_k_max(run: Callable[[_Context], ConditionReport]
+              ) -> Callable[[_Context], ConditionReport]:
+    """A runner of a check measured up to --k-max that names the flag when
+    the stacks of powers up to it cannot be allocated.  A nilpotent U's
+    checks stop at its index, so this is a U that is not nilpotent."""
+    def checked(ctx: _Context) -> ConditionReport:
+        try:
+            return run(ctx)
+        except MemoryError as exc:
+            raise ConfigError(f"--k-max {ctx.cfg.k_max} is too large: the "
+                              f"powers of U up to it cannot be "
+                              f"allocated") from exc
+    return checked
+
+
 # name -> (requirement, runner), in the execution order of --checks all.
 # Every runner returns a report; a failed hypothesis is entries of it.  The
 # requirement is None, a property of the system (see _SYSTEM_PROPERTIES) or
@@ -145,8 +160,8 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
     "extendability": (None, lambda c: check_extendability(c.system)),
     "commutative_extendability": (
         "commutative", lambda c: check_commutative_extendability(c.system)),
-    "power_structure": (
-        None, lambda c: verify_power_identities(c.system, c.cfg.k_max)),
+    "power_structure": (None, _to_k_max(
+        lambda c: verify_power_identities(c.system, c.cfg.k_max))),
     "extension_towers": (
         "commutative", lambda c: check_extension_towers(c.system)),
     "coefficient_bound": ("coefficient", lambda c: c.star),
@@ -155,8 +170,8 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
     "norm_limit": ("coefficient", _norm_limit),
     "sum_norm_estimates": (None, lambda c: sum_norm_estimates_sample(
         c.cfg.samples, c.cfg.seed, c.cfg.tol)),
-    "polar_structure": (
-        "polar", lambda c: polar_structure_suite(c.loaded.polar, c.cfg.k_max)),
+    "polar_structure": ("polar", _to_k_max(
+        lambda c: polar_structure_suite(c.loaded.polar, c.cfg.k_max))),
     "qdeform_relations": (
         "qdeform", lambda c: qdeform_relations_suite(c.loaded.qdeform)),
 }

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from isoalg.algebra import (
     build_towers,
     commutant,
 )
+from isoalg.cli import main
 from isoalg.linalg import spectral_norms
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
@@ -1457,10 +1459,12 @@ def test_frame_systems_conjugate_no_basis_stack(ladder_models, raw_system,
 
 
 def test_powers_past_the_cache_are_taken_by_squaring(cyclic5):
-    # the cache holds U^0..U^{2n+4}; a power past it is built from cached
-    # powers in O(log k) products, and the cache does not grow
+    # once the index is decided the cache holds U^0..U^{2n+4}; a power past
+    # it is built from cached powers in O(log k) products, and the cache
+    # does not grow
     sys = IsometrySystem(generate_closure([], dim=5), cyclic5.u @ np.diag(
         np.exp(1j * np.arange(5))))
+    assert sys.nilpotency_index is None
     top = len(sys._powers) - 1
     ks = [0, 3, top, top + 1, 2 * top + 3, 100, 10 ** 9]
     got = sys.power_stack(ks)
@@ -1472,6 +1476,119 @@ def test_powers_past_the_cache_are_taken_by_squaring(cyclic5):
     # a permutation's powers are exact either way
     assert np.array_equal(cyclic5.power(10 ** 9),
                           np.linalg.matrix_power(cyclic5.u, 10 ** 9))
+
+
+def sequential_powers(u, tol):
+    """U^0, U^1, ... by U^{k+1} = U^k U, up to U^{2n+4} or the first power
+    with ||U^k||_F <= tol, which is an exact zero."""
+    powers = [np.eye(len(u), dtype=complex)]
+    for _ in range(2 * len(u) + 4):
+        powers.append(powers[-1] @ u)
+        if np.linalg.norm(powers[-1]) <= tol:
+            powers[-1] = np.zeros_like(u)
+            break
+    return powers
+
+
+@pytest.mark.parametrize("name", [
+    "qdeform12", "polar6", "p6_rotated", "cyclic5", "rot09_n24",
+    *(f"corner_shift{n}" for n in range(4, 11))])
+def test_powers_and_projections_are_the_sequential_products(request, name):
+    if name.startswith("corner_shift"):
+        sys = corner_shift_system(int(name[12:]))
+    elif name in ("p6_rotated", "rot09_n24"):
+        sys = request.getfixturevalue("frame_models")[name].system
+    else:
+        sys = fixture_system(request, name)
+    want = sequential_powers(sys.u, sys.tol)
+    top = len(want) - 1
+    index = None if want[-1].any() else top
+    # a fresh cache, asked out of order and partly before the index is
+    # decided, holds the same products bit for bit
+    fresh = IsometrySystem(sys.algebra, sys.u)
+    for ks in ([3, 1], [top, 0, 2], range(top + 1)):
+        for got, k in zip(fresh.power_stack(ks), ks):
+            assert np.array_equal(got, want[k]), k
+        for got, k in zip(fresh.proj_initial_stack(ks), ks):
+            assert np.array_equal(got, adjoint(want[k]) @ want[k]), k
+        for got, k in zip(fresh.proj_final_stack(ks), ks):
+            assert np.array_equal(got, want[k] @ adjoint(want[k])), k
+    assert fresh.nilpotency_index == index
+    assert len(fresh._powers) == top + 1
+    if index is not None:
+        assert index == {"qdeform12": 12, "polar6": 6, "p6_rotated": 6,
+                         "rot09_n24": 24}.get(name, len(sys.u))
+        assert not fresh.power_stack([index + 1, 10 ** 9]).any()
+    # the generator sums the same projections in the same order as a sum
+    # over their stack
+    stack = np.array(want)
+    total = (adjoint(stack) @ stack)[1:].sum(axis=0)
+    assert np.array_equal(fresh.gauge_candidate.vecs,
+                          np.linalg.eigh(-total)[1])
+
+
+def test_a_build_and_its_coefficient_check_hold_two_powers(tmp_path,
+                                                           monkeypatch):
+    # the build and the checks of U and U*U read U^0 and U^1 alone: no
+    # system keeps a further power or any (K, n, n) stack
+    spec = {"type": "qdeform", "n": 64, "q": 0.9, "rho": "heisenberg"}
+    path = tmp_path / "q09_n64.json"
+    path.write_text(json.dumps(spec))
+    systems = []
+    real = IsometrySystem.__init__
+
+    def init(self, algebra, u):
+        systems.append(self)
+        real(self, algebra, u)
+
+    monkeypatch.setattr(IsometrySystem, "__init__", init)
+    assert main(["closure", "--model", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    loaded = ia.load_model(spec)
+    assert check_coefficient_algebra(loaded.system).passed
+    assert len(systems) >= 2
+    for sys in systems:
+        assert len(sys._powers) <= 2
+        assert not [k for k, v in vars(sys).items()
+                    if isinstance(v, np.ndarray) and v.ndim == 3]
+    assert len(loaded.system._powers) == 2
+
+
+@pytest.mark.parametrize("name, index", [("qdeform12", 12), ("polar6", 6)])
+def test_power_entries_stop_at_the_nilpotency_index(request, monkeypatch,
+                                                    name, index):
+    # past the index every power is an exact zero and every entry reads 0,
+    # so a huge k_max asks for no power past the index and reads what
+    # measuring every k up to and past the index reads
+    model = request.getfixturevalue(name)
+    asked = []
+    real = IsometrySystem.power_stack
+
+    def power_stack(self, ks):
+        ks = np.asarray(ks, dtype=int)
+        asked.append(int(ks.max(initial=0)))
+        return real(self, ks)
+
+    monkeypatch.setattr(IsometrySystem, "power_stack", power_stack)
+    suites = [verify_power_identities]
+    if name == "polar6":
+        suites.append(lambda sys, k_max: polar_structure_suite(model, k_max))
+    for suite in suites:
+        asked.clear()
+        fresh = IsometrySystem(model.system.algebra, model.system.u)
+        huge = suite(fresh, 10 ** 11)
+        assert max(asked) <= index
+        assert len(fresh._powers) <= index + 1
+        assert any(f"k <= {10 ** 11}" in d.check for d in huge.defects)
+        with monkeypatch.context() as patch:
+            patch.setattr(IsometrySystem, "_power_depth",
+                          lambda self, k_max: k_max)
+            every_k = suite(
+                IsometrySystem(model.system.algebra, model.system.u),
+                index + 2)
+        assert max(asked) > index
+        assert ([d.value for d in huge.defects]
+                == [d.value for d in every_k.defects])
 
 
 def test_commutant_keeps_no_left_singular_basis():

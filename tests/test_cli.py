@@ -294,6 +294,36 @@ def test_counts_below_one_exit_2(specs, capsys, flag, value):
     assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_max", [10 ** 11, 10 ** 400])
+def test_huge_k_max_stops_at_the_index_or_is_named(tmp_path, capsys, k_max):
+    # a nilpotent U's power entries stop at its index, so a huge --k-max
+    # measures what the index does; the powers of the cyclic shift up to
+    # it cannot be allocated, which exits 2 and names the flag
+    def run(spec, checks, k):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out.json"
+        rc = main(["run", "--model", str(path), "--checks", checks,
+                   "--k-max", str(k), "--out", str(out)])
+        return rc, (json.loads(out.read_text()) if out.exists() else None)
+
+    for spec, checks, index in (
+            (qdeform_spec(12, 0.5), "power_structure", 12),
+            (polar_spec(weighted_shift(6, 0.5)),
+             "power_structure,polar_structure", 6)):
+        (rc, huge), (rc_index, at_index) = (run(spec, checks, k_max),
+                                            run(spec, checks, index))
+        assert rc == rc_index == 0
+        assert ([[d["value"] for d in r["defects"]] for r in huge["results"]]
+                == [[d["value"] for d in r["defects"]]
+                    for r in at_index["results"]])
+    (tmp_path / "out.json").unlink()
+    assert run(cyclic5_spec(), "power_structure", k_max) == (2, None)
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"isoalg: --k-max {k_max} is too large: the "
+                              "powers of U up to it cannot be allocated\n")
+
+
 @pytest.mark.parametrize("command, args, env, message", [
     ("run", ["--checks", "coefficient_bound", "--seed", "-1"], None,
      "--seed must be at least 0, got -1"),
