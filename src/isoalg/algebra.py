@@ -59,29 +59,31 @@ the bounds do not count.  Algebras without a frame (Gram-Schmidt closures,
 commutants, bases given directly) are measured by the pair loops, as
 distances to an SVD basis of their span.
 
-**Images in the frame.**  With W = UV (U*V for delta_star), delta(b_i) =
-W_i W_i* / sqrt(r_i), of rank r_i.  The walks, the two invariance defects
-and the power entries measure the images from n x n products made once,
-in O(n^2) per basis element (``_Images``):
+**Images in the frame.**  The images x b_i x* of a frame basis, for
+x = U (delta), U* (delta_star) or 1 (the basis itself), are measured from
+n x n products made once, in O(n^2) per basis element (``_Images``).
+With W = xV, image i is W_i W_i* / sqrt(r_i), of rank r_i:
 
-- dist_F(delta(b_i), A) is that of Y_i = U~_i U~_i* / sqrt(r_i),
-  U~ = V^{-1} W (V*UV for a unitary V), to the block-scalar matrices: the
+- its distance to a target algebra with a frame (V', r') (its own for
+  the walks and the invariance defects, the other tower for "towers have
+  equal spans") is that of Y_i = U~_i U~_i* / sqrt(r_i), U~ = V'^{-1} W
+  (V'*W for a unitary V'), to the block-scalar matrices: the rows of U~
+  cut at the target's ranks r', its columns at the source's r, the
   off-block mass of Y_i plus its part off each diagonal block's mean
-  scalar.  delta(b_i) - sum_j c_j V_j V_j* = V (Y_i - sum_j c_j J_j) V*
-  with J_j the identity on block j, and the singular values of V lie in
-  [sqrt(1 - ||E||), sqrt(1 + ||E||)], so the ambient distance lies
-  within the factor 1 +- ||E|| of the frame value, which it equals for a
-  unitary V;
-- ||[P, delta(b_i)]|| for a Hermitian P (U*U in the walk) is
+  scalar.  The image less sum_j c_j V'_j V'_j* is V' (Y_i - sum_j c_j J_j)
+  V'* with J_j the identity on block j, and the singular values of V' lie
+  in [sqrt(1 - ||E'||), sqrt(1 + ||E'||)], so the ambient distance lies
+  within the factor 1 +- ||E'|| of the frame value;
+- ||[P, image]|| for a Hermitian P (U*U in the walk; for x = 1, P_k, the
+  gauge generator's H' and polar_structure's U^kU^{*k}) is
   ||[P, W_i W_i*]|| / sqrt(r_i): for r_i = 1 exactly
   ||w|| ||Pw - (w*Pw / ||w||^2) w||, for r_i > 1 the norm of a
   2r_i x 2r_i core from thin QR factors (``_commutator_norms``);
-- U^k b_i - delta^k(b_i) U^k = U^k b_i (1 - P_k), P_k = U^{*k}U^k, so
-  that power entry is ||(U^k V_i)((1 - P_k) V_i)*|| / sqrt(r_i), and
-  ||[P_k, b_i]|| is ``_commutator_norms`` of P_k V_i and V_i, both exact
-  from the products U^k V and P_k V.  Their k = 1 cases are
-  ``intertwining_defect`` and ``uu_commutator_defect``; U* for U gives
-  ``adjoint_intertwining_defect``.
+- U^k b_i - delta^k(b_i) U^k = U^k b_i (1 - P_k), so that power entry is
+  ||(U^k V_i)((1 - P_k) V_i)*|| / sqrt(r_i), exact from U^k V and P_k V.
+  Its k = 1 case is ``intertwining_defect``, and U* for U gives
+  ``adjoint_intertwining_defect``; that of [P_k, b_i] is
+  ``uu_commutator_defect``.
 
 None of them cancels: no norm is the square root of a difference of
 squares, which leaves noise near sqrt(eps) where the value is 0, and an
@@ -335,34 +337,43 @@ def _exclusive_sums(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_scalar_distances(coords: np.ndarray,
-                            ranks: np.ndarray) -> np.ndarray:
+def _block_scalar_residual(m: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """An (..., n, n) stack less, in place, the mean scalar of each of its
+    diagonal blocks cut at the ranks: its part off the block-scalar
+    matrices, whose Frobenius norm is its distance to them."""
+    starts = np.cumsum(ranks) - ranks
+    i = np.arange(m.shape[-1])
+    means = np.add.reduceat(m[..., i, i], starts, axis=-1) / ranks
+    m[..., i, i] -= np.repeat(means, ranks, axis=-1)
+    return m
+
+
+def _block_scalar_distances(coords: np.ndarray, rows: np.ndarray,
+                            cols: np.ndarray) -> np.ndarray:
     """Frobenius distance of each Y_i = C_i C_i* / sqrt(r_i), C_i the i-th
-    column block of the (n, n) matrix ``coords``, to the block-scalar
-    matrices of the ranks: its off-block mass plus, inside each diagonal
-    block, its part off the block's mean scalar.
+    column block of the (n, n) matrix ``coords`` cut at the column ranks
+    ``cols``, to the block-scalar matrices of the row ranks ``rows``: its
+    off-block mass plus, inside each diagonal block, its part off the
+    block's mean scalar.
 
     For a rank-1 column c, with s_j = ||c_j||^2 the mass of c in row
     block j, the squared distance is sum_j s_j sum_{k != j} s_k +
     sum_j s_j^2 (1 - 1/r_j), each a sum of nonnegative terms, in O(n)
     per column.  A column block of rank r > 1 is formed as C_i C_i* in
-    O(n^2 r), and its block means are taken off the diagonal."""
-    starts = np.cumsum(ranks) - ranks
-    out = np.empty(len(ranks))
-    for at, r, cols in _rank_groups(ranks):
+    O(n^2 r) (``_block_scalar_residual``)."""
+    starts = np.cumsum(rows) - rows
+    out = np.empty(len(cols))
+    for at, r, idx in _rank_groups(cols):
         if r == 1:
-            c = coords[:, cols[:, 0]]
+            c = coords[:, idx[:, 0]]
             mass = np.add.reduceat(c.real ** 2 + c.imag ** 2, starts, axis=0)
             off = np.einsum("jk,jk->k", mass, _exclusive_sums(mass))
-            inner = np.einsum("jk,jk,j->k", mass, mass, 1.0 - 1.0 / ranks)
+            inner = np.einsum("jk,jk,j->k", mass, mass, 1.0 - 1.0 / rows)
             out[at] = np.sqrt(off + inner)
             continue
-        c = _block_columns(coords, cols)
-        y = c @ adjoint(c)
-        i = np.arange(len(coords))
-        means = np.add.reduceat(y[:, i, i], starts, axis=1) / ranks
-        y[:, i, i] -= np.repeat(means, ranks, axis=1)
-        out[at] = _frobenius_norms(y) / np.sqrt(r)
+        c = _block_columns(coords, idx)
+        out[at] = _frobenius_norms(
+            _block_scalar_residual(c @ adjoint(c), rows)) / np.sqrt(r)
     return out
 
 
@@ -628,13 +639,10 @@ def _spectral_closure(gens: list[np.ndarray], n: int,
     starts = np.concatenate([[0], np.flatnonzero(gaps > tol * scale) + 1])
     ranks = np.diff(starts, append=n)
     vecs_h = adjoint(vecs)
-    diag = np.diag_indices(n)
     for g in gens:
         # distance from g to span{P_i}: in the eigenbasis, everything off the
         # diagonal blocks plus each block's deviation from its mean scalar
-        r = vecs_h @ g @ vecs
-        means = np.add.reduceat(r[diag], starts) / ranks
-        r[diag] -= np.repeat(means, ranks)
+        r = _block_scalar_residual(vecs_h @ g @ vecs, ranks)
         if np.linalg.norm(r) > tol * max(1.0, hs_norm(g)):
             return None
     return Frame(vecs, ranks)
@@ -910,7 +918,7 @@ class IsometrySystem:
     @cached_property
     def uu_commutator_defect(self) -> float:
         """Worst ||[U*U, a]|| over the basis."""
-        return _projection_entry(self, np.array([1]))
+        return _Images(self.algebra).commutator_norm(self.proj_initial(1))
 
     @cached_property
     def multiplicativity_defect(self) -> float:
@@ -924,7 +932,7 @@ class IsometrySystem:
         """
         alg = self.algebra
         if alg.frame is None:
-            basis, deltas = alg.basis, self.delta(alg.basis)
+            basis, deltas = alg.basis, self._images(alg, False).stack
             return max(_worst_norm(self.delta(a @ basis) - da @ deltas)
                        for a, da in zip(basis, deltas))
         uv, ranks = self._images(alg, False)._factors, alg.frame.ranks
@@ -937,12 +945,12 @@ class IsometrySystem:
         the system's own algebra are made once."""
         if algebra is self.algebra:
             return self._own_images[star]
-        return _Images(self.u, algebra, star)
+        return _Images(algebra, adjoint(self.u) if star else self.u)
 
     @cached_property
     def _own_images(self) -> tuple["_Images", "_Images"]:
-        return (_Images(self.u, self.algebra, False),
-                _Images(self.u, self.algebra, True))
+        return (_Images(self.algebra, self.u),
+                _Images(self.algebra, adjoint(self.u)))
 
     @cached_property
     def delta_invariance_defect(self) -> float:
@@ -992,7 +1000,7 @@ class IsometrySystem:
         h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
         return GaugeGenerator(vecs, potentials,
                               _worst_norm((h @ u - u @ h - u)[None]),
-                              _commutator_norm(h, self.algebra.basis))
+                              _Images(self.algebra).commutator_norm(h))
 
     @cached_property
     def gauge_generator(self) -> GaugeGenerator | None:
@@ -1057,49 +1065,48 @@ def _conjugates(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 class _Images:
-    """The images x b_i x* of an algebra's basis under delta (x = U) or
-    delta_star (x = U*), and the walk's measures of them.
+    """The images x b_i x* of an algebra's basis, with x = U (delta), U*
+    (delta_star) or 1 (None: the basis itself), and their measures against
+    a ``target`` algebra, their own by default.
 
-    Without a frame they are the (d, n, n) stack of conjugates.  With a
-    frame (V, r), image i is W_i W_i* / sqrt(r_i) with W = xV, one n x n
-    product, and each measure takes O(n^2) per image from W:
-
-    - its Frobenius norm is ||W_i* W_i||_F / sqrt(r_i);
-    - its distance to the algebra is that of U~_i U~_i* / sqrt(r_i), with
-      U~ = V^{-1} W, to the block-scalar matrices
-      (``_block_scalar_distances``);
-    - ||[P, image]|| for a Hermitian P is ``_commutator_norms`` of the
-      column blocks of PW and W, over sqrt(r_i).
-
-    The stack is built (``Frame.basis`` on (W, r)) only when it is asked
-    for: by a stage that does not close, for its closure.
+    Without frames they are the (d, n, n) stack of conjugates (the basis
+    for x = 1).  With a frame (V, r), image i is W_i W_i* / sqrt(r_i) with
+    W = xV, and each measure takes O(n^2) per image from W: its Frobenius
+    norm ||W_i* W_i||_F / sqrt(r_i), its distance to a target with a frame
+    and its commutator with a Hermitian P as "Images in the frame" in the
+    module docstring sets out.  The stack is built (``Frame.basis`` on
+    (W, r)) only when it is asked for: by a stage that does not close.
     """
 
-    def __init__(self, u: np.ndarray, algebra: FiniteStarAlgebra,
-                 star: bool):
-        # U, not its system: a system caches its own images
-        self.x = adjoint(u) if star else u
-        self.algebra = algebra
+    def __init__(self, algebra: FiniteStarAlgebra,
+                 x: np.ndarray | None = None,
+                 target: FiniteStarAlgebra | None = None):
+        # x, not a system: a system caches its own images
+        self.algebra, self.x = algebra, x
+        self.target = algebra if target is None else target
 
     @cached_property
     def _factors(self) -> np.ndarray:
-        return self.x @ self.algebra.frame.vecs
+        vecs = self.algebra.frame.vecs
+        return vecs if self.x is None else self.x @ vecs
 
     @cached_property
     def stack(self) -> np.ndarray:
         alg = self.algebra
+        if self.x is None:
+            return alg.basis
         if alg.frame is None:
             return _conjugates(self.x, alg.basis)
         return Frame(self._factors, alg.frame.ranks).basis()
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """The Frobenius distance of each image to the algebra."""
-        alg = self.algebra
-        if alg.frame is None:
-            return alg.span_defects(self.stack)
-        return _block_scalar_distances(alg._frame_inverse @ self._factors,
-                                       alg.frame.ranks)
+        """The Frobenius distance of each image to the target."""
+        alg, target = self.algebra, self.target
+        if alg.frame is None or target.frame is None:
+            return target.span_defects(self.stack)
+        return _block_scalar_distances(target._frame_inverse @ self._factors,
+                                       target.frame.ranks, alg.frame.ranks)
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -1107,25 +1114,24 @@ class _Images:
         alg = self.algebra
         if alg.frame is None:
             return _frobenius_norms(self.stack)
-        norms = np.empty(alg.dim)
-        for at, r, cols in _rank_groups(alg.frame.ranks):
-            w = _block_columns(self._factors, cols)
-            norms[at] = _frobenius_norms(adjoint(w) @ w) / np.sqrt(r)
-        return norms
+        return _per_block(lambda a, b: _frobenius_norms(adjoint(a) @ b),
+                          self._factors, self._factors, alg.frame.ranks)
 
     @cached_property
     def closed(self) -> bool:
-        """Whether every image lies in the algebra by its membership rule
+        """Whether every image lies in the target by its membership rule
         (``FiniteStarAlgebra.membership``)."""
-        return bool(self.algebra._within(self.distances, self.norms).all())
+        return bool(self.target._within(self.distances, self.norms).all())
 
     def commutator_norm(self, p: np.ndarray) -> float:
-        """Worst ||[p, image]|| over the images, for a Hermitian p."""
+        """Worst ||[p, image]|| over the images and a Hermitian p, or each
+        matrix of a stack p."""
         alg = self.algebra
         if alg.frame is None:
             return _commutator_norm(p, self.stack)
         return float(_per_block(_commutator_norms, p @ self._factors,
-                                self._factors, alg.frame.ranks).max())
+                                self._factors,
+                                alg.frame.ranks).max(initial=0.0))
 
 
 def _intertwining_entry(sys: IsometrySystem, ks: np.ndarray,
@@ -1147,18 +1153,6 @@ def _intertwining_entry(sys: IsometrySystem, ks: np.ndarray,
     v, ranks = alg.frame
     projs = sys._proj_stack(ks, initial=not star)
     return float(_per_block(_outer_norms, powers @ v, v - projs @ v,
-                            ranks).max(initial=0.0))
-
-
-def _projection_entry(sys: IsometrySystem, ks: np.ndarray) -> float:
-    """Worst ||[P_k, a]||, P_k = U^{*k}U^k, over k in ks and the basis;
-    with a frame, ``_commutator_norms`` of the column blocks of P_k V and V
-    over sqrt(r_i)."""
-    alg, projs = sys.algebra, sys.proj_initial_stack(ks)
-    if alg.frame is None:
-        return _commutator_norm(projs, alg.basis)
-    v, ranks = alg.frame
-    return float(_per_block(_commutator_norms, projs @ v, v,
                             ranks).max(initial=0.0))
 
 
@@ -1364,7 +1358,8 @@ def verify_power_identities(sys: IsometrySystem,
     rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}",
             _intertwining_entry(sys, ks), tol)
     rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}",
-            _projection_entry(sys, ks), tol)
+            _Images(sys.algebra).commutator_norm(sys.proj_initial_stack(ks)),
+            tol)
 
     for label, stack in (("U^{*k}U^k", sys.proj_initial_stack),
                          ("U^kU^{*k}", sys.proj_final_stack)):
@@ -1398,13 +1393,14 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
     prefixed "hypothesis: ", the failing entry last, and a note naming the
     walk.
 
-    "towers have equal spans" is the larger of the two ``span_defects``
-    of each tower's basis against the other tower, as every membership
-    test measures.  The measuring basis was validated by its constructor:
-    its "basis orthonormal" invariant bounds the entries of its Gram error
-    G - I, and each measured distance differs from the true distance by
-    at most ||G - I|| ||b||_F to first order, with ||b||_F = 1 for every
-    basis member b.
+    "towers have equal spans" is the largest distance of each tower's
+    basis to the other tower, the x = 1 case of ``_Images``.  On two frame
+    towers it is taken in the target's frame, within the factor
+    1 +- ||E|| of the ambient distance, E = V*V - I of that frame.
+    Otherwise it is ``span_defects``, as every membership test measures:
+    the measuring basis's "basis orthonormal" invariant bounds its Gram
+    error G - I, and each distance is off by at most ||G - I|| to first
+    order (||b||_F = 1 for every basis member b).
     """
     tol = sys.tol
     rep = ConditionReport("extension_towers")
@@ -1422,8 +1418,8 @@ def check_extension_towers(sys: IsometrySystem) -> ConditionReport:
         towers.append(tower)
     tower_a, tower_b = towers[1], towers[3]
 
-    defect = max(tower_a.span_defects(tower_b.basis).max(),
-                 tower_b.span_defects(tower_a.basis).max())
+    defect = max(_Images(tower_b, target=tower_a).distances.max(),
+                 _Images(tower_a, target=tower_b).distances.max())
     rep.add("towers have equal spans", float(defect), tol)
 
     rep.add("tower is commutative", tower_a.commutator_defect, tol)

@@ -219,11 +219,15 @@ def _load_model_file(path: str, tol: float) -> LoadedModel:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_path}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _default_tol() -> float:
@@ -425,13 +429,13 @@ def main(argv: list[str] | None = None) -> int:
             args.tol = _default_tol()
         _check_counts(args, tol_name)
         doc, rc = args.func(args)
+        _emit(dump_json(doc), args.out)
     except ConfigError as exc:
         print(f"isoalg: {exc}", file=sys.stderr)
         return 2
     except IsoalgError as exc:
         print(f"isoalg: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _emit(dump_json(doc), args.out)
     return rc
 
 

@@ -29,7 +29,7 @@ from .algebra import (
     FiniteStarAlgebra,
     IsometrySystem,
     _absorption_defect,
-    _commutator_norm,
+    _Images,
     _projection_families_defect,
     build_towers,
     generate_closure,
@@ -175,7 +175,7 @@ def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
             sys.multiplicativity_defect, tol)
 
     d_mem = float(seed.span_defects(finals).max(initial=0.0))
-    d_comm = _commutator_norm(finals, seed.basis)
+    d_comm = _Images(seed).commutator_norm(finals)
     rep.add(f"U^k U^{{*k}} in double commutant of seed, k <= {k_max}", d_mem, tol)
     rep.add("U^k U^{*k} commutes with seed algebra", d_comm, tol)
 

@@ -55,10 +55,11 @@ all forms are tested for membership in the algebra as one stack.
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
 each takes the forms and the seed they were drawn with, for its note.  The
-draw is measured once: all drawn coefficients are projected, validated and
-turned into monomials in one pass, through the validation body the
-NormalForm constructor uses, and ||x|| of every form is one batched
-eigensolve, cached on the form, that all three samplers read.
+draw is measured once: its coefficients are projected, validated and
+turned into monomials in a few chunks of bounded size, through the
+validation body the NormalForm constructor uses, and ||x|| of every form
+is one batched eigensolve, cached on the form, that all three samplers
+read.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ from .report import ConditionReport
 # Largest degree of the random canonical forms the samplers draw.
 MAX_SAMPLE_DEGREE = 4
 
+# Bytes of complex coefficients that random_normal_forms validates at once.
+DRAW_CHUNK_BYTES = 32 * 2 ** 20
+
 # The norm-limit sampler's convergence bound and per-stage estimate slack.
 NORM_LIMIT_REL_TOL, NORM_LIMIT_SLACK = 0.05, 1e-9
 
@@ -115,33 +119,14 @@ def _centred(count: int) -> np.ndarray:
     return np.arange(count) - count // 2
 
 
-def random_normal_form(system: IsometrySystem,
-                       rng: np.random.Generator) -> NormalForm:
-    """Draw a random canonical form: the coefficients of :func:`_draw`, all
-    projected into the coefficient algebra in one call (then
-    range-normalized by the NormalForm constructor)."""
-    z = _draw(system, rng)
-    return NormalForm(system, system.algebra.project(z),
-                      degrees=_centred(len(z)))
-
-
-def random_normal_forms(system: IsometrySystem, count: int,
-                        seed: int) -> list[NormalForm]:
-    """``count`` draws of random_normal_form from one generator seeded with
-    ``seed``: the forms the samplers measure, so that one draw serves them
-    all (a prefix is what a smaller count would draw).
-
-    The draws are validated as one stack: one projection, and one pass of
-    the NormalForm validation body with each form's own drop scale, then
-    one monomial pass.  The forms are successive random_normal_form draws:
-    bit for bit where BLAS rounds each row of the one projection as it
-    rounds a single form's, else up to rounding."""
-    rng = np.random.default_rng(seed)
-    draws = [_draw(system, rng) for _ in range(count)]
-    if not draws:
-        return []
+def _validated(system: IsometrySystem,
+               draws: list[np.ndarray]) -> list[NormalForm]:
+    """The forms of raw draws (``_draw``), validated as one stack: one
+    projection into the coefficient algebra, one pass of the NormalForm
+    validation body with each form's own drop scale, then one monomial
+    pass."""
     _require_coefficient_system(system)
-    sizes = np.array([len(z) for z in draws])
+    count, sizes = len(draws), np.array([len(z) for z in draws])
     degrees = np.concatenate([_centred(k) for k in sizes])
     owner = np.repeat(np.arange(count), sizes)
     stack = system.algebra.project(np.concatenate(draws))
@@ -154,6 +139,41 @@ def random_normal_forms(system: IsometrySystem, count: int,
     cuts = np.cumsum(np.bincount(owner[keep], minlength=count))[:-1]
     return [NormalForm._from_terms(system, *terms) for terms in zip(
         *(np.split(a, cuts) for a in (degrees, stack, norms, monomials)))]
+
+
+def random_normal_form(system: IsometrySystem,
+                       rng: np.random.Generator) -> NormalForm:
+    """Draw a random canonical form: the coefficients of :func:`_draw`,
+    projected into the coefficient algebra and validated (range-normalized,
+    dropped or tested for membership) as a NormalForm is."""
+    return _validated(system, [_draw(system, rng)])[0]
+
+
+def random_normal_forms(system: IsometrySystem, count: int,
+                        seed: int) -> list[NormalForm]:
+    """``count`` draws of random_normal_form from one generator seeded with
+    ``seed``: the forms the samplers measure, so that one draw serves them
+    all (a prefix is what a smaller count would draw).
+
+    The draws are validated in consecutive chunks of forms whose
+    coefficients fit DRAW_CHUNK_BYTES (at least one form each), so the
+    memory a draw holds beyond its forms is bounded.  The forms are
+    successive random_normal_form draws: bit for bit where BLAS rounds each
+    row of a chunk's projection as it rounds a single form's, else up to
+    rounding."""
+    rng = np.random.default_rng(seed)
+    room = DRAW_CHUNK_BYTES // (16 * system.dim ** 2)  # coefficients
+    forms: list[NormalForm] = []
+    chunk: list[np.ndarray] = []
+    size = 0  # coefficients in the chunk
+    for _ in range(count):
+        z = _draw(system, rng)
+        if chunk and size + len(z) > room:
+            forms += _validated(system, chunk)
+            chunk, size = [], 0
+        chunk.append(z)
+        size += len(z)
+    return forms + (_validated(system, chunk) if chunk else [])
 
 
 def sampler_hypothesis(system: IsometrySystem, name: str) -> ConditionReport:

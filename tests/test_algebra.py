@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -27,6 +28,7 @@ from isoalg import (
 )
 from isoalg.algebra import (
     Frame,
+    _Images,
     _absorption_defect,
     _commutator_norm,
     _commutator_norms,
@@ -34,7 +36,6 @@ from isoalg.algebra import (
     _gram_schmidt_closure,
     _intertwining_entry,
     _per_block,
-    _projection_entry,
     _projection_families_defect,
     _span_defects,
     _spectral_closure,
@@ -1277,7 +1278,7 @@ def assert_power_entries_match_the_dense_bodies(sys, k_max):
                 _intertwining_entry(sys, ks, star),
                 spectral_norms(xk @ basis - image(basis, k) @ xk).max(), n)
         assert_within_frame_bound(
-            _projection_entry(sys, ks),
+            _Images(sys.algebra).commutator_norm(sys.proj_initial_stack(ks)),
             spectral_norms(pk @ basis - basis @ pk).max(), n)
 
 
@@ -1315,6 +1316,67 @@ def test_frame_measures_match_the_dense_bodies_on_generic_systems(seed):
     assert_images_match_the_dense_images(
         sys, [sys.proj_initial(1), sys.proj_final(2)])
     assert_power_entries_match_the_dense_bodies(sys, 3)
+    gen = sys.gauge_candidate
+    assert_within_frame_bound(gen.commutation,
+                              loop_commutator_norm(gen.matrix(), alg.basis), n)
+
+
+def polar_commutator_entry(m, k_max):
+    return next(d.value for d in polar_structure_suite(m, k_max).defects
+                if d.check == "U^k U^{*k} commutes with seed algebra")
+
+
+@pytest.mark.parametrize("name", FRAME_MODELS)
+def test_frame_basis_commutators_match_the_dense_loops(request, name):
+    # the gauge candidate's eta = max ||[H', b_i]|| and polar_structure's
+    # ||[U^kU^{*k}, b_i]|| are commutators of the basis, its x = 1 images
+    for sys in frame_oracle_systems(request, name):
+        gen = sys.gauge_candidate
+        assert_within_frame_bound(gen.commutation, loop_commutator_norm(
+            gen.matrix(), sys.algebra.basis), sys.dim)
+    m = request.getfixturevalue("frame_models").get(name)
+    if hasattr(m, "abs_a"):
+        sys = IsometrySystem(m.seed_algebra, m.u)
+        assert_within_frame_bound(polar_commutator_entry(m, 8), max(
+            loop_commutator_norm(sys.proj_final(k), m.seed_algebra.basis)
+            for k in range(1, 9)), sys.dim)
+
+
+def assert_distances_match_the_oracle(a, b):
+    """The distances of each algebra's basis to the other algebra, as
+    measured in the target's frame, against an SVD basis of its span."""
+    for source, target in ((a, b), (b, a)):
+        assert_within_frame_bound(
+            _Images(source, target=target).distances,
+            _span_defects(_svd_span(target.basis), source.basis),
+            source.ambient_dim, frame_error(target))
+
+
+def test_frame_distances_across_ranks_match_the_oracle(qdeform12, polar6,
+                                                       q6x2,
+                                                       shift3_projection):
+    # frames cut at different ranks: the rows of V_t^{-1} V_s at the
+    # target's, the columns at the source's
+    pairs = []
+    for alg in (qdeform12.system.algebra, polar6.system.algebra):
+        pairs.append((alg, generate_closure([alg.basis[0]], alg.tol)))
+    for sys in (q6x2, shift3_projection):
+        n = sys.dim
+        pairs.append((sys.algebra, generate_closure([np.diag(
+            np.arange(n, dtype=complex))], sys.tol)))
+    # ||E|| ~ 1e-5 on both frames, of ranks [2, 1, 3] and [3, 3]
+    rng = np.random.default_rng(7)
+    v0 = np.linalg.qr(rng.standard_normal((6, 6))
+                      + 1j * rng.standard_normal((6, 6)))[0]
+    a, b = (FiniteStarAlgebra(Frame(v0 @ (np.eye(6) + 1e-6 * (
+        rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))),
+        np.array(ranks)), tol=1e-4) for ranks in ([2, 1, 3], [3, 3]))
+    assert 1e-6 < min(frame_error(a), frame_error(b))
+    pairs.append((a, b))
+    for a, b in pairs:
+        assert a.frame is not None and b.frame is not None
+        assert a.frame.ranks.tolist() != b.frame.ranks.tolist()
+        assert_distances_match_the_oracle(a, b)
 
 
 @pytest.mark.parametrize("ranks", [[1] * 6, [2, 1, 3]])
@@ -1456,6 +1518,54 @@ def test_frame_systems_conjugate_no_basis_stack(ladder_models, raw_system,
                         check_extension_towers(sys)):
                 assert rep.passed, rep
     assert not [shape for shape in shapes if len(shape) == 3], shapes
+
+
+def test_frame_entries_take_no_dense_pair_body(ladder_models, raw_system,
+                                               monkeypatch):
+    # the gauge candidate's commutation, polar_structure's U^kU^{*k}
+    # commutator and "towers have equal spans" measure a frame basis as
+    # the x = 1 case of its images: no commutator of a basis stack and no
+    # span_defects.  polar_structure's memberships stay span_defects
+    calls = []
+    real_comm, real_span = ia.algebra._commutator_norm, (
+        FiniteStarAlgebra.span_defects)
+    for module in (ia.algebra, ia.models):  # models may bind the name too
+        monkeypatch.setattr(module, "_commutator_norm", lambda left, right: (
+            calls.append(("commutator", right)) or real_comm(left, right)),
+            raising=False)
+    monkeypatch.setattr(FiniteStarAlgebra, "span_defects", lambda alg, m: (
+        calls.append(("span_defects", m)) or real_span(alg, m)))
+
+    def measured(measure, basis=None):
+        """The pair bodies a measure calls (on ``basis`` alone if given)."""
+        calls.clear()
+        measure()
+        return [kind for kind, arg in calls if basis is None or arg is basis]
+
+    models = [ia.build_qdeform(12, 0.5, "heisenberg"),
+              ia.build_polar_model(rotated(weighted_shift(6, 0.5), 3)),
+              *ladder_models.values()]
+    for m in models:
+        for alg in (m.seed_algebra, m.system.algebra):
+            sys = IsometrySystem(alg, m.u)
+            assert alg.frame is not None
+            assert measured(lambda: sys.gauge_candidate) == []
+            assert measured(lambda: check_extension_towers(sys)) == []
+        if hasattr(m, "abs_a"):
+            assert measured(lambda: polar_structure_suite(m, 8),
+                            m.seed_algebra.basis) == []
+    # the controls: frame-less algebras take the pair bodies
+    sys = IsometrySystem(raw_system.algebra, raw_system.u)
+    assert measured(lambda: sys.gauge_candidate,
+                    raw_system.algebra.basis) == ["commutator"]
+    m = models[1]
+    copy = FiniteStarAlgebra(m.seed_algebra.basis, tol=m.seed_algebra.tol)
+    sys = IsometrySystem(copy, m.u)
+    assert measured(lambda: check_extension_towers(sys),
+                    copy.basis).count("span_defects") == 2
+    polar = dataclasses.replace(m, seed_algebra=copy)
+    assert measured(lambda: polar_structure_suite(polar, 8),
+                    copy.basis) == ["commutator"]
 
 
 def test_powers_past_the_cache_are_taken_by_squaring(cyclic5):

@@ -246,6 +246,24 @@ def test_run_missing_file_exits_2(specs):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--model", "qdeform.json", "--checks", "partial_isometry"],
+    ["closure", "--model", "qdeform.json"],
+    ["nf", "--model", "polar.json", "--expr", "U*U'"],
+    ["norm-limit", "--model", "qdeform.json", "--expr", "U", "--samples",
+     "2", "--k-max", "2"],
+    ["polar", "--matrix", "matrix.json"]],
+    ids=lambda args: args[0])
+def test_unwritable_out_exits_2_naming_the_path(specs, capsys, args):
+    # the command runs, then its output cannot be written: a configuration
+    # error, not a failed check (exit 1) or a traceback
+    out = specs["root"] + "/no-such-dir/out.json"
+    argv = [specs[a] if a in specs else a for a in args]
+    assert main(argv + ["--out", out]) == 2
+    assert capsys.readouterr() == (
+        "", f"isoalg: cannot write --out {out}: No such file or directory\n")
+
+
 def test_parser_is_built_once_and_parses_each_argv_afresh(specs, capsys):
     from isoalg.cli import _build_parser
     parser = _build_parser()

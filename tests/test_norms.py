@@ -292,6 +292,29 @@ def test_random_normal_forms_is_one_generator_of_draws(qdeform6):
                zip(random_normal_forms(qdeform6.system, 3, seed=9), drawn))
 
 
+@pytest.mark.parametrize("coefficients", [1, 9, 40])
+def test_random_normal_forms_validates_in_chunks(qdeform6, monkeypatch,
+                                                 coefficients):
+    # a budget below one form's coefficients still takes one form a chunk;
+    # the chunks give the forms of one chunk, term for term
+    system = qdeform6.system
+    whole = random_normal_forms(system, 30, seed=4)
+    chunks = []
+    real = ia.norms._validated
+    monkeypatch.setattr(ia.norms, "_validated", lambda sys, draws: (
+        chunks.append([len(z) for z in draws]) or real(sys, draws)))
+    monkeypatch.setattr(ia.norms, "DRAW_CHUNK_BYTES",
+                        coefficients * 16 * system.dim ** 2)
+    got = random_normal_forms(system, 30, seed=4)
+    assert len(chunks) > 1 and sum(map(len, chunks)) == 30
+    assert all(sum(c) <= coefficients or len(c) == 1 for c in chunks)
+    for x, y in zip(got, whole, strict=True):
+        assert x.degrees() == y.degrees()
+        for a, b in ((x.coefficients, y.coefficients),
+                     (x._monomials, y._monomials), (x._norms, y._norms)):
+            assert np.array_equal(a, b)
+
+
 # -- per-form references for the batched samplers ----------------------------
 
 def _close(got, want):
