@@ -81,8 +81,8 @@ With W = xV, image i is W_i W_i* / sqrt(r_i), of rank r_i:
   2r_i x 2r_i core from thin QR factors (``_commutator_norms``);
 - U^k b_i - delta^k(b_i) U^k = U^k b_i (1 - P_k), so that power entry is
   ||(U^k V_i)((1 - P_k) V_i)*|| / sqrt(r_i), exact from U^k V and P_k V.
-  Its k = 1 case is ``intertwining_defect``, and U* for U gives
-  ``adjoint_intertwining_defect``; that of [P_k, b_i] is
+  Its k = 1 case is ``intertwining_defect``, and with U* for U and UU*
+  for P_1 it is ``adjoint_intertwining_defect``; that of [P_k, b_i] is
   ``uu_commutator_defect``.
 
 None of them cancels: no norm is the square root of a difference of
@@ -90,6 +90,11 @@ squares, which leaves noise near sqrt(eps) where the value is 0, and an
 off-block sum is an exclusive sum, never a total minus the diagonal.  The
 stack of images is built (``Frame.basis`` on (W, r)) only for a stage
 that does not close, whose closure needs it.
+
+The walk's fixed-point test takes the membership rule at scale 1 (within
+tol) and measures no image norm: with ||b||_F = 1 and x = U or U*,
+||x b x*||_F <= ||U||^2 <= 1 + eps, eps <= tol U's partial-isometry
+defect, so the rule at the image's norm would raise tol by tol * eps.
 
 **The gauge generator.**  A system may certify its gauge action
 U -> lam U (an Huef and Raeburn, ETDS 17, 1997; Exel, ETDS 23, 2003) from
@@ -908,12 +913,14 @@ class IsometrySystem:
     @cached_property
     def intertwining_defect(self) -> float:
         """Intertwining (i): worst ||U a - delta(a) U|| over the basis."""
-        return _intertwining_entry(self, np.array([1]))
+        u = self.power_stack([1])
+        return _intertwining_entry(self.algebra, u, adjoint(u) @ u)
 
     @cached_property
     def adjoint_intertwining_defect(self) -> float:
         """Worst ||U* a - delta_star(a) U*|| over the basis."""
-        return _intertwining_entry(self, np.array([1]), star=True)
+        u = self.power_stack([1])
+        return _intertwining_entry(self.algebra, adjoint(u), u @ adjoint(u))
 
     @cached_property
     def uu_commutator_defect(self) -> float:
@@ -1071,11 +1078,11 @@ class _Images:
 
     Without frames they are the (d, n, n) stack of conjugates (the basis
     for x = 1).  With a frame (V, r), image i is W_i W_i* / sqrt(r_i) with
-    W = xV, and each measure takes O(n^2) per image from W: its Frobenius
-    norm ||W_i* W_i||_F / sqrt(r_i), its distance to a target with a frame
-    and its commutator with a Hermitian P as "Images in the frame" in the
-    module docstring sets out.  The stack is built (``Frame.basis`` on
-    (W, r)) only when it is asked for: by a stage that does not close.
+    W = xV, and each measure takes O(n^2) per image from W: its distance
+    to a target with a frame and its commutator with a Hermitian P as
+    "Images in the frame" in the module docstring sets out, and no norm.
+    The stack is built (``Frame.basis`` on (W, r)) only when it is asked
+    for: by a stage that does not close.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra,
@@ -1109,19 +1116,10 @@ class _Images:
                                        target.frame.ranks, alg.frame.ranks)
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        """The Frobenius norm of each image."""
-        alg = self.algebra
-        if alg.frame is None:
-            return _frobenius_norms(self.stack)
-        return _per_block(lambda a, b: _frobenius_norms(adjoint(a) @ b),
-                          self._factors, self._factors, alg.frame.ranks)
-
-    @cached_property
     def closed(self) -> bool:
-        """Whether every image lies in the target by its membership rule
-        (``FiniteStarAlgebra.membership``)."""
-        return bool(self.target._within(self.distances, self.norms).all())
+        """Whether every image lies in the target within tol: the
+        membership rule at scale 1 (see "Images in the frame")."""
+        return bool(self.target._within(self.distances, 1.0).all())
 
     def commutator_norm(self, p: np.ndarray) -> float:
         """Worst ||[p, image]|| over the images and a Hermitian p, or each
@@ -1134,24 +1132,17 @@ class _Images:
                                 alg.frame.ranks).max(initial=0.0))
 
 
-def _intertwining_entry(sys: IsometrySystem, ks: np.ndarray,
-                        star: bool = False) -> float:
-    """Worst ||X^k a - delta_X^k(a) X^k|| over k in ks and the basis, with
-    X = U and delta_X = delta, or X = U* and delta_X = delta_star (star).
-
-    It is X^k a (1 - X^{*k}X^k), so with a frame it is
-    ||(X^k V_i)((1 - X^{*k}X^k) V_i)*|| / sqrt(r_i) (``_outer_norms``),
-    from the products X^k V and X^{*k}X^k V."""
-    alg, powers = sys.algebra, sys.power_stack(ks)
-    if star:
-        powers = adjoint(powers)
+def _intertwining_entry(alg: FiniteStarAlgebra, powers: np.ndarray,
+                        projs: np.ndarray) -> float:
+    """Worst ||X a - X a X* X|| = ||X a (1 - X*X)|| over the basis and each
+    X of ``powers`` (U^k, or U^{*k} for the delta_star form), given the
+    X*X as ``projs``; with a frame ||(X V_i)((1 - X*X) V_i)*|| / sqrt(r_i)
+    (``_outer_norms``), from the products X V and X*X V."""
     if alg.frame is None:
         basis = alg.basis
-        image = sys.delta_star_n if star else sys.delta_n
-        return max((_worst_norm(xk @ basis - image(basis, k) @ xk)
-                    for k, xk in zip(ks, powers)), default=0.0)
+        return max((_worst_norm(x @ basis - _conjugates(x, basis) @ x)
+                    for x in powers), default=0.0)
     v, ranks = alg.frame
-    projs = sys._proj_stack(ks, initial=not star)
     return float(_per_block(_outer_norms, powers @ v, v - projs @ v,
                             ranks).max(initial=0.0))
 
@@ -1165,21 +1156,14 @@ def _delta_hypotheses(sys: IsometrySystem) -> list:
              lambda: sys.delta_invariance_defect)]
 
 
-def _projection_families_defect(sys: IsometrySystem, k_max: int) -> float:
-    """Worst commutator [U^{*k}U^k, U^lU^{*l}] over 0 <= k, l <= k_max."""
-    ks = np.arange(k_max + 1)
-    return _commutator_norm(sys.proj_initial_stack(ks), sys.proj_final_stack(ks))
-
-
-def _absorption_defect(sys: IsometrySystem, k_max: int) -> float:
+def _absorption_defect(p: np.ndarray) -> float:
     """Worst defect of U* U^k U^{*l} = U^{k-1} U^{*l} and
-    U U^{*k} U^l = U^{*(k-1)} U^l over 1 <= k <= l <= k_max."""
-    p = sys.power_stack(np.arange(k_max + 1))
-    s = p.conj().transpose(0, 2, 1)
-    u, ustar = sys.u, adjoint(sys.u)
-    return max((max(_worst_norm(ustar @ p[1:l + 1] @ s[l] - p[:l] @ s[l]),
-                    _worst_norm(u @ s[1:l + 1] @ p[l] - s[:l] @ p[l]))
-                for l in range(1, k_max + 1)), default=0.0)
+    U U^{*k} U^l = U^{*(k-1)} U^l over 1 <= k <= l <= K, from the stack
+    p of the powers U^0, ..., U^K."""
+    s = adjoint(p)
+    return max((max(_worst_norm(s[1] @ p[1:l + 1] @ s[l] - p[:l] @ s[l]),
+                    _worst_norm(p[1] @ s[1:l + 1] @ p[l] - s[:l] @ p[l]))
+                for l in range(1, len(p))), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1344,9 +1328,10 @@ def verify_power_identities(sys: IsometrySystem,
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l.
 
     Both hypotheses (intertwining + delta-invariance) are recorded as the
-    first entries.  Each entry is measured for k only up to
-    ``_power_depth``: past it every power is an exact zero, and so is every
-    entry's value.
+    first entries.  Each entry is measured for k only up to D =
+    ``_power_depth``: past it every power is an exact zero, and so is
+    every entry's value.  The stacks of U^k, U^{*k}U^k and U^kU^{*k},
+    k <= D + 1, are formed once, and every entry reads slices of them.
     """
     tol = sys.tol
     rep = ConditionReport("power_structure")
@@ -1354,18 +1339,17 @@ def verify_power_identities(sys: IsometrySystem,
         rep.add("hypothesis: " + label, measure(), tol)
 
     depth = sys._power_depth(k_max)
-    ks = np.arange(1, depth + 1)
+    powers = sys.power_stack(np.arange(depth + 2))
+    stars = adjoint(powers)
+    initial, final = stars @ powers, powers @ stars
     rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}",
-            _intertwining_entry(sys, ks), tol)
+            _intertwining_entry(sys.algebra, powers[1:-1], initial[1:-1]), tol)
     rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}",
-            _Images(sys.algebra).commutator_norm(sys.proj_initial_stack(ks)),
-            tol)
+            _Images(sys.algebra).commutator_norm(initial[1:-1]), tol)
 
-    for label, stack in (("U^{*k}U^k", sys.proj_initial_stack),
-                         ("U^kU^{*k}", sys.proj_final_stack)):
-        p, nxt = stack(ks), stack(ks + 1)
-        d_proj = max(_worst_norm(p @ p - p),
-                     _worst_norm(p - p.conj().transpose(0, 2, 1)))
+    for label, stack in (("U^{*k}U^k", initial), ("U^kU^{*k}", final)):
+        p, nxt = stack[1:-1], stack[2:]
+        d_proj = max(_worst_norm(p @ p - p), _worst_norm(p - adjoint(p)))
         d_dec = _worst_norm(p @ nxt - nxt)
         d_pair = _commutator_norm(p, p)
         rep.add(f"{label} are projections, k <= {k_max}", d_proj, tol)
@@ -1373,9 +1357,9 @@ def verify_power_identities(sys: IsometrySystem,
         rep.add(f"{label} decreasing", d_dec, tol)
 
     rep.add("[U^{*k}U^k, U^lU^{*l}] = 0",
-            _projection_families_defect(sys, depth), tol)
+            _commutator_norm(initial[:-1], final[:-1]), tol)
     rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
-            _absorption_defect(sys, depth), tol)
+            _absorption_defect(powers[:-1]), tol)
     return rep
 
 

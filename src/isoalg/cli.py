@@ -220,7 +220,8 @@ def _load_model_file(path: str, tol: float) -> LoadedModel:
 
 def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
-        print(text)
+        # flushed here, so that a closed stdout raises inside main
+        print(text, flush=True)
         return
     try:
         with open(out_path, "w") as fh:
@@ -435,6 +436,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except IsoalgError as exc:
         print(f"isoalg: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:  # the reader closed stdout
+        # stdout goes to devnull, so that the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"isoalg: cannot write the report to stdout: {exc.strerror}",
+              file=sys.stderr)
         return 2
     return rc
 

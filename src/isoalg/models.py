@@ -29,8 +29,8 @@ from .algebra import (
     FiniteStarAlgebra,
     IsometrySystem,
     _absorption_defect,
+    _commutator_norm,
     _Images,
-    _projection_families_defect,
     build_towers,
     generate_closure,
 )
@@ -149,7 +149,8 @@ def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
     - the two projection families commute.
 
     Each is measured for k only up to the system's ``_power_depth``: past
-    it every power is an exact zero, and so is every value.  The first two
+    it every power is an exact zero, and so is every value; U's powers and
+    their two projection stacks are formed once.  The first two
     are measured on the seed S = C*(1, |a|), the algebra of both for every
     k: U*U, a spectral projection of |a|, lies in the commutative S, so
     delta(x) delta(y) = U x U*U y U* = delta(xy) on S.
@@ -162,27 +163,26 @@ def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
     rep = ConditionReport("polar_structure")
     seed = m.seed_algebra
     sys = m.system._with_algebra(seed)
-    depth = sys._power_depth(k_max)
-    ks = np.arange(1, depth + 1)
-    finals = sys.proj_final_stack(ks)
+    powers = sys.power_stack(np.arange(sys._power_depth(k_max) + 1))
+    stars = adjoint(powers)
+    initial, final = stars @ powers, powers @ stars
 
-    powers = sys.power_stack(ks)
-    d = float(seed.span_defects(powers @ m.abs_a @ adjoint(powers))
+    d = float(seed.span_defects(powers[1:] @ m.abs_a @ stars[1:])
               .max(initial=0.0))
     rep.add(f"delta^k(|a|) in span of |a| and lower projections, k <= {k_max}",
             d, tol)
     rep.add("delta multiplicative on the extended algebra",
             sys.multiplicativity_defect, tol)
 
-    d_mem = float(seed.span_defects(finals).max(initial=0.0))
-    d_comm = _Images(seed).commutator_norm(finals)
+    d_mem = float(seed.span_defects(final[1:]).max(initial=0.0))
+    d_comm = _Images(seed).commutator_norm(final[1:])
     rep.add(f"U^k U^{{*k}} in double commutant of seed, k <= {k_max}", d_mem, tol)
     rep.add("U^k U^{*k} commutes with seed algebra", d_comm, tol)
 
     rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
-            _absorption_defect(sys, depth), tol)
+            _absorption_defect(powers), tol)
     rep.add("initial and range projection families commute",
-            _projection_families_defect(sys, depth), tol)
+            _commutator_norm(initial, final), tol)
     return rep
 
 

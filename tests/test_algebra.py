@@ -36,7 +36,6 @@ from isoalg.algebra import (
     _gram_schmidt_closure,
     _intertwining_entry,
     _per_block,
-    _projection_families_defect,
     _span_defects,
     _spectral_closure,
     _svd_span,
@@ -633,8 +632,10 @@ def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
          loop_invariance_defect(sys, sys.delta_star)),
         (check_intertwining_equivalents(sys).defects[0].value,
          loop_power_intertwining(sys, 1)),
-        (_absorption_defect(sys, k_max), loop_absorption_defect(sys, k_max)),
-        (_projection_families_defect(sys, k_max),
+        (_absorption_defect(sys.power_stack(np.arange(k_max + 1))),
+         loop_absorption_defect(sys, k_max)),
+        (_commutator_norm(sys.proj_initial_stack(np.arange(k_max + 1)),
+                          sys.proj_final_stack(np.arange(k_max + 1))),
          loop_projection_families_defect(sys, k_max)),
         (check_adjoint_intertwining(sys).defects[0].value,
          loop_adjoint_intertwining(sys)),
@@ -1244,17 +1245,15 @@ FRAME_MODELS = ["qdeform12", "polar6", "p6_rotated", "rot09_n24",
 
 def assert_images_match_the_dense_images(sys, projections):
     """Per delta and delta_star image of the basis: its distance to the
-    algebra, its Frobenius norm, its commutator with each Hermitian
-    projection, the fixed-point verdict and the stack, against the dense
-    stack of conjugates."""
+    algebra, its commutator with each Hermitian projection, the
+    fixed-point verdict and the stack, against the dense stack of
+    conjugates."""
     alg, n = sys.algebra, sys.dim
     e, ranks = frame_error(alg), alg.frame.ranks
     for star, image in ((False, sys.delta), (True, sys.delta_star)):
         images, dense = sys._images(alg, star), image(alg.basis)
         assert_within_frame_bound(images.distances, alg.span_defects(dense),
                                   n, e)
-        assert_within_frame_bound(images.norms,
-                                  np.linalg.norm(dense, axis=(1, 2)), n)
         w = images._factors
         for p in projections:
             assert_within_frame_bound(
@@ -1272,10 +1271,11 @@ def assert_power_entries_match_the_dense_bodies(sys, k_max):
     basis, n = sys.algebra.basis, sys.dim
     for k in range(1, k_max + 1):
         ks, uk, pk = np.array([k]), sys.power(k), sys.proj_initial(k)
-        for star, xk, image in ((False, uk, sys.delta_n),
-                                (True, adjoint(uk), sys.delta_star_n)):
+        for xk, image, projs in (
+                (uk, sys.delta_n, sys.proj_initial_stack(ks)),
+                (adjoint(uk), sys.delta_star_n, sys.proj_final_stack(ks))):
             assert_within_frame_bound(
-                _intertwining_entry(sys, ks, star),
+                _intertwining_entry(sys.algebra, xk[None], projs),
                 spectral_norms(xk @ basis - image(basis, k) @ xk).max(), n)
         assert_within_frame_bound(
             _Images(sys.algebra).commutator_norm(sys.proj_initial_stack(ks)),
@@ -1296,6 +1296,61 @@ def test_frame_images_and_power_entries_match_the_dense_bodies(request,
             loop_power_intertwining(sys, 8),
             max(loop_commutator_norm(sys.proj_initial(k), basis)
                 for k in range(1, 9))], sys.dim)
+
+
+# fixtures whose walks reach their images, with frames and without
+WALK_FIXTURES = ["qdeform12", "polar6", "cyclic5", "cyclic3_shift4",
+                 "raw_system", "amplified_q12", "corner_shift9",
+                 "rotation_pi6"]
+
+
+@pytest.mark.parametrize("name", WALK_FIXTURES + FRAME_MODELS)
+def test_walk_images_lie_in_the_unit_ball_up_to_the_defect(request,
+                                                           monkeypatch, name):
+    # the fixed-point test reads distances at scale 1: every image x b x*
+    # that a walk tests, x = U or U*, has ||x b x*||_F <= ||U||^2 ||b||_F,
+    # with ||U||^2 <= 1 + eps, eps U's partial-isometry defect, and
+    # ||b||_F^2 <= 1 + the basis's orthonormality defect; so the rule at
+    # the image's own norm gives the same verdict
+    if name in WALK_FIXTURES:
+        fixture = fixture_system(request, name)
+        systems = [IsometrySystem(fixture.algebra, fixture.u)]
+    else:
+        systems = frame_oracle_systems(request, name)
+    tested = []
+    real = IsometrySystem._images
+
+    def images(self, algebra, star):
+        tested.append((self.u, star, real(self, algebra, star)))
+        return tested[-1][2]
+
+    monkeypatch.setattr(IsometrySystem, "_images", images)
+    for sys in systems:
+        sys.delta_walk, sys.delta_star_walk
+    # the delta_star hypotheses fail on corner_shift9 and rotation_pi6
+    delta_only = name in ("corner_shift9", "rotation_pi6")
+    assert {star for _, star, _ in tested} == {False, not delta_only}
+    frame = set()
+    for u, star, imgs in tested:
+        alg, target, n = imgs.algebra, imgs.target, len(u)
+        frame.add(alg.frame is not None)
+        eps = max(d.value for d in
+                  IsometrySystem(alg, u).partial_isometry.defects)
+        orth = alg.invariant_report().defects[0].value
+        x = adjoint(u) if star else u
+        dense = x @ alg.basis @ adjoint(x)
+        norms = np.linalg.norm(dense, axis=(1, 2))
+        rounding = 4 * n * np.finfo(float).eps
+        assert norms.max() <= (1 + eps) * np.sqrt(1 + orth) + rounding, (
+            norms.max(), eps, orth)
+        assert imgs.closed == bool(target.membership(dense)[0].all())
+        assert imgs.closed == bool(
+            target._within(imgs.distances, norms).all())
+    # frame-less stages on raw_system and amplified_q12, and the
+    # non-commutative later stages of the two delta-only walks
+    assert (True in frame) == (name not in ("raw_system", "amplified_q12"))
+    assert (False in frame) == (name in ("raw_system", "amplified_q12",
+                                         "corner_shift9", "rotation_pi6"))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1699,6 +1754,33 @@ def test_power_entries_stop_at_the_nilpotency_index(request, monkeypatch,
         assert max(asked) > index
         assert ([d.value for d in huge.defects]
                 == [d.value for d in every_k.defects])
+
+
+@pytest.mark.parametrize("name, suite", [("qdeform12", "power_structure"),
+                                         ("polar6", "power_structure"),
+                                         ("polar6", "polar_structure")])
+def test_power_checks_form_each_stack_once(request, monkeypatch, name,
+                                           suite):
+    # a check forms U^0..U^{D+1} once and both projection stacks from it;
+    # its entries read slices of the three
+    model = request.getfixturevalue(name)
+    sys = IsometrySystem(model.system.algebra, model.system.u)
+    for hypothesis in ("intertwining_defect", "delta_invariance_defect"):
+        getattr(sys, hypothesis)  # cached before the count
+    calls = {"power_stack": 0, "_proj_stack": 0}
+    for attr in calls:
+        def counted(self, *args, attr=attr,
+                    real=getattr(IsometrySystem, attr), **kwargs):
+            calls[attr] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(IsometrySystem, attr, counted)
+    if suite == "power_structure":
+        rep = verify_power_identities(sys, 8)
+    else:
+        rep = polar_structure_suite(model, 8)
+    assert rep.passed
+    assert calls == {"power_stack": 1, "_proj_stack": 0}
 
 
 def test_commutant_keeps_no_left_singular_basis():

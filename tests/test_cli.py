@@ -264,6 +264,24 @@ def test_unwritable_out_exits_2_naming_the_path(specs, capsys, args):
         "", f"isoalg: cannot write --out {out}: No such file or directory\n")
 
 
+def test_closed_stdout_exits_2_without_a_traceback(specs):
+    # the reader of stdout is gone before the report is written: a
+    # configuration error, not a failed check (exit 1) or a traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoalg.cli", "closure", "--model",
+             specs["qdeform.json"]],
+            stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("isoalg: cannot write the report to stdout: "
+                           "Broken pipe\n")
+
+
 def test_parser_is_built_once_and_parses_each_argv_afresh(specs, capsys):
     from isoalg.cli import _build_parser
     parser = _build_parser()

@@ -28,7 +28,6 @@ from isoalg import (
 from isoalg.algebra import (
     _absorption_defect,
     _commutator_norm,
-    _projection_families_defect,
     generate_closure,
 )
 from isoalg.cli import main
@@ -168,10 +167,12 @@ def reference_polar_structure(m, k_max):
     rep.add(f"U^k U^{{*k}} in double commutant of seed, k <= {k_max}", d_mem, tol)
     rep.add("U^k U^{*k} commutes with seed algebra", d_comm, tol)
 
+    ks = np.arange(k_max + 1)
     rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
-            _absorption_defect(sys, k_max), tol)
+            _absorption_defect(sys.power_stack(ks)), tol)
     rep.add("initial and range projection families commute",
-            _projection_families_defect(sys, k_max), tol)
+            _commutator_norm(sys.proj_initial_stack(ks),
+                             sys.proj_final_stack(ks)), tol)
     return rep
 
 
