@@ -104,9 +104,9 @@ def _towers_report(loaded: LoadedModel) -> dict:
 
 class _Context:
     """What a check runner sees: the model, the run options, the traces it
-    emits, and what the samplers share: one draw of random canonical forms
-    and the coefficient-bound report measured on it.  The system was built
-    at --tol, so its checkers measure at --tol."""
+    emits, and what the samplers share: one draw of random canonical forms,
+    which each sampler measures on its own.  The system was built at --tol,
+    so its checkers measure at --tol."""
 
     def __init__(self, loaded: LoadedModel, cfg):
         self.loaded = loaded
@@ -118,29 +118,26 @@ class _Context:
     def forms(self) -> list[NormalForm]:
         return random_normal_forms(self.system, self.cfg.samples, self.cfg.seed)
 
-    @cached_property
-    def star(self) -> ConditionReport:
-        return sample_coefficient_bound(self.system, self.forms, self.cfg.seed)
-
 
 def _norm_limit(ctx: _Context) -> ConditionReport:
-    rep, traces = norm_limit_sample(ctx.forms[:50], ctx.cfg.seed, ctx.cfg.k_max,
-                                    star_report=ctx.star)
+    rep, traces = norm_limit_sample(ctx.forms[:50], ctx.cfg.seed, ctx.cfg.k_max)
     ctx.traces.extend(traces)
     return rep
 
 
-def _to_k_max(run: Callable[[_Context], ConditionReport]
+def _to_k_max(run: Callable[[_Context], ConditionReport],
+              stacks: str = "the powers of U"
               ) -> Callable[[_Context], ConditionReport]:
     """A runner of a check measured up to --k-max that names the flag when
-    the stacks of powers up to it cannot be allocated.  A nilpotent U's
-    checks stop at its index, so this is a U that is not nilpotent."""
+    the ``stacks`` up to it cannot be allocated.  A nilpotent U's power
+    checks stop at its index, so there this is a U that is not nilpotent;
+    the norm limit keeps one stage per doubling of k."""
     def checked(ctx: _Context) -> ConditionReport:
         try:
             return run(ctx)
         except MemoryError as exc:
-            raise ConfigError(f"--k-max {ctx.cfg.k_max} is too large: the "
-                              f"powers of U up to it cannot be "
+            raise ConfigError(f"--k-max {ctx.cfg.k_max} is too large: "
+                              f"{stacks} up to it cannot be "
                               f"allocated") from exc
     return checked
 
@@ -164,10 +161,12 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
         lambda c: verify_power_identities(c.system, c.cfg.k_max))),
     "extension_towers": (
         "commutative", lambda c: check_extension_towers(c.system)),
-    "coefficient_bound": ("coefficient", lambda c: c.star),
+    "coefficient_bound": ("coefficient", lambda c: sample_coefficient_bound(
+        c.system, c.forms, c.cfg.seed)),
     "gauge_invariance": ("coefficient", lambda c: gauge_invariance_sample(
-        c.system, c.forms, c.cfg.seed, star_report=c.star)),
-    "norm_limit": ("coefficient", _norm_limit),
+        c.system, c.forms, c.cfg.seed)),
+    "norm_limit": ("coefficient", _to_k_max(_norm_limit,
+                                            "the norm-limit stages")),
     "sum_norm_estimates": (None, lambda c: sum_norm_estimates_sample(
         c.cfg.samples, c.cfg.seed, c.cfg.tol)),
     "polar_structure": ("polar", _to_k_max(
@@ -302,7 +301,7 @@ def _cmd_run(args) -> tuple[dict, int]:
     return doc, 0 if ok else 1
 
 
-def _load_form(args) -> tuple[LoadedModel, NormalForm]:
+def _load_form(args) -> NormalForm:
     """Load the model, then parse and reduce the --expr/--expr-file text."""
     loaded = _load_model_file(args.model, args.tol)
     if args.expr is not None:
@@ -315,25 +314,22 @@ def _load_form(args) -> tuple[LoadedModel, NormalForm]:
             raise ConfigError(f"cannot read expression file: {exc}") from exc
     try:
         e = parse(text, loaded.system, loaded.generators)
-        return loaded, reduce(e, loaded.system)
+        return reduce(e, loaded.system)
     except RecursionError as exc:
         raise ConfigError("expression nests deeper than the parser and the "
                           "normal-form rewrite can recurse") from exc
 
 
 def _cmd_nf(args) -> tuple[dict, int]:
-    _, nf = _load_form(args)
-    return nf.to_json(), 0
+    return _load_form(args).to_json(), 0
 
 
 def _cmd_norm_limit(args) -> tuple[dict, int]:
-    loaded, nf = _load_form(args)
-    star = _run_check(_Context(loaded, args), "coefficient_bound")
     try:
-        trace = norm_limit(nf, args.k_max, star)
+        trace = norm_limit(_load_form(args), args.k_max)
     except HypothesisViolated as exc:
         return {"error": str(exc), "report": exc.report.to_json()}, 1
-    return {"coefficient_bound": star.to_json(), "trace": trace.to_json()}, 0
+    return {"trace": trace.to_json()}, 0
 
 
 def _cmd_closure(args) -> tuple[dict, int]:

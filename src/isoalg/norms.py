@@ -54,7 +54,8 @@ all forms are tested for membership in the algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
-each takes the forms and the seed they were drawn with, for its note.  The
+each takes the forms and the seed they were drawn with, for its note.  None
+reads another's report: on a certified system the bound is a theorem.  The
 draw is measured once: its coefficients are projected, validated and
 turned into monomials in a few chunks of bounded size, through the
 validation body the NormalForm constructor uses, and ||x|| of every form
@@ -303,7 +304,6 @@ class NormLimitTrace:
     sandwich_lo: float
     sandwich_hi: float
     max_degree: int
-    property_star: bool | None = None
 
     def to_json(self, include_form: bool = True) -> dict:
         doc = {
@@ -313,15 +313,13 @@ class NormLimitTrace:
             "sandwich_lo": float(self.sandwich_lo),
             "sandwich_hi": float(self.sandwich_hi),
             "max_degree": self.max_degree,
-            "property_star": self.property_star,
         }
         if include_form:
             doc["x"] = self.x.to_json()
         return doc
 
 
-def norm_limit(x: NormalForm, k_max: int,
-               star_report: ConditionReport | None = None) -> NormLimitTrace:
+def norm_limit(x: NormalForm, k_max: int) -> NormLimitTrace:
     """Evaluate s_k = ||N_0[(xx*)^{2k}]||^{1/4k} on a doubling schedule
     k = 1, 2, 4, ... up to k_max.
 
@@ -331,34 +329,48 @@ def norm_limit(x: NormalForm, k_max: int,
     generator H, and N_0 is the compression onto the eigenspaces of H.
     Every stage's N_0 must lie in the coefficient algebra (else
     CoefficientEscape).  On a system that fails :func:`sampler_hypothesis`
-    the formula has no ground, and HypothesisViolated carries that report.
-    ``star_report``, when given, records whether the coefficient-bound
-    sampler passed; without it the trace is marked as unchecked.
+    the formula has no ground, and HypothesisViolated carries that report;
+    on a certified one the coefficient bound it rests on is a theorem (see
+    the module docstring), so nothing is sampled.
     """
     rep = sampler_hypothesis(x.system, "norm_limit")
     if not rep.passed:
         raise HypothesisViolated("the norm-limit formula needs a system its "
                                  "gauge generator certifies", rep)
-    return _norm_limit_traces([x], k_max, star_report)[0]
+    return _norm_limit_traces([x], k_max)[0]
 
 
 def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
-                   gen: GaugeGenerator, stages: int) -> np.ndarray:
+                   gen: GaugeGenerator, stages: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """N_0 of xx* and of its ``stages`` successive squares for g forms of a
     system that a gauge generator certifies, as a (g, stages + 1, n, n)
-    stack: P = xx*/||x||^2 of all forms is one (g, n, n) stack in the
+    stack, and a (g, stages + 1) array e: each stage is 2^e times its stack
+    entry.  P = xx*/||x||^2 of all forms is one (g, n, n) stack in the
     eigenbasis of H, V*PV, squared in place, and N_0 of each stage is
     V (mask o V*PV) V* with mask_ij = [h_i = h_j], the compression onto the
-    eigenspaces of H.  ||P|| = 1, so no power can overflow."""
+    eigenspaces of H.  The computed ||P|| is 1 +- O(n eps), so j squarings
+    scale it by (1 +- O(n eps))^(2^j), which can overflow or underflow: a
+    square whose largest entry leaves [2^-256, 2^256] is brought into
+    [1/2, 1) by an exact power of two, whose exponent e carries (doubling
+    with each squaring).  A stage never scaled has e = 0."""
     vecs, h = gen.vecs, gen.potentials
     mask = h[:, None] == h[None, :]
     y = np.array([x.eval() for x in forms]) / norms[:, None, None]
     p = adjoint(vecs) @ (y @ adjoint(y)) @ vecs
-    n0 = [p * mask]
+    n0, exps = [p * mask], [np.zeros(len(forms))]
     for _ in range(stages):
         np.matmul(p, p, out=p)
+        e = 2 * exps[-1]
+        top = np.abs(p).max(axis=(1, 2))
+        out = (top < 2.0 ** -256) | (top > 2.0 ** 256)
+        shift = np.frexp(top[out])[1]
+        p[out] *= np.exp2(-shift)[:, None, None]
+        e[out] += shift
         n0.append(p * mask)
-    return vecs @ np.stack(n0, axis=1) @ adjoint(vecs)
+        exps.append(e)
+    return (vecs @ np.stack(n0, axis=1) @ adjoint(vecs),
+            np.stack(exps, axis=1))
 
 
 def _doubling_schedule(k_max: int) -> list[int]:
@@ -368,8 +380,7 @@ def _doubling_schedule(k_max: int) -> list[int]:
     return [2 ** j for j in range(int(k_max).bit_length())]
 
 
-def _norm_limit_traces(forms: list[NormalForm], k_max: int,
-                       star_report: ConditionReport | None
+def _norm_limit_traces(forms: list[NormalForm], k_max: int
                        ) -> list[NormLimitTrace]:
     """The body of :func:`norm_limit`, for one form or a whole sample of
     forms over one certified system.
@@ -380,15 +391,14 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
     trace.  CoefficientEscape is raised for the first offending form in
     input order, with the message that form alone gives."""
     schedule = _doubling_schedule(k_max)
-    star = None if star_report is None else star_report.passed
     direct = _operator_norms(forms)
     live = np.flatnonzero(direct != 0.0)
     stage_norms = {}
     if live.size:
         system = forms[0].system
         n = system.dim
-        stack = _compressed_n0([forms[i] for i in live], direct[live],
-                               system.gauge_generator, len(schedule))
+        stack, exps = _compressed_n0([forms[i] for i in live], direct[live],
+                                     system.gauge_generator, len(schedule))
         flat = stack.reshape(-1, n, n)
         inside, defects = (a.reshape(stack.shape[:2])
                            for a in system.algebra.membership(flat))
@@ -398,30 +408,26 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int,
                 power = "xx*" if k == 0 else f"(xx*)^{2 * schedule[k - 1]}"
                 raise CoefficientEscape(f"N_0[{power}] is outside the "
                                         f"algebra (defect {dfs[k]:.3e})")
-        stage_norms = dict(zip(live.tolist(), spectral_norms(flat).reshape(
-            stack.shape[:2])))
+        stage_norms = dict(zip(live.tolist(), zip(
+            spectral_norms(flat).reshape(stack.shape[:2]), exps)))
 
     traces = []
     for i, x in enumerate(forms):
         d, n_deg = float(direct[i]), x.max_degree
         if d == 0.0:
             traces.append(NormLimitTrace(x, schedule, [0.0] * len(schedule),
-                                         0.0, 0.0, 0.0, n_deg, star))
+                                         0.0, 0.0, 0.0, n_deg))
             continue
-        norms = stage_norms[i]
+        norms, e = stage_norms[i]
         sandwich_lo = d * d * norms[0]
         sandwich_hi = (2 * n_deg + 1) * d * d * norms[0]
-        s_values = [d * s ** (1.0 / (4 * k))
-                    for k, s in zip(schedule, norms[1:])]
+        # s_k = d (s 2^e)^(1/4k), through log2 where the stage was scaled
+        s_values = [d * s ** (1.0 / (4 * k)) if not e_k
+                    else d * 2.0 ** ((np.log2(s) + e_k) / (4 * k))
+                    for k, s, e_k in zip(schedule, norms[1:], e[1:])]
         traces.append(NormLimitTrace(x, schedule, s_values, d,
-                                     sandwich_lo, sandwich_hi, n_deg, star))
+                                     sandwich_lo, sandwich_hi, n_deg))
     return traces
-
-
-def _sampler_note(star_report: ConditionReport) -> str:
-    """The note recording the coefficient-bound sampler's verdict."""
-    return ("coefficient-bound sampler: "
-            + ("pass" if star_report.passed else "FAIL"))
 
 
 def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
@@ -438,9 +444,7 @@ def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
 
 
 def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
-                            seed: int | None,
-                            star_report: ConditionReport | None = None
-                            ) -> ConditionReport:
+                            seed: int | None) -> ConditionReport:
     """Gauge norm invariance, ||x_lam|| = ||x|| for x_lam = sum_k lam^k M_k
     (the monomials M_k of x gauged by U -> lam U), over the drawn canonical
     forms; each defect is normalized by max(1, ||x||), and every entry is at
@@ -474,9 +478,8 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     M_k = U^{*|k|} a_|k|; summing over k bounds ||x_lam - W x W*||.  In
     particular ||W U W* - lam U|| <= pi eps.
 
-    The notes give the seed, unless it is None, and the coefficient-bound
-    sampler's verdict, when ``star_report`` is given.  On a system that
-    fails :func:`sampler_hypothesis` the report is that hypothesis alone.
+    The notes give the seed, unless it is None.  On a system that fails
+    :func:`sampler_hypothesis` the report is that hypothesis alone.
     """
     tol = system.tol
     hypothesis = sampler_hypothesis(system, "gauge_invariance")
@@ -494,13 +497,10 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     rep.note("certified by a gauge generator")
     if seed is not None:
         rep.note(f"seed = {seed}")
-    if star_report is not None:
-        rep.note(_sampler_note(star_report))
     return rep
 
 
-def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
-                      star_report: ConditionReport | None = None
+def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8
                       ) -> tuple[ConditionReport, list[NormLimitTrace]]:
     """Run the norm-limit formula on the drawn canonical forms and check,
     per sample:
@@ -520,7 +520,7 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
         if not hypothesis.passed:
             return hypothesis, []
     rep = ConditionReport("norm_limit")
-    traces = _norm_limit_traces(forms, k_max, star_report)
+    traces = _norm_limit_traces(forms, k_max)
     worst_lower = worst_upper = worst_sandwich = worst_conv = 0.0
     for tr in traces:
         if tr.direct_norm == 0.0:
@@ -542,8 +542,6 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8,
     rep.add(f"convergence at k = {_doubling_schedule(k_max)[-1]}",
             worst_conv, NORM_LIMIT_REL_TOL)
     rep.note(f"seed = {seed}")
-    if star_report is not None:
-        rep.note(_sampler_note(star_report))
     return rep, traces
 
 

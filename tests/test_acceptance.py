@@ -107,9 +107,7 @@ def test_c04_norm_limit_formula(models):
     estimate holds with 1e-9 slack at every stage"""
     for name, sys in models.items():
         forms = random_normal_forms(sys, 50, SEED)
-        star = sample_coefficient_bound(sys, forms, seed=SEED)
-        rep, _ = norm_limit_sample(forms, seed=SEED, k_max=8,
-                                   star_report=star)
+        rep, _ = norm_limit_sample(forms, seed=SEED, k_max=8)
         assert rep.passed, f"{name}:\n{rep}"
 
 

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoalg import load_model, matrix_from_json, matrix_to_json
+from isoalg import (
+    load_model,
+    matrix_from_json,
+    matrix_to_json,
+    norm_limit,
+    parse,
+    reduce,
+)
 from isoalg.cli import CHECKS, dump_json, main
 from isoalg.report import ConditionReport
 
@@ -358,6 +365,95 @@ def test_huge_k_max_stops_at_the_index_or_is_named(tmp_path, capsys, k_max):
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"isoalg: --k-max {k_max} is too large: the "
                               "powers of U up to it cannot be allocated\n")
+
+
+@pytest.mark.parametrize("k_max", [2 ** 58, 2 ** 62, 10 ** 40])
+@pytest.mark.parametrize("build", [lambda: qdeform_spec(12, 0.5),
+                                   lambda: polar_spec(weighted_shift(6, 0.5))],
+                         ids=["q12", "p6"])
+def test_huge_k_max_norm_limit_stays_finite(tmp_path, capsys, build, k_max):
+    # the computed ||P|| is 1 only up to rounding, so 58 squarings and more
+    # overflow or underflow unless the stages are rescaled; a RuntimeWarning
+    # fails the test
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(build()))
+    assert main(["run", "--model", str(path), "--checks", "norm_limit",
+                 "--k-max", str(k_max), "--samples", "50",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    doc = json.loads(out.read_text())
+    assert all(np.isfinite(t["s_values"]).all() for t in doc["traces"])
+
+
+def test_norm_limit_stages_that_cannot_be_allocated_name_k_max(
+        specs, monkeypatch, capsys):
+    def no_room(*args):
+        raise MemoryError
+    monkeypatch.setattr("isoalg.norms._compressed_n0", no_room)
+    assert main(["run", "--model", specs["qdeform.json"], "--checks",
+                 "norm_limit", "--k-max", "99"]) == 2
+    assert capsys.readouterr() == ("", "isoalg: --k-max 99 is too large: the "
+                                   "norm-limit stages up to it cannot be "
+                                   "allocated\n")
+
+
+def _refuse(*args):
+    raise AssertionError("a check drew or sampled what it does not report")
+
+
+@pytest.mark.parametrize("build", [lambda: qdeform_spec(12, 0.5),
+                                   lambda: polar_spec(weighted_shift(6, 0.5)),
+                                   amplified_q12_spec],
+                         ids=["q12", "p6", "amplified_q12"])
+def test_no_check_reads_another_checks_report(tmp_path, monkeypatch, build):
+    # gauge_invariance and norm_limit report alone what they report inside
+    # --checks all, without the coefficient-bound sampler; norm-limit
+    # draws no form at all
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(build()))
+    common = ["--model", str(path), "--samples", "60"]
+
+    def run_doc(args):
+        rc = main(args + ["--out", str(out)])
+        return rc, json.loads(out.read_text())
+
+    _, every = run_doc(["run", *common, "--checks", "all"])
+    names = ["gauge_invariance", "norm_limit"]
+    want = [r for r in every["results"] if r["name"] in names]
+    assert [r["name"] for r in want] == names
+    monkeypatch.setattr("isoalg.cli.sample_coefficient_bound", _refuse)
+    rc, alone = run_doc(["run", *common, "--checks", ",".join(names)])
+    assert rc == (0 if all(r["pass"] for r in want) else 1)
+    assert (alone["results"], alone["traces"]) == (want, every["traces"])
+
+    monkeypatch.setattr("isoalg.cli.random_normal_forms", _refuse)
+    loaded = load_model(build())
+    x = reduce(parse("U + U'*U", loaded.system, loaded.generators),
+               loaded.system)
+    assert run_doc(["norm-limit", *common, "--expr", "U + U'*U"]) == (
+        0, {"trace": norm_limit(x, 8).to_json()})
+
+
+def test_samplers_carry_no_coefficient_bound_verdict(tmp_path):
+    # at --tol 1e-16 q12 is certified and U nilpotent, so the coefficient
+    # bound holds; its sampler fails on a rounding margin, and that verdict
+    # is its own report's alone
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(qdeform_spec(12, 0.5)))
+    names = ["coefficient_bound", "gauge_invariance", "norm_limit"]
+    assert main(["run", "--model", str(path), "--tol", "1e-16", "--checks",
+                 ",".join(names), "--samples", "20", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    star, gauge, limit = doc["results"]
+    assert [(r["name"], r["pass"]) for r in doc["results"]] == [
+        ("coefficient_bound", False), ("gauge_invariance", True),
+        ("norm_limit", True)]
+    assert star["notes"] == ["seed = 0, max degree = 4"]
+    assert gauge["notes"] == ["certified by a gauge generator", "seed = 0"]
+    assert limit["notes"] == ["seed = 0"]
+    assert all(sorted(t) == ["direct_norm", "k_values", "max_degree",
+                             "s_values", "sandwich_hi", "sandwich_lo"]
+               for t in doc["traces"])
 
 
 @pytest.mark.parametrize("command, args, env, message", [
@@ -924,9 +1020,9 @@ def test_library_checkers_return_reports(loaded_once, model):
     reports.append(ia.verify_power_identities(sys, 4))
     if sys.coefficient_report.passed:
         forms = random_normal_forms(sys, 10, 0)
-        star = ia.sample_coefficient_bound(sys, forms, 0)
-        reports += [star, gauge_invariance_sample(sys, forms, 0, star),
-                    norm_limit_sample(forms, 0, 4, star)[0]]
+        reports += [ia.sample_coefficient_bound(sys, forms, 0),
+                    gauge_invariance_sample(sys, forms, 0),
+                    norm_limit_sample(forms, 0, 4)[0]]
     if loaded.polar is not None:
         reports.append(ia.polar_structure_suite(loaded.polar, 4))
     if loaded.qdeform is not None:

@@ -104,11 +104,8 @@ def test_norm_limit_zero_form(qdeform6):
 def test_norm_limit_schedule_and_sandwich(qdeform6):
     rng = np.random.default_rng(21)
     x = ia.random_normal_form(qdeform6.system, rng)
-    star = sample_coefficient_bound(
-        qdeform6.system, random_normal_forms(qdeform6.system, 20, 0), 0)
-    tr = norm_limit(x, 8, star_report=star)
+    tr = norm_limit(x, 8)
     assert tr.k_values == [1, 2, 4, 8]
-    assert tr.property_star is True
     d = tr.direct_norm
     assert tr.sandwich_lo <= d * d * (1 + 1e-9)
     assert d * d <= tr.sandwich_hi * (1 + 1e-9)
@@ -118,6 +115,21 @@ def test_norm_limit_schedule_and_sandwich(qdeform6):
         assert d <= bound * (1 + 1e-9)
     # monotone improvement is typical on this model
     assert abs(tr.s_values[-1] - d) <= abs(tr.s_values[0] - d) + 1e-12
+
+
+def test_norm_limit_rescales_the_stages_of_a_long_schedule(qdeform12):
+    # the computed ||P|| is 1 only up to rounding, so stage 2^j drifts by
+    # up to (1 + O(n eps))^(2^j): the long schedule rescales its late
+    # stages by powers of two, keeps the unscaled values of the short one,
+    # and ends at ||x|| to rounding
+    system = qdeform12.system
+    x = random_normal_forms(system, 1, 5)[0]
+    short, long = norm_limit(x, 8), norm_limit(x, 2 ** 70)
+    assert long.s_values[:4] == short.s_values
+    _, e = ia.norms._compressed_n0([x], np.array([x.norm]),
+                                   system.gauge_generator, 71)
+    assert not e[0, :5].any() and e[0, -1] != 0
+    assert long.s_values[-1] == pytest.approx(x.norm, rel=1e-12)
 
 
 def test_norm_limit_against_matrix_power_oracle(qdeform6):
@@ -411,7 +423,7 @@ def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
         _close(gauge.defects[-1].value, bound)
         assert sampled <= bound + 1e-13
 
-        rep, traces = norm_limit_sample(forms[:50], seed, star_report=star)
+        rep, traces = norm_limit_sample(forms[:50], seed)
         rows = [norm_limit_stack_body(x, 8) for x in forms[:50]]
         for tr, (d, s_values, lo, hi) in zip(traces, rows, strict=True):
             assert tr.k_values == [1, 2, 4, 8]
@@ -480,7 +492,7 @@ def _stage_n0(x, stage):
     """N_0 of (xx*)^(2^stage) for x/||x||, as norm_limit takes it."""
     system = x.system
     return ia.norms._compressed_n0([x], np.array([x.norm]),
-                                   system.gauge_generator, 4)[0, stage]
+                                   system.gauge_generator, 4)[0][0, stage]
 
 
 def _raised(fn, *args):
@@ -576,8 +588,8 @@ def test_compressed_norm_limit_guards_every_stage(qdeform12, monkeypatch):
     system = qdeform12.system
     forms = random_normal_forms(system, 6, 3)
     x = forms[4]
-    n0 = ia.norms._compressed_n0([x], np.array([x.norm]),
-                                 system.gauge_generator, 4)
+    n0, _ = ia.norms._compressed_n0([x], np.array([x.norm]),
+                                    system.gauge_generator, 4)
     _poison(monkeypatch, system.algebra, [n0[0, 2]])
     alone = _raised(norm_limit, x, 8)
     assert alone == (ia.CoefficientEscape, "N_0[(xx*)^4] is outside the "
@@ -622,8 +634,8 @@ def test_samplers_report_the_refused_generator_and_measure_nothing(
         monkeypatch.setattr(ia.norms, body, measured)
     monkeypatch.setattr(system.algebra, "member_norms", measured)
     star = sample_coefficient_bound(system, forms, 0)
-    gauge = gauge_invariance_sample(system, forms, 0, star)
-    limit, traces = norm_limit_sample(forms, 0, 8, star)
+    gauge = gauge_invariance_sample(system, forms, 0)
+    limit, traces = norm_limit_sample(forms, 0, 8)
     assert traces == []
     for rep, report_name in ((star, "coefficient_bound"),
                              (gauge, "gauge_invariance"),
