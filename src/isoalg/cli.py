@@ -119,8 +119,17 @@ class _Context:
         return random_normal_forms(self.system, self.cfg.samples, self.cfg.seed)
 
 
+def _norm_limit_k_max(k_max: int) -> int:
+    """--k-max for the norm limit, whose stages k enter it as floats."""
+    if k_max.bit_length() > 1000:
+        raise ConfigError(f"--k-max {k_max} is too large: the norm limit "
+                          "takes k below 2^1000")
+    return k_max
+
+
 def _norm_limit(ctx: _Context) -> ConditionReport:
-    rep, traces = norm_limit_sample(ctx.forms[:50], ctx.cfg.seed, ctx.cfg.k_max)
+    k_max = _norm_limit_k_max(ctx.cfg.k_max)
+    rep, traces = norm_limit_sample(ctx.forms[:50], ctx.cfg.seed, k_max)
     ctx.traces.extend(traces)
     return rep
 
@@ -130,8 +139,7 @@ def _to_k_max(run: Callable[[_Context], ConditionReport],
               ) -> Callable[[_Context], ConditionReport]:
     """A runner of a check measured up to --k-max that names the flag when
     the ``stacks`` up to it cannot be allocated.  A nilpotent U's power
-    checks stop at its index, so there this is a U that is not nilpotent;
-    the norm limit keeps one stage per doubling of k."""
+    checks stop at its index, so there this is a U that is not nilpotent."""
     def checked(ctx: _Context) -> ConditionReport:
         try:
             return run(ctx)
@@ -326,7 +334,7 @@ def _cmd_nf(args) -> tuple[dict, int]:
 
 def _cmd_norm_limit(args) -> tuple[dict, int]:
     try:
-        trace = norm_limit(_load_form(args), args.k_max)
+        trace = norm_limit(_load_form(args), _norm_limit_k_max(args.k_max))
     except HypothesisViolated as exc:
         return {"error": str(exc), "report": exc.report.to_json()}, 1
     return {"trace": trace.to_json()}, 0

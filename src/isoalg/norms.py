@@ -54,13 +54,12 @@ all forms are tested for membership in the algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
-each takes the forms and the seed they were drawn with, for its note.  None
-reads another's report: on a certified system the bound is a theorem.  The
-draw is measured once: its coefficients are projected, validated and
+each takes the forms and the seed they were drawn with, for its note, and
+none reads another's report: on a certified system the bound is a theorem.
+The draw is measured once: its coefficients are projected, validated and
 turned into monomials in a few chunks of bounded size, through the
 validation body the NormalForm constructor uses, and ||x|| of every form
-is one batched eigensolve, cached on the form, that all three samplers
-read.
+is one batched eigensolve, cached on the form, that all three samplers read.
 """
 
 from __future__ import annotations
@@ -350,10 +349,9 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
     eigenbasis of H, V*PV, squared in place, and N_0 of each stage is
     V (mask o V*PV) V* with mask_ij = [h_i = h_j], the compression onto the
     eigenspaces of H.  The computed ||P|| is 1 +- O(n eps), so j squarings
-    scale it by (1 +- O(n eps))^(2^j), which can overflow or underflow: a
-    square whose largest entry leaves [2^-256, 2^256] is brought into
-    [1/2, 1) by an exact power of two, whose exponent e carries (doubling
-    with each squaring).  A stage never scaled has e = 0."""
+    scale it by (1 +- O(n eps))^(2^j): a square whose largest entry leaves
+    [2^-256, 2^256] is brought into [1/2, 1) by an exact power of two, whose
+    exponent e carries, doubling with each squaring."""
     vecs, h = gen.vecs, gen.potentials
     mask = h[:, None] == h[None, :]
     y = np.array([x.eval() for x in forms]) / norms[:, None, None]
@@ -421,9 +419,7 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int
         norms, e = stage_norms[i]
         sandwich_lo = d * d * norms[0]
         sandwich_hi = (2 * n_deg + 1) * d * d * norms[0]
-        # s_k = d (s 2^e)^(1/4k), through log2 where the stage was scaled
-        s_values = [d * s ** (1.0 / (4 * k)) if not e_k
-                    else d * 2.0 ** ((np.log2(s) + e_k) / (4 * k))
+        s_values = [d * s ** (1.0 / (4 * k)) * 2.0 ** (e_k / (4 * k))
                     for k, s, e_k in zip(schedule, norms[1:], e[1:])]
         traces.append(NormLimitTrace(x, schedule, s_values, d,
                                      sandwich_lo, sandwich_hi, n_deg))

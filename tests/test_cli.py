@@ -385,6 +385,29 @@ def test_huge_k_max_norm_limit_stays_finite(tmp_path, capsys, build, k_max):
     assert all(np.isfinite(t["s_values"]).all() for t in doc["traces"])
 
 
+def test_norm_limit_refuses_k_max_beyond_the_float_range(tmp_path, capsys):
+    # the stages k = 2^j enter the formula as floats, so k_max stops below
+    # 2^1000 on both paths, before any form is drawn
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(qdeform_spec(12, 0.5)))
+    common = ["--model", str(path), "--out", str(out)]
+    assert main(["norm-limit", *common, "--expr", "U",
+                 "--k-max", str(2 ** 1000 - 1)]) == 0
+    assert capsys.readouterr() == ("", "")
+    trace = json.loads(out.read_text())["trace"]
+    assert len(trace["s_values"]) == 1000
+    assert np.isfinite(trace["s_values"]).all()
+    out.unlink()
+    for k_max in (2 ** 1000, 10 ** 400):
+        for argv in (["norm-limit", "--expr", "U"],
+                     ["run", "--checks", "norm_limit"]):
+            assert main([*argv, *common, "--k-max", str(k_max)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr() == (
+                "", f"isoalg: --k-max {k_max} is too large: the norm limit "
+                    "takes k below 2^1000\n")
+
+
 def test_norm_limit_stages_that_cannot_be_allocated_name_k_max(
         specs, monkeypatch, capsys):
     def no_room(*args):
