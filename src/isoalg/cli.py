@@ -104,9 +104,9 @@ def _towers_report(loaded: LoadedModel) -> dict:
 
 class _Context:
     """What a check runner sees: the model, the run options, the traces it
-    emits, and what the samplers share: one draw of random canonical forms,
-    which each sampler measures on its own.  The system was built at --tol,
-    so its checkers measure at --tol."""
+    emits, and what the samplers share: one draw of random canonical forms
+    at --samples and --seed, each sampler measuring (system, forms) on its
+    own.  The system was built at --tol, so its checkers measure at --tol."""
 
     def __init__(self, loaded: LoadedModel, cfg):
         self.loaded = loaded
@@ -129,7 +129,7 @@ def _norm_limit_k_max(k_max: int) -> int:
 
 def _norm_limit(ctx: _Context) -> ConditionReport:
     k_max = _norm_limit_k_max(ctx.cfg.k_max)
-    rep, traces = norm_limit_sample(ctx.forms[:50], ctx.cfg.seed, k_max)
+    rep, traces = norm_limit_sample(ctx.system, ctx.forms[:50], k_max=k_max)
     ctx.traces.extend(traces)
     return rep
 
@@ -170,9 +170,9 @@ CHECKS: dict[str, tuple[str | None, Callable[[_Context], ConditionReport]]] = {
     "extension_towers": (
         "commutative", lambda c: check_extension_towers(c.system)),
     "coefficient_bound": ("coefficient", lambda c: sample_coefficient_bound(
-        c.system, c.forms, c.cfg.seed)),
+        c.system, c.forms)),
     "gauge_invariance": ("coefficient", lambda c: gauge_invariance_sample(
-        c.system, c.forms, c.cfg.seed)),
+        c.system, c.forms)),
     "norm_limit": ("coefficient", _to_k_max(_norm_limit,
                                             "the norm-limit stages")),
     "sum_norm_estimates": (None, lambda c: sum_norm_estimates_sample(
@@ -238,38 +238,18 @@ def _emit(text: str, out_path: str | None) -> None:
                           f"{exc.strerror or exc}") from exc
 
 
-def _default_tol() -> float:
-    env = os.environ.get("ISOALG_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise ConfigError(f"ISOALG_TOL={env!r} is not a number")
-
-
-def _check_counts(args, tol_name: str) -> None:
+def _check_counts(args) -> None:
     """Reject --k-max and --samples below 1 (a sampler or the norm limit
-    would pass vacuously), a --seed below 0 (numpy refuses it), and a tol
-    ``tol_name`` not finite and above 0 (at inf every check passes)."""
+    would pass vacuously), a --seed below 0 (numpy refuses it), and a --tol
+    not finite and above 0 (at inf every check passes)."""
     for flag, least in (("k_max", 1), ("samples", 1), ("seed", 0)):
         value = getattr(args, flag, least)
         if value < least:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least "
                               f"{least}, got {value}")
     if not 0.0 < args.tol < float("inf"):  # NaN fails both
-        raise ConfigError(f"{tol_name} must be a finite number above 0, "
+        raise ConfigError(f"--tol must be a finite number above 0, "
                           f"got {args.tol:g}")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, help="model spec JSON file")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance (default 1e-9, or ISOALG_TOL)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _cmd_run(args) -> tuple[dict, int]:
@@ -372,13 +352,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "*-algebra and a partial isometry")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, text: str) -> argparse.ArgumentParser:
+    def command(name: str, func, text: str, source: str = "--model",
+                source_help: str = "model spec JSON file"
+                ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
+        p.add_argument(source, required=True, help=source_help)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="tolerance (default 1e-9)")
+        p.add_argument("--out", default=None,
+                       help="output path (default stdout)")
         return p
 
+    k_max = {"type": int, "default": 8, "dest": "k_max"}
     p = command("run", _cmd_run, "run checker suites against a model")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k-max", **k_max)
+    p.add_argument("--samples", type=int, default=200)
     p.add_argument("--checks", default="all",
                    help="comma-separated check names, or 'all'")
 
@@ -388,18 +378,15 @@ def _build_parser() -> argparse.ArgumentParser:
             ("norm-limit", _cmd_norm_limit,
              "norm-limit trace for an expression")):
         p = command(name, func, text)
-        _add_common(p)
+        if name == "norm-limit":
+            p.add_argument("--k-max", **k_max)
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--expr", help="expression text")
         g.add_argument("--expr-file", help="file containing the expression")
 
-    _add_common(command("closure", _cmd_closure,
-                        "print extension-tower dimensions"))
-
-    p = command("polar", _cmd_polar, "polar-decompose a matrix file")
-    p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
+    command("closure", _cmd_closure, "print extension-tower dimensions")
+    command("polar", _cmd_polar, "polar-decompose a matrix file",
+            "--matrix", "matrix JSON file")
     return ap
 
 
@@ -429,10 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_negative_values(argv))
     try:
-        tol_name = "ISOALG_TOL" if args.tol is None else "--tol"
-        if args.tol is None:
-            args.tol = _default_tol()
-        _check_counts(args, tol_name)
+        _check_counts(args)
         doc, rc = args.func(args)
         _emit(dump_json(doc), args.out)
     except ConfigError as exc:

@@ -54,7 +54,7 @@ all forms are tested for membership in the algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
-each takes the forms and the seed they were drawn with, for its note, and
+each takes (system, forms), a nonempty list of forms of that system, and
 none reads another's report: on a certified system the bound is a theorem.
 The draw is measured once: its coefficients are projected, validated and
 turned into monomials in a few chunks of bounded size, through the
@@ -69,7 +69,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import GaugeGenerator, IsometrySystem
-from .errors import CoefficientEscape, DimensionMismatch, HypothesisViolated
+from .errors import (
+    CoefficientEscape,
+    DimensionMismatch,
+    HypothesisViolated,
+    SystemMismatch,
+)
 from .linalg import (
     DEFAULT_TOL,
     _frobenius_norms,
@@ -198,8 +203,18 @@ def sampler_hypothesis(system: IsometrySystem, name: str) -> ConditionReport:
     return rep
 
 
-def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
-                             seed: int) -> ConditionReport:
+def _require_sample(system: IsometrySystem, forms: list[NormalForm]) -> None:
+    """Refuse an empty sample, over which a sampler would pass vacuously,
+    and a form over another system, which the system's algebra cannot
+    measure."""
+    if not forms:
+        raise ValueError("forms is empty: a sampler needs at least one form")
+    if any(x.system is not system for x in forms):
+        raise SystemMismatch("a sampled form is built over another system")
+
+
+def sample_coefficient_bound(system: IsometrySystem,
+                             forms: list[NormalForm]) -> ConditionReport:
     """Sample the coefficient bound ||a_0|| <= ||x|| and its per-degree
     extension ||a_k|| <= ||x|| on the drawn canonical forms.
 
@@ -217,28 +232,28 @@ def sample_coefficient_bound(system: IsometrySystem, forms: list[NormalForm],
 
     where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
     each coefficient passed when it was validated.  Without a frame the
-    coefficient norms are one batched eigensolve.
+    coefficient norms are one batched eigensolve.  The note gives the
+    largest degree of the measured forms.
 
     On a system that fails :func:`sampler_hypothesis` the report is that
     hypothesis alone.
     """
+    _require_sample(system, forms)
     tol = system.tol
     rep = sampler_hypothesis(system, "coefficient_bound")
     if not rep.passed:
         return rep
     norm_x = _operator_norms(forms)
-    coeffs = [np.zeros((0, system.dim, system.dim))]
-    coeffs += [x.coefficients for x in forms]
+    coeffs = [x.coefficients for x in forms]
     norms = system.algebra.member_norms(np.concatenate(coeffs))
-    margins = norms - np.repeat(norm_x, [len(c) for c in coeffs[1:]])
+    margins = norms - np.repeat(norm_x, [len(c) for c in coeffs])
     degrees = np.array([k for x in forms for k in x.degrees()], dtype=int)
     # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
-    worst_zero = np.concatenate([-norm_x, margins[degrees == 0]]).max(
-        initial=-np.inf)
+    worst_zero = np.concatenate([-norm_x, margins[degrees == 0]]).max()
     worst_any = margins.max(initial=-np.inf)
     rep.add(f"||a_0|| - ||x|| over {len(forms)} samples", worst_zero, tol)
     rep.add(f"max_k ||a_k|| - ||x|| over {len(forms)} samples", worst_any, tol)
-    rep.note(f"seed = {seed}, max degree = {MAX_SAMPLE_DEGREE}")
+    rep.note(f"max degree = {max(x.max_degree for x in forms)}")
     return rep
 
 
@@ -439,8 +454,8 @@ def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
     return np.pi * np.bincount(owner, weights, minlength=len(forms))
 
 
-def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
-                            seed: int | None) -> ConditionReport:
+def gauge_invariance_sample(system: IsometrySystem,
+                            forms: list[NormalForm]) -> ConditionReport:
     """Gauge norm invariance, ||x_lam|| = ||x|| for x_lam = sum_k lam^k M_k
     (the monomials M_k of x gauged by U -> lam U), over the drawn canonical
     forms; each defect is normalized by max(1, ||x||), and every entry is at
@@ -474,9 +489,10 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
     M_k = U^{*|k|} a_|k|; summing over k bounds ||x_lam - W x W*||.  In
     particular ||W U W* - lam U|| <= pi eps.
 
-    The notes give the seed, unless it is None.  On a system that fails
-    :func:`sampler_hypothesis` the report is that hypothesis alone.
+    On a system that fails :func:`sampler_hypothesis` the report is that
+    hypothesis alone.
     """
+    _require_sample(system, forms)
     tol = system.tol
     hypothesis = sampler_hypothesis(system, "gauge_invariance")
     if not hypothesis.passed:
@@ -491,12 +507,11 @@ def gauge_invariance_sample(system: IsometrySystem, forms: list[NormalForm],
             f"samples", float((bounds / np.maximum(1.0, norms)).max(
                 initial=0.0)), tol)
     rep.note("certified by a gauge generator")
-    if seed is not None:
-        rep.note(f"seed = {seed}")
     return rep
 
 
-def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8
+def norm_limit_sample(system: IsometrySystem, forms: list[NormalForm], *,
+                      k_max: int = 8
                       ) -> tuple[ConditionReport, list[NormLimitTrace]]:
     """Run the norm-limit formula on the drawn canonical forms and check,
     per sample:
@@ -511,10 +526,10 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8
     NORM_LIMIT_SLACK.  On a system that fails :func:`sampler_hypothesis`
     the report is that hypothesis alone, with no trace.
     """
-    if forms:
-        hypothesis = sampler_hypothesis(forms[0].system, "norm_limit")
-        if not hypothesis.passed:
-            return hypothesis, []
+    _require_sample(system, forms)
+    hypothesis = sampler_hypothesis(system, "norm_limit")
+    if not hypothesis.passed:
+        return hypothesis, []
     rep = ConditionReport("norm_limit")
     traces = _norm_limit_traces(forms, k_max)
     worst_lower = worst_upper = worst_sandwich = worst_conv = 0.0
@@ -537,7 +552,6 @@ def norm_limit_sample(forms: list[NormalForm], seed: int, k_max: int = 8
     rep.add("first-stage sandwich", worst_sandwich, NORM_LIMIT_SLACK)
     rep.add(f"convergence at k = {_doubling_schedule(k_max)[-1]}",
             worst_conv, NORM_LIMIT_REL_TOL)
-    rep.note(f"seed = {seed}")
     return rep, traces
 
 

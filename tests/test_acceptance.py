@@ -98,7 +98,7 @@ def test_c03_coefficient_bound(models):
     per model, zero violations"""
     for name, sys in models.items():
         forms = random_normal_forms(sys, 200, SEED)
-        rep = sample_coefficient_bound(sys, forms, seed=SEED)
+        rep = sample_coefficient_bound(sys, forms)
         assert rep.passed, f"{name}:\n{rep}"
 
 
@@ -107,7 +107,7 @@ def test_c04_norm_limit_formula(models):
     estimate holds with 1e-9 slack at every stage"""
     for name, sys in models.items():
         forms = random_normal_forms(sys, 50, SEED)
-        rep, _ = norm_limit_sample(forms, seed=SEED, k_max=8)
+        rep, _ = norm_limit_sample(sys, forms, k_max=8)
         assert rep.passed, f"{name}:\n{rep}"
 
 
@@ -123,8 +123,7 @@ def test_c06_gauge_norm_invariance(models):
     over the whole circle, 50 samples per model: each model is certified by
     its gauge generator, whose proven deviation bound the report holds"""
     for name, sys in models.items():
-        rep = gauge_invariance_sample(sys, random_normal_forms(sys, 50, SEED),
-                                      seed=SEED)
+        rep = gauge_invariance_sample(sys, random_normal_forms(sys, 50, SEED))
         assert rep.passed, f"{name}:\n{rep}"
         assert "certified by a gauge generator" in rep.notes, name
 

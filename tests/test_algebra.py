@@ -1856,8 +1856,8 @@ def test_system_checkers_measure_at_the_build_tolerance(tol):
     forms = ia.random_normal_forms(sys, 5, 0)
     reports = [check(sys) for check in SYSTEM_CHECKERS] + [
         verify_power_identities(sys, 3),
-        ia.sample_coefficient_bound(sys, forms, 0),
-        ia.norms.gauge_invariance_sample(sys, forms, 0)]
+        ia.sample_coefficient_bound(sys, forms),
+        ia.norms.gauge_invariance_sample(sys, forms)]
     for rep in reports:
         assert rep.passed, rep
         assert {d.tol for d in rep.defects} == {tol}, rep.name

@@ -257,8 +257,7 @@ def test_run_missing_file_exits_2(specs):
     ["run", "--model", "qdeform.json", "--checks", "partial_isometry"],
     ["closure", "--model", "qdeform.json"],
     ["nf", "--model", "polar.json", "--expr", "U*U'"],
-    ["norm-limit", "--model", "qdeform.json", "--expr", "U", "--samples",
-     "2", "--k-max", "2"],
+    ["norm-limit", "--model", "qdeform.json", "--expr", "U", "--k-max", "2"],
     ["polar", "--matrix", "matrix.json"]],
     ids=lambda args: args[0])
 def test_unwritable_out_exits_2_naming_the_path(specs, capsys, args):
@@ -299,11 +298,11 @@ def test_parser_is_built_once_and_parses_each_argv_afresh(specs, capsys):
     # the second parse neither reuses nor alters the first namespace
     assert run is not nf
     assert vars(run) == {"command": "run", "func": vars(run)["func"],
-                         "model": "a.json", "tol": None, "seed": 3,
+                         "model": "a.json", "tol": 1e-9, "seed": 3,
                          "k_max": 8, "samples": 200, "out": None,
                          "checks": "norm_limit"}
-    assert (nf.command, nf.model, nf.seed, nf.expr, nf.expr_file) == (
-        "nf", "b.json", 0, "U", None)
+    assert (nf.command, nf.model, nf.expr, nf.expr_file) == (
+        "nf", "b.json", "U", None)
     assert not hasattr(nf, "checks")
     # an argparse error still exits 2, and a later call is unaffected
     with pytest.raises(SystemExit) as info:
@@ -318,6 +317,50 @@ def test_parser_is_built_once_and_parses_each_argv_afresh(specs, capsys):
     assert main(["closure", "--model", specs["qdeform.json"],
                  "--out", os.devnull]) == 0
     assert _build_parser() is parser
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    import argparse
+    from isoalg.cli import _build_parser
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+    io = {"--model", "--tol", "--out"}
+    expr = {"--expr", "--expr-file"}
+    assert options == {
+        "run": io | {"--seed", "--k-max", "--samples", "--checks"},
+        "nf": io | expr,
+        "norm-limit": io | expr | {"--k-max"},
+        "closure": io,
+        "polar": {"--matrix", "--tol", "--out"}}
+
+
+@pytest.mark.parametrize("args", [["closure", "--samples", "3"],
+                                  ["nf", "--expr", "U", "--seed", "1"],
+                                  ["norm-limit", "--expr", "U", "--samples",
+                                   "3"]], ids=lambda args: args[0])
+def test_a_flag_the_command_does_not_read_exits_2(specs, capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main([args[0], "--model", specs["qdeform.json"], *args[1:]])
+    assert info.value.code == 2
+    assert (f"unrecognized arguments: {' '.join(args[-2:])}"
+            in capsys.readouterr().err)
+
+
+def test_isoalg_tol_is_not_read(tmp_path, monkeypatch, capsys):
+    # q12 does not build at tol 0.05; with ISOALG_TOL=0.05 set, closure
+    # still builds at the default tolerance
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(qdeform_spec(12, 0.5)))
+    closure = ["closure", "--model", str(path), "--out", str(out)]
+    assert main(closure) == 0
+    want = out.read_text()
+    assert main(closure + ["--tol", "0.05"]) == 2
+    assert "ToleranceCollapse" in capsys.readouterr().err
+    monkeypatch.setenv("ISOALG_TOL", "0.05")
+    assert main(closure) == 0
+    assert out.read_text() == want
 
 
 def test_run_inapplicable_check_exits_2(specs):
@@ -453,7 +496,8 @@ def test_no_check_reads_another_checks_report(tmp_path, monkeypatch, build):
     loaded = load_model(build())
     x = reduce(parse("U + U'*U", loaded.system, loaded.generators),
                loaded.system)
-    assert run_doc(["norm-limit", *common, "--expr", "U + U'*U"]) == (
+    assert run_doc(["norm-limit", "--model", str(path),
+                    "--expr", "U + U'*U"]) == (
         0, {"trace": norm_limit(x, 8).to_json()})
 
 
@@ -471,9 +515,9 @@ def test_samplers_carry_no_coefficient_bound_verdict(tmp_path):
     assert [(r["name"], r["pass"]) for r in doc["results"]] == [
         ("coefficient_bound", False), ("gauge_invariance", True),
         ("norm_limit", True)]
-    assert star["notes"] == ["seed = 0, max degree = 4"]
-    assert gauge["notes"] == ["certified by a gauge generator", "seed = 0"]
-    assert limit["notes"] == ["seed = 0"]
+    assert star["notes"] == ["max degree = 4"]
+    assert gauge["notes"] == ["certified by a gauge generator"]
+    assert limit["notes"] == []
     assert all(sorted(t) == ["direct_norm", "k_values", "max_degree",
                              "s_values", "sandwich_hi", "sandwich_lo"]
                for t in doc["traces"])
@@ -492,10 +536,11 @@ def test_samplers_carry_no_coefficient_bound_verdict(tmp_path):
      "--tol must be a finite number above 0, got -1e-09"),
     ("run", ["--checks", "all", "--tol", "nan"], None,
      "--tol must be a finite number above 0, got nan"),
-    ("run", ["--checks", "all"], "-1",
-     "ISOALG_TOL must be a finite number above 0, got -1"),
-    ("run", ["--checks", "all"], "inf",
-     "ISOALG_TOL must be a finite number above 0, got inf"),
+    # a set ISOALG_TOL is not read: the message names --tol
+    ("run", ["--checks", "all", "--tol", "0"], "1e-7",
+     "--tol must be a finite number above 0, got 0"),
+    ("closure", ["--tol", "inf"], "1e-7",
+     "--tol must be a finite number above 0, got inf"),
     ("closure", ["--tol", "0"], None,
      "--tol must be a finite number above 0, got 0"),
     # argparse takes a negative number in exponent form for an option; the
@@ -605,8 +650,7 @@ def test_nf_parse_error_exits_2(specs, capsys):
 
 def test_norm_limit_subcommand(specs):
     rc, doc = run(["norm-limit", "--model", specs["qdeform.json"],
-                   "--expr", "Q*U^2 + U'*rhoQ", "--samples", "10"],
-                  specs, "nlim")
+                   "--expr", "Q*U^2 + U'*rhoQ"], specs, "nlim")
     assert rc == 0
     tr = doc["trace"]
     assert tr["k_values"] == [1, 2, 4, 8]
@@ -739,18 +783,6 @@ def test_nf_expression_faults_exit_2(specs, capsys, expr, fault):
     assert main(["nf", "--model", specs["qdeform.json"], "--expr", expr]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"isoalg: {fault}"), err
-
-
-def test_env_tolerance(specs, monkeypatch, capsys):
-    monkeypatch.setenv("ISOALG_TOL", "not-a-number")
-    rc = main(["run", "--model", specs["qdeform.json"],
-               "--checks", "partial_isometry"])
-    assert rc == 2
-    monkeypatch.setenv("ISOALG_TOL", "1e-7")
-    rc, doc = run(["run", "--model", specs["qdeform.json"],
-                   "--checks", "partial_isometry"], specs, "envtol")
-    assert rc == 0
-    assert doc["config"]["tol"] == 1e-7
 
 
 def test_console_entry_point(specs):
@@ -1043,9 +1075,9 @@ def test_library_checkers_return_reports(loaded_once, model):
     reports.append(ia.verify_power_identities(sys, 4))
     if sys.coefficient_report.passed:
         forms = random_normal_forms(sys, 10, 0)
-        reports += [ia.sample_coefficient_bound(sys, forms, 0),
-                    gauge_invariance_sample(sys, forms, 0),
-                    norm_limit_sample(forms, 0, 4)[0]]
+        reports += [ia.sample_coefficient_bound(sys, forms),
+                    gauge_invariance_sample(sys, forms),
+                    norm_limit_sample(sys, forms, k_max=4)[0]]
     if loaded.polar is not None:
         reports.append(ia.polar_structure_suite(loaded.polar, 4))
     if loaded.qdeform is not None:

@@ -22,7 +22,14 @@ from conftest import (
     gauge_deviation_oracle,
     gauged_matrices,
     norm_limit_stack_body,
+    polar_spec,
+    rotated,
+    weighted_shift,
 )
+
+SAMPLERS = {"coefficient_bound": sample_coefficient_bound,
+            "gauge_invariance": gauge_invariance_sample,
+            "norm_limit": norm_limit_sample}
 
 
 def test_coefficient_bound_zero_degree_equality(qdeform6):
@@ -35,7 +42,7 @@ def test_coefficient_bound_zero_degree_equality(qdeform6):
 
 def test_coefficient_bound_sampler(qdeform6):
     forms = random_normal_forms(qdeform6.system, 60, seed=1)
-    rep = sample_coefficient_bound(qdeform6.system, forms, seed=1)
+    rep = sample_coefficient_bound(qdeform6.system, forms)
     assert rep.passed
     # the bound is exact for this model, not merely within tolerance
     assert all(d.value <= 1e-12 for d in rep.defects)
@@ -43,10 +50,60 @@ def test_coefficient_bound_sampler(qdeform6):
 
 def test_coefficient_bound_deterministic(qdeform6):
     a = sample_coefficient_bound(
-        qdeform6.system, random_normal_forms(qdeform6.system, 20, 5), seed=5)
+        qdeform6.system, random_normal_forms(qdeform6.system, 20, 5))
     b = sample_coefficient_bound(
-        qdeform6.system, random_normal_forms(qdeform6.system, 20, 5), seed=5)
+        qdeform6.system, random_normal_forms(qdeform6.system, 20, 5))
     assert [d.value for d in a.defects] == [d.value for d in b.defects]
+
+
+def test_coefficient_bound_note_gives_the_largest_measured_degree(
+        qdeform12, raw_system):
+    # the note states the measured forms' largest degree, not the cap of
+    # the draw; on raw_system U^3 = 0, so every drawn degree above 2 drops
+    system = qdeform12.system
+    x = next(x for x in random_normal_forms(system, 40, 0)
+             if x.max_degree == 1)
+    assert sample_coefficient_bound(system, [x]).notes == ["max degree = 1"]
+    forms = random_normal_forms(raw_system, 50, 0)
+    assert sample_coefficient_bound(raw_system, forms).notes == [
+        "max degree = 2"]
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS)
+def test_samplers_refuse_an_empty_sample(sampler, qdeform12, cyclic5):
+    # over no form every sampler would pass, on cyclic5 without even its
+    # hypothesis
+    for system in (qdeform12.system, cyclic5):
+        with pytest.raises(ValueError, match="forms is empty"):
+            sampler(system, [])
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS)
+def test_samplers_refuse_a_form_of_another_system(sampler, qdeform12,
+                                                  qdeform6):
+    # q09 at n = 12 has q12's dimension but another algebra; qdeform6 has
+    # another dimension
+    system = qdeform12.system
+    q09 = ia.build_qdeform(12, 0.9, "heisenberg").system
+    for other in (q09, qdeform6.system):
+        forms = random_normal_forms(system, 3, 0)
+        forms.insert(1, random_normal_forms(other, 1, 0)[0])
+        with pytest.raises(ia.SystemMismatch):
+            sampler(system, forms)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the certified gauge bound is "
+                          "loose; rot09 n = 64 reads 4.44e-9 against tol "
+                          "1e-9 at seed 0")
+def test_gauge_invariance_passes_on_rot09_n64():
+    # the polar model of the weighted shift with base 0.9 at n = 64 in the
+    # seed-0 rotated basis is certified and sound; the sampled deviation
+    # on the same forms is 1.7e-13
+    system = ia.load_model(polar_spec(rotated(weighted_shift(64, 0.9),
+                                              0))).system
+    rep = gauge_invariance_sample(system, random_normal_forms(system, 200, 0))
+    assert rep.passed, rep
 
 
 def test_sum_norm_estimates_single_element():
@@ -154,7 +211,7 @@ def test_norm_limit_against_matrix_power_oracle(qdeform6):
 
 def test_norm_limit_sample_report(qdeform6):
     rep, traces = norm_limit_sample(
-        random_normal_forms(qdeform6.system, 10, seed=3), seed=3)
+        qdeform6.system, random_normal_forms(qdeform6.system, 10, seed=3))
     assert rep.passed
     assert len(traces) == 10
     doc = traces[0].to_json()
@@ -165,15 +222,15 @@ def test_norm_limit_sample_report(qdeform6):
 def test_gauge_invariance(qdeform6):
     rng = np.random.default_rng(22)
     x = ia.random_normal_form(qdeform6.system, rng)
-    rep = gauge_invariance_sample(x.system, [x], None)
+    rep = gauge_invariance_sample(x.system, [x])
     assert rep.passed
 
     x0 = NormalForm(qdeform6.system, {0: qdeform6.big_q})
-    rep = gauge_invariance_sample(x0.system, [x0], None)
+    rep = gauge_invariance_sample(x0.system, [x0])
     assert rep.defects[-1].value <= 1e-14  # gauge acts trivially in degree 0
 
     rep = gauge_invariance_sample(
-        qdeform6.system, random_normal_forms(qdeform6.system, 10, seed=4), seed=4)
+        qdeform6.system, random_normal_forms(qdeform6.system, 10, seed=4))
     assert rep.passed
 
 
@@ -375,7 +432,7 @@ def test_coefficient_bound_without_a_frame_is_the_eigensolve_path(
     for system in (raw_system, amplified_q12):
         assert system.algebra.frame is None
         forms = random_normal_forms(system, 200, seed)
-        rep = sample_coefficient_bound(system, forms, seed)
+        rep = sample_coefficient_bound(system, forms)
         assert [d.value for d in rep.defects[1:]] == list(
             _coefficient_bound_reference(forms))
 
@@ -410,12 +467,12 @@ def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
                                                   raw_system):
     for system in (qdeform12.system, polar6.system, raw_system):
         forms = random_normal_forms(system, 200, seed)
-        star = sample_coefficient_bound(system, forms, seed)
+        star = sample_coefficient_bound(system, forms)
         for got, want in zip(star.defects[1:],
                              _coefficient_bound_reference(forms), strict=True):
             _close(got.value, want)
 
-        gauge = gauge_invariance_sample(system, forms, seed)
+        gauge = gauge_invariance_sample(system, forms)
         sampled = max(dev / scale for dev, scale in
                       (gauge_deviation_oracle(x) for x in forms))
         bound = max(_certified_bound_reference(x) / max(1.0, x.norm)
@@ -423,7 +480,7 @@ def test_samplers_match_their_per_form_references(seed, qdeform12, polar6,
         _close(gauge.defects[-1].value, bound)
         assert sampled <= bound + 1e-13
 
-        rep, traces = norm_limit_sample(forms[:50], seed)
+        rep, traces = norm_limit_sample(system, forms[:50])
         rows = [norm_limit_stack_body(x, 8) for x in forms[:50]]
         for tr, (d, s_values, lo, hi) in zip(traces, rows, strict=True):
             assert tr.k_values == [1, 2, 4, 8]
@@ -460,7 +517,7 @@ def test_norm_limit_batch_matches_one_form_at_a_time(qdeform12,
                                                      amplified_q12):
     for system in (qdeform12.system, amplified_q12):
         forms = _mixed_forms(system)
-        _, traces = norm_limit_sample(forms, 0)
+        _, traces = norm_limit_sample(system, forms)
         for x, tr in zip(forms, traces, strict=True):
             alone = norm_limit(x, 8)
             assert (tr.s_values, tr.direct_norm, tr.sandwich_lo,
@@ -517,7 +574,7 @@ def test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
     # first offending form in input order
     for first, second in (("deg2", "deg1"), ("deg1", "deg2")):
         sample = [forms[0], forms[2], cases[first], forms[4], cases[second]]
-        assert _raised(norm_limit_sample, sample, 0) == alone[first]
+        assert _raised(norm_limit_sample, system, sample) == alone[first]
 
 
 def test_canonical_terms_names_the_escaping_degree_in_a_batch(qdeform12):
@@ -546,7 +603,7 @@ def test_canonical_terms_names_the_escaping_degree_in_a_batch(qdeform12):
 def test_compressed_norm_limit_matches_the_stack_body(certified_systems):
     for name, system in certified_systems.items():
         forms = random_normal_forms(system, 20, 0)
-        _, traces = norm_limit_sample(forms, 0)
+        _, traces = norm_limit_sample(system, forms)
         for x, tr in zip(forms, traces, strict=True):
             d, s_values, lo, _ = norm_limit_stack_body(x, 8)
             _close(tr.direct_norm, d)
@@ -564,12 +621,12 @@ def test_sampled_gauge_deviation_is_within_the_certified_bound(
     lams = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
     for name, system in certified_systems.items():
         forms = random_normal_forms(system, 30, 0)
-        rep = gauge_invariance_sample(system, forms, 0)
+        rep = gauge_invariance_sample(system, forms)
         assert [d.check for d in rep.defects] == [
             "gauge generator: ||[H, U] - U||",
             "gauge generator: max ||[H, b_i]||",
             "norm deviation bound over the circle, 30 samples"]
-        assert rep.notes == ["certified by a gauge generator", "seed = 0"]
+        assert rep.notes == ["certified by a gauge generator"]
         assert rep.passed and {d.tol for d in rep.defects} == {system.tol}
         worst = 0.0
         for x in forms:
@@ -594,7 +651,7 @@ def test_compressed_norm_limit_guards_every_stage(qdeform12, monkeypatch):
     alone = _raised(norm_limit, x, 8)
     assert alone == (ia.CoefficientEscape, "N_0[(xx*)^4] is outside the "
                      "algebra (defect 1.000e+00)")
-    assert _raised(norm_limit_sample, forms, 3) == alone
+    assert _raised(norm_limit_sample, system, forms) == alone
 
 
 # -- the decided hypothesis: no certificate, no sample --------------------------
@@ -633,9 +690,9 @@ def test_samplers_report_the_refused_generator_and_measure_nothing(
     for body in ("_operator_norms", "_compressed_n0", "_certified_deviations"):
         monkeypatch.setattr(ia.norms, body, measured)
     monkeypatch.setattr(system.algebra, "member_norms", measured)
-    star = sample_coefficient_bound(system, forms, 0)
-    gauge = gauge_invariance_sample(system, forms, 0)
-    limit, traces = norm_limit_sample(forms, 0, 8)
+    star = sample_coefficient_bound(system, forms)
+    gauge = gauge_invariance_sample(system, forms)
+    limit, traces = norm_limit_sample(system, forms, k_max=8)
     assert traces == []
     for rep, report_name in ((star, "coefficient_bound"),
                              (gauge, "gauge_invariance"),
