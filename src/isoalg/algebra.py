@@ -1,8 +1,9 @@
 """Finite-dimensional *-algebra machinery.
 
-A *-subalgebra of the ambient matrix algebra is stored as one (d, n, n)
-stack of Hilbert-Schmidt orthonormal basis matrices, which turns span
-membership, commutants and generated closures into ordinary linear algebra.
+A *-subalgebra of the ambient matrix algebra is one (d, n, n) stack of
+Hilbert-Schmidt orthonormal basis matrices, which turns span membership,
+commutants and generated closures into ordinary linear algebra; an algebra
+with a frame (below) forms that stack only when a dense consumer asks.
 
 ``generate_closure`` has two paths to that basis:
 
@@ -32,10 +33,11 @@ membership, commutants and generated closures into ordinary linear algebra.
 **The frame.**  The frame of a spectral closure is (V, r): V the n x n
 eigenvectors of the Hermitian element, its columns in consecutive blocks
 V_i of the block ranks r_i, and basis element b_i = V_i V_i* / sqrt(r_i),
-built from the frame in one place, ``Frame.basis``.  It covers the seed
-algebras and every commutative tower stage.  With E = V*V - I (0 for a
-unitary V), every pair identity of the basis reduces to n x n products,
-in O(n^3) instead of O(d^2 n^3):
+built from the frame in one place, ``Frame.chunks``, in chunks of bounded
+size that ``Frame.basis`` stacks.  It covers the seed algebras and every
+commutative tower stage.  With E = V*V - I (0 for a unitary V), every
+pair identity of the basis reduces to n x n products, in O(n^3) instead
+of O(d^2 n^3):
 
 - b_i b_j - delta_ij b_i / sqrt(r_i) = V_i E_ij V_j* / sqrt(r_i r_j), so
   the distance of b_i b_j to the span is at most
@@ -46,7 +48,7 @@ in O(n^3) instead of O(d^2 n^3):
   square V, which bounds the distance of I to the span ("identity in
   span");
 - b_i* lies within ||b_i - b_i*||_F of b_i, which is in the span ("closed
-  under adjoint", an O(d n^2) bound);
+  under adjoint", an O(d n^2) bound, taken chunk by chunk);
 - [b_i, b_j] = (V_i E_ij V_j* - V_j E_ji V_i*) / sqrt(r_i r_j) for i != j,
   whose norm is ||E_ij|| / sqrt(r_i r_j) within the factor 1 +- ||E||
   (``commutator_defect`` reports the upper end);
@@ -54,10 +56,19 @@ in O(n^3) instead of O(d^2 n^3):
   the multiplicativity defect is ||(U V_i) Q_ij (U V_j)*|| / sqrt(r_i r_j)
   with Q = V*(1 - U*U)V, exactly.
 
-The stored basis is the frame's up to the rounding of its products, which
-the bounds do not count.  Algebras without a frame (Gram-Schmidt closures,
-commutants, bases given directly) are measured by the pair loops, as
-distances to an SVD basis of their span.
+An algebra with a frame keeps the frame, its dimension and the ambient
+one, and forms its (d, n, n) basis on first use by a dense consumer, then
+keeps it: ``coordinates`` and ``project`` (the samplers' draw), the
+membership tests (``span_defects``, ``membership``, ``contains``: a
+NormalForm's coefficients, a polar model's a a* test), and the images'
+stack, which only a walk stage that does not close asks for.  So a
+q-model builds and passes ``check_coefficient_algebra`` with no stack, and
+a polar model with its seed's alone, for the a a* test.  The basis formed
+is the frame's up to the rounding of its products, which the bounds do
+not count.
+Algebras without a frame (Gram-Schmidt closures, commutants, bases given
+directly) keep the stack they are given and are measured by the pair
+loops, as distances to an SVD basis of their span.
 
 **Images in the frame.**  The images x b_i x* of a frame basis, for
 x = U (delta), U* (delta_star) or 1 (the basis itself), are measured from
@@ -206,7 +217,7 @@ def _extend(flat: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
     keep = norms > tol
     v = cands[keep] / norms[keep, None]
     for _ in range(2):
-        v = v - (v @ flat.conj().T) @ flat
+        v = v - _inner_products(v, flat) @ flat
     new: list[np.ndarray] = []
     r = np.linalg.norm(v, axis=1)
     while r.size and r.max() > 10.0 * tol:
@@ -242,8 +253,23 @@ def _span_defects(flat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     of an orthonormal flat basis."""
     v = stack.reshape(stack.shape[0], flat.shape[1])
     if flat.shape[0]:
-        v = v - (v @ flat.conj().T) @ flat
+        v = v - _inner_products(v, flat) @ flat
     return np.linalg.norm(v, axis=1)
+
+
+def _inner_products(v: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """v @ flat.conj().T: the HS inner products <flat_j, v_i> of the rows
+    of a flat basis with each row of v (or with a vector v).  The smaller
+    operand is the one conjugated, (v.conj() @ flat.T).conj() when v is,
+    which is exact: conjugation commutes with IEEE complex products and
+    sums."""
+    if v.size < flat.size:
+        return (v.conj() @ flat.T).conj()
+    return v @ flat.conj().T
+
+
+# Bytes of basis matrices that ``Frame.chunks`` forms at once.
+BASIS_CHUNK_BYTES = 2 ** 18
 
 
 class Frame(NamedTuple):
@@ -253,19 +279,27 @@ class Frame(NamedTuple):
     vecs: np.ndarray
     ranks: np.ndarray
 
+    def chunks(self):
+        """The basis b_i = V_i V_i* / sqrt(r_i) in chunks (at, stack): the
+        indices ``at`` of blocks of one rank and their (len(at), n, n)
+        stack, in one batched product, of at most BASIS_CHUNK_BYTES (one
+        matrix at least).  The one place a basis is built from a frame; on
+        W = xV the chunks hold the images x b_i x*."""
+        n = len(self.vecs)
+        for at, r, cols in _rank_groups(self.ranks):
+            step = max(1, BASIS_CHUNK_BYTES // (16 * n * n))
+            for i in range(0, len(at), step):
+                v = _block_columns(self.vecs, cols[i:i + step])
+                yield at[i:i + step], v @ (adjoint(v) / np.sqrt(r))
+
     def basis(self) -> np.ndarray:
-        """The (d, n, n) stack of b_i = V_i V_i* / sqrt(r_i), the one place
-        a basis is built from a frame, in one batched product per distinct
-        rank.  On W = xV it is the stack of images x b_i x*."""
+        """The (d, n, n) stack of the ``chunks``.  A frame algebra forms it
+        for its dense consumers alone (see ``FiniteStarAlgebra``), so a
+        build forms none but a polar seed's, whose a a* test is one."""
         n = len(self.vecs)
         basis = np.empty((len(self.ranks), n, n), dtype=complex)
-        for at, r, cols in _rank_groups(self.ranks):
-            v = _block_columns(self.vecs, cols)
-            if at[-1] - at[0] == len(at) - 1:  # consecutive: no temporary
-                np.matmul(v, adjoint(v) / np.sqrt(r),
-                          out=basis[at[0]:at[-1] + 1])
-            else:
-                basis[at] = v @ (adjoint(v) / np.sqrt(r))
+        for at, chunk in self.chunks():
+            basis[at] = chunk
         return basis
 
 
@@ -419,10 +453,14 @@ class FiniteStarAlgebra:
 
     ``basis`` is one (d, n, n) stack, Hilbert-Schmidt orthonormal, closed
     under adjoints and products within ``tol``, and spans the identity.  The
-    constructor takes the stack, or a ``Frame``, from which it builds the
-    stack and which it keeps as ``frame`` (None for a stack).  It validates
-    the basis (``invariant_report``) and raises InvalidBasis, carrying the
-    report, when an invariant fails.
+    constructor takes the stack, or a ``Frame``, which it keeps as ``frame``
+    (None for a stack) and from which it forms no stack: ``Frame.basis``
+    forms it when a dense consumer first asks for ``basis`` or its flat
+    view (``coordinates``, ``project``, ``span_defects``, ``membership``,
+    ``contains``, ``member_norms``, and the images' stack of a walk stage
+    that does not close), and it is kept from then on.  The constructor
+    validates the basis (``invariant_report``) and raises InvalidBasis,
+    carrying the report, when an invariant fails.
 
     With a frame (V, r), the four invariants are measured in O(n^3), each
     exact or an upper bound on the pair value for the basis the frame
@@ -432,31 +470,41 @@ class FiniteStarAlgebra:
     """
 
     def __init__(self, basis, tol: float = DEFAULT_TOL):
-        self.frame = basis if isinstance(basis, Frame) else None
-        if self.frame is not None:
-            basis = self.frame.basis()
-        basis = np.asarray(basis, dtype=complex)
-        if basis.ndim != 3 or not len(basis) or basis.shape[1] != basis.shape[2]:
-            raise DimensionMismatch(
-                f"expected a nonempty (d, n, n) stack, got shape {basis.shape}")
-        self.basis = basis
-        self.ambient_dim = basis.shape[1]
         self.tol = float(tol)
-        self._flat = basis.reshape(len(basis), -1)
+        if isinstance(basis, Frame):
+            self.frame = basis
+            self.ambient_dim, self.dim = len(basis.vecs), len(basis.ranks)
+        else:
+            self.frame = None
+            basis = np.asarray(basis, dtype=complex)
+            if (basis.ndim != 3 or not len(basis)
+                    or basis.shape[1] != basis.shape[2]):
+                raise DimensionMismatch(
+                    f"expected a nonempty (d, n, n) stack, got shape "
+                    f"{basis.shape}")
+            self.basis = basis
+            self.ambient_dim, self.dim = basis.shape[1], len(basis)
         rep = self.invariant_report()
         if not rep.passed:
             raise InvalidBasis(f"invalid *-algebra basis:\n{rep}", rep)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The (d, n, n) stack; with a frame, ``Frame.basis``, formed on
+        first use (a stack given to the constructor is kept as it is)."""
+        return self.frame.basis()
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """The basis as a (d, n^2) array, a view of the stack."""
+        return self.basis.reshape(self.dim, -1)
 
     def coordinates(self, m: np.ndarray) -> np.ndarray:
         """The HS coordinates <b_i, m> of a matrix, as a (d,) vector, or of
         each matrix of a (K, n, n) stack, as a (K, d) array."""
         m = np.asarray(m)
-        flat = m.reshape(m.shape[:-2] + self._flat.shape[1:])
-        return flat @ self._flat.conj().T
+        flat = m.reshape(m.shape[:-2] + (self.ambient_dim ** 2,))
+        return _inner_products(flat, self._flat)
 
     def project(self, m: np.ndarray) -> np.ndarray:
         """HS projection onto the span of a matrix, or of each matrix of a
@@ -563,7 +611,8 @@ class FiniteStarAlgebra:
     def _frame_invariants(self) -> tuple[float, ...]:
         vecs, ranks = self.frame
         n = self.ambient_dim
-        if vecs.shape != (n, n) or ranks.min() < 1 or ranks.sum() != n:
+        if (vecs.shape != (n, n) or not len(ranks) or ranks.min() < 1
+                or ranks.sum() != n):
             raise DimensionMismatch(
                 f"a frame of {n}x{n} matrices needs {n}x{n} vectors in "
                 f"blocks of ranks >= 1 summing to {n}, got {vecs.shape} "
@@ -574,7 +623,8 @@ class FiniteStarAlgebra:
         scale = np.sqrt(np.outer(ranks, ranks))
         inner = _block_sums(np.abs(gram) ** 2, ranks) / scale
         orth = float(np.abs(inner - np.eye(self.dim)).max())
-        adj = float(_frobenius_norms(self.basis - adjoint(self.basis)).max())
+        adj = max(float(_frobenius_norms(b - adjoint(b)).max())
+                  for _, b in self.frame.chunks())
         prod = float((np.sqrt(_block_sums(np.abs(e) ** 2, ranks))
                       / scale).max()) * (1.0 + err)
         return orth, err, adj, prod

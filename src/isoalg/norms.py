@@ -54,8 +54,8 @@ all forms are tested for membership in the algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
-each takes (system, forms), a nonempty list of forms of that system, and
-none reads another's report: on a certified system the bound is a theorem.
+each takes (system, forms), a list of forms of that system with at least
+one nonzero form, and none reads another's report: on a certified system the bound is a theorem.
 The draw is measured once: its coefficients are projected, validated and
 turned into monomials in a few chunks of bounded size, through the
 validation body the NormalForm constructor uses, and ||x|| of every form
@@ -204,13 +204,17 @@ def sampler_hypothesis(system: IsometrySystem, name: str) -> ConditionReport:
 
 
 def _require_sample(system: IsometrySystem, forms: list[NormalForm]) -> None:
-    """Refuse an empty sample, over which a sampler would pass vacuously,
-    and a form over another system, which the system's algebra cannot
-    measure."""
+    """Refuse an empty sample and a sample in which no form has a stored
+    coefficient, over either of which a sampler would pass measuring
+    nothing, and a form over another system, which the system's algebra
+    cannot measure.  A zero form among nonzero ones is measured."""
     if not forms:
         raise ValueError("forms is empty: a sampler needs at least one form")
     if any(x.system is not system for x in forms):
         raise SystemMismatch("a sampled form is built over another system")
+    if not any(len(x.coefficients) for x in forms):
+        raise ValueError("every sampled form is zero: a sampler needs a "
+                         "form with a stored coefficient")
 
 
 def sample_coefficient_bound(system: IsometrySystem,

@@ -34,6 +34,7 @@ from isoalg.algebra import (
     _commutator_norms,
     _extend,
     _gram_schmidt_closure,
+    _inner_products,
     _intertwining_entry,
     _per_block,
     _span_defects,
@@ -43,7 +44,7 @@ from isoalg.algebra import (
     commutant,
 )
 from isoalg.cli import main
-from isoalg.linalg import spectral_norms
+from isoalg.linalg import _frobenius_norms, spectral_norms
 from isoalg.models import polar_structure_suite
 from isoalg.normalform import check_adjoint_intertwining
 
@@ -52,6 +53,8 @@ from conftest import (
     amplified_generators,
     bicommutant,
     count_cached_defects,
+    polar_spec,
+    qdeform_spec,
     raw_system_spec,
     rotated,
     spans_equal,
@@ -2294,6 +2297,172 @@ def test_frameless_algebras_keep_the_pair_bodies(request, name):
     assert (measured_values(fresh.algebra, fresh.u)
             == reference_values(fresh.algebra, fresh.u))
     assert FiniteStarAlgebra(sys.algebra.basis).frame is None
+
+
+# ---------------------------------------------------------------------------
+# A frame algebra forms its (d, n, n) basis only for a dense consumer: a
+# build measures it in chunks and forms no stack.
+# ---------------------------------------------------------------------------
+
+def count_frame_bases(monkeypatch) -> list:
+    """The calls of ``Frame.basis`` from now on, as a list that gets the
+    frame's dimension at each call."""
+    calls = []
+    real = Frame.basis
+
+    def counted(self):
+        calls.append(len(self.ranks))
+        return real(self)
+
+    monkeypatch.setattr(Frame, "basis", counted)
+    return calls
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def stack_bytes(d, n):
+    return 16 * d * n * n
+
+
+def test_a_q_model_build_forms_no_basis_stack(monkeypatch):
+    # the coefficient algebra of q09 at n = 128 is validated, walked and
+    # checked in its frame: one (128, 128, 128) complex stack is 32 MiB
+    calls = count_frame_bases(monkeypatch)
+
+    def build():
+        m = ia.load_model(qdeform_spec(128, 0.9))
+        return m, check_coefficient_algebra(m.system)
+
+    (m, rep), peak = traced_peak(build)
+    assert rep.passed and m.system.algebra.dim == 128
+    assert calls == []
+    assert "basis" not in vars(m.system.algebra)
+    assert peak < stack_bytes(128, 128), peak
+
+
+def test_a_polar_build_forms_the_seed_stack_alone(monkeypatch):
+    # the polar model tests a a* for membership in the seed, which forms the
+    # seed's stack; nothing else does, and the conjugated operand of that
+    # test is a a*, not the basis
+    calls = count_frame_bases(monkeypatch)
+
+    def build():
+        m = ia.load_model(polar_spec(weighted_shift(90, 0.7)))
+        return m, check_coefficient_algebra(m.system)
+
+    (m, rep), peak = traced_peak(build)
+    alg = m.system.algebra
+    assert rep.passed and calls == [alg.dim] and alg.dim == 90
+    assert peak < 2 * stack_bytes(alg.dim, alg.ambient_dim), peak
+
+
+def whole_group_basis(frame):
+    """The frame's basis by one product per distinct rank over all its
+    blocks, unchunked: the reference for the chunked bodies."""
+    vecs, ranks = frame
+    n = len(vecs)
+    basis = np.empty((len(ranks), n, n), dtype=complex)
+    starts = np.cumsum(ranks) - ranks
+    for r in sorted(set(ranks.tolist())):
+        at = np.flatnonzero(ranks == r)
+        cols = starts[at, None] + np.arange(r)
+        v = np.moveaxis(vecs[:, cols], 0, 1).copy()
+        basis[at] = v @ (adjoint(v) / np.sqrt(r))
+    return basis
+
+
+INVARIANT_CASES = (["qdeform12", "polar6", "polar07_n24", "w_plus_w"]
+                   + [f"p6_rotated{s}" for s in range(4)])
+
+
+def chunk_sizes(n):
+    """The default chunk, and chunks of one and of two matrices."""
+    return [ia.algebra.BASIS_CHUNK_BYTES, stack_bytes(1, n),
+            stack_bytes(2, n)]
+
+
+@pytest.mark.parametrize("name", INVARIANT_CASES)
+def test_the_lazy_basis_is_the_frame_basis(request, monkeypatch, name):
+    # formed on first use, bit for bit the unchunked product, whatever the
+    # chunk; _flat is a view of it
+    algebras, _ = frame_case(request, name)
+    for alg in algebras:
+        n = alg.ambient_dim
+        ref = whole_group_basis(alg.frame)
+        for size in chunk_sizes(n):
+            monkeypatch.setattr(ia.algebra, "BASIS_CHUNK_BYTES", size)
+            fresh = FiniteStarAlgebra(alg.frame, alg.tol)
+            assert "basis" not in vars(fresh) and "_flat" not in vars(fresh)
+            assert (fresh.dim, fresh.ambient_dim) == (len(ref), n)
+            flat = fresh._flat
+            assert np.array_equal(fresh.basis, ref)
+            assert np.array_equal(alg.frame.basis(), ref)
+            assert np.shares_memory(flat, fresh.basis)
+            assert np.array_equal(flat, ref.reshape(len(ref), -1))
+    # a stack given to the constructor is the basis
+    stack = whole_group_basis(algebras[0].frame)
+    assert FiniteStarAlgebra(stack).basis is stack
+
+
+def adjoint_reference(basis):
+    """The "closed under adjoint" value, over the whole stack at once."""
+    return float(_frobenius_norms(basis - adjoint(basis)).max())
+
+
+@pytest.mark.parametrize("name", INVARIANT_CASES)
+def test_the_chunked_adjoint_invariant_is_the_whole_stack_value(
+        request, monkeypatch, name):
+    algebras, _ = frame_case(request, name)
+    for alg in algebras:
+        ref = adjoint_reference(whole_group_basis(alg.frame))
+        for size in chunk_sizes(alg.ambient_dim):
+            monkeypatch.setattr(ia.algebra, "BASIS_CHUNK_BYTES", size)
+            assert alg._frame_invariants()[2] == ref
+
+
+def test_the_adjoint_invariant_reads_the_last_chunk(monkeypatch):
+    # only the last block of the largest rank, the last chunk's, is off
+    # Hermitian: V perturbed in its columns alone
+    alg = ia.build_polar_model(W_PLUS_W).seed_algebra
+    vecs, ranks = alg.frame
+    assert ranks.tolist() == [2, 2, 2]
+    noise = np.random.default_rng(3).standard_normal((len(vecs), 2))
+    vecs = vecs.copy()
+    vecs[:, -2:] += 1e-6 * noise
+    frame = Frame(vecs, ranks)
+    ref = adjoint_reference(whole_group_basis(frame))
+    assert ref > 0.0
+    for size in chunk_sizes(len(vecs)):
+        monkeypatch.setattr(ia.algebra, "BASIS_CHUNK_BYTES", size)
+        pert = FiniteStarAlgebra(frame, tol=1e-3)
+        assert pert.invariant_report().defects[2].value == ref
+
+
+@pytest.mark.parametrize("count, dim", [(1, 40), (3, 40), (40, 3), (40, 40)])
+def test_inner_products_conjugate_the_smaller_operand(count, dim):
+    # bit for bit v @ flat.conj().T, and for operands of unequal sizes the
+    # copies made are the smaller operand's and the product's: under half
+    # the larger operand's bytes
+    rng = np.random.default_rng(count + dim)
+    n2 = 64
+    v, flat = (rng.standard_normal((k, n2)) + 1j * rng.standard_normal(
+        (k, n2)) for k in (count, dim))
+    want = v @ flat.conj().T
+    got, peak = traced_peak(lambda: _inner_products(v, flat))
+    assert np.array_equal(got, want)
+    if count != dim:
+        assert peak < max(v.nbytes, flat.nbytes) / 2, peak
+    one = _inner_products(v[0], flat)
+    assert np.array_equal(one, v[0] @ flat.conj().T)
 
 
 # ---------------------------------------------------------------------------

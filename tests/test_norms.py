@@ -79,6 +79,23 @@ def test_samplers_refuse_an_empty_sample(sampler, qdeform12, cyclic5):
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS)
+def test_samplers_refuse_a_sample_of_zero_forms(sampler, qdeform6):
+    # over forms with no stored coefficient coefficient_bound read -inf and
+    # -0, and the other two passed at 0; a zero form among nonzero ones is
+    # measured
+    system = qdeform6.system
+    for forms in ([ia.zero_form(system)], [ia.zero_form(system)] * 3):
+        with pytest.raises(ValueError, match="every sampled form is zero"):
+            sampler(system, forms)
+    forms = random_normal_forms(system, 2, 0)
+    forms.insert(1, ia.zero_form(system))
+    rep = sampler(system, forms)
+    if isinstance(rep, tuple):
+        rep = rep[0]
+    assert rep.defects and all(np.isfinite(d.value) for d in rep.defects)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS)
 def test_samplers_refuse_a_form_of_another_system(sampler, qdeform12,
                                                   qdeform6):
     # q09 at n = 12 has q12's dimension but another algebra; qdeform6 has
