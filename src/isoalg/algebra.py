@@ -806,9 +806,9 @@ class IsometrySystem:
     U^{k+1} = U^k U, up to k = 2n + 4 on C^n or up to the first power that
     is zero at tol, stored as an exact zero; a power past the cap is taken
     from cached ones by repeated squaring, and none past it is kept.  The
-    projections U^{*k} U^k and U^k U^{*k} are formed from the powers for
-    the k asked for, and the ``*_stack`` methods return many at once.  So a
-    build, which reads U and U*U, holds two powers, and a check holds
+    projections U^{*k} U^k and U^k U^{*k} are one product on U^k each, and
+    ``power_families`` forms the three families up to a depth at once.  So
+    a build, which reads U and U*U, holds two powers, and a check holds
     those up to the depth it measures.  ``tol`` is the algebra's, the
     tolerance every checker measures the system at, and
     ``partial_isometry`` is U's report at it.  The system is immutable
@@ -909,28 +909,24 @@ class IsometrySystem:
     def star_power(self, k: int) -> np.ndarray:
         return adjoint(self.power(k))
 
-    def _proj_stack(self, ks, initial: bool) -> np.ndarray:
-        """U^{*k} U^k (initial) or U^k U^{*k} for each k >= 0 in ks, one
-        product each; none is kept."""
-        p = self.power_stack(ks)
-        star = adjoint(p)
-        return star @ p if initial else p @ star
-
-    def proj_initial_stack(self, ks) -> np.ndarray:
-        """U^{*k} U^k for each k >= 0 in ks, as a (len(ks), n, n) stack."""
-        return self._proj_stack(ks, initial=True)
-
-    def proj_final_stack(self, ks) -> np.ndarray:
-        """U^k U^{*k} for each k >= 0 in ks, as a (len(ks), n, n) stack."""
-        return self._proj_stack(ks, initial=False)
+    def power_families(self, k_max: int) -> tuple[np.ndarray, ...]:
+        """U's power families up to k_max: the stacks of U^k, U^{*k}U^k and
+        U^kU^{*k} for k = 0..D+1, D = ``_power_depth(k_max)``, from one
+        ``power_stack`` call; the powers past D are exact zeros.  The one
+        place a stack of U's projections is formed."""
+        powers = self.power_stack(np.arange(self._power_depth(k_max) + 2))
+        stars = adjoint(powers)
+        return powers, stars @ powers, powers @ stars
 
     def proj_initial(self, k: int) -> np.ndarray:
         """U^{*k} U^k."""
-        return self.proj_initial_stack([k])[0]
+        p = self.power(k)
+        return adjoint(p) @ p
 
     def proj_final(self, k: int) -> np.ndarray:
         """U^k U^{*k}."""
-        return self.proj_final_stack([k])[0]
+        p = self.power(k)
+        return p @ adjoint(p)
 
     def _conjugate(self, m, n: int, star: bool) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
@@ -1044,14 +1040,12 @@ class IsometrySystem:
         non-nilpotent U keeps a residual ||U^{*K}U^{K+1}|| (1 for the
         cyclic shift), and a failed absorption identity or a P_k that does
         not commute with the algebra shows in the residual or the
-        commutation.  The sum is accumulated in order of k, one P_k at a
-        time, so no stack of the P_k is held."""
+        commutation.  The sum is accumulated in order of k, one P_k =
+        ``proj_initial(k)`` at a time, so no stack of the P_k is held."""
         u = self.u
-        self._grow(2 * self.dim + 4)
-        first, *rest = self._powers[1:]
-        total = adjoint(first) @ first
-        for p in rest:
-            total += adjoint(p) @ p
+        total = self.proj_initial(1)
+        for k in range(2, (self.nilpotency_index or 2 * self.dim + 4) + 1):
+            total += self.proj_initial(k)
         vals, vecs = np.linalg.eigh(-total)
         potentials = np.rint(vals).astype(int)
         h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
@@ -1381,17 +1375,14 @@ def verify_power_identities(sys: IsometrySystem,
     first entries.  Each entry is measured for k only up to D =
     ``_power_depth``: past it every power is an exact zero, and so is
     every entry's value.  The stacks of U^k, U^{*k}U^k and U^kU^{*k},
-    k <= D + 1, are formed once, and every entry reads slices of them.
+    k <= D + 1, come from ``power_families``; entries read slices of them.
     """
     tol = sys.tol
     rep = ConditionReport("power_structure")
     for label, measure in _delta_hypotheses(sys):
         rep.add("hypothesis: " + label, measure(), tol)
 
-    depth = sys._power_depth(k_max)
-    powers = sys.power_stack(np.arange(depth + 2))
-    stars = adjoint(powers)
-    initial, final = stars @ powers, powers @ stars
+    powers, initial, final = sys.power_families(k_max)
     rep.add(f"U^k a = delta^k(a) U^k, k <= {k_max}",
             _intertwining_entry(sys.algebra, powers[1:-1], initial[1:-1]), tol)
     rep.add(f"U^{{*k}}U^k commutes with algebra, k <= {k_max}",

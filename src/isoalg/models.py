@@ -148,9 +148,9 @@ def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
       U U^{*k} U^l = U^{*(k-1)} U^l for 1 <= k <= l;
     - the two projection families commute.
 
-    Each is measured for k only up to the system's ``_power_depth``: past
-    it every power is an exact zero, and so is every value; U's powers and
-    their two projection stacks are formed once.  The first two
+    Each is measured for k only up to the depth D of ``power_families``:
+    past it every power is an exact zero, and so is every value; the
+    entries read its three families for k <= D.  The first two
     are measured on the seed S = C*(1, |a|), the algebra of both for every
     k: U*U, a spectral projection of |a|, lies in the commutative S, so
     delta(x) delta(y) = U x U*U y U* = delta(xy) on S.
@@ -163,9 +163,8 @@ def polar_structure_suite(m: PolarModel, k_max: int) -> ConditionReport:
     rep = ConditionReport("polar_structure")
     seed = m.seed_algebra
     sys = m.system._with_algebra(seed)
-    powers = sys.power_stack(np.arange(sys._power_depth(k_max) + 1))
+    powers, initial, final = (f[:-1] for f in sys.power_families(k_max))
     stars = adjoint(powers)
-    initial, final = stars @ powers, powers @ stars
 
     d = float(seed.span_defects(powers[1:] @ m.abs_a @ stars[1:])
               .max(initial=0.0))

@@ -190,10 +190,9 @@ def test_tower_systems_reuse_the_validated_u(monkeypatch):
     m = ia.build_qdeform(6, 0.5, "heisenberg")
     assert tols == [m.system.tol]  # the seed system only
     fresh = IsometrySystem(m.system.algebra, m.u)
-    assert np.array_equal(m.system.power_stack(range(8)),
-                          fresh.power_stack(range(8)))
-    assert np.array_equal(m.system.proj_final_stack(range(8)),
-                          fresh.proj_final_stack(range(8)))
+    for cached, new in zip(m.system.power_families(7),
+                           fresh.power_families(7), strict=True):
+        assert np.array_equal(cached, new)
     # an algebra at a tighter tolerance re-validates U at that tolerance
     tight = FiniteStarAlgebra(m.seed_algebra.basis, tol=1e-12)
     derived = m.system._with_algebra(tight)
@@ -623,6 +622,7 @@ def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
 
     monkeypatch.setattr(ia.algebra, "_worst_norm", checked)
     basis = sys.algebra.basis
+    _, initial, final = sys.power_families(k_max)
     pairs = [
         (sys.uu_commutator_defect,
          loop_commutator_norm(sys.proj_initial(1), basis)),
@@ -637,8 +637,7 @@ def test_stacked_defects_match_the_loops(request, monkeypatch, name, k_max,
          loop_power_intertwining(sys, 1)),
         (_absorption_defect(sys.power_stack(np.arange(k_max + 1))),
          loop_absorption_defect(sys, k_max)),
-        (_commutator_norm(sys.proj_initial_stack(np.arange(k_max + 1)),
-                          sys.proj_final_stack(np.arange(k_max + 1))),
+        (_commutator_norm(initial[:-1], final[:-1]),
          loop_projection_families_defect(sys, k_max)),
         (check_adjoint_intertwining(sys).defects[0].value,
          loop_adjoint_intertwining(sys)),
@@ -1273,15 +1272,15 @@ def assert_power_entries_match_the_dense_bodies(sys, k_max):
     ||[U^{*k}U^k, a]||, worst over the basis, against the dense bodies."""
     basis, n = sys.algebra.basis, sys.dim
     for k in range(1, k_max + 1):
-        ks, uk, pk = np.array([k]), sys.power(k), sys.proj_initial(k)
-        for xk, image, projs in (
-                (uk, sys.delta_n, sys.proj_initial_stack(ks)),
-                (adjoint(uk), sys.delta_star_n, sys.proj_final_stack(ks))):
+        uk, pk = sys.power(k), sys.proj_initial(k)
+        for xk, image, proj in (
+                (uk, sys.delta_n, pk),
+                (adjoint(uk), sys.delta_star_n, sys.proj_final(k))):
             assert_within_frame_bound(
-                _intertwining_entry(sys.algebra, xk[None], projs),
+                _intertwining_entry(sys.algebra, xk[None], proj[None]),
                 spectral_norms(xk @ basis - image(basis, k) @ xk).max(), n)
         assert_within_frame_bound(
-            _Images(sys.algebra).commutator_norm(sys.proj_initial_stack(ks)),
+            _Images(sys.algebra).commutator_norm(pk[None]),
             spectral_norms(pk @ basis - basis @ pk).max(), n)
 
 
@@ -1677,12 +1676,25 @@ def test_powers_and_projections_are_the_sequential_products(request, name):
     for ks in ([3, 1], [top, 0, 2], range(top + 1)):
         for got, k in zip(fresh.power_stack(ks), ks):
             assert np.array_equal(got, want[k]), k
-        for got, k in zip(fresh.proj_initial_stack(ks), ks):
-            assert np.array_equal(got, adjoint(want[k]) @ want[k]), k
-        for got, k in zip(fresh.proj_final_stack(ks), ks):
-            assert np.array_equal(got, want[k] @ adjoint(want[k])), k
+        for k in ks:
+            assert np.array_equal(fresh.proj_initial(k),
+                                  adjoint(want[k]) @ want[k]), k
+            assert np.array_equal(fresh.proj_final(k),
+                                  want[k] @ adjoint(want[k])), k
     assert fresh.nilpotency_index == index
     assert len(fresh._powers) == top + 1
+    # the three families, for k_max below, at and past the index, are the
+    # same products up to k = D + 1, D the depth
+    k_maxes = (1, top - 1) if index is None else (1, index - 1, index,
+                                                  index + 5)
+    for k_max in k_maxes:
+        depth = k_max if index is None else min(k_max, index - 1)
+        families = IsometrySystem(sys.algebra, sys.u).power_families(k_max)
+        for got, p in zip(zip(*families, strict=True), want[:depth + 2],
+                          strict=True):
+            assert np.array_equal(got[0], p), k_max
+            assert np.array_equal(got[1], adjoint(p) @ p), k_max
+            assert np.array_equal(got[2], p @ adjoint(p)), k_max
     if index is not None:
         assert index == {"qdeform12": 12, "polar6": 6, "p6_rotated": 6,
                          "rot09_n24": 24}.get(name, len(sys.u))
@@ -1759,6 +1771,15 @@ def test_power_entries_stop_at_the_nilpotency_index(request, monkeypatch,
                 == [d.value for d in every_k.defects])
 
 
+def test_families_past_the_address_range_raise_memory_error(cyclic5):
+    # the cyclic shift is not nilpotent, so its families up to 10^11 are
+    # not held; run turns this MemoryError into exit 2 naming --k-max
+    sys = IsometrySystem(cyclic5.algebra, cyclic5.u)
+    with pytest.raises(MemoryError):
+        sys.power_families(10 ** 11)
+    assert len(sys._powers) == 2 * sys.dim + 5
+
+
 @pytest.mark.parametrize("name, suite", [("qdeform12", "power_structure"),
                                          ("polar6", "power_structure"),
                                          ("polar6", "polar_structure")])
@@ -1770,7 +1791,7 @@ def test_power_checks_form_each_stack_once(request, monkeypatch, name,
     sys = IsometrySystem(model.system.algebra, model.system.u)
     for hypothesis in ("intertwining_defect", "delta_invariance_defect"):
         getattr(sys, hypothesis)  # cached before the count
-    calls = {"power_stack": 0, "_proj_stack": 0}
+    calls = {"power_stack": 0, "power_families": 0}
     for attr in calls:
         def counted(self, *args, attr=attr,
                     real=getattr(IsometrySystem, attr), **kwargs):
@@ -1783,7 +1804,7 @@ def test_power_checks_form_each_stack_once(request, monkeypatch, name,
     else:
         rep = polar_structure_suite(model, 8)
     assert rep.passed
-    assert calls == {"power_stack": 1, "_proj_stack": 0}
+    assert calls == {"power_stack": 1, "power_families": 1}
 
 
 def test_commutant_keeps_no_left_singular_basis():
@@ -2494,7 +2515,7 @@ def _unrounded_generator_defects(sys):
     """||[H, U] - U|| and max ||[H, b_i]|| of H = -sum_k U^{*k}U^k over
     1 <= k <= K, K the nilpotency index or 2n + 4, unrounded."""
     top = sys.nilpotency_index or 2 * sys.dim + 4
-    h = -sys.proj_initial_stack(np.arange(1, top + 1)).sum(axis=0)
+    h = -sys.power_families(top)[1][1:top + 1].sum(axis=0)
     basis = sys.algebra.basis
     return (spectral_norm(h @ sys.u - sys.u @ h - sys.u),
             spectral_norms(h @ basis - basis @ h).max())

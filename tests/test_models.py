@@ -149,7 +149,7 @@ def reference_polar_structure(m, k_max):
     rep = ConditionReport("polar_structure")
     sys = m.system._with_algebra(m.seed_algebra)
     seed_tol = m.seed_algebra.tol
-    finals = sys.proj_final_stack(np.arange(1, k_max + 1))
+    finals = np.array([sys.proj_final(k) for k in range(1, k_max + 1)])
 
     d = 0.0
     for k in range(1, k_max + 1):
@@ -171,8 +171,8 @@ def reference_polar_structure(m, k_max):
     rep.add(f"absorption identities, 1 <= k <= l <= {k_max}",
             _absorption_defect(sys.power_stack(ks)), tol)
     rep.add("initial and range projection families commute",
-            _commutator_norm(sys.proj_initial_stack(ks),
-                             sys.proj_final_stack(ks)), tol)
+            _commutator_norm(np.array([sys.proj_initial(k) for k in ks]),
+                             np.array([sys.proj_final(k) for k in ks])), tol)
     return rep
 
 
@@ -228,6 +228,26 @@ def test_polar_structure_builds_no_closure(polar6, monkeypatch):
                         ia.models.generate_closure)
     assert polar_structure_suite(polar6, 8).passed
     assert calls == []
+
+
+@pytest.mark.parametrize("a", [
+    polar_shift(6, 0.5), polar_shift(24, 0.7),
+    rotated(polar_shift(24, 0.9), 0), rotated(polar_shift(24, 0.7), 1)],
+    ids=["p6", "polar07_n24", "rot09_n24", "rot07_n24"])
+def test_both_power_suites_read_the_same_families(a):
+    # the entries the two suites share are the same values bit for bit:
+    # both read U's families from power_families
+    m = build_polar_model(a)
+    for k_max in (3, 8, 40):
+        polar = polar_structure_suite(m, k_max).defects
+        power = {d.check: d.value
+                 for d in ia.verify_power_identities(m.system, k_max).defects}
+        absorption = f"absorption identities, 1 <= k <= l <= {k_max}"
+        assert polar[-2].check == absorption
+        assert polar[-2].value == power[absorption]
+        assert (polar[-1].check
+                == "initial and range projection families commute")
+        assert polar[-1].value == power["[U^{*k}U^k, U^lU^{*l}] = 0"]
 
 
 @pytest.mark.parametrize("name, s", [

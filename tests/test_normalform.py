@@ -545,7 +545,7 @@ def test_sided_products_match_the_per_matrix_body(
         degrees = np.concatenate([np.arange(len(z)) - len(z) // 2
                                   for z in draws])
         p = system.power_stack(np.abs(degrees))
-        f = system.proj_final_stack(np.abs(degrees))
+        f = np.array([system.proj_final(k) for k in np.abs(degrees)])
         keep, normalized, _ = nf._canonical_terms(system, stack, degrees, 0.0)
         pairs = [
             (normalized, _sided_reference(stack, degrees, f, f)[keep]),
