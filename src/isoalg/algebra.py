@@ -184,6 +184,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     _frobenius_norms,
+    _int64_vector,
+    _ldexp,
+    _scale_exponent,
     adjoint,
     as_matrix,
     hs_norm,
@@ -202,19 +205,34 @@ def _chain_cap(n: int) -> int:
     return n * n + 2
 
 
-def _extend(flat: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
-    """Extend an orthonormal flat basis (k, N) by the directions of a
-    (m, N) candidate stack that it does not span.
+def _exceeds(x, e, bound):
+    """x 2^e > bound for x, bound >= 0, compared without forming x 2^e."""
+    return np.ldexp(x, np.minimum(e, 0)) > np.ldexp(bound, -np.maximum(e, 0))
 
-    Each candidate is scaled to unit norm (those of norm <= tol are dropped)
-    and projected off the basis in two batched passes.  The candidate with
-    the largest residual above 10 tol is then taken as the next direction
-    and projected off the rest, until no residual is above 10 tol.  A
-    residual left in the ambiguous band (tol, 10 tol] raises
-    ToleranceCollapse, whatever the candidates' order.
+
+def _scaled(gens):
+    """Each generator g, one at a time, as (g 2^-e, e), e its
+    ``_scale_exponent``: g itself and 0 inside the safe range."""
+    for g in gens:
+        e = _scale_exponent(g)
+        yield _ldexp(g, -e), e
+
+
+def _extend(flat: np.ndarray, cands: np.ndarray, tol: float,
+            exps: np.ndarray | int = 0) -> np.ndarray:
+    """Extend an orthonormal flat basis (k, N) by the directions of a
+    (m, N) candidate stack that it does not span; candidate i stands for
+    itself times 2^exps[i].
+
+    Each candidate is scaled to unit norm (those whose unscaled norm is
+    <= tol are dropped) and projected off the basis in two batched passes.
+    The candidate with the largest residual above 10 tol is then taken as
+    the next direction and projected off the rest, until no residual is
+    above 10 tol.  A residual left in the ambiguous band (tol, 10 tol]
+    raises ToleranceCollapse, whatever the candidates' order.
     """
     norms = np.linalg.norm(cands, axis=1)
-    keep = norms > tol
+    keep = _exceeds(norms, exps, tol)
     v = cands[keep] / norms[keep, None]
     for _ in range(2):
         v = v - _inner_products(v, flat) @ flat
@@ -654,14 +672,16 @@ def _spectral_closure(gens: list[np.ndarray], n: int,
     certificate is tested.
 
     The Hermitian combination is accumulated, and membership is tested, one
-    generator at a time, so no copy of the generator stack is made.
+    generator at a time, so no copy of the generator stack is made.  Each
+    generator g enters as g 2^-e (``_scaled``), which leaves H and its
+    split unchanged; the certificate compares the unscaled values.
     """
     # The stdlib generator is portable and, unlike numpy.random, costs no
     # import at model build.
     draw = random.Random(_SPECTRAL_SEED).uniform
     h = np.zeros((n, n), dtype=complex)
     weights = []  # coefficients of the parts that enter H above tol
-    for g in gens:
+    for g, _ in _scaled(gens):
         a, b = draw(1.0, 2.0), draw(1.0, 2.0)
         norm = hs_norm(g)
         if norm > 0.0:
@@ -694,11 +714,12 @@ def _spectral_closure(gens: list[np.ndarray], n: int,
     starts = np.concatenate([[0], np.flatnonzero(gaps > tol * scale) + 1])
     ranks = np.diff(starts, append=n)
     vecs_h = adjoint(vecs)
-    for g in gens:
+    for g, e in _scaled(gens):
         # distance from g to span{P_i}: in the eigenbasis, everything off the
-        # diagonal blocks plus each block's deviation from its mean scalar
-        r = _block_scalar_residual(vecs_h @ g @ vecs, ranks)
-        if np.linalg.norm(r) > tol * max(1.0, hs_norm(g)):
+        # diagonal blocks plus each block's deviation from its mean scalar;
+        # it fails above tol * max(1, ||g||_F) of the unscaled g 2^e
+        r = np.linalg.norm(_block_scalar_residual(vecs_h @ g @ vecs, ranks))
+        if _exceeds(r, e, tol) and r > tol * hs_norm(g):
             return None
     return Frame(vecs, ranks)
 
@@ -709,12 +730,16 @@ def _gram_schmidt_closure(gens: list[np.ndarray], n: int,
     is closed under right multiplication by the span W of the generators
     and their adjoints holds every word in them.  Each basis element, once
     reached, is multiplied by W in one batched product, and the basis is
-    extended by the products (see ``_extend``)."""
-    gens = np.asarray(gens, dtype=complex).reshape(-1, n, n)
+    extended by the products (see ``_extend``).  The letters enter as
+    ``_scaled`` generators, whose drop rule compares their unscaled norms."""
+    scaled = list(_scaled(gens))
+    exps = np.array([e for _, e in scaled] * 2, dtype=int)
+    gens = np.asarray([g for g, _ in scaled], dtype=complex).reshape(-1, n, n)
     letters = np.concatenate([gens, adjoint(gens)]).reshape(-1, n * n)
-    w = _extend(np.empty((0, n * n), complex), letters, tol).reshape(-1, n, n)
+    w = _extend(np.empty((0, n * n), complex), letters, tol,
+                exps).reshape(-1, n, n)
     flat = _extend(np.eye(n, dtype=complex).reshape(1, -1) / np.sqrt(n),
-                   letters, tol)
+                   letters, tol, exps)
     i = 0
     while i < len(flat):
         flat = _extend(flat, (flat[i].reshape(n, n) @ w).reshape(-1, n * n),
@@ -740,7 +765,9 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     ToleranceCollapse for a residual in its own ambiguous band.  Either
     basis goes through the FiniteStarAlgebra constructor, which validates
     it; a spectral closure keeps its frame.  ``dim`` is required when
-    ``gens`` is empty.
+    ``gens`` is empty.  A generator whose largest entry leaves [2^-128,
+    2^128] enters both paths times an exact power of two (``_scaled``),
+    and the rules above compare its unscaled values.
     """
     gens = [as_matrix(g) for g in gens]
     if gens:
@@ -878,7 +905,7 @@ class IsometrySystem:
         """U^k for each k >= 0 in ks, as a (len(ks), n, n) stack.  A power
         past the cap, U^{qT + r} with U^T = U^{2n+4}, is U^r times U^{qT} by
         repeated squaring: O(log k) products, none kept."""
-        ks = np.asarray(ks, dtype=int)
+        ks = _int64_vector(ks, "power")
         if ks.size and ks.min() < 0:
             raise ValueError("negative power; use star_power")
         if ks.size:
@@ -934,6 +961,11 @@ class IsometrySystem:
             raise DimensionMismatch(
                 f"expected {self.dim}x{self.dim} matrices (the ambient dim), "
                 f"got shape {m.shape}")
+        if n < 0:
+            name, other = (("delta_star_n", "delta_n") if star
+                           else ("delta_n", "delta_star_n"))
+            raise ValueError(f"{name} takes a power n >= 0, got {n}; the "
+                             f"conjugation the other way is {other}(m, {-n})")
         if n == 0:
             return m
         p = self.power(n)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, NotSelfAdjoint
+from .errors import DimensionMismatch, NotPSD, NotSelfAdjoint, Overflow
 from .report import ConditionReport
 
 DEFAULT_TOL = 1e-9
@@ -41,6 +41,42 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _scale_exponent(m: np.ndarray) -> int:
+    """The e that brings m's largest real or imaginary part, by modulus,
+    into [1/2, 1) as m 2^-e when that part leaves [2^-128, 2^128], the
+    range where m's squares and their sums neither overflow nor underflow;
+    0 inside it, and for a zero or non-finite m."""
+    top = max(float(np.abs(m.real).max(initial=0.0)),
+              float(np.abs(m.imag).max(initial=0.0)))
+    if not np.isfinite(top) or top == 0.0 or 2.0 ** -128 <= top <= 2.0 ** 128:
+        return 0
+    return int(np.frexp(top)[1])
+
+
+def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+    """m 2^e for complex m, exact while no entry leaves the normal range;
+    m itself for e = 0."""
+    if e == 0:
+        return m
+    m = np.ascontiguousarray(m, dtype=complex)
+    return np.ldexp(m.view(float), e).view(complex)
+
+
+def _int64_vector(values, name: str,
+                  top: int = int(np.iinfo(np.int64).max)) -> np.ndarray:
+    """Integers as a 1-d int64 array.  Overflow names the first value
+    outside -top..top, one past the 64-bit range included."""
+    try:
+        vec = np.asarray(values, dtype=np.int64).reshape(-1)
+    except OverflowError:  # a Python int no int64 holds
+        vec = np.asarray(values, dtype=object).reshape(-1)
+    outside = (vec > top) | (vec < -top)
+    if outside.any():
+        raise Overflow(f"{name} {vec[np.argmax(outside)]} is outside the "
+                       f"range -{top} to {top}")
+    return vec
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _ldexp,
+    _scale_exponent,
     adjoint,
     as_matrix,
     herm_eig,
@@ -66,19 +68,24 @@ def weighted_backward_shift(weights) -> np.ndarray:
 
 
 def _polar_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, float]:
+                                         np.ndarray, float, np.ndarray]:
     """The body of :func:`polar_decompose`: U, |a|, the singular values of
-    a as computed, before the kernel rule, and the rule's threshold
-    sqrt(n eps) ||a||."""
+    a as computed, before the kernel rule, the rule's threshold
+    sqrt(n eps) ||a||, and b = a 2^-e, e the ``_scale_exponent`` of a (0
+    when a's largest entry lies in [2^-128, 2^128]).  All are taken from b,
+    and all but U scaled back by 2^e exactly."""
     a = as_matrix(a)
-    w, v = herm_eig(adjoint(a) @ a)
+    e = _scale_exponent(a)
+    b = _ldexp(a, -e)
+    w, v = herm_eig(adjoint(b) @ b)
     s = np.sqrt(np.clip(w, 0.0, None))
     cut = np.sqrt(len(a) * np.finfo(float).eps) * s[-1]
     kept = np.where(s > cut, s, 0.0)
-    abs_a = (v * kept) @ adjoint(v)
+    abs_b = (v * kept) @ adjoint(v)
     inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
-    u = a @ (v * inv) @ adjoint(v)
-    return u, (abs_a + adjoint(abs_a)) / 2.0, s, float(cut)
+    u = b @ (v * inv) @ adjoint(v)
+    return (u, _ldexp((abs_b + adjoint(abs_b)) / 2.0, e), np.ldexp(s, e),
+            float(np.ldexp(cut, e)), b)
 
 
 def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +94,9 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     From a*a = V diag(s^2) V*: |a| = V diag(s) V*, and U = a V diag(1/s) V*
     vanishes on ker |a|.  The computed a*a on C^n holds rounding of about
     n eps ||a||^2, so an s <= sqrt(n eps) ||a|| counts as kernel, in |a|
-    too: |a| has no eigenvalue made of that rounding alone.
+    too: |a| has no eigenvalue made of that rounding alone.  An a whose
+    largest entry leaves [2^-128, 2^128] is decomposed as a 2^-e, brought
+    into [1/2, 1) by an exact power of two, and |a| scaled back.
     """
     return _polar_parts(a)[:2]
 
@@ -111,12 +120,13 @@ def build_polar_model(a: np.ndarray, tol: float = DEFAULT_TOL) -> PolarModel:
     :func:`polar_decompose` counted a nonzero singular value as kernel,
     the message also names the largest such value and the threshold
     sqrt(n eps) ||a|| it fell under: the condition may then fail only
-    because |a| lumps that direction with the kernel.
+    because |a| lumps that direction with the kernel.  Membership is
+    tested on b b*, b = a 2^-e as :func:`polar_decompose` scales a.
     """
     a = as_matrix(a)
-    u, abs_a, s, cut = _polar_parts(a)
+    u, abs_a, s, cut, b = _polar_parts(a)
     seed = generate_closure([abs_a], tol)
-    ok, defect = seed.contains(a @ adjoint(a))
+    ok, defect = seed.contains(b @ adjoint(b))
     if not ok:
         msg = (f"a a* is outside the algebra generated by |a| "
                f"(defect {defect:.3e})")

@@ -67,6 +67,7 @@ from .errors import (
 )
 from .linalg import (
     _frobenius_norms,
+    _int64_vector,
     adjoint,
     as_matrix,
     matrix_from_json,
@@ -75,6 +76,9 @@ from .linalg import (
     spectral_norms,
 )
 from .report import ConditionReport
+
+# Degrees lie in -_DEGREE_TOP.._DEGREE_TOP, one short of the int64 end.
+_DEGREE_TOP = int(np.iinfo(np.int64).max) - 1
 
 
 def _require_coefficient_system(system: IsometrySystem) -> None:
@@ -174,7 +178,7 @@ class NormalForm:
             stack = np.array(mats) if mats else np.zeros((0, n, n), complex)
         else:
             stack = np.asarray(coeffs, dtype=complex)
-        degrees = np.asarray(degrees, dtype=int).reshape(-1)
+        degrees = _int64_vector(degrees, "degree", _DEGREE_TOP)
         if stack.shape != (degrees.size, n, n):
             raise DimensionMismatch(
                 f"coefficient stack of shape {stack.shape} for {degrees.size} "
@@ -324,10 +328,9 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
         lo, hi = int(dx[0]) + int(dy[0]), int(dx[-1]) + int(dy[-1])
         if limit is not None:
             lo, hi = max(lo, 1 - limit), min(hi, limit - 1)
-        top = np.iinfo(np.int64).max - 1  # one short of the int64 end
-        if max(-lo, hi) > top:
+        if max(-lo, hi) > _DEGREE_TOP:
             raise Overflow(f"the product has degrees {lo} to {hi}, outside "
-                           f"the range -{top} to {top}")
+                           f"the range -{_DEGREE_TOP} to {_DEGREE_TOP}")
     outs = dx[:, None] + dy[None, :]
     lives = (outs >= lo) & (outs <= hi)
     degrees = np.unique(outs[lives])
@@ -377,7 +380,8 @@ def _strip(system: IsometrySystem, monomials: np.ndarray,
 def strip_power(system: IsometrySystem, monomial: np.ndarray, k: int) -> np.ndarray:
     """Recover the normalized coefficient from a degree-k monomial matrix:
     right-multiply by U^{*k} for k > 0, left-multiply by U^{|k|} for k < 0."""
-    return _strip(system, as_matrix(monomial)[None], np.array([k]))[0]
+    return _strip(system, as_matrix(monomial)[None],
+                  _int64_vector([k], "degree", _DEGREE_TOP))[0]
 
 
 def reduce(e: _expr.Expression, system: IsometrySystem) -> NormalForm:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -835,6 +836,24 @@ def test_spectral_closure_falls_back(generic_system):
     # clear gaps either side of the band split or merge as the tolerance says
     assert generate_closure([np.diag([1.0, 1.0 + 1e-7])]).dim == 2
     assert generate_closure([np.diag([1.0, 1.0 + 1e-10])]).dim == 1
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-12, 1.0, 1e155, 1e200,
+                               1e300])
+def test_closures_of_far_scale_generators(c):
+    # both paths take a generator times an exact power of two and compare
+    # unscaled values: Gram-Schmidt drops c e12 when c <= tol and spans
+    # M_2 otherwise; the spectral certificate, tol * max(1, ||g||_F), holds
+    # for a non-normal g only at c <= tol; the split of c diag(1, 2, 3) is
+    # that of diag(1, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        words = _gram_schmidt_closure([c * E12], 2, TOL)
+        declined = _spectral_closure([c * E12], 2, TOL) is None
+        frame = _spectral_closure([c * np.diag([1.0, 2.0, 3.0])], 3, TOL)
+    assert len(words) == (1 if c <= TOL else 4)
+    assert declined == (c > TOL)
+    assert frame.ranks.tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
@@ -1769,6 +1788,15 @@ def test_power_entries_stop_at_the_nilpotency_index(request, monkeypatch,
         assert max(asked) > index
         assert ([d.value for d in huge.defects]
                 == [d.value for d in every_k.defects])
+
+
+@pytest.mark.parametrize("name, other", [("delta_n", "delta_star_n"),
+                                         ("delta_star_n", "delta_n")])
+def test_a_negative_map_power_names_the_map(cyclic5, name, other):
+    with pytest.raises(ValueError, match=(
+            rf"^{name} takes a power n >= 0, got -2; the conjugation the "
+            rf"other way is {other}\(m, 2\)$")):
+        getattr(cyclic5, name)(np.eye(5), -2)
 
 
 def test_families_past_the_address_range_raise_memory_error(cyclic5):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from conftest import (
     raw_system_spec,
     rotated,
     shift3_projection_spec,
+    system_spec,
     weighted_shift,
 )
 
@@ -735,6 +737,44 @@ def test_polar_subcommand(specs):
     assert np.allclose(matrix_from_json(doc["U"]), E12)
     assert np.allclose(matrix_from_json(doc["abs"]), np.diag([0.0, 2.0]))
     assert doc["partial_isometry"]["pass"] is True
+
+
+def _run_quietly(argv, capsys):
+    """main's exit code and JSON output, a RuntimeWarning failing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return rc, json.loads(out)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e150, 1e200, 1e300])
+def test_polar_resolves_a_far_scale(tmp_path, capsys, c):
+    # the polar decomposition is invariant under positive scaling, so
+    # c e12 has U = e12 at every c; its model builds with towers 2/2/2
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix_to_json(c * E12)))
+    rc, doc = _run_quietly(["polar", "--matrix", str(path)], capsys)
+    assert rc == 0
+    assert np.abs(matrix_from_json(doc["U"]) - E12).max() <= 1e-15
+    assert doc["partial_isometry"]["pass"] is True
+    assert np.abs(matrix_from_json(doc["abs"])
+                  - np.diag([0.0, c])).max() <= 1e-15 * c
+    path.write_text(json.dumps(polar_spec(c * E12)))
+    rc, doc = _run_quietly(["closure", "--model", str(path)], capsys)
+    assert (rc, doc) == (0, {"ambient_dim": 2, "seed_dim": 2,
+                             "delta_tower_dim": 2, "full_tower_dim": 2})
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-170, 1e155, 1e200, 1e300])
+def test_closure_splits_a_far_scale_generator(tmp_path, capsys, c):
+    # the spectral split of c diag(1, 2, 3) is that of diag(1, 2, 3)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(system_spec(
+        np.diag(np.ones(2), 1), [c * np.diag([1.0, 2.0, 3.0])])))
+    rc, doc = _run_quietly(["closure", "--model", str(path)], capsys)
+    assert rc == 0 and doc["seed_dim"] == 3
 
 
 def test_polar_subcommand_rejects_a_non_finite_entry(tmp_path, capsys):

@@ -314,3 +314,17 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"dim": 2, "entries": [[[1, 0]]]})
     with pytest.raises(DimensionMismatch):
         matrix_from_json({"entries": []})
+
+
+def test_scale_exponent_leaves_the_safe_range_alone():
+    # [2^-128, 2^128] keeps e = 0; past it m 2^-e has its largest part in
+    # [1/2, 1); zero and non-finite matrices keep 0
+    scale = isoalg.linalg._scale_exponent
+    for top, e in ((2.0 ** -128, 0), (2.0 ** 128, 0), (1.0, 0), (0.0, 0),
+                   (float("inf"), 0), (2.0 ** 128 * 1.5, 129),
+                   (2.0 ** -129, -128), (1e300, 997), (5e-324, -1073)):
+        assert scale(np.array([[0.0, complex(0.0, -top)]])) == e, top
+    m = np.array([[3.0 - 1e300j, 0.5]])
+    b = isoalg.linalg._ldexp(m, -997)
+    assert np.array_equal(isoalg.linalg._ldexp(b, 997), m)
+    assert isoalg.linalg._ldexp(m, 0) is m

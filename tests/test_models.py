@@ -78,6 +78,32 @@ def test_polar_decompose_random_roundtrip():
             assert spectral_norm(u @ kernel @ adjoint(kernel)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("k", [-900, -300, -129, 129, 300, 900])
+def test_polar_decompose_past_the_safe_range_scales_exactly(k):
+    # the largest part of a is 1/2, so a 2^k, whose largest entry is past
+    # [2^-128, 2^128], is decomposed as a itself: U is a's and |a 2^k| is
+    # |a| 2^k, bit for bit
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a[:, 3] = 0.0
+    a /= 2.0 * np.abs(a.view(float)).max()
+    u, abs_a = polar_decompose(a)
+    u_k, abs_k = polar_decompose(ia.linalg._ldexp(a, k))
+    assert np.array_equal(u_k, u)
+    assert np.array_equal(abs_k, ia.linalg._ldexp(abs_a, k))
+
+
+def test_a_far_scale_polar_model_names_unscaled_values():
+    with pytest.raises(PolarConditionViolated) as err:
+        build_polar_model(weighted_backward_shift([2.0 ** 200, 2.0 ** 199,
+                                                   1e-9 * 2.0 ** 200]))
+    cut = np.sqrt(4 * np.finfo(float).eps) * 2.0 ** 200
+    assert str(err.value).endswith(
+        f"; polar_decompose counted the singular value "
+        f"{1e-9 * 2.0 ** 200:.3e} as kernel, at or below its threshold "
+        f"sqrt(n eps) ||a|| = {cut:.3e}")
+
+
 # -- polar model -------------------------------------------------------------
 
 def test_build_polar_model_accepts(polar2, polar6):

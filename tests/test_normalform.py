@@ -267,6 +267,36 @@ def test_a_degree_past_the_integer_range_overflows(cyclic5):
             reduce(parse(text, cyclic5, {}), cyclic5)
 
 
+E11 = np.diag([1.0, 0, 0, 0, 0]).astype(complex)
+TOP = 2 ** 63 - 2  # the degree range is -TOP..TOP
+
+
+@pytest.mark.parametrize("k, make", [
+    (2 ** 63, lambda s, k: s.power(k)),
+    (2 ** 63, lambda s, k: s.power_stack([1, k])),
+    (2 ** 63, lambda s, k: strip_power(s, E11, k)),
+    (2 ** 63, lambda s, k: NormalForm(s, {k: E11})),
+    (-(2 ** 63), lambda s, k: NormalForm(s, {k: E11})),
+    (TOP + 1, lambda s, k: NormalForm(s, E11[None], degrees=[k])),
+    (2 ** 63, lambda s, k: NormalForm.from_json(
+        {"degrees": [{"k": k, "coeff": ia.matrix_to_json(E11)}]}, s))],
+    ids=["power", "power_stack", "strip_power", "NormalForm",
+         "NormalForm_negative", "NormalForm_stack", "from_json"])
+def test_an_integer_past_the_range_is_refused_where_it_enters(cyclic5, k,
+                                                              make):
+    # the value is named; no bare OverflowError from the int64 conversion
+    with pytest.raises(ia.Overflow, match=f"{k} is outside the range"):
+        make(cyclic5, k)
+
+
+def test_the_range_ends_are_degrees(cyclic5):
+    # on the permutation U, U^TOP = U^(TOP mod 5) exactly
+    for k in (TOP, -TOP):
+        x = NormalForm(cyclic5, {k: E11})
+        assert x.degrees() == (k,)
+        assert np.array_equal(strip_power(cyclic5, x.eval(), k), E11)
+
+
 def test_product_holds_only_the_degrees_that_occur(cyclic5):
     # (U^k + U'^k)^2 has the degrees -2k, 0 and 2k; a product that held
     # every degree of -2k..2k took seconds at k = 10000
