@@ -268,11 +268,16 @@ def _svd_span(mats) -> np.ndarray:
 
 def _span_defects(flat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Frobenius distance from each matrix of a (K, n, n) stack to the span
-    of an orthonormal flat basis."""
+    of an orthonormal flat basis, from one residual normed in row blocks."""
     v = stack.reshape(stack.shape[0], flat.shape[1])
     if flat.shape[0]:
-        v = v - _inner_products(v, flat) @ flat
-    return np.linalg.norm(v, axis=1)
+        r = _inner_products(v, flat) @ flat
+        v = np.subtract(v, r, out=r)
+    step = max(1, BASIS_CHUNK_BYTES // (16 * v.shape[1]))
+    if len(v) <= step:
+        return np.linalg.norm(v, axis=1)
+    return np.concatenate([np.linalg.norm(v[i:i + step], axis=1)
+                           for i in range(0, len(v), step)])
 
 
 def _inner_products(v: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -768,6 +773,8 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     ``gens`` is empty.  A generator whose largest entry leaves [2^-128,
     2^128] enters both paths times an exact power of two (``_scaled``),
     and the rules above compare its unscaled values.
+    Before either path, a generator of unscaled norm <= tol is dropped as a
+    Gram-Schmidt letter is, unless ||[g, g*]||_F <= tol ||g||_F^2 (normal).
     """
     gens = [as_matrix(g) for g in gens]
     if gens:
@@ -781,6 +788,9 @@ def generate_closure(gens: list[np.ndarray], tol: float = DEFAULT_TOL,
     else:
         n = dim
 
+    gens = [g for g, (s, e) in zip(gens, _scaled(gens))
+            if _exceeds(hs_norm(s), e, tol) or hs_norm(
+                s @ adjoint(s) - adjoint(s) @ s) <= tol * hs_norm(s) ** 2]
     frame = _spectral_closure(gens, n, tol)
     if frame is None:
         return FiniteStarAlgebra(_gram_schmidt_closure(gens, n, tol), tol=tol)

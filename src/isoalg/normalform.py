@@ -17,9 +17,9 @@ A form is stored as a sorted degree vector and one (K, n, n) stack of the
 coefficients at those degrees, so normalization, the zero-drop, the
 membership test and the degree arithmetic are batched operations over the
 stack; the validation body (:func:`_canonical_terms`) also takes the terms
-of many forms in one stack.  Each form also keeps the stack of its
-monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), whose sum is the represented
-matrix, and caches its operator norm.
+of many forms in one stack.  Each form also keeps the represented matrix,
+the sum of its monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), read-only,
+forms the stack of its monomials only for a product, and caches its norm.
 
 The product is a convolution of monomials over the degree axis: the
 degree-d monomial of xy is the sum of X_j Y_k over j + k = d, and its
@@ -89,16 +89,15 @@ def _require_coefficient_system(system: IsometrySystem) -> None:
             "normal-form rewriting would be unsound", rep)
 
 
-def _sided(stack: np.ndarray, degrees: np.ndarray, right, left) -> np.ndarray:
-    """Multiply stack[i] by right(k) on the right where k = degrees[i] > 0
-    and by left(-k) on the left where k < 0; degree 0 is copied.  ``right``
-    and ``left`` map a power k >= 1 to an n x n matrix.
+def _sided(out: np.ndarray, degrees: np.ndarray, right, left) -> np.ndarray:
+    """Multiply out[i] by right(k) on the right where k = degrees[i] > 0
+    and by left(-k) on the left where k < 0, in place on a complex stack
+    the caller owns; ``right`` and ``left`` map k >= 1 to n x n matrices.
 
     One product per distinct degree k: on the right, the m matrices of
     degree k as one (m n, n) matrix times right(k); on the left, left(-k)
     times the m matrices side by side as one n x (m n) matrix.  So no
     factor is gathered into a (K, n, n) copy."""
-    out = np.array(stack, dtype=complex)
     n = out.shape[-1]
     for k in np.unique(degrees[degrees != 0]).tolist():
         at = np.flatnonzero(degrees == k)
@@ -114,25 +113,27 @@ def _sided(stack: np.ndarray, degrees: np.ndarray, right, left) -> np.ndarray:
 def _canonical_terms(system: IsometrySystem, stack: np.ndarray,
                     degrees: np.ndarray, drop_scale
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validation body of every canonical form, on a (K, n, n) stack of
-    coefficients at ``degrees``: range-normalize each, drop those whose
-    norm is at most tol * drop_scale, and test the rest for membership in
-    the algebra.  ``drop_scale`` is one scale, or one per coefficient when
-    the stack holds the terms of many forms.
+    """The validation body of every canonical form, on a complex (K, n, n)
+    stack of coefficients at ``degrees``, which it owns: range-normalize
+    each in place, drop those whose norm is at most tol * drop_scale, and
+    test the rest for membership in the algebra.  ``drop_scale`` is one
+    scale, or one per coefficient when the stack holds many forms' terms.
 
-    Returns the mask of kept coefficients and their normalized stack and
-    Frobenius norms, in input order.  Overflow names the degree of the first
-    coefficient whose norm is not finite, and CoefficientEscape that of the
-    first kept coefficient, in input order, that is not a member.
+    Returns the mask of kept coefficients and their normalized stack (the
+    input when none drops) and Frobenius norms, in input order.  Overflow
+    names the degree of the first coefficient whose norm is not finite, and
+    CoefficientEscape that of the first kept coefficient, in input order,
+    that is not a member.
     """
-    stack = _sided(stack, degrees, system.proj_final, system.proj_final)
+    _sided(stack, degrees, system.proj_final, system.proj_final)
     norms = _frobenius_norms(stack)
     if not np.isfinite(norms).all():
         i = int(np.argmin(np.isfinite(norms)))
         raise Overflow(f"coefficient at degree {degrees[i]} overflows: its "
                        f"norm is {norms[i]}")
     keep = norms > system.tol * drop_scale
-    stack, norms = stack[keep], norms[keep]
+    if not keep.all():
+        stack, norms = stack[keep], norms[keep]
     inside, defects = system.algebra.membership(stack)
     if not inside.all():
         i = int(np.argmin(inside))
@@ -146,7 +147,8 @@ def _monomial_stack(system: IsometrySystem, coeffs: np.ndarray,
                     degrees: np.ndarray) -> np.ndarray:
     """The degree terms c U^k, c, U^{*|k|} c of a (K, n, n) coefficient
     stack at ``degrees``."""
-    return _sided(coeffs, degrees, system.power, system.star_power)
+    return _sided(np.array(coeffs, dtype=complex), degrees, system.power,
+                  system.star_power)
 
 
 class NormalForm:
@@ -177,7 +179,7 @@ class NormalForm:
                         f"{c.shape[0]}; the system acts on dimension {n}")
             stack = np.array(mats) if mats else np.zeros((0, n, n), complex)
         else:
-            stack = np.asarray(coeffs, dtype=complex)
+            stack = np.array(coeffs, dtype=complex)
         degrees = _int64_vector(degrees, "degree", _DEGREE_TOP)
         if stack.shape != (degrees.size, n, n):
             raise DimensionMismatch(
@@ -198,13 +200,15 @@ class NormalForm:
     @classmethod
     def _from_terms(cls, system: IsometrySystem, degrees: np.ndarray,
                     coeffs: np.ndarray, norms: np.ndarray,
-                    monomials: np.ndarray) -> "NormalForm":
+                    matrix: np.ndarray) -> "NormalForm":
         """A form from terms that already went through _canonical_terms, in
-        ascending degree order, with their Frobenius norms and monomials."""
+        ascending degree order, with their Frobenius norms and the sum of
+        their monomials, which it keeps read-only."""
         x = cls.__new__(cls)
         x.system = system
         x._degrees, x._coeffs, x._norms = degrees, coeffs, norms
-        x._monomials = monomials
+        x._matrix = matrix
+        matrix.flags.writeable = False
         return x
 
     # -- access ------------------------------------------------------------
@@ -244,11 +248,11 @@ class NormalForm:
         return spectral_norm(self.eval())
 
     def eval(self) -> np.ndarray:
-        """The represented matrix: sum of all degree terms."""
-        if not self._degrees.size:
-            n = self.system.dim
-            return np.zeros((n, n), dtype=complex)
-        return self._monomials.sum(axis=0)
+        """The represented matrix, sum of all degree terms, read-only."""
+        if "_matrix" not in vars(self):
+            self._matrix = self._monomials.sum(axis=0)
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def to_json(self) -> dict:
         return {"degrees": [{"k": k, "coeff": matrix_to_json(c)}
@@ -374,7 +378,8 @@ def gauge_average(x: NormalForm, k: int, m: int) -> np.ndarray:
 def _strip(system: IsometrySystem, monomials: np.ndarray,
            degrees: np.ndarray) -> np.ndarray:
     """strip_power over a (K, n, n) stack of monomials at ``degrees``."""
-    return _sided(monomials, degrees, system.star_power, system.power)
+    return _sided(np.array(monomials, dtype=complex), degrees,
+                  system.star_power, system.power)
 
 
 def strip_power(system: IsometrySystem, monomial: np.ndarray, k: int) -> np.ndarray:

@@ -49,17 +49,17 @@ conjugation by W_lam = lam^H, with H = V diag(h) V* the certified
 generator (``IsometrySystem.gauge_generator``), and N_0 is the compression
 onto the eigenspaces of H: N_0(y) = V (mask o V*yV) V* with
 mask_ij = [h_i = h_j].  :func:`norm_limit` squares P = xx*/||x||^2 of
-every form as one (g, n, n) stack in the eigenbasis of H, and the N_0 of
-all forms are tested for membership in the algebra as one stack.
+the forms as (g, n, n) stacks in the eigenbasis of H, and the N_0 of
+those forms are tested for membership in the algebra as one stack.
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
 each takes (system, forms), a list of forms of that system with at least
 one nonzero form, and none reads another's report: on a certified system the bound is a theorem.
-The draw is measured once: its coefficients are projected, validated and
-turned into monomials in a few chunks of bounded size, through the
-validation body the NormalForm constructor uses, and ||x|| of every form
-is one batched eigensolve, cached on the form, that all three samplers read.
+The draw is validated through the NormalForm constructor's body in chunks
+(``_chunks``, which also cut the two samplers' stacks), each holding its
+stack and at most one more copy at a time; a form keeps its coefficients,
+its matrix and ||x||, one batched eigensolve that all three samplers read.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from .report import ConditionReport
 # Largest degree of the random canonical forms the samplers draw.
 MAX_SAMPLE_DEGREE = 4
 
-# Bytes of complex coefficients that random_normal_forms validates at once.
+# Bytes of complex matrices that the draw and the samplers stack at once.
 DRAW_CHUNK_BYTES = 32 * 2 ** 20
 
 # The norm-limit sampler's convergence bound and per-stage estimate slack.
@@ -116,7 +116,25 @@ def _draw(system: IsometrySystem, rng: np.random.Generator) -> np.ndarray:
     i.i.d. standard complex Gaussian matrix, as a (2N + 1, n, n) stack."""
     top = int(rng.integers(0, MAX_SAMPLE_DEGREE + 1))
     z = rng.standard_normal((2 * top + 1, 2, system.dim, system.dim))
-    return z[:, 0] + 1j * z[:, 1]
+    out = np.empty((len(z), system.dim, system.dim), dtype=complex)
+    out.real, out.imag = z[:, 0], z[:, 1]
+    return out
+
+
+def _chunks(items, size, dim: int):
+    """Consecutive lists of ``items`` (one item at least each), an item
+    standing for ``size(item)`` complex dim x dim matrices, whose matrices
+    fit DRAW_CHUNK_BYTES: the chunks in which the draw and the samplers
+    stack.  A generator of items is drawn one item past each chunk."""
+    room, chunk, used = DRAW_CHUNK_BYTES // (16 * dim ** 2), [], 0
+    for item in items:
+        if chunk and used + size(item) > room:
+            yield chunk
+            chunk, used = [], 0
+        chunk.append(item)
+        used += size(item)
+    if chunk:
+        yield chunk
 
 
 def _centred(count: int) -> np.ndarray:
@@ -128,22 +146,30 @@ def _validated(system: IsometrySystem,
                draws: list[np.ndarray]) -> list[NormalForm]:
     """The forms of raw draws (``_draw``), validated as one stack: one
     projection into the coefficient algebra, one pass of the NormalForm
-    validation body with each form's own drop scale, then one monomial
-    pass."""
+    validation body with each form's own drop scale, in place, then one
+    monomial pass, summed per form.  ``draws`` is emptied once concatenated."""
     _require_coefficient_system(system)
     count, sizes = len(draws), np.array([len(z) for z in draws])
     degrees = np.concatenate([_centred(k) for k in sizes])
     owner = np.repeat(np.arange(count), sizes)
-    stack = system.algebra.project(np.concatenate(draws))
+    stack = np.concatenate(draws)
+    draws.clear()
+    stack = system.algebra.project(stack)
     # each form drops against its own largest input coefficient
     scale = np.maximum.reduceat(_frobenius_norms(stack),
                                 np.cumsum(sizes) - sizes)
     keep, stack, norms = _canonical_terms(system, stack, degrees, scale[owner])
     degrees = degrees[keep]
+    ends = np.cumsum(np.bincount(owner[keep], minlength=count)).tolist()
     monomials = _monomial_stack(system, stack, degrees)
-    cuts = np.cumsum(np.bincount(owner[keep], minlength=count))[:-1]
-    return [NormalForm._from_terms(system, *terms) for terms in zip(
-        *(np.split(a, cuts) for a in (degrees, stack, norms, monomials)))]
+    bounds = list(zip([0] + ends[:-1], ends))
+    # one sum per form, in NormalForm.eval's order (not np.add.reduceat's),
+    # stacked once the monomials are freed, which fragments the heap less
+    sums = [monomials[a:b].sum(axis=0) for a, b in bounds]
+    del monomials
+    return [NormalForm._from_terms(system, degrees[a:b], stack[a:b],
+                                   norms[a:b], m)
+            for (a, b), m in zip(bounds, np.array(sums))]
 
 
 def random_normal_form(system: IsometrySystem,
@@ -162,23 +188,14 @@ def random_normal_forms(system: IsometrySystem, count: int,
 
     The draws are validated in consecutive chunks of forms whose
     coefficients fit DRAW_CHUNK_BYTES (at least one form each), so the
-    memory a draw holds beyond its forms is bounded.  The forms are
-    successive random_normal_form draws: bit for bit where BLAS rounds each
-    row of a chunk's projection as it rounds a single form's, else up to
-    rounding."""
+    memory a draw holds beyond its forms (coefficients and one matrix each)
+    is bounded.  The forms are successive random_normal_form draws: bit for
+    bit where BLAS rounds each row of a chunk's projection as it rounds a
+    single form's, else up to rounding."""
     rng = np.random.default_rng(seed)
-    room = DRAW_CHUNK_BYTES // (16 * system.dim ** 2)  # coefficients
-    forms: list[NormalForm] = []
-    chunk: list[np.ndarray] = []
-    size = 0  # coefficients in the chunk
-    for _ in range(count):
-        z = _draw(system, rng)
-        if chunk and size + len(z) > room:
-            forms += _validated(system, chunk)
-            chunk, size = [], 0
-        chunk.append(z)
-        size += len(z)
-    return forms + (_validated(system, chunk) if chunk else [])
+    draws = (_draw(system, rng) for _ in range(count))
+    return [x for chunk in _chunks(draws, len, system.dim)
+            for x in _validated(system, chunk)]
 
 
 def sampler_hypothesis(system: IsometrySystem, name: str) -> ConditionReport:
@@ -236,8 +253,8 @@ def sample_coefficient_bound(system: IsometrySystem,
 
     where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
     each coefficient passed when it was validated.  Without a frame the
-    coefficient norms are one batched eigensolve.  The note gives the
-    largest degree of the measured forms.
+    coefficient norms are one batched eigensolve, a chunk (``_chunks``) at a
+    time.  The note gives the largest degree of the measured forms.
 
     On a system that fails :func:`sampler_hypothesis` the report is that
     hypothesis alone.
@@ -249,7 +266,16 @@ def sample_coefficient_bound(system: IsometrySystem,
         return rep
     norm_x = _operator_norms(forms)
     coeffs = [x.coefficients for x in forms]
-    norms = system.algebra.member_norms(np.concatenate(coeffs))
+    chunks: list[list[np.ndarray]] = []
+    for chunk in _chunks(coeffs, len, system.dim):
+        # BLAS rounds one row (matrix-vector) otherwise than many: a chunk
+        # of one coefficient joins a neighbour, as if in one stack
+        if chunks and min(sum(map(len, c)) for c in (chunks[-1], chunk)) < 2:
+            chunks[-1] += chunk
+        else:
+            chunks.append(chunk)
+    norms = np.concatenate([system.algebra.member_norms(np.concatenate(c))
+                            for c in chunks])
     margins = norms - np.repeat(norm_x, [len(c) for c in coeffs])
     degrees = np.array([k for x in forms for k in x.degrees()], dtype=int)
     # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
@@ -375,19 +401,19 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
     mask = h[:, None] == h[None, :]
     y = np.array([x.eval() for x in forms]) / norms[:, None, None]
     p = adjoint(vecs) @ (y @ adjoint(y)) @ vecs
-    n0, exps = [p * mask], [np.zeros(len(forms))]
-    for _ in range(stages):
+    n0 = np.empty((len(forms), stages + 1) + p.shape[1:], dtype=complex)
+    exps = np.zeros((len(forms), stages + 1))
+    n0[:, 0] = vecs @ (p * mask) @ adjoint(vecs)
+    for j in range(1, stages + 1):
         np.matmul(p, p, out=p)
-        e = 2 * exps[-1]
         top = np.abs(p).max(axis=(1, 2))
         out = (top < 2.0 ** -256) | (top > 2.0 ** 256)
         shift = np.frexp(top[out])[1]
         p[out] *= np.exp2(-shift)[:, None, None]
-        e[out] += shift
-        n0.append(p * mask)
-        exps.append(e)
-    return (vecs @ np.stack(n0, axis=1) @ adjoint(vecs),
-            np.stack(exps, axis=1))
+        exps[:, j] = 2 * exps[:, j - 1]
+        exps[out, j] += shift
+        n0[:, j] = vecs @ (p * mask) @ adjoint(vecs)
+    return n0, exps
 
 
 def _doubling_schedule(k_max: int) -> list[int]:
@@ -402,19 +428,18 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int
     """The body of :func:`norm_limit`, for one form or a whole sample of
     forms over one certified system.
 
-    The live forms are squared together as one (g, n, n) stack in the
-    eigenbasis of H (:func:`_compressed_n0`), and their N_0 are tested for
-    membership and normed in one call each.  A zero form gets a zero
-    trace.  CoefficientEscape is raised for the first offending form in
-    input order, with the message that form alone gives."""
+    The live forms of a chunk (``_chunks``) are squared together as one
+    (g, n, n) stack in the eigenbasis of H (:func:`_compressed_n0`), and
+    their N_0 are tested for membership and normed in one call each.  A
+    zero form gets a zero trace.  CoefficientEscape is raised for the first
+    offending form in input order, with the message that form alone gives."""
     schedule = _doubling_schedule(k_max)
     direct = _operator_norms(forms)
-    live = np.flatnonzero(direct != 0.0)
-    stage_norms = {}
-    if live.size:
-        system = forms[0].system
-        n = system.dim
-        stack, exps = _compressed_n0([forms[i] for i in live], direct[live],
+    system, stage_norms = forms[0].system, {}
+    n = system.dim
+    live = np.flatnonzero(direct != 0.0).tolist()
+    for chunk in _chunks(live, lambda i: len(schedule) + 1, n):
+        stack, exps = _compressed_n0([forms[i] for i in chunk], direct[chunk],
                                      system.gauge_generator, len(schedule))
         flat = stack.reshape(-1, n, n)
         inside, defects = (a.reshape(stack.shape[:2])
@@ -425,7 +450,7 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int
                 power = "xx*" if k == 0 else f"(xx*)^{2 * schedule[k - 1]}"
                 raise CoefficientEscape(f"N_0[{power}] is outside the "
                                         f"algebra (defect {dfs[k]:.3e})")
-        stage_norms = dict(zip(live.tolist(), zip(
+        stage_norms.update(zip(chunk, zip(
             spectral_norms(flat).reshape(stack.shape[:2]), exps)))
 
     traces = []

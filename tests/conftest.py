@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -103,6 +104,17 @@ def cyclic3_shift4_spec():
 @pytest.fixture(scope="session")
 def cyclic3_shift4():
     return ia.load_model(cyclic3_shift4_spec()).system
+
+
+def traced_peak(fn):
+    """fn's result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def gauged_matrices(x, lams):

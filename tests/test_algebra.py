@@ -59,6 +59,7 @@ from conftest import (
     raw_system_spec,
     rotated,
     spans_equal,
+    traced_peak,
     weighted_shift,
 )
 
@@ -854,6 +855,29 @@ def test_closures_of_far_scale_generators(c):
     assert len(words) == (1 if c <= TOL else 4)
     assert declined == (c > TOL)
     assert frame.ranks.tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-12, TOL, 1e-8])
+def test_closure_drops_a_generator_of_norm_at_most_tol(c):
+    # c e12 is zero at tol when c <= tol, for either path: the scalars,
+    # with a frame; above tol Gram-Schmidt spans M_2
+    alg = generate_closure([c * E12])
+    assert (alg.dim, alg.frame is not None) == (
+        (1, True) if c <= TOL else (4, False))
+
+
+def test_a_tiny_generator_leaves_a_closure_as_it_is():
+    # 1e-12 E12 joins a spectral set, which keeps its frame, and a
+    # Gram-Schmidt set, whose basis it leaves bit for bit
+    e12 = np.zeros((3, 3), complex)
+    e12[0, 1] = 1.0
+    diag = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    alg = generate_closure([diag, 1e-12 * e12])
+    assert alg.dim == 3 and alg.frame is not None
+    assert alg.frame.ranks.tolist() == [1, 1, 1]
+    words = generate_closure([E12])
+    joined = generate_closure([E12, 1e-12 * E12.T])
+    assert joined.frame is None and np.array_equal(joined.basis, words.basis)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
@@ -2365,17 +2389,6 @@ def count_frame_bases(monkeypatch) -> list:
 
     monkeypatch.setattr(Frame, "basis", counted)
     return calls
-
-
-def traced_peak(fn):
-    """fn's result and the tracemalloc peak of the call, in bytes."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def stack_bytes(d, n):

@@ -576,7 +576,9 @@ def test_sided_products_match_the_per_matrix_body(
                                   for z in draws])
         p = system.power_stack(np.abs(degrees))
         f = np.array([system.proj_final(k) for k in np.abs(degrees)])
-        keep, normalized, _ = nf._canonical_terms(system, stack, degrees, 0.0)
+        # a copy: the validation body normalizes its stack in place
+        keep, normalized, _ = nf._canonical_terms(system, stack.copy(),
+                                                  degrees, 0.0)
         pairs = [
             (normalized, _sided_reference(stack, degrees, f, f)[keep]),
             (nf._monomial_stack(system, stack, degrees),
@@ -708,3 +710,15 @@ def test_norm_limit_past_the_power_cache(cyclic5):
         n0 = sum(np.linalg.matrix_power(y @ adjoint(y), 2 * k) for y in ys) / m
         want = direct * spectral_norm(n0) ** (1.0 / (4 * k))
         assert s == pytest.approx(want, rel=1e-9), k
+
+
+def test_the_constructor_leaves_its_input_as_it_was(qdeform12):
+    # the validation body range-normalizes in place, on a copy of the input:
+    # F_1 a F_1 differs from a at degree -1
+    system = qdeform12.system
+    rng = np.random.default_rng(3)
+    stack = system.algebra.project(rng.standard_normal((3, 12, 12)) + 0j)
+    before = stack.copy()
+    x = NormalForm(system, stack, degrees=[-1, 0, 2])
+    assert not np.array_equal(x.coefficient(-1), before[0])
+    assert np.array_equal(stack, before)

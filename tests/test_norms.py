@@ -23,7 +23,9 @@ from conftest import (
     gauged_matrices,
     norm_limit_stack_body,
     polar_spec,
+    qdeform_spec,
     rotated,
+    traced_peak,
     weighted_shift,
 )
 
@@ -397,8 +399,47 @@ def test_random_normal_forms_validates_in_chunks(qdeform6, monkeypatch,
     for x, y in zip(got, whole, strict=True):
         assert x.degrees() == y.degrees()
         for a, b in ((x.coefficients, y.coefficients),
-                     (x._monomials, y._monomials), (x._norms, y._norms)):
+                     (x.eval(), y.eval()), (x._norms, y._norms)):
             assert np.array_equal(a, b)
+
+
+def test_a_q09_draw_peaks_below_three_coefficient_stacks():
+    # q09 n = 32: 200 forms hold about 16 MB of coefficients, validated in
+    # one chunk; the draw holds at most one extra copy of the chunk at a
+    # time, so its traced peak stays below three times the coefficients.
+    # A form keeps its matrix, read-only, and no monomial stack, which it
+    # forms on demand and which sums to the stored matrix
+    system = ia.load_model(qdeform_spec(32, 0.9)).system
+    system.algebra.basis  # formed on first use; not the draw's to count
+    forms, peak = traced_peak(lambda: random_normal_forms(system, 200, 0))
+    coefficient_bytes = sum(x.coefficients.nbytes for x in forms)
+    assert peak < 3 * coefficient_bytes, (peak, coefficient_bytes)
+    assert not any("_monomials" in vars(x) for x in forms)
+    for x in forms:
+        assert not x.eval().flags.writeable
+        assert np.array_equal(x.eval(), x._monomials.sum(axis=0))
+
+
+@pytest.mark.parametrize("chunk_matrices", [1, 7])
+def test_the_samplers_in_chunks_report_as_one_stack(
+        certified_systems, monkeypatch, chunk_matrices):
+    # the coefficient bound stacks the coefficients, and the norm limit its
+    # N_0 stages, in chunks of DRAW_CHUNK_BYTES: one form a chunk at the
+    # least, else a few; the reports and traces are those of one chunk
+    for name in ("qdeform12", "p6_rotated0", "raw_system"):
+        system = certified_systems[name]
+        forms = random_normal_forms(system, 40, 3)
+        whole = (sample_coefficient_bound(system, forms).to_json(),
+                 norm_limit_sample(system, forms))
+        with monkeypatch.context() as m:
+            m.setattr(ia.norms, "DRAW_CHUNK_BYTES",
+                      chunk_matrices * 16 * system.dim ** 2)
+            got = (sample_coefficient_bound(system, forms).to_json(),
+                   norm_limit_sample(system, forms))
+        assert got[0] == whole[0], name
+        assert got[1][0].to_json() == whole[1][0].to_json(), name
+        assert [t.to_json(include_form=False) for t in got[1][1]] == [
+            t.to_json(include_form=False) for t in whole[1][1]], name
 
 
 # -- per-form references for the batched samplers ----------------------------
@@ -594,6 +635,17 @@ def test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
         assert _raised(norm_limit_sample, system, sample) == alone[first]
 
 
+@pytest.mark.parametrize("chunk_matrices", [5, 10])
+def test_norm_limit_in_chunks_raises_for_the_first_offending_form(
+        qdeform12, monkeypatch, chunk_matrices):
+    # the same with the N_0 stacks in chunks of one or two forms (five
+    # stages each at k_max = 8)
+    monkeypatch.setattr(ia.norms, "DRAW_CHUNK_BYTES",
+                        chunk_matrices * 16 * qdeform12.system.dim ** 2)
+    test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
+                                                              monkeypatch)
+
+
 def test_canonical_terms_names_the_escaping_degree_in_a_batch(qdeform12):
     # three forms' terms in one stack; the model operator a = U rho(Q) is
     # not a coefficient, at degree 2 of the second form and 3 of the third,
@@ -607,7 +659,7 @@ def test_canonical_terms_names_the_escaping_degree_in_a_batch(qdeform12):
     degrees = np.array([-1, 0, 1, 0, 1, 2, 3, -3, 0])
     scale = np.linalg.norm(stack, axis=(1, 2)).reshape(3, 3).max(axis=1)
     with pytest.raises(ia.CoefficientEscape) as batch:
-        ia.normalform._canonical_terms(system, stack, degrees,
+        ia.normalform._canonical_terms(system, stack.copy(), degrees,
                                        np.repeat(scale, 3))
     with pytest.raises(ia.CoefficientEscape) as single:
         NormalForm(system, stack[3:6], degrees=degrees[3:6])
