@@ -274,10 +274,10 @@ def _span_defects(flat: np.ndarray, stack: np.ndarray) -> np.ndarray:
         r = _inner_products(v, flat) @ flat
         v = np.subtract(v, r, out=r)
     step = max(1, BASIS_CHUNK_BYTES // (16 * v.shape[1]))
-    if len(v) <= step:
-        return np.linalg.norm(v, axis=1)
-    return np.concatenate([np.linalg.norm(v[i:i + step], axis=1)
-                           for i in range(0, len(v), step)])
+    out = np.empty(len(v))
+    for i in range(0, len(v), step):
+        out[i:i + step] = np.linalg.norm(v[i:i + step], axis=1)
+    return out
 
 
 def _inner_products(v: np.ndarray, flat: np.ndarray) -> np.ndarray:

@@ -73,7 +73,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     spectral_norm,
-    spectral_norms,
 )
 from .report import ConditionReport
 
@@ -244,7 +243,7 @@ class NormalForm:
     @cached_property
     def norm(self) -> float:
         """The operator norm ||x|| of the represented matrix (measured for
-        many forms at once by :func:`_operator_norms`)."""
+        many forms at once by ``norms._operator_norms``)."""
         return spectral_norm(self.eval())
 
     def eval(self) -> np.ndarray:
@@ -266,17 +265,6 @@ class NormalForm:
 
     def __repr__(self) -> str:
         return f"NormalForm(degrees={self.degrees()})"
-
-
-def _operator_norms(forms: list[NormalForm]) -> np.ndarray:
-    """||x|| of each form: the forms not yet measured in one batched
-    eigensolve, whose values every later ``x.norm`` reads."""
-    todo = [x for x in forms if "norm" not in vars(x)]
-    if todo:
-        for x, value in zip(todo, spectral_norms(np.array(
-                [x.eval() for x in todo]))):
-            vars(x)["norm"] = float(value)  # prime the cached property
-    return np.array([x.norm for x in forms], dtype=float)
 
 
 def zero_form(system: IsometrySystem) -> NormalForm:

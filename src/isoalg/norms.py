@@ -59,7 +59,7 @@ one nonzero form, and none reads another's report: on a certified system the bou
 The draw is validated through the NormalForm constructor's body in chunks
 (``_chunks``, which also cut the two samplers' stacks), each holding its
 stack and at most one more copy at a time; a form keeps its coefficients,
-its matrix and ||x||, one batched eigensolve that all three samplers read.
+its matrix and ||x|| (one eigensolve per chunk), read by all three samplers.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .normalform import (
     NormalForm,
     _canonical_terms,
     _monomial_stack,
-    _operator_norms,
     _require_coefficient_system,
 )
 from .report import ConditionReport
@@ -135,6 +134,18 @@ def _chunks(items, size, dim: int):
         used += size(item)
     if chunk:
         yield chunk
+
+
+def _operator_norms(forms: list[NormalForm]) -> np.ndarray:
+    """||x|| of each form, one batched eigensolve per chunk (``_chunks``)
+    of the forms not yet measured, whose values every ``x.norm`` reads."""
+    todo = [x for x in forms if "norm" not in vars(x)]
+    if todo:
+        for chunk in _chunks(todo, lambda x: 1, todo[0].system.dim):
+            values = spectral_norms(np.array([x.eval() for x in chunk]))
+            for x, value in zip(chunk, values):
+                vars(x)["norm"] = float(value)  # prime the cached property
+    return np.array([x.norm for x in forms], dtype=float)
 
 
 def _centred(count: int) -> np.ndarray:
@@ -240,8 +251,8 @@ def sample_coefficient_bound(system: IsometrySystem,
     extension ||a_k|| <= ||x|| on the drawn canonical forms.
 
     The reported defect is the worst margin max_k ||a_k|| - ||x|| over all
-    samples (negative when the bound holds strictly).  ||x|| of every form
-    is one batched eigensolve.  When the algebra has a frame (V, r), with
+    samples (negative when the bound holds strictly).  ||x|| is a batched
+    eigensolve per chunk.  When the algebra has a frame (V, r), with
     basis b_i = V_i V_i* / sqrt(r_i), the norms of all coefficients are one
     flat product: a = sum_i c_i b_i + (a - sum_i c_i b_i) with
     c_i = <b_i, a>, and sum_i c_i b_i = V D V* with D = c_i / sqrt(r_i) on
@@ -268,8 +279,9 @@ def sample_coefficient_bound(system: IsometrySystem,
     coeffs = [x.coefficients for x in forms]
     chunks: list[list[np.ndarray]] = []
     for chunk in _chunks(coeffs, len, system.dim):
-        # BLAS rounds one row (matrix-vector) otherwise than many: a chunk
-        # of one coefficient joins a neighbour, as if in one stack
+        # BLAS may round one row (matrix-vector) otherwise than many: a
+        # chunk of one coefficient joins a neighbour, so the norms are those
+        # of one stack where BLAS rounds a chunk's rows as the whole stack's
         if chunks and min(sum(map(len, c)) for c in (chunks[-1], chunk)) < 2:
             chunks[-1] += chunk
         else:

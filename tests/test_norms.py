@@ -423,19 +423,22 @@ def test_a_q09_draw_peaks_below_three_coefficient_stacks():
 @pytest.mark.parametrize("chunk_matrices", [1, 7])
 def test_the_samplers_in_chunks_report_as_one_stack(
         certified_systems, monkeypatch, chunk_matrices):
-    # the coefficient bound stacks the coefficients, and the norm limit its
-    # N_0 stages, in chunks of DRAW_CHUNK_BYTES: one form a chunk at the
-    # least, else a few; the reports and traces are those of one chunk
+    # ||x|| stacks the forms' matrices, the coefficient bound the
+    # coefficients, and the norm limit its N_0 stages, in chunks of
+    # DRAW_CHUNK_BYTES: one form a chunk at the least, else a few; the
+    # reports and traces are those of one chunk
     for name in ("qdeform12", "p6_rotated0", "raw_system"):
         system = certified_systems[name]
         forms = random_normal_forms(system, 40, 3)
+        unmeasured = random_normal_forms(system, 40, 3)
         whole = (sample_coefficient_bound(system, forms).to_json(),
                  norm_limit_sample(system, forms))
         with monkeypatch.context() as m:
             m.setattr(ia.norms, "DRAW_CHUNK_BYTES",
                       chunk_matrices * 16 * system.dim ** 2)
-            got = (sample_coefficient_bound(system, forms).to_json(),
-                   norm_limit_sample(system, forms))
+            got = (sample_coefficient_bound(system, unmeasured).to_json(),
+                   norm_limit_sample(system, unmeasured))
+        assert [x.norm for x in unmeasured] == [x.norm for x in forms], name
         assert got[0] == whole[0], name
         assert got[1][0].to_json() == whole[1][0].to_json(), name
         assert [t.to_json(include_form=False) for t in got[1][1]] == [
