@@ -846,12 +846,14 @@ class IsometrySystem:
     projections U^{*k} U^k and U^k U^{*k} are one product on U^k each, and
     ``power_families`` forms the three families up to a depth at once.  So
     a build, which reads U and U*U, holds two powers, and a check holds
-    those up to the depth it measures.  ``tol`` is the algebra's, the
-    tolerance every checker measures the system at, and
-    ``partial_isometry`` is U's report at it.  The system is immutable
-    after construction, apart from the power cache, which only grows, so
-    its walks and the defects that several reports share are cached
-    properties.
+    those up to the depth it measures.  The nilpotency index and the gauge
+    candidate's sum of the U^{*k}U^k come from one walk of the same
+    products that holds one power at a time and leaves the cache as it
+    is.  ``tol`` is the algebra's, the tolerance every checker measures
+    the system at, and ``partial_isometry`` is U's report at it.  The
+    system is immutable after construction, apart from the power cache,
+    which only grows, so its walks and the defects that several reports
+    share are cached properties.
     """
 
     def __init__(self, algebra: FiniteStarAlgebra, u: np.ndarray):
@@ -873,11 +875,15 @@ class IsometrySystem:
         as an exact zero and ends it."""
         powers, top = self._powers, min(k, 2 * self.dim + 4)
         while len(powers) <= top and self._nilpotent_at is None:
-            nxt = powers[-1] @ self.u
-            if hs_norm(nxt) <= self.tol:
-                nxt = np.zeros_like(nxt)
-                self._nilpotent_at = len(powers)
-            powers.append(nxt)
+            powers.append(self._next_power(powers[-1]))
+            if not powers[-1].any():
+                self._nilpotent_at = len(powers) - 1
+
+    def _next_power(self, p: np.ndarray) -> np.ndarray:
+        """p U, or an exact zero when ||p U||_F <= tol: the one step of
+        both power walks, so an all-zero power is the nilpotency index."""
+        nxt = p @ self.u
+        return np.zeros_like(nxt) if hs_norm(nxt) <= self.tol else nxt
 
     def _with_algebra(self, algebra: FiniteStarAlgebra) -> "IsometrySystem":
         """This system, with its cached walks and defects, over its own
@@ -892,9 +898,23 @@ class IsometrySystem:
     @property
     def nilpotency_index(self) -> int | None:
         """Smallest k with U^k = 0 at tol (||U^k||_F <= tol), or None when
-        no power up to 2n + 4 is; the cache grows until it is decided."""
-        self._grow(2 * self.dim + 4)
-        return self._nilpotent_at
+        no power up to 2n + 4 is; decided by ``_projection_walk``, so the
+        power cache does not grow."""
+        return self._projection_walk[0]
+
+    @cached_property
+    def _projection_walk(self) -> tuple[int | None, np.ndarray]:
+        """The nilpotency index and sum_{k=1}^{K} P_k, P_k = U^{*k}U^k and
+        K the index or 2n + 4, from one walk U^{k+1} = U^k U that holds one
+        power at a time.  Its steps are ``_grow``'s, so each P_k is the
+        product ``proj_initial(k)`` forms, the exact zero P_K at the index
+        included, and the terms are summed in order of k."""
+        power = self._next_power(self._powers[0])
+        total, k = adjoint(power) @ power, 1
+        while power.any() and k < 2 * self.dim + 4:
+            power, k = self._next_power(power), k + 1
+            total += adjoint(power) @ power
+        return (None if power.any() else k), total
 
     def _power_depth(self, k_max: int) -> int:
         """The largest k <= k_max whose power U^k can be nonzero: k_max, or
@@ -1082,13 +1102,10 @@ class IsometrySystem:
         non-nilpotent U keeps a residual ||U^{*K}U^{K+1}|| (1 for the
         cyclic shift), and a failed absorption identity or a P_k that does
         not commute with the algebra shows in the residual or the
-        commutation.  The sum is accumulated in order of k, one P_k =
-        ``proj_initial(k)`` at a time, so no stack of the P_k is held."""
+        commutation.  The sum is ``_projection_walk``'s, accumulated in
+        order of k with one power held at a time."""
         u = self.u
-        total = self.proj_initial(1)
-        for k in range(2, (self.nilpotency_index or 2 * self.dim + 4) + 1):
-            total += self.proj_initial(k)
-        vals, vecs = np.linalg.eigh(-total)
+        vals, vecs = np.linalg.eigh(-self._projection_walk[1])
         potentials = np.rint(vals).astype(int)
         h = GaugeGenerator(vecs, potentials, 0.0, 0.0).matrix()
         return GaugeGenerator(vecs, potentials,

@@ -5,16 +5,11 @@ matrices.  The spectral primitives all go through Hermitian eigensolving
 (the spectral norm is computed from eigenvalues of M*M rather than a general
 SVD), which keeps the numeric core to a single LAPACK path.
 
-``herm_eig`` skips the eigensolves of its self-adjointness test on the
-matrices that pass it by the Frobenius bounds of an n x n matrix,
-
-    ||m||_F / sqrt(n) <= ||m||_2 <= ||m||_F,
-
-which cost one pass over the entries.  A computed norm differs from the
-exact one by a relative error of order n * eps and, from gradual underflow
-in the squares of entries below about 1e-154, by an absolute error below
-n * 2^-536.5; the test's margin covers both, so it passes a matrix only
-where the computed spectral norms would.
+``herm_eig`` and ``psd_sqrt`` test their input, for self-adjointness and
+for negative eigenvalues, and so guard input from outside the package.
+The Gram products the package forms itself (a*a, d*d, dd*) cannot fail
+those tests; they take the bare bodies ``_eigh`` and ``_root`` that the
+two functions call after their tests.
 
 The tolerances of ``herm_eig`` and ``psd_sqrt`` are module constants;
 every other tolerance is a parameter.
@@ -140,6 +135,20 @@ def _raise_first(bad: np.ndarray, error: type, describe) -> None:
         raise error(f"matrix {i}: " + describe(i))
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The body of :func:`herm_eig`, without its test: the eigenpairs of
+    (m + m*)/2, for a matrix or a stack."""
+    return np.linalg.eigh((m + adjoint(m)) / 2.0)
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The body of :func:`psd_sqrt`, without its test: v diag(sqrt(w)) v*
+    from eigenpairs, negative eigenvalues clamped to zero, symmetrised."""
+    w = np.sqrt(np.clip(w, 0.0, None))
+    s = (v * w[..., None, :]) @ adjoint(v)
+    return (s + adjoint(s)) / 2.0
+
+
 def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a self-adjoint matrix, or of each matrix of an
     (m, n, n) stack in one batched call.
@@ -148,30 +157,15 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v unitary.  Raises NotSelfAdjoint, naming the first offending matrix of
     a stack, when the defect norm of m - adjoint(m) exceeds tol * ||m||,
     tol = SELF_ADJOINT_TOL.
-
-    The two spectral norms of that test are taken only when some matrix
-    does not pass it by the Frobenius bounds: ||m - m*||_F * sqrt(n) within
-    tol * ||m||_F, with the margin of the module docstring, for a finite m.
-    That is a sufficient condition for the exact test, so the test raises
-    exactly when it did without it.
     """
     tol = SELF_ADJOINT_TOL
     m = _as_matrices(m)
-    mh = adjoint(m)
-    d = m - mh
-    n = m.shape[-1]
-    # relative margin far above n * eps, absolute slack above the underflow
-    fro, slack = _frobenius_norms(m), n * 2.0 ** -536
-    clear = np.isfinite(fro) & (
-        np.sqrt(n) * (_frobenius_norms(d) * (1.0 + 1e-8) + slack)
-        <= tol * (fro * (1.0 - 1e-8) - slack))
-    if not clear.all():
-        scale = spectral_norms(m)
-        defect = spectral_norms(d)
-        _raise_first(defect > tol * scale, NotSelfAdjoint, lambda i:
-                     f"self-adjointness defect {defect[i]:.3e} exceeds "
-                     f"{tol:.1e} * {scale[i]:.3e}")
-    return np.linalg.eigh((m + mh) / 2.0)
+    scale = spectral_norms(m)
+    defect = spectral_norms(m - adjoint(m))
+    _raise_first(defect > tol * scale, NotSelfAdjoint, lambda i:
+                 f"self-adjointness defect {defect[i]:.3e} exceeds "
+                 f"{tol:.1e} * {scale[i]:.3e}")
+    return _eigh(m)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -186,9 +180,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     scale = np.abs(w).max(axis=-1)
     _raise_first(w[..., 0] < -tol * scale, NotPSD, lambda i:
                  f"eigenvalue {w[i][0]:.3e} below -{tol:.1e} * {scale[i]:.3e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * w[..., None, :]) @ adjoint(v)
-    return (s + adjoint(s)) / 2.0
+    return _root(w, v)
 
 
 def is_partial_isometry(u: np.ndarray, tol: float = DEFAULT_TOL) -> ConditionReport:

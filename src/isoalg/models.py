@@ -41,11 +41,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _eigh,
     _ldexp,
     _scale_exponent,
     adjoint,
     as_matrix,
-    herm_eig,
     matrix_from_json,
     spectral_norm,
 )
@@ -77,7 +77,7 @@ def _polar_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     a = as_matrix(a)
     e = _scale_exponent(a)
     b = _ldexp(a, -e)
-    w, v = herm_eig(adjoint(b) @ b)
+    w, v = _eigh(adjoint(b) @ b)
     s = np.sqrt(np.clip(w, 0.0, None))
     cut = np.sqrt(len(a) * np.finfo(float).eps) * s[-1]
     kept = np.where(s > cut, s, 0.0)

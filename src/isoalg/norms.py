@@ -73,13 +73,15 @@ from .errors import (
     CoefficientEscape,
     DimensionMismatch,
     HypothesisViolated,
+    Overflow,
     SystemMismatch,
 )
 from .linalg import (
     DEFAULT_TOL,
+    _eigh,
     _frobenius_norms,
+    _root,
     adjoint,
-    psd_sqrt,
     spectral_norms,
 )
 from .normalform import (
@@ -308,7 +310,7 @@ def _sum_norm_margins(stack: np.ndarray, sizes) -> np.ndarray:
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     dd, dsd = stack @ adjoint(stack), adjoint(stack) @ stack
-    roots = psd_sqrt(np.concatenate([dsd, dd]))
+    roots = _root(*_eigh(np.concatenate([dsd, dd])))
     sums = [np.add.reduceat(a, starts) for a in (
         stack, dd, dsd, roots[:len(stack)], roots[len(stack):])]
     n_sum, n_dd, n_dsd, n_abs, n_sqrt = spectral_norms(np.array(sums))
@@ -333,6 +335,15 @@ def check_sum_norm_estimates(mats, tol: float = DEFAULT_TOL) -> ConditionReport:
     smaller minus the other, normalized by max(1, right-hand side): negative
     when the estimate holds with room, so the report shows how close each
     estimate came.
+
+    A tuple from outside is refused where it enters: DimensionMismatch
+    names its first entry that is not a finite number, and Overflow a
+    tuple whose largest real or imaginary part t lets the check leave the
+    float range.  Its largest quantity is ||sum d_i d_i*||^2 or
+    ||sum d_i* d_i||^2, an eigenvalue of a product that the spectral norm
+    forms, at most 4 m^2 n^4 t^4 since ||d_i|| <= n sqrt(2) t; the check is
+    taken only where twice that bound is finite, so no product or
+    eigensolve sees an infinity.
     """
     try:
         stack = np.asarray(mats, dtype=complex)
@@ -341,6 +352,19 @@ def check_sum_norm_estimates(mats, tol: float = DEFAULT_TOL) -> ConditionReport:
     if stack.ndim != 3 or 0 in stack.shape or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch(f"expected a nonempty (m, n, n) tuple of "
                                 f"square matrices, got shape {stack.shape}")
+    bad = np.argwhere(~np.isfinite(stack))
+    if bad.size:
+        k, i, j = bad[0]
+        raise DimensionMismatch(f"matrix {k} entry [{i}][{j}] is not a finite "
+                                f"number, got {complex(stack[k, i, j])}")
+    m, n = stack.shape[:2]
+    top = max(float(np.abs(stack.real).max()), float(np.abs(stack.imag).max()))
+    limit = (np.finfo(float).max / (8.0 * m * m * n ** 4)) ** 0.25
+    if top >= limit:
+        raise Overflow(f"entries up to {top:.3e} overflow the sum-norm check: "
+                       f"||sum d_i d_i*||^2, up to 4 m^2 n^4 t^4 for entries "
+                       f"up to t, stays finite for t below {limit:.3e} at "
+                       f"m = {m}, n = {n}")
     margins = _sum_norm_margins(stack, [len(stack)])[0]
     rep = ConditionReport("sum_norm_estimates")
     for label, value in zip(SUM_NORM_ESTIMATES, margins):

@@ -1669,13 +1669,15 @@ def test_frame_entries_take_no_dense_pair_body(ladder_models, raw_system,
 
 
 def test_powers_past_the_cache_are_taken_by_squaring(cyclic5):
-    # once the index is decided the cache holds U^0..U^{2n+4}; a power past
+    # once grown to its cap the cache holds U^0..U^{2n+4}; a power past
     # it is built from cached powers in O(log k) products, and the cache
     # does not grow
     sys = IsometrySystem(generate_closure([], dim=5), cyclic5.u @ np.diag(
         np.exp(1j * np.arange(5))))
     assert sys.nilpotency_index is None
+    sys.power(2 * sys.dim + 4)
     top = len(sys._powers) - 1
+    assert top == 2 * sys.dim + 4
     ks = [0, 3, top, top + 1, 2 * top + 3, 100, 10 ** 9]
     got = sys.power_stack(ks)
     for k, p in zip(ks, got):

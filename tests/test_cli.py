@@ -1207,3 +1207,29 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path, model):
             (tmp_path / "1-run.json").read_text())["results"]}
         notes = results["gauge_invariance"]["notes"]
         assert ("certified by a gauge generator" in notes) is certified
+
+
+# Prints the top-level modules that importing isoalg and isoalg.cli loads,
+# beyond those the interpreter had loaded at startup.
+IMPORT_DRIVER = """
+import json, sys
+before = set(sys.modules)
+import isoalg, isoalg.cli
+print(json.dumps(sorted({name.partition(".")[0]
+                         for name in set(sys.modules) - before})))
+"""
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # the package is numpy-only: a fresh interpreter that imports it and
+    # its CLI loads no other third-party module, scipy included
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_DRIVER],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = json.loads(proc.stdout)
+    assert "isoalg" in loaded and "numpy" in loaded
+    allowed = set(sys.stdlib_module_names) | {"isoalg", "numpy"}
+    assert [name for name in loaded if name not in allowed] == []

@@ -32,7 +32,7 @@ from isoalg.algebra import (
 )
 from isoalg.cli import main
 
-from conftest import bicommutant, rotated, spans_equal
+from conftest import bicommutant, rotated, spans_equal, weighted_shift
 
 E12 = np.array([[0, 1], [0, 0]], complex)
 
@@ -53,6 +53,36 @@ def test_polar_decompose_examples():
     assert np.array_equal(u, np.zeros((2, 2)))
     assert np.array_equal(abs_a, np.zeros((2, 2)))
     assert is_partial_isometry(u).passed  # U = 0 is a partial isometry
+
+
+def polar_parts_reference(a):
+    """``_polar_parts`` with a*a taken through the checked ``herm_eig``."""
+    a = ia.linalg.as_matrix(a)
+    e = ia.linalg._scale_exponent(a)
+    b = ia.linalg._ldexp(a, -e)
+    w, v = ia.herm_eig(adjoint(b) @ b)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    cut = np.sqrt(len(a) * np.finfo(float).eps) * s[-1]
+    kept = np.where(s > cut, s, 0.0)
+    abs_b = (v * kept) @ adjoint(v)
+    inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
+    u = b @ (v * inv) @ adjoint(v)
+    return (u, ia.linalg._ldexp((abs_b + adjoint(abs_b)) / 2.0, e),
+            np.ldexp(s, e), float(np.ldexp(cut, e)), b)
+
+
+@pytest.mark.parametrize("name", ["p6", "polar07_n24", "p6_rotated",
+                                  "e12_1e-300", "e12_1", "e12_1e+300"])
+def test_polar_parts_match_the_checked_eigensolve(name):
+    # a*a is self-adjoint as formed, so the bare eigensolve gives what the
+    # checked one gives, bit for bit
+    a = {"p6": lambda: weighted_shift(6, 0.5),
+         "polar07_n24": lambda: weighted_shift(24, 0.7),
+         "p6_rotated": lambda: rotated(weighted_shift(6, 0.5), 3)}.get(
+        name, lambda: float(name[4:]) * E12)()
+    got = ia.models._polar_parts(a)
+    for g, w in zip(got, polar_parts_reference(a), strict=True):
+        assert np.array_equal(g, w)
 
 
 def test_polar_decompose_random_roundtrip():

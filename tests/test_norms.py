@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,11 +364,84 @@ def test_sum_norm_sample_without_multi_element_tuples():
         f"{label} (1 tuples)" for label in ia.norms.SUM_NORM_ESTIMATES]
 
 
+def sum_norm_margins_reference(stack, sizes):
+    """``_sum_norm_margins`` with the square roots taken through the
+    checked ``psd_sqrt``."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    dd, dsd = stack @ adjoint(stack), adjoint(stack) @ stack
+    roots = ia.psd_sqrt(np.concatenate([dsd, dd]))
+    sums = [np.add.reduceat(a, starts) for a in (
+        stack, dd, dsd, roots[:len(stack)], roots[len(stack):])]
+    n_sum, n_dd, n_dsd, n_abs, n_sqrt = spectral_norms(np.array(sums))
+    upper = [(n_sum ** 2 - rhs) / np.maximum(1.0, rhs)
+             for rhs in (sizes * n_dd, sizes * n_dsd)]
+    lower = [(rhs - lhs ** 2) / np.maximum(1.0, rhs)
+             for lhs, rhs in ((n_abs, n_dsd / sizes), (n_sqrt, n_dd / sizes))]
+    return np.stack(upper + lower, axis=1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sum_norm_margins_match_the_checked_square_roots(seed):
+    # d*d and dd* are PSD as formed, so the bare square roots give what the
+    # checked ones give, bit for bit, on the sampler's batches
+    rng = np.random.default_rng(seed)
+    dims = {}
+    for _ in range(200):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        z = rng.standard_normal((m, 2, n, n))
+        dims.setdefault(n, []).append(z[:, 0] + 1j * z[:, 1])
+    for tuples in dims.values():
+        stack, sizes = np.concatenate(tuples), [len(d) for d in tuples]
+        assert np.array_equal(ia.norms._sum_norm_margins(stack, sizes),
+                              sum_norm_margins_reference(stack, sizes))
+
+
 @pytest.mark.parametrize("mats", [[], [np.eye(2), np.eye(3)],
                                   np.zeros((2, 2, 3))])
 def test_sum_norm_estimates_rejects_bad_tuples(mats):
     with pytest.raises(ia.DimensionMismatch):
         check_sum_norm_estimates(mats)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_sum_norm_estimates_names_a_non_finite_entry(value):
+    mats = np.ones((3, 2, 2), complex)
+    mats[1, 0, 1] = complex(0.0, value)
+    mats[2, 1, 0] = value
+    with pytest.raises(ia.DimensionMismatch, match=(
+            r"^matrix 1 entry \[0\]\[1\] is not a finite number, got ")):
+        check_sum_norm_estimates(mats)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e100, 1e77])
+def test_sum_norm_estimates_refuses_a_tuple_whose_squares_overflow(scale):
+    # at 1e200 d d* and d* d overflow; from 1e77 on the squares of their
+    # sums, which the spectral norms form, do
+    with pytest.raises(ia.Overflow, match=(
+            rf"^entries up to {re.escape(f'{scale:.3e}')} overflow the "
+            rf"sum-norm check: .* stays finite for t below 2\.434e\+76 at "
+            rf"m = 2, n = 2$")):
+        check_sum_norm_estimates(scale * np.ones((2, 2, 2)))
+
+
+def test_sum_norm_estimates_take_every_tuple_below_the_bound():
+    # the bound is reached by (1 + i) times the all-ones tuple: just below
+    # it every margin is finite, with no RuntimeWarning
+    for m, n in ((1, 1), (2, 3), (5, 8)):
+        top = (np.finfo(float).max / (8.0 * m * m * n ** 4)) ** 0.25
+        ones = np.full((m, n, n), 1 + 1j)
+        rep = check_sum_norm_estimates(np.nextafter(top, 0) * ones)
+        assert np.isfinite([d.value for d in rep.defects]).all()
+        with pytest.raises(ia.Overflow):
+            check_sum_norm_estimates(top * ones)
+
+
+def test_sum_norm_estimates_keep_the_report_of_a_tiny_tuple():
+    # the products underflow to zero: every estimate holds with equality
+    rep = check_sum_norm_estimates(1e-200 * np.ones((2, 2, 2)))
+    assert [d.value for d in rep.defects] == [0.0, 0.0, 0.0, 0.0]
+    assert rep.passed
 
 
 def test_random_normal_forms_is_one_generator_of_draws(qdeform6):
@@ -797,3 +873,23 @@ def test_a_nilpotent_system_with_a_failed_certificate_reports_eta(
     x = random_normal_forms(system, 1, 0)[0]
     with pytest.raises(ia.HypothesisViolated):
         norm_limit(x, 8)
+
+
+def test_the_sampler_hypothesis_keeps_no_power_of_u():
+    # the gauge candidate's sum of the U^{*k}U^k and the nilpotency index
+    # come from one walk that holds one power at a time: on q09 n = 64
+    # (index 64) the hypothesis leaves the build's two cached powers and
+    # retains the generator and one n x n sum, about 0.13 MiB; a cache
+    # grown to the index would hold 65 powers, 4 MiB
+    system = ia.build_qdeform(64, 0.9, "heisenberg").system
+    cached = len(system._powers)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = ia.norms.sampler_hypothesis(system, "coefficient_bound")
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and system.nilpotency_index == 64
+    assert len(system._powers) == cached
+    assert retained < 2 ** 20
