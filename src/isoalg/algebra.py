@@ -58,8 +58,9 @@ of O(d^2 n^3):
 
 An algebra with a frame keeps the frame, its dimension and the ambient
 one, and forms its (d, n, n) basis on first use by a dense consumer, then
-keeps it: ``coordinates`` and ``project`` (the samplers' draw), the
-membership tests (``span_defects``, ``membership``, ``contains``: a
+keeps it: ``coordinates`` and ``project`` (the samplers' draw on a
+system without an exact chain model, below), the membership tests
+(``span_defects``, ``membership``, ``contains``: a
 NormalForm's coefficients, a polar model's a a* test), and the images'
 stack, which only a walk stage that does not close asks for.  So a
 q-model builds and passes ``check_coefficient_algebra`` with no stack, and
@@ -122,6 +123,28 @@ H' = V diag(h) V*; ``IsometrySystem.gauge_generator`` is the candidate
 when both are within tol, and None otherwise.  It needs no frame, so it
 certifies non-commutative systems too.  It certifies exactly the
 nilpotent U, on which alone the coefficient bound holds (``isoalg.norms``).
+
+**Chains.**  On a certified frame system (a frame (V, r), a passed
+coefficient report and a gauge generator) U permutes the blocks along
+chains (``IsometrySystem.chains``).  delta sends each minimal projection
+p_i = V_i V_i* to a minimal projection p_sigma(i) of the same rank, or to
+0: delta(p_i) is a projection of A, and for a minimal q <= delta(p_i),
+U* q U is a nonzero projection of A below p_i, so it is p_i, and two
+such q would give U* delta(p_i) U >= 2 p_i.  sigma is then a partial
+injection of the blocks, acyclic since U is nilpotent, and its chains
+partition them.  A basis of each chain's head, carried along the chain by
+U, splits C^n as the sum over chains of C^L (x) C^r, on which U is the
+shift S (x) 1 and a member a of A is D (x) 1, D the diagonal of its
+block values v_i = <b_i, a> / sqrt(r_i) along the chain.  So C*(A, U) is
+the direct sum of the L x L matrix algebras of its chains, the finite
+acyclic graph algebras
+(I. Raeburn, *Graph Algebras*, CBMS 103, AMS 2005, ch. 1), and the source
+paper's isomorphism theorem in finite dimensions: ||x|| depends on
+(A, delta) alone.  sigma is read from the block masses of V^-1 U V, and
+three premises make that model exact within tol (``CHAIN_PREMISES``):
+||V*V - I||_F, the mass of V^-1 U V off the blocks (sigma(i), i), and the
+distance of the block values of every F_k = U^k U^{*k} from the 0 or 1
+their chain positions give.
 
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
@@ -571,6 +594,52 @@ class FiniteStarAlgebra:
         scaled = np.abs(self.coordinates(stack)) / np.sqrt(self.frame.ranks)
         return scaled.max(axis=1, initial=0.0)
 
+    def block_values(self, stack: np.ndarray) -> np.ndarray:
+        """The block values v_i = <b_i, m> / sqrt(r_i) = tr(V_i* m V_i) / r_i
+        of each matrix m of a (K, n, n) stack, as a (K, d) array, from the
+        frame (V, r) and no basis (frame algebras only): the member
+        sum_i <b_i, m> b_i is V diag(v) V*, diag(v) holding v_i on the
+        columns of block i, as ``members`` forms it.  Column j of V
+        contributes (V* m V)_jj / r_i (``_frame_columns``): one product
+        m V, or, when each column of V has one nonzero entry, at row a_j,
+        |V_{a_j j}|^2 m[a_j, a_j] read off m."""
+        rows, weights, starts = self._frame_columns
+        if rows is None:
+            vecs = self.frame.vecs
+            terms = np.einsum("kaj,aj->kj", stack @ vecs, vecs.conj())
+        else:
+            terms = stack[:, rows, rows]
+        terms *= weights
+        return terms if starts is None else np.add.reduceat(terms, starts,
+                                                            axis=1)
+
+    @cached_property
+    def _frame_columns(self) -> tuple[np.ndarray | None, np.ndarray,
+                                      np.ndarray | None]:
+        """For ``block_values``: the row a_j of the one nonzero entry of
+        each column j of the frame's V (None when a column has more: a
+        q-model's V is a permutation, a rotated model's is dense), the
+        weight of each column, |V_{a_j j}|^2 / r_i or 1 / r_i for column j
+        of block i, and the first column of each block (None when every
+        block has rank 1)."""
+        vecs, ranks = self.frame
+        weights = np.repeat(1.0 / ranks, ranks)
+        rows, starts = None, None
+        if (np.count_nonzero(vecs, axis=0) == 1).all():
+            rows = np.argmax(vecs != 0, axis=0)
+            entries = vecs[rows, np.arange(len(vecs))]
+            weights *= entries.real ** 2 + entries.imag ** 2
+        if len(ranks) < len(vecs):
+            starts = np.cumsum(ranks) - ranks
+        return rows, weights, starts
+
+    def members(self, values: np.ndarray) -> np.ndarray:
+        """V diag(v) V* for each row v of a (K, d) array of block values,
+        as a (K, n, n) stack (frame algebras only)."""
+        vecs, ranks = self.frame
+        cols = np.repeat(values, ranks, axis=1)
+        return (vecs * cols[:, None, :]) @ adjoint(vecs)
+
     @cached_property
     def _frame_gram(self) -> np.ndarray:
         """V*V of the frame: the identity, up to E, for a unitary V."""
@@ -834,6 +903,66 @@ class GaugeGenerator(NamedTuple):
         """H = V diag(h) V*, made exactly self-adjoint."""
         h = (self.vecs * self.potentials) @ adjoint(self.vecs)
         return (h + adjoint(h)) / 2.0
+
+
+# The premises of the chain model, in the order they are measured.
+CHAIN_PREMISES = ("||V*V - I||_F", "mass of V^-1 U V off sigma",
+                  "F_k block values off the chains' 0 or 1")
+
+
+class Chains(NamedTuple):
+    """The chain model of a certified frame system (see "Chains" in the
+    module docstring).  Chain c runs through the blocks ``blocks[c, 0]``,
+    ``blocks[c, 1]``, ... from its head, U sending each to the next; -1
+    pads a chain past its end to the longest length L, and ``positions``
+    gives each block's place on its chain.  ``margins`` holds the measured
+    premises (CHAIN_PREMISES), and ``failed`` names the first that is not
+    within tol, or the structure that sigma lacks, with None when the model
+    is exact within tol; the chains are empty when sigma has no structure.
+
+    ``matrices`` lays out the chain matrices X_c of forms: the form
+    sum_k a_k U^k + sum_k U^{*k} a_{-k} acts on chain c of length L as
+    X_c (x) 1_r, X_c the banded L x L matrix of its coefficients' block
+    values, so ||x|| = max_c ||X_c||."""
+
+    blocks: np.ndarray
+    positions: np.ndarray
+    margins: tuple[float, ...]
+    failed: str | None
+
+    def ranged(self, degrees: np.ndarray) -> np.ndarray:
+        """The (K, d) mask of the blocks in the range of F_|k|, whose
+        chain position is at least |k|, for each degree k."""
+        return self.positions[None, :] >= np.abs(degrees)[:, None]
+
+    def matrices(self, terms) -> np.ndarray:
+        """The chain matrices X_c of forms given as (degrees, block values)
+        ``terms``, one (K, d) array of values per form, as a (g, C, L, L)
+        stack: the entry of X_c at (q, p), q - p = k, is the degree-k value
+        of the block at position max(p, q) of chain c (the coefficient's
+        value where U^k or U^{*|k|} enters that block), and 0 elsewhere."""
+        count, (chains, length) = len(terms), self.blocks.shape
+        out = np.zeros((count, chains, length, length), dtype=complex)
+        degrees = np.concatenate([np.zeros(0, int)]
+                                 + [k for k, _ in terms])
+        if not degrees.size:
+            return out
+        values = np.concatenate([v for _, v in terms])
+        owner = np.repeat(np.arange(count), [len(k) for k, _ in terms])
+        at = values[:, np.maximum(self.blocks, 0)]  # (K, C, L)
+        at[:, self.blocks < 0] = 0.0
+        term, t = np.nonzero(np.arange(length) >= np.abs(degrees)[:, None])
+        k = degrees[term]
+        rows, cols = t - np.maximum(-k, 0), t - np.maximum(k, 0)
+        every = np.arange(chains)
+        out[owner[term, None], every, rows[:, None], cols[:, None]] = (
+            at[term, :, t])
+        return out
+
+    def norms(self, terms) -> np.ndarray:
+        """||x|| = max_c ||X_c|| of each form of ``terms`` (as for
+        ``matrices``), in one batched eigensolve."""
+        return spectral_norms(self.matrices(terms)).max(axis=1)
 
 
 class IsometrySystem:
@@ -1119,6 +1248,69 @@ class IsometrySystem:
         gen = self.gauge_candidate
         certified = gen.residual <= self.tol and gen.commutation <= self.tol
         return gen if certified else None
+
+    @cached_property
+    def chains(self) -> Chains | None:
+        """The chain model of a certified frame system: a frame algebra,
+        a passed coefficient report and a gauge generator; None on any
+        other system.  sigma sends block i to the row block j of V^-1 U V
+        that holds more than r_i / 2 of the mass of its column block i,
+        when one does; the chains start at the blocks outside its image.
+        The premises (CHAIN_PREMISES) are ||E||_F, E = V*V - I; the
+        Frobenius mass of V^-1 U V off the blocks (sigma(i), i); and the
+        largest distance of the block values ||U^{*k} V_i||_F^2 / r_i of
+        F_k = U^k U^{*k}, k = 1 to the nilpotency index K less one, from
+        [position of block i >= k], by one product
+        U^{*k} V = U* U^{*(k-1)} V a step.  sigma must be a rank-preserving
+        partial injection of the blocks without a cycle; when it is not,
+        ``failed`` says so and the third premise is not measured."""
+        alg, tol = self.algebra, self.tol
+        if (alg.frame is None or not self.coefficient_report.passed
+                or self.gauge_generator is None):
+            return None
+        vecs, ranks = alg.frame
+        d = len(ranks)
+        tilde = alg._frame_inverse @ self._images(alg, False)._factors
+        mass = _block_sums(np.abs(tilde) ** 2, ranks)  # [j, i]: i into j
+        to = np.argmax(mass, axis=0)
+        onto = mass[to, np.arange(d)] > ranks / 2.0
+        sigma = np.where(onto, to, -1)
+        mass[to[onto], np.flatnonzero(onto)] = 0.0
+        margins = (float(np.linalg.norm(alg._frame_gram - np.eye(self.dim))),
+                   float(np.sqrt(mass.sum())))
+        image = sigma[onto]
+        if (np.bincount(image, minlength=d).max() > 1
+                or (ranks[image] != ranks[onto]).any()):
+            return Chains(np.zeros((0, 0), int), np.zeros(d, int), margins,
+                          "sigma is not a rank-preserving partial injection "
+                          "of the blocks")
+        chains = []
+        for head in sorted(set(range(d)) - set(image.tolist())):
+            chains.append([head])
+            while sigma[chains[-1][-1]] >= 0:
+                chains[-1].append(int(sigma[chains[-1][-1]]))
+        if sum(map(len, chains)) < d:
+            return Chains(np.zeros((0, 0), int), np.zeros(d, int), margins,
+                          "sigma has a cycle of blocks")
+        length = max(map(len, chains))
+        blocks = np.full((len(chains), length), -1)
+        positions = np.empty(d, dtype=int)
+        for c, chain in enumerate(chains):
+            blocks[c, :len(chain)] = chain
+            positions[chain] = np.arange(len(chain))
+        starts, ustar = np.cumsum(ranks) - ranks, adjoint(self.u)
+        index = self.nilpotency_index or 2 * self.dim + 4
+        off, y = 0.0, vecs
+        for k in range(1, index):
+            y = ustar @ y
+            f = np.add.reduceat(np.einsum("ij,ij->j", y.conj(), y).real,
+                                starts) / ranks
+            off = max(off, float(np.abs(f - (positions >= k)).max()))
+        margins += (off,)
+        failed = next((f"{name} = {m:.3e} exceeds tol {tol:.1e}"
+                       for name, m in zip(CHAIN_PREMISES, margins)
+                       if not m <= tol), None)
+        return Chains(blocks, positions, margins, failed)
 
     @cached_property
     def delta_walk(self) -> Walk:

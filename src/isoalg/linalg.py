@@ -50,12 +50,24 @@ def _scale_exponent(m: np.ndarray) -> int:
     return int(np.frexp(top)[1])
 
 
-def _ldexp(m: np.ndarray, e: int) -> np.ndarray:
+def _scale_exponents(stack: np.ndarray) -> np.ndarray:
+    """``_scale_exponent`` of each matrix of a stack (..., n, n), as an
+    integer array."""
+    top = np.maximum(np.abs(stack.real).max(axis=(-2, -1), initial=0.0),
+                     np.abs(stack.imag).max(axis=(-2, -1), initial=0.0))
+    far = np.isfinite(top) & (top != 0.0) & (
+        (top < 2.0 ** -128) | (top > 2.0 ** 128))
+    return np.where(far, np.frexp(top)[1], 0)
+
+
+def _ldexp(m: np.ndarray, e) -> np.ndarray:
     """m 2^e for complex m, exact while no entry leaves the normal range;
-    m itself for e = 0."""
-    if e == 0:
+    m itself for e = 0.  ``e`` is one exponent, or an array of one per
+    matrix of a stack m."""
+    if not np.any(e):
         return m
     m = np.ascontiguousarray(m, dtype=complex)
+    e = np.asarray(e)[..., None, None]
     return np.ldexp(m.view(float), e).view(complex)
 
 
@@ -104,10 +116,20 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a stack of shape (..., n, n),
-    via the eigenvalues of adjoint(m) @ m, in one batched eigensolve."""
+    via the eigenvalues of adjoint(m) @ m, in one batched eigensolve.  A
+    matrix whose largest part leaves [2^-128, 2^128] is squared as m 2^-e
+    (``_scale_exponents``) and its norm scaled back by 2^e, exactly, so
+    that its square neither overflows nor underflows; e = 0 inside.  A
+    stack whose nonzero largest moduli all lie in [2^-127, 2^128), where
+    every largest part lies in that range, takes e = 0 at once."""
     stack = np.asarray(stack)
+    exps = np.frexp(np.abs(stack).max(axis=(-2, -1), initial=0.0))[1]
+    e = 0
+    if exps.min(initial=0) < -126 or exps.max(initial=0) > 128:
+        e = _scale_exponents(stack)
+        stack = _ldexp(stack, -e)
     top = np.linalg.eigvalsh(adjoint(stack) @ stack)[..., -1]
-    return np.sqrt(np.maximum(top, 0.0))
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -20,6 +20,11 @@ stack; the validation body (:func:`_canonical_terms`) also takes the terms
 of many forms in one stack.  Each form also keeps the represented matrix,
 the sum of its monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), read-only,
 forms the stack of its monomials only for a product, and caches its norm.
+On a system whose chain model is exact (:func:`chain_model`) a form also
+has the (K, d) block values of its coefficients, which the samplers read:
+a drawn form holds them alone, and forms its coefficient stack and matrix
+on first use; any other form reads them off its stack when asked.  Its
+norm is then the largest norm of its chain matrices.
 
 The product is a convolution of monomials over the degree axis: the
 degree-d monomial of xy is the sum of X_j Y_k over j + k = d, and its
@@ -54,7 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as _expr
-from .algebra import IsometrySystem
+from .algebra import Chains, IsometrySystem
 from .errors import (
     CoefficientEscape,
     DimensionMismatch,
@@ -78,6 +83,14 @@ from .report import ConditionReport
 
 # Degrees lie in -_DEGREE_TOP.._DEGREE_TOP, one short of the int64 end.
 _DEGREE_TOP = int(np.iinfo(np.int64).max) - 1
+
+
+def chain_model(system: IsometrySystem) -> Chains | None:
+    """The system's chain model (``IsometrySystem.chains``) when it is
+    exact within tol, the only case in which forms are measured on it;
+    None otherwise."""
+    chains = system.chains
+    return chains if chains is not None and chains.failed is None else None
 
 
 def _require_coefficient_system(system: IsometrySystem) -> None:
@@ -210,6 +223,33 @@ class NormalForm:
         matrix.flags.writeable = False
         return x
 
+    @classmethod
+    def _from_values(cls, system: IsometrySystem, degrees: np.ndarray,
+                     values: np.ndarray, norms: np.ndarray) -> "NormalForm":
+        """A form of a chain system (``IsometrySystem.chains``) from the
+        (K, d) block values of range-normalized members of the algebra, in
+        ascending degree order, and their Frobenius norms
+        sqrt(sum_i r_i |v_i|^2): its coefficients, matrix and monomials are
+        formed on first use."""
+        x = cls.__new__(cls)
+        x.system = system
+        x._degrees, x._values, x._norms = degrees, values, norms
+        return x
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """The coefficient stack of a form made ``_from_values``, V diag(v)
+        V* per block values v (``FiniteStarAlgebra.members``); every other
+        form holds its stack from the start."""
+        return self.system.algebra.members(self._values)
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The (K, d) block values of the coefficients on a frame system
+        (``FiniteStarAlgebra.block_values``), for a form made with its
+        stack."""
+        return self.system.algebra.block_values(self._coeffs)
+
     # -- access ------------------------------------------------------------
 
     def degrees(self) -> tuple[int, ...]:
@@ -242,9 +282,14 @@ class NormalForm:
 
     @cached_property
     def norm(self) -> float:
-        """The operator norm ||x|| of the represented matrix (measured for
-        many forms at once by ``norms._operator_norms``)."""
-        return spectral_norm(self.eval())
+        """The operator norm ||x|| of the represented matrix: on a system
+        whose chain model is exact (``chain_model``), the largest norm of
+        its chain matrices, else the norm of the matrix (measured for many
+        forms at once by ``norms._operator_norms``)."""
+        chains = chain_model(self.system)
+        if chains is None:
+            return spectral_norm(self.eval())
+        return float(chains.norms([(self._degrees, self._values)])[0])
 
     def eval(self) -> np.ndarray:
         """The represented matrix, sum of all degree terms, read-only."""

@@ -48,27 +48,59 @@ powers are never built as canonical forms.  The gauge action is
 conjugation by W_lam = lam^H, with H = V diag(h) V* the certified
 generator (``IsometrySystem.gauge_generator``), and N_0 is the compression
 onto the eigenspaces of H: N_0(y) = V (mask o V*yV) V* with
-mask_ij = [h_i = h_j].  :func:`norm_limit` squares P = xx*/||x||^2 of
-the forms as (g, n, n) stacks in the eigenbasis of H, and the N_0 of
-those forms are tested for membership in the algebra as one stack.
+mask_ij = [h_i = h_j].
 
 The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
 each takes (system, forms), a list of forms of that system with at least
-one nonzero form, and none reads another's report: on a certified system the bound is a theorem.
-The draw is validated through the NormalForm constructor's body in chunks
-(``_chunks``, which also cut the two samplers' stacks), each holding its
-stack and at most one more copy at a time; a form keeps its coefficients,
-its matrix and ||x|| (one eigensolve per chunk), read by all three samplers.
+one nonzero form, and none reads another's report: on a certified system
+the bound is a theorem.  They measure one of two paths, and on a frame
+system their reports note which (:func:`_path_note`).
+
+**The chain path.**  On a certified frame system whose chain model is
+exact within tol (``IsometrySystem.chains``, the model and its premises
+in the ``isoalg.algebra`` docstring; :func:`~isoalg.normalform.chain_model`),
+C*(A, U) is the direct sum over the chains of L x L matrix algebras, U the
+shift and a member of A the diagonal of its block values along each chain.
+A form acts on chain c as X_c (x) 1_r, X_c the banded L x L matrix of its
+coefficients' block values (``Chains.matrices``), so:
+
+- the draw keeps its RNG calls and their order, and reads each raw draw's
+  block values v_i = tr(V_i* z V_i) / r_i, the coordinates of its
+  projection into A, before it draws the next; range normalization by
+  F_k = U^k U^{*k} keeps the blocks at chain positions >= |k|; a member's
+  Frobenius norm is sqrt(sum_i r_i |v_i|^2), on which the drop rule acts;
+  membership holds by construction.  A form holds its degrees and (K, d)
+  block values, and forms its coefficients and matrix on first use;
+- ||x|| = max_c ||X_c||, and ||a_k|| = max_i |v_i| (within ||E|| of the
+  ambient norm, E = V*V - I);
+- the gauge bound takes ||a_k||_F <= sqrt(sum_i r_i |v_i|^2)(1 + ||E||_F);
+- the norm limit squares X_c X_c* / ||x||^2, whose positions carry
+  distinct gauge potentials, so N_0 of every stage is its diagonal, a
+  member of A by construction.
+
+**The dense path.**  Every other system (no frame, or a premise that
+fails) is measured on n x n matrices: the draw projects its raw draws into
+the algebra and validates them through the NormalForm constructor's body,
+||x|| is an eigensolve of the form's matrix, and :func:`norm_limit` squares
+P = xx*/||x||^2 of the forms as (g, n, n) stacks in the eigenbasis of H
+and tests their N_0 for membership in the algebra as one stack.
+
+Either way the draw is validated in chunks (``_chunks``, which also cut
+the samplers' stacks), each holding, on the dense path, its stack and at
+most one more copy at a time, and on the chain path one raw draw and the
+chunk's block values; ||x|| is one eigensolve per chunk, cached on the
+form and read by all three samplers.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GaugeGenerator, IsometrySystem
+from .algebra import CHAIN_PREMISES, Chains, GaugeGenerator, IsometrySystem
 from .errors import (
     CoefficientEscape,
     DimensionMismatch,
@@ -89,6 +121,7 @@ from .normalform import (
     _canonical_terms,
     _monomial_stack,
     _require_coefficient_system,
+    chain_model,
 )
 from .report import ConditionReport
 
@@ -140,14 +173,32 @@ def _chunks(items, size, dim: int):
 
 def _operator_norms(forms: list[NormalForm]) -> np.ndarray:
     """||x|| of each form, one batched eigensolve per chunk (``_chunks``)
-    of the forms not yet measured, whose values every ``x.norm`` reads."""
+    of the forms not yet measured, whose values every ``x.norm`` reads:
+    of their chain matrices on a system whose chain model is exact
+    (``chain_model``), of their matrices otherwise."""
     todo = [x for x in forms if "norm" not in vars(x)]
     if todo:
-        for chunk in _chunks(todo, lambda x: 1, todo[0].system.dim):
-            values = spectral_norms(np.array([x.eval() for x in chunk]))
+        system = todo[0].system
+        chains = chain_model(system)
+        if chains is None:
+            size, dim = (lambda x: 1), system.dim
+        else:
+            size, dim = (lambda x: len(chains.blocks)), chains.blocks.shape[1]
+        for chunk in _chunks(todo, size, dim):
+            if chains is None:
+                values = spectral_norms(np.array([x.eval() for x in chunk]))
+            else:
+                values = chains.norms([(x._degrees, x._values)
+                                       for x in chunk])
             for x, value in zip(chunk, values):
                 vars(x)["norm"] = float(value)  # prime the cached property
     return np.array([x.norm for x in forms], dtype=float)
+
+
+def _value_norms(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """sqrt(sum_i r_i |v_i|^2) of each row v of a (K, d) array of block
+    values: the Frobenius norm of V diag(v) V* for a unitary V."""
+    return np.sqrt(((values.real ** 2 + values.imag ** 2) * ranks).sum(axis=1))
 
 
 def _centred(count: int) -> np.ndarray:
@@ -155,27 +206,60 @@ def _centred(count: int) -> np.ndarray:
     return np.arange(count) - count // 2
 
 
+def _draws(system: IsometrySystem, rng: np.random.Generator, count: int):
+    """``count`` raw draws (``_draw``) from ``rng``; on a system whose
+    chain model is exact (``chain_model``) each is held only until its
+    (2N + 1, d) block values (``FiniteStarAlgebra.block_values``) are
+    read, which stand for it."""
+    chains = chain_model(system)
+    for _ in range(count):
+        z = _draw(system, rng)
+        yield z if chains is None else system.algebra.block_values(z)
+
+
 def _validated(system: IsometrySystem,
                draws: list[np.ndarray]) -> list[NormalForm]:
-    """The forms of raw draws (``_draw``), validated as one stack: one
-    projection into the coefficient algebra, one pass of the NormalForm
-    validation body with each form's own drop scale, in place, then one
-    monomial pass, summed per form.  ``draws`` is emptied once concatenated."""
+    """The forms of a chunk of ``_draws``, validated as one stack:
+
+    - on a chain system, in block coordinates: the Frobenius norm of a
+      member is sqrt(sum_i r_i |v_i|^2), range normalization keeps the
+      blocks in the range of F_|k| (``Chains.ranged``), and the drop rule
+      compares the normalized norms with each form's largest input one;
+      membership holds by construction.  A form keeps its degrees and
+      block values (``NormalForm._from_values``);
+    - on any other system, one projection into the coefficient algebra,
+      one pass of the NormalForm validation body with each form's own
+      drop scale, in place, then one monomial pass, summed per form.
+
+    ``draws`` is emptied once concatenated."""
     _require_coefficient_system(system)
+    chains = chain_model(system)
     count, sizes = len(draws), np.array([len(z) for z in draws])
+    starts = np.cumsum(sizes) - sizes
     degrees = np.concatenate([_centred(k) for k in sizes])
     owner = np.repeat(np.arange(count), sizes)
     stack = np.concatenate(draws)
     draws.clear()
-    stack = system.algebra.project(stack)
     # each form drops against its own largest input coefficient
-    scale = np.maximum.reduceat(_frobenius_norms(stack),
-                                np.cumsum(sizes) - sizes)
-    keep, stack, norms = _canonical_terms(system, stack, degrees, scale[owner])
+    if chains is None:
+        stack = system.algebra.project(stack)
+        scale = np.maximum.reduceat(_frobenius_norms(stack), starts)
+        keep, stack, norms = _canonical_terms(system, stack, degrees,
+                                              scale[owner])
+    else:
+        ranks = system.algebra.frame.ranks
+        scale = np.maximum.reduceat(_value_norms(stack, ranks), starts)
+        stack *= chains.ranged(degrees)
+        norms = _value_norms(stack, ranks)
+        keep = norms > system.tol * scale[owner]
+        stack, norms = stack[keep], norms[keep]
     degrees = degrees[keep]
     ends = np.cumsum(np.bincount(owner[keep], minlength=count)).tolist()
-    monomials = _monomial_stack(system, stack, degrees)
     bounds = list(zip([0] + ends[:-1], ends))
+    if chains is not None:
+        return [NormalForm._from_values(system, degrees[a:b], stack[a:b],
+                                        norms[a:b]) for a, b in bounds]
+    monomials = _monomial_stack(system, stack, degrees)
     # one sum per form, in NormalForm.eval's order (not np.add.reduceat's),
     # stacked once the monomials are freed, which fragments the heap less
     sums = [monomials[a:b].sum(axis=0) for a, b in bounds]
@@ -189,8 +273,9 @@ def random_normal_form(system: IsometrySystem,
                        rng: np.random.Generator) -> NormalForm:
     """Draw a random canonical form: the coefficients of :func:`_draw`,
     projected into the coefficient algebra and validated (range-normalized,
-    dropped or tested for membership) as a NormalForm is."""
-    return _validated(system, [_draw(system, rng)])[0]
+    dropped or tested for membership) as a NormalForm is; on a chain system
+    in block coordinates (:func:`_validated`)."""
+    return _validated(system, list(_draws(system, rng, 1)))[0]
 
 
 def random_normal_forms(system: IsometrySystem, count: int,
@@ -200,14 +285,16 @@ def random_normal_forms(system: IsometrySystem, count: int,
     all (a prefix is what a smaller count would draw).
 
     The draws are validated in consecutive chunks of forms whose
-    coefficients fit DRAW_CHUNK_BYTES (at least one form each), so the
-    memory a draw holds beyond its forms (coefficients and one matrix each)
-    is bounded.  The forms are successive random_normal_form draws: bit for
-    bit where BLAS rounds each row of a chunk's projection as it rounds a
-    single form's, else up to rounding."""
+    coefficients fit DRAW_CHUNK_BYTES as n x n matrices (at least one form
+    each), so the memory a draw holds beyond its forms is bounded: on a
+    chain system one raw draw and the chunk's block values, elsewhere the
+    chunk's coefficients and one more copy.  The forms are successive
+    random_normal_form draws: on a chain system bit for bit, elsewhere bit
+    for bit where BLAS rounds each row of a chunk's projection as it rounds
+    a single form's, else up to rounding."""
     rng = np.random.default_rng(seed)
-    draws = (_draw(system, rng) for _ in range(count))
-    return [x for chunk in _chunks(draws, len, system.dim)
+    return [x for chunk in _chunks(_draws(system, rng, count), len,
+                                   system.dim)
             for x in _validated(system, chunk)]
 
 
@@ -233,6 +320,25 @@ def sampler_hypothesis(system: IsometrySystem, name: str) -> ConditionReport:
     return rep
 
 
+def _path_note(system: IsometrySystem) -> list[str]:
+    """The note that names the path a certified frame system's samplers
+    take (none for a system without a frame): the chains and the margins
+    of the chain model's premises, or the premise or structure that failed
+    and sent the system to the dense path."""
+    chains = system.chains
+    if chains is None:
+        return []
+    if chains.failed is not None:
+        return [f"dense path: {chains.failed}"]
+    lengths = np.count_nonzero(chains.blocks >= 0, axis=1)
+    counts = sorted(collections.Counter(lengths.tolist()).items(),
+                    reverse=True)
+    shape = ", ".join(f"{c} of length {n}" for n, c in counts)
+    margins = ", ".join(f"{name} = {m:.3e}"
+                        for name, m in zip(CHAIN_PREMISES, chains.margins))
+    return [f"chain model, chains: {shape}; premises: {margins}"]
+
+
 def _require_sample(system: IsometrySystem, forms: list[NormalForm]) -> None:
     """Refuse an empty sample and a sample in which no form has a stored
     coefficient, over either of which a sampler would pass measuring
@@ -242,7 +348,7 @@ def _require_sample(system: IsometrySystem, forms: list[NormalForm]) -> None:
         raise ValueError("forms is empty: a sampler needs at least one form")
     if any(x.system is not system for x in forms):
         raise SystemMismatch("a sampled form is built over another system")
-    if not any(len(x.coefficients) for x in forms):
+    if not any(x._degrees.size for x in forms):
         raise ValueError("every sampled form is zero: a sampler needs a "
                          "form with a stored coefficient")
 
@@ -254,20 +360,23 @@ def sample_coefficient_bound(system: IsometrySystem,
 
     The reported defect is the worst margin max_k ||a_k|| - ||x|| over all
     samples (negative when the bound holds strictly).  ||x|| is a batched
-    eigensolve per chunk.  When the algebra has a frame (V, r), with
-    basis b_i = V_i V_i* / sqrt(r_i), the norms of all coefficients are one
-    flat product: a = sum_i c_i b_i + (a - sum_i c_i b_i) with
-    c_i = <b_i, a>, and sum_i c_i b_i = V D V* with D = c_i / sqrt(r_i) on
-    block i.  With E = V*V - I (``_frame_gram``), ||V D V*|| lies within
-    the factors 1 +- ||E|| of ||D|| = max_i |c_i| / sqrt(r_i), so
+    eigensolve per chunk (:func:`_operator_norms`).  When the algebra has a
+    frame (V, r), with basis b_i = V_i V_i* / sqrt(r_i), a coefficient is
+    a = sum_i c_i b_i + (a - sum_i c_i b_i) with c_i = <b_i, a>, and
+    sum_i c_i b_i = V D V* with D = v_i = c_i / sqrt(r_i) on block i, its
+    block values.  With E = V*V - I (``_frame_gram``), ||V D V*|| lies
+    within the factors 1 +- ||E|| of ||D|| = max_i |v_i|, so
 
-        | ||a|| - max_i |c_i| / sqrt(r_i) |
-            <= dist(a, A) + ||E|| max_i |c_i| / sqrt(r_i),
+        | ||a|| - max_i |v_i| | <= dist(a, A) + ||E|| max_i |v_i|,
 
     where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
-    each coefficient passed when it was validated.  Without a frame the
-    coefficient norms are one batched eigensolve, a chunk (``_chunks``) at a
-    time.  The note gives the largest degree of the measured forms.
+    each coefficient passed when it was validated (0 for a drawn form of a
+    chain system, which holds its block values).  On a system whose chain
+    model is exact the norms are read from the block values; on another
+    frame system the coordinates are one flat product, and without a frame
+    the norms are one batched eigensolve, a chunk (``_chunks``) at a time.
+    The notes give the largest degree of the measured forms and, on a
+    frame system, the path (:func:`_path_note`).
 
     On a system that fails :func:`sampler_hypothesis` the report is that
     hypothesis alone.
@@ -278,7 +387,28 @@ def sample_coefficient_bound(system: IsometrySystem,
     if not rep.passed:
         return rep
     norm_x = _operator_norms(forms)
-    coeffs = [x.coefficients for x in forms]
+    if chain_model(system) is None:
+        norms = _member_norms(system, [x.coefficients for x in forms])
+    else:
+        norms = np.abs(np.concatenate([x._values for x in forms])).max(
+            axis=1, initial=0.0)
+    degrees = np.concatenate([x._degrees for x in forms])
+    margins = norms - np.repeat(norm_x, [x._degrees.size for x in forms])
+    # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
+    worst_zero = np.concatenate([-norm_x, margins[degrees == 0]]).max()
+    worst_any = margins.max(initial=-np.inf)
+    rep.add(f"||a_0|| - ||x|| over {len(forms)} samples", worst_zero, tol)
+    rep.add(f"max_k ||a_k|| - ||x|| over {len(forms)} samples", worst_any, tol)
+    rep.note(f"max degree = {int(np.abs(degrees).max(initial=0))}")
+    for note in _path_note(system):
+        rep.note(note)
+    return rep
+
+
+def _member_norms(system: IsometrySystem,
+                  coeffs: list[np.ndarray]) -> np.ndarray:
+    """||a|| of every coefficient of the forms' (K, n, n) ``coeffs``, by
+    ``FiniteStarAlgebra.member_norms``, a chunk (``_chunks``) at a time."""
     chunks: list[list[np.ndarray]] = []
     for chunk in _chunks(coeffs, len, system.dim):
         # BLAS may round one row (matrix-vector) otherwise than many: a
@@ -288,17 +418,8 @@ def sample_coefficient_bound(system: IsometrySystem,
             chunks[-1] += chunk
         else:
             chunks.append(chunk)
-    norms = np.concatenate([system.algebra.member_norms(np.concatenate(c))
-                            for c in chunks])
-    margins = norms - np.repeat(norm_x, [len(c) for c in coeffs])
-    degrees = np.array([k for x in forms for k in x.degrees()], dtype=int)
-    # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
-    worst_zero = np.concatenate([-norm_x, margins[degrees == 0]]).max()
-    worst_any = margins.max(initial=-np.inf)
-    rep.add(f"||a_0|| - ||x|| over {len(forms)} samples", worst_zero, tol)
-    rep.add(f"max_k ||a_k|| - ||x|| over {len(forms)} samples", worst_any, tol)
-    rep.note(f"max degree = {max(x.max_degree for x in forms)}")
-    return rep
+    return np.concatenate([system.algebra.member_norms(np.concatenate(c))
+                           for c in chunks])
 
 
 def _sum_norm_margins(stack: np.ndarray, sizes) -> np.ndarray:
@@ -452,6 +573,36 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
     return n0, exps
 
 
+def _chain_n0(chains: Chains, forms: list[NormalForm], norms: np.ndarray,
+              stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """||N_0|| of xx* and of its ``stages`` successive squares for g forms
+    of a system whose chain model is exact, as a (g, stages + 1) array, and
+    the (g, stages + 1) exponents e: each stage's norm is 2^e times its
+    entry.  On chain c, xx*/||x||^2 is P_c = X_c X_c* / ||x||^2, and its
+    powers are those of the P_c; every position of a chain is one block,
+    of its own gauge potential, so N_0 keeps the diagonal of each P_c, and
+    ||N_0|| is its largest modulus.  A square whose largest entry leaves
+    [2^-256, 2^256] is rescaled by an exact power of two, as in
+    :func:`_compressed_n0`."""
+    x = chains.matrices([(f._degrees, f._values) for f in forms])
+    x /= norms[:, None, None, None]
+    p = x @ adjoint(x)
+    del x
+    out = np.empty((len(forms), stages + 1))
+    exps = np.zeros((len(forms), stages + 1))
+    out[:, 0] = np.abs(np.diagonal(p, axis1=2, axis2=3)).max(axis=(1, 2))
+    for j in range(1, stages + 1):
+        np.matmul(p, p, out=p)
+        top = np.abs(p).max(axis=(1, 2, 3))
+        far = (top < 2.0 ** -256) | (top > 2.0 ** 256)
+        shift = np.frexp(top[far])[1]
+        p[far] *= np.exp2(-shift)[:, None, None, None]
+        exps[:, j] = 2 * exps[:, j - 1]
+        exps[far, j] += shift
+        out[:, j] = np.abs(np.diagonal(p, axis1=2, axis2=3)).max(axis=(1, 2))
+    return out, exps
+
+
 def _doubling_schedule(k_max: int) -> list[int]:
     """k = 1, 2, 4, ... up to k_max: the stages of the norm limit."""
     if k_max < 1:
@@ -464,30 +615,43 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int
     """The body of :func:`norm_limit`, for one form or a whole sample of
     forms over one certified system.
 
-    The live forms of a chunk (``_chunks``) are squared together as one
-    (g, n, n) stack in the eigenbasis of H (:func:`_compressed_n0`), and
-    their N_0 are tested for membership and normed in one call each.  A
-    zero form gets a zero trace.  CoefficientEscape is raised for the first
-    offending form in input order, with the message that form alone gives."""
+    On a system whose chain model is exact the live forms of a chunk
+    (``_chunks``) are squared together as their chain matrices
+    (:func:`_chain_n0`), whose N_0 are members by construction.  Otherwise
+    they are squared as one (g, n, n) stack in the eigenbasis of H
+    (:func:`_compressed_n0`), and their N_0 are tested for membership and
+    normed in one call each; CoefficientEscape is raised for the first
+    offending form in input order, with the message that form alone gives.
+    A zero form gets a zero trace."""
     schedule = _doubling_schedule(k_max)
     direct = _operator_norms(forms)
     system, stage_norms = forms[0].system, {}
-    n = system.dim
+    chains, n = chain_model(system), system.dim
     live = np.flatnonzero(direct != 0.0).tolist()
-    for chunk in _chunks(live, lambda i: len(schedule) + 1, n):
-        stack, exps = _compressed_n0([forms[i] for i in chunk], direct[chunk],
-                                     system.gauge_generator, len(schedule))
-        flat = stack.reshape(-1, n, n)
-        inside, defects = (a.reshape(stack.shape[:2])
-                           for a in system.algebra.membership(flat))
-        for ins, dfs in zip(inside, defects):
-            if not ins.all():
-                k = int(np.argmin(ins))
-                power = "xx*" if k == 0 else f"(xx*)^{2 * schedule[k - 1]}"
-                raise CoefficientEscape(f"N_0[{power}] is outside the "
-                                        f"algebra (defect {dfs[k]:.3e})")
-        stage_norms.update(zip(chunk, zip(
-            spectral_norms(flat).reshape(stack.shape[:2]), exps)))
+    if chains is not None:
+        for chunk in _chunks(live, lambda i: len(chains.blocks),
+                             chains.blocks.shape[1]):
+            stage_norms.update(zip(chunk, zip(*_chain_n0(
+                chains, [forms[i] for i in chunk], direct[chunk],
+                len(schedule)))))
+    else:
+        for chunk in _chunks(live, lambda i: len(schedule) + 1, n):
+            stack, exps = _compressed_n0([forms[i] for i in chunk],
+                                         direct[chunk],
+                                         system.gauge_generator,
+                                         len(schedule))
+            flat = stack.reshape(-1, n, n)
+            inside, defects = (a.reshape(stack.shape[:2])
+                               for a in system.algebra.membership(flat))
+            for ins, dfs in zip(inside, defects):
+                if not ins.all():
+                    k = int(np.argmin(ins))
+                    power = ("xx*" if k == 0
+                             else f"(xx*)^{2 * schedule[k - 1]}")
+                    raise CoefficientEscape(f"N_0[{power}] is outside the "
+                                            f"algebra (defect {dfs[k]:.3e})")
+            stage_norms.update(zip(chunk, zip(
+                spectral_norms(flat).reshape(stack.shape[:2]), exps)))
 
     traces = []
     for i, x in enumerate(forms):
@@ -508,12 +672,24 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int
 
 def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
                           dim: int) -> np.ndarray:
-    """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F of each form, from the
-    Frobenius norms stored on it: the bound on the norm deviation over the
-    whole circle that :func:`gauge_invariance_sample` proves."""
-    owner = np.repeat(np.arange(len(forms)), [len(x._norms) for x in forms])
+    """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F of each form: the bound
+    on the norm deviation over the whole circle that
+    :func:`gauge_invariance_sample` proves.  ||a_k||_F is the Frobenius
+    norm stored on the form; on a system whose chain model is exact it is
+    bounded from the block values v of a_k = V diag(v) V* by
+    sqrt(sum_i r_i |v_i|^2) (1 + ||E||_F), E = V*V - I, since
+    ||V diag(v) V*||_F <= ||V||^2 ||diag(v)||_F and
+    ||V||^2 = ||I + E|| <= 1 + ||E||_F."""
+    system = forms[0].system
+    chains = chain_model(system)
+    owner = np.repeat(np.arange(len(forms)), [len(x._degrees) for x in forms])
     degrees = np.concatenate([np.zeros(0, int)] + [x._degrees for x in forms])
-    fro = np.concatenate([np.zeros(0)] + [x._norms for x in forms])
+    if chains is None:
+        fro = np.concatenate([np.zeros(0)] + [x._norms for x in forms])
+    else:
+        fro = _value_norms(np.concatenate([x._values for x in forms]),
+                           system.algebra.frame.ranks) * (
+            1.0 + chains.margins[0])
     weights = (np.abs(degrees) * gen.residual
                + np.sqrt(dim) * gen.commutation) * fro
     return np.pi * np.bincount(owner, weights, minlength=len(forms))
@@ -572,6 +748,8 @@ def gauge_invariance_sample(system: IsometrySystem,
             f"samples", float((bounds / np.maximum(1.0, norms)).max(
                 initial=0.0)), tol)
     rep.note("certified by a gauge generator")
+    for note in _path_note(system):
+        rep.note(note)
     return rep
 
 
@@ -617,6 +795,8 @@ def norm_limit_sample(system: IsometrySystem, forms: list[NormalForm], *,
     rep.add("first-stage sandwich", worst_sandwich, NORM_LIMIT_SLACK)
     rep.add(f"convergence at k = {_doubling_schedule(k_max)[-1]}",
             worst_conv, NORM_LIMIT_REL_TOL)
+    for note in _path_note(system):
+        rep.note(note)
     return rep, traces
 
 

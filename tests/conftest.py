@@ -117,6 +117,15 @@ def traced_peak(fn):
     return out, peak
 
 
+def exact_chain_note(length):
+    """The samplers' path note on a system whose chain model is one chain
+    of ``length`` blocks with every premise exactly 0, as on the q-models
+    of the Heisenberg weight."""
+    return (f"chain model, chains: 1 of length {length}; premises: "
+            "||V*V - I||_F = 0.000e+00, mass of V^-1 U V off sigma = "
+            "0.000e+00, F_k block values off the chains' 0 or 1 = 0.000e+00")
+
+
 def gauged_matrices(x, lams):
     """Oracle: the matrices of x gauged at every lam of ``lams``, as one
     (len(lams), n, n) stack: the phases lam^k applied to the monomial stack
@@ -162,6 +171,33 @@ def norm_limit_stack_body(x, k_max):
     s_values = [direct * s ** (1.0 / (4 * k))
                 for k, s in zip(schedule, norms[1:])]
     return direct, s_values, lo, (2 * x.max_degree + 1) * lo
+
+
+def dense_sampler_oracle(forms, stages: int = 4):
+    """Oracle: what the samplers' dense path measures, on the forms'
+    matrices: per form, ||x|| (one eigensolve of x.eval()), the norms of
+    its coefficients (eigensolves of x.coefficients) and the norms of the
+    norm limit's N_0 stages, N_0 of P = xx*/||x||^2 and of its ``stages``
+    squares as matrices, N_0 the compression V (mask o V*YV) V* onto the
+    eigenspaces of the gauge generator H = V diag(h) V*, mask_ij =
+    [h_i = h_j].  No stage is rescaled, so ``stages`` stays small."""
+    gen = forms[0].system.gauge_generator
+    vecs, h = gen.vecs, gen.potentials
+    mask = h[:, None] == h[None, :]
+    rows = []
+    for x in forms:
+        m = x.eval()
+        norm = ia.spectral_norm(m)
+        coeffs = (spectral_norms(x.coefficients) if x.degrees()
+                  else np.zeros(0))
+        p = (m / norm) @ ia.adjoint(m / norm) if norm else 0.0 * m
+        n0 = []
+        for j in range(stages + 1):
+            p = p @ p if j else p
+            n0.append(vecs @ ((ia.adjoint(vecs) @ p @ vecs) * mask)
+                      @ ia.adjoint(vecs))
+        rows.append((norm, coeffs, spectral_norms(np.array(n0))))
+    return rows
 
 
 def spans_equal(a, b, tol: float) -> tuple[bool, float]:
@@ -265,6 +301,15 @@ def q6x2():
     assert system.coefficient_report.passed
     assert (system.algebra.frame.ranks == 2).all()
     return system
+
+
+def shifts4_2_spec():
+    """The backward shifts on C^4 and on C^2 side by side, with the
+    diagonal algebra on C^6: a certified frame system of two chains, of
+    lengths 4 and 2."""
+    u = np.zeros((6, 6), complex)
+    u[:4, :4], u[4:, 4:] = ia.backward_shift(4), ia.backward_shift(2)
+    return system_spec(u, [np.diag(np.arange(1.0, 7.0))])
 
 
 def shift3_projection_spec():

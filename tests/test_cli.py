@@ -27,6 +27,7 @@ from conftest import (
     count_cached_defects,
     cyclic3_shift4_spec,
     cyclic5_spec,
+    exact_chain_note,
     polar_spec,
     q6x2_spec,
     qdeform_spec,
@@ -457,7 +458,10 @@ def test_norm_limit_stages_that_cannot_be_allocated_name_k_max(
         specs, monkeypatch, capsys):
     def no_room(*args):
         raise MemoryError
+    # the q-model's stages are its chain matrices' (the dense stack's on a
+    # system without an exact chain model)
     monkeypatch.setattr("isoalg.norms._compressed_n0", no_room)
+    monkeypatch.setattr("isoalg.norms._chain_n0", no_room)
     assert main(["run", "--model", specs["qdeform.json"], "--checks",
                  "norm_limit", "--k-max", "99"]) == 2
     assert capsys.readouterr() == ("", "isoalg: --k-max 99 is too large: the "
@@ -517,9 +521,10 @@ def test_samplers_carry_no_coefficient_bound_verdict(tmp_path):
     assert [(r["name"], r["pass"]) for r in doc["results"]] == [
         ("coefficient_bound", False), ("gauge_invariance", True),
         ("norm_limit", True)]
-    assert star["notes"] == ["max degree = 4"]
-    assert gauge["notes"] == ["certified by a gauge generator"]
-    assert limit["notes"] == []
+    note = exact_chain_note(12)
+    assert star["notes"] == ["max degree = 4", note]
+    assert gauge["notes"] == ["certified by a gauge generator", note]
+    assert limit["notes"] == [note]
     assert all(sorted(t) == ["direct_norm", "k_values", "max_degree",
                              "s_values", "sandwich_hi", "sandwich_lo"]
                for t in doc["traces"])

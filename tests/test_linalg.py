@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -321,3 +322,42 @@ def test_scale_exponent_leaves_the_safe_range_alone():
     b = isoalg.linalg._ldexp(m, -997)
     assert np.array_equal(isoalg.linalg._ldexp(b, 997), m)
     assert isoalg.linalg._ldexp(m, 0) is m
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-170, 1e300, 1e-300])
+def test_spectral_norm_of_a_matrix_whose_square_leaves_the_float_range(c):
+    # ||c e12|| = c, where (c e12)*(c e12) overflows (c = 1e160, 1e300) or
+    # underflows to 0 (c = 1e-170, 1e-300): the matrix is squared as
+    # c e12 2^-e and its norm scaled back by 2^e, exactly
+    assert spectral_norm(c * E12) == pytest.approx(c, rel=1e-15)
+    assert spectral_norm(c * np.diag([1.0, -3.0])) == pytest.approx(
+        3.0 * c, rel=1e-12)
+    norms = isoalg.linalg.spectral_norms(
+        np.array([c * E12, E12, c * np.eye(2)]))
+    assert norms.tolist() == pytest.approx([c, 1.0, c], rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-170])
+def test_herm_eig_refuses_a_far_scale_matrix_that_is_not_self_adjoint(c):
+    # the self-adjointness defect of c e12 is its own norm, c: the test
+    # sees it at every scale
+    with pytest.raises(NotSelfAdjoint,
+                       match=re.escape(f"defect {c:.3e} exceeds")):
+        herm_eig(c * E12)
+    w, _ = herm_eig(c * np.diag([1.0, -3.0]))
+    assert w.tolist() == pytest.approx([-3.0 * c, c], rel=1e-15)
+
+
+def test_spectral_norms_keep_the_bytes_of_an_in_range_stack():
+    # inside [2^-128, 2^128] the exponent is 0 and no matrix is rescaled:
+    # the norms are those of the bare eigensolve of m*m, bit for bit
+    rng = np.random.default_rng(5)
+    stack = (rng.standard_normal((6, 4, 4))
+             + 1j * rng.standard_normal((6, 4, 4)))
+    stack /= np.abs(stack).max(axis=(1, 2))[:, None, None]
+    stack *= np.array([2.0 ** -128, 1e-30, 1.0, 1e30, 2.0 ** 127, 1.9])[
+        :, None, None]
+    bare = np.sqrt(np.maximum(np.linalg.eigvalsh(
+        adjoint(stack) @ stack)[..., -1], 0.0))
+    assert np.array_equal(isoalg.linalg.spectral_norms(stack), bare)
+    assert [spectral_norm(m) for m in stack] == bare.tolist()

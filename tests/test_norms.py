@@ -22,12 +22,15 @@ from isoalg.norms import (
 )
 
 from conftest import (
+    dense_sampler_oracle,
+    exact_chain_note,
     gauge_deviation_oracle,
     gauged_matrices,
     norm_limit_stack_body,
     polar_spec,
     qdeform_spec,
     rotated,
+    shifts4_2_spec,
     traced_peak,
     weighted_shift,
 )
@@ -68,7 +71,8 @@ def test_coefficient_bound_note_gives_the_largest_measured_degree(
     system = qdeform12.system
     x = next(x for x in random_normal_forms(system, 40, 0)
              if x.max_degree == 1)
-    assert sample_coefficient_bound(system, [x]).notes == ["max degree = 1"]
+    assert sample_coefficient_bound(system, [x]).notes == [
+        "max degree = 1", exact_chain_note(12)]
     forms = random_normal_forms(raw_system, 50, 0)
     assert sample_coefficient_bound(raw_system, forms).notes == [
         "max degree = 2"]
@@ -480,13 +484,29 @@ def test_random_normal_forms_validates_in_chunks(qdeform6, monkeypatch,
 
 
 def test_a_q09_draw_peaks_below_three_coefficient_stacks():
-    # q09 n = 32: 200 forms hold about 16 MB of coefficients, validated in
-    # one chunk; the draw holds at most one extra copy of the chunk at a
-    # time, so its traced peak stays below three times the coefficients.
-    # A form keeps its matrix, read-only, and no monomial stack, which it
-    # forms on demand and which sums to the stored matrix
+    # q09 n = 32: 200 forms hold about 16 MB of coefficients; on the chain
+    # path the draw holds their block values
+    _assert_the_draw_peaks_below_three_coefficient_stacks(
+        ia.load_model(qdeform_spec(32, 0.9)).system)
+
+
+def test_the_dense_q09_draw_peaks_below_three_coefficient_stacks(
+        monkeypatch):
+    # the same on the dense path (the chain model marked failed): the
+    # forms are validated in one chunk, and the draw holds at most one
+    # extra copy of the chunk at a time
     system = ia.load_model(qdeform_spec(32, 0.9)).system
+    monkeypatch.setitem(vars(system), "chains",
+                        system.chains._replace(failed="a premise"))
+    _assert_the_draw_peaks_below_three_coefficient_stacks(system)
+
+
+def _assert_the_draw_peaks_below_three_coefficient_stacks(system):
+    """The traced peak of a 200-form draw stays below three times the
+    forms' coefficients, and a form keeps no monomial stack, which it
+    forms on demand and which sums to its matrix, read-only."""
     system.algebra.basis  # formed on first use; not the draw's to count
+    system.chains  # measured once, before the trace
     forms, peak = traced_peak(lambda: random_normal_forms(system, 200, 0))
     coefficient_bytes = sum(x.coefficients.nbytes for x in forms)
     assert peak < 3 * coefficient_bytes, (peak, coefficient_bytes)
@@ -500,8 +520,9 @@ def test_a_q09_draw_peaks_below_three_coefficient_stacks():
 def test_the_samplers_in_chunks_report_as_one_stack(
         certified_systems, monkeypatch, chunk_matrices):
     # ||x|| stacks the forms' matrices, the coefficient bound the
-    # coefficients, and the norm limit its N_0 stages, in chunks of
-    # DRAW_CHUNK_BYTES: one form a chunk at the least, else a few; the
+    # coefficients and the norm limit its N_0 stages (on the chain systems
+    # q12 and p6_rotated0 the chain matrices and their squares), in chunks
+    # of DRAW_CHUNK_BYTES: one form a chunk at the least, else a few; the
     # reports and traces are those of one chunk
     for name in ("qdeform12", "p6_rotated0", "raw_system"):
         system = certified_systems[name]
@@ -695,9 +716,11 @@ def _raised(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
+def test_norm_limit_batch_raises_for_the_first_offending_form(amplified_q12,
                                                               monkeypatch):
-    system = qdeform12.system
+    # the membership guard of the dense stages, on a system without a
+    # frame; a chain system's N_0 is block-scalar by construction
+    system = amplified_q12
     forms = _mixed_forms(system)
     deg1, deg2 = forms[3], forms[-3]
     _poison(monkeypatch, system.algebra,
@@ -716,12 +739,12 @@ def test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
 
 @pytest.mark.parametrize("chunk_matrices", [5, 10])
 def test_norm_limit_in_chunks_raises_for_the_first_offending_form(
-        qdeform12, monkeypatch, chunk_matrices):
+        amplified_q12, monkeypatch, chunk_matrices):
     # the same with the N_0 stacks in chunks of one or two forms (five
     # stages each at k_max = 8)
     monkeypatch.setattr(ia.norms, "DRAW_CHUNK_BYTES",
-                        chunk_matrices * 16 * qdeform12.system.dim ** 2)
-    test_norm_limit_batch_raises_for_the_first_offending_form(qdeform12,
+                        chunk_matrices * 16 * amplified_q12.dim ** 2)
+    test_norm_limit_batch_raises_for_the_first_offending_form(amplified_q12,
                                                               monkeypatch)
 
 
@@ -768,13 +791,20 @@ def test_sampled_gauge_deviation_is_within_the_certified_bound(
     rng = np.random.default_rng(50)
     lams = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
     for name, system in certified_systems.items():
+        n = system.dim
         forms = random_normal_forms(system, 30, 0)
         rep = gauge_invariance_sample(system, forms)
         assert [d.check for d in rep.defects] == [
             "gauge generator: ||[H, U] - U||",
             "gauge generator: max ||[H, b_i]||",
             "norm deviation bound over the circle, 30 samples"]
-        assert rep.notes == ["certified by a gauge generator"]
+        # a frame system's note names its chain: one of length n here
+        notes = rep.notes[:1] + [note for note in rep.notes[1:]
+                                 if note.startswith("chain model, chains: "
+                                                    f"1 of length {n}; ")]
+        assert rep.notes == notes and notes[0] == (
+            "certified by a gauge generator"), name
+        assert len(notes) == (1 if system.algebra.frame is None else 2), name
         assert rep.passed and {d.tol for d in rep.defects} == {system.tol}
         worst = 0.0
         for x in forms:
@@ -787,10 +817,10 @@ def test_sampled_gauge_deviation_is_within_the_certified_bound(
         _close(rep.defects[-1].value, worst)
 
 
-def test_compressed_norm_limit_guards_every_stage(qdeform12, monkeypatch):
+def test_compressed_norm_limit_guards_every_stage(amplified_q12, monkeypatch):
     # the membership guard of the stack path runs on the compressed N_0:
     # poison stage 2 of one form, and the sample raises what it alone gives
-    system = qdeform12.system
+    system = amplified_q12
     forms = random_normal_forms(system, 6, 3)
     x = forms[4]
     n0, _ = ia.norms._compressed_n0([x], np.array([x.norm]),
@@ -893,3 +923,240 @@ def test_the_sampler_hypothesis_keeps_no_power_of_u():
     assert rep.passed and system.nilpotency_index == 64
     assert len(system._powers) == cached
     assert retained < 2 ** 20
+
+
+# -- the chain path: certified frame systems -----------------------------------
+
+def _rel(got, want, name):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape, name
+    assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all(), (
+        name, got, want)
+
+
+@pytest.fixture(scope="module")
+def chain_fixtures(certified_systems, qdeform6, q6x2):
+    """The certified frame systems the chain path is checked on, by name:
+    q12, q6, p6, p6 in four rotated bases, q09 and polar07 at n = 24, the
+    seed-0 rotation of the base-0.9 weighted shift at n = 24, q6x2, whose
+    blocks have rank 2, and the two chains of shifts4_2."""
+    names = ["qdeform12", "polar6", "q09_n24", "polar07_n24"] + [
+        f"p6_rotated{s}" for s in range(4)]
+    systems = {name: certified_systems[name] for name in names}
+    systems["qdeform6"], systems["q6x2"] = qdeform6.system, q6x2
+    systems["rot09_n24"] = ia.load_model(polar_spec(rotated(
+        weighted_shift(24, 0.9), 0))).system
+    systems["shifts4_2"] = ia.load_model(shifts4_2_spec()).system
+    return systems
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_chain_path_matches_the_dense_oracle(seed, chain_fixtures):
+    # ||x||, every coefficient norm and the norm limit's N_0 stage norms,
+    # read from the chain matrices and block values, against the dense
+    # oracle on the forms' matrices: drawn forms, which hold block values,
+    # and their products, which the constructor validates and which hold
+    # coefficient stacks
+    for name, system in chain_fixtures.items():
+        chains = ia.normalform.chain_model(system)
+        assert chains is not None, name
+        drawn = random_normal_forms(system, 40, seed)
+        forms = drawn + [ia.nf_multiply(x, y)
+                         for x, y in zip(drawn[:6], drawn[6:12])]
+        norms = ia.norms._operator_norms(forms)
+        live = [i for i, x in enumerate(forms) if norms[i] != 0.0]
+        stages, exps = ia.norms._chain_n0(chains, [forms[i] for i in live],
+                                          norms[live], 4)
+        stages = dict(zip(live, stages * 2.0 ** exps))
+        for i, (x, (norm, coeffs, n0)) in enumerate(zip(
+                forms, dense_sampler_oracle(forms))):
+            _rel(norms[i], norm, name)
+            _rel(np.abs(x._values).max(axis=1, initial=0.0), coeffs, name)
+            if i in stages:
+                _rel(stages[i], n0, name)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_chain_draw_matches_the_dense_draw(seed, chain_fixtures,
+                                               monkeypatch):
+    # the same RNG draws, validated in block coordinates and, with the
+    # chain model marked failed, by projection, range normalization,
+    # the drop rule and membership on the coefficient stacks: the same
+    # degrees, and the same coefficients and Frobenius norms to rounding
+    for name, system in chain_fixtures.items():
+        forms = random_normal_forms(system, 60, seed)
+        dense = ia.IsometrySystem(system.algebra, system.u)
+        monkeypatch.setitem(vars(dense), "chains",
+                            system.chains._replace(failed="a premise"))
+        for x, y in zip(forms, random_normal_forms(dense, 60, seed),
+                        strict=True):
+            assert x.degrees() == y.degrees(), name
+            assert "_coeffs" not in vars(x) and "_coeffs" in vars(y), name
+            scale = max(1.0, y.scale())
+            assert np.abs(x.coefficients - y.coefficients).max(
+                initial=0.0) <= 1e-14 * scale, name
+            assert np.abs(x._norms - y._norms).max(
+                initial=0.0) <= 1e-14 * scale, name
+
+
+def test_the_chain_model_reads_sigma_and_its_premises(chain_fixtures):
+    # one chain through every block, in the order U runs through them: the
+    # q-models' blocks are the basis vectors e_0, e_1, ..., the polar
+    # models' their eigenspaces; every premise within tol.  shifts4_2's
+    # backward shifts run e_3 -> ... -> e_0 and e_5 -> e_4
+    twin = chain_fixtures["shifts4_2"].chains
+    assert twin.blocks.tolist() == [[3, 2, 1, 0], [5, 4, -1, -1]]
+    assert twin.positions.tolist() == [3, 2, 1, 0, 1, 0]
+    assert twin.margins == (0.0, 0.0, 0.0) and twin.failed is None
+    assert ia.norms._path_note(chain_fixtures["shifts4_2"]) == [
+        "chain model, chains: 1 of length 4, 1 of length 2; premises: "
+        "||V*V - I||_F = 0.000e+00, mass of V^-1 U V off sigma = 0.000e+00, "
+        "F_k block values off the chains' 0 or 1 = 0.000e+00"]
+    for name, system in chain_fixtures.items():
+        if name == "shifts4_2":
+            continue
+        chains = system.chains
+        d = system.algebra.dim
+        assert chains.failed is None and chains.blocks.shape == (1, d), name
+        assert sorted(chains.blocks[0].tolist()) == list(range(d)), name
+        assert chains.positions[chains.blocks[0]].tolist() == list(range(d))
+        assert max(chains.margins) <= system.tol, name
+        if name.startswith(("qdeform", "q09", "q6x2")):
+            assert chains.blocks[0].tolist() == list(range(d)), name
+            assert chains.margins == (0.0, 0.0, 0.0), name
+
+
+def test_systems_without_a_certified_frame_have_no_chain_model(
+        raw_system, amplified_q12, cyclic5, cyclic3_shift4, broken_system):
+    # no frame (raw_system, amplified_q12), no certificate (cyclic5,
+    # cyclic3_shift4) or no coefficient algebra (broken_system): the
+    # samplers measure none of them on chains, and note no path
+    for system in (raw_system, amplified_q12, cyclic5, cyclic3_shift4,
+                   broken_system):
+        assert system.chains is None
+        assert ia.norms._path_note(system) == []
+
+
+def test_a_failed_premise_is_named_and_sends_the_samplers_to_the_dense_path(
+        qdeform12, monkeypatch):
+    # V = (1 + 4.5e-10) I is a frame whose invariants pass at tol 1e-9,
+    # with ||V*V - I||_F = 2.2e-9 > tol: the first premise fails
+    alg = ia.FiniteStarAlgebra(ia.algebra.Frame(
+        (1.0 + 4.5e-10) * np.eye(6, dtype=complex), np.ones(6, int)))
+    system = ia.IsometrySystem(alg, ia.backward_shift(6))
+    assert system.coefficient_report.passed and system.gauge_generator
+    assert system.chains.failed == ("||V*V - I||_F = 2.205e-09 exceeds tol "
+                                    "1.0e-09")
+    assert ia.norms._path_note(system) == [
+        "dense path: ||V*V - I||_F = 2.205e-09 exceeds tol 1.0e-09"]
+    # on q12 with its premises marked failed, the draw and the samplers
+    # take the dense path: they form no chain matrix and read no block value
+    system = ia.IsometrySystem(qdeform12.system.algebra, qdeform12.system.u)
+    failed = system.chains._replace(failed="a premise")
+    monkeypatch.setitem(vars(system), "chains", failed)
+
+    def chained(*args):
+        raise AssertionError("the chain path measured a failed model")
+    monkeypatch.setattr(ia.algebra.Chains, "matrices", chained)
+    monkeypatch.setattr(ia.FiniteStarAlgebra, "block_values", chained)
+    forms = random_normal_forms(system, 30, 0)
+    assert all("_coeffs" in vars(x) for x in forms)
+    star = sample_coefficient_bound(system, forms)
+    gauge = gauge_invariance_sample(system, forms)
+    limit, _ = norm_limit_sample(system, forms)
+    assert star.notes == ["max degree = 4", "dense path: a premise"]
+    assert gauge.notes == ["certified by a gauge generator",
+                           "dense path: a premise"]
+    assert limit.notes == ["dense path: a premise"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_frame_less_systems_keep_the_dense_path(seed, raw_system,
+                                                amplified_q12, monkeypatch):
+    # no chain code runs: the draw projects and validates coefficient
+    # stacks, and the coefficient bound is the eigensolve path bit for bit
+    def chained(*args):
+        raise AssertionError("a frame-less system reached the chain path")
+    for body in ("_chain_n0", "_value_norms"):
+        monkeypatch.setattr(ia.norms, body, chained)
+    monkeypatch.setattr(ia.algebra.Chains, "matrices", chained)
+    for system in (raw_system, amplified_q12):
+        forms = random_normal_forms(system, 200, seed)
+        assert all("_coeffs" in vars(x) and "_matrix" in vars(x)
+                   for x in forms)
+        rep = sample_coefficient_bound(system, forms)
+        assert [d.value for d in rep.defects[1:]] == list(
+            _coefficient_bound_reference(forms))
+        assert gauge_invariance_sample(system, forms).passed
+        norm_limit_sample(system, forms[:50])
+
+
+def test_the_chain_norm_limit_needs_no_membership_guard(qdeform12,
+                                                        monkeypatch):
+    # N_0 of a chain system is the diagonal of its chain matrices, a member
+    # by construction: no stage is tested for membership, and a form alone
+    # gives its trace in the sample bit for bit
+    system = qdeform12.system
+    forms = _mixed_forms(system)
+    _, traces = norm_limit_sample(system, forms)
+
+    def tested(*args):
+        raise AssertionError("a chain stage was tested for membership")
+    monkeypatch.setattr(system.algebra, "membership", tested)
+    monkeypatch.setattr(ia.norms, "_compressed_n0", tested)
+    for x, tr in zip(forms, traces, strict=True):
+        alone = norm_limit(x, 8)
+        assert (alone.s_values, alone.sandwich_lo) == (tr.s_values,
+                                                       tr.sandwich_lo)
+
+
+@pytest.fixture(scope="module")
+def q09_n64():
+    system = ia.load_model(qdeform_spec(64, 0.9)).system
+    assert system.chains.failed is None  # measured once, before any trace
+    return system
+
+
+def test_drawn_forms_hold_no_ambient_stack_until_one_is_asked_for(q09_n64):
+    # the draw and the three samplers read the degrees and block values;
+    # a form forms its coefficients, matrix and monomials on first use
+    forms = random_normal_forms(q09_n64, 60, 0)
+    sample_coefficient_bound(q09_n64, forms)
+    gauge_invariance_sample(q09_n64, forms)
+    norm_limit_sample(q09_n64, forms)
+    ambient = ("_coeffs", "_matrix", "_monomials")
+    assert not any(name in vars(x) for x in forms for name in ambient)
+    x = forms[0]
+    assert x.coefficient(x.degrees()[0]).shape == (64, 64)
+    assert "_coeffs" in vars(x) and "_matrix" not in vars(x)
+    assert not x.eval().flags.writeable and "_monomials" in vars(x)
+
+
+@pytest.mark.parametrize("chunk_matrices", [1, 7, 50])
+def test_an_asked_for_stack_is_formed_bit_for_bit_whatever_the_chunking(
+        q09_n64, monkeypatch, chunk_matrices):
+    whole = random_normal_forms(q09_n64, 40, 0)
+    monkeypatch.setattr(ia.norms, "DRAW_CHUNK_BYTES",
+                        chunk_matrices * 16 * q09_n64.dim ** 2)
+    got = random_normal_forms(q09_n64, 40, 0)
+    for x, y in zip(got, whole, strict=True):
+        assert x.degrees() == y.degrees()
+        assert np.array_equal(x._values, y._values)
+        assert np.array_equal(x.coefficients, y.coefficients)
+        assert np.array_equal(x.coefficients,
+                              q09_n64.algebra.members(x._values))
+        assert np.array_equal(x.eval(), y.eval())
+        assert np.array_equal(x.eval(), ia.normalform._monomial_stack(
+            q09_n64, x.coefficients, x._degrees).sum(axis=0))
+
+
+def test_the_draw_peaks_within_a_chunk_of_raw_draws_and_the_block_values(
+        q09_n64):
+    # a raw draw is held only until its block values are read, so the
+    # draw's peak is far inside DRAW_CHUNK_BYTES plus the block values: a
+    # few copies of the values and one raw draw (about 3.5 MB at n = 64,
+    # 200 forms, against 1.05 MB of values)
+    forms, peak = traced_peak(lambda: random_normal_forms(q09_n64, 200, 0))
+    values = sum(x._values.nbytes for x in forms)
+    assert peak <= ia.norms.DRAW_CHUNK_BYTES + values, (peak, values)
+    assert peak < 4 * values, (peak, values)
