@@ -146,6 +146,23 @@ three premises make that model exact within tol (``CHAIN_PREMISES``):
 distance of the block values of every F_k = U^k U^{*k} from the 0 or 1
 their chain positions give.
 
+The model stands in for the dense path only where it reads the same
+values to CHAIN_AGREEMENT.  With the premises e, m and f in that order,
+to first order U lies within m + f of the model's shift and a
+coefficient within (2e + f) ||a|| of its model, so a form of degree N,
+whose coefficients have norms <= ||x|| (the coefficient bound), moves by
+at most (``Chains.error``)
+
+    N(N+1)(m + f) + (2N+1)(2e + f)
+
+times ||x||, and xx* by twice that times ||x||^2, the scale of the norm
+limit's values.  The chain model is taken where every premise is within
+tol and twice the bound at the samplers' largest degree,
+MAX_SAMPLE_DEGREE, is within CHAIN_AGREEMENT.  A rotated frame carries m
+of about n^2 eps, the rounding of V^-1 U V: the polar model of the
+base-0.9 weighted shift in a rotated basis reads m = 1.1e-13 at n = 24
+and takes the dense path, which measures the computed U.
+
 On top of that sit the condition checkers for a pair (algebra, partial
 isometry U) and the extension builders that enlarge an initial algebra until
 the maps delta(x) = U x U* and delta_star(x) = U* x U send it into itself.
@@ -909,6 +926,12 @@ class GaugeGenerator(NamedTuple):
 CHAIN_PREMISES = ("||V*V - I||_F", "mass of V^-1 U V off sigma",
                   "F_k block values off the chains' 0 or 1")
 
+# Largest degree of the random canonical forms the samplers draw, and the
+# relative agreement with the dense path that the chain model must
+# guarantee on them (see "Chains" in the module docstring).
+MAX_SAMPLE_DEGREE = 4
+CHAIN_AGREEMENT = 1e-12
+
 
 class Chains(NamedTuple):
     """The chain model of a certified frame system (see "Chains" in the
@@ -917,8 +940,9 @@ class Chains(NamedTuple):
     pads a chain past its end to the longest length L, and ``positions``
     gives each block's place on its chain.  ``margins`` holds the measured
     premises (CHAIN_PREMISES), and ``failed`` names the first that is not
-    within tol, or the structure that sigma lacks, with None when the model
-    is exact within tol; the chains are empty when sigma has no structure.
+    within tol, the error bound (``error``) that exceeds CHAIN_AGREEMENT,
+    or the structure that sigma lacks, with None when the model stands in
+    for the dense path; the chains are empty when sigma has no structure.
 
     ``matrices`` lays out the chain matrices X_c of forms: the form
     sum_k a_k U^k + sum_k U^{*k} a_{-k} acts on chain c of length L as
@@ -929,6 +953,15 @@ class Chains(NamedTuple):
     positions: np.ndarray
     margins: tuple[float, ...]
     failed: str | None
+
+    def error(self, degree: int) -> float:
+        """The first-order bound N(N+1)(m + f) + (2N+1)(2e + f), from the
+        premises (e, m, f) = ``margins``, on the relative move of ||x|| of
+        a form of degree N = ``degree`` from the chain model to the
+        computed system."""
+        e, m, f = self.margins
+        return (degree * (degree + 1) * (m + f)
+                + (2 * degree + 1) * (2 * e + f))
 
     def ranged(self, degrees: np.ndarray) -> np.ndarray:
         """The (K, d) mask of the blocks in the range of F_|k|, whose
@@ -1263,7 +1296,9 @@ class IsometrySystem:
         [position of block i >= k], by one product
         U^{*k} V = U* U^{*(k-1)} V a step.  sigma must be a rank-preserving
         partial injection of the blocks without a cycle; when it is not,
-        ``failed`` says so and the third premise is not measured."""
+        ``failed`` says so and the third premise is not measured.  With
+        the premises within tol, twice the error bound at
+        MAX_SAMPLE_DEGREE must be within CHAIN_AGREEMENT."""
         alg, tol = self.algebra, self.tol
         if (alg.frame is None or not self.coefficient_report.passed
                 or self.gauge_generator is None):
@@ -1310,7 +1345,13 @@ class IsometrySystem:
         failed = next((f"{name} = {m:.3e} exceeds tol {tol:.1e}"
                        for name, m in zip(CHAIN_PREMISES, margins)
                        if not m <= tol), None)
-        return Chains(blocks, positions, margins, failed)
+        model = Chains(blocks, positions, margins, failed)
+        bound = 2.0 * model.error(MAX_SAMPLE_DEGREE)
+        if failed is None and not bound <= CHAIN_AGREEMENT:
+            model = model._replace(failed=(
+                f"error bound {bound:.3e} at degree {MAX_SAMPLE_DEGREE} "
+                f"exceeds {CHAIN_AGREEMENT:.1e}"))
+        return model
 
     @cached_property
     def delta_walk(self) -> Walk:

@@ -38,36 +38,38 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _scale_exponent(m: np.ndarray) -> int:
-    """The e that brings m's largest real or imaginary part, by modulus,
-    into [1/2, 1) as m 2^-e when that part leaves [2^-128, 2^128], the
-    range where m's squares and their sums neither overflow nor underflow;
-    0 inside it, and for a zero or non-finite m."""
-    top = max(float(np.abs(m.real).max(initial=0.0)),
-              float(np.abs(m.imag).max(initial=0.0)))
-    if not np.isfinite(top) or top == 0.0 or 2.0 ** -128 <= top <= 2.0 ** 128:
-        return 0
-    return int(np.frexp(top)[1])
-
-
 def _scale_exponents(stack: np.ndarray) -> np.ndarray:
-    """``_scale_exponent`` of each matrix of a stack (..., n, n), as an
-    integer array."""
-    top = np.maximum(np.abs(stack.real).max(axis=(-2, -1), initial=0.0),
-                     np.abs(stack.imag).max(axis=(-2, -1), initial=0.0))
-    far = np.isfinite(top) & (top != 0.0) & (
-        (top < 2.0 ** -128) | (top > 2.0 ** 128))
-    return np.where(far, np.frexp(top)[1], 0)
+    """The e that brings the largest real or imaginary part, by modulus,
+    of each matrix m of a stack (..., n, n) into [1/2, 1) as m 2^-e when
+    that part leaves [2^-128, 2^128], the range where m's squares and their
+    sums neither overflow nor underflow; 0 inside it, and for a zero or
+    non-finite m.  An integer array of the stack's outer shape."""
+    parts = (stack.real, stack.imag) if np.iscomplexobj(stack) else (stack,)
+    top = 0.0
+    for part in parts:  # the largest modulus from the extremes: no copy
+        top = np.maximum(top, np.maximum(
+            part.max(axis=(-2, -1), initial=0.0),
+            -part.min(axis=(-2, -1), initial=0.0)))
+    # frexp gives 0, +-inf and nan the exponent 0, and a top below 2^-128
+    # an exponent below -127
+    e = np.frexp(top)[1]
+    return np.where((e < -127) | (top > 2.0 ** 128), e, 0)
+
+
+def _scale_exponent(m: np.ndarray) -> int:
+    """``_scale_exponents`` of one matrix m, as an int."""
+    return int(_scale_exponents(m))
 
 
 def _ldexp(m: np.ndarray, e) -> np.ndarray:
     """m 2^e for complex m, exact while no entry leaves the normal range;
     m itself for e = 0.  ``e`` is one exponent, or an array of one per
     matrix of a stack m."""
-    if not np.any(e):
+    e = np.asarray(e)
+    if not e.any():
         return m
     m = np.ascontiguousarray(m, dtype=complex)
-    e = np.asarray(e)[..., None, None]
+    e = e[..., None, None]
     return np.ldexp(m.view(float), e).view(complex)
 
 
@@ -119,15 +121,10 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
     via the eigenvalues of adjoint(m) @ m, in one batched eigensolve.  A
     matrix whose largest part leaves [2^-128, 2^128] is squared as m 2^-e
     (``_scale_exponents``) and its norm scaled back by 2^e, exactly, so
-    that its square neither overflows nor underflows; e = 0 inside.  A
-    stack whose nonzero largest moduli all lie in [2^-127, 2^128), where
-    every largest part lies in that range, takes e = 0 at once."""
+    that its square neither overflows nor underflows; e = 0 inside."""
     stack = np.asarray(stack)
-    exps = np.frexp(np.abs(stack).max(axis=(-2, -1), initial=0.0))[1]
-    e = 0
-    if exps.min(initial=0) < -126 or exps.max(initial=0) > 128:
-        e = _scale_exponents(stack)
-        stack = _ldexp(stack, -e)
+    e = _scale_exponents(stack)
+    stack = _ldexp(stack, -e)
     top = np.linalg.eigvalsh(adjoint(stack) @ stack)[..., -1]
     return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
 

@@ -20,7 +20,7 @@ stack; the validation body (:func:`_canonical_terms`) also takes the terms
 of many forms in one stack.  Each form also keeps the represented matrix,
 the sum of its monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), read-only,
 forms the stack of its monomials only for a product, and caches its norm.
-On a system whose chain model is exact (:func:`chain_model`) a form also
+On a system whose chain model stands in (:func:`chain_model`) a form also
 has the (K, d) block values of its coefficients, which the samplers read:
 a drawn form holds them alone, and forms its coefficient stack and matrix
 on first use; any other form reads them off its stack when asked.  Its
@@ -86,9 +86,10 @@ _DEGREE_TOP = int(np.iinfo(np.int64).max) - 1
 
 
 def chain_model(system: IsometrySystem) -> Chains | None:
-    """The system's chain model (``IsometrySystem.chains``) when it is
-    exact within tol, the only case in which forms are measured on it;
-    None otherwise."""
+    """The system's chain model (``IsometrySystem.chains``) when it stands
+    in for the dense path, its premises within tol and its error bound
+    within CHAIN_AGREEMENT, the only case in which forms are measured on
+    it; None otherwise."""
     chains = system.chains
     return chains if chains is not None and chains.failed is None else None
 
@@ -282,10 +283,13 @@ class NormalForm:
 
     @cached_property
     def norm(self) -> float:
-        """The operator norm ||x|| of the represented matrix: on a system
-        whose chain model is exact (``chain_model``), the largest norm of
-        its chain matrices, else the norm of the matrix (measured for many
-        forms at once by ``norms._operator_norms``)."""
+        """The operator norm ||x||, measured for many forms at once by
+        ``norms._operator_norms``: on a system whose chain model stands in
+        (``chain_model``), the norm of the chain model, the largest norm of
+        the chain matrices of the coefficients' block values, which lies
+        within the model's error bound (``Chains.error``) and the
+        coefficients' membership defect of the norm of the represented
+        matrix; else the norm of that matrix."""
         chains = chain_model(self.system)
         if chains is None:
             return spectral_norm(self.eval())

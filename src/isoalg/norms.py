@@ -57,9 +57,11 @@ one nonzero form, and none reads another's report: on a certified system
 the bound is a theorem.  They measure one of two paths, and on a frame
 system their reports note which (:func:`_path_note`).
 
-**The chain path.**  On a certified frame system whose chain model is
-exact within tol (``IsometrySystem.chains``, the model and its premises
-in the ``isoalg.algebra`` docstring; :func:`~isoalg.normalform.chain_model`),
+**The chain path.**  On a certified frame system whose chain model stands
+in for the dense path, its premises within tol and its first-order error
+bound within 1e-12 relative on the drawn forms (``IsometrySystem.chains``,
+the model, its premises and the bound in the ``isoalg.algebra``
+docstring; :func:`~isoalg.normalform.chain_model`),
 C*(A, U) is the direct sum over the chains of L x L matrix algebras, U the
 shift and a member of A the diagonal of its block values along each chain.
 A form acts on chain c as X_c (x) 1_r, X_c the banded L x L matrix of its
@@ -79,12 +81,14 @@ coefficients' block values (``Chains.matrices``), so:
   distinct gauge potentials, so N_0 of every stage is its diagonal, a
   member of A by construction.
 
-**The dense path.**  Every other system (no frame, or a premise that
-fails) is measured on n x n matrices: the draw projects its raw draws into
-the algebra and validates them through the NormalForm constructor's body,
-||x|| is an eigensolve of the form's matrix, and :func:`norm_limit` squares
-P = xx*/||x||^2 of the forms as (g, n, n) stacks in the eigenbasis of H
-and tests their N_0 for membership in the algebra as one stack.
+**The dense path.**  Every other system (no frame, a premise that fails,
+or an error bound above 1e-12, as on a rotated frame past a few
+dimensions) is measured on n x n matrices: the draw projects its raw
+draws into the algebra and validates them through the NormalForm
+constructor's body, ||x|| is an eigensolve of the form's matrix, and
+:func:`norm_limit` squares P = xx*/||x||^2 of the forms as (g, n, n)
+stacks in the eigenbasis of H and tests their N_0 for membership in the
+algebra as one stack.
 
 Either way the draw is validated in chunks (``_chunks``, which also cut
 the samplers' stacks), each holding, on the dense path, its stack and at
@@ -100,7 +104,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CHAIN_PREMISES, Chains, GaugeGenerator, IsometrySystem
+from .algebra import (
+    CHAIN_PREMISES,
+    MAX_SAMPLE_DEGREE,
+    Chains,
+    GaugeGenerator,
+    IsometrySystem,
+)
 from .errors import (
     CoefficientEscape,
     DimensionMismatch,
@@ -124,9 +134,6 @@ from .normalform import (
     chain_model,
 )
 from .report import ConditionReport
-
-# Largest degree of the random canonical forms the samplers draw.
-MAX_SAMPLE_DEGREE = 4
 
 # Bytes of complex matrices that the draw and the samplers stack at once.
 DRAW_CHUNK_BYTES = 32 * 2 ** 20
@@ -174,7 +181,7 @@ def _chunks(items, size, dim: int):
 def _operator_norms(forms: list[NormalForm]) -> np.ndarray:
     """||x|| of each form, one batched eigensolve per chunk (``_chunks``)
     of the forms not yet measured, whose values every ``x.norm`` reads:
-    of their chain matrices on a system whose chain model is exact
+    of their chain matrices on a system whose chain model stands in
     (``chain_model``), of their matrices otherwise."""
     todo = [x for x in forms if "norm" not in vars(x)]
     if todo:
@@ -208,7 +215,7 @@ def _centred(count: int) -> np.ndarray:
 
 def _draws(system: IsometrySystem, rng: np.random.Generator, count: int):
     """``count`` raw draws (``_draw``) from ``rng``; on a system whose
-    chain model is exact (``chain_model``) each is held only until its
+    chain model stands in (``chain_model``) each is held only until its
     (2N + 1, d) block values (``FiniteStarAlgebra.block_values``) are
     read, which stand for it."""
     chains = chain_model(system)
@@ -372,7 +379,7 @@ def sample_coefficient_bound(system: IsometrySystem,
     where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
     each coefficient passed when it was validated (0 for a drawn form of a
     chain system, which holds its block values).  On a system whose chain
-    model is exact the norms are read from the block values; on another
+    model stands in the norms are read from the block values; on another
     frame system the coordinates are one flat product, and without a frame
     the norms are one batched eigensolve, a chunk (``_chunks``) at a time.
     The notes give the largest degree of the measured forms and, on a
@@ -541,6 +548,26 @@ def norm_limit(x: NormalForm, k_max: int) -> NormLimitTrace:
     return _norm_limit_traces([x], k_max)[0]
 
 
+def _squares(p: np.ndarray, stages: int):
+    """p, a stack of g matrices or of g stacks of them, then its
+    ``stages`` successive squares, each formed in place in p and yielded
+    with the (g,) exponents e by which its i-th item is 2^e times p[i].  A
+    square whose largest entry leaves [2^-256, 2^256] is brought into
+    [1/2, 1) by an exact power of two, whose exponent e carries, doubling
+    with each squaring."""
+    axes, e = tuple(range(1, p.ndim)), np.zeros(len(p))
+    yield p, e
+    for _ in range(stages):
+        np.matmul(p, p, out=p)
+        top = np.abs(p).max(axis=axes)
+        far = (top < 2.0 ** -256) | (top > 2.0 ** 256)
+        shift = np.frexp(top[far])[1]
+        p[far] *= np.exp2(-shift).reshape((-1,) + (1,) * len(axes))
+        e = 2 * e
+        e[far] += shift
+        yield p, e
+
+
 def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
                    gen: GaugeGenerator, stages: int
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -548,58 +575,41 @@ def _compressed_n0(forms: list[NormalForm], norms: np.ndarray,
     system that a gauge generator certifies, as a (g, stages + 1, n, n)
     stack, and a (g, stages + 1) array e: each stage is 2^e times its stack
     entry.  P = xx*/||x||^2 of all forms is one (g, n, n) stack in the
-    eigenbasis of H, V*PV, squared in place, and N_0 of each stage is
-    V (mask o V*PV) V* with mask_ij = [h_i = h_j], the compression onto the
-    eigenspaces of H.  The computed ||P|| is 1 +- O(n eps), so j squarings
-    scale it by (1 +- O(n eps))^(2^j): a square whose largest entry leaves
-    [2^-256, 2^256] is brought into [1/2, 1) by an exact power of two, whose
-    exponent e carries, doubling with each squaring."""
+    eigenbasis of H, V*PV, squared in place (:func:`_squares`), and N_0 of
+    each stage is V (mask o V*PV) V* with mask_ij = [h_i = h_j], the
+    compression onto the eigenspaces of H.  The computed ||P|| is
+    1 +- O(n eps), so j squarings scale it by (1 +- O(n eps))^(2^j), which
+    the squares' rescaling absorbs."""
     vecs, h = gen.vecs, gen.potentials
     mask = h[:, None] == h[None, :]
     y = np.array([x.eval() for x in forms]) / norms[:, None, None]
     p = adjoint(vecs) @ (y @ adjoint(y)) @ vecs
     n0 = np.empty((len(forms), stages + 1) + p.shape[1:], dtype=complex)
-    exps = np.zeros((len(forms), stages + 1))
-    n0[:, 0] = vecs @ (p * mask) @ adjoint(vecs)
-    for j in range(1, stages + 1):
-        np.matmul(p, p, out=p)
-        top = np.abs(p).max(axis=(1, 2))
-        out = (top < 2.0 ** -256) | (top > 2.0 ** 256)
-        shift = np.frexp(top[out])[1]
-        p[out] *= np.exp2(-shift)[:, None, None]
-        exps[:, j] = 2 * exps[:, j - 1]
-        exps[out, j] += shift
-        n0[:, j] = vecs @ (p * mask) @ adjoint(vecs)
+    exps = np.empty((len(forms), stages + 1))
+    for j, (q, e) in enumerate(_squares(p, stages)):
+        exps[:, j] = e
+        n0[:, j] = vecs @ (q * mask) @ adjoint(vecs)
     return n0, exps
 
 
 def _chain_n0(chains: Chains, forms: list[NormalForm], norms: np.ndarray,
               stages: int) -> tuple[np.ndarray, np.ndarray]:
     """||N_0|| of xx* and of its ``stages`` successive squares for g forms
-    of a system whose chain model is exact, as a (g, stages + 1) array, and
-    the (g, stages + 1) exponents e: each stage's norm is 2^e times its
-    entry.  On chain c, xx*/||x||^2 is P_c = X_c X_c* / ||x||^2, and its
-    powers are those of the P_c; every position of a chain is one block,
-    of its own gauge potential, so N_0 keeps the diagonal of each P_c, and
-    ||N_0|| is its largest modulus.  A square whose largest entry leaves
-    [2^-256, 2^256] is rescaled by an exact power of two, as in
-    :func:`_compressed_n0`."""
+    of a system whose chain model stands in for it, as a (g, stages + 1)
+    array, and the (g, stages + 1) exponents e: each stage's norm is 2^e
+    times its entry.  On chain c, xx*/||x||^2 is P_c = X_c X_c* / ||x||^2,
+    and its powers are those of the P_c (:func:`_squares`); every position
+    of a chain is one block, of its own gauge potential, so N_0 keeps the
+    diagonal of each P_c, and ||N_0|| is its largest modulus."""
     x = chains.matrices([(f._degrees, f._values) for f in forms])
     x /= norms[:, None, None, None]
     p = x @ adjoint(x)
     del x
     out = np.empty((len(forms), stages + 1))
-    exps = np.zeros((len(forms), stages + 1))
-    out[:, 0] = np.abs(np.diagonal(p, axis1=2, axis2=3)).max(axis=(1, 2))
-    for j in range(1, stages + 1):
-        np.matmul(p, p, out=p)
-        top = np.abs(p).max(axis=(1, 2, 3))
-        far = (top < 2.0 ** -256) | (top > 2.0 ** 256)
-        shift = np.frexp(top[far])[1]
-        p[far] *= np.exp2(-shift)[:, None, None, None]
-        exps[:, j] = 2 * exps[:, j - 1]
-        exps[far, j] += shift
-        out[:, j] = np.abs(np.diagonal(p, axis1=2, axis2=3)).max(axis=(1, 2))
+    exps = np.empty((len(forms), stages + 1))
+    for j, (q, e) in enumerate(_squares(p, stages)):
+        exps[:, j] = e
+        out[:, j] = np.abs(np.diagonal(q, axis1=2, axis2=3)).max(axis=(1, 2))
     return out, exps
 
 
@@ -615,7 +625,7 @@ def _norm_limit_traces(forms: list[NormalForm], k_max: int
     """The body of :func:`norm_limit`, for one form or a whole sample of
     forms over one certified system.
 
-    On a system whose chain model is exact the live forms of a chunk
+    On a system whose chain model stands in the live forms of a chunk
     (``_chunks``) are squared together as their chain matrices
     (:func:`_chain_n0`), whose N_0 are members by construction.  Otherwise
     they are squared as one (g, n, n) stack in the eigenbasis of H
@@ -675,7 +685,7 @@ def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
     """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F of each form: the bound
     on the norm deviation over the whole circle that
     :func:`gauge_invariance_sample` proves.  ||a_k||_F is the Frobenius
-    norm stored on the form; on a system whose chain model is exact it is
+    norm stored on the form; on a system whose chain model stands in it is
     bounded from the block values v of a_k = V diag(v) V* by
     sqrt(sum_i r_i |v_i|^2) (1 + ||E||_F), E = V*V - I, since
     ||V diag(v) V*||_F <= ||V||^2 ||diag(v)||_F and

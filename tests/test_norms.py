@@ -937,17 +937,41 @@ def _rel(got, want, name):
 @pytest.fixture(scope="module")
 def chain_fixtures(certified_systems, qdeform6, q6x2):
     """The certified frame systems the chain path is checked on, by name:
-    q12, q6, p6, p6 in four rotated bases, q09 and polar07 at n = 24, the
-    seed-0 rotation of the base-0.9 weighted shift at n = 24, q6x2, whose
-    blocks have rank 2, and the two chains of shifts4_2."""
+    q12, q6, p6, p6 in four rotated bases, q09 and polar07 at n = 24,
+    q6x2, whose blocks have rank 2, and the two chains of shifts4_2."""
     names = ["qdeform12", "polar6", "q09_n24", "polar07_n24"] + [
         f"p6_rotated{s}" for s in range(4)]
     systems = {name: certified_systems[name] for name in names}
     systems["qdeform6"], systems["q6x2"] = qdeform6.system, q6x2
-    systems["rot09_n24"] = ia.load_model(polar_spec(rotated(
-        weighted_shift(24, 0.9), 0))).system
     systems["shifts4_2"] = ia.load_model(shifts4_2_spec()).system
     return systems
+
+
+@pytest.fixture(scope="module")
+def rotated_frames():
+    """Certified frame systems whose chain model holds its premises but
+    whose error bound sends them to the dense path: the seed-0 rotations
+    of the base-0.9 weighted shift's polar model at n = 24 and 64, where
+    V^-1 U V lies 1.1e-13 and 9.6e-13 off its chains (rounding)."""
+    return {f"rot09_n{n}": ia.load_model(polar_spec(rotated(
+        weighted_shift(n, 0.9), 0))).system for n in (24, 64)}
+
+
+def _on_path(system, failed):
+    """A fresh copy of a certified frame system whose chain model has
+    ``failed`` in place of its own: None sends it to the chain path, a
+    string to the dense path."""
+    copy = ia.IsometrySystem(system.algebra, system.u)
+    vars(copy)["chains"] = system.chains._replace(failed=failed)
+    return copy
+
+
+def _oracle_forms(system, seed):
+    """40 drawn forms of a system and 6 of their products, which the
+    constructor validates and which hold coefficient stacks."""
+    drawn = random_normal_forms(system, 40, seed)
+    return drawn + [ia.nf_multiply(x, y)
+                    for x, y in zip(drawn[:6], drawn[6:12])]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -960,9 +984,7 @@ def test_the_chain_path_matches_the_dense_oracle(seed, chain_fixtures):
     for name, system in chain_fixtures.items():
         chains = ia.normalform.chain_model(system)
         assert chains is not None, name
-        drawn = random_normal_forms(system, 40, seed)
-        forms = drawn + [ia.nf_multiply(x, y)
-                         for x, y in zip(drawn[:6], drawn[6:12])]
+        forms = _oracle_forms(system, seed)
         norms = ia.norms._operator_norms(forms)
         live = [i for i, x in enumerate(forms) if norms[i] != 0.0]
         stages, exps = ia.norms._chain_n0(chains, [forms[i] for i in live],
@@ -977,17 +999,73 @@ def test_the_chain_path_matches_the_dense_oracle(seed, chain_fixtures):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
+def test_rotated_frames_take_the_dense_path_and_match_the_oracle(
+        seed, rotated_frames):
+    # the error bound, not a premise, sends them to the dense path, whose
+    # ||x||, coefficient norms and N_0 stage norms are the oracle's
+    for name, system in rotated_frames.items():
+        chains = system.chains
+        assert ia.normalform.chain_model(system) is None, name
+        assert max(chains.margins) <= system.tol, name
+        bound = 2.0 * chains.error(ia.algebra.MAX_SAMPLE_DEGREE)
+        assert bound > ia.algebra.CHAIN_AGREEMENT, name
+        assert chains.failed == (f"error bound {bound:.3e} at degree 4 "
+                                 f"exceeds 1.0e-12"), name
+        assert ia.norms._path_note(system) == [f"dense path: {chains.failed}"]
+        forms = _oracle_forms(system, seed)
+        assert all("_coeffs" in vars(x) for x in forms), name
+        norms = ia.norms._operator_norms(forms)
+        coeffs = ia.norms._member_norms(system,
+                                        [x.coefficients for x in forms])
+        live = [i for i, x in enumerate(forms) if norms[i] != 0.0]
+        stacks, exps = ia.norms._compressed_n0(
+            [forms[i] for i in live], norms[live], system.gauge_generator, 4)
+        stages = dict(zip(live, spectral_norms(stacks) * 2.0 ** exps))
+        starts = np.cumsum([0] + [x._degrees.size for x in forms])
+        for i, (norm, coeff, n0) in enumerate(dense_sampler_oracle(forms)):
+            _rel(norms[i], norm, name)
+            _rel(coeffs[starts[i]:starts[i + 1]], coeff, name)
+            if i in stages:
+                _rel(stages[i], n0, name)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_chain_model_moves_within_its_error_bound(seed, rotated_frames):
+    # forced onto the chain path, the rotated frames' chain values lie
+    # within the first-order bound of Chains.error of the dense oracle on
+    # the same forms: ||x|| within error(N) ||x||, ||N_0(xx*)|| within
+    # twice that times ||x||^2, N the form's degree; n eps is the
+    # eigensolves' own rounding
+    for name, system in rotated_frames.items():
+        chained = _on_path(system, None)
+        chains = chained.chains
+        forms = _oracle_forms(chained, seed)
+        norms = ia.norms._operator_norms(forms)
+        live = [i for i, x in enumerate(forms) if norms[i] != 0.0]
+        stages, _ = ia.norms._chain_n0(chains, [forms[i] for i in live],
+                                       norms[live], 0)
+        first = dict(zip(live, stages[:, 0] * norms[live] ** 2))
+        slack = system.dim * np.finfo(float).eps
+        for i, (x, (norm, _, n0)) in enumerate(zip(
+                forms, dense_sampler_oracle(forms, 0))):
+            bound = chains.error(x.max_degree) + slack
+            assert abs(norms[i] - norm) <= bound * norm, name
+            if i in first:
+                assert abs(first[i] - n0[0] * norm ** 2) <= (
+                    2.0 * bound * norm ** 2), name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
 def test_the_chain_draw_matches_the_dense_draw(seed, chain_fixtures,
-                                               monkeypatch):
-    # the same RNG draws, validated in block coordinates and, with the
-    # chain model marked failed, by projection, range normalization,
-    # the drop rule and membership on the coefficient stacks: the same
-    # degrees, and the same coefficients and Frobenius norms to rounding
-    for name, system in chain_fixtures.items():
-        forms = random_normal_forms(system, 60, seed)
-        dense = ia.IsometrySystem(system.algebra, system.u)
-        monkeypatch.setitem(vars(dense), "chains",
-                            system.chains._replace(failed="a premise"))
+                                               rotated_frames):
+    # the same RNG draws, validated in block coordinates on the chain path
+    # and, on the dense path, by projection, range normalization, the drop
+    # rule and membership on the coefficient stacks: the same degrees, and
+    # the same coefficients and Frobenius norms to rounding (at n = 24)
+    systems = {**chain_fixtures, "rot09_n24": rotated_frames["rot09_n24"]}
+    for name, system in systems.items():
+        forms = random_normal_forms(_on_path(system, None), 60, seed)
+        dense = _on_path(system, "a premise")
         for x, y in zip(forms, random_normal_forms(dense, 60, seed),
                         strict=True):
             assert x.degrees() == y.degrees(), name
@@ -999,11 +1077,13 @@ def test_the_chain_draw_matches_the_dense_draw(seed, chain_fixtures,
                 initial=0.0) <= 1e-14 * scale, name
 
 
-def test_the_chain_model_reads_sigma_and_its_premises(chain_fixtures):
+def test_the_chain_model_reads_sigma_and_its_premises(chain_fixtures,
+                                                       rotated_frames):
     # one chain through every block, in the order U runs through them: the
     # q-models' blocks are the basis vectors e_0, e_1, ..., the polar
-    # models' their eigenspaces; every premise within tol.  shifts4_2's
-    # backward shifts run e_3 -> ... -> e_0 and e_5 -> e_4
+    # models' their eigenspaces; every premise within tol, and the error
+    # bound within CHAIN_AGREEMENT except on the rotated frames.
+    # shifts4_2's backward shifts run e_3 -> ... -> e_0 and e_5 -> e_4
     twin = chain_fixtures["shifts4_2"].chains
     assert twin.blocks.tolist() == [[3, 2, 1, 0], [5, 4, -1, -1]]
     assert twin.positions.tolist() == [3, 2, 1, 0, 1, 0]
@@ -1012,15 +1092,18 @@ def test_the_chain_model_reads_sigma_and_its_premises(chain_fixtures):
         "chain model, chains: 1 of length 4, 1 of length 2; premises: "
         "||V*V - I||_F = 0.000e+00, mass of V^-1 U V off sigma = 0.000e+00, "
         "F_k block values off the chains' 0 or 1 = 0.000e+00"]
-    for name, system in chain_fixtures.items():
+    for name, system in {**chain_fixtures, **rotated_frames}.items():
         if name == "shifts4_2":
             continue
         chains = system.chains
         d = system.algebra.dim
-        assert chains.failed is None and chains.blocks.shape == (1, d), name
+        assert chains.blocks.shape == (1, d), name
         assert sorted(chains.blocks[0].tolist()) == list(range(d)), name
         assert chains.positions[chains.blocks[0]].tolist() == list(range(d))
         assert max(chains.margins) <= system.tol, name
+        exact = 2.0 * chains.error(4) <= ia.algebra.CHAIN_AGREEMENT
+        assert exact == (name in chain_fixtures), name
+        assert (chains.failed is None) == exact, name
         if name.startswith(("qdeform", "q09", "q6x2")):
             assert chains.blocks[0].tolist() == list(range(d)), name
             assert chains.margins == (0.0, 0.0, 0.0), name
