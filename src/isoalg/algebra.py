@@ -58,7 +58,7 @@ of O(d^2 n^3):
 
 An algebra with a frame keeps the frame, its dimension and the ambient
 one, and forms its (d, n, n) basis on first use by a dense consumer, then
-keeps it: ``coordinates`` and ``project`` (the samplers' draw on a
+keeps it: ``project`` (the samplers' draw on a
 system without an exact chain model, below), the membership tests
 (``span_defects``, ``membership``, ``contains``: a
 NormalForm's coefficients, a polar model's a a* test), and the images'
@@ -519,9 +519,9 @@ class FiniteStarAlgebra:
     constructor takes the stack, or a ``Frame``, which it keeps as ``frame``
     (None for a stack) and from which it forms no stack: ``Frame.basis``
     forms it when a dense consumer first asks for ``basis`` or its flat
-    view (``coordinates``, ``project``, ``span_defects``, ``membership``,
-    ``contains``, ``member_norms``, and the images' stack of a walk stage
-    that does not close), and it is kept from then on.  The constructor
+    view (``project``, ``span_defects``, ``membership``, ``contains``, and
+    the images' stack of a walk stage that does not close), and it is kept
+    from then on.  The constructor
     validates the basis (``invariant_report``) and raises InvalidBasis,
     carrying the report, when an invariant fails.
 
@@ -562,18 +562,13 @@ class FiniteStarAlgebra:
         """The basis as a (d, n^2) array, a view of the stack."""
         return self.basis.reshape(self.dim, -1)
 
-    def coordinates(self, m: np.ndarray) -> np.ndarray:
-        """The HS coordinates <b_i, m> of a matrix, as a (d,) vector, or of
-        each matrix of a (K, n, n) stack, as a (K, d) array."""
-        m = np.asarray(m)
-        flat = m.reshape(m.shape[:-2] + (self.ambient_dim ** 2,))
-        return _inner_products(flat, self._flat)
-
     def project(self, m: np.ndarray) -> np.ndarray:
         """HS projection onto the span of a matrix, or of each matrix of a
-        (K, n, n) stack."""
+        (K, n, n) stack, from its coordinates <b_i, m>."""
         m = np.asarray(m)
-        return (self.coordinates(m) @ self._flat).reshape(m.shape)
+        flat = m.reshape(m.shape[:-2] + (self.ambient_dim ** 2,))
+        coords = _inner_products(flat, self._flat)
+        return (coords @ self._flat).reshape(m.shape)
 
     def span_defects(self, stack: np.ndarray) -> np.ndarray:
         """Frobenius distance to the span of each matrix of a (K, n, n)
@@ -601,15 +596,6 @@ class FiniteStarAlgebra:
         """The membership rule on one matrix, and its distance."""
         inside, defects = self.membership(as_matrix(m)[None])
         return bool(inside[0]), float(defects[0])
-
-    def member_norms(self, stack: np.ndarray) -> np.ndarray:
-        """||a|| of each member a of a (K, n, n) stack: max_i |c_i| /
-        sqrt(r_i) from its coordinates c_i = <b_i, a> when the algebra has a
-        frame (V, r) (bound in sample_coefficient_bound), else eigensolves."""
-        if self.frame is None:
-            return spectral_norms(stack)
-        scaled = np.abs(self.coordinates(stack)) / np.sqrt(self.frame.ranks)
-        return scaled.max(axis=1, initial=0.0)
 
     def block_values(self, stack: np.ndarray) -> np.ndarray:
         """The block values v_i = <b_i, m> / sqrt(r_i) = tr(V_i* m V_i) / r_i
@@ -664,6 +650,13 @@ class FiniteStarAlgebra:
         return adjoint(v) @ v
 
     @cached_property
+    def _frame_error(self) -> float:
+        """||E||_F, E = V*V - I: "identity in span", ``commutator_defect``,
+        the chain model's first premise and the gauge bound read it."""
+        return float(np.linalg.norm(self._frame_gram
+                                    - np.eye(self.ambient_dim)))
+
+    @cached_property
     def _frame_inverse(self) -> np.ndarray:
         """V^{-1} of the frame, which takes a matrix to frame coordinates:
         V*, up to E, for a unitary V."""
@@ -683,7 +676,7 @@ class FiniteStarAlgebra:
         e = self._frame_gram - np.eye(self.ambient_dim)
         norms = _block_norms(e, ranks) / np.sqrt(np.outer(ranks, ranks))
         np.fill_diagonal(norms, 0.0)
-        return float(norms.max()) * (1.0 + float(np.linalg.norm(e)))
+        return float(norms.max()) * (1.0 + self._frame_error)
 
     def invariant_report(self) -> ConditionReport:
         """The four *-algebra invariants, in the frame when there is one
@@ -728,15 +721,14 @@ class FiniteStarAlgebra:
                 f"and ranks {ranks.tolist()}")
         gram = self._frame_gram
         e = gram - np.eye(n)
-        err = float(np.linalg.norm(e))
         scale = np.sqrt(np.outer(ranks, ranks))
         inner = _block_sums(np.abs(gram) ** 2, ranks) / scale
         orth = float(np.abs(inner - np.eye(self.dim)).max())
         adj = max(float(_frobenius_norms(b - adjoint(b)).max())
                   for _, b in self.frame.chunks())
         prod = float((np.sqrt(_block_sums(np.abs(e) ** 2, ranks))
-                      / scale).max()) * (1.0 + err)
-        return orth, err, adj, prod
+                      / scale).max()) * (1.0 + self._frame_error)
+        return orth, self._frame_error, adj, prod
 
     def __repr__(self) -> str:
         return (f"FiniteStarAlgebra(dim={self.dim}, "
@@ -1305,14 +1297,13 @@ class IsometrySystem:
             return None
         vecs, ranks = alg.frame
         d = len(ranks)
-        tilde = alg._frame_inverse @ self._images(alg, False)._factors
+        tilde = self._images(alg, False)._frame_coordinates
         mass = _block_sums(np.abs(tilde) ** 2, ranks)  # [j, i]: i into j
         to = np.argmax(mass, axis=0)
         onto = mass[to, np.arange(d)] > ranks / 2.0
         sigma = np.where(onto, to, -1)
         mass[to[onto], np.flatnonzero(onto)] = 0.0
-        margins = (float(np.linalg.norm(alg._frame_gram - np.eye(self.dim))),
-                   float(np.sqrt(mass.sum())))
+        margins = (alg._frame_error, float(np.sqrt(mass.sum())))
         image = sigma[onto]
         if (np.bincount(image, minlength=d).max() > 1
                 or (ranks[image] != ranks[onto]).any()):
@@ -1434,6 +1425,12 @@ class _Images:
         return vecs if self.x is None else self.x @ vecs
 
     @cached_property
+    def _frame_coordinates(self) -> np.ndarray:
+        """T^-1 W, the factors W = xV in the target's frame T: V^-1 U V for
+        the delta images, which ``IsometrySystem.chains`` reads."""
+        return self.target._frame_inverse @ self._factors
+
+    @cached_property
     def stack(self) -> np.ndarray:
         alg = self.algebra
         if self.x is None:
@@ -1448,7 +1445,7 @@ class _Images:
         alg, target = self.algebra, self.target
         if alg.frame is None or target.frame is None:
             return target.span_defects(self.stack)
-        return _block_scalar_distances(target._frame_inverse @ self._factors,
+        return _block_scalar_distances(self._frame_coordinates,
                                        target.frame.ranks, alg.frame.ranks)
 
     @cached_property

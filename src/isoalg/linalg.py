@@ -88,6 +88,13 @@ def _int64_vector(values, name: str,
     return vec
 
 
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer: an int or an integral float
+    such as 2.0, not a true or false."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(np.asarray(m).conj(), -1, -2)
@@ -252,15 +259,18 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of matrix_to_json; bit-exact for finite 64-bit float
-    entries.  Anything else, a NaN, an infinity or an integer beyond the
-    float range too, raises DimensionMismatch naming the fault."""
+    entries.  Anything else, a NaN, an infinity, an integer beyond the
+    float range or a JSON true or false too, and a "dim" that is no integer
+    (``_is_integer``), raises DimensionMismatch naming the fault."""
     try:
-        n = int(obj["dim"])
-        entries = obj["entries"]
-        square = (n >= 1 and len(entries) == n
+        n, entries = obj["dim"], obj["entries"]
+        square = (_is_integer(n) and n >= 1 and len(entries) == n
                   and all(len(row) == n for row in entries))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed matrix object: {exc}") from exc
+    if not _is_integer(n):
+        raise DimensionMismatch(f'matrix "dim" must be an integer, got {n!r}')
+    n = int(n)
     if not square:
         raise DimensionMismatch(f"entries do not form a {n}x{n} matrix")
     m = np.empty((n, n), dtype=complex)
@@ -268,6 +278,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         for j, entry in enumerate(row):
             try:
                 re, im = entry
+                if isinstance(re, bool) or isinstance(im, bool):
+                    raise TypeError("a JSON true or false is no number")
                 m[i, j] = complex(re, im)
             except (TypeError, ValueError) as exc:
                 raise DimensionMismatch(

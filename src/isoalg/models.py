@@ -42,6 +42,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     _eigh,
+    _is_integer,
     _ldexp,
     _scale_exponent,
     adjoint,
@@ -442,7 +443,7 @@ def load_model(obj: dict, tol: float = DEFAULT_TOL) -> LoadedModel:
                                      for i, x in enumerate(samples)])
         n = field("n", number, "an integer")
         # an integral float such as 12.0 is an integer
-        if isinstance(n, float) and not n.is_integer():
+        if not _is_integer(n):
             raise ValueError(f"{kind} model spec field 'n' must be an "
                              f"integer, got {n!r}")
         n, q = int(n), finite(field("q"), "q")

@@ -20,11 +20,11 @@ stack; the validation body (:func:`_canonical_terms`) also takes the terms
 of many forms in one stack.  Each form also keeps the represented matrix,
 the sum of its monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), read-only,
 forms the stack of its monomials only for a product, and caches its norm.
-On a system whose chain model stands in (:func:`chain_model`) a form also
-has the (K, d) block values of its coefficients, which the samplers read:
-a drawn form holds them alone, and forms its coefficient stack and matrix
-on first use; any other form reads them off its stack when asked.  Its
-norm is then the largest norm of its chain matrices.
+On a frame system a form also has the (K, d) block values of its
+coefficients, which the samplers read.  Where the chain model stands in
+(:func:`chain_model`) a drawn form holds them alone, and forms its
+coefficient stack and matrix on first use, and its norm is the largest
+norm of its chain matrices; any other form reads them off its stack.
 
 The product is a convolution of monomials over the degree axis: the
 degree-d monomial of xy is the sum of X_j Y_k over j + k = d, and its
@@ -73,6 +73,7 @@ from .errors import (
 from .linalg import (
     _frobenius_norms,
     _int64_vector,
+    _is_integer,
     adjoint,
     as_matrix,
     matrix_from_json,
@@ -308,8 +309,16 @@ class NormalForm:
 
     @staticmethod
     def from_json(obj: dict, system: IsometrySystem) -> "NormalForm":
-        coeffs = {int(d["k"]): matrix_from_json(d["coeff"])
-                  for d in obj["degrees"]}
+        """The form of a ``to_json`` object; DimensionMismatch names a
+        degree "k" that is no integer (``_is_integer``) or a repeated one."""
+        terms = obj["degrees"]
+        for k in (d["k"] for d in terms):
+            if not _is_integer(k):
+                raise DimensionMismatch(f'degree "k" must be an integer, '
+                                        f'got {k!r}')
+        coeffs = {int(d["k"]): matrix_from_json(d["coeff"]) for d in terms}
+        if len(coeffs) < len(terms):
+            raise DimensionMismatch("repeated degree in coefficient list")
         return NormalForm(system, coeffs)
 
     def __repr__(self) -> str:
@@ -386,7 +395,8 @@ def nf_multiply(x: NormalForm, y: NormalForm) -> NormalForm:
 
 def gauge(x: NormalForm, lam: complex) -> NormalForm:
     """Substitute U -> lam*U for unimodular lam: degree k picks up lam^k."""
-    if abs(abs(lam) - 1.0) > 1e-12:
+    # not "> 1e-12", which a NaN modulus passes
+    if not abs(abs(lam) - 1.0) <= 1e-12:
         raise NotUnimodular(f"|lam| = {abs(lam)!r} is not 1")
     phases = complex(lam) ** x._degrees
     return NormalForm(x.system, phases[:, None, None] * x._coeffs,

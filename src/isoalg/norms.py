@@ -74,9 +74,7 @@ coefficients' block values (``Chains.matrices``), so:
   Frobenius norm is sqrt(sum_i r_i |v_i|^2), on which the drop rule acts;
   membership holds by construction.  A form holds its degrees and (K, d)
   block values, and forms its coefficients and matrix on first use;
-- ||x|| = max_c ||X_c||, and ||a_k|| = max_i |v_i| (within ||E|| of the
-  ambient norm, E = V*V - I);
-- the gauge bound takes ||a_k||_F <= sqrt(sum_i r_i |v_i|^2)(1 + ||E||_F);
+- ||x|| = max_c ||X_c||;
 - the norm limit squares X_c X_c* / ||x||^2, whose positions carry
   distinct gauge potentials, so N_0 of every stage is its diagonal, a
   member of A by construction.
@@ -89,6 +87,10 @@ constructor's body, ||x|| is an eigensolve of the form's matrix, and
 :func:`norm_limit` squares P = xx*/||x||^2 of the forms as (g, n, n)
 stacks in the eigenbasis of H and tests their N_0 for membership in the
 algebra as one stack.
+
+On both paths a frame system takes ||a_k|| as max_i |v_i| of a_k's block
+values (:func:`_coefficient_norms`), and the gauge bound ||a_k||_F as the
+stored Frobenius norm times 1 + ||V*V - I||_F (:func:`_certified_deviations`).
 
 Either way the draw is validated in chunks (``_chunks``, which also cut
 the samplers' stacks), each holding, on the dense path, its stack and at
@@ -204,8 +206,10 @@ def _operator_norms(forms: list[NormalForm]) -> np.ndarray:
 
 def _value_norms(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """sqrt(sum_i r_i |v_i|^2) of each row v of a (K, d) array of block
-    values: the Frobenius norm of V diag(v) V* for a unitary V."""
-    return np.sqrt(((values.real ** 2 + values.imag ** 2) * ranks).sum(axis=1))
+    values: the Frobenius norm of V diag(v) V* for a unitary V, summed in
+    C order (a gather's Fortran order would change its bits)."""
+    mass = np.ascontiguousarray((values.real ** 2 + values.imag ** 2) * ranks)
+    return np.sqrt(mass.sum(axis=1))
 
 
 def _centred(count: int) -> np.ndarray:
@@ -367,23 +371,9 @@ def sample_coefficient_bound(system: IsometrySystem,
 
     The reported defect is the worst margin max_k ||a_k|| - ||x|| over all
     samples (negative when the bound holds strictly).  ||x|| is a batched
-    eigensolve per chunk (:func:`_operator_norms`).  When the algebra has a
-    frame (V, r), with basis b_i = V_i V_i* / sqrt(r_i), a coefficient is
-    a = sum_i c_i b_i + (a - sum_i c_i b_i) with c_i = <b_i, a>, and
-    sum_i c_i b_i = V D V* with D = v_i = c_i / sqrt(r_i) on block i, its
-    block values.  With E = V*V - I (``_frame_gram``), ||V D V*|| lies
-    within the factors 1 +- ||E|| of ||D|| = max_i |v_i|, so
-
-        | ||a|| - max_i |v_i| | <= dist(a, A) + ||E|| max_i |v_i|,
-
-    where dist(a, A) = ||a - sum_i c_i b_i||_F is the membership defect
-    each coefficient passed when it was validated (0 for a drawn form of a
-    chain system, which holds its block values).  On a system whose chain
-    model stands in the norms are read from the block values; on another
-    frame system the coordinates are one flat product, and without a frame
-    the norms are one batched eigensolve, a chunk (``_chunks``) at a time.
-    The notes give the largest degree of the measured forms and, on a
-    frame system, the path (:func:`_path_note`).
+    eigensolve per chunk (:func:`_operator_norms`), and ||a_k|| is
+    :func:`_coefficient_norms`.  The notes give the largest degree of the
+    measured forms and, on a frame system, the path (:func:`_path_note`).
 
     On a system that fails :func:`sampler_hypothesis` the report is that
     hypothesis alone.
@@ -394,11 +384,7 @@ def sample_coefficient_bound(system: IsometrySystem,
     if not rep.passed:
         return rep
     norm_x = _operator_norms(forms)
-    if chain_model(system) is None:
-        norms = _member_norms(system, [x.coefficients for x in forms])
-    else:
-        norms = np.abs(np.concatenate([x._values for x in forms])).max(
-            axis=1, initial=0.0)
+    norms = _coefficient_norms(forms)
     degrees = np.concatenate([x._degrees for x in forms])
     margins = norms - np.repeat(norm_x, [x._degrees.size for x in forms])
     # a_0 = 0 when degree 0 is absent, and ||a_0|| - ||x|| >= -||x||
@@ -407,26 +393,25 @@ def sample_coefficient_bound(system: IsometrySystem,
     rep.add(f"||a_0|| - ||x|| over {len(forms)} samples", worst_zero, tol)
     rep.add(f"max_k ||a_k|| - ||x|| over {len(forms)} samples", worst_any, tol)
     rep.note(f"max degree = {int(np.abs(degrees).max(initial=0))}")
-    for note in _path_note(system):
-        rep.note(note)
+    rep.notes += _path_note(system)
     return rep
 
 
-def _member_norms(system: IsometrySystem,
-                  coeffs: list[np.ndarray]) -> np.ndarray:
-    """||a|| of every coefficient of the forms' (K, n, n) ``coeffs``, by
-    ``FiniteStarAlgebra.member_norms``, a chunk (``_chunks``) at a time."""
-    chunks: list[list[np.ndarray]] = []
-    for chunk in _chunks(coeffs, len, system.dim):
-        # BLAS may round one row (matrix-vector) otherwise than many: a
-        # chunk of one coefficient joins a neighbour, so the norms are those
-        # of one stack where BLAS rounds a chunk's rows as the whole stack's
-        if chunks and min(sum(map(len, c)) for c in (chunks[-1], chunk)) < 2:
-            chunks[-1] += chunk
-        else:
-            chunks.append(chunk)
-    return np.concatenate([system.algebra.member_norms(np.concatenate(c))
-                           for c in chunks])
+def _coefficient_norms(forms: list[NormalForm]) -> np.ndarray:
+    """||a|| of every stored coefficient of the forms, in order: without a
+    frame one batched eigensolve per chunk (``_chunks``), and on a frame
+    system (V, r), whichever path it takes, max_i |v_i| of a's block values
+    (``NormalForm._values``).  V diag(v) V* = sum_i <b_i, a> b_i lies within
+    dist(a, A) of a, and its norm within the factors 1 +- ||E|| of
+    ||diag(v)|| = max_i |v_i|, E = V*V - I, so
+
+        | ||a|| - max_i |v_i| | <= dist(a, A) + ||E|| max_i |v_i|."""
+    system = forms[0].system
+    if system.algebra.frame is not None:
+        return np.abs(np.concatenate([x._values for x in forms])).max(
+            axis=1, initial=0.0)
+    return np.concatenate([spectral_norms(np.concatenate(c)) for c in _chunks(
+        [x.coefficients for x in forms], len, system.dim)])
 
 
 def _sum_norm_margins(stack: np.ndarray, sizes) -> np.ndarray:
@@ -684,22 +669,17 @@ def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
                           dim: int) -> np.ndarray:
     """pi sum_k (|k| eps + sqrt(d) eta) ||a_k||_F of each form: the bound
     on the norm deviation over the whole circle that
-    :func:`gauge_invariance_sample` proves.  ||a_k||_F is the Frobenius
-    norm stored on the form; on a system whose chain model stands in it is
-    bounded from the block values v of a_k = V diag(v) V* by
-    sqrt(sum_i r_i |v_i|^2) (1 + ||E||_F), E = V*V - I, since
-    ||V diag(v) V*||_F <= ||V||^2 ||diag(v)||_F and
+    :func:`gauge_invariance_sample` proves, with ||a_k||_F the norm stored
+    on the form times 1 + ||E||_F, E = V*V - I, on a frame system (V, r)
+    and times 1 without one.  That norm is ||a_k||_F, or, on a drawn form
+    of a chain system, ||diag(v)||_F for a_k = V diag(v) V*, and
+    ||V diag(v) V*||_F <= ||V||^2 ||diag(v)||_F with
     ||V||^2 = ||I + E|| <= 1 + ||E||_F."""
-    system = forms[0].system
-    chains = chain_model(system)
+    algebra = forms[0].system.algebra
+    error = 0.0 if algebra.frame is None else algebra._frame_error
     owner = np.repeat(np.arange(len(forms)), [len(x._degrees) for x in forms])
     degrees = np.concatenate([np.zeros(0, int)] + [x._degrees for x in forms])
-    if chains is None:
-        fro = np.concatenate([np.zeros(0)] + [x._norms for x in forms])
-    else:
-        fro = _value_norms(np.concatenate([x._values for x in forms]),
-                           system.algebra.frame.ranks) * (
-            1.0 + chains.margins[0])
+    fro = np.concatenate([x._norms for x in forms]) * (1.0 + error)
     weights = (np.abs(degrees) * gen.residual
                + np.sqrt(dim) * gen.commutation) * fro
     return np.pi * np.bincount(owner, weights, minlength=len(forms))
@@ -758,8 +738,7 @@ def gauge_invariance_sample(system: IsometrySystem,
             f"samples", float((bounds / np.maximum(1.0, norms)).max(
                 initial=0.0)), tol)
     rep.note("certified by a gauge generator")
-    for note in _path_note(system):
-        rep.note(note)
+    rep.notes += _path_note(system)
     return rep
 
 
@@ -805,8 +784,7 @@ def norm_limit_sample(system: IsometrySystem, forms: list[NormalForm], *,
     rep.add("first-stage sandwich", worst_sandwich, NORM_LIMIT_SLACK)
     rep.add(f"convergence at k = {_doubling_schedule(k_max)[-1]}",
             worst_conv, NORM_LIMIT_REL_TOL)
-    for note in _path_note(system):
-        rep.note(note)
+    rep.notes += _path_note(system)
     return rep, traces
 
 

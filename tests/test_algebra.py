@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tracemalloc
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -1282,6 +1283,47 @@ def assert_within_frame_bound(got, want, n, e=0.0):
     got, want = np.asarray(got, float), np.asarray(want, float)
     slack = 4 * n * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
     assert (np.abs(got - want) <= e * np.abs(got) + slack).all(), (got, want)
+
+
+def _counted(monkeypatch, cls, name):
+    """Replace the cached property ``name`` of ``cls`` by one that records,
+    in the returned list, each instance it measures."""
+    body, calls = vars(cls)[name].func, []
+
+    def counted(self):
+        calls.append(self)
+        return body(self)
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rot09_n24", "p6_rotated", "qdeform12"])
+def test_each_frame_quantity_is_measured_once(frame_models, name,
+                                              monkeypatch):
+    # ||V*V - I||_F is one value of the frame algebra, read by "identity in
+    # span", commutator_defect, the chain model's first premise and the
+    # gauge bound; V^-1 U V is one product of the delta images, read by
+    # their distances and the chain model
+    errors = _counted(monkeypatch, FiniteStarAlgebra, "_frame_error")
+    coords = _counted(monkeypatch, _Images, "_frame_coordinates")
+    m = frame_models[name]
+    alg = FiniteStarAlgebra(m.system.algebra.frame, tol=m.system.algebra.tol)
+    sys = IsometrySystem(alg, m.system.u)
+    forms = ia.random_normal_forms(sys, 5, 0)
+    assert alg.commutator_defect >= 0.0 <= sys.delta_invariance_defect
+    assert ia.norms.gauge_invariance_sample(sys, forms).passed
+    assert errors == [alg]
+    # each images' product once: the delta images', and those of delta_star
+    assert coords == [sys._images(alg, False), sys._images(alg, True)]
+    (ident,) = [d.value for d in alg.invariant_report().defects
+                if d.check == "identity in span"]
+    assert ident == sys.chains.margins[0] == alg._frame_error
+    assert ident == frame_error(alg)
+    vecs = alg.frame.vecs
+    assert np.array_equal(sys._images(alg, False)._frame_coordinates,
+                          np.linalg.inv(vecs) @ (sys.u @ vecs))
 
 
 FRAME_MODELS = ["qdeform12", "polar6", "p6_rotated", "rot09_n24",

@@ -965,6 +965,17 @@ def test_run_all_repeats_no_shared_pass(specs, monkeypatch):
                    "complex matrices cannot be allocated", id=f"huge-n-{label}")
       for n, label in ((10 ** 400, "1e400"), (10 ** 11, "1e11"),
                        (10 ** 6, "1e6"))),
+    # a "dim" that is no integer, and a JSON true or false as an entry
+    *(pytest.param({"type": "polar", "a": {"dim": dim, "entries": [
+        [[0, 0], [1, 0]], [[0, 0], [0, 0]]]}},
+                   f"polar model spec field 'a' is not a matrix: matrix "
+                   f"\"dim\" must be an integer, got {dim!r}",
+                   id=f"dim-{dim!r}") for dim in (2.7, "2", True)),
+    pytest.param({"type": "system", "U": {"dim": 1, "entries": [[[0, 0]]]},
+                  "generators": [{"dim": 1, "entries": [[[True, False]]]}]},
+                 "system model spec field 'generators[0]' is not a matrix: "
+                 "entry [0][0] is not a [re, im] pair of numbers, got "
+                 "[True, False]", id="bool-matrix-entry"),
 ])
 @pytest.mark.parametrize("command", ["run", "closure"])
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec, fault):

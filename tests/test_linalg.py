@@ -310,6 +310,25 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"entries": []})
 
 
+@pytest.mark.parametrize("dim", [2.7, "2", True, float("inf")])
+def test_matrix_json_refuses_a_dim_that_is_no_integer(dim):
+    entries = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    with pytest.raises(DimensionMismatch,
+                       match=f'matrix "dim" must be an integer, got {dim!r}'):
+        matrix_from_json({"dim": dim, "entries": entries})
+    # an integral float is an integer
+    assert np.array_equal(matrix_from_json({"dim": 2.0, "entries": entries}),
+                          np.eye(2))
+
+
+@pytest.mark.parametrize("entry", [[True, False], [1, False], [False, 0]])
+def test_matrix_json_refuses_a_boolean_entry(entry):
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(f"entry [0][0] is not a [re, im] pair "
+                                       f"of numbers, got {entry!r}")):
+        matrix_from_json({"dim": 1, "entries": [[entry]]})
+
+
 def test_scale_exponent_leaves_the_safe_range_alone():
     # [2^-128, 2^128] keeps e = 0; past it m 2^-e has its largest part in
     # [1/2, 1); zero and non-finite matrices keep 0

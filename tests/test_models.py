@@ -447,6 +447,20 @@ def test_load_model_tolerance_reaches_every_model_type():
         assert load_model(spec).system.tol == 1e-9
 
 
+@pytest.mark.parametrize("a, fault", [
+    ({"dim": 2.7}, 'matrix "dim" must be an integer, got 2.7'),
+    ({"dim": "2"}, "matrix \"dim\" must be an integer, got '2'"),
+    ({"dim": True}, 'matrix "dim" must be an integer, got True'),
+    ({"dim": 1, "entries": [[[True, False]]]},
+     "entry [0][0] is not a [re, im] pair of numbers, got [True, False]")])
+def test_load_model_names_the_matrix_field_that_is_no_matrix(a, fault):
+    a = {"entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], **a}
+    with pytest.raises(ValueError) as info:
+        load_model({"type": "polar", "a": a})
+    assert str(info.value) == (f"polar model spec field 'a' is not a matrix: "
+                               f"{fault}")
+
+
 def test_load_model_unknown_type():
     with pytest.raises(ValueError):
         load_model({"type": "nope"})

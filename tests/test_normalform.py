@@ -423,6 +423,17 @@ def test_gauge_examples(qsys):
         gauge(x, 1.1)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), complex(float("nan"), 0.0),
+                                 complex(0.0, float("nan"))])
+def test_gauge_refuses_a_nan_lam(qsys, lam):
+    # a NaN modulus is not within 1e-12 of 1 either; refused here, it would
+    # fail later as an Overflow naming a norm of nan
+    x = ia.random_normal_form(qsys, np.random.default_rng(15))
+    with pytest.raises(NotUnimodular, match=f"[|]lam[|] = {abs(lam)!r} is "
+                                            f"not 1"):
+        gauge(x, lam)
+
+
 def test_gauge_average_examples(qsys, qtable):
     x = NormalForm(qsys, {0: qtable["Q"]})
     assert np.linalg.norm(gauge_average(x, 1, 5)) <= 1e-14
@@ -470,6 +481,26 @@ def test_nf_json_roundtrip(qsys):
     x = ia.random_normal_form(qsys, rng)
     back = NormalForm.from_json(x.to_json(), qsys)
     assert nf_allclose(back, x, tol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1.5, True, False, "1", float("nan")])
+def test_nf_json_refuses_a_degree_that_is_no_integer(qsys, k):
+    coeff = ia.matrix_to_json(qsys.proj_final(1))
+    with pytest.raises(DimensionMismatch,
+                       match=f'degree "k" must be an integer, got {k!r}'):
+        NormalForm.from_json({"degrees": [{"k": k, "coeff": coeff}]}, qsys)
+
+
+def test_nf_json_refuses_a_repeated_degree_and_takes_an_integral_float(
+        qsys):
+    f1 = qsys.proj_final(1)
+    terms = [{"k": 1, "coeff": ia.matrix_to_json(f1)},
+             {"k": 1.0, "coeff": ia.matrix_to_json(2 * f1)}]
+    with pytest.raises(DimensionMismatch, match="repeated degree"):
+        NormalForm.from_json({"degrees": terms}, qsys)
+    x = NormalForm.from_json({"degrees": terms[1:]}, qsys)
+    assert x.degrees() == (1,)
+    assert np.array_equal(x.coefficient(1), 2 * f1)
 
 
 def test_coefficients_match_matrix_diagonals(qsys):

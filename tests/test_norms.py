@@ -564,8 +564,8 @@ def _coefficient_bound_reference(forms):
 
 def test_coordinate_norms_within_the_frame_bound(certified_systems, cyclic5,
                                                  q6x2):
-    # | ||a|| - max_i |c_i|/sqrt(r_i) | <= dist(a, A) + ||E|| max_i
-    # |c_i|/sqrt(r_i), E = V*V - I, up to the rounding of the two norms
+    # | ||a|| - max_i |v_i| | <= dist(a, A) + ||E|| max_i |v_i| for the
+    # block values v, E = V*V - I, up to the rounding of the two norms
     systems = {name: system for name, system in certified_systems.items()
                if system.algebra.frame is not None}
     assert len(systems) == 12
@@ -574,7 +574,7 @@ def test_coordinate_norms_within_the_frame_bound(certified_systems, cyclic5,
         alg = system.algebra
         stack = np.concatenate([x.coefficients for x in
                                 random_normal_forms(system, 40, seed=3)])
-        got = alg.member_norms(stack)
+        got = np.abs(alg.block_values(stack)).max(axis=1, initial=0.0)
         want = spectral_norms(stack)
         e = spectral_norm(alg._frame_gram - np.eye(system.dim))
         bound = alg.span_defects(stack) + e * got
@@ -867,7 +867,7 @@ def test_samplers_report_the_refused_generator_and_measure_nothing(
         raise AssertionError("a sampler measured an uncertified system")
     for body in ("_operator_norms", "_compressed_n0", "_certified_deviations"):
         monkeypatch.setattr(ia.norms, body, measured)
-    monkeypatch.setattr(system.algebra, "member_norms", measured)
+    monkeypatch.setattr(ia.norms, "_coefficient_norms", measured)
     star = sample_coefficient_bound(system, forms)
     gauge = gauge_invariance_sample(system, forms)
     limit, traces = norm_limit_sample(system, forms, k_max=8)
@@ -1002,7 +1002,9 @@ def test_the_chain_path_matches_the_dense_oracle(seed, chain_fixtures):
 def test_rotated_frames_take_the_dense_path_and_match_the_oracle(
         seed, rotated_frames):
     # the error bound, not a premise, sends them to the dense path, whose
-    # ||x||, coefficient norms and N_0 stage norms are the oracle's
+    # ||x||, coefficient norms (the block values' on every frame system)
+    # and N_0 stage norms are the oracle's, and whose gauge bound is the
+    # per-form reference's
     for name, system in rotated_frames.items():
         chains = system.chains
         assert ia.normalform.chain_model(system) is None, name
@@ -1015,8 +1017,11 @@ def test_rotated_frames_take_the_dense_path_and_match_the_oracle(
         forms = _oracle_forms(system, seed)
         assert all("_coeffs" in vars(x) for x in forms), name
         norms = ia.norms._operator_norms(forms)
-        coeffs = ia.norms._member_norms(system,
-                                        [x.coefficients for x in forms])
+        coeffs = ia.norms._coefficient_norms(forms)
+        gen = system.gauge_generator
+        bounds = ia.norms._certified_deviations(forms, gen, system.algebra.dim)
+        for x, bound in zip(forms, bounds, strict=True):
+            _rel(bound, _certified_bound_reference(x), name)
         live = [i for i, x in enumerate(forms) if norms[i] != 0.0]
         stacks, exps = ia.norms._compressed_n0(
             [forms[i] for i in live], norms[live], system.gauge_generator, 4)
@@ -1133,7 +1138,8 @@ def test_a_failed_premise_is_named_and_sends_the_samplers_to_the_dense_path(
     assert ia.norms._path_note(system) == [
         "dense path: ||V*V - I||_F = 2.205e-09 exceeds tol 1.0e-09"]
     # on q12 with its premises marked failed, the draw and the samplers
-    # take the dense path: they form no chain matrix and read no block value
+    # take the dense path: they form no chain matrix, and the draw reads no
+    # block value (the coefficient bound reads them on every frame system)
     system = ia.IsometrySystem(qdeform12.system.algebra, qdeform12.system.u)
     failed = system.chains._replace(failed="a premise")
     monkeypatch.setitem(vars(system), "chains", failed)
@@ -1141,8 +1147,9 @@ def test_a_failed_premise_is_named_and_sends_the_samplers_to_the_dense_path(
     def chained(*args):
         raise AssertionError("the chain path measured a failed model")
     monkeypatch.setattr(ia.algebra.Chains, "matrices", chained)
-    monkeypatch.setattr(ia.FiniteStarAlgebra, "block_values", chained)
-    forms = random_normal_forms(system, 30, 0)
+    with monkeypatch.context() as draw:
+        draw.setattr(ia.FiniteStarAlgebra, "block_values", chained)
+        forms = random_normal_forms(system, 30, 0)
     assert all("_coeffs" in vars(x) for x in forms)
     star = sample_coefficient_bound(system, forms)
     gauge = gauge_invariance_sample(system, forms)
