@@ -955,11 +955,6 @@ class Chains(NamedTuple):
         return (degree * (degree + 1) * (m + f)
                 + (2 * degree + 1) * (2 * e + f))
 
-    def ranged(self, degrees: np.ndarray) -> np.ndarray:
-        """The (K, d) mask of the blocks in the range of F_|k|, whose
-        chain position is at least |k|, for each degree k."""
-        return self.positions[None, :] >= np.abs(degrees)[:, None]
-
     def matrices(self, terms) -> np.ndarray:
         """The chain matrices X_c of forms given as (degrees, block values)
         ``terms``, one (K, d) array of values per form, as a (g, C, L, L)
@@ -1140,6 +1135,7 @@ class IsometrySystem:
         return p @ adjoint(p)
 
     def _conjugate(self, m, n: int, star: bool) -> np.ndarray:
+        n = int(_int64_vector([n], "power")[0])
         m = np.asarray(m, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
@@ -1275,6 +1271,22 @@ class IsometrySystem:
         return gen if certified else None
 
     @cached_property
+    def range_values(self) -> np.ndarray:
+        """Block values ||U^{*k} V_i||_F^2 / r_i of F_k = U^k U^{*k} on a
+        frame (V, r), rows k = 0 (exactly 1) to the nilpotency index K
+        (exactly 0), or to MAX_SAMPLE_DEGREE + 1 when U is not nilpotent,
+        one product U^{*k} V = U* U^{*(k-1)} V a row: read by the draw's
+        range normalization and the chain model's third premise."""
+        vecs, ranks = self.algebra.frame
+        index, starts = self.nilpotency_index, np.cumsum(ranks) - ranks
+        rows, y, ustar = [np.ones(len(ranks))], vecs, adjoint(self.u)
+        for _ in range(1, index or MAX_SAMPLE_DEGREE + 2):
+            y = ustar @ y
+            mass = np.einsum("ij,ij->j", y.conj(), y).real
+            rows.append(np.add.reduceat(mass, starts) / ranks)
+        return np.array(rows + [0.0 * rows[0]] * (index is not None))
+
+    @cached_property
     def chains(self) -> Chains | None:
         """The chain model of a certified frame system: a frame algebra,
         a passed coefficient report and a gauge generator; None on any
@@ -1283,10 +1295,9 @@ class IsometrySystem:
         when one does; the chains start at the blocks outside its image.
         The premises (CHAIN_PREMISES) are ||E||_F, E = V*V - I; the
         Frobenius mass of V^-1 U V off the blocks (sigma(i), i); and the
-        largest distance of the block values ||U^{*k} V_i||_F^2 / r_i of
-        F_k = U^k U^{*k}, k = 1 to the nilpotency index K less one, from
-        [position of block i >= k], by one product
-        U^{*k} V = U* U^{*(k-1)} V a step.  sigma must be a rank-preserving
+        largest distance of the block values of F_k = U^k U^{*k}
+        (``range_values``), k = 1 to the nilpotency index K less one, from
+        [position of block i >= k].  sigma must be a rank-preserving
         partial injection of the blocks without a cycle; when it is not,
         ``failed`` says so and the third premise is not measured.  With
         the premises within tol, twice the error bound at
@@ -1295,7 +1306,7 @@ class IsometrySystem:
         if (alg.frame is None or not self.coefficient_report.passed
                 or self.gauge_generator is None):
             return None
-        vecs, ranks = alg.frame
+        ranks = alg.frame.ranks
         d = len(ranks)
         tilde = self._images(alg, False)._frame_coordinates
         mass = _block_sums(np.abs(tilde) ** 2, ranks)  # [j, i]: i into j
@@ -1324,15 +1335,9 @@ class IsometrySystem:
         for c, chain in enumerate(chains):
             blocks[c, :len(chain)] = chain
             positions[chain] = np.arange(len(chain))
-        starts, ustar = np.cumsum(ranks) - ranks, adjoint(self.u)
-        index = self.nilpotency_index or 2 * self.dim + 4
-        off, y = 0.0, vecs
-        for k in range(1, index):
-            y = ustar @ y
-            f = np.add.reduceat(np.einsum("ij,ij->j", y.conj(), y).real,
-                                starts) / ranks
-            off = max(off, float(np.abs(f - (positions >= k)).max()))
-        margins += (off,)
+        f = self.range_values[1:self.nilpotency_index]
+        inside = positions >= np.arange(1, len(f) + 1)[:, None]
+        margins += (float(np.abs(f - inside).max(initial=0.0)),)
         failed = next((f"{name} = {m:.3e} exceeds tol {tol:.1e}"
                        for name, m in zip(CHAIN_PREMISES, margins)
                        if not m <= tol), None)

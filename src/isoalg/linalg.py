@@ -75,8 +75,19 @@ def _ldexp(m: np.ndarray, e) -> np.ndarray:
 
 def _int64_vector(values, name: str,
                   top: int = int(np.iinfo(np.int64).max)) -> np.ndarray:
-    """Integers as a 1-d int64 array.  Overflow names the first value
-    outside -top..top, one past the 64-bit range included."""
+    """Integers as a 1-d int64 array: an integer array, or values each an
+    int or an integral float such as 2.0 (``_is_integer``).
+    DimensionMismatch names the first other value, a true or false or a
+    non-integral float, and Overflow the first outside -top..top, one past
+    the 64-bit range included."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+        flat = [v.item() if isinstance(v, np.generic) else v
+                for v in np.asarray(values, dtype=object).reshape(-1)]
+        for v in flat:
+            if not _is_integer(v):
+                raise DimensionMismatch(f"{name} must be an integer, got "
+                                        f"{v!r}")
+        values = [int(v) for v in flat]
     try:
         vec = np.asarray(values, dtype=np.int64).reshape(-1)
     except OverflowError:  # a Python int no int64 holds
@@ -89,8 +100,8 @@ def _int64_vector(values, name: str,
 
 
 def _is_integer(value) -> bool:
-    """Whether a JSON value is an integer: an int or an integral float
-    such as 2.0, not a true or false."""
+    """Whether a value is an integer: an int or an integral float such as
+    2.0, not a true or false."""
     return (isinstance(value, int) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer())
 

@@ -21,10 +21,10 @@ of many forms in one stack.  Each form also keeps the represented matrix,
 the sum of its monomials M_k (a_k U^k, a_0, U^{*|k|} a_|k|), read-only,
 forms the stack of its monomials only for a product, and caches its norm.
 On a frame system a form also has the (K, d) block values of its
-coefficients, which the samplers read.  Where the chain model stands in
-(:func:`chain_model`) a drawn form holds them alone, and forms its
-coefficient stack and matrix on first use, and its norm is the largest
-norm of its chain matrices; any other form reads them off its stack.
+coefficients, which the samplers read: a drawn form holds them alone and
+forms its stack and matrix on first use, any other reads them off its
+stack.  Where the chain model stands in (:func:`chain_model`) its norm is
+the largest norm of its chain matrices.
 
 The product is a convolution of monomials over the degree axis: the
 degree-d monomial of xy is the sum of X_j Y_k over j + k = d, and its
@@ -184,7 +184,7 @@ class NormalForm:
         self.system = system
         n = system.dim
         if degrees is None:
-            degrees = [int(k) for k in coeffs]
+            degrees = list(coeffs)
             mats = [as_matrix(c) for c in coeffs.values()]
             for k, c in zip(degrees, mats):
                 if c.shape[0] != n:
@@ -228,11 +228,10 @@ class NormalForm:
     @classmethod
     def _from_values(cls, system: IsometrySystem, degrees: np.ndarray,
                      values: np.ndarray, norms: np.ndarray) -> "NormalForm":
-        """A form of a chain system (``IsometrySystem.chains``) from the
-        (K, d) block values of range-normalized members of the algebra, in
-        ascending degree order, and their Frobenius norms
-        sqrt(sum_i r_i |v_i|^2): its coefficients, matrix and monomials are
-        formed on first use."""
+        """A form of a frame system from the (K, d) block values of
+        range-normalized members of the algebra, in ascending degree order,
+        and their Frobenius norms sqrt(sum_i r_i |v_i|^2): its
+        coefficients, matrix and monomials are formed on first use."""
         x = cls.__new__(cls)
         x.system = system
         x._degrees, x._values, x._norms = degrees, values, norms

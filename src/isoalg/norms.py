@@ -54,49 +54,46 @@ The three samplers over canonical forms (coefficient bound, gauge
 invariance, norm limit) measure one shared draw, ``random_normal_forms``;
 each takes (system, forms), a list of forms of that system with at least
 one nonzero form, and none reads another's report: on a certified system
-the bound is a theorem.  They measure one of two paths, and on a frame
-system their reports note which (:func:`_path_note`).
+the bound is a theorem.
 
-**The chain path.**  On a certified frame system whose chain model stands
-in for the dense path, its premises within tol and its first-order error
-bound within 1e-12 relative on the drawn forms (``IsometrySystem.chains``,
+**The draw** keeps its RNG calls and their order, and its body follows
+the algebra kind alone.  On a frame algebra (V, r) it reads each raw
+draw's block values v_i = tr(V_i* z V_i) / r_i, the coordinates of its
+projection into A, before it draws the next; F_k = U^k U^{*k} =
+delta^k(1) lies in A, so range normalization multiplies degree k's values
+by those of F_|k| (``IsometrySystem.range_values``); the drop rule acts on
+a member's Frobenius norm sqrt(sum_i r_i |v_i|^2); membership holds by
+construction.  A form holds its degrees and block values.  On a
+frame-less algebra the draw projects its raw draws into A and validates
+them through the NormalForm constructor's body.
+
+**||x|| and N_0** alone read the chain model (``IsometrySystem.chains``,
 the model, its premises and the bound in the ``isoalg.algebra``
-docstring; :func:`~isoalg.normalform.chain_model`),
-C*(A, U) is the direct sum over the chains of L x L matrix algebras, U the
-shift and a member of A the diagonal of its block values along each chain.
-A form acts on chain c as X_c (x) 1_r, X_c the banded L x L matrix of its
-coefficients' block values (``Chains.matrices``), so:
+docstring; :func:`~isoalg.normalform.chain_model`).  Where it stands in,
+its premises within tol and its first-order error bound within 1e-12
+relative on the drawn forms, C*(A, U) is the direct sum over the chains
+of L x L matrix algebras, U the shift and a member of A the diagonal of
+its block values along each chain.  A form acts on chain c as
+X_c (x) 1_r, X_c the banded L x L matrix of its coefficients' block
+values (``Chains.matrices``), so ||x|| = max_c ||X_c||, and the norm
+limit squares X_c X_c* / ||x||^2, whose positions carry distinct gauge
+potentials, so N_0 of every stage is its diagonal, a member of A by
+construction.  Elsewhere (no frame, a premise that fails, or an error
+bound above 1e-12, as on a rotated frame past a few dimensions) ||x|| is
+an eigensolve of the form's matrix, and :func:`norm_limit` squares
+P = xx*/||x||^2 of the forms as (g, n, n) stacks in the eigenbasis of H
+and tests their N_0 for membership in A as one stack.  On a frame system
+the samplers' reports note which (:func:`_path_note`).
 
-- the draw keeps its RNG calls and their order, and reads each raw draw's
-  block values v_i = tr(V_i* z V_i) / r_i, the coordinates of its
-  projection into A, before it draws the next; range normalization by
-  F_k = U^k U^{*k} keeps the blocks at chain positions >= |k|; a member's
-  Frobenius norm is sqrt(sum_i r_i |v_i|^2), on which the drop rule acts;
-  membership holds by construction.  A form holds its degrees and (K, d)
-  block values, and forms its coefficients and matrix on first use;
-- ||x|| = max_c ||X_c||;
-- the norm limit squares X_c X_c* / ||x||^2, whose positions carry
-  distinct gauge potentials, so N_0 of every stage is its diagonal, a
-  member of A by construction.
+Every frame system takes ||a_k|| as max_i |v_i| of a_k's block values
+(:func:`_coefficient_norms`), and the gauge bound ||a_k||_F as the stored
+Frobenius norm times 1 + ||V*V - I||_F (:func:`_certified_deviations`).
 
-**The dense path.**  Every other system (no frame, a premise that fails,
-or an error bound above 1e-12, as on a rotated frame past a few
-dimensions) is measured on n x n matrices: the draw projects its raw
-draws into the algebra and validates them through the NormalForm
-constructor's body, ||x|| is an eigensolve of the form's matrix, and
-:func:`norm_limit` squares P = xx*/||x||^2 of the forms as (g, n, n)
-stacks in the eigenbasis of H and tests their N_0 for membership in the
-algebra as one stack.
-
-On both paths a frame system takes ||a_k|| as max_i |v_i| of a_k's block
-values (:func:`_coefficient_norms`), and the gauge bound ||a_k||_F as the
-stored Frobenius norm times 1 + ||V*V - I||_F (:func:`_certified_deviations`).
-
-Either way the draw is validated in chunks (``_chunks``, which also cut
-the samplers' stacks), each holding, on the dense path, its stack and at
-most one more copy at a time, and on the chain path one raw draw and the
-chunk's block values; ||x|| is one eigensolve per chunk, cached on the
-form and read by all three samplers.
+The draw is validated in chunks (``_chunks``, which also cut the
+samplers' stacks), each holding one raw draw and the chunk's block values
+on a frame system, and elsewhere its stack and at most one more copy at a
+time; ||x|| is one eigensolve per chunk, cached on the form and read by
+all three samplers.
 """
 
 from __future__ import annotations
@@ -218,33 +215,32 @@ def _centred(count: int) -> np.ndarray:
 
 
 def _draws(system: IsometrySystem, rng: np.random.Generator, count: int):
-    """``count`` raw draws (``_draw``) from ``rng``; on a system whose
-    chain model stands in (``chain_model``) each is held only until its
-    (2N + 1, d) block values (``FiniteStarAlgebra.block_values``) are
-    read, which stand for it."""
-    chains = chain_model(system)
+    """``count`` raw draws (``_draw``) from ``rng``; on a frame system each
+    is held only until its (2N + 1, d) block values
+    (``FiniteStarAlgebra.block_values``) are read, which stand for it."""
     for _ in range(count):
         z = _draw(system, rng)
-        yield z if chains is None else system.algebra.block_values(z)
+        yield (z if system.algebra.frame is None
+               else system.algebra.block_values(z))
 
 
 def _validated(system: IsometrySystem,
                draws: list[np.ndarray]) -> list[NormalForm]:
     """The forms of a chunk of ``_draws``, validated as one stack:
 
-    - on a chain system, in block coordinates: the Frobenius norm of a
-      member is sqrt(sum_i r_i |v_i|^2), range normalization keeps the
-      blocks in the range of F_|k| (``Chains.ranged``), and the drop rule
-      compares the normalized norms with each form's largest input one;
-      membership holds by construction.  A form keeps its degrees and
-      block values (``NormalForm._from_values``);
-    - on any other system, one projection into the coefficient algebra,
-      one pass of the NormalForm validation body with each form's own
-      drop scale, in place, then one monomial pass, summed per form.
+    - on a frame system, in block values: range normalization multiplies
+      degree k's values by those of F_|k| (``IsometrySystem.range_values``),
+      which gives the block values of a F_|k|, and the drop rule compares
+      the normalized norms sqrt(sum_i r_i |v_i|^2) with each form's
+      largest input one; membership holds by construction.  A form keeps
+      its degrees and block values (``NormalForm._from_values``);
+    - elsewhere, one projection into the coefficient algebra, one pass of
+      the NormalForm validation body with each form's own drop scale, in
+      place, then one monomial pass, summed per form.
 
     ``draws`` is emptied once concatenated."""
     _require_coefficient_system(system)
-    chains = chain_model(system)
+    frame = system.algebra.frame
     count, sizes = len(draws), np.array([len(z) for z in draws])
     starts = np.cumsum(sizes) - sizes
     degrees = np.concatenate([_centred(k) for k in sizes])
@@ -252,22 +248,22 @@ def _validated(system: IsometrySystem,
     stack = np.concatenate(draws)
     draws.clear()
     # each form drops against its own largest input coefficient
-    if chains is None:
+    if frame is None:
         stack = system.algebra.project(stack)
         scale = np.maximum.reduceat(_frobenius_norms(stack), starts)
         keep, stack, norms = _canonical_terms(system, stack, degrees,
                                               scale[owner])
     else:
-        ranks = system.algebra.frame.ranks
-        scale = np.maximum.reduceat(_value_norms(stack, ranks), starts)
-        stack *= chains.ranged(degrees)
-        norms = _value_norms(stack, ranks)
+        scale = np.maximum.reduceat(_value_norms(stack, frame.ranks), starts)
+        ranges = system.range_values
+        stack *= ranges[np.minimum(np.abs(degrees), len(ranges) - 1)]
+        norms = _value_norms(stack, frame.ranks)
         keep = norms > system.tol * scale[owner]
         stack, norms = stack[keep], norms[keep]
     degrees = degrees[keep]
     ends = np.cumsum(np.bincount(owner[keep], minlength=count)).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
-    if chains is not None:
+    if frame is not None:
         return [NormalForm._from_values(system, degrees[a:b], stack[a:b],
                                         norms[a:b]) for a, b in bounds]
     monomials = _monomial_stack(system, stack, degrees)
@@ -284,8 +280,8 @@ def random_normal_form(system: IsometrySystem,
                        rng: np.random.Generator) -> NormalForm:
     """Draw a random canonical form: the coefficients of :func:`_draw`,
     projected into the coefficient algebra and validated (range-normalized,
-    dropped or tested for membership) as a NormalForm is; on a chain system
-    in block coordinates (:func:`_validated`)."""
+    dropped or tested for membership) as a NormalForm is; on a frame
+    system in block values (:func:`_validated`)."""
     return _validated(system, list(_draws(system, rng, 1)))[0]
 
 
@@ -298,9 +294,9 @@ def random_normal_forms(system: IsometrySystem, count: int,
     The draws are validated in consecutive chunks of forms whose
     coefficients fit DRAW_CHUNK_BYTES as n x n matrices (at least one form
     each), so the memory a draw holds beyond its forms is bounded: on a
-    chain system one raw draw and the chunk's block values, elsewhere the
+    frame system one raw draw and the chunk's block values, elsewhere the
     chunk's coefficients and one more copy.  The forms are successive
-    random_normal_form draws: on a chain system bit for bit, elsewhere bit
+    random_normal_form draws: on a frame system bit for bit, elsewhere bit
     for bit where BLAS rounds each row of a chunk's projection as it rounds
     a single form's, else up to rounding."""
     rng = np.random.default_rng(seed)
@@ -672,7 +668,7 @@ def _certified_deviations(forms: list[NormalForm], gen: GaugeGenerator,
     :func:`gauge_invariance_sample` proves, with ||a_k||_F the norm stored
     on the form times 1 + ||E||_F, E = V*V - I, on a frame system (V, r)
     and times 1 without one.  That norm is ||a_k||_F, or, on a drawn form
-    of a chain system, ||diag(v)||_F for a_k = V diag(v) V*, and
+    of a frame system, ||diag(v)||_F for a_k = V diag(v) V*, and
     ||V diag(v) V*||_F <= ||V||^2 ||diag(v)||_F with
     ||V||^2 = ||I + E|| <= 1 + ||E||_F."""
     algebra = forms[0].system.algebra

@@ -6,7 +6,8 @@ import pytest
 
 import isoalg as ia
 from isoalg.algebra import _span_defects, _svd_span, commutant
-from isoalg.linalg import spectral_norms
+from isoalg.linalg import _frobenius_norms, spectral_norms
+from isoalg.normalform import _canonical_terms
 
 _acceptance_results = []
 
@@ -200,6 +201,25 @@ def dense_sampler_oracle(forms, stages: int = 4):
     return rows
 
 
+def dense_draw_oracle(system, count, seed):
+    """Oracle: the dense draw on the raw draws of
+    ``random_normal_forms(system, count, seed)``, one form at a time: the
+    raw coefficients projected into the algebra, then range-normalized,
+    dropped against the form's largest projected coefficient and tested
+    for membership by the NormalForm validation body.  Per form, its
+    degrees, coefficient stack and Frobenius norms."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for _ in range(count):
+        z = ia.norms._draw(system, rng)
+        degrees = np.arange(len(z)) - len(z) // 2
+        stack = system.algebra.project(z)
+        scale = _frobenius_norms(stack).max()
+        keep, stack, norms = _canonical_terms(system, stack, degrees, scale)
+        forms.append((degrees[keep], stack, norms))
+    return forms
+
+
 def spans_equal(a, b, tol: float) -> tuple[bool, float]:
     """Oracle: mutual containment of the spans of two (K, n, n) stacks,
     each measured against an SVD basis of the other's span, relative to
@@ -362,11 +382,12 @@ CACHED_DEFECTS = ("intertwining_defect", "uu_commutator_defect",
                   "delta_star_invariance_defect")
 
 
-def count_cached_defects(monkeypatch) -> dict:
-    """Replace each cached defect of IsometrySystem by a cached property
-    that counts the runs of the same body; returns the live counts."""
-    calls = dict.fromkeys(CACHED_DEFECTS, 0)
-    for name in CACHED_DEFECTS:
+def count_cached_defects(monkeypatch, names=CACHED_DEFECTS) -> dict:
+    """Replace each cached property ``names`` of IsometrySystem, by default
+    the cached defects, by one that counts the runs of the same body;
+    returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(sys, name=name, body=vars(ia.IsometrySystem)[name].func):
             calls[name] += 1
             return body(sys)

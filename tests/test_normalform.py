@@ -289,6 +289,39 @@ def test_an_integer_past_the_range_is_refused_where_it_enters(cyclic5, k,
         make(cyclic5, k)
 
 
+@pytest.mark.parametrize("value, make", [
+    (1.7, lambda s, k: NormalForm(s, E11[None], degrees=[k])),
+    (True, lambda s, k: NormalForm(s, {k: E11})),
+    (2.9, lambda s, k: s.power(k)),
+    (1.5, lambda s, k: strip_power(s, E11, k)),
+    (1.5, lambda s, k: s.delta_n(E11, k))],
+    ids=["NormalForm_stack", "NormalForm_dict", "power", "strip_power",
+         "delta_n"])
+def test_a_degree_or_power_that_is_no_integer_is_refused(cyclic5, value,
+                                                         make):
+    # named where it enters, not truncated to 1 or 2 on its way to int64
+    with pytest.raises(DimensionMismatch,
+                       match=f"must be an integer, got {value!r}"):
+        make(cyclic5, value)
+
+
+def test_integral_floats_and_integer_arrays_are_degrees_and_powers(cyclic5):
+    # 2.0 is the degree or power 2, as from_json takes it; numpy integer
+    # arrays of any width are taken as they are, and no bool among them
+    two = NormalForm(cyclic5, {2: E11})
+    for degrees in ([2.0], np.array([2.0]), np.array([2], np.int8),
+                    np.array([2], np.uint64)):
+        x = NormalForm(cyclic5, E11[None], degrees=degrees)
+        assert x.degrees() == (2,) and np.array_equal(x.eval(), two.eval())
+    assert NormalForm(cyclic5, {2.0: E11}).degrees() == (2,)
+    assert np.array_equal(cyclic5.power(2.0), cyclic5.power(2))
+    assert np.array_equal(cyclic5.delta_n(E11, 2.0), cyclic5.delta_n(E11, 2))
+    assert np.array_equal(strip_power(cyclic5, two.eval(), 2.0), E11)
+    for ks in ([0, True], np.array([True, False])):
+        with pytest.raises(DimensionMismatch, match="got True"):
+            cyclic5.power_stack(ks)
+
+
 def test_the_range_ends_are_degrees(cyclic5):
     # on the permutation U, U^TOP = U^(TOP mod 5) exactly
     for k in (TOP, -TOP):

@@ -22,6 +22,8 @@ from isoalg.norms import (
 )
 
 from conftest import (
+    count_cached_defects,
+    dense_draw_oracle,
     dense_sampler_oracle,
     exact_chain_note,
     gauge_deviation_oracle,
@@ -490,15 +492,13 @@ def test_a_q09_draw_peaks_below_three_coefficient_stacks():
         ia.load_model(qdeform_spec(32, 0.9)).system)
 
 
-def test_the_dense_q09_draw_peaks_below_three_coefficient_stacks(
-        monkeypatch):
-    # the same on the dense path (the chain model marked failed): the
-    # forms are validated in one chunk, and the draw holds at most one
+def test_the_dense_draw_peaks_below_three_coefficient_stacks(amplified_q12):
+    # the same on the dense draw, which only a frame-less system takes:
+    # 200 forms of amplified_q12 (n = 24) hold about 8.8 MB of
+    # coefficients, validated in one chunk, and the draw holds at most one
     # extra copy of the chunk at a time
-    system = ia.load_model(qdeform_spec(32, 0.9)).system
-    monkeypatch.setitem(vars(system), "chains",
-                        system.chains._replace(failed="a premise"))
-    _assert_the_draw_peaks_below_three_coefficient_stacks(system)
+    assert amplified_q12.algebra.frame is None
+    _assert_the_draw_peaks_below_three_coefficient_stacks(amplified_q12)
 
 
 def _assert_the_draw_peaks_below_three_coefficient_stacks(system):
@@ -948,6 +948,32 @@ def chain_fixtures(certified_systems, qdeform6, q6x2):
 
 
 @pytest.fixture(scope="module")
+def failed_premise_frame():
+    """V = (1 + 4.5e-10) I with the backward shift on C^6: a frame whose
+    invariants pass at tol 1e-9, with ||V*V - I||_F = 2.2e-9 > tol, so
+    the chain model's first premise fails."""
+    alg = ia.FiniteStarAlgebra(ia.algebra.Frame(
+        (1.0 + 4.5e-10) * np.eye(6, dtype=complex), np.ones(6, int)))
+    return ia.IsometrySystem(alg, ia.backward_shift(6))
+
+
+@pytest.fixture(scope="module")
+def frame_systems(certified_systems, chain_fixtures, rotated_frames, cyclic5,
+                  cyclic3_shift4):
+    """The frame fixtures the dense draw oracle measures, by name: the
+    certified frame systems, the rotated frames and the two frames whose
+    U is not nilpotent.  Not the frame with a failed premise: there the
+    dense body's projection is off by the factor |1 + 4.5e-10|^4, and its
+    membership test refuses the projected coefficients (defect 1.4e-9)."""
+    systems = {name: system for name, system in certified_systems.items()
+               if system.algebra.frame is not None}
+    systems.update(chain_fixtures)
+    systems.update(rotated_frames)
+    systems.update(cyclic5=cyclic5, cyclic3_shift4=cyclic3_shift4)
+    return systems
+
+
+@pytest.fixture(scope="module")
 def rotated_frames():
     """Certified frame systems whose chain model holds its premises but
     whose error bound sends them to the dense path: the seed-0 rotations
@@ -1015,7 +1041,10 @@ def test_rotated_frames_take_the_dense_path_and_match_the_oracle(
                                  f"exceeds 1.0e-12"), name
         assert ia.norms._path_note(system) == [f"dense path: {chains.failed}"]
         forms = _oracle_forms(system, seed)
-        assert all("_coeffs" in vars(x) for x in forms), name
+        # drawn forms that enter no product hold block values alone, and
+        # products their coefficient stacks
+        assert not any("_coeffs" in vars(x) for x in forms[12:40]), name
+        assert all("_coeffs" in vars(x) for x in forms[40:]), name
         norms = ia.norms._operator_norms(forms)
         coeffs = ia.norms._coefficient_norms(forms)
         gen = system.gauge_generator
@@ -1061,25 +1090,88 @@ def test_the_chain_model_moves_within_its_error_bound(seed, rotated_frames):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_the_chain_draw_matches_the_dense_draw(seed, chain_fixtures,
-                                               rotated_frames):
-    # the same RNG draws, validated in block coordinates on the chain path
-    # and, on the dense path, by projection, range normalization, the drop
-    # rule and membership on the coefficient stacks: the same degrees, and
-    # the same coefficients and Frobenius norms to rounding (at n = 24)
-    systems = {**chain_fixtures, "rot09_n24": rotated_frames["rot09_n24"]}
-    for name, system in systems.items():
-        forms = random_normal_forms(_on_path(system, None), 60, seed)
-        dense = _on_path(system, "a premise")
-        for x, y in zip(forms, random_normal_forms(dense, 60, seed),
+def test_the_chain_draw_matches_the_dense_draw(seed, frame_systems):
+    # the same RNG draws, validated in block values on every frame system
+    # and, by the dense oracle, by projection, range normalization, the
+    # drop rule and membership on the coefficient stacks: the same
+    # degrees, and the same coefficients and Frobenius norms to rounding,
+    # whether or not the chain model stands in (not on rot09) and where
+    # there is none (cyclic5, cyclic3_shift4).  The dense body multiplies
+    # by the computed F_k, whose part off the algebra (the rounding of U,
+    # about 1e-13 on rot09 n = 64) the product of block values leaves
+    # out: a block coefficient is the dense one's projection into the
+    # algebra, and differs from it by the dense one's distance to it
+    for name, system in frame_systems.items():
+        forms = random_normal_forms(system, 60, seed)
+        for x, (degrees, coeffs, norms) in zip(
+                forms, dense_draw_oracle(system, 60, seed), strict=True):
+            assert x.degrees() == tuple(degrees.tolist()), name
+            assert "_coeffs" not in vars(x), name
+            if not degrees.size:
+                continue
+            scale = max(1.0, norms.max())
+            moved = np.abs(x.coefficients - coeffs).max(axis=(1, 2))
+            off = system.algebra.span_defects(coeffs)
+            assert (moved <= off + 1e-14 * scale).all(), name
+            assert np.abs(x.coefficients - system.algebra.project(
+                coeffs)).max() <= 1e-14 * scale, name
+            assert np.abs(x._norms - norms).max() <= 1e-14 * scale, name
+
+
+def test_the_draw_reads_no_chain_model(qdeform12, q6x2, chain_fixtures,
+                                       rotated_frames, cyclic5,
+                                       failed_premise_frame, monkeypatch):
+    # the draw takes its body by the algebra kind alone: with
+    # IsometrySystem.chains raising, every frame system still draws the
+    # same forms in block values, whether its chain model stands in
+    # (q12, q6x2, shifts4_2, the p6 rotations), does not (rot09 n = 24,
+    # the failed premise) or is none (cyclic5, whose U is not nilpotent)
+    systems = {"qdeform12": qdeform12.system, "q6x2": q6x2,
+               "shifts4_2": chain_fixtures["shifts4_2"],
+               "rot09_n24": rotated_frames["rot09_n24"], "cyclic5": cyclic5,
+               "failed_premise": failed_premise_frame}
+    systems.update({f"p6_rotated{s}": chain_fixtures[f"p6_rotated{s}"]
+                    for s in range(4)})
+    fresh = {name: ia.IsometrySystem(system.algebra, system.u)
+             for name, system in systems.items()}
+    whole = {name: random_normal_forms(system, 30, 5)
+             for name, system in systems.items()}
+
+    def chains(self):
+        raise AssertionError("the draw read the chain model")
+    monkeypatch.setattr(ia.IsometrySystem, "chains", property(chains))
+    for name, system in fresh.items():
+        for x, y in zip(random_normal_forms(system, 30, 5), whole[name],
                         strict=True):
             assert x.degrees() == y.degrees(), name
-            assert "_coeffs" not in vars(x) and "_coeffs" in vars(y), name
-            scale = max(1.0, y.scale())
-            assert np.abs(x.coefficients - y.coefficients).max(
-                initial=0.0) <= 1e-14 * scale, name
-            assert np.abs(x._norms - y._norms).max(
-                initial=0.0) <= 1e-14 * scale, name
+            assert "_coeffs" not in vars(x), name
+            assert np.array_equal(x._values, y._values), name
+            assert np.array_equal(x._norms, y._norms), name
+
+
+def test_the_range_values_are_measured_once_per_system(qdeform12, cyclic5,
+                                                        monkeypatch):
+    # one walk of U* V serves the draw, the chain model's third premise
+    # and the path note; rows k = 0 to the nilpotency index K, row 0 the
+    # identity's (exactly 1) and row K an exact zero, or rows up to
+    # MAX_SAMPLE_DEGREE + 1 when U is not nilpotent
+    calls = count_cached_defects(monkeypatch, ("range_values",))
+    system = ia.IsometrySystem(qdeform12.system.algebra, qdeform12.system.u)
+    random_normal_forms(system, 20, 0)
+    chains = system.chains
+    ia.norms._path_note(system)
+    random_normal_forms(system, 20, 1)
+    assert calls == {"range_values": 1}
+    ranges = system.range_values
+    positions = chains.positions
+    assert ranges.shape == (13, 12)
+    assert (ranges[0] == 1.0).all() and not ranges[12].any()
+    assert np.array_equal(ranges[1:12], positions >= np.arange(1, 12)[:, None])
+    cyclic = ia.IsometrySystem(cyclic5.algebra, cyclic5.u)
+    random_normal_forms(cyclic, 20, 0)
+    assert calls == {"range_values": 2} and cyclic.nilpotency_index is None
+    assert cyclic.range_values.shape == (ia.algebra.MAX_SAMPLE_DEGREE + 2, 5)
+    assert np.array_equal(cyclic.range_values, np.ones((6, 5)))
 
 
 def test_the_chain_model_reads_sigma_and_its_premises(chain_fixtures,
@@ -1126,20 +1218,19 @@ def test_systems_without_a_certified_frame_have_no_chain_model(
 
 
 def test_a_failed_premise_is_named_and_sends_the_samplers_to_the_dense_path(
-        qdeform12, monkeypatch):
+        qdeform12, failed_premise_frame, monkeypatch):
     # V = (1 + 4.5e-10) I is a frame whose invariants pass at tol 1e-9,
     # with ||V*V - I||_F = 2.2e-9 > tol: the first premise fails
-    alg = ia.FiniteStarAlgebra(ia.algebra.Frame(
-        (1.0 + 4.5e-10) * np.eye(6, dtype=complex), np.ones(6, int)))
-    system = ia.IsometrySystem(alg, ia.backward_shift(6))
+    system = failed_premise_frame
     assert system.coefficient_report.passed and system.gauge_generator
     assert system.chains.failed == ("||V*V - I||_F = 2.205e-09 exceeds tol "
                                     "1.0e-09")
     assert ia.norms._path_note(system) == [
         "dense path: ||V*V - I||_F = 2.205e-09 exceeds tol 1.0e-09"]
-    # on q12 with its premises marked failed, the draw and the samplers
-    # take the dense path: they form no chain matrix, and the draw reads no
-    # block value (the coefficient bound reads them on every frame system)
+    # on q12 with its premises marked failed, the samplers measure ||x||
+    # and N_0 on the dense path: they form no chain matrix.  The draw
+    # reads block values on every frame system, and its forms are those
+    # of q12's own draw
     system = ia.IsometrySystem(qdeform12.system.algebra, qdeform12.system.u)
     failed = system.chains._replace(failed="a premise")
     monkeypatch.setitem(vars(system), "chains", failed)
@@ -1147,10 +1238,12 @@ def test_a_failed_premise_is_named_and_sends_the_samplers_to_the_dense_path(
     def chained(*args):
         raise AssertionError("the chain path measured a failed model")
     monkeypatch.setattr(ia.algebra.Chains, "matrices", chained)
-    with monkeypatch.context() as draw:
-        draw.setattr(ia.FiniteStarAlgebra, "block_values", chained)
-        forms = random_normal_forms(system, 30, 0)
-    assert all("_coeffs" in vars(x) for x in forms)
+    forms = random_normal_forms(system, 30, 0)
+    assert not any("_coeffs" in vars(x) for x in forms)
+    for x, y in zip(forms, random_normal_forms(qdeform12.system, 30, 0),
+                    strict=True):
+        assert x.degrees() == y.degrees()
+        assert np.array_equal(x._values, y._values)
     star = sample_coefficient_bound(system, forms)
     gauge = gauge_invariance_sample(system, forms)
     limit, _ = norm_limit_sample(system, forms)
